@@ -2,7 +2,7 @@
 
 The package is layered bottom-up:
 
-- exactlin: dense exact linear algebra over Q (RREF, subspaces, quotients)
+- exactlin: exact linear algebra over Q whose kernels skip zero entries (RREF, subspaces, quotients)
 - rsystem: structure-constant presentations of rings, bimodules, pairings
 - tensorpow: balanced tensor powers of the module legs and the iterated pairing
 - finrank: finite-rank operator calculus (theta operators, Delta, (FS) checks)

@@ -28,15 +28,12 @@ from typing import Optional, Sequence
 from .exactlin import (
     Subspace,
     frac,
-    kron_vec,
     mat_identity,
     matvec,
     preimage,
     solve,
     solve_matrix,
     unit_vec,
-    vec_add,
-    vec_scale,
     zero_vec,
 )
 from .finrank import (
@@ -195,25 +192,11 @@ def _pi_delta(ctx: CpContext, x: Sequence[Fraction]) -> Optional[list[Fraction]]
     if cs.dim == 0:
         ctx._pi_cache[key] = None
         return None
-    dq, dp = system.q.dim, system.p.dim
-    cols = []
-    for a in range(dq):
-        for b in range(dp):
-            m = theta_matrix(system, 1, a, b)
-            cols.append([ent for row in m for ent in row])
-    mat = [[cols[c][r] for c in range(len(cols))] for r in range(dq * dq)]
-    target_m = system.q.left_matrix(list(key))
-    target = [ent for row in target_m for ent in row]
-    coeffs = solve(mat, target)
+    coeffs = _theta_decomposition(system, key)
     if coeffs is None:
         raise ValueError("Delta(x) is not finite-rank: ideal is not psi-compatible")
-    raw = zero_vec(dq * dp)
-    for a in range(dq):
-        for b in range(dp):
-            c = coeffs[a * dp + b]
-            if c:
-                raw = vec_add(raw, vec_scale(c, kron_vec(unit_vec(dq, a), unit_vec(dp, b))))
-    out = matvec(cs.proj, raw)
+    # c_ab sits at a * dim P + b, the kron_vec coordinate of e_a (x) e_b in Q (x) P
+    out = matvec(cs.proj, coeffs)
     ctx._pi_cache[key] = out
     return out
 

@@ -1,10 +1,13 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, with kernels that skip zero entries.
 
 Everything in the package reduces to solving small exact linear systems, so
 this module keeps the representation boring on purpose: a vector is a list of
-`Fraction`, a matrix is a list of row vectors.  `Subspace` stores a reduced
-row echelon basis and supports the handful of lattice operations the higher
-layers need (sum, intersection, membership, canonical residuals).
+`Fraction`, a matrix is a list of row vectors.  The matrices that graph and
+permutation systems produce are almost all zeros, so every kernel collects
+the nonzero entries of its operands first and does arithmetic only on those;
+the results are exactly those of the dense formulas.  `Subspace` stores a
+reduced row echelon basis and supports the handful of lattice operations the
+higher layers need (sum, intersection, membership, canonical residuals).
 `QuotientSpace` fixes the canonical complement spanned by the non-pivot
 coordinates, which gives an exact section of the projection.
 """
@@ -47,34 +50,41 @@ def unit_vec(n: int, i: int) -> list[Fraction]:
 
 
 def is_zero_vec(v: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in v)
+    return not any(v)
+
+
+def _nonzeros(v: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+    return [(j, x) for j, x in enumerate(v) if x]
 
 
 def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     if len(a) != len(b):
         raise DimensionMismatch(f"vector lengths {len(a)} != {len(b)}")
-    return [x + y for x, y in zip(a, b)]
-
-
-def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if len(a) != len(b):
-        raise DimensionMismatch(f"vector lengths {len(a)} != {len(b)}")
-    return [x - y for x, y in zip(a, b)]
+    out = list(a)
+    for j, y in _nonzeros(b):
+        x = out[j]
+        out[j] = x + y if x else y
+    return out
 
 
 def vec_scale(c, v: Sequence[Fraction]) -> list[Fraction]:
     c = frac(c)
-    return [c * x for x in v]
+    out = [ZERO] * len(v)
+    if c:
+        for j, x in _nonzeros(v):
+            out[j] = c * x
+    return out
 
 
 def kron_vec(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     """Coordinates of a (x) b: index (i, j) -> i * len(b) + j."""
-    out = []
-    for x in a:
-        if x == 0:
-            out.extend([ZERO] * len(b))
-        else:
-            out.extend(x * y for y in b)
+    n = len(b)
+    nz_b = _nonzeros(b)
+    out = [ZERO] * (len(a) * n)
+    for i, x in _nonzeros(a):
+        base = i * n
+        for j, y in nz_b:
+            out[base + j] = x * y
     return out
 
 
@@ -86,14 +96,19 @@ def mat_identity(n: int) -> list[list[Fraction]]:
     return [unit_vec(n, i) for i in range(n)]
 
 
-def mat_copy(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    return [list(row) for row in a]
-
-
 def matvec(a: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> list[Fraction]:
     if a and len(a[0]) != len(x):
         raise DimensionMismatch(f"matrix is {len(a)}x{len(a[0])}, vector has {len(x)}")
-    return [sum((r_j * x_j for r_j, x_j in zip(row, x) if x_j != 0), ZERO) for row in a]
+    nz_x = _nonzeros(x)
+    out = []
+    for row in a:
+        acc = ZERO
+        for j, x_j in nz_x:
+            r_j = row[j]
+            if r_j:
+                acc += r_j * x_j
+        out.append(acc)
+    return out
 
 
 def matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -102,14 +117,13 @@ def matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> 
     if not b:
         return [[] for _ in a]
     n_out = len(b[0])
+    nz_b = [_nonzeros(brow) for brow in b]
     out = []
     for row in a:
         acc = [ZERO] * n_out
-        for coef, brow in zip(row, b):
-            if coef == 0:
-                continue
-            for j, bval in enumerate(brow):
-                if bval != 0:
+        for coef, nz_brow in zip(row, nz_b):
+            if coef:
+                for j, bval in nz_brow:
                     acc[j] += coef * bval
         out.append(acc)
     return out
@@ -121,17 +135,6 @@ def mat_transpose(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     return [list(col) for col in zip(*a)]
 
 
-def mat_add(a, b) -> list[list[Fraction]]:
-    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
-        raise DimensionMismatch("matrix shapes differ")
-    return [vec_add(ra, rb) for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a) -> list[list[Fraction]]:
-    c = frac(c)
-    return [[c * x for x in row] for row in a]
-
-
 def mat_eq(a, b) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
@@ -140,15 +143,16 @@ def kron(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> li
     """Kronecker product acting on kron_vec coordinates: (A (x) B)(x (x) y) = Ax (x) By."""
     if not a or not b:
         return []
+    nz_b = [(len(brow), _nonzeros(brow)) for brow in b]
     out = []
     for arow in a:
-        for brow in b:
-            row = []
-            for av in arow:
-                if av == 0:
-                    row.extend([ZERO] * len(brow))
-                else:
-                    row.extend(av * bv for bv in brow)
+        nz_a = _nonzeros(arow)
+        for n, nz_brow in nz_b:
+            row = [ZERO] * (len(arow) * n)
+            for i, av in nz_a:
+                base = i * n
+                for j, bv in nz_brow:
+                    row[base + j] = av * bv
             out.append(row)
     return out
 
@@ -167,18 +171,28 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     for c in range(ncols):
         pivot_row = None
         for i in range(r, len(a)):
-            if a[i][c] != 0:
+            if a[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = ONE / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                coef = a[i][c]
-                a[i] = [x - coef * y for x, y in zip(a[i], a[r])]
+        prow = a[r]
+        # rows r.. are zero left of column c, so the pivot row's support starts at c
+        support = [j for j in range(c + 1, ncols) if prow[j]]
+        pv = prow[c]
+        if pv != ONE:
+            inv = ONE / pv
+            prow[c] = ONE
+            for j in support:
+                prow[j] *= inv
+        nz_prow = [(j, prow[j]) for j in support]
+        for i, row in enumerate(a):
+            coef = row[c]
+            if coef and i != r:
+                row[c] = ZERO
+                for j, y in nz_prow:
+                    row[j] -= coef * y
         pivots.append(c)
         r += 1
         if r == len(a):
@@ -240,7 +254,7 @@ def kernel(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 class Subspace:
     """A subspace of Q^n stored as a reduced row echelon basis."""
 
-    __slots__ = ("ambient", "rows", "pivots")
+    __slots__ = ("ambient", "rows", "pivots", "_support")
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence[Fraction]] = ()):
         self.ambient = ambient
@@ -252,6 +266,11 @@ class Subspace:
         rows, pivots = rref(vecs)
         self.rows = tuple(tuple(r) for r in rows)
         self.pivots = tuple(pivots)
+        # nonzero (column, value) of each basis row right of its pivot; all are free columns
+        self._support = tuple(
+            tuple((j, row[j]) for j in range(p + 1, ambient) if row[j])
+            for row, p in zip(self.rows, self.pivots)
+        )
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
@@ -272,12 +291,12 @@ class Subspace:
         if len(v) != self.ambient:
             raise DimensionMismatch(f"vector of length {len(v)} in Q^{self.ambient}")
         out = list(map(frac, v))
-        for row, p in zip(self.rows, self.pivots):
+        for p, support in zip(self.pivots, self._support):
             c = out[p]
-            if c != 0:
-                for j in range(p, self.ambient):
-                    if row[j] != 0:
-                        out[j] -= c * row[j]
+            if c:
+                out[p] = ZERO
+                for j, y in support:
+                    out[j] -= c * y
         return out
 
     def contains(self, v: Sequence[Fraction]) -> bool:
@@ -289,13 +308,13 @@ class Subspace:
             raise DimensionMismatch("length mismatch")
         out = list(map(frac, v))
         coords = []
-        for row, p in zip(self.rows, self.pivots):
+        for p, support in zip(self.pivots, self._support):
             c = out[p]
             coords.append(c)
-            if c != 0:
-                for j in range(p, self.ambient):
-                    if row[j] != 0:
-                        out[j] -= c * row[j]
+            if c:
+                out[p] = ZERO
+                for j, y in support:
+                    out[j] -= c * y
         if not is_zero_vec(out):
             return None
         return coords
@@ -318,9 +337,11 @@ class Subspace:
         gens = []
         for rel in relations:
             v = [ZERO] * self.ambient
-            for c, row in zip(rel[:k], self.rows):
-                if c != 0:
-                    v = [a + c * b for a, b in zip(v, row)]
+            for c, p, support in zip(rel[:k], self.pivots, self._support):
+                if c:
+                    v[p] += c
+                    for j, y in support:
+                        v[j] += c * y
             gens.append(v)
         return Subspace(self.ambient, gens)
 
@@ -368,10 +389,28 @@ class QuotientSpace:
         return v
 
     def projection_matrix(self) -> list[list[Fraction]]:
-        return mat_transpose([self.project(unit_vec(self.ambient, i)) for i in range(self.ambient)])
+        """Matrix of `project`, read off the RREF rows.
+
+        A free coordinate is its own residual; the pivot p_k of basis row k
+        has residual e_{p_k} - row_k, which is -row_k on the free coordinates.
+        """
+        position = {f: t for t, f in enumerate(self.free)}
+        out = [[ZERO] * self.ambient for _ in self.free]
+        for t, f in enumerate(self.free):
+            out[t][f] = ONE
+        for p, support in zip(self.sub.pivots, self.sub._support):
+            for j, y in support:
+                out[position[j]][p] = -y
+        return out
 
     def section_matrix(self) -> list[list[Fraction]]:
-        return mat_transpose([self.section(unit_vec(self.dim, i)) for i in range(self.dim)])
+        """Matrix of `section`: quotient coordinate t goes to the unit vector at free[t]."""
+        if not self.free:
+            return []
+        out = mat_zero(self.ambient, self.dim)
+        for t, f in enumerate(self.free):
+            out[f][t] = ONE
+        return out
 
     def __repr__(self) -> str:
         return f"QuotientSpace(Q^{self.ambient} / dim {self.sub.dim})"

@@ -25,6 +25,7 @@ from typing import Sequence
 
 from .exactlin import (
     Subspace,
+    _nonzeros,
     frac,
     is_zero_vec,
     kernel,
@@ -251,18 +252,40 @@ def _check_bimodule(ring: StructuredRing, mod: StructuredBimodule, tag: str, fai
                 failures.append(f"{tag}: actions do not commute at ({ring.labels[i]},{ring.labels[j]})")
 
 
+def _column_nonzeros(mats) -> list:
+    """cols[i][a] = nonzero (row, value) of column a of mats[i], i.e. of the action on basis vector a."""
+    return [[_nonzeros(col) for col in zip(*m)] for m in mats]
+
+
+def _lincomb(n: int, terms) -> list[Fraction]:
+    """sum of c * v over the (c, nonzeros of v) in `terms`, as a dense vector in Q^n."""
+    out = [ZERO] * n
+    for c, nz in terms:
+        for j, y in nz:
+            out[j] += c * y
+    return out
+
+
 def validate_axioms(system: RSystem) -> ValidationReport:
-    """Check every defining identity of (R, P, Q, psi) on basis elements."""
+    """Check every defining identity of (R, P, Q, psi) on basis elements.
+
+    Each side of an identity on basis elements is a combination of entries
+    of the structure tables (ring.mult, the action matrices, psi.table), so
+    both sides are read off those tables rather than computed by applying
+    the structure maps to unit vectors.
+    """
     failures: list[str] = []
     count = [0]
     ring = system.ring
     n = ring.dim
+    mult = [[_nonzeros(cell) for cell in row] for row in ring.mult]
 
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = ring.multiply(ring.mult[i][j], unit_vec(n, k))
-                rhs = ring.multiply(unit_vec(n, i), ring.mult[j][k])
+                # (e_i e_j) e_k = e_i (e_j e_k)
+                lhs = _lincomb(n, ((c, mult[l][k]) for l, c in mult[i][j]))
+                rhs = _lincomb(n, ((c, mult[i][l]) for l, c in mult[j][k]))
                 count[0] += 1
                 if lhs != rhs:
                     failures.append(
@@ -277,29 +300,29 @@ def validate_axioms(system: RSystem) -> ValidationReport:
     if len(psi.table) != dp or any(len(row) != dq for row in psi.table):
         failures.append("psi: table shape does not match module bases")
     else:
+        table = [[_nonzeros(cell) for cell in row] for row in psi.table]
+        p_left, p_right = _column_nonzeros(system.p.left), _column_nonzeros(system.p.right)
+        q_left, q_right = _column_nonzeros(system.q.left), _column_nonzeros(system.q.right)
         for i in range(n):
-            e = unit_vec(n, i)
             for a in range(dp):
-                pa = unit_vec(dp, a)
                 for b in range(dq):
-                    qb = unit_vec(dq, b)
                     # balanced over R: psi(p.r (x) q) = psi(p (x) r.q)
-                    lhs = psi.apply(system.p.act_right(pa, e), qb)
-                    rhs = psi.apply(pa, system.q.act_left(e, qb))
+                    lhs = _lincomb(n, ((c, table[x][b]) for x, c in p_right[i][a]))
+                    rhs = _lincomb(n, ((c, table[a][y]) for y, c in q_left[i][b]))
                     count[0] += 1
                     if lhs != rhs:
                         failures.append(
                             f"psi: not balanced at ({ring.labels[i]},p{a},q{b})"
                         )
                     # left R-linear: psi(r.p (x) q) = r psi(p (x) q)
-                    lhs = psi.apply(system.p.act_left(e, pa), qb)
-                    rhs = ring.multiply(e, psi.apply(pa, qb))
+                    lhs = _lincomb(n, ((c, table[x][b]) for x, c in p_left[i][a]))
+                    rhs = _lincomb(n, ((c, mult[i][l]) for l, c in table[a][b]))
                     count[0] += 1
                     if lhs != rhs:
                         failures.append(f"psi: not left linear at ({ring.labels[i]},p{a},q{b})")
                     # right R-linear: psi(p (x) q.r) = psi(p (x) q) r
-                    lhs = psi.apply(pa, system.q.act_right(qb, e))
-                    rhs = ring.multiply(psi.apply(pa, qb), e)
+                    lhs = _lincomb(n, ((c, table[a][y]) for y, c in q_right[i][b]))
+                    rhs = _lincomb(n, ((c, mult[l][i]) for l, c in table[a][b]))
                     count[0] += 1
                     if lhs != rhs:
                         failures.append(f"psi: not right linear at ({ring.labels[i]},p{a},q{b})")

@@ -5,6 +5,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from cprings.exactlin import (
+    ONE,
+    ZERO,
     DimensionMismatch,
     QuotientSpace,
     Subspace,
@@ -23,6 +25,8 @@ from cprings.exactlin import (
     solve_matrix,
     unit_vec,
     vec,
+    vec_add,
+    vec_scale,
 )
 
 F = Fraction
@@ -226,3 +230,142 @@ def test_quotient_roundtrip_random(rows):
     # projection kills exactly W
     for r in w.basis():
         assert all(x == 0 for x in q.project(r))
+
+
+# ---------------------------------------------------------------------------
+# the zero-skipping kernels against plain dense references
+#
+# Each reference is the textbook dense formula: it multiplies and adds every
+# entry, zeros included.  The kernels must return equal results on sparse
+# inputs of every shape, including empty ones.
+
+
+def dense_vec_add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def dense_vec_scale(c, v):
+    return [frac(c) * x for x in v]
+
+
+def dense_matvec(a, x):
+    return [sum((r * y for r, y in zip(row, x)), ZERO) for row in a]
+
+
+def dense_matmul(a, b):
+    if not b:
+        return [[] for _ in a]
+    return [
+        [sum((row[k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0]))]
+        for row in a
+    ]
+
+
+def dense_kron_vec(a, b):
+    return [x * y for x in a for y in b]
+
+
+def dense_kron(a, b):
+    if not a or not b:
+        return []
+    return [[x * y for x in arow for y in brow] for arow in a for brow in b]
+
+
+def dense_rref(rows):
+    a = [[frac(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        pivot_row = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+def dense_reduce(sub, v):
+    """(residual, coefficients) of v against the RREF rows of `sub`."""
+    out = [frac(x) for x in v]
+    coords = []
+    for row, p in zip(sub.rows, sub.pivots):
+        c = out[p]
+        coords.append(c)
+        out = [x - c * y for x, y in zip(out, row)]
+    return out, coords
+
+
+def dense_projection_matrix(q):
+    cols = []
+    for i in range(q.ambient):
+        residual, _ = dense_reduce(q.sub, unit_vec(q.ambient, i))
+        cols.append([residual[f] for f in q.free])
+    return mat_transpose(cols)
+
+
+def dense_section_matrix(q):
+    cols = []
+    for t in range(q.dim):
+        v = [ZERO] * q.ambient
+        v[q.free[t]] = ONE
+        cols.append(v)
+    return mat_transpose(cols)
+
+
+@st.composite
+def sparse_matrix(draw, m, n):
+    """An m x n matrix with 0-40 % nonzero entries, ints mixed with Fractions.
+
+    Zeros come as both 0 and Fraction(0).  Some draws repeat a combination of
+    two rows, so that row reduction meets dependent rows.
+    """
+    rnd = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.0, 0.1, 0.25, 0.4]))
+
+    def entry():
+        if rnd.random() >= density:
+            return rnd.choice([0, F(0)])
+        x = F(rnd.choice([-1, 1]) * rnd.randint(1, 7), rnd.choice([1, 1, 2, 3]))
+        return int(x) if x.denominator == 1 and rnd.random() < 0.5 else x
+
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if m >= 2 and rnd.random() < 0.5:
+        i, j = rnd.sample(range(m), 2)
+        c = F(rnd.randint(-3, 3), rnd.randint(1, 2))
+        rows[rnd.randrange(m)] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernels_match_dense_references(data):
+    m, k, n = (data.draw(st.integers(0, 6)) for _ in range(3))
+    a = data.draw(sparse_matrix(m, k))
+    b = data.draw(sparse_matrix(k, n))
+    x, x2 = data.draw(sparse_matrix(2, k))
+    (y,) = data.draw(sparse_matrix(1, n))
+    c = data.draw(st.sampled_from([0, 2, F(0), F(-3, 2)]))
+
+    assert vec_add(x, x2) == dense_vec_add(x, x2)
+    assert vec_scale(c, x) == dense_vec_scale(c, x)
+    assert matvec(a, x) == dense_matvec(a, x)
+    assert matmul(a, b) == dense_matmul(a, b)
+    assert kron_vec(x, y) == dense_kron_vec(x, y)
+    assert kron(a, b) == dense_kron(a, b)
+    # RREF is canonical, so the rows and pivots themselves must agree
+    assert rref(a) == dense_rref(a)
+
+    sub = Subspace(k, a)
+    row_sum = dense_matvec(mat_transpose(a), [ONE] * m) if m else [ZERO] * k
+    for v in (x, row_sum, dense_vec_add(x, row_sum)):
+        residual, coords = dense_reduce(sub, v)
+        assert sub.reduce(v) == residual
+        assert sub.coordinates(v) == (coords if not any(residual) else None)
+    q = QuotientSpace(sub)
+    assert q.projection_matrix() == dense_projection_matrix(q)
+    assert q.section_matrix() == dense_section_matrix(q)

@@ -16,7 +16,12 @@ from conftest import (
 )
 from cprings.exactlin import mat_identity, unit_vec, zero_vec
 from cprings.rsystem import (
+    Pairing,
+    RSystem,
+    StructuredBimodule,
     StructuredRing,
+    ValidationReport,
+    _check_bimodule,
     build_automorphism_system,
     build_graph_system,
     is_right_nondegenerate,
@@ -174,3 +179,78 @@ def test_json_roundtrip_random(seed):
     back = system_from_json(system_to_json(sys))
     assert back.psi.table == sys.psi.table
     assert back.ring.mult == sys.ring.mult
+
+
+def reference_validate_axioms(system):
+    """validate_axioms computed by applying the structure maps to unit vectors."""
+    failures, count = [], [0]
+    ring, n = system.ring, system.ring.dim
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = ring.multiply(ring.mult[i][j], unit_vec(n, k))
+                rhs = ring.multiply(unit_vec(n, i), ring.mult[j][k])
+                count[0] += 1
+                if lhs != rhs:
+                    failures.append(
+                        f"ring: associativity fails at ({ring.labels[i]},{ring.labels[j]},{ring.labels[k]})"
+                    )
+    _check_bimodule(ring, system.p, "P", failures, count)
+    _check_bimodule(ring, system.q, "Q", failures, count)
+    psi, p, q = system.psi, system.p, system.q
+    if len(psi.table) != p.dim or any(len(row) != q.dim for row in psi.table):
+        failures.append("psi: table shape does not match module bases")
+    else:
+        for i in range(n):
+            e = unit_vec(n, i)
+            for a in range(p.dim):
+                pa = unit_vec(p.dim, a)
+                for b in range(q.dim):
+                    qb = unit_vec(q.dim, b)
+                    checks = (
+                        ("not balanced", psi.apply(p.act_right(pa, e), qb), psi.apply(pa, q.act_left(e, qb))),
+                        ("not left linear", psi.apply(p.act_left(e, pa), qb), ring.multiply(e, psi.apply(pa, qb))),
+                        ("not right linear", psi.apply(pa, q.act_right(qb, e)), ring.multiply(psi.apply(pa, qb), e)),
+                    )
+                    for what, lhs, rhs in checks:
+                        count[0] += 1
+                        if lhs != rhs:
+                            failures.append(f"psi: {what} at ({ring.labels[i]},p{a},q{b})")
+    return ValidationReport(ok=not failures, failures=failures, checks=count[0])
+
+
+def _tampered(system, rng):
+    """A copy of `system` with one to three structure constants overwritten."""
+    tables = {
+        "mult": [[list(cell) for cell in row] for row in system.ring.mult],
+        "psi": [[list(cell) for cell in row] for row in system.psi.table],
+    }
+    for leg in ("p", "q"):
+        for side in ("left", "right"):
+            tables[leg + side] = [[list(r) for r in m] for m in getattr(getattr(system, leg), side)]
+    for _ in range(rng.randint(1, 3)):
+        cells = [row for table in tables.values() for block in table for row in block if row]
+        if not cells:
+            break
+        row = rng.choice(cells)
+        row[rng.randrange(len(row))] = rng.choice([F(0), F(1), F(-1), F(1, 2), F(2)])
+    ring = StructuredRing(system.ring.labels, tables["mult"])
+    p = StructuredBimodule(system.p.labels, tables["pleft"], tables["pright"])
+    q = StructuredBimodule(system.q.labels, tables["qleft"], tables["qright"])
+    return RSystem(ring=ring, p=p, q=q, psi=Pairing(tables["psi"]), name="tampered")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["graph", "perm", "dual", "matrix2"]))
+def test_validate_axioms_matches_unit_vector_reference(seed, kind):
+    rng = random.Random(seed)
+    if kind == "graph":
+        sys = build_graph_system(random_graph(rng, max_v=4, max_e=5))
+    elif kind == "perm":
+        sys = random_permutation_system(rng, max_n=4)
+    elif kind == "dual":
+        sys = build_automorphism_system(dual_numbers_ring(), mat_identity(2))
+    else:
+        sys = build_automorphism_system(matrix2_ring(), mat_identity(4))
+    for candidate in (sys, _tampered(sys, rng)):
+        assert validate_axioms(candidate) == reference_validate_axioms(candidate)
