@@ -543,7 +543,7 @@ def _cp_context(loaded: LoadedInput, args, jspec: str) -> CpContext:
             if not good
         ]
         raise NotInvariant(f"J is not admissible: fails {', '.join(bad)}")
-    return CpContext(sy, j, slack=args.slack, cap=2 * args.cap)
+    return CpContext(sy, j, cap=2 * args.cap)
 
 
 def _verb_validate(loaded, args) -> Outcome:
@@ -852,7 +852,6 @@ def _build_argparser() -> argparse.ArgumentParser:
         if n_exprs:
             sp.add_argument("exprs", nargs=n_exprs, metavar="EXPR")
         sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help="tensor degree cap")
-        sp.add_argument("--slack", type=int, default=2, help="membership stabilization slack")
         sp.add_argument("--format", choices=("json", "dot", "table"), default="json")
         sp.add_argument("--seed", type=int, default=0, help="seed for randomized verbs")
         if verb == "eq":

@@ -2,16 +2,21 @@
 
 Given a two-sided ideal J of R that is psi-compatible (J maps into the
 finite-rank operators under Delta) and faithful (J meets ker Delta trivially),
-the relative Cuntz-Pimsner ring is the quotient of the Toeplitz ring by the
-relation ideal generated by
+the relative Cuntz-Pimsner ring O(J) is the quotient of the Toeplitz ring T
+by the relation ideal T(J) generated by
 
     iota_Q^k(q) * ( iota_R(x) - pi(Delta(x)) ) * iota_P^l(p),   x in J,
 
 where pi(Delta(x)) is the grade-(1,1) element realizing the rank-one
-decomposition of Delta(x).  Equality in the quotient is decided by exact
-linear membership in per-z-degree truncations of that relation ideal; the
-truncation degree is raised until the visible span stabilizes twice in a row,
-and a positive membership found at any truncation is final (spans only grow).
+decomposition of Delta(x).  Equality in O(J) is membership of the difference
+in T(J), which `relation_preimage` decides exactly on the Fock
+representation: there T(J) becomes a direct sum of operator spans, each
+between two tensor levels, so membership is a finite walk over the levels of
+an element's Fock blocks (the proof sketch is in its docstring).  The same
+walk, run on a span of elements, gives the subspace of combinations that lie
+in T(J), from which the graded-ideal correspondence reads T-pairs back.  It
+needs condition (FS), which makes the Fock representation faithful, and
+raises `FsViolation` without it.
 
 The gauge action scales the grade-(m,n) component by t^(n-m); since the
 scalars form an infinite field, evaluating at enough distinct t recovers the
@@ -26,15 +31,18 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactlin import (
+    ZERO,
     Subspace,
+    _nonzeros,
     frac,
+    kernel,
     mat_identity,
+    mat_transpose,
     matvec,
     preimage,
     solve,
     solve_matrix,
     unit_vec,
-    zero_vec,
 )
 from .finrank import (
     FsViolation,
@@ -44,7 +52,7 @@ from .finrank import (
     theta_matrix,
 )
 from .rsystem import RSystem
-from .tensorpow import DEFAULT_CAP, CapExceeded, tensor_space
+from .tensorpow import DEFAULT_CAP, _system_store, tensor_space
 from .toeplitz import (
     InvalidRepresentation,
     Representation,
@@ -52,7 +60,9 @@ from .toeplitz import (
     check_representation,
     component_space,
     embed_n,
+    fock_apply,
     toeplitz_mul,
+    z_project,
 )
 
 __all__ = [
@@ -72,7 +82,7 @@ __all__ = [
     "in_relation_ideal",
     "is_cp_invariant",
     "relation_generators",
-    "stable_relation_span",
+    "relation_preimage",
     "validate_ideal",
 ]
 
@@ -154,13 +164,13 @@ def _kernel_rows(mat, ambient):
 class CpContext:
     system: RSystem
     j: CompatibleIdeal
-    slack: int = 2
-    # total-grade cap for the membership search; generators reach grade
-    # (bound+1, bound+1), so this is twice the per-side tensor level
+    # highest tensor level the membership test may read Fock blocks at (the
+    # element's own degree suffices); also the total-grade cap of products
+    # of CpElements
     cap: int = 2 * DEFAULT_CAP
-    last_slack_used: int = field(default=0, init=False)
     _pi_cache: dict = field(default_factory=dict, init=False, repr=False)
     _gen_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _theta_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.j.system is not self.system:
@@ -235,141 +245,145 @@ def relation_generators(ctx: CpContext, k: int, l: int) -> list[ToeplitzElement]
     return out
 
 
-def _zdeg_layout(system: RSystem, zdeg: int, max_m: int):
-    """Grades (m, m-zdeg) for m up to max_m, with coordinate offsets."""
-    grades, offsets, total = [], {}, 0
-    for m in range(max(zdeg, 0), max_m + 1):
-        n = m - zdeg
-        dim = component_space(system, m, n).dim
-        if dim:
-            grades.append((m, n))
-            offsets[(m, n)] = (total, dim)
-            total += dim
-    return grades, offsets, total
+# ---------------------------------------------------------------------------
+# exact membership in T(J) through the Fock representation
 
 
-def _coords_in_layout(x: ToeplitzElement, offsets, total) -> Optional[list[Fraction]]:
-    vec = zero_vec(total)
-    for g, comp in x.comps.items():
-        if g not in offsets:
-            return None  # supported outside the layout window
-    for g, (off, dim) in offsets.items():
-        comp = x.component(g)
-        for i in range(dim):
-            vec[off + i] = comp[i]
-    return vec
+def _require_fs(system: RSystem) -> None:
+    """Raise FsViolation unless (FS) holds; the check runs once per system."""
+    store = _system_store(system)
+    ok = store.get(("fs_ok",))
+    if ok is None:
+        ok = store[("fs_ok",)] = check_fs(system).ok
+    if not ok:
+        raise FsViolation("membership in T(J) is decided on the Fock representation, "
+                          "which needs condition (FS)")
 
 
-def _span_at(ctx: CpContext, zdeg: int, bound: int):
-    """(offsets, total, span) of z-degree-zdeg generators with k,l <= bound."""
-    system = ctx.system
-    # generators with k,l <= bound occupy m <= bound+1 and n <= bound+1; for
-    # negative z-degrees the n side is the binding one
-    max_m = bound + 1 + min(zdeg, 0)
-    grades, offsets, total = _zdeg_layout(system, zdeg, max_m)
-    rows = []
-    for kq in range(0, bound + 1):
-        lp = kq - zdeg
-        if lp < 0 or lp > bound:
-            continue
-        if tensor_space(system, "Q", kq, cap=ctx.cap).dim == 0:
-            continue
-        if tensor_space(system, "P", lp, cap=ctx.cap).dim == 0:
-            continue
-        for g in relation_generators(ctx, kq, lp):
-            v = _coords_in_layout(g, offsets, total)
-            if v is not None:
-                rows.append(v)
-    return offsets, total, Subspace(total, rows) if total else Subspace(0, [])
+def _ideal_image(ctx: CpContext, k: int) -> Subspace:
+    """Q^(x)k . J as a subspace of Q^(x)k (J itself when k = 0)."""
+    span = ctx._theta_cache.get(("image", k))
+    if span is None:
+        if k == 0:
+            span = ctx.j.ideal
+        else:
+            dst = tensor_space(ctx.system, "Q", k, cap=ctx.cap)
+            span = Subspace(dst.dim, [dst.act_right(unit_vec(dst.dim, a), x)
+                                      for a in range(dst.dim) for x in ctx.j.ideal.basis()])
+        ctx._theta_cache[("image", k)] = span
+    return span
 
 
-def _membership_once(ctx: CpContext, xk: ToeplitzElement, zdeg: int, bound: int):
-    """Membership of xk in the bounded span; returns (member, windowed_dim)."""
-    offsets, total, span = _span_at(ctx, zdeg, bound)
-    if total == 0:
-        return xk.is_zero(), 0
-    xv = _coords_in_layout(xk, offsets, total)
-    member = xv is not None and span.contains(xv)
-    return member, _windowed_dim(span, offsets, total)
+def _vacuum_span(ctx: CpContext, k: int) -> Subspace:
+    """Theta_{0,k}: the maps zeta |-> xi zeta from R to Q^(x)k, xi in Q^(x)k . J.
+
+    Matrices are flattened row by row, as `fock_apply` lays out its blocks.
+    """
+    span = ctx._theta_cache.get(("vacuum", k))
+    if span is None:
+        dst = tensor_space(ctx.system, "Q", k, cap=ctx.cap)
+        d = ctx.system.ring.dim
+        rows = []
+        for xi in _ideal_image(ctx, k).basis():
+            cols = [dst.act_right(xi, unit_vec(d, c)) for c in range(d)]
+            rows.append([col[i] for i in range(dst.dim) for col in cols])
+        span = Subspace(dst.dim * d, rows)
+        ctx._theta_cache[("vacuum", k)] = span
+    return span
 
 
-def _windowed_dim(span: Subspace, offsets, total) -> int:
-    low = [g for g in offsets if g[0] <= _low_cut(offsets)]
-    idx = []
-    for g in low:
-        off, dim = offsets[g]
-        idx.extend(range(off, off + dim))
-    if not idx:
-        return 0
-    window = Subspace(total, [unit_vec(total, i) for i in idx])
-    return span.intersect(window).dim
+def _theta_residual(ctx: CpContext, l: int, k: int, block: list) -> list[Fraction]:
+    """Residual of a flattened level-l -> level-k block modulo Theta_{l,k}: zero iff it lies there."""
+    if l == 0:
+        return _vacuum_span(ctx, k).reduce(block)
+    image = _ideal_image(ctx, k)
+    width = len(block) // image.ambient  # dim Q^(x)l
+    return [e for c in range(width) for e in image.reduce(block[c::width])]
 
 
-def _low_cut(offsets) -> int:
-    # keep the smallest two m-levels as the stability window
-    ms = sorted({g[0] for g in offsets})
-    return ms[min(1, len(ms) - 1)] if ms else 0
+def _fock_block(ctx: CpContext, x: ToeplitzElement, l: int, k: int) -> list[Fraction]:
+    """The flattened level-l -> level-k block of Fock(x)."""
+    blk = fock_apply(x, l, cap=ctx.cap).get(k)
+    if blk is None:
+        src = tensor_space(ctx.system, "Q", l, cap=ctx.cap).dim
+        return [ZERO] * (tensor_space(ctx.system, "Q", k, cap=ctx.cap).dim * src)
+    return [e for row in blk for e in row]
+
+
+def _combine(coeffs: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+    """sum of coeffs[i] * vectors[i]."""
+    out = [ZERO] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for j, y in _nonzeros(v):
+                out[j] += c * y
+    return out
+
+
+def _restrict(rows: list, residuals: list) -> list:
+    """Basis of the combinations of `rows` whose residual (linear in the row) is 0."""
+    if not any(any(r) for r in residuals):
+        return rows
+    return [_combine(y, rows) for y in kernel(mat_transpose(residuals))]
+
+
+def relation_preimage(ctx: CpContext, xs: Sequence[ToeplitzElement]) -> Subspace:
+    """{c : sum_i c_i xs[i] in T(J)}, exactly, as a subspace of Q^len(xs).
+
+    Proof sketch.  On the Fock module F = (+)_j Q^(x)j, iota_R(a) - pi(Delta(a))
+    acts as a on level 0 and as 0 on every higher level, since pi(Delta(a))
+    acts as Delta(a) (x) id there.  So the generator q (iota_R(a) - pi Delta(a)) p,
+    with q in Q^(x)k and p in P^(x)l, acts on one level only, as
+    zeta |-> (q.a) . psi_l(p (x) zeta) from level l to level k.  Operators of
+    this shape span an ideal of Fock(T), hence Fock(T(J)) = (+) Theta_{l,k},
+    where Theta_{l,k} is spanned by the maps zeta |-> xi . psi_l(p (x) zeta),
+    xi in Q^(x)k . J (in J when k = 0), p in P^(x)l; for l = 0 they read
+    zeta |-> xi zeta.  (FS) gives a frame id = sum theta_{q_i,p_i} on every
+    Q^(x)l, so for l >= 1 a right-R-linear map A equals
+    sum theta_{A q_i, p_i}: Theta_{l,k} is exactly the right-R-linear maps
+    with image in Q^(x)k . J, and Fock blocks are right-R-linear, so the
+    test is one on columns.  Under (FS) the Fock representation is faithful, so
+    x lies in T(J) exactly when, in every z-degree d, each block
+    A_l : Q^(x)l -> Q^(x)(l+d) of Fock(x) lies in Theta_{l,l+d} and all but
+    finitely many blocks vanish.  Let N be the largest n-degree of x_d.  On
+    levels l >= N every component acts through its first n factors, so
+    A_(l+1) = A_l (x) id_Q there.  Let x lie in T(J) and let L be its last
+    level with a nonzero block; suppose L >= N.  Then A_L is in Theta, so
+    im A_L <= Q^(x)k . J with k = L + d, and A_(L+1) = 0 gives
+    im A_L (x) Q = 0.  So psi_k(P^(x)k (x) im A_L) lies in J and kills Q,
+    i.e. lies in J meet ker Delta = 0 (J is faithful), and since psi_k
+    separates points under (FS), A_L = 0: a contradiction.  So a member has
+    A_N = 0, and x_d lies in T(J) exactly when A_l lies in Theta_{l,l+d} for
+    l < N and A_N = 0.  No level above the element's own degree is read.
+
+    Every condition is linear in x, so the check runs on a subspace of
+    coefficient vectors, starting from all of Q^len(xs); an element's own
+    verdict is the case len(xs) = 1.  Needs (FS): raises FsViolation
+    otherwise, and CapExceeded when a block needs a level above ctx.cap.
+    """
+    for x in xs:
+        if x.system is not ctx.system:
+            raise ContextMismatch("element belongs to a different system")
+    _require_fs(ctx.system)
+    rows = mat_identity(len(xs))
+    for d in sorted({d for x in xs for d in x.z_degrees()}):
+        parts = [z_project(x, d) for x in xs]
+        top = max(p.max_n_degree() for p in parts)
+        for l in range(max(0, -d), top + 1):
+            if not rows:
+                return Subspace(len(xs), [])
+            blocks = [_fock_block(ctx, p, l, l + d) for p in parts]
+            combos = [_combine(row, blocks) for row in rows]
+            if l == top:
+                rows = _restrict(rows, combos)
+            elif any(any(v) for v in combos):
+                rows = _restrict(rows, [_theta_residual(ctx, l, l + d, v) for v in combos])
+    return Subspace(len(xs), rows)
 
 
 def in_relation_ideal(ctx: CpContext, x: ToeplitzElement) -> bool:
-    """Exact membership of x in the relation ideal T(J), per z-degree."""
-    if x.system is not ctx.system:
-        raise ContextMismatch("element belongs to a different system")
-    if x.is_zero():
-        ctx.last_slack_used = 0
-        return True
-    maxdeg = max(max(m, n) for m, n in x.support())
-    for k in sorted(x.z_degrees()):
-        from .toeplitz import z_project
-
-        xk = z_project(x, k)
-        if xk.is_zero():
-            continue
-        if not _zdeg_member(ctx, xk, k, maxdeg):
-            return False
-    return True
-
-
-def _zdeg_member(ctx: CpContext, xk: ToeplitzElement, zdeg: int, maxdeg: int) -> bool:
-    dims = []
-    b = 0
-    while True:
-        bound = maxdeg + b
-        if 2 * (bound + 1) > ctx.cap:
-            raise CapExceeded(
-                f"membership test needs grade total {2 * (bound + 1)} > cap {ctx.cap} "
-                f"before the span stabilized")
-        member, dim = _membership_once(ctx, xk, zdeg, bound)
-        if member:
-            ctx.last_slack_used = max(ctx.last_slack_used, b)
-            return True
-        dims.append(dim)
-        if b >= max(2, ctx.slack) and dims[-1] == dims[-2] == dims[-3]:
-            ctx.last_slack_used = max(ctx.last_slack_used, b)
-            return False
-        b += 1
-
-
-def stable_relation_span(ctx: CpContext, zdeg: int, maxdeg: int):
-    """(offsets, total, span) at the first bound where the visible span stabilizes.
-
-    Same stabilization discipline as membership testing; used by the graded
-    ideal correspondence to turn per-vector questions into exact subspace ones.
-    """
-    dims = []
-    b = 0
-    while True:
-        bound = maxdeg + b
-        if 2 * (bound + 1) > ctx.cap:
-            raise CapExceeded(
-                f"relation span needs grade total {2 * (bound + 1)} > cap {ctx.cap} "
-                f"before stabilizing")
-        offsets, total, span = _span_at(ctx, zdeg, bound)
-        dims.append(_windowed_dim(span, offsets, total) if total else 0)
-        if b >= max(2, ctx.slack) and dims[-1] == dims[-2] == dims[-3]:
-            ctx.last_slack_used = max(ctx.last_slack_used, b)
-            return offsets, total, span
-        b += 1
+    """Exact membership of x in the relation ideal T(J) (see `relation_preimage`)."""
+    return not relation_preimage(ctx, [x]).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -432,17 +446,7 @@ def cp_is_zero(a: CpElement) -> bool:
 
 def cp_residual(ctx: CpContext, x: ToeplitzElement) -> list[int]:
     """The z-degrees at which x fails membership in T(J) (diagnostics)."""
-    from .toeplitz import z_project
-
-    if x.is_zero():
-        return []
-    maxdeg = max(max(m, n) for m, n in x.support())
-    bad = []
-    for k in sorted(x.z_degrees()):
-        xk = z_project(x, k)
-        if not xk.is_zero() and not _zdeg_member(ctx, xk, k, maxdeg):
-            bad.append(k)
-    return bad
+    return [k for k in x.z_degrees() if not in_relation_ideal(ctx, z_project(x, k))]
 
 
 # ---------------------------------------------------------------------------

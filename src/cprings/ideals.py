@@ -7,8 +7,9 @@ in R/I is psi_I-compatible and faithful; these index the graded two-sided
 ideals of the relative Cuntz-Pimsner rings.  The correspondence is realized
 intensionally: an ideal handle answers membership by projecting an element
 into the quotient system's Toeplitz ring and asking whether it dies in the
-quotient CP ring, and the backward map recovers (I, J) from stabilized
-relation spans.
+quotient CP ring, and the backward map reads (I, J) off the exact subspace of
+combinations of iota_R(R) and the grade-(1,1) component that lie in the
+relation ideal (`cpring.relation_preimage`).
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from .exactlin import (
 )
 from .cpring import (
     CpContext,
-    stable_relation_span,
+    relation_preimage,
     validate_ideal,
-    _coords_in_layout,
     _core_generator,
 )
 from .rsystem import (
@@ -473,41 +473,28 @@ def graded_ideal_correspondence(ctx: CpContext, tpair: TPair) -> IdealHandle:
                          ", ".join(k for k, v in tpair.flags.items() if not v))
     qs = quotient_system(ctx.system, tpair.i)
     jq = validate_ideal(qs.system, qs.project_subspace(tpair.j))
-    qctx = CpContext(qs.system, jq, slack=ctx.slack, cap=ctx.cap)
+    qctx = CpContext(qs.system, jq, cap=ctx.cap)
     return IdealHandle(ctx, tpair, qs, qctx)
 
 
 def extract_tpair_from_handle(handle: IdealHandle) -> TPair:
-    """Recover (I, J) from the handle by stabilized linear membership.
+    """Recover (I, J) from the handle by exact linear membership.
 
-    I = { r : iota_R(r) in H }; J = { r : iota_R(r) in H + pi(F_P(Q)) },
-    both computed in the quotient system and lifted back to R.
+    I = { r : iota_R(r) in H }; J = { r : iota_R(r) in H + pi(F_P(Q)) }, where
+    pi(F_P(Q)) is the grade-(1,1) component.  In the quotient system H is the
+    relation ideal of the quotient context, so I is the preimage of T(J_I)
+    under r |-> iota_R(r), and J the part on iota_R(R) of the preimage of T(J_I)
+    under (r, k) |-> iota_R(r) + k, k in the grade-(1,1) component; both are
+    lifted back to R.
     """
     qctx = handle.qctx
     qsys = qctx.system
     d2 = qsys.ring.dim
-    offsets, total, span = stable_relation_span(qctx, 0, 1)
-
-    if total == 0:
-        i_bar = Subspace.full(d2)
-        j_bar = Subspace.full(d2)
-    else:
-        cols = []
-        for r in range(d2):
-            x = embed(qsys, "R", unit_vec(d2, r))
-            v = _coords_in_layout(x, offsets, total)
-            cols.append(v if v is not None else zero_vec(total))
-        place = mat_transpose(cols)
-        i_bar = preimage(place, span)
-        extra = []
-        cs = component_space(qsys, 1, 1)
-        if (1, 1) in offsets and cs.dim:
-            for c in range(cs.dim):
-                el = ToeplitzElement(qsys, {(1, 1): unit_vec(cs.dim, c)})
-                v = _coords_in_layout(el, offsets, total)
-                if v is not None:
-                    extra.append(v)
-        j_bar = preimage(place, span.add(Subspace(total, extra)))
+    units = [embed(qsys, "R", unit_vec(d2, r)) for r in range(d2)]
+    cs = component_space(qsys, 1, 1)
+    mixed = [ToeplitzElement(qsys, {(1, 1): unit_vec(cs.dim, c)}) for c in range(cs.dim)]
+    i_bar = relation_preimage(qctx, units)
+    j_bar = Subspace(d2, [row[:d2] for row in relation_preimage(qctx, units + mixed).rows])
     qs = handle.quotient
     return TPair(qs.lift_subspace(i_bar), qs.lift_subspace(j_bar))
 

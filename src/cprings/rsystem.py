@@ -44,13 +44,26 @@ from .exactlin import (
 ZERO = Fraction(0)
 
 
+def _bilinear(n: int, table_nz, a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    """sum of a_i b_j table[i][j] in Q^n, given each table cell's nonzero (index, value) pairs."""
+    out = [ZERO] * n
+    nz_b = _nonzeros(b)
+    for i, ai in _nonzeros(a):
+        row = table_nz[i]
+        for j, bj in nz_b:
+            c = ai * bj
+            for k, y in row[j]:
+                out[k] += c * y
+    return out
+
+
 class StructuredRing:
     """Finite-dimensional Q-algebra given by basis labels and a mult table.
 
     mult[i][j] is the coordinate vector of e_i * e_j.
     """
 
-    __slots__ = ("labels", "mult", "_index")
+    __slots__ = ("labels", "mult", "_index", "_mult_nz")
 
     def __init__(self, labels: Sequence[str], mult):
         self.labels = tuple(labels)
@@ -65,6 +78,7 @@ class StructuredRing:
                 if len(cell) != n:
                     raise ValueError("product vector has wrong length")
         self._index = {lab: i for i, lab in enumerate(self.labels)}
+        self._mult_nz = tuple(tuple(_nonzeros(cell) for cell in row) for row in self.mult)
 
     @property
     def dim(self) -> int:
@@ -77,17 +91,7 @@ class StructuredRing:
         return unit_vec(self.dim, self._index[label])
 
     def multiply(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-        out = zero_vec(self.dim)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj == 0:
-                    continue
-                cell = self.mult[i][j]
-                c = ai * bj
-                out = [x + c * y for x, y in zip(out, cell)]
-        return out
+        return _bilinear(self.dim, self._mult_nz, a, b)
 
     def left_matrix(self, r: Sequence[Fraction]) -> list[list[Fraction]]:
         """Matrix of x -> r * x."""
@@ -173,28 +177,19 @@ class StructuredBimodule:
 class Pairing:
     """psi : P (x) Q -> R as the table psi(p_i (x) q_j) in ring coordinates."""
 
-    __slots__ = ("table",)
+    __slots__ = ("table", "_table_nz")
 
     def __init__(self, table):
         self.table = tuple(
             tuple(tuple(frac(c) for c in cell) for cell in row) for row in table
         )
+        self._table_nz = tuple(tuple(_nonzeros(cell) for cell in row) for row in self.table)
 
     def apply(self, p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
         if not self.table:
             return []
         d_r = len(self.table[0][0]) if self.table[0] else 0
-        out = zero_vec(d_r)
-        for i, pi in enumerate(p):
-            if pi == 0:
-                continue
-            row = self.table[i]
-            for j, qj in enumerate(q):
-                if qj == 0:
-                    continue
-                c = pi * qj
-                out = [x + c * y for x, y in zip(out, row[j])]
-        return out
+        return _bilinear(d_r, self._table_nz, p, q)
 
     def __repr__(self) -> str:
         return f"Pairing({len(self.table)}x{len(self.table[0]) if self.table else 0})"

@@ -39,6 +39,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactlin import (
+    ZERO,
     Subspace,
     QuotientSpace,
     kron,
@@ -53,7 +54,7 @@ from .exactlin import (
     vec_scale,
     zero_vec,
 )
-from .rsystem import RSystem, system_to_json
+from .rsystem import RSystem, _column_nonzeros, system_to_json
 
 DEFAULT_CAP = 6
 
@@ -196,6 +197,30 @@ def _module_of(system: RSystem, side: str):
     raise ValueError(f"side must be 'P' or 'Q', got {side!r}")
 
 
+def balanced_quotient(a_right, a_dim: int, b_left, b_dim: int) -> QuotientSpace:
+    """A (x)_F B modulo the balancing relations (a.r) (x) b - a (x) (r.b).
+
+    a_right[i] is the matrix of the right action of the ring basis element
+    e_i on A, b_left[i] that of its left action on B.  The relation for
+    (e_a, e_i, e_b) is read off column a of a_right[i] and column b of
+    b_left[i], in Kronecker coordinates (index a * b_dim + b).
+    """
+    n = a_dim * b_dim
+    actions = list(zip(_column_nonzeros(a_right), _column_nonzeros(b_left)))
+    rows = []
+    for a in range(a_dim):
+        for cols_a, cols_b in actions:
+            for b in range(b_dim):
+                row = [ZERO] * n
+                for x, v in cols_a[a]:
+                    row[x * b_dim + b] += v
+                for y, v in cols_b[b]:
+                    row[a * b_dim + y] -= v
+                if any(row):
+                    rows.append(row)
+    return QuotientSpace(Subspace(n, rows))
+
+
 def tensor_space(system: RSystem, side: str, n: int, cap: int = DEFAULT_CAP) -> TensorSpace:
     if n < 0:
         raise ValueError("negative tensor level")
@@ -234,20 +259,7 @@ def tensor_space(system: RSystem, side: str, n: int, cap: int = DEFAULT_CAP) -> 
             store[key] = space
             return space
 
-    # balancedness relations in the ambient Kronecker coordinates
-    rel = []
-    for a in range(d_prev):
-        ea = unit_vec(d_prev, a)
-        for i in range(d_r):
-            # (x.e_i) (x) e_b - x (x) (e_i.e_b)
-            right_x = matvec(prev.right[i], ea)
-            for b in range(d_m):
-                eb = unit_vec(d_m, b)
-                left_y = matvec(mod.left[i], eb)
-                v = kron_vec(right_x, eb)
-                w = kron_vec(ea, left_y)
-                rel.append([x - y for x, y in zip(v, w)])
-    quot = QuotientSpace(Subspace(d_prev * d_m, rel))
+    quot = balanced_quotient(prev.right, d_prev, mod.left, d_m)
     proj = quot.projection_matrix()
     sect = quot.section_matrix()
 

@@ -38,8 +38,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactlin import (
-    QuotientSpace,
-    Subspace,
     is_zero_vec,
     kron_vec,
     mat_identity,
@@ -58,6 +56,7 @@ from .tensorpow import (
     DEFAULT_CAP,
     ModuleElement,
     _system_store,
+    balanced_quotient,
     psi_apply,
     tensor_embed,
     tensor_space,
@@ -138,17 +137,7 @@ def component_space(system: RSystem, m: int, n: int, cap: int = DEFAULT_CAP) -> 
         if qm.dim == 0 or pn.dim == 0:
             comp = ComponentSpace(system, m, n, 0, None, None)
         else:
-            rel = []
-            d_r = system.ring.dim
-            for a in range(qm.dim):
-                ea = unit_vec(qm.dim, a)
-                for i in range(d_r):
-                    qa = matvec(qm.right[i], ea)
-                    for b in range(pn.dim):
-                        eb = unit_vec(pn.dim, b)
-                        pb = matvec(pn.left[i], eb)
-                        rel.append([x - y for x, y in zip(kron_vec(qa, eb), kron_vec(ea, pb))])
-            quot = QuotientSpace(Subspace(qm.dim * pn.dim, rel))
+            quot = balanced_quotient(qm.right, qm.dim, pn.left, pn.dim)
             comp = ComponentSpace(system, m, n, quot.dim, quot.projection_matrix(), quot.section_matrix())
     store[key] = comp
     return comp

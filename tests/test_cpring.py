@@ -163,9 +163,13 @@ def test_cp_element_arithmetic(a2_system):
 def test_membership_cap():
     system = build_graph_system(rose_graph(1))
     ctx = _jmax_context(system, cap=3)
+    # x(l1 l1) is t^2 in L(rose1) = Q[t, 1/t]: decided exactly within the cap
     q2 = embed_n(system, "Q", 2, [1])
+    assert in_relation_ideal(ctx, q2) is False
+    # its Fock block from level 0 lands on level 4 > cap
+    q4 = embed_n(system, "Q", 4, [1])
     with pytest.raises(CapExceeded):
-        in_relation_ideal(ctx, q2)
+        in_relation_ideal(ctx, q4)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +349,13 @@ def test_automorphism_full_ring_maximal(perm3):
     assert j.ok
     rep = graded_uniqueness_check(perm3, j)
     assert rep.maximal
+
+
+def test_membership_needs_fs():
+    system = psi_zero_system()
+    ctx = CpContext(system, CompatibleIdeal(system, Subspace(2), True, True, True))
+    with pytest.raises(FsViolation):
+        in_relation_ideal(ctx, embed(system, "R", [1, 0]))
 
 
 def test_graded_uniqueness_needs_fs():

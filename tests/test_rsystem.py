@@ -254,3 +254,45 @@ def test_validate_axioms_matches_unit_vector_reference(seed, kind):
         sys = build_automorphism_system(matrix2_ring(), mat_identity(4))
     for candidate in (sys, _tampered(sys, rng)):
         assert validate_axioms(candidate) == reference_validate_axioms(candidate)
+
+
+def dense_bilinear(n, table, a, b):
+    """The former dense loop of multiply / apply: one full-length update per nonzero pair."""
+    out = zero_vec(n)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            if bj == 0:
+                continue
+            c = ai * bj
+            out = [x + c * y for x, y in zip(out, table[i][j])]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_multiply_and_apply_match_dense_reference(data):
+    """Structure tables and operands with 0-60 % nonzeros, ints mixed with Fractions."""
+    rnd = data.draw(st.randoms(use_true_random=False))
+    density = data.draw(st.sampled_from([0.0, 0.2, 0.6]))
+
+    def entry():
+        if rnd.random() >= density:
+            return rnd.choice([0, F(0)])
+        x = F(rnd.choice([-1, 1]) * rnd.randint(1, 5), rnd.choice([1, 2, 3]))
+        return int(x) if x.denominator == 1 and rnd.random() < 0.5 else x
+
+    def vector(n):
+        return [entry() for _ in range(n)]
+
+    n, dp, dq = (data.draw(st.integers(0, 4)) for _ in range(3))
+    ring = StructuredRing([f"r{i}" for i in range(n)],
+                          [[vector(n) for _ in range(n)] for _ in range(n)])
+    a, b = vector(n), vector(n)
+    assert ring.multiply(a, b) == dense_bilinear(n, ring.mult, a, b)
+    psi = Pairing([[vector(n) for _ in range(dq)] for _ in range(dp)])
+    p, q = vector(dp), vector(dq)
+    # apply reads the ring dimension off the table: an empty table gives []
+    expected = dense_bilinear(n if dq else 0, psi.table, p, q) if dp else []
+    assert psi.apply(p, q) == expected
