@@ -20,15 +20,7 @@ from dataclasses import dataclass
 from cprings.cpring import CpContext, cp_equal, validate_ideal
 from cprings.exactlin import unit_vec
 from cprings.finrank import canonical_ideals
-from cprings.graphalg import (
-    Edge,
-    FiniteGraph,
-    line_graph,
-    lpa_vertex,
-    lpa_x,
-    lpa_y,
-    rose_graph,
-)
+from cprings.graphalg import Edge, FiniteGraph, LpaTarget, line_graph, rose_graph
 from cprings.rsystem import build_graph_system
 from cprings.toeplitz import embed, evaluate, toeplitz_mul
 
@@ -48,33 +40,6 @@ def preset(name: str) -> FiniteGraph:
     if name not in table:
         raise SystemExit(f"unknown graph {name!r}; have {', '.join(table)}")
     return table[name]
-
-
-class LpaTarget:
-    def __init__(self, graph, system):
-        self.graph = graph
-        self.system = system
-
-    def _comb(self, coords, gens):
-        acc = None
-        for c, g in zip(coords, gens):
-            if c != 0:
-                term = c * g
-                acc = term if acc is None else acc + term
-        if acc is None:
-            from cprings.graphalg import LpaElement
-
-            acc = LpaElement(self.graph, {})
-        return acc
-
-    def sigma(self, r):
-        return self._comb(r, [lpa_vertex(self.graph, v) for v in self.system.ring.labels])
-
-    def t(self, q):
-        return self._comb(q, [lpa_x(self.graph, e) for e in self.system.q.labels])
-
-    def s(self, p):
-        return self._comb(p, [lpa_y(self.graph, e) for e in self.system.p.labels])
 
 
 @dataclass

@@ -39,6 +39,7 @@ across invocations (content-addressed, safe to delete; see tensorpow).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -61,6 +62,7 @@ from .finrank import canonical_ideals, check_fs
 from .graphalg import (
     FiniteGraph,
     LpaElement,
+    LpaTarget,
     breaking_vertices,
     enumerate_ideal_pairs,
     graph_from_json,
@@ -254,10 +256,10 @@ class EvalContext:
         sy = self.system
         if kind == "R":
             i = self._index(sy.ring.labels, label, "ring label")
-            return embed(sy, "R", unit_vec(sy.ring.dim, i), cap=self.cap)
+            return embed(sy, "R", unit_vec(sy.ring.dim, i))
         mod = sy.q if kind == "Q" else sy.p
         i = self._index(mod.labels, label, "module label")
-        return embed(sy, kind, unit_vec(mod.dim, i), cap=self.cap)
+        return embed(sy, kind, unit_vec(mod.dim, i))
 
     def sugar(self, head: str, names: list[str]):
         if head == "p":
@@ -372,30 +374,28 @@ def _fmt_coeff(c: Fraction) -> str:
     return str(c)
 
 
-def _pure_terms(system, side, level, coords, cap):
+def _pure_terms(system, side, level, coords):
     """Expand level coordinates into pure unit tensors [(coeff, (i1..ik))]."""
     if level == 0:
         return [(c, (i,)) for i, c in enumerate(coords) if c != 0]
     if level == 1:
         return [(c, (i,)) for i, c in enumerate(coords) if c != 0]
-    dim_prev = tensor_space(system, side, level - 1, cap=cap).dim
-    split = tensor_split(system, side, 1, level - 1, cap=cap)
+    dim_prev = tensor_space(system, side, level - 1).dim
+    split = tensor_split(system, side, 1, level - 1)
     rep = matvec(split, list(coords))
     out: dict = {}
     for idx, c in enumerate(rep):
         if c == 0:
             continue
         i, t = divmod(idx, dim_prev)
-        tail = _pure_terms(
-            system, side, level - 1, unit_vec(dim_prev, t), cap
-        )
+        tail = _pure_terms(system, side, level - 1, unit_vec(dim_prev, t))
         for c2, names in tail:
             key = (i,) + names
             out[key] = out.get(key, Fraction(0)) + c * c2
     return [(c, k) for k, c in sorted(out.items()) if c != 0]
 
 
-def _format_toeplitz(x: ToeplitzElement, cap: int) -> str:
+def _format_toeplitz(x: ToeplitzElement) -> str:
     sy = x.system
     terms = []  # (sort key, coeff, [factor strings])
     for (m, n) in x.support():
@@ -406,23 +406,23 @@ def _format_toeplitz(x: ToeplitzElement, cap: int) -> str:
                     terms.append(((0, 0, (i,)), c, [f"R:{sy.ring.labels[i]}"]))
             continue
         if n == 0:
-            for c, names in _pure_terms(sy, "Q", m, v, cap):
+            for c, names in _pure_terms(sy, "Q", m, v):
                 terms.append(((m, 0, names), c, [f"Q:{sy.q.labels[i]}" for i in names]))
             continue
         if m == 0:
-            for c, names in _pure_terms(sy, "P", n, v, cap):
+            for c, names in _pure_terms(sy, "P", n, v):
                 terms.append(((0, n, names), c, [f"P:{sy.p.labels[i]}" for i in names]))
             continue
-        comp = component_space(sy, m, n, cap=cap)
+        comp = component_space(sy, m, n)
         raw = matvec(comp.sect, v)
-        dp = tensor_space(sy, "P", n, cap=cap).dim
+        dp = tensor_space(sy, "P", n).dim
         combined: dict = {}
         for idx, c in enumerate(raw):
             if c == 0:
                 continue
             a, b = divmod(idx, dp)
-            for cq, qnames in _pure_terms(sy, "Q", m, unit_vec(tensor_space(sy, "Q", m, cap=cap).dim, a), cap):
-                for cp_, pnames in _pure_terms(sy, "P", n, unit_vec(dp, b), cap):
+            for cq, qnames in _pure_terms(sy, "Q", m, unit_vec(tensor_space(sy, "Q", m).dim, a)):
+                for cp_, pnames in _pure_terms(sy, "P", n, unit_vec(dp, b)):
                     key = (qnames, pnames)
                     combined[key] = combined.get(key, Fraction(0)) + c * cq * cp_
         for (qnames, pnames), c in sorted(combined.items()):
@@ -465,10 +465,10 @@ def _join_terms(terms) -> str:
     return " ".join(bits)
 
 
-def format_element(x, cap: int = DEFAULT_CAP) -> str:
+def format_element(x) -> str:
     """Canonical, grammar-valid printing (except the zero element)."""
     if isinstance(x, ToeplitzElement):
-        return _format_toeplitz(x, cap)
+        return _format_toeplitz(x)
     return _format_lpa(x)
 
 
@@ -477,7 +477,7 @@ def format_element(x, cap: int = DEFAULT_CAP) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _coord_subspace(loaded: LoadedInput, spec: str, cap: int) -> Subspace:
+def _coord_subspace(loaded: LoadedInput, spec: str) -> Subspace:
     """Parse an ideal spec: '', 'zero', 'full', 'jmax', or comma labels."""
     sy = loaded.system
     d = sy.ring.dim
@@ -487,7 +487,7 @@ def _coord_subspace(loaded: LoadedInput, spec: str, cap: int) -> Subspace:
     if spec == "full":
         return Subspace.full(d)
     if spec == "jmax":
-        return canonical_ideals(sy, cap=cap)["j_max"]
+        return canonical_ideals(sy)["j_max"]
     vecs = []
     for label in spec.split(","):
         label = label.strip()
@@ -531,7 +531,7 @@ def _toeplitz_ctx(loaded: LoadedInput, args, jspec=None) -> EvalContext:
 
 def _cp_context(loaded: LoadedInput, args, jspec: str) -> CpContext:
     sy = loaded.system
-    j = validate_ideal(sy, _coord_subspace(loaded, jspec, args.cap))
+    j = validate_ideal(sy, _coord_subspace(loaded, jspec))
     if not j.ok:
         bad = [
             name
@@ -543,7 +543,7 @@ def _cp_context(loaded: LoadedInput, args, jspec: str) -> CpContext:
             if not good
         ]
         raise NotInvariant(f"J is not admissible: fails {', '.join(bad)}")
-    return CpContext(sy, j, cap=2 * args.cap)
+    return CpContext(sy, j, cap=args.cap)
 
 
 def _verb_validate(loaded, args) -> Outcome:
@@ -562,7 +562,7 @@ def _verb_mul(loaded, args) -> Outcome:
     return Outcome(
         True,
         {
-            "element": None if prod.is_zero() else format_element(prod, cap=args.cap),
+            "element": None if prod.is_zero() else format_element(prod),
             "zero": prod.is_zero(),
             "support": [list(g) for g in prod.support()],
         },
@@ -607,14 +607,14 @@ def _verb_nf(loaded, args) -> Outcome:
         result = {
             "backend": "toeplitz",
             "zero": x.is_zero(),
-            "element": None if x.is_zero() else format_element(x, cap=args.cap),
+            "element": None if x.is_zero() else format_element(x),
             "support": [list(g) for g in x.support()],
         }
     return Outcome(True, result)
 
 
 def _verb_fs(loaded, args) -> Outcome:
-    report = check_fs(loaded.system, cap=args.cap)
+    report = check_fs(loaded.system)
     result = {
         "fs": report.ok,
         "q_ok": report.q_ok,
@@ -626,7 +626,7 @@ def _verb_fs(loaded, args) -> Outcome:
 
 
 def _verb_jmax(loaded, args) -> Outcome:
-    ideals = canonical_ideals(loaded.system, cap=args.cap)
+    ideals = canonical_ideals(loaded.system)
     ring = loaded.system.ring
     result = {
         "ker_delta": _subspace_json(ring, ideals["ker_delta"]),
@@ -688,8 +688,8 @@ def _verb_lattice(loaded, args) -> Outcome:
 
 def _verb_tpair(loaded, args) -> Outcome:
     sy = loaded.system
-    i_sub = _coord_subspace(loaded, args.i, args.cap)
-    j_sub = _coord_subspace(loaded, args.j, args.cap)
+    i_sub = _coord_subspace(loaded, args.i)
+    j_sub = _coord_subspace(loaded, args.j)
     pair = validate_tpair(sy, i_sub, j_sub)
     return Outcome(
         pair.ok,
@@ -704,7 +704,7 @@ def _verb_tpair(loaded, args) -> Outcome:
 
 def _verb_quotient(loaded, args) -> Outcome:
     sy = loaded.system
-    i_sub = _coord_subspace(loaded, args.i, args.cap)
+    i_sub = _coord_subspace(loaded, args.i)
     qs = quotient_system(sy, i_sub, name=f"{sy.name}/I")
     result = {"system": system_to_json(qs.system)}
     diags = []
@@ -727,32 +727,6 @@ def _verb_quotient(loaded, args) -> Outcome:
     return Outcome(True, result, diags)
 
 
-class _LpaRep:
-    """sigma/T/S target sending coordinates to LPA normal forms."""
-
-    def __init__(self, graph: FiniteGraph, system: RSystem):
-        self.graph = graph
-        self.system = system
-
-    def _comb(self, coords, gens):
-        from .graphalg import LpaElement
-
-        acc = LpaElement(self.graph, {})
-        for c, g in zip(coords, gens):
-            if c != 0:
-                acc = acc + (Fraction(c) * g)
-        return acc
-
-    def sigma(self, r):
-        return self._comb(r, [lpa_vertex(self.graph, v) for v in self.system.ring.labels])
-
-    def t(self, q):
-        return self._comb(q, [lpa_x(self.graph, e) for e in self.system.q.labels])
-
-    def s(self, p):
-        return self._comb(p, [lpa_y(self.graph, e) for e in self.system.p.labels])
-
-
 def _verb_compare(loaded, args) -> Outcome:
     import random
 
@@ -761,9 +735,9 @@ def _verb_compare(loaded, args) -> Outcome:
     sy = loaded.system
     rng = random.Random(args.seed)
     ctx = _cp_context(loaded, args, "jmax")
-    rep = _LpaRep(loaded.graph, sy)
+    rep = LpaTarget(loaded.graph, sy)
     gens = [
-        embed(sy, kind, unit_vec(dim, i), cap=args.cap)
+        embed(sy, kind, unit_vec(dim, i))
         for kind, dim in (("R", sy.ring.dim), ("Q", sy.q.dim), ("P", sy.p.dim))
         for i in range(dim)
     ]
@@ -811,7 +785,7 @@ def _verb_gauge_split(loaded, args) -> Outcome:
         {
             "degrees": degrees,
             "components": {
-                str(k): format_element(parts[k], cap=args.cap) for k in degrees
+                str(k): format_element(parts[k]) for k in degrees
             },
             "consistent": consistent,
         },
@@ -843,7 +817,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_argparser() -> argparse.ArgumentParser:
+    """The `cpr` parser, built once: parsing leaves it unchanged."""
     ap = _ArgumentParser(prog="cpr", description=__doc__, add_help=True)
     sub = ap.add_subparsers(dest="verb", required=True)
     for verb, (_, n_exprs) in _VERBS.items():
@@ -851,7 +827,8 @@ def _build_argparser() -> argparse.ArgumentParser:
         sp.add_argument("file", help="system or graph JSON")
         if n_exprs:
             sp.add_argument("exprs", nargs=n_exprs, metavar="EXPR")
-        sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help="tensor degree cap")
+        sp.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                        help="highest tensor level a product or membership test may create")
         sp.add_argument("--format", choices=("json", "dot", "table"), default="json")
         sp.add_argument("--seed", type=int, default=0, help="seed for randomized verbs")
         if verb == "eq":

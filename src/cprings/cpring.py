@@ -44,14 +44,8 @@ from .exactlin import (
     solve_matrix,
     unit_vec,
 )
-from .finrank import (
-    FsViolation,
-    _delta_map_matrix,
-    check_fs,
-    finite_rank_space,
-    theta_matrix,
-)
-from .rsystem import RSystem
+from .finrank import FsViolation, check_fs, delta_ideals, theta_matrix
+from .rsystem import RSystem, is_two_sided, two_sided_closure
 from .tensorpow import DEFAULT_CAP, _system_store, tensor_space
 from .toeplitz import (
     InvalidRepresentation,
@@ -120,40 +114,13 @@ class CompatibleIdeal:
 
 def validate_ideal(system: RSystem, subspace: Subspace) -> CompatibleIdeal:
     """Check the three requirements on J: two-sided, psi-compatible, faithful."""
-    ring = system.ring
-    d = ring.dim
+    d = system.ring.dim
     if subspace.ambient != d:
         raise ValueError(f"ideal lives in dimension {subspace.ambient}, ring has {d}")
-
-    two_sided = True
-    for k in subspace.basis():
-        for i in range(d):
-            e = unit_vec(d, i)
-            if not subspace.contains(matvec(ring.left_matrix(e), k)):
-                two_sided = False
-            if not subspace.contains(matvec(ring.right_matrix(e), k)):
-                two_sided = False
-
-    dmap = _delta_map_matrix(system)
-    if not dmap:  # Q = 0: Delta is the zero map, everything is compatible
-        delta_inv = Subspace.full(d)
-    else:
-        fr = finite_rank_space(system)
-        delta_inv = preimage(dmap, fr.space)
-    psi_compatible = all(delta_inv.contains(k) for k in subspace.basis())
-
-    ker_delta = Subspace(d, _kernel_rows(dmap, d))
-    faithful = subspace.intersect(ker_delta).is_zero()
-    return CompatibleIdeal(system, subspace, two_sided, psi_compatible, faithful)
-
-
-def _kernel_rows(mat, ambient):
-    from .exactlin import kernel
-
-    ker = kernel(mat) if mat else []
-    if not mat:
-        return [unit_vec(ambient, i) for i in range(ambient)]
-    return ker
+    ker_delta, delta_inv = delta_ideals(system)
+    return CompatibleIdeal(
+        system, subspace, is_two_sided(system, subspace),
+        subspace.le(delta_inv), subspace.intersect(ker_delta).is_zero())
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +131,9 @@ def _kernel_rows(mat, ambient):
 class CpContext:
     system: RSystem
     j: CompatibleIdeal
-    # highest tensor level the membership test may read Fock blocks at (the
-    # element's own degree suffices); also the total-grade cap of products
-    # of CpElements
-    cap: int = 2 * DEFAULT_CAP
+    # highest tensor level that products of CpElements and the Fock blocks
+    # of the membership test may create (see toeplitz_mul, fock_apply)
+    cap: int = DEFAULT_CAP
     _pi_cache: dict = field(default_factory=dict, init=False, repr=False)
     _gen_cache: dict = field(default_factory=dict, init=False, repr=False)
     _theta_cache: dict = field(default_factory=dict, init=False, repr=False)
@@ -229,8 +195,8 @@ def relation_generators(ctx: CpContext, k: int, l: int) -> list[ToeplitzElement]
     jbasis = ctx.j.ideal.basis()
     out: list[ToeplitzElement] = []
     if jbasis:
-        qs = tensor_space(system, "Q", k, cap=ctx.cap)
-        ps = tensor_space(system, "P", l, cap=ctx.cap)
+        qs = tensor_space(system, "Q", k)
+        ps = tensor_space(system, "P", l)
         for x in jbasis:
             core = _core_generator(ctx, x)
             for a in range(qs.dim) if k else [None]:
@@ -267,7 +233,7 @@ def _ideal_image(ctx: CpContext, k: int) -> Subspace:
         if k == 0:
             span = ctx.j.ideal
         else:
-            dst = tensor_space(ctx.system, "Q", k, cap=ctx.cap)
+            dst = tensor_space(ctx.system, "Q", k)
             span = Subspace(dst.dim, [dst.act_right(unit_vec(dst.dim, a), x)
                                       for a in range(dst.dim) for x in ctx.j.ideal.basis()])
         ctx._theta_cache[("image", k)] = span
@@ -281,7 +247,7 @@ def _vacuum_span(ctx: CpContext, k: int) -> Subspace:
     """
     span = ctx._theta_cache.get(("vacuum", k))
     if span is None:
-        dst = tensor_space(ctx.system, "Q", k, cap=ctx.cap)
+        dst = tensor_space(ctx.system, "Q", k)
         d = ctx.system.ring.dim
         rows = []
         for xi in _ideal_image(ctx, k).basis():
@@ -305,8 +271,8 @@ def _fock_block(ctx: CpContext, x: ToeplitzElement, l: int, k: int) -> list[Frac
     """The flattened level-l -> level-k block of Fock(x)."""
     blk = fock_apply(x, l, cap=ctx.cap).get(k)
     if blk is None:
-        src = tensor_space(ctx.system, "Q", l, cap=ctx.cap).dim
-        return [ZERO] * (tensor_space(ctx.system, "Q", k, cap=ctx.cap).dim * src)
+        src = tensor_space(ctx.system, "Q", l).dim
+        return [ZERO] * (tensor_space(ctx.system, "Q", k).dim * src)
     return [e for row in blk for e in row]
 
 
@@ -530,8 +496,6 @@ def extract_tpair(system: RSystem, rep: Representation):
     amb = rep.dim * rep.dim
     sig_cols = [_flatten_image(rep.sigma(unit_vec(d, i))) for i in range(d)]
     sigma_map = [[sig_cols[c][r] for c in range(d)] for r in range(amb)]
-    from .exactlin import kernel
-
     i_rows = kernel(sigma_map) if amb else [unit_vec(d, i) for i in range(d)]
     return Subspace(d, i_rows), extract_j(system, rep)
 
@@ -602,24 +566,6 @@ class GradedUniquenessReport:
     note: str = ""
 
 
-def _two_sided_closure(system: RSystem, space: Subspace) -> Subspace:
-    ring = system.ring
-    d = ring.dim
-    cur = space
-    while True:
-        rows = list(cur.basis())
-        grown = list(rows)
-        for k in rows:
-            for i in range(d):
-                e = unit_vec(d, i)
-                grown.append(matvec(ring.left_matrix(e), k))
-                grown.append(matvec(ring.right_matrix(e), k))
-        nxt = Subspace(d, grown)
-        if nxt.dim == cur.dim:
-            return nxt
-        cur = nxt
-
-
 def graded_uniqueness_check(system: RSystem, j: CompatibleIdeal) -> GradedUniquenessReport:
     """Is J maximal among faithful psi-compatible ideals?
 
@@ -633,21 +579,15 @@ def graded_uniqueness_check(system: RSystem, j: CompatibleIdeal) -> GradedUnique
         raise ValueError("ideal must be two-sided, psi-compatible and faithful")
 
     d = system.ring.dim
-    dmap = _delta_map_matrix(system)
-    if not dmap:
-        delta_inv = Subspace.full(d)
-    else:
-        fr = finite_rank_space(system)
-        delta_inv = preimage(dmap, fr.space)
-    ker_delta = Subspace(d, _kernel_rows(dmap, d))
+    ker_delta, delta_inv = delta_ideals(system)
 
     checked = 0
     for v in delta_inv.basis():
         if j.ideal.contains(v):
             continue
         checked += 1
-        enlarged = _two_sided_closure(system, j.ideal.add(Subspace(d, [list(v)])))
-        if not all(delta_inv.contains(b) for b in enlarged.basis()):
+        enlarged = two_sided_closure(system, j.ideal.add(Subspace(d, [list(v)])))
+        if not enlarged.le(delta_inv):
             continue
         if not enlarged.intersect(ker_delta).is_zero():
             continue

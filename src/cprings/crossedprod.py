@@ -39,7 +39,7 @@ from .exactlin import (
     zero_vec,
 )
 from .rsystem import RSystem
-from .tensorpow import DEFAULT_CAP, _system_store, tensor_space, tensor_split
+from .tensorpow import _system_store, tensor_space, tensor_split
 from .toeplitz import SystemMismatch, ToeplitzElement, component_space
 
 __all__ = [
@@ -184,7 +184,7 @@ def cross_mul(a: CrossedElement, b: CrossedElement) -> CrossedElement:
 # ---------------------------------------------------------------------------
 
 
-def _leg_collapse(system: RSystem, side: str, level: int, cap: int = DEFAULT_CAP):
+def _leg_collapse(system: RSystem, side: str, level: int):
     """Matrix taking level-`level` tensor coordinates to the ring part of the
     crossed-product word (degree -level for Q, +level for P)."""
     _require_automorphism(system)
@@ -196,12 +196,12 @@ def _leg_collapse(system: RSystem, side: str, level: int, cap: int = DEFAULT_CAP
     if level <= 1:
         out = mat_identity(d)
     else:
-        prev = _leg_collapse(system, side, level - 1, cap=cap)
+        prev = _leg_collapse(system, side, level - 1)
         twist = phi_power(system, -1 if side == "Q" else 1)
         shifted = mat_transpose(matmul(twist, prev))  # rows = collapsed tails
-        split = tensor_split(system, side, 1, level - 1, cap=cap)
-        dim_prev = tensor_space(system, side, level - 1, cap=cap).dim
-        dim_lvl = tensor_space(system, side, level, cap=cap).dim
+        split = tensor_split(system, side, 1, level - 1)
+        dim_prev = tensor_space(system, side, level - 1).dim
+        dim_lvl = tensor_space(system, side, level).dim
         cols = []
         for c in range(dim_lvl):
             acc = zero_vec(d)
@@ -220,7 +220,7 @@ def _leg_collapse(system: RSystem, side: str, level: int, cap: int = DEFAULT_CAP
     return out
 
 
-def toeplitz_to_crossed(x: ToeplitzElement, cap: int = 2 * DEFAULT_CAP) -> CrossedElement:
+def toeplitz_to_crossed(x: ToeplitzElement) -> CrossedElement:
     """Word-collapse of a Toeplitz element; grade (m, n) lands at degree n-m."""
     system = x.system
     _require_automorphism(system)
@@ -237,19 +237,19 @@ def toeplitz_to_crossed(x: ToeplitzElement, cap: int = 2 * DEFAULT_CAP) -> Cross
             put(0, v)
             continue
         if n == 0:
-            put(-m, matvec(_leg_collapse(system, "Q", m, cap=cap), v))
+            put(-m, matvec(_leg_collapse(system, "Q", m), v))
             continue
         if m == 0:
-            put(n, matvec(_leg_collapse(system, "P", n, cap=cap), v))
+            put(n, matvec(_leg_collapse(system, "P", n), v))
             continue
-        comp = component_space(system, m, n, cap=cap)
+        comp = component_space(system, m, n)
         if comp.dim == 0:
             continue
         raw = matvec(comp.sect, v)  # representative in Q^m (x) P^n
-        dp = tensor_space(system, "P", n, cap=cap).dim
-        q_cols = mat_transpose(_leg_collapse(system, "Q", m, cap=cap))
+        dp = tensor_space(system, "P", n).dim
+        q_cols = mat_transpose(_leg_collapse(system, "Q", m))
         p_cols = mat_transpose(
-            matmul(phi_power(system, -m), _leg_collapse(system, "P", n, cap=cap))
+            matmul(phi_power(system, -m), _leg_collapse(system, "P", n))
         )
         w = zero_vec(d)
         for idx, coeff in enumerate(raw):
@@ -283,7 +283,7 @@ def cp_to_crossed(ctx: CpContext, x) -> CrossedElement:
         rep = x
     else:
         raise TypeError(f"expected CpElement or ToeplitzElement, got {type(x).__name__}")
-    return toeplitz_to_crossed(rep, cap=ctx.cap)
+    return toeplitz_to_crossed(rep)
 
 
 @dataclass(eq=False)

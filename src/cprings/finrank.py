@@ -36,7 +36,7 @@ from .exactlin import (
     unit_vec,
 )
 from .rsystem import RSystem
-from .tensorpow import DEFAULT_CAP, psi_apply, tensor_space
+from .tensorpow import psi_apply, tensor_space
 
 
 class LevelMismatch(ValueError):
@@ -99,41 +99,41 @@ def _flatten(m: Sequence[Sequence[Fraction]]) -> list[Fraction]:
     return [x for row in m for x in row]
 
 
-def theta_matrix(system: RSystem, level: int, q_index: int, p_index: int, cap: int = DEFAULT_CAP) -> list:
+def theta_matrix(system: RSystem, level: int, q_index: int, p_index: int) -> list:
     """Matrix of theta_{e_q, e_p} on Q^(x)level."""
-    qn = tensor_space(system, "Q", level, cap=cap)
-    pn = tensor_space(system, "P", level, cap=cap)
+    qn = tensor_space(system, "Q", level)
+    pn = tensor_space(system, "P", level)
     eq = unit_vec(qn.dim, q_index)
     ep = unit_vec(pn.dim, p_index)
     cols = []
     for c in range(qn.dim):
-        r = psi_apply(system, level, ep, unit_vec(qn.dim, c), cap=cap)
+        r = psi_apply(system, level, ep, unit_vec(qn.dim, c))
         cols.append(qn.act_right(eq, r))
     return mat_transpose(cols)
 
 
-def theta_matrix_p(system: RSystem, level: int, p_index: int, q_index: int, cap: int = DEFAULT_CAP) -> list:
+def theta_matrix_p(system: RSystem, level: int, p_index: int, q_index: int) -> list:
     """Matrix of the opposite-leg rank-one y |-> psi_n(y (x) e_q) . e_p on P^(x)level."""
-    qn = tensor_space(system, "Q", level, cap=cap)
-    pn = tensor_space(system, "P", level, cap=cap)
+    qn = tensor_space(system, "Q", level)
+    pn = tensor_space(system, "P", level)
     ep = unit_vec(pn.dim, p_index)
     eq = unit_vec(qn.dim, q_index)
     cols = []
     for c in range(pn.dim):
-        r = psi_apply(system, level, unit_vec(pn.dim, c), eq, cap=cap)
+        r = psi_apply(system, level, unit_vec(pn.dim, c), eq)
         cols.append(pn.act_left(r, ep))
     return mat_transpose(cols)
 
 
-def theta(q, p, cap: int = DEFAULT_CAP) -> LinOp:
+def theta(q, p) -> LinOp:
     """theta_{q,p} as a LinOp on Q^(x)n with its adjoint theta_{p,q} attached."""
     if q.level != p.level:
         raise LevelMismatch(f"q at level {q.level}, p at level {p.level}")
     if q.side != "Q" or p.side != "P":
         raise ValueError("theta expects q on the Q leg and p on the P leg")
     system, n = q.system, q.level
-    qn = tensor_space(system, "Q", n, cap=cap)
-    pn = tensor_space(system, "P", n, cap=cap)
+    qn = tensor_space(system, "Q", n)
+    pn = tensor_space(system, "P", n)
     mat = [[Fraction(0)] * qn.dim for _ in range(qn.dim)]
     adj = [[Fraction(0)] * pn.dim for _ in range(pn.dim)]
     for b, cq in enumerate(q.coords):
@@ -142,8 +142,8 @@ def theta(q, p, cap: int = DEFAULT_CAP) -> LinOp:
         for a, cp in enumerate(p.coords):
             if cp == 0:
                 continue
-            t = theta_matrix(system, n, b, a, cap=cap)
-            s = theta_matrix_p(system, n, a, b, cap=cap)
+            t = theta_matrix(system, n, b, a)
+            s = theta_matrix_p(system, n, a, b)
             for i in range(qn.dim):
                 for j in range(qn.dim):
                     mat[i][j] += cq * cp * t[i][j]
@@ -153,9 +153,9 @@ def theta(q, p, cap: int = DEFAULT_CAP) -> LinOp:
     return LinOp(system, "Q", n, mat, adjoint=adj)
 
 
-def delta_matrix(system: RSystem, r: Sequence[Fraction], level: int = 1, cap: int = DEFAULT_CAP) -> list:
+def delta_matrix(system: RSystem, r: Sequence[Fraction], level: int = 1) -> list:
     """Matrix of Delta^level(r): left multiplication on Q^(x)level."""
-    qn = tensor_space(system, "Q", level, cap=cap)
+    qn = tensor_space(system, "Q", level)
     out = [[Fraction(0)] * qn.dim for _ in range(qn.dim)]
     for i, ri in enumerate(r):
         if ri == 0:
@@ -167,9 +167,9 @@ def delta_matrix(system: RSystem, r: Sequence[Fraction], level: int = 1, cap: in
     return out
 
 
-def gamma_matrix(system: RSystem, r: Sequence[Fraction], level: int = 1, cap: int = DEFAULT_CAP) -> list:
+def gamma_matrix(system: RSystem, r: Sequence[Fraction], level: int = 1) -> list:
     """Matrix of Gamma^level(r): right multiplication on P^(x)level."""
-    pn = tensor_space(system, "P", level, cap=cap)
+    pn = tensor_space(system, "P", level)
     out = [[Fraction(0)] * pn.dim for _ in range(pn.dim)]
     for i, ri in enumerate(r):
         if ri == 0:
@@ -181,9 +181,9 @@ def gamma_matrix(system: RSystem, r: Sequence[Fraction], level: int = 1, cap: in
     return out
 
 
-def delta(system: RSystem, r: Sequence[Fraction], level: int = 1, cap: int = DEFAULT_CAP) -> LinOp:
-    return LinOp(system, "Q", level, delta_matrix(system, r, level, cap=cap),
-                 adjoint=gamma_matrix(system, r, level, cap=cap))
+def delta(system: RSystem, r: Sequence[Fraction], level: int = 1) -> LinOp:
+    return LinOp(system, "Q", level, delta_matrix(system, r, level),
+                 adjoint=gamma_matrix(system, r, level))
 
 
 @dataclass(eq=False)
@@ -203,20 +203,20 @@ class FiniteRankSpace:
         return self.space.contains(_flatten(m))
 
 
-def finite_rank_space(system: RSystem, level: int = 1, side: str = "Q", cap: int = DEFAULT_CAP) -> FiniteRankSpace:
-    qn = tensor_space(system, "Q", level, cap=cap)
-    pn = tensor_space(system, "P", level, cap=cap)
+def finite_rank_space(system: RSystem, level: int = 1, side: str = "Q") -> FiniteRankSpace:
+    qn = tensor_space(system, "Q", level)
+    pn = tensor_space(system, "P", level)
     rows = []
     if side == "Q":
         d = qn.dim
         for b in range(qn.dim):
             for a in range(pn.dim):
-                rows.append(_flatten(theta_matrix(system, level, b, a, cap=cap)))
+                rows.append(_flatten(theta_matrix(system, level, b, a)))
     elif side == "P":
         d = pn.dim
         for a in range(pn.dim):
             for b in range(qn.dim):
-                rows.append(_flatten(theta_matrix_p(system, level, a, b, cap=cap)))
+                rows.append(_flatten(theta_matrix_p(system, level, a, b)))
     else:
         raise ValueError("side must be 'Q' or 'P'")
     return FiniteRankSpace(system, side, level, Subspace(d * d, rows))
@@ -232,16 +232,16 @@ class FsReport:
     level: int = 1
 
 
-def _identity_in_span(system: RSystem, level: int, side: str, cap: int):
+def _identity_in_span(system: RSystem, level: int, side: str):
     """Solve identity = sum c_{b,a} theta; returns certificate triples or None."""
-    qn = tensor_space(system, "Q", level, cap=cap)
-    pn = tensor_space(system, "P", level, cap=cap)
+    qn = tensor_space(system, "Q", level)
+    pn = tensor_space(system, "P", level)
     if side == "Q":
         d, outer, inner = qn.dim, qn.dim, pn.dim
-        gen = lambda b, a: theta_matrix(system, level, b, a, cap=cap)
+        gen = lambda b, a: theta_matrix(system, level, b, a)
     else:
         d, outer, inner = pn.dim, pn.dim, qn.dim
-        gen = lambda a, b: theta_matrix_p(system, level, a, b, cap=cap)
+        gen = lambda a, b: theta_matrix_p(system, level, a, b)
     if d == 0:
         return []  # identity of the zero module is the empty combination
     cols = []
@@ -257,9 +257,9 @@ def _identity_in_span(system: RSystem, level: int, side: str, cap: int):
     return [(pairs[k][0], pairs[k][1], c) for k, c in enumerate(sol) if c != 0]
 
 
-def check_fs(system: RSystem, level: int = 1, cap: int = DEFAULT_CAP) -> FsReport:
-    q_cert = _identity_in_span(system, level, "Q", cap)
-    p_cert = _identity_in_span(system, level, "P", cap)
+def check_fs(system: RSystem, level: int = 1) -> FsReport:
+    q_cert = _identity_in_span(system, level, "Q")
+    p_cert = _identity_in_span(system, level, "P")
     return FsReport(
         ok=q_cert is not None and p_cert is not None,
         q_ok=q_cert is not None,
@@ -288,7 +288,16 @@ def annihilator(system: RSystem, ideal: Subspace) -> Subspace:
     return Subspace(d, kernel(stacked))
 
 
-def canonical_ideals(system: RSystem, require_fs: bool = True, cap: int = DEFAULT_CAP) -> dict:
+def delta_ideals(system: RSystem) -> tuple[Subspace, Subspace]:
+    """(ker Delta, Delta^(-1)(F_P(Q))) as subspaces of R."""
+    d = system.ring.dim
+    dmap = _delta_map_matrix(system)
+    if not dmap:  # Q = 0, so Delta is the zero map
+        return Subspace.full(d), Subspace.full(d)
+    return Subspace(d, kernel(dmap)), preimage(dmap, finite_rank_space(system).space)
+
+
+def canonical_ideals(system: RSystem, require_fs: bool = True) -> dict:
     """ker Delta, Delta^(-1)(F_P(Q)), (ker Delta)^perp and their intersection.
 
     j_max = Delta^(-1)(F_P(Q)) ∩ (ker Delta)^perp is the uniquely-maximal
@@ -296,18 +305,10 @@ def canonical_ideals(system: RSystem, require_fs: bool = True, cap: int = DEFAUL
     trivially (the hypothesis under which maximality is a theorem).
     """
     if require_fs:
-        rep = check_fs(system, cap=cap)
+        rep = check_fs(system)
         if not rep.ok:
             raise FsViolation("condition (FS) fails; rank-one calculus would be unreliable")
-    d = system.ring.dim
-    dmap = _delta_map_matrix(system)
-    if not dmap:  # Q = 0, so Delta is the zero map
-        ker_delta = Subspace.full(d)
-        delta_inv_f = Subspace.full(d)
-    else:
-        ker_delta = Subspace(d, kernel(dmap))
-        f_space = finite_rank_space(system, level=1, side="Q", cap=cap).space
-        delta_inv_f = preimage(dmap, f_space)
+    ker_delta, delta_inv_f = delta_ideals(system)
     ker_perp = annihilator(system, ker_delta)
     j_max = delta_inv_f.intersect(ker_perp)
     return {
@@ -319,14 +320,14 @@ def canonical_ideals(system: RSystem, require_fs: bool = True, cap: int = DEFAUL
     }
 
 
-def solve_adjoint(system: RSystem, t_matrix, level: int = 1, cap: int = DEFAULT_CAP) -> Optional[LinOp]:
+def solve_adjoint(system: RSystem, t_matrix, level: int = 1) -> Optional[LinOp]:
     """Solve psi_n(p (x) T q) = psi_n(S p (x) q) for S; None if no adjoint.
 
     When several S satisfy the identity (degenerate pairing) one solution is
     returned with `adjoint_unique=False`.
     """
-    qn = tensor_space(system, "Q", level, cap=cap)
-    pn = tensor_space(system, "P", level, cap=cap)
+    qn = tensor_space(system, "Q", level)
+    pn = tensor_space(system, "P", level)
     d_r = system.ring.dim
     dq, dp = qn.dim, pn.dim
     if dp == 0:
@@ -339,12 +340,12 @@ def solve_adjoint(system: RSystem, t_matrix, level: int = 1, cap: int = DEFAULT_
     rows = []
     rhs = []
     tq_cols = mat_transpose(t_matrix)  # column b = T e_b
-    psi_cache = [[psi_apply(system, level, unit_vec(dp, c), unit_vec(dq, b), cap=cap)
+    psi_cache = [[psi_apply(system, level, unit_vec(dp, c), unit_vec(dq, b))
                   for b in range(dq)] for c in range(dp)]
     for a in range(dp):
         ea = unit_vec(dp, a)
         for b in range(dq):
-            lhs = psi_apply(system, level, ea, tq_cols[b], cap=cap)
+            lhs = psi_apply(system, level, ea, tq_cols[b])
             for k in range(d_r):
                 row = [Fraction(0)] * (dp * dp)
                 for c in range(dp):
@@ -362,13 +363,13 @@ def solve_adjoint(system: RSystem, t_matrix, level: int = 1, cap: int = DEFAULT_
                  adjoint=s_mat, adjoint_unique=not hom)
 
 
-def nondegenerate_kernel(system: RSystem, cap: int = DEFAULT_CAP) -> Subspace:
+def nondegenerate_kernel(system: RSystem) -> Subspace:
     """{q in Q : psi(p (x) q) = 0 for all p} — zero iff the pairing separates Q."""
     dq = system.q.dim
     dp = system.p.dim
     rows_of_map = []
     for a in range(dp):
         # the map q |-> psi(e_a (x) q), stacked over a
-        cols = [psi_apply(system, 1, unit_vec(dp, a), unit_vec(dq, b), cap=cap) for b in range(dq)]
+        cols = [psi_apply(system, 1, unit_vec(dp, a), unit_vec(dq, b)) for b in range(dq)]
         rows_of_map.extend(mat_transpose(cols))
     return Subspace(dq, kernel(rows_of_map))

@@ -384,6 +384,37 @@ def lpa_y(graph: FiniteGraph, *edges: str) -> LpaElement:
     return LpaElement(graph, {monomial(graph, (), edges): ONE})
 
 
+class LpaTarget:
+    """The sigma/T/S target of a graph system in its Leavitt path algebra.
+
+    Sends ring, Q and P coordinates (in the system's label order) to the
+    normal form of the matching combination of vertices, edges x_e and ghost
+    edges y_e; duck-typed for `toeplitz.evaluate`.
+    """
+
+    def __init__(self, graph: FiniteGraph, system):
+        self.graph = graph
+        self._r = [lpa_vertex(graph, v) for v in system.ring.labels]
+        self._q = [lpa_x(graph, e) for e in system.q.labels]
+        self._p = [lpa_y(graph, e) for e in system.p.labels]
+
+    def _comb(self, coords, images) -> LpaElement:
+        acc = LpaElement(self.graph, {})
+        for c, img in zip(coords, images):
+            if c != 0:
+                acc = acc + frac(c) * img
+        return acc
+
+    def sigma(self, r) -> LpaElement:
+        return self._comb(r, self._r)
+
+    def t(self, q) -> LpaElement:
+        return self._comb(q, self._q)
+
+    def s(self, p) -> LpaElement:
+        return self._comb(p, self._p)
+
+
 def _all_paths(graph: FiniteGraph, max_len: int | None = None):
     """All forward paths as edge-name tuples, grouped with their range vertex.
 

@@ -40,6 +40,9 @@ from .rsystem import (
     RSystem,
     StructuredBimodule,
     StructuredRing,
+    basis_actions,
+    is_two_sided,
+    two_sided_closure,
     validate_axioms,
 )
 from .tensorpow import DEFAULT_CAP, tensor_space
@@ -84,18 +87,6 @@ class HypothesisViolated(ValueError):
 # invariant ideals
 
 
-def is_two_sided(system: RSystem, space: Subspace) -> bool:
-    ring = system.ring
-    for k in space.basis():
-        for i in range(ring.dim):
-            e = unit_vec(ring.dim, i)
-            if not space.contains(matvec(ring.left_matrix(e), k)):
-                return False
-            if not space.contains(matvec(ring.right_matrix(e), k)):
-                return False
-    return True
-
-
 def is_psi_invariant(system: RSystem, i: Subspace, *, check_two_sided: bool = True) -> bool:
     """psi(p (x) x.q) in I for all basis p, q and x in I."""
     if check_two_sided and not is_two_sided(system, i):
@@ -113,18 +104,14 @@ def is_psi_invariant(system: RSystem, i: Subspace, *, check_two_sided: bool = Tr
 
 def ideal_closure(system: RSystem, space: Subspace) -> Subspace:
     """Smallest two-sided psi-invariant ideal containing the space."""
-    ring = system.ring
-    d = ring.dim
+    acts = basis_actions(system.ring)
+    d = system.ring.dim
     dq, dp = system.q.dim, system.p.dim
     cur = space
     while True:
-        rows = [list(v) for v in cur.basis()]
-        grown = list(rows)
+        rows = cur.basis()
+        grown = rows + [matvec(a, k) for k in rows for a in acts]
         for k in rows:
-            for i in range(d):
-                e = unit_vec(d, i)
-                grown.append(matvec(ring.left_matrix(e), k))
-                grown.append(matvec(ring.right_matrix(e), k))
             for b in range(dq):
                 xq = system.q.act_left(k, unit_vec(dq, b))
                 for a in range(dp):
@@ -302,7 +289,7 @@ def tpair_join(system: RSystem, a: TPair, b: TPair, cap: int = DEFAULT_CAP) -> T
     chain is still growing there.
     """
     i0 = ideal_closure(system, a.i.add(b.i))
-    jt = _two_sided_saturate(system, a.j.add(b.j).add(i0))
+    jt = two_sided_closure(system, a.j.add(b.j).add(i0))
     qs = quotient_system(system, i0)
     qsys = qs.system
     d2 = qsys.ring.dim
@@ -313,7 +300,7 @@ def tpair_join(system: RSystem, a: TPair, b: TPair, cap: int = DEFAULT_CAP) -> T
     candidates = Subspace(d2)
     prev_dim = None
     for n in range(1, cap + 1):
-        lvl = tensor_space(qsys, "Q", n, cap=cap)
+        lvl = tensor_space(qsys, "Q", n)
         dmat_cols = [_flatten(lvl.left[idx]) for idx in range(d2)]
         dmat = mat_transpose(dmat_cols) if lvl.dim else []
         ker_n = Subspace(d2, kernel(dmat)) if dmat else Subspace.full(d2)
@@ -322,7 +309,7 @@ def tpair_join(system: RSystem, a: TPair, b: TPair, cap: int = DEFAULT_CAP) -> T
             stabilized = True  # the kernel chain is monotone, so it has settled
             break
         prev_dim = ker_n.dim
-        cond = cond.intersect(_delta_into_qj(qsys, j_img, n, cap))
+        cond = cond.intersect(_delta_into_qj(qsys, j_img, n))
     truncation_risk = not stabilized
 
     i_join = qs.lift_subspace(candidates)
@@ -331,32 +318,14 @@ def tpair_join(system: RSystem, a: TPair, b: TPair, cap: int = DEFAULT_CAP) -> T
     return pair
 
 
-def _two_sided_saturate(system: RSystem, space: Subspace) -> Subspace:
-    ring = system.ring
-    d = ring.dim
-    cur = space
-    while True:
-        rows = [list(v) for v in cur.basis()]
-        grown = list(rows)
-        for k in rows:
-            for i in range(d):
-                e = unit_vec(d, i)
-                grown.append(matvec(ring.left_matrix(e), k))
-                grown.append(matvec(ring.right_matrix(e), k))
-        nxt = Subspace(d, grown)
-        if nxt.dim == cur.dim:
-            return nxt
-        cur = nxt
-
-
 def _flatten(m) -> list:
     return [ent for row in m for ent in row]
 
 
-def _delta_into_qj(qsys: RSystem, j_img: Subspace, n: int, cap: int) -> Subspace:
+def _delta_into_qj(qsys: RSystem, j_img: Subspace, n: int) -> Subspace:
     """{x in R_I : Delta^n(x)(Q_I^n) <= Q_I^n . J_I}, exactly."""
     d2 = qsys.ring.dim
-    lvl = tensor_space(qsys, "Q", n, cap=cap)
+    lvl = tensor_space(qsys, "Q", n)
     if lvl.dim == 0:
         return Subspace.full(d2)
     w_rows = []
@@ -409,8 +378,8 @@ class IdealHandle:
         elif n == 1:
             out = qs.proj_q if side == "Q" else qs.proj_p
         else:
-            src = tensor_space(self.context.system, side, n, cap=self.context.cap)
-            dst = tensor_space(qs.system, side, n, cap=self.context.cap)
+            src = tensor_space(self.context.system, side, n)
+            dst = tensor_space(qs.system, side, n)
             prev = self._level_map(side, n - 1)
             one = self._level_map(side, 1)
             out = matmul(dst.proj, matmul(kron(prev, one), src.sect)) if dst.dim else \

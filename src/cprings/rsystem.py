@@ -27,7 +27,6 @@ from .exactlin import (
     Subspace,
     _nonzeros,
     frac,
-    is_zero_vec,
     kernel,
     mat_identity,
     mat_transpose,
@@ -323,6 +322,30 @@ def validate_axioms(system: RSystem) -> ValidationReport:
                         failures.append(f"psi: not right linear at ({ring.labels[i]},p{a},q{b})")
 
     return ValidationReport(ok=not failures, failures=failures, checks=count[0])
+
+
+def basis_actions(ring: StructuredRing) -> list:
+    """The matrices of x -> e_i x and x -> x e_i for every basis element e_i."""
+    units = [unit_vec(ring.dim, i) for i in range(ring.dim)]
+    return [ring.left_matrix(e) for e in units] + [ring.right_matrix(e) for e in units]
+
+
+def is_two_sided(system: RSystem, space: Subspace) -> bool:
+    """Is the subspace a two-sided ideal of R?"""
+    acts = basis_actions(system.ring)
+    return all(space.contains(matvec(a, k)) for k in space.basis() for a in acts)
+
+
+def two_sided_closure(system: RSystem, space: Subspace) -> Subspace:
+    """The two-sided ideal of R generated by the subspace."""
+    acts = basis_actions(system.ring)
+    cur = space
+    while True:
+        rows = cur.basis()
+        nxt = Subspace(cur.ambient, rows + [matvec(a, k) for k in rows for a in acts])
+        if nxt.dim == cur.dim:
+            return nxt
+        cur = nxt
 
 
 def right_annihilator(ring: StructuredRing) -> Subspace:

@@ -60,7 +60,12 @@ DEFAULT_CAP = 6
 
 
 class CapExceeded(RuntimeError):
-    """A tensor level beyond the configured cap was requested."""
+    """An operation would create a tensor level above its cap.
+
+    Only operations that create levels their caller did not name carry a cap
+    (`toeplitz.toeplitz_mul`, `toeplitz.fock_apply`); the builders here make
+    whatever level they are asked for.
+    """
 
 
 @dataclass(eq=False)
@@ -221,11 +226,9 @@ def balanced_quotient(a_right, a_dim: int, b_left, b_dim: int) -> QuotientSpace:
     return QuotientSpace(Subspace(n, rows))
 
 
-def tensor_space(system: RSystem, side: str, n: int, cap: int = DEFAULT_CAP) -> TensorSpace:
+def tensor_space(system: RSystem, side: str, n: int) -> TensorSpace:
     if n < 0:
         raise ValueError("negative tensor level")
-    if n > cap:
-        raise CapExceeded(f"tensor level {n} exceeds cap {cap}")
     store = _system_store(system)
     key = ("space", side, n)
     if key in store:
@@ -245,7 +248,7 @@ def tensor_space(system: RSystem, side: str, n: int, cap: int = DEFAULT_CAP) -> 
         store[key] = space
         return space
 
-    prev = tensor_space(system, side, n - 1, cap=cap)
+    prev = tensor_space(system, side, n - 1)
     d_prev, d_m = prev.dim, mod.dim
 
     path = _disk_path(system, f"{side}{n}")
@@ -281,17 +284,15 @@ def tensor_space(system: RSystem, side: str, n: int, cap: int = DEFAULT_CAP) -> 
     return space
 
 
-def tensor_embed(system: RSystem, side: str, k: int, l: int, cap: int = DEFAULT_CAP):
+def tensor_embed(system: RSystem, side: str, k: int, l: int):
     """Concatenation matrix M^k (x) M^l -> M^(k+l) on Kronecker coordinates."""
     store = _system_store(system)
     key = ("embed", side, k, l)
     if key in store:
         return store[key]
-    if k + l > cap:
-        raise CapExceeded(f"tensor level {k + l} exceeds cap {cap}")
 
     ring = system.ring
-    if tensor_space(system, side, k + l, cap=cap).dim == 0:
+    if tensor_space(system, side, k + l).dim == 0:
         out = []  # 0-row matrix: the target level vanished
     elif k == 0 and l == 0:
         cols = []
@@ -300,7 +301,7 @@ def tensor_embed(system: RSystem, side: str, k: int, l: int, cap: int = DEFAULT_
                 cols.append(list(ring.mult[i][j]))
         out = mat_transpose(cols)
     elif l == 0:
-        sp = tensor_space(system, side, k, cap=cap)
+        sp = tensor_space(system, side, k)
         cols = []
         for a in range(sp.dim):
             ea = unit_vec(sp.dim, a)
@@ -308,7 +309,7 @@ def tensor_embed(system: RSystem, side: str, k: int, l: int, cap: int = DEFAULT_
                 cols.append(sp.act_right(ea, unit_vec(ring.dim, i)))
         out = mat_transpose(cols)
     elif k == 0:
-        sp = tensor_space(system, side, l, cap=cap)
+        sp = tensor_space(system, side, l)
         cols = []
         for i in range(ring.dim):
             ei = unit_vec(ring.dim, i)
@@ -316,32 +317,32 @@ def tensor_embed(system: RSystem, side: str, k: int, l: int, cap: int = DEFAULT_
                 cols.append(sp.act_left(ei, unit_vec(sp.dim, b)))
         out = mat_transpose(cols)
     elif l == 1:
-        out = tensor_space(system, side, k + 1, cap=cap).proj
+        out = tensor_space(system, side, k + 1).proj
     else:
-        top = tensor_space(system, side, l, cap=cap)
+        top = tensor_space(system, side, l)
         d_m = _module_of(system, side).dim
-        d_k = tensor_space(system, side, k, cap=cap).dim
-        inner = tensor_embed(system, side, k, l - 1, cap=cap)
-        glue = tensor_embed(system, side, k + l - 1, 1, cap=cap)
+        d_k = tensor_space(system, side, k).dim
+        inner = tensor_embed(system, side, k, l - 1)
+        glue = tensor_embed(system, side, k + l - 1, 1)
         out = matmul(glue, matmul(kron(inner, mat_identity(d_m)), kron(mat_identity(d_k), top.sect)))
     store[key] = out
     return out
 
 
-def tensor_split(system: RSystem, side: str, k: int, l: int, cap: int = DEFAULT_CAP):
+def tensor_split(system: RSystem, side: str, k: int, l: int):
     """A right inverse of tensor_embed (exists because concatenations span)."""
     store = _system_store(system)
     key = ("split", side, k, l)
     if key in store:
         return store[key]
-    target = tensor_space(system, side, k + l, cap=cap)
+    target = tensor_space(system, side, k + l)
     if target.dim == 0:
-        dk = tensor_space(system, side, k, cap=cap).dim
-        dl = tensor_space(system, side, l, cap=cap).dim
+        dk = tensor_space(system, side, k).dim
+        dl = tensor_space(system, side, l).dim
         s = [[] for _ in range(dk * dl)]
         store[key] = s
         return s
-    e = tensor_embed(system, side, k, l, cap=cap)
+    e = tensor_embed(system, side, k, l)
     s = solve_matrix(e, mat_identity(target.dim))
     if s is None:
         raise ArithmeticError(
@@ -352,7 +353,7 @@ def tensor_split(system: RSystem, side: str, k: int, l: int, cap: int = DEFAULT_
     return s
 
 
-def psi_n(system: RSystem, n: int, cap: int = DEFAULT_CAP):
+def psi_n(system: RSystem, n: int):
     """Table of the iterated pairing: psi_n[a][b] in ring coordinates.
 
     Index a runs over the level-n P basis, b over the level-n Q basis.
@@ -360,8 +361,6 @@ def psi_n(system: RSystem, n: int, cap: int = DEFAULT_CAP):
     """
     if n < 0:
         raise ValueError("negative pairing level")
-    if n > cap:
-        raise CapExceeded(f"pairing level {n} exceeds cap {cap}")
     store = _system_store(system)
     key = ("psi", n)
     if key in store:
@@ -384,19 +383,19 @@ def psi_n(system: RSystem, n: int, cap: int = DEFAULT_CAP):
             store[key] = table
             return table
 
-    prev = psi_n(system, n - 1, cap=cap)
+    prev = psi_n(system, n - 1)
     p_mod, q_mod = system.p, system.q
-    pn = tensor_space(system, "P", n, cap=cap)
-    qn = tensor_space(system, "Q", n, cap=cap)
+    pn = tensor_space(system, "P", n)
+    qn = tensor_space(system, "Q", n)
     if pn.dim == 0 or qn.dim == 0:
         table = tuple(tuple() for _ in range(pn.dim))
         store[key] = table
         return table
-    split_p = tensor_split(system, "P", 1, n - 1, cap=cap)  # p ~ p1 (x) p2
-    split_q = tensor_split(system, "Q", n - 1, 1, cap=cap)  # q ~ q1 (x) q2
+    split_p = tensor_split(system, "P", 1, n - 1)  # p ~ p1 (x) p2
+    split_q = tensor_split(system, "Q", n - 1, 1)  # q ~ q1 (x) q2
     d_pm, d_qm = p_mod.dim, q_mod.dim
-    d_pprev = tensor_space(system, "P", n - 1, cap=cap).dim
-    d_qprev = tensor_space(system, "Q", n - 1, cap=cap).dim
+    d_pprev = tensor_space(system, "P", n - 1).dim
+    d_qprev = tensor_space(system, "Q", n - 1).dim
 
     split_p_cols = mat_transpose(split_p)
     split_q_cols = mat_transpose(split_q)
@@ -432,8 +431,8 @@ def psi_n(system: RSystem, n: int, cap: int = DEFAULT_CAP):
     return table
 
 
-def psi_apply(system: RSystem, n: int, p: Sequence[Fraction], q: Sequence[Fraction], cap: int = DEFAULT_CAP) -> list[Fraction]:
-    table = psi_n(system, n, cap=cap)
+def psi_apply(system: RSystem, n: int, p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
+    table = psi_n(system, n)
     out = zero_vec(system.ring.dim)
     for a, pa in enumerate(p):
         if pa == 0:
@@ -446,17 +445,17 @@ def psi_apply(system: RSystem, n: int, p: Sequence[Fraction], q: Sequence[Fracti
     return out
 
 
-def basis_element(system: RSystem, side: str, level: int, index: int, cap: int = DEFAULT_CAP) -> ModuleElement:
-    sp = tensor_space(system, side, level, cap=cap)
+def basis_element(system: RSystem, side: str, level: int, index: int) -> ModuleElement:
+    sp = tensor_space(system, side, level)
     return ModuleElement(system, side, level, tuple(unit_vec(sp.dim, index)))
 
 
-def path_element(system: RSystem, side: str, labels: Sequence[str], cap: int = DEFAULT_CAP) -> ModuleElement:
+def path_element(system: RSystem, side: str, labels: Sequence[str]) -> ModuleElement:
     """Concatenate level-1 basis elements named by labels (left to right)."""
     mod = _module_of(system, side)
     if not labels:
         raise ValueError("empty label path")
-    out = basis_element(system, side, 1, mod.index(labels[0]), cap=cap)
+    out = basis_element(system, side, 1, mod.index(labels[0]))
     for lab in labels[1:]:
-        out = out.tensor(basis_element(system, side, 1, mod.index(lab), cap=cap))
+        out = out.tensor(basis_element(system, side, 1, mod.index(lab)))
     return out

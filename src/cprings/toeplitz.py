@@ -27,18 +27,22 @@ Products of component classes are cached as exact bilinear matrices per
 grade pair, so repeated multiplication is a sparse matvec.
 
 The module also hosts representation evaluation (images T^m(q) S^n(p),
-multiplicative in tensor order) and the truncated Fock representation used
-as the independent equality oracle.
+multiplicative in tensor order) and the Fock representation, block by block
+between tensor levels, used as the independent equality oracle.
+
+Tensor levels are capped only where an operation creates a level its caller
+did not name: `toeplitz_mul` refuses an output grade with a leg above its
+cap, and `fock_apply` a block that lands above its cap.  Both check before
+any cached work, so whether they raise does not depend on what ran before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .exactlin import (
-    is_zero_vec,
     kron_vec,
     mat_identity,
     mat_transpose,
@@ -79,7 +83,6 @@ __all__ = [
     "evaluate",
     "fock_apply",
     "fock_is_zero",
-    "fock_matrix",
     "grade_project",
     "pair",
     "semigroup_mul",
@@ -118,7 +121,7 @@ class ComponentSpace:
         return f"ComponentSpace(({self.m},{self.n}), dim {self.dim})"
 
 
-def component_space(system: RSystem, m: int, n: int, cap: int = DEFAULT_CAP) -> ComponentSpace:
+def component_space(system: RSystem, m: int, n: int) -> ComponentSpace:
     store = _system_store(system)
     key = ("comp", m, n)
     if key in store:
@@ -128,12 +131,12 @@ def component_space(system: RSystem, m: int, n: int, cap: int = DEFAULT_CAP) -> 
     if m == 0 and n == 0:
         comp = ComponentSpace(system, 0, 0, system.ring.dim, None, None)
     elif n == 0:
-        comp = ComponentSpace(system, m, 0, tensor_space(system, "Q", m, cap=cap).dim, None, None)
+        comp = ComponentSpace(system, m, 0, tensor_space(system, "Q", m).dim, None, None)
     elif m == 0:
-        comp = ComponentSpace(system, 0, n, tensor_space(system, "P", n, cap=cap).dim, None, None)
+        comp = ComponentSpace(system, 0, n, tensor_space(system, "P", n).dim, None, None)
     else:
-        qm = tensor_space(system, "Q", m, cap=cap)
-        pn = tensor_space(system, "P", n, cap=cap)
+        qm = tensor_space(system, "Q", m)
+        pn = tensor_space(system, "P", n)
         if qm.dim == 0 or pn.dim == 0:
             comp = ComponentSpace(system, m, n, 0, None, None)
         else:
@@ -143,13 +146,13 @@ def component_space(system: RSystem, m: int, n: int, cap: int = DEFAULT_CAP) -> 
     return comp
 
 
-def _class_coords(system: RSystem, m: int, n: int, q, p, cap: int):
+def _class_coords(system: RSystem, m: int, n: int, q, p):
     """Component coordinates of the class of q (x) p at grade (m, n)."""
     if n == 0:
         return q
     if m == 0:
         return p
-    comp = component_space(system, m, n, cap=cap)
+    comp = component_space(system, m, n)
     if comp.dim == 0:
         return None
     return matvec(comp.proj, kron_vec(q, p))
@@ -215,8 +218,8 @@ class ToeplitzElement:
     def sub(self, other: "ToeplitzElement") -> "ToeplitzElement":
         return self.add(other.neg())
 
-    def mul(self, other: "ToeplitzElement", cap: int = DEFAULT_CAP) -> "ToeplitzElement":
-        return toeplitz_mul(self, other, cap=cap)
+    def mul(self, other: "ToeplitzElement") -> "ToeplitzElement":
+        return toeplitz_mul(self, other)
 
     __add__ = add
     __sub__ = sub
@@ -241,15 +244,15 @@ class ToeplitzElement:
         return f"ToeplitzElement({parts})"
 
 
-def embed(system: RSystem, kind: str, x, cap: int = DEFAULT_CAP) -> ToeplitzElement:
+def embed(system: RSystem, kind: str, x) -> ToeplitzElement:
     """Level-1 (or ring) embedding; accepts raw coordinates or a ModuleElement."""
     if isinstance(x, ModuleElement):
-        return embed_n(system, kind, x.level, x.coords, cap=cap)
+        return embed_n(system, kind, x.level, x.coords)
     level = 0 if kind == "R" else 1
-    return embed_n(system, kind, level, x, cap=cap)
+    return embed_n(system, kind, level, x)
 
 
-def embed_n(system: RSystem, kind: str, level: int, coords, cap: int = DEFAULT_CAP) -> ToeplitzElement:
+def embed_n(system: RSystem, kind: str, level: int, coords) -> ToeplitzElement:
     if isinstance(coords, ModuleElement):
         coords = coords.coords
     coords = list(coords)
@@ -265,21 +268,21 @@ def embed_n(system: RSystem, kind: str, level: int, coords, cap: int = DEFAULT_C
         grade = (0, level)
     else:
         raise ValueError(f"kind must be R, Q or P, got {kind!r}")
-    want = tensor_space(system, kind, level, cap=cap).dim
+    want = tensor_space(system, kind, level).dim
     if len(coords) != want:
         raise ValueError(f"coordinate length {len(coords)} != dim {want} of {kind}^{level}")
     return ToeplitzElement(system, {grade: coords})
 
 
-def pair(system: RSystem, m: int, n: int, q_coords, p_coords, cap: int = DEFAULT_CAP) -> ToeplitzElement:
+def pair(system: RSystem, m: int, n: int, q_coords, p_coords) -> ToeplitzElement:
     """The class of q (x) p at grade (m, n)."""
     if m == 0 and n == 0:
         raise ValueError("grade (0,0) holds ring elements; use embed")
     if m == 0:
-        return embed_n(system, "P", n, p_coords, cap=cap)
+        return embed_n(system, "P", n, p_coords)
     if n == 0:
-        return embed_n(system, "Q", m, q_coords, cap=cap)
-    v = _class_coords(system, m, n, list(q_coords), list(p_coords), cap)
+        return embed_n(system, "Q", m, q_coords)
+    v = _class_coords(system, m, n, list(q_coords), list(p_coords))
     if v is None:
         return ToeplitzElement(system)
     return ToeplitzElement(system, {(m, n): v})
@@ -288,17 +291,17 @@ def pair(system: RSystem, m: int, n: int, q_coords, p_coords, cap: int = DEFAULT
 # -- multiplication ----------------------------------------------------------
 
 
-def _basis_legs(system: RSystem, m: int, n: int, idx: int, cap: int):
+def _basis_legs(system: RSystem, m: int, n: int, idx: int):
     """Decompose a component basis class into pure (q, p, r, coeff) legs."""
     if m == 0 and n == 0:
         return [(None, None, unit_vec(system.ring.dim, idx), Fraction(1))]
     if n == 0:
-        return [(unit_vec(tensor_space(system, "Q", m, cap=cap).dim, idx), None, None, Fraction(1))]
+        return [(unit_vec(tensor_space(system, "Q", m).dim, idx), None, None, Fraction(1))]
     if m == 0:
-        return [(None, unit_vec(tensor_space(system, "P", n, cap=cap).dim, idx), None, Fraction(1))]
-    comp = component_space(system, m, n, cap=cap)
-    dq = tensor_space(system, "Q", m, cap=cap).dim
-    dp = tensor_space(system, "P", n, cap=cap).dim
+        return [(None, unit_vec(tensor_space(system, "P", n).dim, idx), None, Fraction(1))]
+    comp = component_space(system, m, n)
+    dq = tensor_space(system, "Q", m).dim
+    dp = tensor_space(system, "P", n).dim
     col = mat_transpose(comp.sect)[idx]
     out = []
     for a in range(dq):
@@ -309,7 +312,7 @@ def _basis_legs(system: RSystem, m: int, n: int, idx: int, cap: int):
     return out
 
 
-def _legpair_product(system: RSystem, g1, legs1, g2, legs2, cap: int):
+def _legpair_product(system: RSystem, g1, legs1, g2, legs2):
     """Product of two pure leg tuples; returns component coords at semigroup_mul(g1, g2)."""
     (m1, n1), (m2, n2) = g1, g2
     q1, p1, r1, _ = legs1
@@ -321,98 +324,96 @@ def _legpair_product(system: RSystem, g1, legs1, g2, legs2, cap: int):
         if g2 == (0, 0):
             return ring.multiply(r, r2)
         if m2 >= 1:
-            q2s = tensor_space(system, "Q", m2, cap=cap)
-            return _class_coords(system, m2, n2, q2s.act_left(r, q2), p2, cap)
-        pns = tensor_space(system, "P", n2, cap=cap)
-        return _class_coords(system, 0, n2, None, pns.act_left(r, p2), cap)
+            q2s = tensor_space(system, "Q", m2)
+            return _class_coords(system, m2, n2, q2s.act_left(r, q2), p2)
+        pns = tensor_space(system, "P", n2)
+        return _class_coords(system, 0, n2, None, pns.act_left(r, p2))
     if g2 == (0, 0):
         r = r2
         if n1 >= 1:
-            pns = tensor_space(system, "P", n1, cap=cap)
-            return _class_coords(system, m1, n1, q1, pns.act_right(p1, r), cap)
-        qms = tensor_space(system, "Q", m1, cap=cap)
-        return _class_coords(system, m1, 0, qms.act_right(q1, r), None, cap)
+            pns = tensor_space(system, "P", n1)
+            return _class_coords(system, m1, n1, q1, pns.act_right(p1, r))
+        qms = tensor_space(system, "Q", m1)
+        return _class_coords(system, m1, 0, qms.act_right(q1, r), None)
 
     k = min(n1, m2)
     if k == 0:
         if n1 == 0:
             if m2 == 0:
                 # pure Q times pure P: just the mixed class
-                return _class_coords(system, m1, n2, q1, p2, cap)
-            q_full = matvec(tensor_embed(system, "Q", m1, m2, cap=cap), kron_vec(q1, q2))
-            return _class_coords(system, m1 + m2, n2, q_full, p2, cap)
+                return _class_coords(system, m1, n2, q1, p2)
+            q_full = matvec(tensor_embed(system, "Q", m1, m2), kron_vec(q1, q2))
+            return _class_coords(system, m1 + m2, n2, q_full, p2)
         # m2 == 0, n1 >= 1: concatenate the P legs
-        p_full = matvec(tensor_embed(system, "P", n1, n2, cap=cap), kron_vec(p1, p2))
-        return _class_coords(system, m1, n1 + n2, q1, p_full, cap)
+        p_full = matvec(tensor_embed(system, "P", n1, n2), kron_vec(p1, p2))
+        return _class_coords(system, m1, n1 + n2, q1, p_full)
 
     if k == n1 == m2:
-        r = psi_apply(system, k, p1, q2, cap=cap)
+        r = psi_apply(system, k, p1, q2)
         if m1 >= 1:
-            qms = tensor_space(system, "Q", m1, cap=cap)
-            return _class_coords(system, m1, n2, qms.act_right(q1, r), p2, cap)
+            qms = tensor_space(system, "Q", m1)
+            return _class_coords(system, m1, n2, qms.act_right(q1, r), p2)
         if n2 >= 1:
-            pns = tensor_space(system, "P", n2, cap=cap)
-            return _class_coords(system, 0, n2, None, pns.act_left(r, p2), cap)
+            pns = tensor_space(system, "P", n2)
+            return _class_coords(system, 0, n2, None, pns.act_left(r, p2))
         return r  # grade (0,0)
 
     if k == m2:  # k < n1: trailing P-factors of the left operand contract away
-        head = tensor_space(system, "P", n1 - k, cap=cap)
-        dk = tensor_space(system, "P", k, cap=cap).dim
-        v = matvec(tensor_split(system, "P", n1 - k, k, cap=cap), p1)
+        head = tensor_space(system, "P", n1 - k)
+        dk = tensor_space(system, "P", k).dim
+        v = matvec(tensor_split(system, "P", n1 - k, k), p1)
         p_head = zero_vec(head.dim)
         for h in range(head.dim):
             for t in range(dk):
                 c = v[h * dk + t]
                 if c == 0:
                     continue
-                r = psi_apply(system, k, unit_vec(dk, t), q2, cap=cap)
+                r = psi_apply(system, k, unit_vec(dk, t), q2)
                 p_head = vec_add(p_head, vec_scale(c, head.act_right(unit_vec(head.dim, h), r)))
         if n2 >= 1:
-            p_full = matvec(tensor_embed(system, "P", n1 - k, n2, cap=cap), kron_vec(p_head, p2))
+            p_full = matvec(tensor_embed(system, "P", n1 - k, n2), kron_vec(p_head, p2))
         else:
             p_full = p_head
-        return _class_coords(system, m1, n1 - k + n2, q1, p_full, cap)
+        return _class_coords(system, m1, n1 - k + n2, q1, p_full)
 
     # k == n1 < m2: the whole P-leg contracts against the leading Q-factors
-    tail = tensor_space(system, "Q", m2 - k, cap=cap)
-    dk = tensor_space(system, "Q", k, cap=cap).dim
-    v = matvec(tensor_split(system, "Q", k, m2 - k, cap=cap), q2)
+    tail = tensor_space(system, "Q", m2 - k)
+    dk = tensor_space(system, "Q", k).dim
+    v = matvec(tensor_split(system, "Q", k, m2 - k), q2)
     q_tail = zero_vec(tail.dim)
     for h in range(dk):
         for t in range(tail.dim):
             c = v[h * tail.dim + t]
             if c == 0:
                 continue
-            r = psi_apply(system, k, p1, unit_vec(dk, h), cap=cap)
+            r = psi_apply(system, k, p1, unit_vec(dk, h))
             q_tail = vec_add(q_tail, vec_scale(c, tail.act_left(r, unit_vec(tail.dim, t))))
     if m1 >= 1:
-        q_full = matvec(tensor_embed(system, "Q", m1, m2 - k, cap=cap), kron_vec(q1, q_tail))
+        q_full = matvec(tensor_embed(system, "Q", m1, m2 - k), kron_vec(q1, q_tail))
     else:
         q_full = q_tail
-    return _class_coords(system, m1 + m2 - k, n2, q_full, p2, cap)
+    return _class_coords(system, m1 + m2 - k, n2, q_full, p2)
 
 
-def _product_matrix(system: RSystem, g1, g2, cap: int):
+def _product_matrix(system: RSystem, g1, g2):
     """Bilinear matrix of the component product C(g1) x C(g2) -> C(g1 g2)."""
     store = _system_store(system)
     key = ("prodmat", g1, g2)
     if key in store:
         return store[key]
     g_out = semigroup_mul(g1, g2)
-    if g_out[0] + g_out[1] > cap:
-        raise CapExceeded(f"product grade {g_out} exceeds cap {cap}")
-    d1 = component_space(system, *g1, cap=cap).dim
-    d2 = component_space(system, *g2, cap=cap).dim
-    d_out = component_space(system, *g_out, cap=cap).dim
+    d1 = component_space(system, *g1).dim
+    d2 = component_space(system, *g2).dim
+    d_out = component_space(system, *g_out).dim
     cols = []
     for i in range(d1):
-        legs1 = _basis_legs(system, g1[0], g1[1], i, cap)
+        legs1 = _basis_legs(system, g1[0], g1[1], i)
         for j in range(d2):
-            legs2 = _basis_legs(system, g2[0], g2[1], j, cap)
+            legs2 = _basis_legs(system, g2[0], g2[1], j)
             acc = zero_vec(d_out)
             for l1 in legs1:
                 for l2 in legs2:
-                    v = _legpair_product(system, g1, l1, g2, l2, cap)
+                    v = _legpair_product(system, g1, l1, g2, l2)
                     if v is not None:
                         acc = vec_add(acc, vec_scale(l1[3] * l2[3], v))
             cols.append(acc)
@@ -422,15 +423,22 @@ def _product_matrix(system: RSystem, g1, g2, cap: int):
 
 
 def toeplitz_mul(a: ToeplitzElement, b: ToeplitzElement, cap: int = DEFAULT_CAP) -> ToeplitzElement:
+    """The product a b; raises CapExceeded, before any work, when an output
+    grade has a leg level above cap."""
     if a.system is not b.system:
         raise SystemMismatch("cannot multiply elements over different systems")
+    for g1 in a.comps:
+        for g2 in b.comps:
+            g_out = semigroup_mul(g1, g2)
+            if max(g_out) > cap:
+                raise CapExceeded(f"product grade {g_out} has a tensor level above cap {cap}")
     system = a.system
     acc: dict = {}
     for g1 in sorted(a.comps):
         v1 = a.comps[g1]
         for g2 in sorted(b.comps):
             v2 = b.comps[g2]
-            g_out, mat = _product_matrix(system, g1, g2, cap)
+            g_out, mat = _product_matrix(system, g1, g2)
             if not mat or not mat[0]:
                 continue
             w = matvec(mat, kron_vec(v1, v2))
@@ -455,11 +463,11 @@ def z_project(x: ToeplitzElement, k: int) -> ToeplitzElement:
     return ToeplitzElement(x.system, {g: v for g, v in x.comps.items() if g[0] - g[1] == k})
 
 
-def toeplitz_is_zero(x: ToeplitzElement, cross_check: bool = False, cap: int = DEFAULT_CAP) -> bool:
+def toeplitz_is_zero(x: ToeplitzElement, cross_check: bool = False) -> bool:
     """Structural zero test (complete, by the grading); optional Fock cross-check."""
     structural = x.is_zero()
     if cross_check:
-        fock = fock_is_zero(x, cap=cap)
+        fock = fock_is_zero(x)
         if fock != structural:
             raise RuntimeError(
                 "Fock oracle disagrees with the structural zero test; "
@@ -570,21 +578,21 @@ def check_representation(system: RSystem, rep) -> list[str]:
     return failures
 
 
-def _rep_leg_images(system: RSystem, rep, side: str, level: int, memo, cap: int):
+def _rep_leg_images(system: RSystem, rep, side: str, level: int, memo):
     """Images of the level basis under T^m / S^n (multiplicative in order)."""
     key = (side, level)
     if key in memo:
         return memo[key]
-    sp = tensor_space(system, side, level, cap=cap)
+    sp = tensor_space(system, side, level)
     if level == 0:
         out = [rep.sigma(unit_vec(system.ring.dim, i)) for i in range(system.ring.dim)]
     elif level == 1:
         f = rep.t if side == "Q" else rep.s
         out = [f(unit_vec(sp.dim, i)) for i in range(sp.dim)]
     else:
-        prev = _rep_leg_images(system, rep, side, level - 1, memo, cap)
-        ones = _rep_leg_images(system, rep, side, 1, memo, cap)
-        d1 = tensor_space(system, side, 1, cap=cap).dim
+        prev = _rep_leg_images(system, rep, side, level - 1, memo)
+        ones = _rep_leg_images(system, rep, side, 1, memo)
+        d1 = tensor_space(system, side, 1).dim
         cols = mat_transpose(sp.sect)
         zero = rep.sigma(zero_vec(system.ring.dim))
         out = []
@@ -601,7 +609,7 @@ def _rep_leg_images(system: RSystem, rep, side: str, level: int, memo, cap: int)
     return out
 
 
-def evaluate(x: ToeplitzElement, rep, cap: int = DEFAULT_CAP):
+def evaluate(x: ToeplitzElement, rep):
     """Image of x under the representation induced by (sigma, T, S)."""
     for attr in ("sigma", "t", "s"):
         if not callable(getattr(rep, attr, None)):
@@ -615,22 +623,22 @@ def evaluate(x: ToeplitzElement, rep, cap: int = DEFAULT_CAP):
             acc = acc + rep.sigma(list(v))
             continue
         if n == 0:
-            imgs = _rep_leg_images(system, rep, "Q", m, memo, cap)
+            imgs = _rep_leg_images(system, rep, "Q", m, memo)
             for i, c in enumerate(v):
                 if c != 0:
                     acc = acc + Fraction(c) * imgs[i]
             continue
         if m == 0:
-            imgs = _rep_leg_images(system, rep, "P", n, memo, cap)
+            imgs = _rep_leg_images(system, rep, "P", n, memo)
             for i, c in enumerate(v):
                 if c != 0:
                     acc = acc + Fraction(c) * imgs[i]
             continue
-        q_imgs = _rep_leg_images(system, rep, "Q", m, memo, cap)
-        p_imgs = _rep_leg_images(system, rep, "P", n, memo, cap)
-        comp = component_space(system, m, n, cap=cap)
-        dq = tensor_space(system, "Q", m, cap=cap).dim
-        dp = tensor_space(system, "P", n, cap=cap).dim
+        q_imgs = _rep_leg_images(system, rep, "Q", m, memo)
+        p_imgs = _rep_leg_images(system, rep, "P", n, memo)
+        comp = component_space(system, m, n)
+        dq = tensor_space(system, "Q", m).dim
+        dp = tensor_space(system, "P", n).dim
         cols = mat_transpose(comp.sect)
         for idx, c in enumerate(v):
             if c == 0:
@@ -647,17 +655,17 @@ def evaluate(x: ToeplitzElement, rep, cap: int = DEFAULT_CAP):
 # -- Fock representation -------------------------------------------------------
 
 
-def _creator_block(system: RSystem, q_idx: int, j: int, cap: int):
+def _creator_block(system: RSystem, q_idx: int, j: int):
     """T(e_q): Q^(x)j -> Q^(x)(j+1) (prepend)."""
-    src = tensor_space(system, "Q", j, cap=cap)
-    emb = tensor_embed(system, "Q", 1, j, cap=cap)
+    src = tensor_space(system, "Q", j)
+    emb = tensor_embed(system, "Q", 1, j)
     d1 = system.q.dim
     eq = unit_vec(d1, q_idx)
     cols = [matvec(emb, kron_vec(eq, unit_vec(src.dim, c))) for c in range(src.dim)]
     return mat_transpose(cols) if cols else []
 
 
-def _annihilator_block(system: RSystem, p_idx: int, j: int, cap: int):
+def _annihilator_block(system: RSystem, p_idx: int, j: int):
     """S(e_p): Q^(x)j -> Q^(x)(j-1) (contract the first factor); kills j = 0."""
     if j == 0:
         return mat_zero(0, system.ring.dim)
@@ -666,10 +674,10 @@ def _annihilator_block(system: RSystem, p_idx: int, j: int, cap: int):
         # straight into the vacuum level: S(p)(q) = psi(p (x) q)
         cols = [system.psi.apply(ep, unit_vec(system.q.dim, c)) for c in range(system.q.dim)]
         return mat_transpose(cols)
-    src = tensor_space(system, "Q", j, cap=cap)
-    dst = tensor_space(system, "Q", j - 1, cap=cap)
+    src = tensor_space(system, "Q", j)
+    dst = tensor_space(system, "Q", j - 1)
     d1 = system.q.dim
-    split = tensor_split(system, "Q", 1, j - 1, cap=cap)
+    split = tensor_split(system, "Q", 1, j - 1)
     cols = []
     for c in range(src.dim):
         v = matvec(split, unit_vec(src.dim, c))
@@ -685,7 +693,7 @@ def _annihilator_block(system: RSystem, p_idx: int, j: int, cap: int):
     return mat_transpose(cols) if cols else [[] for _ in range(dst.dim)]
 
 
-def _fock_leg_blocks(system: RSystem, side: str, level: int, idx: int, j: int, cap: int):
+def _fock_leg_blocks(system: RSystem, side: str, level: int, idx: int, j: int):
     """Block of T^level(e_idx) (side Q) or S^level(e_idx) (side P) from Q^(x)j."""
     store = _system_store(system)
     key = ("fockleg", side, level, idx, j)
@@ -693,22 +701,22 @@ def _fock_leg_blocks(system: RSystem, side: str, level: int, idx: int, j: int, c
         return store[key]
     if side == "Q":
         if level == 1:
-            out = (j + 1, _creator_block(system, idx, j, cap))
+            out = (j + 1, _creator_block(system, idx, j))
         else:
-            sp = tensor_space(system, side, level, cap=cap)
+            sp = tensor_space(system, side, level)
             col = mat_transpose(sp.sect)[idx]
             d1 = system.q.dim
-            prev_dim = tensor_space(system, side, level - 1, cap=cap).dim
-            dst = tensor_space(system, "Q", j + level, cap=cap)
-            src = tensor_space(system, "Q", j, cap=cap)
+            prev_dim = tensor_space(system, side, level - 1).dim
+            dst = tensor_space(system, "Q", j + level)
+            src = tensor_space(system, "Q", j)
             acc = mat_zero(dst.dim, src.dim)
             for a in range(prev_dim):
                 for b in range(d1):
                     c = col[a * d1 + b]
                     if c == 0:
                         continue
-                    _, first = _fock_leg_blocks(system, "Q", 1, b, j, cap)
-                    _, rest = _fock_leg_blocks(system, "Q", level - 1, a, j + 1, cap)
+                    _, first = _fock_leg_blocks(system, "Q", 1, b, j)
+                    _, rest = _fock_leg_blocks(system, "Q", level - 1, a, j + 1)
                     m = matmul(rest, first)
                     for rr in range(dst.dim):
                         for cc in range(src.dim):
@@ -719,14 +727,14 @@ def _fock_leg_blocks(system: RSystem, side: str, level: int, idx: int, j: int, c
         if level > j:
             out = (None, None)  # annihilates the whole level
         elif level == 1:
-            out = (j - 1, _annihilator_block(system, idx, j, cap))
+            out = (j - 1, _annihilator_block(system, idx, j))
         else:
-            sp = tensor_space(system, side, level, cap=cap)
+            sp = tensor_space(system, side, level)
             col = mat_transpose(sp.sect)[idx]
             d1 = system.p.dim
-            prev_dim = tensor_space(system, side, level - 1, cap=cap).dim
-            dst = tensor_space(system, "Q", j - level, cap=cap)
-            src = tensor_space(system, "Q", j, cap=cap)
+            prev_dim = tensor_space(system, side, level - 1).dim
+            dst = tensor_space(system, "Q", j - level)
+            src = tensor_space(system, "Q", j)
             acc = mat_zero(dst.dim, src.dim)
             for a in range(prev_dim):
                 for b in range(d1):
@@ -734,8 +742,8 @@ def _fock_leg_blocks(system: RSystem, side: str, level: int, idx: int, j: int, c
                     if c == 0:
                         continue
                     # S^level(x (x) y) = S^(level-1)(x) S(y): S(y) acts first
-                    _, last = _fock_leg_blocks(system, "P", 1, b, j, cap)
-                    _, rest = _fock_leg_blocks(system, "P", level - 1, a, j - 1, cap)
+                    _, last = _fock_leg_blocks(system, "P", 1, b, j)
+                    _, rest = _fock_leg_blocks(system, "P", level - 1, a, j - 1)
                     m = matmul(rest, last)
                     for rr in range(dst.dim):
                         for cc in range(src.dim):
@@ -746,10 +754,22 @@ def _fock_leg_blocks(system: RSystem, side: str, level: int, idx: int, j: int, c
     return out
 
 
+def _check_fock_cap(x: ToeplitzElement, j: int, cap: int) -> None:
+    """Raise CapExceeded if a block of x from a level <= j lands above cap."""
+    for m, n in x.comps:
+        if n <= j and j - n + m > cap:
+            raise CapExceeded(f"Fock block of grade {(m, n)} from level {j} lands above cap {cap}")
+
+
 def fock_apply(x: ToeplitzElement, j: int, cap: int = DEFAULT_CAP) -> dict:
-    """Blocks of the Fock image of x on the level-j summand: {j_out: matrix}."""
+    """Blocks of the Fock image of x on the level-j summand: {j_out: matrix}.
+
+    Raises CapExceeded, before any work, when a block would land on a level
+    above cap.
+    """
+    _check_fock_cap(x, j, cap)
     system = x.system
-    src = tensor_space(system, "Q", j, cap=cap)
+    src = tensor_space(system, "Q", j)
     out: dict = {}
 
     def bump(j_out, mat):
@@ -781,21 +801,21 @@ def fock_apply(x: ToeplitzElement, j: int, cap: int = DEFAULT_CAP) -> dict:
             for idx, c in enumerate(v):
                 if c == 0:
                     continue
-                j_out, blk = _fock_leg_blocks(system, "Q", m, idx, j, cap)
+                j_out, blk = _fock_leg_blocks(system, "Q", m, idx, j)
                 bump(j_out, [[c * xx for xx in row] for row in blk])
             continue
         if m == 0:
             for idx, c in enumerate(v):
                 if c == 0:
                     continue
-                j_out, blk = _fock_leg_blocks(system, "P", n, idx, j, cap)
+                j_out, blk = _fock_leg_blocks(system, "P", n, idx, j)
                 if j_out is None:
                     continue
                 bump(j_out, [[c * xx for xx in row] for row in blk])
             continue
-        comp = component_space(system, m, n, cap=cap)
-        dq = tensor_space(system, "Q", m, cap=cap).dim
-        dp = tensor_space(system, "P", n, cap=cap).dim
+        comp = component_space(system, m, n)
+        dq = tensor_space(system, "Q", m).dim
+        dp = tensor_space(system, "P", n).dim
         cols = mat_transpose(comp.sect)
         for idx, c in enumerate(v):
             if c == 0:
@@ -806,10 +826,10 @@ def fock_apply(x: ToeplitzElement, j: int, cap: int = DEFAULT_CAP) -> dict:
                     w = col[a * dp + b]
                     if w == 0:
                         continue
-                    js, sblk = _fock_leg_blocks(system, "P", n, b, j, cap)
+                    js, sblk = _fock_leg_blocks(system, "P", n, b, j)
                     if js is None:
                         continue
-                    jt, tblk = _fock_leg_blocks(system, "Q", m, a, js, cap)
+                    jt, tblk = _fock_leg_blocks(system, "Q", m, a, js)
                     mmat = matmul(tblk, sblk)
                     bump(jt, [[c * w * xx for xx in row] for row in mmat])
     return {k: v for k, v in out.items() if any(any(e != 0 for e in row) for row in v)}
@@ -820,37 +840,11 @@ def fock_is_zero(x: ToeplitzElement, cap: int = DEFAULT_CAP) -> bool:
 
     Testing domain levels j = 0..max_n(x) suffices: a nonzero component of
     minimal n in its z-degree acts nontrivially on Q^(x)n already (the lower
-    levels cannot interfere, and higher components kill them).
+    levels cannot interfere, and higher components kill them).  Raises
+    CapExceeded, before any work, when one of those blocks lands above cap.
     """
+    _check_fock_cap(x, x.max_n_degree(), cap)
     for j in range(x.max_n_degree() + 1):
         if fock_apply(x, j, cap=cap):
             return False
     return True
-
-
-def fock_matrix(x: ToeplitzElement, cutoff: Optional[int] = None, cap: int = DEFAULT_CAP):
-    """One square matrix on the truncated Fock space ⊕_{j<=N} Q^(x)j.
-
-    Blocks that would land above the cutoff are dropped, so products are only
-    trustworthy on levels <= N - deg; `fock_apply` keeps all blocks exact.
-    """
-    system = x.system
-    n_max = cutoff if cutoff is not None else x.max_n_degree()
-    dims = [tensor_space(system, "Q", j, cap=cap).dim for j in range(n_max + 1)]
-    offs = [0]
-    for d in dims:
-        offs.append(offs[-1] + d)
-    total = offs[-1]
-    big = mat_zero(total, total)
-    for j in range(n_max + 1):
-        if dims[j] == 0:
-            continue
-        for j_out, blk in fock_apply(x, j, cap=cap).items():
-            if j_out > n_max:
-                continue
-            for rr in range(dims[j_out]):
-                row = blk[rr]
-                for cc in range(dims[j]):
-                    if row[cc] != 0:
-                        big[offs[j_out] + rr][offs[j] + cc] = row[cc]
-    return big

@@ -1,26 +1,34 @@
-"""The exact Fock membership test against the stabilization search it replaced.
+"""The exact Fock membership test against exact oracles.
 
 On seeded random graph and permutation systems, at J = j_max, at a proper
-sub-ideal of j_max and at J = 0, `in_relation_ideal` must give the verdict of
-the old windowed search (`stabilized_search.py`) on random elements, on the
-members built for each of the three ideals and on perturbed members, except
-where the search hits its cap.  Every product
-a g b with g from `relation_generators` must be accepted.  Roses stay out of
-the comparison because the search takes seconds on them; C08 checks roses
-against the Leavitt closed form instead.
+sub-ideal of j_max and at J = 0, `in_relation_ideal` is run on random
+elements, on the members built for each of the three ideals and on perturbed
+members, each at every one of the system's contexts.  Its verdicts must agree
+with four facts that do not go through the Fock representation:
+
+* T(0) = 0, so at J = 0 an element is a member exactly when it is zero;
+* T(J') <= T(J) for J' <= J, so a member at J' is a member at J;
+* a graph system's O(j_max) is its Leavitt path algebra, so at j_max an
+  element is a member exactly when its Leavitt normal form is zero;
+* a permutation system's O(R) is the crossed product R x_phi Z (j_max is R
+  there), so an element is a member exactly when `cp_to_crossed` sends it to 0.
+
+Every product a g b with g from `relation_generators` must be accepted.  The
+graphs avoid vertices on two cycles (roses); C08 checks roses against the
+Leavitt closed form.
 """
 
 import random
 
 from conftest import random_graph, random_graph_element, random_permutation_system
-from stabilized_search import search_in_relation_ideal
 
 from cprings.cpring import CpContext, in_relation_ideal, relation_generators, validate_ideal
+from cprings.crossedprod import cp_to_crossed
 from cprings.exactlin import Subspace
 from cprings.finrank import canonical_ideals
+from cprings.graphalg import LpaElement, LpaTarget
 from cprings.rsystem import build_graph_system
-from cprings.tensorpow import CapExceeded
-from cprings.toeplitz import toeplitz_mul
+from cprings.toeplitz import evaluate, toeplitz_mul
 
 
 def _on_two_cycles(graph) -> bool:
@@ -38,14 +46,18 @@ def _on_two_cycles(graph) -> bool:
 
 
 def _systems(seed):
+    """(system, closed-form test at j_max) pairs: four graph systems, two permutation systems."""
     rng = random.Random(seed)
     out = []
     while len(out) < 4:
         graph = random_graph(rng, max_v=4, max_e=5)
         if graph.edges and not _on_two_cycles(graph):
-            out.append(build_graph_system(graph))
+            system = build_graph_system(graph)
+            zero, rep = LpaElement(graph, {}), LpaTarget(graph, system)
+            out.append((system, lambda ctx, x, rep=rep, zero=zero: evaluate(x, rep) == zero))
     for _ in range(2):
-        out.append(random_permutation_system(rng, max_n=4))
+        out.append((random_permutation_system(rng, max_n=4),
+                    lambda ctx, x: cp_to_crossed(ctx, x).is_zero()))
     return rng, out
 
 
@@ -79,13 +91,13 @@ def _members(rng, ctx, count):
     return out
 
 
-def test_fock_membership_matches_search():
-    compared = capped = accepted = 0
+def test_fock_membership_matches_exact_oracles():
+    checked = accepted = 0
     verdicts = set()
     for seed in (1, 2, 3, 4):
         rng, systems = _systems(seed)
-        for system in systems:
-            contexts = _contexts(rng, system)
+        for system, closed_form in systems:
+            contexts = _contexts(rng, system)  # j_max, (a sub-ideal,) 0
             members = [_members(rng, ctx, 4) for ctx in contexts]
             for ctx, own in zip(contexts, members):
                 for m in own:
@@ -93,18 +105,16 @@ def test_fock_membership_matches_search():
                     accepted += 1
             # a member for a larger J is a case for a smaller one
             everyone = [m for own in members for m in own]
-            for ctx in contexts:
+            for _ in contexts:
                 cases = [random_graph_element(rng, system) for _ in range(6)] + everyone
                 cases += [m.add(random_graph_element(rng, system, ctx_free_degree=1)) for m in everyone]
                 for x in cases:
-                    try:
-                        old = search_in_relation_ideal(ctx, x)
-                    except CapExceeded:
-                        capped += 1
-                        continue
-                    new = in_relation_ideal(ctx, x)
-                    assert new == old, (system.name, ctx.j.ideal.basis(), x)
-                    compared += 1
-                    verdicts.add(new)
+                    got = [in_relation_ideal(ctx, x) for ctx in contexts]
+                    where = (system.name, x)
+                    assert got[0] == closed_form(contexts[0], x), where
+                    assert got[-1] == x.is_zero(), where
+                    assert all(big or not small for big, small in zip(got, got[1:])), where
+                    checked += 1
+                    verdicts.update(got)
     assert verdicts == {True, False}
-    assert compared >= 400 and accepted >= 150, (compared, capped, accepted)
+    assert checked >= 400 and accepted >= 150, (checked, accepted)

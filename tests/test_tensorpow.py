@@ -38,6 +38,7 @@ from cprings.tensorpow import (
     tensor_space,
     tensor_split,
 )
+from cprings.toeplitz import embed_n, fock_apply, toeplitz_mul
 
 
 def test_a2_level2_vanishes(a2_system):
@@ -177,14 +178,18 @@ def test_zero_pairing_iterates_to_zero():
 
 
 def test_cap_enforced(line3_system):
+    # the builders make any level they are named (it happens to be zero here)
+    assert tensor_space(line3_system, "Q", 4).dim == 0
+    assert psi_n(line3_system, 7) == ()
+    # the cap binds where an operation creates a level: products and Fock blocks
+    rose1 = build_graph_system(rose_graph(1))
+    q3 = embed_n(rose1, "Q", 3, [1])
     with pytest.raises(CapExceeded):
-        tensor_space(line3_system, "Q", 7)
+        toeplitz_mul(q3, q3, cap=5)
+    assert toeplitz_mul(q3, q3).support() == [(6, 0)]
     with pytest.raises(CapExceeded):
-        psi_n(line3_system, 7)
-    with pytest.raises(CapExceeded):
-        tensor_space(line3_system, "Q", 4, cap=3)
-    # raising the cap unblocks the level (it happens to be zero here)
-    assert tensor_space(line3_system, "Q", 4, cap=4).dim == 0
+        fock_apply(q3, 4)
+    assert list(fock_apply(q3, 3)) == [6]
 
 
 def test_module_element_ops(perm3):

@@ -29,7 +29,6 @@ from cprings.toeplitz import (
     evaluate,
     fock_apply,
     fock_is_zero,
-    fock_matrix,
     grade_project,
     pair,
     semigroup_mul,
@@ -128,6 +127,30 @@ def test_cap_exceeded(rose1):
         toeplitz_mul(q3, q4)
 
 
+def test_cap_independent_of_cache(rose1):
+    """Whether the cap is enforced does not depend on what ran before."""
+    system = build_graph_system(rose1)
+    q3 = embed_n(system, "Q", 3, [1])
+    q4 = embed_n(system, "Q", 4, [1])
+    assert toeplitz_mul(q3, q4, cap=12).support() == [(7, 0)]
+    with pytest.raises(CapExceeded):
+        toeplitz_mul(q3, q4)
+    assert list(fock_apply(q4, 3, cap=7)) == [7]
+    with pytest.raises(CapExceeded):
+        fock_apply(q4, 3)
+    with pytest.raises(CapExceeded):
+        fock_is_zero(q4.add(embed_n(system, "P", 3, [1])))  # P^3 then Q^4 from level 3
+
+
+def test_cap_bounds_legs_not_total_grade(rose1):
+    system = build_graph_system(rose1)
+    q4 = embed_n(system, "Q", 4, [1])
+    p4 = embed_n(system, "P", 4, [1])
+    assert toeplitz_mul(q4, p4).support() == [(4, 4)]
+    with pytest.raises(CapExceeded):
+        toeplitz_mul(q4, p4, cap=3)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
 def test_mul_associative_random(seed):
@@ -205,8 +228,11 @@ def test_fock_diagonal_of_ring_element(line3_system):
 
 def test_fock_shift_rose(rose1):
     system = build_graph_system(rose1)
-    big = fock_matrix(embed(system, "Q", [1]), cutoff=3)
-    assert mat_eq(big, [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    x = embed(system, "Q", [1])
+    for j in range(4):
+        blocks = fock_apply(x, j)
+        assert list(blocks) == [j + 1]
+        assert mat_eq(blocks[j + 1], [[1]])
 
 
 def _compose_blocks(system, x, blocks_in, cap=6):
