@@ -21,7 +21,8 @@ raises `FsViolation` without it.
 The gauge action scales the grade-(m,n) component by t^(n-m); since the
 scalars form an infinite field, evaluating at enough distinct t recovers the
 z-homogeneous parts by solving a Vandermonde system, which is what
-``homogeneous_components`` does.
+``homogeneous_components`` does; the tests use it as an independent oracle
+for ``toeplitz.z_project``, which reads the same parts off the grades.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from .exactlin import (
     solve_matrix,
     unit_vec,
 )
-from .finrank import FsViolation, check_fs, delta_ideals, theta_matrix
-from .rsystem import RSystem, is_two_sided, two_sided_closure
+from .finrank import FsViolation, canonical_ideals, check_fs, delta_ideals, theta_matrix
+from .rsystem import RSystem, is_two_sided
 from .tensorpow import DEFAULT_CAP, _system_store, tensor_space
 from .toeplitz import (
     InvalidRepresentation,
@@ -67,7 +68,6 @@ __all__ = [
     "GradedUniquenessReport",
     "ZeroScalar",
     "cp_equal",
-    "cp_is_zero",
     "extract_j",
     "extract_tpair",
     "gauge",
@@ -406,15 +406,6 @@ def cp_equal(a: CpElement, b: CpElement) -> bool:
     return in_relation_ideal(a.context, a.rep.sub(b.rep))
 
 
-def cp_is_zero(a: CpElement) -> bool:
-    return a.is_zero()
-
-
-def cp_residual(ctx: CpContext, x: ToeplitzElement) -> list[int]:
-    """The z-degrees at which x fails membership in T(J) (diagnostics)."""
-    return [k for k in x.z_degrees() if not in_relation_ideal(ctx, z_project(x, k))]
-
-
 # ---------------------------------------------------------------------------
 # Cuntz-Pimsner invariance and ideal extraction from representations
 
@@ -562,36 +553,29 @@ def homogeneous_components(evaluations, degrees):
 class GradedUniquenessReport:
     maximal: bool
     witness: Optional[list[Fraction]]
-    candidates_checked: int
     note: str = ""
 
 
 def graded_uniqueness_check(system: RSystem, j: CompatibleIdeal) -> GradedUniquenessReport:
     """Is J maximal among faithful psi-compatible ideals?
 
-    Tests every one-dimensional enlargement by a basis vector of
-    Delta^{-1}(F_P(Q)), closed up two-sidedly.  Graded uniqueness for the
-    relative CP ring holds exactly when no enlargement survives.
+    Proof sketch.  Let J be faithful and psi-compatible.  ker Delta is a
+    two-sided ideal, so J.ker Delta and ker Delta.J lie in J meet ker Delta,
+    which is 0; hence J <= (ker Delta)^perp, its two-sided annihilator.
+    Compatibility gives J <= Delta^-1(F_P(Q)).  Together J <= j_max, their
+    intersection.  When j_max meets ker Delta trivially (`hypothesis_ok` of
+    `canonical_ideals`), j_max is itself a two-sided, faithful, compatible
+    ideal, so J is maximal exactly when J = j_max, and any basis vector of
+    j_max outside J witnesses that it is not.  Needs (FS) and that
+    hypothesis; raises FsViolation or ValueError without them.
     """
-    if not check_fs(system).ok:
-        raise FsViolation("graded uniqueness analysis requires condition (FS)")
+    ideals = canonical_ideals(system)
     if not j.ok:
         raise ValueError("ideal must be two-sided, psi-compatible and faithful")
-
-    d = system.ring.dim
-    ker_delta, delta_inv = delta_ideals(system)
-
-    checked = 0
-    for v in delta_inv.basis():
-        if j.ideal.contains(v):
-            continue
-        checked += 1
-        enlarged = two_sided_closure(system, j.ideal.add(Subspace(d, [list(v)])))
-        if not enlarged.le(delta_inv):
-            continue
-        if not enlarged.intersect(ker_delta).is_zero():
-            continue
-        return GradedUniquenessReport(False, list(v), checked,
-                                      "strictly larger faithful compatible ideal found")
-    return GradedUniquenessReport(True, None, checked,
-                                  "maximal within searched one-dimensional enlargements")
+    if not ideals["hypothesis_ok"]:
+        raise ValueError("j_max meets ker Delta: maximality is not decided by j_max")
+    for v in ideals["j_max"].basis():
+        if not j.ideal.contains(v):
+            return GradedUniquenessReport(False, list(v), "j_max is a strictly larger "
+                                          "faithful compatible ideal")
+    return GradedUniquenessReport(True, None, "J equals j_max")

@@ -416,13 +416,6 @@ class QuotientSpace:
         return f"QuotientSpace(Q^{self.ambient} / dim {self.sub.dim})"
 
 
-def column_space(a: Sequence[Sequence[Fraction]]) -> Subspace:
-    """Span of the columns of A, as a subspace of the codomain."""
-    if not a:
-        return Subspace(0)
-    return Subspace(len(a), mat_transpose(a))
-
-
 def preimage(a: Sequence[Sequence[Fraction]], w: Subspace) -> Subspace:
     """{x : A x in W} for A mapping Q^n -> Q^m, W <= Q^m."""
     m = len(a)

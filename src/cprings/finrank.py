@@ -61,7 +61,6 @@ class LinOp:
     level: int
     matrix: list
     adjoint: Optional[list] = None
-    adjoint_unique: bool = True
 
     def check(self) -> bool:
         """Verify right-linearity (and the adjoint identity when present)."""
@@ -318,58 +317,3 @@ def canonical_ideals(system: RSystem, require_fs: bool = True) -> dict:
         "j_max": j_max,
         "hypothesis_ok": j_max.intersect(ker_delta).is_zero(),
     }
-
-
-def solve_adjoint(system: RSystem, t_matrix, level: int = 1) -> Optional[LinOp]:
-    """Solve psi_n(p (x) T q) = psi_n(S p (x) q) for S; None if no adjoint.
-
-    When several S satisfy the identity (degenerate pairing) one solution is
-    returned with `adjoint_unique=False`.
-    """
-    qn = tensor_space(system, "Q", level)
-    pn = tensor_space(system, "P", level)
-    d_r = system.ring.dim
-    dq, dp = qn.dim, pn.dim
-    if dp == 0:
-        return LinOp(system, "Q", level, [list(r) for r in t_matrix], adjoint=[], adjoint_unique=True)
-    if dq == 0:
-        # no equations constrain S; return 0 and flag the ambiguity
-        zero = [[Fraction(0)] * dp for _ in range(dp)]
-        return LinOp(system, "Q", level, [list(r) for r in t_matrix], adjoint=zero, adjoint_unique=(dp == 0))
-    # unknowns S[c][a] flattened as c * dp + a
-    rows = []
-    rhs = []
-    tq_cols = mat_transpose(t_matrix)  # column b = T e_b
-    psi_cache = [[psi_apply(system, level, unit_vec(dp, c), unit_vec(dq, b))
-                  for b in range(dq)] for c in range(dp)]
-    for a in range(dp):
-        ea = unit_vec(dp, a)
-        for b in range(dq):
-            lhs = psi_apply(system, level, ea, tq_cols[b])
-            for k in range(d_r):
-                row = [Fraction(0)] * (dp * dp)
-                for c in range(dp):
-                    v = psi_cache[c][b][k]
-                    if v != 0:
-                        row[c * dp + a] = v
-                rows.append(row)
-                rhs.append(lhs[k])
-    sol = solve(rows, rhs)
-    if sol is None:
-        return None
-    s_mat = [[sol[c * dp + a] for a in range(dp)] for c in range(dp)]
-    hom = kernel(rows)
-    return LinOp(system, "Q", level, [list(r) for r in t_matrix],
-                 adjoint=s_mat, adjoint_unique=not hom)
-
-
-def nondegenerate_kernel(system: RSystem) -> Subspace:
-    """{q in Q : psi(p (x) q) = 0 for all p} — zero iff the pairing separates Q."""
-    dq = system.q.dim
-    dp = system.p.dim
-    rows_of_map = []
-    for a in range(dp):
-        # the map q |-> psi(e_a (x) q), stacked over a
-        cols = [psi_apply(system, 1, unit_vec(dp, a), unit_vec(dq, b)) for b in range(dq)]
-        rows_of_map.extend(mat_transpose(cols))
-    return Subspace(dq, kernel(rows_of_map))

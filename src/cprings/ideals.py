@@ -20,9 +20,7 @@ from typing import Optional, Sequence
 from .exactlin import (
     QuotientSpace,
     Subspace,
-    kernel,
     kron,
-    mat_transpose,
     matmul,
     matvec,
     preimage,
@@ -40,12 +38,10 @@ from .rsystem import (
     RSystem,
     StructuredBimodule,
     StructuredRing,
-    basis_actions,
     is_two_sided,
-    two_sided_closure,
     validate_axioms,
 )
-from .tensorpow import DEFAULT_CAP, tensor_space
+from .tensorpow import tensor_space
 from .toeplitz import ToeplitzElement, component_space, embed
 
 __all__ = [
@@ -58,13 +54,11 @@ __all__ = [
     "enumerate_tpairs",
     "extract_tpair_from_handle",
     "graded_ideal_correspondence",
-    "ideal_closure",
     "is_psi_invariant",
     "is_two_sided",
     "lattice_dot",
     "lattice_json",
     "quotient_system",
-    "tpair_join",
     "tpair_le",
     "tpair_meet",
     "validate_tpair",
@@ -100,26 +94,6 @@ def is_psi_invariant(system: RSystem, i: Subspace, *, check_two_sided: bool = Tr
                 if not i.contains(val):
                     return False
     return True
-
-
-def ideal_closure(system: RSystem, space: Subspace) -> Subspace:
-    """Smallest two-sided psi-invariant ideal containing the space."""
-    acts = basis_actions(system.ring)
-    d = system.ring.dim
-    dq, dp = system.q.dim, system.p.dim
-    cur = space
-    while True:
-        rows = cur.basis()
-        grown = rows + [matvec(a, k) for k in rows for a in acts]
-        for k in rows:
-            for b in range(dq):
-                xq = system.q.act_left(k, unit_vec(dq, b))
-                for a in range(dp):
-                    grown.append(system.psi.apply(unit_vec(dp, a), xq))
-        nxt = Subspace(d, grown)
-        if nxt.dim == cur.dim:
-            return nxt
-        cur = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -277,74 +251,6 @@ def tpair_le(a: TPair, b: TPair) -> bool:
 
 def tpair_meet(a: TPair, b: TPair) -> TPair:
     return TPair(a.i.intersect(b.i), a.j.intersect(b.j))
-
-
-def tpair_join(system: RSystem, a: TPair, b: TPair, cap: int = DEFAULT_CAP) -> TPair:
-    """Smallest T-pair above both, via the coproduct recipe.
-
-    J is the ideal generated by both j's (and the closed-up i's); I collects
-    the x in J whose Delta_I eventually vanishes on the quotient tensor powers
-    while every intermediate image stays inside Q_I^m . J_I.  The nilpotency
-    search runs to the level cap; `truncation_risk` is set when the kernel
-    chain is still growing there.
-    """
-    i0 = ideal_closure(system, a.i.add(b.i))
-    jt = two_sided_closure(system, a.j.add(b.j).add(i0))
-    qs = quotient_system(system, i0)
-    qsys = qs.system
-    d2 = qsys.ring.dim
-    j_img = qs.project_subspace(jt)
-
-    stabilized = False
-    cond = Subspace.full(d2)  # running condition (b), levels below the current one
-    candidates = Subspace(d2)
-    prev_dim = None
-    for n in range(1, cap + 1):
-        lvl = tensor_space(qsys, "Q", n)
-        dmat_cols = [_flatten(lvl.left[idx]) for idx in range(d2)]
-        dmat = mat_transpose(dmat_cols) if lvl.dim else []
-        ker_n = Subspace(d2, kernel(dmat)) if dmat else Subspace.full(d2)
-        candidates = candidates.add(j_img.intersect(ker_n).intersect(cond))
-        if prev_dim is not None and ker_n.dim == prev_dim:
-            stabilized = True  # the kernel chain is monotone, so it has settled
-            break
-        prev_dim = ker_n.dim
-        cond = cond.intersect(_delta_into_qj(qsys, j_img, n))
-    truncation_risk = not stabilized
-
-    i_join = qs.lift_subspace(candidates)
-    pair = validate_tpair(system, i_join, jt)
-    pair.flags["truncation_risk"] = truncation_risk
-    return pair
-
-
-def _flatten(m) -> list:
-    return [ent for row in m for ent in row]
-
-
-def _delta_into_qj(qsys: RSystem, j_img: Subspace, n: int) -> Subspace:
-    """{x in R_I : Delta^n(x)(Q_I^n) <= Q_I^n . J_I}, exactly."""
-    d2 = qsys.ring.dim
-    lvl = tensor_space(qsys, "Q", n)
-    if lvl.dim == 0:
-        return Subspace.full(d2)
-    w_rows = []
-    for u in range(lvl.dim):
-        for x in j_img.basis():
-            w_rows.append(lvl.act_right(unit_vec(lvl.dim, u), list(x)))
-    w = Subspace(lvl.dim, w_rows)
-    qw = QuotientSpace(w)
-    qproj = qw.projection_matrix()
-    cols = []
-    for idx in range(d2):
-        stacked = []
-        for u in range(lvl.dim):
-            img = matvec(lvl.left[idx], unit_vec(lvl.dim, u))
-            stacked.extend(matvec(qproj, img) if qw.dim else [])
-        cols.append(stacked)
-    if not cols or not cols[0]:
-        return Subspace.full(d2)
-    return Subspace(d2, kernel(mat_transpose(cols)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ automorphism (skew) systems.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,10 +58,11 @@ def _bilinear(n: int, table_nz, a: Sequence[Fraction], b: Sequence[Fraction]) ->
 class StructuredRing:
     """Finite-dimensional Q-algebra given by basis labels and a mult table.
 
-    mult[i][j] is the coordinate vector of e_i * e_j.
+    mult[i][j] is the coordinate vector of e_i * e_j; left_basis[i] and
+    right_basis[i] are the matrices of x -> e_i x and x -> x e_i, read off it.
     """
 
-    __slots__ = ("labels", "mult", "_index", "_mult_nz")
+    __slots__ = ("labels", "mult", "left_basis", "right_basis", "_index", "_mult_nz")
 
     def __init__(self, labels: Sequence[str], mult):
         self.labels = tuple(labels)
@@ -76,6 +76,13 @@ class StructuredRing:
             for cell in row:
                 if len(cell) != n:
                     raise ValueError("product vector has wrong length")
+        # column j of e_i's left matrix is e_i e_j, of its right matrix e_j e_i
+        self.left_basis = tuple(
+            tuple(tuple(self.mult[i][j][k] for j in range(n)) for k in range(n)) for i in range(n)
+        )
+        self.right_basis = tuple(
+            tuple(tuple(self.mult[j][i][k] for j in range(n)) for k in range(n)) for i in range(n)
+        )
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._mult_nz = tuple(tuple(_nonzeros(cell) for cell in row) for row in self.mult)
 
@@ -326,8 +333,7 @@ def validate_axioms(system: RSystem) -> ValidationReport:
 
 def basis_actions(ring: StructuredRing) -> list:
     """The matrices of x -> e_i x and x -> x e_i for every basis element e_i."""
-    units = [unit_vec(ring.dim, i) for i in range(ring.dim)]
-    return [ring.left_matrix(e) for e in units] + [ring.right_matrix(e) for e in units]
+    return list(ring.left_basis) + list(ring.right_basis)
 
 
 def is_two_sided(system: RSystem, space: Subspace) -> bool:
@@ -336,107 +342,17 @@ def is_two_sided(system: RSystem, space: Subspace) -> bool:
     return all(space.contains(matvec(a, k)) for k in space.basis() for a in acts)
 
 
-def two_sided_closure(system: RSystem, space: Subspace) -> Subspace:
-    """The two-sided ideal of R generated by the subspace."""
-    acts = basis_actions(system.ring)
-    cur = space
-    while True:
-        rows = cur.basis()
-        nxt = Subspace(cur.ambient, rows + [matvec(a, k) for k in rows for a in acts])
-        if nxt.dim == cur.dim:
-            return nxt
-        cur = nxt
-
-
 def right_annihilator(ring: StructuredRing) -> Subspace:
     """{r in R : r R = 0} as a subspace."""
     if ring.dim == 0:
         return Subspace(0)
-    stacked = []
-    for j in range(ring.dim):
-        stacked.extend(ring.right_matrix(unit_vec(ring.dim, j)))
+    stacked = [row for m in ring.right_basis for row in m]
     return Subspace(ring.dim, kernel(stacked))
 
 
 def is_right_nondegenerate(system: RSystem) -> bool:
     """r R = 0 implies r = 0."""
     return right_annihilator(system.ring).is_zero()
-
-
-def is_semiprime_witness(system: RSystem):
-    """None if R is semiprime; else a nonzero x whose two-sided ideal squares to zero.
-
-    Uses the characteristic-zero trace-form criterion on the unital hull: the
-    radical of R is the kernel of (x, y) -> tr(L_{xy}); if it is nonzero with
-    nilpotency index k, the (k-1)-st power of the radical is a nonzero ideal
-    with square zero, and any nonzero element of it is a witness.
-    """
-    ring = system.ring
-    d = ring.dim
-    if d == 0:
-        return None
-    # unital hull: basis u, e_0..e_{d-1}
-    n = d + 1
-
-    def hull_mult(a, b):
-        # (s, x)(t, y) = (st, sy + tx + xy)
-        s, x = a[0], a[1:]
-        t, y = b[0], b[1:]
-        xy = ring.multiply(x, y)
-        rest = [s * yi + t * xi + zi for xi, yi, zi in zip(x, y, xy)]
-        return [s * t] + rest
-
-    basis = [unit_vec(n, i) for i in range(n)]
-    left_mats = []
-    for bi in basis:
-        cols = [hull_mult(bi, bj) for bj in basis]
-        left_mats.append(mat_transpose(cols))
-
-    def tr(m):
-        return sum((m[i][i] for i in range(n)), ZERO)
-
-    gram = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = hull_mult(basis[i], basis[j])
-            lm = mat_zero(n, n)
-            for k, c in enumerate(prod):
-                if c != 0:
-                    for a in range(n):
-                        for b in range(n):
-                            if left_mats[k][a][b] != 0:
-                                lm[a][b] += c * left_mats[k][a][b]
-            row.append(tr(lm))
-        gram.append(row)
-
-    rad_hull = kernel(gram)
-    # the radical is a nilpotent ideal, hence inside R (unit component zero)
-    rad_vecs = []
-    for v in rad_hull:
-        if v[0] != 0:
-            # cannot happen for an algebra; be defensive
-            raise ArithmeticError("radical escaped the non-unital part")
-        rad_vecs.append(v[1:])
-    rad = Subspace(d, rad_vecs)
-    if rad.is_zero():
-        return None
-
-    def ideal_product(a: Subspace, b: Subspace) -> Subspace:
-        gens = []
-        for x in a.basis():
-            for y in b.basis():
-                gens.append(ring.multiply(x, y))
-        return Subspace(d, gens)
-
-    power = rad
-    while True:
-        nxt = ideal_product(power, rad)
-        if nxt.is_zero():
-            break
-        power = nxt
-    witness = power.basis()[0]
-    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +437,7 @@ def build_automorphism_system(ring: StructuredRing, phi) -> RSystem:
             if lhs != rhs:
                 raise ValueError(f"phi is not multiplicative at ({ring.labels[i]},{ring.labels[j]})")
 
-    left = [ring.left_matrix(unit_vec(d, i)) for i in range(d)]
+    left = list(ring.left_basis)
     right_p = [ring.right_matrix(matvec(phi, unit_vec(d, i))) for i in range(d)]
     right_q = [ring.right_matrix(matvec(phi_inv, unit_vec(d, i))) for i in range(d)]
 
@@ -627,13 +543,3 @@ def system_to_json(system: RSystem) -> dict:
         },
         "psi": _table_to_triples(system.psi.table),
     }
-
-
-def save_system(system: RSystem, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(system_to_json(system), fh, indent=1)
-
-
-def load_system(path: str) -> RSystem:
-    with open(path) as fh:
-        return system_from_json(json.load(fh))

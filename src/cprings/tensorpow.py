@@ -23,16 +23,11 @@ through the balanced tensor product, so the choice of section is invisible.
 with p1 in P, p2 in P^(n-1), q1 in Q^(n-1), q2 in Q; computationally the left
 factor is split at (1, n-1) and the right factor at (n-1, 1).
 
-Everything is memoized per system (identity-keyed); with CP_RINGS_CACHE_DIR
-set, level data and psi tables are also cached on disk, content-addressed by
-a hash of the system presentation.
+Everything is memoized in memory per system (identity-keyed).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +49,7 @@ from .exactlin import (
     vec_scale,
     zero_vec,
 )
-from .rsystem import RSystem, _column_nonzeros, system_to_json
+from .rsystem import RSystem, _column_nonzeros
 
 DEFAULT_CAP = 6
 
@@ -128,70 +123,9 @@ _cache: "weakref.WeakKeyDictionary[RSystem, dict]" = weakref.WeakKeyDictionary()
 def _system_store(system: RSystem) -> dict:
     store = _cache.get(system)
     if store is None:
-        store = {"hash": None}
+        store = {}
         _cache[system] = store
     return store
-
-
-def _system_hash(system: RSystem) -> str:
-    store = _system_store(system)
-    if store["hash"] is None:
-        blob = json.dumps(system_to_json(system), sort_keys=True).encode()
-        store["hash"] = hashlib.sha256(blob).hexdigest()[:24]
-    return store["hash"]
-
-
-_MAGIC = b"CPRT\x01"
-
-
-def _disk_path(system: RSystem, tag: str) -> str | None:
-    root = os.environ.get("CP_RINGS_CACHE_DIR")
-    if not root:
-        return None
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, f"{_system_hash(system)}-{tag}.cpt")
-
-
-def _encode_frac_tree(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (list, tuple)):
-        return [_encode_frac_tree(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _encode_frac_tree(v) for k, v in x.items()}
-    if x is None or isinstance(x, int):
-        return x
-    raise TypeError(f"cannot encode {type(x)}")
-
-
-def _decode_frac_tree(x):
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, list):
-        return [_decode_frac_tree(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _decode_frac_tree(v) for k, v in x.items()}
-    return x
-
-
-def _disk_write(path: str, payload) -> None:
-    data = json.dumps(_encode_frac_tree(payload)).encode()
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(data)
-    os.replace(tmp, path)
-
-
-def _disk_read(path: str):
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(len(_MAGIC))
-            if head != _MAGIC:
-                return None
-            return _decode_frac_tree(json.loads(fh.read().decode()))
-    except (OSError, ValueError):
-        return None
 
 
 def _module_of(system: RSystem, side: str):
@@ -237,9 +171,7 @@ def tensor_space(system: RSystem, side: str, n: int) -> TensorSpace:
     ring = system.ring
     d_r = ring.dim
     if n == 0:
-        left = tuple(ring.left_matrix(unit_vec(d_r, i)) for i in range(d_r))
-        right = tuple(ring.right_matrix(unit_vec(d_r, i)) for i in range(d_r))
-        space = TensorSpace(system, side, 0, d_r, None, None, left, right)
+        space = TensorSpace(system, side, 0, d_r, None, None, ring.left_basis, ring.right_basis)
         store[key] = space
         return space
     mod = _module_of(system, side)
@@ -250,17 +182,6 @@ def tensor_space(system: RSystem, side: str, n: int) -> TensorSpace:
 
     prev = tensor_space(system, side, n - 1)
     d_prev, d_m = prev.dim, mod.dim
-
-    path = _disk_path(system, f"{side}{n}")
-    if path is not None and os.path.exists(path):
-        data = _disk_read(path)
-        if data is not None:
-            space = TensorSpace(
-                system, side, n, data["dim"], data["proj"], data["sect"],
-                tuple(data["left"]), tuple(data["right"]),
-            )
-            store[key] = space
-            return space
 
     quot = balanced_quotient(prev.right, d_prev, mod.left, d_m)
     proj = quot.projection_matrix()
@@ -276,11 +197,6 @@ def tensor_space(system: RSystem, side: str, n: int) -> TensorSpace:
 
     space = TensorSpace(system, side, n, quot.dim, proj, sect, tuple(left), tuple(right))
     store[key] = space
-    if path is not None:
-        _disk_write(path, {
-            "dim": space.dim, "proj": proj, "sect": sect,
-            "left": list(left), "right": list(right),
-        })
     return space
 
 
@@ -375,14 +291,6 @@ def psi_n(system: RSystem, n: int):
         store[key] = system.psi.table
         return system.psi.table
 
-    path = _disk_path(system, f"psi{n}")
-    if path is not None and os.path.exists(path):
-        data = _disk_read(path)
-        if data is not None:
-            table = tuple(tuple(tuple(cell) for cell in row) for row in data)
-            store[key] = table
-            return table
-
     prev = psi_n(system, n - 1)
     p_mod, q_mod = system.p, system.q
     pn = tensor_space(system, "P", n)
@@ -426,8 +334,6 @@ def psi_n(system: RSystem, n: int):
         table.append(tuple(row_out))
     table = tuple(table)
     store[key] = table
-    if path is not None:
-        _disk_write(path, [list(map(list, row)) for row in table])
     return table
 
 

@@ -83,10 +83,8 @@ __all__ = [
     "evaluate",
     "fock_apply",
     "fock_is_zero",
-    "grade_project",
     "pair",
     "semigroup_mul",
-    "toeplitz_is_zero",
     "toeplitz_mul",
     "z_project",
 ]
@@ -452,28 +450,8 @@ def toeplitz_mul(a: ToeplitzElement, b: ToeplitzElement, cap: int = DEFAULT_CAP)
 # -- grading ------------------------------------------------------------------
 
 
-def grade_project(x: ToeplitzElement, grade: GradePair) -> ToeplitzElement:
-    g = (int(grade[0]), int(grade[1]))
-    if g in x.comps:
-        return ToeplitzElement(x.system, {g: x.comps[g]})
-    return ToeplitzElement(x.system)
-
-
 def z_project(x: ToeplitzElement, k: int) -> ToeplitzElement:
     return ToeplitzElement(x.system, {g: v for g, v in x.comps.items() if g[0] - g[1] == k})
-
-
-def toeplitz_is_zero(x: ToeplitzElement, cross_check: bool = False) -> bool:
-    """Structural zero test (complete, by the grading); optional Fock cross-check."""
-    structural = x.is_zero()
-    if cross_check:
-        fock = fock_is_zero(x)
-        if fock != structural:
-            raise RuntimeError(
-                "Fock oracle disagrees with the structural zero test; "
-                "component spaces and the representation are out of sync"
-            )
-    return structural
 
 
 # -- representations ----------------------------------------------------------

@@ -33,7 +33,6 @@ from conftest import (
 from cprings.cpring import (
     CpContext,
     cp_equal,
-    cp_is_zero,
     gauge,
     graded_uniqueness_check,
     homogeneous_components,
@@ -388,7 +387,7 @@ def _crosscheck(words, ctx, value_of):
         head = ctx.element(members[0])
         if val_is_zero(val):
             checks += 1
-            if not cp_is_zero(head):
+            if not head.is_zero():
                 bad += 1
         for other in members[1:]:
             checks += 1

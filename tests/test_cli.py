@@ -285,7 +285,7 @@ def test_compare(files):
 
 def test_gauge_split(files):
     code, out = run_json("gauge-split", files["a2"], "2 x(e) + p(v) - 3 y(e)")
-    assert code == 0 and out["result"]["consistent"]
+    assert code == 0 and out["ok"]
     assert out["result"]["degrees"] == [-1, 0, 1]
     assert out["result"]["components"]["1"] == "2 Q:e"
     assert out["result"]["components"]["-1"] == "-3 P:e"
@@ -293,7 +293,7 @@ def test_gauge_split(files):
     assert code == 0 and out["result"]["degrees"] == []
 
 
-def test_usage_errors(files):
+def test_usage_errors(files, tmp_path):
     code, out = run_json("validate", "/nonexistent/file.json")
     assert code == 2
     code, out = run_json("eq", files["a2"], "p(u) +", "p(v)")
@@ -302,6 +302,19 @@ def test_usage_errors(files):
     assert code == 2 and "unknown edge" in out["diagnostics"][0]
     code, body = cli.run(["frobnicate", files["a2"]])
     assert code == 2
+    code, out = run_json("eq", files["a2"], "1/0*p(u)", "p(u)")
+    assert code == 2 and "zero denominator" in out["diagnostics"][0]
+    malformed = [
+        {"vertices": 3},
+        [1, 2, 3],  # not an object
+        {"vertices": ["u"], "edges": [{"name": "e", "src": "u", "tgt": "w"}]},
+        {"ring": {"basis": ["a"], "mult": [[0, 0, 5, "1"]]}},  # index out of range
+    ]
+    for k, payload in enumerate(malformed):
+        p = tmp_path / f"bad{k}.json"
+        p.write_text(json.dumps(payload))
+        code, out = run_json("validate", str(p))
+        assert code == 2 and str(p) in out["diagnostics"][0]
 
 
 def test_outputs_deterministic(files):

@@ -10,7 +10,6 @@ from cprings.exactlin import (
     DimensionMismatch,
     QuotientSpace,
     Subspace,
-    column_space,
     frac,
     kernel,
     kron,
@@ -209,7 +208,7 @@ def test_solve_consistency(rows):
 @given(small_matrix())
 def test_preimage_property(rows):
     m, n = len(rows), len(rows[0])
-    w = column_space(rows)
+    w = Subspace(m, mat_transpose(rows))
     pre = preimage(rows, w)
     assert pre.dim == n  # image is always inside the column space
     zero = Subspace(m)

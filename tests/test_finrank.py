@@ -34,8 +34,6 @@ from cprings.finrank import (
     delta_matrix,
     finite_rank_space,
     gamma_matrix,
-    nondegenerate_kernel,
-    solve_adjoint,
     theta,
     theta_matrix,
     theta_matrix_p,
@@ -186,30 +184,3 @@ def test_annihilator_on_diagonal(line3_system):
     assert ann.dim == 2
     assert ann.contains(unit_vec(3, 1)) and ann.contains(unit_vec(3, 2))
     assert annihilator(line3_system, Subspace(3, [])).dim == 3
-
-
-def test_solve_adjoint_recovers_gamma_and_theta(line3_system):
-    r = unit_vec(3, 0)
-    op = solve_adjoint(line3_system, delta_matrix(line3_system, r))
-    assert op is not None and op.adjoint_unique
-    assert mat_eq(op.adjoint, gamma_matrix(line3_system, r))
-    op2 = solve_adjoint(line3_system, theta_matrix(line3_system, 1, 1, 1))
-    assert op2 is not None
-    assert mat_eq(op2.adjoint, theta_matrix_p(line3_system, 1, 1, 1))
-
-
-def test_solve_adjoint_none_for_nonadjointable(line3_system):
-    assert solve_adjoint(line3_system, [[0, 1], [0, 0]]) is None
-
-
-def test_solve_adjoint_flags_non_uniqueness():
-    system = psi_zero_system()
-    op = solve_adjoint(system, mat_identity(2))
-    assert op is not None and not op.adjoint_unique
-    assert op.check()  # any S works when psi = 0
-
-
-def test_nondegeneracy(line3_system, perm3):
-    assert nondegenerate_kernel(line3_system).is_zero()
-    assert nondegenerate_kernel(perm3).is_zero()
-    assert nondegenerate_kernel(psi_zero_system()).dim == 2

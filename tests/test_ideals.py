@@ -21,13 +21,11 @@ from cprings.ideals import (
     enumerate_tpairs,
     extract_tpair_from_handle,
     graded_ideal_correspondence,
-    ideal_closure,
     is_psi_invariant,
     is_two_sided,
     lattice_dot,
     lattice_json,
     quotient_system,
-    tpair_join,
     tpair_le,
     tpair_meet,
     validate_tpair,
@@ -59,12 +57,6 @@ def test_invariance_mixed_graph():
     assert not is_psi_invariant(system, _coord_ideal(system, "a"))
     with pytest.raises(NotTwoSided):
         is_psi_invariant(system, Subspace(5, [[1, 1, 0, 0, 0]]))
-
-
-def test_ideal_closure(a2_system):
-    closed = ideal_closure(a2_system, _coord_ideal(a2_system, "u"))
-    assert closed.dim == 2  # u's exit edge drags in v
-    assert ideal_closure(a2_system, _coord_ideal(a2_system, "v")).dim == 1
 
 
 # ---------------------------------------------------------------------------
@@ -160,19 +152,6 @@ def test_meet_and_join_against_lattice(line3_system):
             m = tpair_meet(a, b)
             matches = [p for p in pairs if p.i == m.i and p.j == m.j]
             assert len(matches) == 1  # meet stays in the lattice
-            j = tpair_join(line3_system, a, b)
-            assert not j.flags.get("truncation_risk")
-            assert j.ok
-            uppers = [p for p in pairs if tpair_le(a, p) and tpair_le(b, p)]
-            best = min(uppers, key=lambda p: (p.i.dim, p.j.dim))
-            assert j.i == best.i and j.j == best.j
-
-
-def test_join_idempotent(line3_system):
-    pairs = enumerate_tpairs(line3_system)
-    for p in pairs:
-        j = tpair_join(line3_system, p, p)
-        assert j.i == p.i and j.j == p.j
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from conftest import (
     a2_graph,
     diagonal_ring,
     dual_numbers_ring,
+    five_vertex_mixed,
     matrix2_ring,
     perm3_system,
     psi_zero_system,
@@ -22,15 +23,16 @@ from cprings.rsystem import (
     StructuredRing,
     ValidationReport,
     _check_bimodule,
+    basis_actions,
     build_automorphism_system,
     build_graph_system,
     is_right_nondegenerate,
-    is_semiprime_witness,
     right_annihilator,
     system_from_json,
     system_to_json,
     validate_axioms,
 )
+from cprings.tensorpow import tensor_space
 
 F = Fraction
 
@@ -117,23 +119,24 @@ def test_right_nondegenerate_graph_and_degenerate_ring():
     assert right_annihilator(ring).dim == 1
 
 
-def test_semiprime_witness_dual_numbers():
-    from cprings.rsystem import RSystem
-
-    ring = dual_numbers_ring()
-    sys = build_automorphism_system(ring, mat_identity(2))
-    w = is_semiprime_witness(sys)
-    assert w is not None
-    # witness is a multiple of x and generates a square-zero ideal
-    assert w[0] == 0 and w[1] != 0
-    assert ring.multiply(w, w) == zero_vec(2)
-
-
-def test_semiprime_diagonal_and_matrix_ring():
-    sys3 = build_automorphism_system(diagonal_ring(3), mat_identity(3))
-    assert is_semiprime_witness(sys3) is None
-    m2 = build_automorphism_system(matrix2_ring(), mat_identity(4))
-    assert is_semiprime_witness(m2) is None
+def test_basis_matrices_match_left_and_right_matrix():
+    systems = [
+        build_automorphism_system(diagonal_ring(3), mat_identity(3)),
+        build_automorphism_system(dual_numbers_ring(), mat_identity(2)),
+        build_automorphism_system(matrix2_ring(), mat_identity(4)),
+        perm3_system(),
+        psi_zero_system(),
+        build_graph_system(five_vertex_mixed()),
+    ]
+    for sys in systems:
+        ring = sys.ring
+        for i in range(ring.dim):
+            e = unit_vec(ring.dim, i)
+            assert [list(row) for row in ring.left_basis[i]] == ring.left_matrix(e)
+            assert [list(row) for row in ring.right_basis[i]] == ring.right_matrix(e)
+        assert basis_actions(ring) == list(ring.left_basis) + list(ring.right_basis)
+        level0 = tensor_space(sys, "Q", 0)
+        assert level0.left == ring.left_basis and level0.right == ring.right_basis
 
 
 def test_psi_zero_system_is_valid():

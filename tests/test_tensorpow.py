@@ -209,28 +209,3 @@ def test_path_element_matches_embed(line3_system):
     e = tensor_embed(line3_system, "Q", 1, 1)
     manual = matvec(e, kron_vec(unit_vec(2, 0), unit_vec(2, 1)))
     assert list(path_element(line3_system, "Q", ["e1", "e2"]).coords) == manual
-
-
-def test_disk_cache_roundtrip(tmp_path, monkeypatch, line3):
-    monkeypatch.setenv("CP_RINGS_CACHE_DIR", str(tmp_path))
-    sys_a = build_graph_system(line3)
-    sp_a = tensor_space(sys_a, "Q", 2)
-    tab_a = psi_n(sys_a, 2)
-    files = list(tmp_path.iterdir())
-    assert files, "cache directory stayed empty"
-    sys_b = build_graph_system(line3)
-    sp_b = tensor_space(sys_b, "Q", 2)
-    tab_b = psi_n(sys_b, 2)
-    assert sp_a.dim == sp_b.dim
-    assert mat_eq(sp_a.proj, sp_b.proj) and mat_eq(sp_a.sect, sp_b.sect)
-    assert tab_a == tab_b
-
-
-def test_corrupt_cache_is_ignored(tmp_path, monkeypatch, line3):
-    monkeypatch.setenv("CP_RINGS_CACHE_DIR", str(tmp_path))
-    sys_a = build_graph_system(line3)
-    tensor_space(sys_a, "Q", 2)
-    for f in tmp_path.iterdir():
-        f.write_bytes(b"JUNK not a cache entry")
-    sys_b = build_graph_system(line3)
-    assert tensor_space(sys_b, "Q", 2).dim == 1
