@@ -5,7 +5,7 @@ The package is layered bottom-up:
 - exactlin: exact linear algebra over Q whose kernels skip zero entries (RREF, subspaces, quotients)
 - rsystem: structure-constant presentations of rings, bimodules, pairings
 - tensorpow: balanced tensor powers of the module legs and the iterated pairing
-- finrank: finite-rank operator calculus (theta operators, Delta, (FS) checks)
+- finrank: one theta table per system feeding F_P(Q), (FS) and Delta^-1(F), each computed once per system
 - toeplitz: the graded Toeplitz ring, its product, and the Fock representation
 - cpring: relative Cuntz-Pimsner quotients, exact relation-ideal membership from Fock blocks, gauge action
 - ideals: T-pairs, quotient systems, the graded-ideal correspondence

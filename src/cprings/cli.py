@@ -295,11 +295,17 @@ class EvalContext:
         return ToeplitzElement(self.system, {})
 
 
+# deepest parenthesis nesting the recursive-descent parser accepts; each level
+# costs three Python frames, so this stays well inside the recursion limit
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens, ctx: EvalContext):
         self.tokens = tokens
         self.ctx = ctx
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -348,8 +354,12 @@ class _Parser:
             self.next()
             return self.ctx.sugar(val[0], names)
         if kind == "op" and val == "(":
+            if self.depth == _MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {_MAX_NESTING}")
             self.next()
+            self.depth += 1
             out = self.expr()
+            self.depth -= 1
             if not (self.peek()[0] == "op" and self.peek()[1] == ")"):
                 self.fail("expected ')'")
             self.next()
@@ -869,6 +879,11 @@ def run(argv) -> tuple[int, str]:
     try:
         args = _build_argparser().parse_args(argv)
         loaded = load_input(args.file)
+        if loaded.kind == "system" and args.verb != "validate":
+            failures = validate_axioms(loaded.system).failures
+            if failures:  # `validate` lists them all and exits 1
+                raise _UsageError(
+                    f"{args.file}: system fails the axioms: " + "; ".join(failures[:3]))
         handler, _ = _VERBS[args.verb]
         outcome = handler(loaded, args)
     except _UsageError as exc:

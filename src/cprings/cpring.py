@@ -41,13 +41,12 @@ from .exactlin import (
     mat_transpose,
     matvec,
     preimage,
-    solve,
     solve_matrix,
     unit_vec,
 )
-from .finrank import FsViolation, canonical_ideals, check_fs, delta_ideals, theta_matrix
+from .finrank import FsViolation, canonical_ideals, check_fs, delta_ideals, theta_decomposition
 from .rsystem import RSystem, is_two_sided
-from .tensorpow import DEFAULT_CAP, _system_store, tensor_space
+from .tensorpow import DEFAULT_CAP, tensor_space
 from .toeplitz import (
     InvalidRepresentation,
     Representation,
@@ -155,8 +154,8 @@ class CpContext:
 def _pi_delta(ctx: CpContext, x: Sequence[Fraction]) -> Optional[list[Fraction]]:
     """Grade-(1,1) mixed coordinates of pi(Delta(x)), or None if dim (1,1) = 0.
 
-    Solves Delta(x) = sum c_ab theta_{e_a, e_b} in flattened matrix space and
-    maps the coefficients through the balanced quotient.  Any solution gives
+    Maps the coefficients of `theta_decomposition`, Delta(x) = sum c_ab
+    theta_{e_a, e_b}, through the balanced quotient.  Any solution gives
     the same class: for right-nondegenerate systems q (x) p -> theta_{q,p} is
     injective, so coefficient ambiguity dies in the quotient.
     """
@@ -168,7 +167,7 @@ def _pi_delta(ctx: CpContext, x: Sequence[Fraction]) -> Optional[list[Fraction]]
     if cs.dim == 0:
         ctx._pi_cache[key] = None
         return None
-    coeffs = _theta_decomposition(system, key)
+    coeffs = theta_decomposition(system, key)
     if coeffs is None:
         raise ValueError("Delta(x) is not finite-rank: ideal is not psi-compatible")
     # c_ab sits at a * dim P + b, the kron_vec coordinate of e_a (x) e_b in Q (x) P
@@ -213,17 +212,6 @@ def relation_generators(ctx: CpContext, k: int, l: int) -> list[ToeplitzElement]
 
 # ---------------------------------------------------------------------------
 # exact membership in T(J) through the Fock representation
-
-
-def _require_fs(system: RSystem) -> None:
-    """Raise FsViolation unless (FS) holds; the check runs once per system."""
-    store = _system_store(system)
-    ok = store.get(("fs_ok",))
-    if ok is None:
-        ok = store[("fs_ok",)] = check_fs(system).ok
-    if not ok:
-        raise FsViolation("membership in T(J) is decided on the Fock representation, "
-                          "which needs condition (FS)")
 
 
 def _ideal_image(ctx: CpContext, k: int) -> Subspace:
@@ -330,7 +318,9 @@ def relation_preimage(ctx: CpContext, xs: Sequence[ToeplitzElement]) -> Subspace
     for x in xs:
         if x.system is not ctx.system:
             raise ContextMismatch("element belongs to a different system")
-    _require_fs(ctx.system)
+    if not check_fs(ctx.system).ok:  # decided once per system
+        raise FsViolation("membership in T(J) is decided on the Fock representation, "
+                          "which needs condition (FS)")
     rows = mat_identity(len(xs))
     for d in sorted({d for x in xs for d in x.z_degrees()}):
         parts = [z_project(x, d) for x in xs]
@@ -410,20 +400,6 @@ def cp_equal(a: CpElement, b: CpElement) -> bool:
 # Cuntz-Pimsner invariance and ideal extraction from representations
 
 
-def _theta_decomposition(system: RSystem, x: Sequence[Fraction]):
-    """Coefficients c_ab with Delta(x) = sum c_ab theta_{e_a,e_b}, or None."""
-    dq, dp = system.q.dim, system.p.dim
-    cols = []
-    for a in range(dq):
-        for b in range(dp):
-            m = theta_matrix(system, 1, a, b)
-            cols.append([ent for row in m for ent in row])
-    mat = [[cols[c][r] for c in range(len(cols))] for r in range(dq * dq)]
-    target_m = system.q.left_matrix(list(x))
-    target = [ent for row in target_m for ent in row]
-    return solve(mat, target)
-
-
 def is_cp_invariant(system: RSystem, rep: Representation, j) -> bool:
     """Does the representation satisfy sigma(x) = sum T(q_i) S(p_i) for x in J?
 
@@ -433,7 +409,7 @@ def is_cp_invariant(system: RSystem, rep: Representation, j) -> bool:
     ideal = j.ideal if isinstance(j, CompatibleIdeal) else j
     dq, dp = system.q.dim, system.p.dim
     for x in ideal.basis():
-        coeffs = _theta_decomposition(system, x)
+        coeffs = theta_decomposition(system, x)
         if coeffs is None:
             return False  # Delta(x) not finite-rank: no theta decomposition
         lhs = rep.sigma(list(x))

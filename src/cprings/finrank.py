@@ -1,20 +1,24 @@
-"""Adjointable / finite-rank operator calculus on the tensor legs.
+"""Rank-one operator calculus on the tensor legs, built once per system.
 
 Operators act on Q^(x)n as matrices in canonical level coordinates.  The
-rank-one generators and the two structural operators are
+rank-one generators and the left action are
 
-    theta_{q,p}(x) = q . psi_n(p (x) x)      (adjoint: y |-> psi_n(y (x) q) . p)
-    Delta(r)(x)    = r . x                   (adjoint: Gamma(r): y |-> y . r)
+    theta_{q,p}(x) = q . psi_n(p (x) x)      (on P^(x)n: y |-> psi_n(y (x) q) . p)
+    Delta(r)(x)    = r . x
 
-F_P(Q) is the span of all theta_{q,p}; condition (FS) asks the identity of Q
-to lie in F_P(Q) and the identity of P in F_Q(P).  For finite-dimensional
-modules the paper-style quantification over finite subsets reduces to the
-basis, so (FS) is decided by two exact linear solves, and the solver output
-doubles as the certificate.
+`theta_table(system, side, level)` holds the flattened generators of one side
+and level, read straight off psi_n and the level's action matrices; it is
+built once per system and everything rank-one reads it.  F_P(Q) is its span
+(`finite_rank_space`); condition (FS) asks the identity of Q to lie in F_P(Q)
+and the identity of P in F_Q(P), two exact solves over the table whose
+solutions double as certificates (`check_fs`); `theta_decomposition` solves
+Delta(x) = sum c_ab theta_{e_a,e_b} over it.  For finite-dimensional modules
+the paper-style quantification over finite subsets reduces to the basis.
 
-`canonical_ideals` produces the ideals the relative Cuntz-Pimsner layer cares
-about: ker Delta, Delta^(-1)(F_P(Q)), the two-sided annihilator of ker Delta,
-and their intersection j_max (the uniquely-maximal candidate).
+`check_fs` and `delta_ideals` (ker Delta and Delta^(-1)(F_P(Q))) are computed
+once per system and stored with it.  `canonical_ideals` adds the two-sided
+annihilator of ker Delta and the intersection j_max, the uniquely-maximal
+candidate.
 """
 
 from __future__ import annotations
@@ -24,201 +28,106 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactlin import (
+    ZERO,
     Subspace,
+    _nonzeros,
     kernel,
-    mat_eq,
     mat_identity,
     mat_transpose,
-    matmul,
-    matvec,
     preimage,
     solve,
-    unit_vec,
 )
-from .rsystem import RSystem
-from .tensorpow import psi_apply, tensor_space
-
-
-class LevelMismatch(ValueError):
-    """Operands live at different tensor levels."""
+from .rsystem import RSystem, _column_nonzeros
+from .tensorpow import _system_store, psi_n, tensor_space
 
 
 class FsViolation(RuntimeError):
     """An operation that needs condition (FS) was run on a system without it."""
 
 
-@dataclass(eq=False)
-class LinOp:
-    """A right-R-linear operator on one leg at one level, with optional adjoint.
-
-    `matrix` acts on the side/level coordinates; `adjoint` (if present) acts on
-    the opposite leg at the same level and satisfies
-    psi_n(p (x) T q) = psi_n(S p (x) q).
-    """
-
-    system: RSystem
-    side: str
-    level: int
-    matrix: list
-    adjoint: Optional[list] = None
-
-    def check(self) -> bool:
-        """Verify right-linearity (and the adjoint identity when present)."""
-        sp = tensor_space(self.system, self.side, self.level)
-        for i in range(self.system.ring.dim):
-            if not mat_eq(matmul(self.matrix, sp.right[i]), matmul(sp.right[i], self.matrix)):
-                return False
-        if self.adjoint is not None:
-            other = "P" if self.side == "Q" else "Q"
-            osp = tensor_space(self.system, other, self.level)
-            for a in range(osp.dim):
-                ea = unit_vec(osp.dim, a)
-                sa = matvec(self.adjoint, ea)
-                for b in range(sp.dim):
-                    eb = unit_vec(sp.dim, b)
-                    tb = matvec(self.matrix, eb)
-                    if self.side == "Q":
-                        lhs = psi_apply(self.system, self.level, ea, tb)
-                        rhs = psi_apply(self.system, self.level, sa, eb)
-                    else:
-                        lhs = psi_apply(self.system, self.level, tb, ea)
-                        rhs = psi_apply(self.system, self.level, eb, sa)
-                    if lhs != rhs:
-                        return False
-        return True
-
-    def apply(self, coords: Sequence[Fraction]) -> list[Fraction]:
-        return matvec(self.matrix, coords)
-
-    def __repr__(self) -> str:
-        return f"LinOp({self.side}^{self.level}, {len(self.matrix)}x{len(self.matrix)})"
-
-
 def _flatten(m: Sequence[Sequence[Fraction]]) -> list[Fraction]:
     return [x for row in m for x in row]
 
 
+def _build_theta_table(system: RSystem, side: str, level: int) -> tuple:
+    """Flattened rank-one generators on side^(x)level (see `theta_table`)."""
+    psi = psi_n(system, level)
+    own = tensor_space(system, side, level)
+    other = tensor_space(system, "P" if side == "Q" else "Q", level)
+    d = own.dim
+    # theta_{e_g,e_h} sends e_c to e_g . psi_n(e_h (x) e_c) on Q, and
+    # theta'_{e_g,e_h} sends e_c to psi_n(e_c (x) e_h) . e_g on P
+    if side == "Q":
+        acts, pairing = _column_nonzeros(own.right), lambda h, c: psi[h][c]
+    else:
+        acts, pairing = _column_nonzeros(own.left), lambda h, c: psi[c][h]
+    rows = []
+    for g in range(d):
+        for h in range(other.dim):
+            m = [ZERO] * (d * d)
+            for c in range(d):
+                for i, s in _nonzeros(pairing(h, c)):
+                    for r, v in acts[i][g]:
+                        m[r * d + c] += s * v
+            rows.append(tuple(m))
+    return tuple(rows)
+
+
+def theta_table(system: RSystem, side: str, level: int) -> tuple:
+    """The flattened rank-one generators of one side and level, built once per system.
+
+    Side 'Q': row b * dim P^n + a is theta_{e_b,e_a} on Q^(x)n; side 'P':
+    row a * dim Q^n + b is y |-> psi_n(y (x) e_b) . e_a on P^(x)n.  Each row is
+    a dim x dim matrix flattened row by row.
+    """
+    if side not in ("Q", "P"):
+        raise ValueError("side must be 'Q' or 'P'")
+    store = _system_store(system)
+    key = ("theta", side, level)
+    rows = store.get(key)
+    if rows is None:
+        rows = store[key] = _build_theta_table(system, side, level)
+    return rows
+
+
+def _solve_over_table(system: RSystem, side: str, level: int, target: list):
+    """Coefficients c with sum_k c_k theta_table[k] = target, or None."""
+    rows = theta_table(system, side, level)
+    if not rows:
+        return None if any(target) else []
+    return solve(mat_transpose(rows), target)
+
+
+def _table_matrix(system: RSystem, side: str, level: int, g: int, h: int) -> list:
+    """Row g * dim(other side) + h of the theta table, as a matrix."""
+    d = tensor_space(system, side, level).dim
+    other = tensor_space(system, "P" if side == "Q" else "Q", level).dim
+    row = theta_table(system, side, level)[g * other + h]
+    return [list(row[i * d:(i + 1) * d]) for i in range(d)]
+
+
 def theta_matrix(system: RSystem, level: int, q_index: int, p_index: int) -> list:
     """Matrix of theta_{e_q, e_p} on Q^(x)level."""
-    qn = tensor_space(system, "Q", level)
-    pn = tensor_space(system, "P", level)
-    eq = unit_vec(qn.dim, q_index)
-    ep = unit_vec(pn.dim, p_index)
-    cols = []
-    for c in range(qn.dim):
-        r = psi_apply(system, level, ep, unit_vec(qn.dim, c))
-        cols.append(qn.act_right(eq, r))
-    return mat_transpose(cols)
+    return _table_matrix(system, "Q", level, q_index, p_index)
 
 
 def theta_matrix_p(system: RSystem, level: int, p_index: int, q_index: int) -> list:
     """Matrix of the opposite-leg rank-one y |-> psi_n(y (x) e_q) . e_p on P^(x)level."""
-    qn = tensor_space(system, "Q", level)
-    pn = tensor_space(system, "P", level)
-    ep = unit_vec(pn.dim, p_index)
-    eq = unit_vec(qn.dim, q_index)
-    cols = []
-    for c in range(pn.dim):
-        r = psi_apply(system, level, unit_vec(pn.dim, c), eq)
-        cols.append(pn.act_left(r, ep))
-    return mat_transpose(cols)
+    return _table_matrix(system, "P", level, p_index, q_index)
 
 
-def theta(q, p) -> LinOp:
-    """theta_{q,p} as a LinOp on Q^(x)n with its adjoint theta_{p,q} attached."""
-    if q.level != p.level:
-        raise LevelMismatch(f"q at level {q.level}, p at level {p.level}")
-    if q.side != "Q" or p.side != "P":
-        raise ValueError("theta expects q on the Q leg and p on the P leg")
-    system, n = q.system, q.level
-    qn = tensor_space(system, "Q", n)
-    pn = tensor_space(system, "P", n)
-    mat = [[Fraction(0)] * qn.dim for _ in range(qn.dim)]
-    adj = [[Fraction(0)] * pn.dim for _ in range(pn.dim)]
-    for b, cq in enumerate(q.coords):
-        if cq == 0:
-            continue
-        for a, cp in enumerate(p.coords):
-            if cp == 0:
-                continue
-            t = theta_matrix(system, n, b, a)
-            s = theta_matrix_p(system, n, a, b)
-            for i in range(qn.dim):
-                for j in range(qn.dim):
-                    mat[i][j] += cq * cp * t[i][j]
-            for i in range(pn.dim):
-                for j in range(pn.dim):
-                    adj[i][j] += cq * cp * s[i][j]
-    return LinOp(system, "Q", n, mat, adjoint=adj)
+def finite_rank_space(system: RSystem, level: int = 1, side: str = "Q") -> Subspace:
+    """F_P(Q) (or F_Q(P) for side 'P') at one level, as a subspace of flattened matrices."""
+    d = tensor_space(system, side, level).dim
+    return Subspace(d * d, theta_table(system, side, level))
 
 
-def delta_matrix(system: RSystem, r: Sequence[Fraction], level: int = 1) -> list:
-    """Matrix of Delta^level(r): left multiplication on Q^(x)level."""
-    qn = tensor_space(system, "Q", level)
-    out = [[Fraction(0)] * qn.dim for _ in range(qn.dim)]
-    for i, ri in enumerate(r):
-        if ri == 0:
-            continue
-        for a in range(qn.dim):
-            col = matvec(qn.left[i], unit_vec(qn.dim, a))
-            for row in range(qn.dim):
-                out[row][a] += ri * col[row]
-    return out
+def theta_decomposition(system: RSystem, x: Sequence[Fraction]):
+    """Coefficients c_ab with Delta(x) = sum c_ab theta_{e_a,e_b}, or None.
 
-
-def gamma_matrix(system: RSystem, r: Sequence[Fraction], level: int = 1) -> list:
-    """Matrix of Gamma^level(r): right multiplication on P^(x)level."""
-    pn = tensor_space(system, "P", level)
-    out = [[Fraction(0)] * pn.dim for _ in range(pn.dim)]
-    for i, ri in enumerate(r):
-        if ri == 0:
-            continue
-        for a in range(pn.dim):
-            col = matvec(pn.right[i], unit_vec(pn.dim, a))
-            for row in range(pn.dim):
-                out[row][a] += ri * col[row]
-    return out
-
-
-def delta(system: RSystem, r: Sequence[Fraction], level: int = 1) -> LinOp:
-    return LinOp(system, "Q", level, delta_matrix(system, r, level),
-                 adjoint=gamma_matrix(system, r, level))
-
-
-@dataclass(eq=False)
-class FiniteRankSpace:
-    """F_P(Q) (or F_Q(P)) at one level, as a subspace of flattened matrices."""
-
-    system: RSystem
-    side: str  # side the operators act on
-    level: int
-    space: Subspace
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def contains_matrix(self, m) -> bool:
-        return self.space.contains(_flatten(m))
-
-
-def finite_rank_space(system: RSystem, level: int = 1, side: str = "Q") -> FiniteRankSpace:
-    qn = tensor_space(system, "Q", level)
-    pn = tensor_space(system, "P", level)
-    rows = []
-    if side == "Q":
-        d = qn.dim
-        for b in range(qn.dim):
-            for a in range(pn.dim):
-                rows.append(_flatten(theta_matrix(system, level, b, a)))
-    elif side == "P":
-        d = pn.dim
-        for a in range(pn.dim):
-            for b in range(qn.dim):
-                rows.append(_flatten(theta_matrix_p(system, level, a, b)))
-    else:
-        raise ValueError("side must be 'Q' or 'P'")
-    return FiniteRankSpace(system, side, level, Subspace(d * d, rows))
+    c_ab sits at a * dim P + b, the row of theta_{e_a,e_b} in the level-1 table.
+    """
+    return _solve_over_table(system, "Q", 1, _flatten(system.q.left_matrix(list(x))))
 
 
 @dataclass
@@ -232,41 +141,32 @@ class FsReport:
 
 
 def _identity_in_span(system: RSystem, level: int, side: str):
-    """Solve identity = sum c_{b,a} theta; returns certificate triples or None."""
-    qn = tensor_space(system, "Q", level)
-    pn = tensor_space(system, "P", level)
-    if side == "Q":
-        d, outer, inner = qn.dim, qn.dim, pn.dim
-        gen = lambda b, a: theta_matrix(system, level, b, a)
-    else:
-        d, outer, inner = pn.dim, pn.dim, qn.dim
-        gen = lambda a, b: theta_matrix_p(system, level, a, b)
-    if d == 0:
-        return []  # identity of the zero module is the empty combination
-    cols = []
-    pairs = []
-    for x in range(outer):
-        for y in range(inner):
-            cols.append(_flatten(gen(x, y)))
-            pairs.append((x, y))
-    a_mat = mat_transpose(cols)
-    sol = solve(a_mat, _flatten(mat_identity(d)))
+    """Solve identity = sum c_{x,y} theta; returns certificate triples or None."""
+    d = tensor_space(system, side, level).dim
+    sol = _solve_over_table(system, side, level, _flatten(mat_identity(d)))
     if sol is None:
         return None
-    return [(pairs[k][0], pairs[k][1], c) for k, c in enumerate(sol) if c != 0]
+    inner = tensor_space(system, "P" if side == "Q" else "Q", level).dim
+    return [(*divmod(k, inner), c) for k, c in enumerate(sol) if c != 0]
 
 
 def check_fs(system: RSystem, level: int = 1) -> FsReport:
-    q_cert = _identity_in_span(system, level, "Q")
-    p_cert = _identity_in_span(system, level, "P")
-    return FsReport(
-        ok=q_cert is not None and p_cert is not None,
-        q_ok=q_cert is not None,
-        p_ok=p_cert is not None,
-        q_certificate=q_cert,
-        p_certificate=p_cert,
-        level=level,
-    )
+    """Condition (FS) at one level, decided once per system and stored with it."""
+    store = _system_store(system)
+    key = ("fs", level)
+    rep = store.get(key)
+    if rep is None:
+        q_cert = _identity_in_span(system, level, "Q")
+        p_cert = _identity_in_span(system, level, "P")
+        rep = store[key] = FsReport(
+            ok=q_cert is not None and p_cert is not None,
+            q_ok=q_cert is not None,
+            p_ok=p_cert is not None,
+            q_certificate=q_cert,
+            p_certificate=p_cert,
+            level=level,
+        )
+    return rep
 
 
 def _delta_map_matrix(system: RSystem) -> list:
@@ -288,25 +188,30 @@ def annihilator(system: RSystem, ideal: Subspace) -> Subspace:
 
 
 def delta_ideals(system: RSystem) -> tuple[Subspace, Subspace]:
-    """(ker Delta, Delta^(-1)(F_P(Q))) as subspaces of R."""
-    d = system.ring.dim
-    dmap = _delta_map_matrix(system)
-    if not dmap:  # Q = 0, so Delta is the zero map
-        return Subspace.full(d), Subspace.full(d)
-    return Subspace(d, kernel(dmap)), preimage(dmap, finite_rank_space(system).space)
+    """(ker Delta, Delta^(-1)(F_P(Q))) as subspaces of R, computed once per system."""
+    store = _system_store(system)
+    out = store.get(("delta_ideals",))
+    if out is None:
+        d = system.ring.dim
+        dmap = _delta_map_matrix(system)
+        if not dmap:  # Q = 0, so Delta is the zero map
+            out = (Subspace.full(d), Subspace.full(d))
+        else:
+            out = (Subspace(d, kernel(dmap)), preimage(dmap, finite_rank_space(system)))
+        store[("delta_ideals",)] = out
+    return out
 
 
-def canonical_ideals(system: RSystem, require_fs: bool = True) -> dict:
+def canonical_ideals(system: RSystem) -> dict:
     """ker Delta, Delta^(-1)(F_P(Q)), (ker Delta)^perp and their intersection.
 
     j_max = Delta^(-1)(F_P(Q)) ∩ (ker Delta)^perp is the uniquely-maximal
     faithful candidate; `hypothesis_ok` records whether j_max meets ker Delta
-    trivially (the hypothesis under which maximality is a theorem).
+    trivially (the hypothesis under which maximality is a theorem).  Needs
+    (FS); raises FsViolation without it.
     """
-    if require_fs:
-        rep = check_fs(system)
-        if not rep.ok:
-            raise FsViolation("condition (FS) fails; rank-one calculus would be unreliable")
+    if not check_fs(system).ok:
+        raise FsViolation("condition (FS) fails; rank-one calculus would be unreliable")
     ker_delta, delta_inv_f = delta_ideals(system)
     ker_perp = annihilator(system, ker_delta)
     j_max = delta_inv_f.intersect(ker_perp)

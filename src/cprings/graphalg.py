@@ -42,7 +42,7 @@ class Edge:
 
 
 class FiniteGraph:
-    __slots__ = ("name", "vertices", "edges", "_out", "_in")
+    __slots__ = ("name", "vertices", "edges", "_out")
 
     def __init__(self, vertices: Sequence[str], edges: Iterable, name: str = "graph"):
         self.name = name
@@ -63,22 +63,15 @@ class FiniteGraph:
             norm.append(e)
         self.edges = tuple(norm)
         self._out = {v: tuple(e for e in self.edges if e.src == v) for v in self.vertices}
-        self._in = {v: tuple(e for e in self.edges if e.tgt == v) for v in self.vertices}
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         return self._out[v]
-
-    def in_edges(self, v: str) -> tuple[Edge, ...]:
-        return self._in[v]
 
     def out_degree(self, v: str):
         return sum(e.mult for e in self._out[v])
 
     def sinks(self) -> list[str]:
         return [v for v in self.vertices if not self._out[v]]
-
-    def sources(self) -> list[str]:
-        return [v for v in self.vertices if not self._in[v]]
 
     def regular_vertices(self) -> list[str]:
         return [v for v in self.vertices if 0 < self.out_degree(v) < math.inf]

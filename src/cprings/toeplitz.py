@@ -185,9 +185,6 @@ class ToeplitzElement:
     def is_zero(self) -> bool:
         return not self.comps
 
-    def max_degree(self) -> int:
-        return max((m + n for (m, n) in self.comps), default=0)
-
     def max_n_degree(self) -> int:
         return max((n for (_, n) in self.comps), default=0)
 

@@ -178,6 +178,14 @@ def test_validate_bad_system(tmp_path):
     p.write_text(json.dumps(bad))
     code, out = run_json("validate", str(p))
     assert code == 1 and not out["ok"] and out["result"]["failures"]
+    first = out["result"]["failures"][0]
+    # every other verb refuses the file as an input error, naming the first failures
+    for argv in (["mul", str(p), "Q:v1*Q:v2", "P:v1*P:v2"],
+                 ["eq", str(p), "Q:v1*P:v1", "R:v1"],
+                 ["lattice", str(p)]):
+        code, out = run_json(*argv)
+        assert code == 2 and out["result"] is None
+        assert "fails the axioms" in out["diagnostics"][0] and first in out["diagnostics"][0]
 
 
 def test_jmax_example(files):
@@ -304,6 +312,9 @@ def test_usage_errors(files, tmp_path):
     assert code == 2
     code, out = run_json("eq", files["a2"], "1/0*p(u)", "p(u)")
     assert code == 2 and "zero denominator" in out["diagnostics"][0]
+    code, out = run_json("nf", files["a2"], "(" * 3000 + "p(u)" + ")" * 3000)
+    assert code == 2 and "nested deeper" in out["diagnostics"][0]
+    assert "column" in out["diagnostics"][0]
     malformed = [
         {"vertices": 3},
         [1, 2, 3],  # not an object

@@ -11,35 +11,32 @@ Graph-side oracles (worked out from the action tables):
 
 import pytest
 
-from conftest import five_vertex_mixed, psi_zero_system
+from conftest import diagonal_ring, five_vertex_mixed, psi_zero_system
 
+from cprings import finrank
+from cprings.cpring import CpContext, cp_equal, validate_ideal
 from cprings.exactlin import (
     Subspace,
     mat_eq,
     mat_identity,
+    mat_transpose,
     mat_zero,
     matmul,
-    matvec,
     unit_vec,
     zero_vec,
 )
 from cprings.finrank import (
     FsViolation,
-    LevelMismatch,
-    LinOp,
     annihilator,
     canonical_ideals,
     check_fs,
-    delta,
-    delta_matrix,
     finite_rank_space,
-    gamma_matrix,
-    theta,
     theta_matrix,
     theta_matrix_p,
 )
-from cprings.rsystem import build_graph_system
-from cprings.tensorpow import ModuleElement, basis_element, tensor_space
+from cprings.rsystem import Pairing, RSystem, StructuredBimodule, build_graph_system
+from cprings.tensorpow import psi_apply, tensor_space
+from cprings.toeplitz import embed, toeplitz_mul
 
 
 def test_theta_is_matrix_unit_on_matching_ranges(line3_system):
@@ -62,27 +59,50 @@ def test_finite_rank_dim_small(a2_system, line3_system, rose1):
     assert finite_rank_space(build_graph_system(rose1)).dim == 1
 
 
-def test_theta_linop_and_levels(line3_system):
-    q = basis_element(line3_system, "Q", 1, 0)
-    p = basis_element(line3_system, "P", 1, 0)
-    op = theta(q, p)
-    assert op.check()
-    assert op.apply([1, 5]) == [1, 0]
-    with pytest.raises(LevelMismatch):
-        theta(q, ModuleElement(line3_system, "P", 2, (1,)))
-    with pytest.raises(ValueError):
-        theta(p, q)
+def test_theta_table_matches_definition(mixed5, perm3):
+    # theta_{e_b,e_a}(e_c) = e_b . psi_n(e_a (x) e_c) on Q, and
+    # theta'_{e_a,e_b}(e_c) = psi_n(e_c (x) e_b) . e_a on P
+    for system, level in [(build_graph_system(mixed5), 1), (perm3, 1), (perm3, 2)]:
+        qn = tensor_space(system, "Q", level)
+        pn = tensor_space(system, "P", level)
+        for b in range(qn.dim):
+            for a in range(pn.dim):
+                eq, ep = unit_vec(qn.dim, b), unit_vec(pn.dim, a)
+                cols = [qn.act_right(eq, psi_apply(system, level, ep, unit_vec(qn.dim, c)))
+                        for c in range(qn.dim)]
+                assert mat_eq(theta_matrix(system, level, b, a), mat_transpose(cols))
+                cols = [pn.act_left(psi_apply(system, level, unit_vec(pn.dim, c), eq), ep)
+                        for c in range(pn.dim)]
+                assert mat_eq(theta_matrix_p(system, level, a, b), mat_transpose(cols))
+                # right-linear, with the P-side generator as adjoint:
+                # psi_n(y (x) theta x) = psi_n(theta' y (x) x)
+                t, s = theta_matrix(system, level, b, a), theta_matrix_p(system, level, a, b)
+                for i in range(system.ring.dim):
+                    assert mat_eq(matmul(t, qn.right[i]), matmul(qn.right[i], t))
+                for y in range(pn.dim):
+                    for x in range(qn.dim):
+                        assert psi_apply(system, level, unit_vec(pn.dim, y), [r[x] for r in t]) == \
+                            psi_apply(system, level, [r[y] for r in s], unit_vec(qn.dim, x))
 
 
 def test_delta_projects_onto_emitted_edges(line3_system):
-    d1 = delta_matrix(line3_system, unit_vec(3, 0))  # 1_{v1} emits e1 only
-    assert mat_eq(d1, [[1, 0], [0, 0]])
-    assert mat_eq(delta_matrix(line3_system, zero_vec(3)), mat_zero(2, 2))
+    q, p = line3_system.q, line3_system.p
+    assert mat_eq(list(map(list, q.left[0])), [[1, 0], [0, 0]])  # Delta(1_{v1}): v1 emits e1 only
+    assert mat_eq(q.left_matrix(zero_vec(3)), mat_zero(2, 2))
     # the unit acts as the identity
-    assert mat_eq(delta_matrix(line3_system, [1, 1, 1]), mat_identity(2))
-    op = delta(line3_system, unit_vec(3, 0))
-    assert op.check()
-    assert mat_eq(op.adjoint, [[1, 0], [0, 0]])  # s(e1) = v1 on the reversed leg
+    assert mat_eq(q.left_matrix([1, 1, 1]), mat_identity(2))
+    # Gamma(1_{v1}): s(e1) = v1 on the reversed leg
+    assert mat_eq(list(map(list, p.right[0])), [[1, 0], [0, 0]])
+
+
+def _combination(mats, coeffs):
+    d = len(mats[0])
+    acc = mat_zero(d, d)
+    for m, c in zip(mats, coeffs):
+        for i in range(d):
+            for j in range(d):
+                acc[i][j] += c * m[i][j]
+    return acc
 
 
 def test_theta_ideal_law(mixed5):
@@ -90,22 +110,19 @@ def test_theta_ideal_law(mixed5):
     dq = system.q.dim
     dp = system.p.dim
     for i in range(system.ring.dim):
-        r = unit_vec(system.ring.dim, i)
-        dmat = delta_matrix(system, r)
-        gmat = gamma_matrix(system, r)
+        dmat = system.q.left[i]  # Delta(e_i)
+        gmat = system.p.right[i]  # Gamma(e_i)
         for b in range(dq):
             for a in range(dp):
                 t = theta_matrix(system, 1, b, a)
-                # Delta(r) . theta_{q,p} = theta_{Delta(r) q, p}
-                lhs = matmul(dmat, t)
-                acted_q = ModuleElement(system, "Q", 1, tuple(matvec(dmat, unit_vec(dq, b))))
-                rhs = theta(acted_q, basis_element(system, "P", 1, a)).matrix
-                assert mat_eq(lhs, rhs)
-                # theta_{q,p} . Delta(r) = theta_{q, Gamma(r) p}
-                lhs2 = matmul(t, dmat)
-                acted_p = ModuleElement(system, "P", 1, tuple(matvec(gmat, unit_vec(dp, a))))
-                rhs2 = theta(basis_element(system, "Q", 1, b), acted_p).matrix
-                assert mat_eq(lhs2, rhs2)
+                # Delta(r) . theta_{q,p} = theta_{Delta(r) q, p}, expanded bilinearly in q
+                rhs = _combination([theta_matrix(system, 1, c, a) for c in range(dq)],
+                                   [dmat[c][b] for c in range(dq)])
+                assert mat_eq(matmul(dmat, t), rhs)
+                # theta_{q,p} . Delta(r) = theta_{q, Gamma(r) p}, expanded bilinearly in p
+                rhs2 = _combination([theta_matrix(system, 1, b, c) for c in range(dp)],
+                                    [gmat[c][a] for c in range(dp)])
+                assert mat_eq(matmul(t, dmat), rhs2)
 
 
 def _reconstruct(system, level, cert, side):
@@ -135,6 +152,18 @@ def test_fs_fails_for_zero_pairing():
     rep = check_fs(psi_zero_system())
     assert not rep.ok and not rep.q_ok and not rep.p_ok
     assert rep.q_certificate is None
+
+
+def test_fs_fails_when_only_p_vanishes():
+    # R = Q = F, P = 0: no rank-one operators, so id_Q is out of reach while
+    # id_P is the empty combination
+    ring = diagonal_ring(1)
+    unit = [[[1]]]
+    system = RSystem(ring=ring, p=StructuredBimodule([], [[]], [[]]),
+                     q=StructuredBimodule(["q"], unit, unit), psi=Pairing([]), name="p-zero")
+    rep = check_fs(system)
+    assert not rep.ok and not rep.q_ok and rep.p_ok and rep.p_certificate == []
+    assert finite_rank_space(system).dim == 0
 
 
 def test_fs_propagates_to_higher_levels(line3_system, perm3, a2_system):
@@ -171,11 +200,26 @@ def test_canonical_ideals_requires_fs():
     system = psi_zero_system()
     with pytest.raises(FsViolation):
         canonical_ideals(system)
-    out = canonical_ideals(system, require_fs=False)
-    # Delta is injective (unital), F = 0, so everything collapses to zero
-    assert out["ker_delta"].is_zero()
-    assert out["j_max"].is_zero()
-    assert out["hypothesis_ok"]
+
+
+def test_rank_one_calculus_built_once_per_system(line3, monkeypatch):
+    builds, fs_solves, delta_maps = [], [], []
+    for name, log in (("_build_theta_table", builds), ("_identity_in_span", fs_solves),
+                      ("_delta_map_matrix", delta_maps)):
+        def counted(*args, _f=getattr(finrank, name), _log=log):
+            _log.append(args[1:])
+            return _f(*args)
+        monkeypatch.setattr(finrank, name, counted)
+    system = build_graph_system(line3)
+    j = validate_ideal(system, canonical_ideals(system)["j_max"])
+    ctx = CpContext(system, j)
+    v1 = embed(system, "R", unit_vec(3, 0))
+    e1 = embed(system, "Q", unit_vec(2, 0))
+    e1_bar = embed(system, "P", unit_vec(2, 0))
+    assert cp_equal(ctx.element(v1), ctx.element(toeplitz_mul(e1, e1_bar)))
+    assert sorted(builds) == [("P", 1), ("Q", 1)]
+    assert sorted(fs_solves) == [(1, "P"), (1, "Q")]
+    assert len(delta_maps) == 1
 
 
 def test_annihilator_on_diagonal(line3_system):
