@@ -23,7 +23,7 @@ from cprings.graphalg import (
     line_graph,
     rose_graph,
 )
-from cprings.ideals import enumerate_tpairs, lattice_dot
+from cprings.ideals import enumerate_tpairs, lattice_dot, lattice_json
 from cprings.rsystem import build_graph_system
 
 
@@ -87,7 +87,7 @@ def main(argv=None) -> int:
             print(f"unknown preset {args.dot!r}; have {', '.join(graphs)}", file=sys.stderr)
             return 2
         system = build_graph_system(graphs[args.dot])
-        print(lattice_dot(system, enumerate_tpairs(system)))
+        print(lattice_dot(lattice_json(system, enumerate_tpairs(system))))
         return 0
 
     header = f"{'graph':<12} {'hs sets':>7} {'(H,S)':>6} {'T-pairs':>7}  j_max"

@@ -21,7 +21,7 @@ hold, elements equal, pair valid, zero disagreements, ...).  `--format
 table` renders the same result as aligned text, `--format dot` emits DOT for
 lattice output.  Exit status: 0 affirmative, 1 negative verdict or domain
 error, 2 usage/input error (bad flags, missing or malformed file, expression
-syntax).
+syntax), 3 undecided: the question needs a tensor level above `--cap`.
 
 Element grammar:
 
@@ -682,21 +682,19 @@ def _graph_pair_lattice(graph: FiniteGraph) -> tuple[dict, str]:
 def _verb_lattice(loaded, args) -> Outcome:
     result: dict = {}
     diags: list = []
-    rendered = None
+    rendered = None  # read by `run` only under --format dot
     if loaded.kind == "graph":
-        data, dot = _graph_pair_lattice(loaded.graph)
+        data, rendered = _graph_pair_lattice(loaded.graph)
         result["graph_pairs"] = dict(data, graph=loaded.graph.name)
-        rendered = dot
     try:
         tpairs = enumerate_tpairs(loaded.system)
     except ValueError as exc:  # infinite emitters: algebraic side unavailable
         diags.append(f"T-pair enumeration skipped: {exc}")
     else:
         result["tpairs"] = lattice_json(loaded.system, tpairs)
-        rendered = lattice_dot(loaded.system, tpairs)
-    if args.format == "dot" and rendered is not None:
-        return Outcome(True, result, diags, rendered=rendered)
-    return Outcome(True, result, diags)
+        if args.format == "dot":
+            rendered = lattice_dot(result["tpairs"])
+    return Outcome(True, result, diags, rendered=rendered)
 
 
 def _verb_tpair(loaded, args) -> Outcome:
@@ -899,7 +897,6 @@ def run(argv) -> tuple[int, str]:
         FsViolation,
         ContextMismatch,
         SystemMismatch,
-        CapExceeded,
         NotImplementedError,
         ValueError,
     ) as exc:
@@ -909,6 +906,9 @@ def run(argv) -> tuple[int, str]:
             "diagnostics": [f"{type(exc).__name__}: {exc}"],
         }
         return 1, json.dumps(payload, sort_keys=True)
+    except CapExceeded as exc:  # undecided within the cap: neither "yes" nor "no"
+        payload = {"ok": False, "result": None, "diagnostics": [f"CapExceeded: {exc}"]}
+        return 3, json.dumps(payload, sort_keys=True)
     if args.format == "dot" and outcome.rendered is not None:
         return (0 if outcome.ok else 1), outcome.rendered
     if args.format == "table":

@@ -169,26 +169,15 @@ def quotient_system(system: RSystem, i: Subspace, *, name: Optional[str] = None)
         for b in range(dr2)] for a in range(dr2)]
     ring2 = StructuredRing(r_labels, mult)
 
-    def induced(proj, sect, mats):
-        out = []
-        for a in range(dr2):
-            lift = matvec(sect_r, unit_vec(dr2, a))
-            acting = None
-            for idx, c in enumerate(lift):
-                if c != 0:
-                    scaled = [[c * x for x in row] for row in mats[idx]]
-                    acting = scaled if acting is None else [
-                        [u + v for u, v in zip(r1, r2)] for r1, r2 in zip(acting, scaled)]
-            if acting is None:
-                dim_src = len(mats[0]) if mats else 0
-                acting = [[0] * dim_src for _ in range(dim_src)]
-            out.append(matmul(proj, matmul(acting, sect)))
-        return out
+    def induced(proj, sect, action_matrix):
+        # the action of a basis element of R/I is that of its lift, read mod QI (IP)
+        return [matmul(proj, matmul(action_matrix(matvec(sect_r, unit_vec(dr2, a))), sect))
+                for a in range(dr2)]
 
-    q2 = StructuredBimodule(q_labels, induced(proj_q, sect_q, q.left),
-                            induced(proj_q, sect_q, q.right))
-    p2 = StructuredBimodule(p_labels, induced(proj_p, sect_p, p.left),
-                            induced(proj_p, sect_p, p.right))
+    q2 = StructuredBimodule(q_labels, induced(proj_q, sect_q, q.left_matrix),
+                            induced(proj_q, sect_q, q.right_matrix))
+    p2 = StructuredBimodule(p_labels, induced(proj_p, sect_p, p.left_matrix),
+                            induced(proj_p, sect_p, p.right_matrix))
 
     dq2, dp2 = q2.dim, p2.dim
     table = [[matvec(proj_r, system.psi.apply(
@@ -224,25 +213,29 @@ class TPair:
         return f"TPair(dim i={self.i.dim}, dim j={self.j.dim}, ok={self.ok})"
 
 
+def _tpair_i_part(system: RSystem, i: Subspace) -> tuple[bool, Optional[QuotientSystem]]:
+    """Whether I is two-sided, and R/I when I is also psi-invariant (else None)."""
+    two_sided = is_two_sided(system, i)
+    if two_sided and is_psi_invariant(system, i, check_two_sided=False):
+        return True, quotient_system(system, i)
+    return two_sided, None
+
+
+def _tpair_j_part(system: RSystem, i: Subspace, j: Subspace, i_two_sided: bool,
+                  qs: Optional[QuotientSystem]):
+    """The T-pair (I, J) with its flags, and the image of J in R/I (None without R/I)."""
+    flags = {"i_two_sided": i_two_sided, "i_in_j": i.le(j),
+             "j_two_sided": is_two_sided(system, j), "i_psi_invariant": qs is not None}
+    jq = None if qs is None else validate_ideal(qs.system, qs.project_subspace(j))
+    flags["quotient_two_sided"] = jq is not None and jq.is_two_sided
+    flags["quotient_compatible"] = jq is not None and jq.is_psi_compatible
+    flags["quotient_faithful"] = jq is not None and jq.is_faithful
+    return TPair(i, j, flags), jq
+
+
 def validate_tpair(system: RSystem, i: Subspace, j: Subspace) -> TPair:
-    flags = {
-        "i_two_sided": is_two_sided(system, i),
-        "i_in_j": i.le(j),
-        "j_two_sided": is_two_sided(system, j),
-    }
-    flags["i_psi_invariant"] = (
-        flags["i_two_sided"] and is_psi_invariant(system, i, check_two_sided=False))
-    if flags["i_two_sided"] and flags["i_psi_invariant"]:
-        qs = quotient_system(system, i)
-        jq = validate_ideal(qs.system, qs.project_subspace(j))
-        flags["quotient_two_sided"] = jq.is_two_sided
-        flags["quotient_compatible"] = jq.is_psi_compatible
-        flags["quotient_faithful"] = jq.is_faithful
-    else:
-        flags["quotient_two_sided"] = False
-        flags["quotient_compatible"] = False
-        flags["quotient_faithful"] = False
-    return TPair(i, j, flags)
+    i_two_sided, qs = _tpair_i_part(system, i)
+    return _tpair_j_part(system, i, j, i_two_sided, qs)[0]
 
 
 def tpair_le(a: TPair, b: TPair) -> bool:
@@ -341,13 +334,16 @@ def graded_ideal_correspondence(ctx: CpContext, tpair: TPair) -> IdealHandle:
     """The graded ideal of O(K) attached to a T-pair (I, J) with K <= J."""
     if not ctx.j.ideal.le(tpair.j):
         raise HypothesisViolated("the context ideal K must sit inside the pair's J")
+    qs = jq = None
     if not tpair.flags:
-        tpair = validate_tpair(ctx.system, tpair.i, tpair.j)
+        i_two_sided, qs = _tpair_i_part(ctx.system, tpair.i)
+        tpair, jq = _tpair_j_part(ctx.system, tpair.i, tpair.j, i_two_sided, qs)
     if not tpair.ok:
         raise ValueError("not a T-pair: " +
                          ", ".join(k for k, v in tpair.flags.items() if not v))
-    qs = quotient_system(ctx.system, tpair.i)
-    jq = validate_ideal(qs.system, qs.project_subspace(tpair.j))
+    if jq is None:
+        qs = quotient_system(ctx.system, tpair.i)
+        jq = validate_ideal(qs.system, qs.project_subspace(tpair.j))
     qctx = CpContext(qs.system, jq, cap=ctx.cap)
     return IdealHandle(ctx, tpair, qs, qctx)
 
@@ -393,6 +389,13 @@ def enumerate_tpairs(system: RSystem) -> list[TPair]:
 
     Over such rings every two-sided ideal is spanned by a subset of the basis
     idempotents, so the search over subsets is exhaustive.
+
+    Whether J qualifies depends on I only through the quotient system
+    R/I, Q/QI, P/IP, psi_I: `quotient_system` reads nothing but the system and
+    I, and the quotient flags are `validate_ideal` of the image of J in that
+    quotient.  So R/I is built once per psi-invariant I and shared by every
+    J containing it, together with the Delta ideals and (FS) result memoized
+    on it; the pairs and their flags are those `validate_tpair` gives.
     """
     ring = system.ring
     if not _diagonal_idempotents(ring):
@@ -400,15 +403,15 @@ def enumerate_tpairs(system: RSystem) -> list[TPair]:
     d = ring.dim
     out = []
     for imask in range(1 << d):
-        ivecs = [unit_vec(d, t) for t in range(d) if imask >> t & 1]
-        i = Subspace(d, ivecs)
-        if not is_psi_invariant(system, i, check_two_sided=False):
+        i = Subspace(d, [unit_vec(d, t) for t in range(d) if imask >> t & 1])
+        i_two_sided, qs = _tpair_i_part(system, i)
+        if qs is None:
             continue
         for jmask in range(1 << d):
             if jmask & imask != imask:
                 continue
             jvecs = [unit_vec(d, t) for t in range(d) if jmask >> t & 1]
-            pair = validate_tpair(system, i, Subspace(d, jvecs))
+            pair, _ = _tpair_j_part(system, i, Subspace(d, jvecs), i_two_sided, qs)
             if pair.ok:
                 out.append(pair)
     return out
@@ -439,8 +442,8 @@ def lattice_json(system: RSystem, tpairs: Sequence[TPair]) -> dict:
     return {"system": system.name, "nodes": nodes, "hasse_edges": edges}
 
 
-def lattice_dot(system: RSystem, tpairs: Sequence[TPair]) -> str:
-    data = lattice_json(system, tpairs)
+def lattice_dot(data: dict) -> str:
+    """DOT rendering of a `lattice_json` result."""
     lines = ["digraph tpairs {", "  rankdir=BT;"]
     for idx, node in enumerate(data["nodes"]):
         label = f"i:{node['i_dim']} j:{node['j_dim']}"

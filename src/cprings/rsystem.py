@@ -203,13 +203,15 @@ class Pairing:
 
 @dataclass(eq=False)
 class RSystem:
-    """An R-system (R, P, Q, psi).  Identity-hashed so caches can key on it."""
+    """An R-system (R, P, Q, psi).  Identity-hashed; carries its own memo."""
 
     ring: StructuredRing
     p: StructuredBimodule
     q: StructuredBimodule
     psi: Pairing
     name: str = "system"
+    # memo of tensor levels, components and rank-one data (`tensorpow._system_store`)
+    _store: dict = field(default_factory=dict, init=False, repr=False)
 
     def __repr__(self) -> str:
         return (

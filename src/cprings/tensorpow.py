@@ -23,12 +23,12 @@ through the balanced tensor product, so the choice of section is invisible.
 with p1 in P, p2 in P^(n-1), q1 in Q^(n-1), q2 in Q; computationally the left
 factor is split at (1, n-1) and the right factor at (n-1, 1).
 
-Everything is memoized in memory per system (identity-keyed).
+Everything is memoized in memory on the system (`RSystem._store`), so the memo
+is freed with its system.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -117,15 +117,8 @@ class ModuleElement:
         return ModuleElement(self.system, self.side, self.level + other.level, tuple(coords))
 
 
-_cache: "weakref.WeakKeyDictionary[RSystem, dict]" = weakref.WeakKeyDictionary()
-
-
 def _system_store(system: RSystem) -> dict:
-    store = _cache.get(system)
-    if store is None:
-        store = {}
-        _cache[system] = store
-    return store
+    return system._store
 
 
 def _module_of(system: RSystem, side: str):

@@ -225,6 +225,10 @@ def test_eq_exit_codes(files):
     assert code == 1 and not out["ok"] and not out["result"]["equal"]
     code, out = run_json("eq", files["perm3"], "Q:v1*P:v2", "R:v1", "--j", "full")
     assert code == 0 and out["ok"]
+    # a product above the cap is undecided (3), not "not equal" (1)
+    code, out = run_json("eq", files["rose2"], "x(l1)*y(l1)", "p(v)", "--cap", "0")
+    assert code == 3 and not out["ok"] and out["result"] is None
+    assert out["diagnostics"][0].startswith("CapExceeded: ")
 
 
 def test_mul(files):

@@ -6,8 +6,12 @@ quotienting by a hereditary set gives the system of the restricted graph; the
 CP ring is simple 3x3 matrices).
 """
 
+import gc
+import weakref
+
 import pytest
 
+from cprings import ideals
 from cprings.exactlin import Subspace, mat_eq, unit_vec
 from cprings.graphalg import line_graph, quotient_graph, rose_graph
 from cprings.rsystem import build_graph_system
@@ -18,6 +22,7 @@ from cprings.ideals import (
     HypothesisViolated,
     NotInvariant,
     NotTwoSided,
+    TPair,
     enumerate_tpairs,
     extract_tpair_from_handle,
     graded_ideal_correspondence,
@@ -31,7 +36,7 @@ from cprings.ideals import (
     validate_tpair,
 )
 
-from conftest import five_vertex_mixed
+from conftest import five_vertex_mixed, perm3_system
 
 
 def _coord_ideal(system, *labels):
@@ -130,8 +135,56 @@ def test_enumerate_a2(a2_system):
     data = lattice_json(a2_system, pairs)
     assert len(data["nodes"]) == 4
     assert len(data["hasse_edges"]) == 4
-    dot = lattice_dot(a2_system, pairs)
+    dot = lattice_dot(data)
     assert dot.startswith("digraph") and "n0" in dot
+
+
+def _count_quotients(monkeypatch):
+    built = []
+    real = ideals.quotient_system
+
+    def counting(system, i, **kw):
+        built.append(i)
+        return real(system, i, **kw)
+
+    monkeypatch.setattr(ideals, "quotient_system", counting)
+    return built
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_graph_system(five_vertex_mixed()),
+    lambda: build_graph_system(line_graph(3)),
+    perm3_system,
+], ids=["5v-mixed", "line3", "perm3"])
+def test_enumerate_matches_brute_force(make):
+    system = make()
+    d = system.ring.dim
+
+    def coord(mask):
+        return Subspace(d, [unit_vec(d, t) for t in range(d) if mask >> t & 1])
+
+    brute = [validate_tpair(system, coord(im), coord(jm))
+             for im in range(1 << d) for jm in range(1 << d) if jm & im == im]
+    want = [(p.i, p.j, list(p.flags.items())) for p in brute if p.ok]
+    assert [(p.i, p.j, list(p.flags.items())) for p in enumerate_tpairs(system)] == want
+
+
+def test_enumerate_builds_one_quotient_per_invariant_ideal(monkeypatch):
+    built = _count_quotients(monkeypatch)
+    system = build_graph_system(five_vertex_mixed())
+    enumerate_tpairs(system)
+    assert len(built) == 6  # one per hereditary vertex set
+    assert all(a != b for k, a in enumerate(built) for b in built[:k])
+
+
+def test_enumeration_frees_the_system():
+    system = build_graph_system(line_graph(3))
+    ref = weakref.ref(system)
+    canonical_ideals(system)
+    enumerate_tpairs(system)
+    del system
+    gc.collect()
+    assert ref() is None  # its memo (tensor levels, theta tables) goes with it
 
 
 def test_enumerate_refuses_nondiagonal():
@@ -213,6 +266,15 @@ def test_correspondence_hypothesis(line3_system):
     assert small.ok
     with pytest.raises(HypothesisViolated):
         graded_ideal_correspondence(ctx, small)
+
+
+def test_correspondence_builds_one_quotient(line3_system, monkeypatch):
+    built = _count_quotients(monkeypatch)
+    ctx = _toeplitz_ctx(line3_system)
+    i = _coord_ideal(line3_system, "v3")
+    handle = graded_ideal_correspondence(ctx, TPair(i, i))
+    assert len(built) == 1 and handle.tpair.ok
+    assert handle.qctx.j.ideal == handle.quotient.project_subspace(i)
 
 
 def test_correspondence_rejects_invalid(a2_system):
