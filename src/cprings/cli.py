@@ -72,6 +72,7 @@ from .ideals import (
     NotInvariant,
     NotTwoSided,
     enumerate_tpairs,
+    hasse_edges,
     lattice_dot,
     lattice_json,
     quotient_system,
@@ -389,9 +390,7 @@ def _fmt_coeff(c: Fraction) -> str:
 
 def _pure_terms(system, side, level, coords):
     """Expand level coordinates into pure unit tensors [(coeff, (i1..ik))]."""
-    if level == 0:
-        return [(c, (i,)) for i, c in enumerate(coords) if c != 0]
-    if level == 1:
+    if level <= 1:
         return [(c, (i,)) for i, c in enumerate(coords) if c != 0]
     dim_prev = tensor_space(system, side, level - 1).dim
     split = tensor_split(system, side, 1, level - 1)
@@ -426,15 +425,14 @@ def _format_toeplitz(x: ToeplitzElement) -> str:
             for c, names in _pure_terms(sy, "P", n, v):
                 terms.append(((0, n, names), c, [f"P:{sy.p.labels[i]}" for i in names]))
             continue
-        comp = component_space(sy, m, n)
-        raw = matvec(comp.sect, v)
-        dp = tensor_space(sy, "P", n).dim
+        basis = component_space(sy, m, n).basis
+        dq, dp = tensor_space(sy, "Q", m).dim, tensor_space(sy, "P", n).dim
         combined: dict = {}
-        for idx, c in enumerate(raw):
+        for idx, c in enumerate(v):
             if c == 0:
                 continue
-            a, b = divmod(idx, dp)
-            for cq, qnames in _pure_terms(sy, "Q", m, unit_vec(tensor_space(sy, "Q", m).dim, a)):
+            a, b = basis[idx]
+            for cq, qnames in _pure_terms(sy, "Q", m, unit_vec(dq, a)):
                 for cp_, pnames in _pure_terms(sy, "P", n, unit_vec(dp, b)):
                     key = (qnames, pnames)
                     combined[key] = combined.get(key, Fraction(0)) + c * cq * cp_
@@ -538,7 +536,7 @@ class Outcome:
     rendered: Optional[str] = None  # non-JSON payload (dot/table)
 
 
-def _toeplitz_ctx(loaded: LoadedInput, args, jspec=None) -> EvalContext:
+def _toeplitz_ctx(loaded: LoadedInput, args) -> EvalContext:
     return EvalContext(loaded.system, loaded.graph, "toeplitz", cap=args.cap)
 
 
@@ -651,49 +649,45 @@ def _verb_jmax(loaded, args) -> Outcome:
     return Outcome(True, result, diags)
 
 
-def _graph_pair_lattice(graph: FiniteGraph) -> tuple[dict, str]:
+def _graph_pair_lattice(graph: FiniteGraph) -> dict:
     pairs = enumerate_ideal_pairs(graph)
     nodes = [
         {"h": sorted(h), "s": sorted(s), "breaking": sorted(breaking_vertices(graph, h))}
         for h, s in pairs
     ]
-    edges = []
-    for i, a in enumerate(pairs):
-        for j, b in enumerate(pairs):
-            if i == j or not pair_order(a, b):
-                continue
-            if any(
-                k not in (i, j) and pair_order(a, pairs[k]) and pair_order(pairs[k], b)
-                for k in range(len(pairs))
-            ):
-                continue
-            edges.append([i, j])
+    edges = hasse_edges([[pair_order(a, b) for b in pairs] for a in pairs])
+    return {"nodes": nodes, "hasse_edges": edges}
+
+
+def _graph_pair_dot(data: dict) -> str:
     lines = ["digraph ideals {", "  rankdir=BT;"]
-    for idx, node in enumerate(nodes):
+    for idx, node in enumerate(data["nodes"]):
         h = "{" + " ".join(node["h"]) + "}"
         s = ("|" + " ".join(node["s"])) if node["s"] else ""
         lines.append(f'  n{idx} [label="{h}{s}"];')
-    for a, b in edges:
+    for a, b in data["hasse_edges"]:
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")
-    return {"nodes": nodes, "hasse_edges": edges}, "\n".join(lines)
+    return "\n".join(lines)
 
 
 def _verb_lattice(loaded, args) -> Outcome:
     result: dict = {}
     diags: list = []
-    rendered = None  # read by `run` only under --format dot
     if loaded.kind == "graph":
-        data, rendered = _graph_pair_lattice(loaded.graph)
-        result["graph_pairs"] = dict(data, graph=loaded.graph.name)
+        result["graph_pairs"] = dict(_graph_pair_lattice(loaded.graph), graph=loaded.graph.name)
     try:
         tpairs = enumerate_tpairs(loaded.system)
     except ValueError as exc:  # infinite emitters: algebraic side unavailable
         diags.append(f"T-pair enumeration skipped: {exc}")
     else:
         result["tpairs"] = lattice_json(loaded.system, tpairs)
-        if args.format == "dot":
+    rendered = None  # read by `run` only under --format dot
+    if args.format == "dot":
+        if "tpairs" in result:
             rendered = lattice_dot(result["tpairs"])
+        elif "graph_pairs" in result:
+            rendered = _graph_pair_dot(result["graph_pairs"])
     return Outcome(True, result, diags, rendered=rendered)
 
 
@@ -816,6 +810,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _nonnegative_int(text: str) -> int:
+    """A non-negative integer flag value; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 @functools.lru_cache(maxsize=None)
 def _build_argparser() -> argparse.ArgumentParser:
     """The `cpr` parser, built once: parsing leaves it unchanged."""
@@ -826,7 +831,7 @@ def _build_argparser() -> argparse.ArgumentParser:
         sp.add_argument("file", help="system or graph JSON")
         if n_exprs:
             sp.add_argument("exprs", nargs=n_exprs, metavar="EXPR")
-        sp.add_argument("--cap", type=int, default=DEFAULT_CAP,
+        sp.add_argument("--cap", type=_nonnegative_int, default=DEFAULT_CAP,
                         help="highest tensor level a product or membership test may create")
         sp.add_argument("--format", choices=("json", "dot", "table"), default="json")
         sp.add_argument("--seed", type=int, default=0, help="seed for randomized verbs")
@@ -840,7 +845,8 @@ def _build_argparser() -> argparse.ArgumentParser:
         if verb == "tpair":
             sp.add_argument("--j", default="", help="ideal spec for J")
         if verb == "compare":
-            sp.add_argument("--words", type=int, default=40, help="random pairs to test")
+            sp.add_argument("--words", type=_nonnegative_int, default=40,
+                            help="random pairs to test")
     return ap
 
 

@@ -245,17 +245,15 @@ def toeplitz_to_crossed(x: ToeplitzElement) -> CrossedElement:
         comp = component_space(system, m, n)
         if comp.dim == 0:
             continue
-        raw = matvec(comp.sect, v)  # representative in Q^m (x) P^n
-        dp = tensor_space(system, "P", n).dim
         q_cols = mat_transpose(_leg_collapse(system, "Q", m))
         p_cols = mat_transpose(
             matmul(phi_power(system, -m), _leg_collapse(system, "P", n))
         )
         w = zero_vec(d)
-        for idx, coeff in enumerate(raw):
+        for idx, coeff in enumerate(v):
             if coeff == 0:
                 continue
-            a, b = divmod(idx, dp)
+            a, b = comp.basis[idx]  # basis class idx is that of e_a (x) e_b in Q^m (x) P^n
             w = vec_add(w, vec_scale(coeff, system.ring.multiply(q_cols[a], p_cols[b])))
         put(n - m, w)
     return CrossedElement(system, acc)

@@ -8,8 +8,8 @@ the nonzero entries of its operands first and does arithmetic only on those;
 the results are exactly those of the dense formulas.  `Subspace` stores a
 reduced row echelon basis and supports the handful of lattice operations the
 higher layers need (sum, intersection, membership, canonical residuals).
-`QuotientSpace` fixes the canonical complement spanned by the non-pivot
-coordinates, which gives an exact section of the projection.
+`QuotientSpace` takes the classes of the non-pivot coordinates as its basis,
+so basis vector t is the class of the unit vector at `free[t]`.
 """
 
 from __future__ import annotations
@@ -141,19 +141,24 @@ def mat_eq(a, b) -> bool:
 
 def kron(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Kronecker product acting on kron_vec coordinates: (A (x) B)(x (x) y) = Ax (x) By."""
+    nb = len(b[0]) if b else 0
+    return kron_columns(a, b, [divmod(c, nb) for c in range(len(a[0]) * nb)] if a else [])
+
+
+def kron_columns(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]],
+                 pairs: Sequence[tuple[int, int]]) -> list[list[Fraction]]:
+    """The columns (i, j) of kron(a, b) listed in `pairs`: column t is a[:, i] (x) b[:, j]."""
     if not a or not b:
         return []
-    nz_b = [(len(brow), _nonzeros(brow)) for brow in b]
-    out = []
-    for arow in a:
-        nz_a = _nonzeros(arow)
-        for n, nz_brow in nz_b:
-            row = [ZERO] * (len(arow) * n)
-            for i, av in nz_a:
-                base = i * n
-                for j, bv in nz_brow:
-                    row[base + j] = av * bv
-            out.append(row)
+    nb = len(b)
+    cols_a = [_nonzeros(col) for col in zip(*a)]
+    cols_b = [_nonzeros(col) for col in zip(*b)]
+    out = [[ZERO] * len(pairs) for _ in range(len(a) * nb)]
+    for t, (i, j) in enumerate(pairs):
+        for x, u in cols_a[i]:
+            base = x * nb
+            for y, v in cols_b[j]:
+                out[base + y][t] = u * v
     return out
 
 
@@ -379,15 +384,6 @@ class QuotientSpace:
         residual = self.sub.reduce(v)
         return [residual[c] for c in self.free]
 
-    def section(self, coords: Sequence[Fraction]) -> list[Fraction]:
-        """A representative with project(section(c)) == c (zeros at pivot slots)."""
-        if len(coords) != self.dim:
-            raise DimensionMismatch(f"expected {self.dim} quotient coordinates")
-        v = [ZERO] * self.ambient
-        for c, pos in zip(coords, self.free):
-            v[pos] = frac(c)
-        return v
-
     def projection_matrix(self) -> list[list[Fraction]]:
         """Matrix of `project`, read off the RREF rows.
 
@@ -401,15 +397,6 @@ class QuotientSpace:
         for p, support in zip(self.sub.pivots, self.sub._support):
             for j, y in support:
                 out[position[j]][p] = -y
-        return out
-
-    def section_matrix(self) -> list[list[Fraction]]:
-        """Matrix of `section`: quotient coordinate t goes to the unit vector at free[t]."""
-        if not self.free:
-            return []
-        out = mat_zero(self.ambient, self.dim)
-        for t, f in enumerate(self.free):
-            out[f][t] = ONE
         return out
 
     def __repr__(self) -> str:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .exactlin import (
     QuotientSpace,
     Subspace,
-    kron,
+    kron_columns,
     matmul,
     matvec,
     preimage,
@@ -54,6 +54,7 @@ __all__ = [
     "enumerate_tpairs",
     "extract_tpair_from_handle",
     "graded_ideal_correspondence",
+    "hasse_edges",
     "is_psi_invariant",
     "is_two_sided",
     "lattice_dot",
@@ -81,10 +82,15 @@ class HypothesisViolated(ValueError):
 # invariant ideals
 
 
-def is_psi_invariant(system: RSystem, i: Subspace, *, check_two_sided: bool = True) -> bool:
+def is_psi_invariant(system: RSystem, i: Subspace) -> bool:
     """psi(p (x) x.q) in I for all basis p, q and x in I."""
-    if check_two_sided and not is_two_sided(system, i):
+    if not is_two_sided(system, i):
         raise NotTwoSided("psi-invariance is only defined for two-sided ideals")
+    return _psi_invariant(system, i)
+
+
+def _psi_invariant(system: RSystem, i: Subspace) -> bool:
+    """`is_psi_invariant` for an I already known to be two-sided."""
     dq, dp = system.q.dim, system.p.dim
     for x in i.basis():
         for b in range(dq):
@@ -105,12 +111,13 @@ class QuotientSystem:
     parent: RSystem
     i: Subspace
     system: RSystem
+    # keep_*[t] is the parent coordinate whose class is basis element t of the quotient
     proj_r: list
-    sect_r: list
+    keep_r: tuple
     proj_q: list
-    sect_q: list
+    keep_q: tuple
     proj_p: list
-    sect_p: list
+    keep_p: tuple
 
     def project_ring(self, r: Sequence) -> list:
         return matvec(self.proj_r, list(r))
@@ -128,31 +135,37 @@ class QuotientSystem:
         return preimage(self.proj_r, space)
 
 
-def _acting_quotient(ambient_dim, killed_rows, labels):
-    sub = Subspace(ambient_dim, killed_rows)
-    quo = QuotientSpace(sub)
-    proj = quo.projection_matrix()
-    sect = quo.section_matrix()
-    kept = [labels[c] for c in quo.free]
-    return quo, proj, sect, kept
+def _acting_quotient(ambient_dim, killed_rows):
+    """Projection onto Q^n / span(killed_rows) and the kept coordinates (its basis)."""
+    quo = QuotientSpace(Subspace(ambient_dim, killed_rows))
+    return quo.projection_matrix(), quo.free
 
 
 def quotient_system(system: RSystem, i: Subspace, *, name: Optional[str] = None) -> QuotientSystem:
     """R/I, Q/QI, P/IP with the induced actions and pairing, validated."""
     if not is_two_sided(system, i):
         raise NotTwoSided("quotients need a two-sided ideal")
-    if not is_psi_invariant(system, i, check_two_sided=False):
+    if not _psi_invariant(system, i):
         raise NotInvariant("quotients need a psi-invariant ideal")
+    return _quotient_system(system, i, name)
 
+
+def _quotient_system(system: RSystem, i: Subspace, name: Optional[str]) -> QuotientSystem:
+    """`quotient_system` for an I already known to be two-sided and psi-invariant.
+
+    Basis element t of each quotient is the class of the kept coordinate
+    keep[t], so the induced structure is the parent's, read at the kept
+    coordinates and projected.
+    """
     ring, q, p = system.ring, system.q, system.p
     d, dq, dp = ring.dim, q.dim, p.dim
     ibasis = [list(v) for v in i.basis()]
 
-    _, proj_r, sect_r, r_labels = _acting_quotient(d, ibasis, list(ring.labels))
+    proj_r, keep_r = _acting_quotient(d, ibasis)
     qi_rows = [q.act_right(unit_vec(dq, b), x) for x in ibasis for b in range(dq)]
-    _, proj_q, sect_q, q_labels = _acting_quotient(dq, qi_rows, list(q.labels))
+    proj_q, keep_q = _acting_quotient(dq, qi_rows)
     ip_rows = [p.act_left(x, unit_vec(dp, a)) for x in ibasis for a in range(dp)]
-    _, proj_p, sect_p, p_labels = _acting_quotient(dp, ip_rows, list(p.labels))
+    proj_p, keep_p = _acting_quotient(dp, ip_rows)
 
     # the induced R/I actions exist only when IQ <= QI and PI <= IP
     for x in ibasis:
@@ -163,34 +176,24 @@ def quotient_system(system: RSystem, i: Subspace, *, name: Optional[str] = None)
             if any(c != 0 for c in row):
                 raise NotInvariant("PI is not contained in IP: right action does not descend")
 
-    dr2 = len(proj_r) if proj_r else 0
-    mult = [[matvec(proj_r, ring.multiply(
-        matvec(sect_r, unit_vec(dr2, a)), matvec(sect_r, unit_vec(dr2, b))))
-        for b in range(dr2)] for a in range(dr2)]
-    ring2 = StructuredRing(r_labels, mult)
+    ring2 = StructuredRing([ring.labels[c] for c in keep_r],
+                           [[matvec(proj_r, ring.mult[a][b]) for b in keep_r] for a in keep_r])
 
-    def induced(proj, sect, action_matrix):
+    def induced(proj, keep, actions):
         # the action of a basis element of R/I is that of its lift, read mod QI (IP)
-        return [matmul(proj, matmul(action_matrix(matvec(sect_r, unit_vec(dr2, a))), sect))
-                for a in range(dr2)]
+        return [matmul(proj, [[row[c] for c in keep] for row in actions[a]]) for a in keep_r]
 
-    q2 = StructuredBimodule(q_labels, induced(proj_q, sect_q, q.left_matrix),
-                            induced(proj_q, sect_q, q.right_matrix))
-    p2 = StructuredBimodule(p_labels, induced(proj_p, sect_p, p.left_matrix),
-                            induced(proj_p, sect_p, p.right_matrix))
-
-    dq2, dp2 = q2.dim, p2.dim
-    table = [[matvec(proj_r, system.psi.apply(
-        matvec(sect_p, unit_vec(dp2, a)), matvec(sect_q, unit_vec(dq2, b))))
-        for b in range(dq2)] for a in range(dp2)]
-    psi2 = Pairing(table)
+    q2 = StructuredBimodule([q.labels[c] for c in keep_q],
+                            induced(proj_q, keep_q, q.left), induced(proj_q, keep_q, q.right))
+    p2 = StructuredBimodule([p.labels[c] for c in keep_p],
+                            induced(proj_p, keep_p, p.left), induced(proj_p, keep_p, p.right))
+    psi2 = Pairing([[matvec(proj_r, system.psi.table[a][b]) for b in keep_q] for a in keep_p])
 
     quotient = RSystem(ring2, p2, q2, psi2, name=name or f"{system.name}/I")
     report = validate_axioms(quotient)
     if not report.ok:
         raise NotInvariant("quotient fails system axioms: " + "; ".join(report.failures))
-    return QuotientSystem(system, i, quotient, proj_r, sect_r,
-                          proj_q, sect_q, proj_p, sect_p)
+    return QuotientSystem(system, i, quotient, proj_r, keep_r, proj_q, keep_q, proj_p, keep_p)
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +219,16 @@ class TPair:
 def _tpair_i_part(system: RSystem, i: Subspace) -> tuple[bool, Optional[QuotientSystem]]:
     """Whether I is two-sided, and R/I when I is also psi-invariant (else None)."""
     two_sided = is_two_sided(system, i)
-    if two_sided and is_psi_invariant(system, i, check_two_sided=False):
-        return True, quotient_system(system, i)
+    if two_sided and _psi_invariant(system, i):
+        return True, _quotient_system(system, i, None)
     return two_sided, None
 
 
-def _tpair_j_part(system: RSystem, i: Subspace, j: Subspace, i_two_sided: bool,
+def _tpair_j_part(i: Subspace, j: Subspace, i_two_sided: bool, j_two_sided: bool,
                   qs: Optional[QuotientSystem]):
     """The T-pair (I, J) with its flags, and the image of J in R/I (None without R/I)."""
     flags = {"i_two_sided": i_two_sided, "i_in_j": i.le(j),
-             "j_two_sided": is_two_sided(system, j), "i_psi_invariant": qs is not None}
+             "j_two_sided": j_two_sided, "i_psi_invariant": qs is not None}
     jq = None if qs is None else validate_ideal(qs.system, qs.project_subspace(j))
     flags["quotient_two_sided"] = jq is not None and jq.is_two_sided
     flags["quotient_compatible"] = jq is not None and jq.is_psi_compatible
@@ -235,7 +238,7 @@ def _tpair_j_part(system: RSystem, i: Subspace, j: Subspace, i_two_sided: bool,
 
 def validate_tpair(system: RSystem, i: Subspace, j: Subspace) -> TPair:
     i_two_sided, qs = _tpair_i_part(system, i)
-    return _tpair_j_part(system, i, j, i_two_sided, qs)[0]
+    return _tpair_j_part(i, j, i_two_sided, is_two_sided(system, j), qs)[0]
 
 
 def tpair_le(a: TPair, b: TPair) -> bool:
@@ -281,8 +284,7 @@ class IdealHandle:
             dst = tensor_space(qs.system, side, n)
             prev = self._level_map(side, n - 1)
             one = self._level_map(side, 1)
-            out = matmul(dst.proj, matmul(kron(prev, one), src.sect)) if dst.dim else \
-                [[0] * src.dim for _ in range(0)]
+            out = matmul(dst.proj, kron_columns(prev, one, src.basis)) if dst.dim else []
         self._level_maps[key] = out
         return out
 
@@ -299,8 +301,8 @@ class IdealHandle:
         elif m == 0:
             out = self._level_map("P", n)
         else:
-            big = kron(self._level_map("Q", m), self._level_map("P", n))
-            out = matmul(dst.proj, matmul(big, src.sect))
+            big = kron_columns(self._level_map("Q", m), self._level_map("P", n), src.basis)
+            out = matmul(dst.proj, big)
         self._comp_maps[key] = out
         return out
 
@@ -337,7 +339,8 @@ def graded_ideal_correspondence(ctx: CpContext, tpair: TPair) -> IdealHandle:
     qs = jq = None
     if not tpair.flags:
         i_two_sided, qs = _tpair_i_part(ctx.system, tpair.i)
-        tpair, jq = _tpair_j_part(ctx.system, tpair.i, tpair.j, i_two_sided, qs)
+        tpair, jq = _tpair_j_part(tpair.i, tpair.j, i_two_sided,
+                                  is_two_sided(ctx.system, tpair.j), qs)
     if not tpair.ok:
         raise ValueError("not a T-pair: " +
                          ", ".join(k for k, v in tpair.flags.items() if not v))
@@ -401,17 +404,25 @@ def enumerate_tpairs(system: RSystem) -> list[TPair]:
     if not _diagonal_idempotents(ring):
         raise NotImplementedError("exhaustive T-pair enumeration needs a diagonal ring")
     d = ring.dim
+
+    def coord(mask):
+        return Subspace(d, [unit_vec(d, t) for t in range(d) if mask >> t & 1])
+
+    js: dict = {}  # J mask -> (J, whether J is two-sided), read for every I inside J
     out = []
     for imask in range(1 << d):
-        i = Subspace(d, [unit_vec(d, t) for t in range(d) if imask >> t & 1])
+        i = coord(imask)
         i_two_sided, qs = _tpair_i_part(system, i)
         if qs is None:
             continue
         for jmask in range(1 << d):
             if jmask & imask != imask:
                 continue
-            jvecs = [unit_vec(d, t) for t in range(d) if jmask >> t & 1]
-            pair, _ = _tpair_j_part(system, i, Subspace(d, jvecs), i_two_sided, qs)
+            if jmask not in js:
+                j = coord(jmask)
+                js[jmask] = j, is_two_sided(system, j)
+            j, j_two_sided = js[jmask]
+            pair, _ = _tpair_j_part(i, j, i_two_sided, j_two_sided, qs)
             if pair.ok:
                 out.append(pair)
     return out
@@ -425,10 +436,9 @@ def _basis_lists(space: Subspace) -> list[list[str]]:
     return [[str(c) for c in row] for row in space.basis()]
 
 
-def lattice_json(system: RSystem, tpairs: Sequence[TPair]) -> dict:
-    """Nodes with (i, j) bases and Hasse edges of the componentwise order."""
-    n = len(tpairs)
-    le = [[tpair_le(tpairs[a], tpairs[b]) for b in range(n)] for a in range(n)]
+def hasse_edges(le) -> list[list[int]]:
+    """Covering pairs [a, b] of the partial order le[a][b], in index order."""
+    n = len(le)
     edges = []
     for a in range(n):
         for b in range(n):
@@ -437,6 +447,12 @@ def lattice_json(system: RSystem, tpairs: Sequence[TPair]) -> dict:
             if any(c != a and c != b and le[a][c] and le[c][b] for c in range(n)):
                 continue
             edges.append([a, b])
+    return edges
+
+
+def lattice_json(system: RSystem, tpairs: Sequence[TPair]) -> dict:
+    """Nodes with (i, j) bases and Hasse edges of the componentwise order."""
+    edges = hasse_edges([[tpair_le(a, b) for b in tpairs] for a in tpairs])
     nodes = [{"i_basis": _basis_lists(t.i), "j_basis": _basis_lists(t.j),
               "i_dim": t.i.dim, "j_dim": t.j.dim} for t in tpairs]
     return {"system": system.name, "nodes": nodes, "hasse_edges": edges}

@@ -4,16 +4,18 @@ Level n of a leg M (side 'P' or 'Q') is built by appending:
 
     M^0 = R,   M^n = (M^(n-1) (x)_F M) / <(x.r) (x) y - x (x) (r.y)>
 
-so a level carries a projection from and a section into the ambient Kronecker
-coordinates of level (n-1) times level 1, plus induced left/right R-action
-matrices.  Level 0 is R with its own multiplication as both actions.
+so a level carries the projection from the ambient Kronecker coordinates of
+level (n-1) times level 1, its basis, and induced left/right R-action
+matrices.  Basis element t is the class of one pure tensor e_a (x) e_b
+(`basis[t] == (a, b)`): the quotient's basis is its kept (non-pivot)
+coordinates.  Level 0 is R with its own multiplication as both actions.
 
 `tensor_embed(system, side, k, l)` is the concatenation map
 M^k (x) M^l -> M^(k+l) on Kronecker coordinates; for k=0 / l=0 it degenerates
 to the module action, and for k=l=0 to ring multiplication.  `tensor_split`
 is an exact right inverse (concatenations span every level, so the embed is
 onto).  Downstream consumers only ever compose a split with maps that factor
-through the balanced tensor product, so the choice of section is invisible.
+through the balanced tensor product, so the choice of right inverse is invisible.
 
 `psi_n` iterates the pairing:
 
@@ -37,7 +39,7 @@ from .exactlin import (
     ZERO,
     Subspace,
     QuotientSpace,
-    kron,
+    kron_columns,
     kron_vec,
     mat_identity,
     mat_transpose,
@@ -70,7 +72,7 @@ class TensorSpace:
     level: int
     dim: int
     proj: list | None  # (dim_{n-1} * d) -> dim, None for level <= 1
-    sect: list | None
+    basis: tuple | None  # basis[t] = (a, b): the class of e_a (x) e_b, None for level <= 1
     left: tuple  # per ring basis element, dim x dim
     right: tuple
 
@@ -178,17 +180,13 @@ def tensor_space(system: RSystem, side: str, n: int) -> TensorSpace:
 
     quot = balanced_quotient(prev.right, d_prev, mod.left, d_m)
     proj = quot.projection_matrix()
-    sect = quot.section_matrix()
+    basis = tuple(divmod(f, d_m) for f in quot.free)
 
-    left = []
-    right = []
-    for i in range(d_r):
-        lat = kron(prev.left[i], mat_identity(d_m))
-        left.append(matmul(proj, matmul(lat, sect)))
-        rat = kron(mat_identity(d_prev), mod.right[i])
-        right.append(matmul(proj, matmul(rat, sect)))
+    id_prev, id_m = mat_identity(d_prev), mat_identity(d_m)
+    left = tuple(matmul(proj, kron_columns(prev.left[i], id_m, basis)) for i in range(d_r))
+    right = tuple(matmul(proj, kron_columns(id_prev, mod.right[i], basis)) for i in range(d_r))
 
-    space = TensorSpace(system, side, n, quot.dim, proj, sect, tuple(left), tuple(right))
+    space = TensorSpace(system, side, n, quot.dim, proj, basis, left, right)
     store[key] = space
     return space
 
@@ -228,12 +226,14 @@ def tensor_embed(system: RSystem, side: str, k: int, l: int):
     elif l == 1:
         out = tensor_space(system, side, k + 1).proj
     else:
+        # column (x, t), basis[t] = (y, z): concatenate x (x) y at level k+l-1, then append z
         top = tensor_space(system, side, l)
-        d_m = _module_of(system, side).dim
+        d_mid = tensor_space(system, side, l - 1).dim
         d_k = tensor_space(system, side, k).dim
         inner = tensor_embed(system, side, k, l - 1)
         glue = tensor_embed(system, side, k + l - 1, 1)
-        out = matmul(glue, matmul(kron(inner, mat_identity(d_m)), kron(mat_identity(d_k), top.sect)))
+        pairs = [(x * d_mid + y, z) for x in range(d_k) for y, z in top.basis]
+        out = matmul(glue, kron_columns(inner, mat_identity(_module_of(system, side).dim), pairs))
     store[key] = out
     return out
 

@@ -23,8 +23,11 @@ table collapses onto four code paths keyed on k = min(n1, m2):
 * k = n1 = m2      — full contraction down to psi_k, absorbed into the
                      adjacent leg (or grade (0,0) when none remains).
 
-Products of component classes are cached as exact bilinear matrices per
-grade pair, so repeated multiplication is a sparse matvec.
+Every component basis class is the class of one pure tensor (`basis[t] ==
+(a, b)` for the class of e_a (x) e_b), so the product of two classes is one
+product of pure legs.  A product is built only from the operands' nonzero
+coordinates: each pair of basis classes is multiplied once per system and
+cached as a sparse column of the output component.
 
 The module also hosts representation evaluation (images T^m(q) S^n(p),
 multiplicative in tensor order) and the Fock representation, block by block
@@ -113,7 +116,7 @@ class ComponentSpace:
     n: int
     dim: int
     proj: Optional[list]  # only for mixed grades
-    sect: Optional[list]
+    basis: Optional[tuple]  # mixed grades: basis[t] = (a, b), the class of e_a (x) e_b
 
     def __repr__(self) -> str:
         return f"ComponentSpace(({self.m},{self.n}), dim {self.dim})"
@@ -139,7 +142,8 @@ def component_space(system: RSystem, m: int, n: int) -> ComponentSpace:
             comp = ComponentSpace(system, m, n, 0, None, None)
         else:
             quot = balanced_quotient(qm.right, qm.dim, pn.left, pn.dim)
-            comp = ComponentSpace(system, m, n, quot.dim, quot.projection_matrix(), quot.section_matrix())
+            basis = tuple(divmod(f, pn.dim) for f in quot.free)
+            comp = ComponentSpace(system, m, n, quot.dim, quot.projection_matrix(), basis)
     store[key] = comp
     return comp
 
@@ -287,31 +291,23 @@ def pair(system: RSystem, m: int, n: int, q_coords, p_coords) -> ToeplitzElement
 
 
 def _basis_legs(system: RSystem, m: int, n: int, idx: int):
-    """Decompose a component basis class into pure (q, p, r, coeff) legs."""
+    """The pure (q, p, r) legs whose class is basis element idx of grade (m, n)."""
     if m == 0 and n == 0:
-        return [(None, None, unit_vec(system.ring.dim, idx), Fraction(1))]
+        return None, None, unit_vec(system.ring.dim, idx)
     if n == 0:
-        return [(unit_vec(tensor_space(system, "Q", m).dim, idx), None, None, Fraction(1))]
+        return unit_vec(tensor_space(system, "Q", m).dim, idx), None, None
     if m == 0:
-        return [(None, unit_vec(tensor_space(system, "P", n).dim, idx), None, Fraction(1))]
-    comp = component_space(system, m, n)
-    dq = tensor_space(system, "Q", m).dim
-    dp = tensor_space(system, "P", n).dim
-    col = mat_transpose(comp.sect)[idx]
-    out = []
-    for a in range(dq):
-        for b in range(dp):
-            c = col[a * dp + b]
-            if c != 0:
-                out.append((unit_vec(dq, a), unit_vec(dp, b), None, c))
-    return out
+        return None, unit_vec(tensor_space(system, "P", n).dim, idx), None
+    a, b = component_space(system, m, n).basis[idx]
+    return (unit_vec(tensor_space(system, "Q", m).dim, a),
+            unit_vec(tensor_space(system, "P", n).dim, b), None)
 
 
 def _legpair_product(system: RSystem, g1, legs1, g2, legs2):
     """Product of two pure leg tuples; returns component coords at semigroup_mul(g1, g2)."""
     (m1, n1), (m2, n2) = g1, g2
-    q1, p1, r1, _ = legs1
-    q2, p2, r2, _ = legs2
+    q1, p1, r1 = legs1
+    q2, p2, r2 = legs2
     ring = system.ring
 
     if g1 == (0, 0):
@@ -390,31 +386,15 @@ def _legpair_product(system: RSystem, g1, legs1, g2, legs2):
     return _class_coords(system, m1 + m2 - k, n2, q_full, p2)
 
 
-def _product_matrix(system: RSystem, g1, g2):
-    """Bilinear matrix of the component product C(g1) x C(g2) -> C(g1 g2)."""
+def _product_column(system: RSystem, g1, i: int, g2, j: int):
+    """Nonzero (k, c) of basis class i of C(g1) times basis class j of C(g2)."""
     store = _system_store(system)
-    key = ("prodmat", g1, g2)
-    if key in store:
-        return store[key]
-    g_out = semigroup_mul(g1, g2)
-    d1 = component_space(system, *g1).dim
-    d2 = component_space(system, *g2).dim
-    d_out = component_space(system, *g_out).dim
-    cols = []
-    for i in range(d1):
-        legs1 = _basis_legs(system, g1[0], g1[1], i)
-        for j in range(d2):
-            legs2 = _basis_legs(system, g2[0], g2[1], j)
-            acc = zero_vec(d_out)
-            for l1 in legs1:
-                for l2 in legs2:
-                    v = _legpair_product(system, g1, l1, g2, l2)
-                    if v is not None:
-                        acc = vec_add(acc, vec_scale(l1[3] * l2[3], v))
-            cols.append(acc)
-    out = (g_out, mat_transpose(cols) if cols else mat_zero(d_out, 0))
-    store[key] = out
-    return out
+    key = ("prodcol", g1, i, g2, j)
+    if key not in store:
+        v = _legpair_product(system, g1, _basis_legs(system, *g1, i),
+                             g2, _basis_legs(system, *g2, j))
+        store[key] = [(k, c) for k, c in enumerate(v) if c]
+    return store[key]
 
 
 def toeplitz_mul(a: ToeplitzElement, b: ToeplitzElement, cap: int = DEFAULT_CAP) -> ToeplitzElement:
@@ -429,18 +409,20 @@ def toeplitz_mul(a: ToeplitzElement, b: ToeplitzElement, cap: int = DEFAULT_CAP)
                 raise CapExceeded(f"product grade {g_out} has a tensor level above cap {cap}")
     system = a.system
     acc: dict = {}
+    nz_b = [(g2, [(j, y) for j, y in enumerate(b.comps[g2]) if y]) for g2 in sorted(b.comps)]
     for g1 in sorted(a.comps):
-        v1 = a.comps[g1]
-        for g2 in sorted(b.comps):
-            v2 = b.comps[g2]
-            g_out, mat = _product_matrix(system, g1, g2)
-            if not mat or not mat[0]:
+        nz1 = [(i, x) for i, x in enumerate(a.comps[g1]) if x]
+        for g2, nz2 in nz_b:
+            g_out = semigroup_mul(g1, g2)
+            d_out = component_space(system, *g_out).dim
+            if d_out == 0:
                 continue
-            w = matvec(mat, kron_vec(v1, v2))
-            if g_out in acc:
-                acc[g_out] = vec_add(acc[g_out], w)
-            else:
-                acc[g_out] = w
+            w = acc.setdefault(g_out, zero_vec(d_out))
+            for i, x in nz1:
+                for j, y in nz2:
+                    xy = x * y
+                    for k, c in _product_column(system, g1, i, g2, j):
+                        w[k] += xy * c
     return ToeplitzElement(system, acc)
 
 
@@ -567,19 +549,7 @@ def _rep_leg_images(system: RSystem, rep, side: str, level: int, memo):
     else:
         prev = _rep_leg_images(system, rep, side, level - 1, memo)
         ones = _rep_leg_images(system, rep, side, 1, memo)
-        d1 = tensor_space(system, side, 1).dim
-        cols = mat_transpose(sp.sect)
-        zero = rep.sigma(zero_vec(system.ring.dim))
-        out = []
-        for idx in range(sp.dim):
-            acc = zero
-            col = cols[idx]
-            for a in range(len(prev)):
-                for b in range(d1):
-                    c = col[a * d1 + b]
-                    if c != 0:
-                        acc = acc + Fraction(c) * (prev[a] * ones[b])
-            out.append(acc)
+        out = [prev[a] * ones[b] for a, b in sp.basis]
     memo[key] = out
     return out
 
@@ -611,19 +581,11 @@ def evaluate(x: ToeplitzElement, rep):
             continue
         q_imgs = _rep_leg_images(system, rep, "Q", m, memo)
         p_imgs = _rep_leg_images(system, rep, "P", n, memo)
-        comp = component_space(system, m, n)
-        dq = tensor_space(system, "Q", m).dim
-        dp = tensor_space(system, "P", n).dim
-        cols = mat_transpose(comp.sect)
+        basis = component_space(system, m, n).basis
         for idx, c in enumerate(v):
-            if c == 0:
-                continue
-            col = cols[idx]
-            for a in range(dq):
-                for b in range(dp):
-                    w = col[a * dp + b]
-                    if w != 0:
-                        acc = acc + (Fraction(c) * w) * (q_imgs[a] * p_imgs[b])
+            if c != 0:
+                a, b = basis[idx]
+                acc = acc + Fraction(c) * (q_imgs[a] * p_imgs[b])
     return acc
 
 
@@ -678,53 +640,21 @@ def _fock_leg_blocks(system: RSystem, side: str, level: int, idx: int, j: int):
         if level == 1:
             out = (j + 1, _creator_block(system, idx, j))
         else:
-            sp = tensor_space(system, side, level)
-            col = mat_transpose(sp.sect)[idx]
-            d1 = system.q.dim
-            prev_dim = tensor_space(system, side, level - 1).dim
-            dst = tensor_space(system, "Q", j + level)
-            src = tensor_space(system, "Q", j)
-            acc = mat_zero(dst.dim, src.dim)
-            for a in range(prev_dim):
-                for b in range(d1):
-                    c = col[a * d1 + b]
-                    if c == 0:
-                        continue
-                    _, first = _fock_leg_blocks(system, "Q", 1, b, j)
-                    _, rest = _fock_leg_blocks(system, "Q", level - 1, a, j + 1)
-                    m = matmul(rest, first)
-                    for rr in range(dst.dim):
-                        for cc in range(src.dim):
-                            if m[rr][cc] != 0:
-                                acc[rr][cc] += c * m[rr][cc]
-            out = (j + level, acc)
+            a, b = tensor_space(system, side, level).basis[idx]
+            _, first = _fock_leg_blocks(system, "Q", 1, b, j)
+            _, rest = _fock_leg_blocks(system, "Q", level - 1, a, j + 1)
+            out = (j + level, matmul(rest, first))
     else:
         if level > j:
             out = (None, None)  # annihilates the whole level
         elif level == 1:
             out = (j - 1, _annihilator_block(system, idx, j))
         else:
-            sp = tensor_space(system, side, level)
-            col = mat_transpose(sp.sect)[idx]
-            d1 = system.p.dim
-            prev_dim = tensor_space(system, side, level - 1).dim
-            dst = tensor_space(system, "Q", j - level)
-            src = tensor_space(system, "Q", j)
-            acc = mat_zero(dst.dim, src.dim)
-            for a in range(prev_dim):
-                for b in range(d1):
-                    c = col[a * d1 + b]
-                    if c == 0:
-                        continue
-                    # S^level(x (x) y) = S^(level-1)(x) S(y): S(y) acts first
-                    _, last = _fock_leg_blocks(system, "P", 1, b, j)
-                    _, rest = _fock_leg_blocks(system, "P", level - 1, a, j - 1)
-                    m = matmul(rest, last)
-                    for rr in range(dst.dim):
-                        for cc in range(src.dim):
-                            if m[rr][cc] != 0:
-                                acc[rr][cc] += c * m[rr][cc]
-            out = (j - level, acc)
+            a, b = tensor_space(system, side, level).basis[idx]
+            # S^level(x (x) y) = S^(level-1)(x) S(y): S(y) acts first
+            _, last = _fock_leg_blocks(system, "P", 1, b, j)
+            _, rest = _fock_leg_blocks(system, "P", level - 1, a, j - 1)
+            out = (j - level, matmul(rest, last))
     store[key] = out
     return out
 
@@ -788,25 +718,16 @@ def fock_apply(x: ToeplitzElement, j: int, cap: int = DEFAULT_CAP) -> dict:
                     continue
                 bump(j_out, [[c * xx for xx in row] for row in blk])
             continue
-        comp = component_space(system, m, n)
-        dq = tensor_space(system, "Q", m).dim
-        dp = tensor_space(system, "P", n).dim
-        cols = mat_transpose(comp.sect)
+        basis = component_space(system, m, n).basis
         for idx, c in enumerate(v):
             if c == 0:
                 continue
-            col = cols[idx]
-            for a in range(dq):
-                for b in range(dp):
-                    w = col[a * dp + b]
-                    if w == 0:
-                        continue
-                    js, sblk = _fock_leg_blocks(system, "P", n, b, j)
-                    if js is None:
-                        continue
-                    jt, tblk = _fock_leg_blocks(system, "Q", m, a, js)
-                    mmat = matmul(tblk, sblk)
-                    bump(jt, [[c * w * xx for xx in row] for row in mmat])
+            a, b = basis[idx]
+            js, sblk = _fock_leg_blocks(system, "P", n, b, j)
+            if js is None:
+                continue
+            jt, tblk = _fock_leg_blocks(system, "Q", m, a, js)
+            bump(jt, [[c * xx for xx in row] for row in matmul(tblk, sblk)])
     return {k: v for k, v in out.items() if any(any(e != 0 for e in row) for row in v)}
 
 

@@ -319,6 +319,11 @@ def test_usage_errors(files, tmp_path):
     code, out = run_json("nf", files["a2"], "(" * 3000 + "p(u)" + ")" * 3000)
     assert code == 2 and "nested deeper" in out["diagnostics"][0]
     assert "column" in out["diagnostics"][0]
+    for argv in (["compare", files["a2"], "--words", "-3"],
+                 ["mul", files["a2"], "x(e)", "y(e)", "--cap", "-5"],
+                 ["eq", files["a2"], "p(u)", "p(u)", "--cap", "-1"]):
+        code, out = run_json(*argv)
+        assert code == 2 and ">= 0" in out["diagnostics"][0]
     malformed = [
         {"vertices": 3},
         [1, 2, 3],  # not an object

@@ -13,6 +13,7 @@ from cprings.exactlin import (
     frac,
     kernel,
     kron,
+    kron_columns,
     kron_vec,
     mat_identity,
     mat_transpose,
@@ -115,11 +116,9 @@ def test_quotient_project_section():
     q = QuotientSpace(w)
     assert q.dim == 2
     assert q.project([2, 3, 4]) == [F(1), F(4)]
-    s = q.section([1, 4])
-    assert q.project(s) == [F(1), F(4)]
-    # section followed by projection matrix round-trips too
-    pm, sm = q.projection_matrix(), q.section_matrix()
-    assert matmul(pm, sm) == mat_identity(2)
+    # the basis is the kept coordinates: basis vector t is the class of e_free[t]
+    assert q.free == (1, 2)
+    assert [q.project(unit_vec(3, f)) for f in q.free] == mat_identity(2)
 
 
 def test_preimage_hand():
@@ -224,8 +223,7 @@ def test_quotient_roundtrip_random(rows):
     w = Subspace(n, rows[: max(0, len(rows) - 1)])
     q = QuotientSpace(w)
     for i in range(q.dim):
-        c = unit_vec(q.dim, i)
-        assert q.project(q.section(c)) == c
+        assert q.project(unit_vec(n, q.free[i])) == unit_vec(q.dim, i)
     # projection kills exactly W
     for r in w.basis():
         assert all(x == 0 for x in q.project(r))
@@ -307,15 +305,6 @@ def dense_projection_matrix(q):
     return mat_transpose(cols)
 
 
-def dense_section_matrix(q):
-    cols = []
-    for t in range(q.dim):
-        v = [ZERO] * q.ambient
-        v[q.free[t]] = ONE
-        cols.append(v)
-    return mat_transpose(cols)
-
-
 @st.composite
 def sparse_matrix(draw, m, n):
     """An m x n matrix with 0-40 % nonzero entries, ints mixed with Fractions.
@@ -356,6 +345,9 @@ def test_kernels_match_dense_references(data):
     assert matmul(a, b) == dense_matmul(a, b)
     assert kron_vec(x, y) == dense_kron_vec(x, y)
     assert kron(a, b) == dense_kron(a, b)
+    pairs = [(i, j) for i in range(k) for j in range(n)][::-2]
+    picked = [[row[i * n + j] for i, j in pairs] for row in dense_kron(a, b)]
+    assert kron_columns(a, b, pairs) == picked
     # RREF is canonical, so the rows and pivots themselves must agree
     assert rref(a) == dense_rref(a)
 
@@ -367,4 +359,3 @@ def test_kernels_match_dense_references(data):
         assert sub.coordinates(v) == (coords if not any(residual) else None)
     q = QuotientSpace(sub)
     assert q.projection_matrix() == dense_projection_matrix(q)
-    assert q.section_matrix() == dense_section_matrix(q)

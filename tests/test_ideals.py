@@ -141,13 +141,13 @@ def test_enumerate_a2(a2_system):
 
 def _count_quotients(monkeypatch):
     built = []
-    real = ideals.quotient_system
+    real = ideals._quotient_system
 
-    def counting(system, i, **kw):
+    def counting(system, i, name):
         built.append(i)
-        return real(system, i, **kw)
+        return real(system, i, name)
 
-    monkeypatch.setattr(ideals, "quotient_system", counting)
+    monkeypatch.setattr(ideals, "_quotient_system", counting)
     return built
 
 
@@ -175,6 +175,26 @@ def test_enumerate_builds_one_quotient_per_invariant_ideal(monkeypatch):
     enumerate_tpairs(system)
     assert len(built) == 6  # one per hereditary vertex set
     assert all(a != b for k, a in enumerate(built) for b in built[:k])
+
+
+def test_enumeration_checks_each_ideal_once(monkeypatch):
+    """On 5v-mixed (32 coordinate ideals): two-sidedness once per I and once
+    per J, psi-invariance once per two-sided I."""
+    two_sided, invariant = [], []
+    real_two_sided, real_invariant = ideals.is_two_sided, ideals._psi_invariant
+
+    def count_two_sided(system, x):
+        two_sided.append(x)
+        return real_two_sided(system, x)
+
+    def count_invariant(system, x):
+        invariant.append(x)
+        return real_invariant(system, x)
+
+    monkeypatch.setattr(ideals, "is_two_sided", count_two_sided)
+    monkeypatch.setattr(ideals, "_psi_invariant", count_invariant)
+    enumerate_tpairs(build_graph_system(five_vertex_mixed()))
+    assert len(two_sided) == 2 * 32 and len(invariant) == 32
 
 
 def test_enumeration_frees_the_system():

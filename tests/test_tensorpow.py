@@ -10,6 +10,8 @@ The closed forms used as oracles:
   computed here against the permutation directly.
 """
 
+import itertools
+
 import pytest
 
 from conftest import perm3_system, psi_zero_system
@@ -130,6 +132,21 @@ def test_embed_associativity_line3(line3_system):
             rhs = matmul(tensor_embed(line3_system, side, k, l + m),
                          kron(mat_identity(dk), tensor_embed(line3_system, side, l, m)))
             assert mat_eq(lhs, rhs), (side, k, l, m)
+
+
+def test_embed_concatenates_words_rose2():
+    """rose2 levels have dimensions 2, 4, 8, 16, so embed(k, l) with k != l - 1
+    meets factors of different sizes; on words it must be concatenation."""
+    system = build_graph_system(rose_graph(2))
+    for side, mod in (("Q", system.q), ("P", system.p)):
+        for n in range(2, 5):
+            for word in itertools.product(mod.labels, repeat=n):
+                full = list(path_element(system, side, word).coords)
+                for k in range(1, n):
+                    left = path_element(system, side, word[:k]).coords
+                    right = path_element(system, side, word[k:]).coords
+                    got = matvec(tensor_embed(system, side, k, n - k), kron_vec(left, right))
+                    assert got == full, (side, word, k)
 
 
 def test_split_is_right_inverse(perm3, line3_system):

@@ -11,11 +11,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_graph_element, three_vertex_two_cycle
+from conftest import five_vertex_mixed, perm3_system, random_graph_element, three_vertex_two_cycle
 
-from cprings.exactlin import mat_eq, unit_vec, zero_vec
+from cprings import toeplitz
+from cprings.exactlin import kron_vec, mat_eq, matvec, unit_vec, zero_vec
+from cprings.graphalg import rose_graph
 from cprings.rsystem import build_graph_system
-from cprings.tensorpow import CapExceeded
+from cprings.tensorpow import CapExceeded, tensor_space
 from cprings.toeplitz import (
     InvalidRepresentation,
     Mat,
@@ -106,6 +108,44 @@ def test_grade_and_z_projection(a2_system):
     for k in mix.z_degrees():
         total = total.add(z_project(mix, k))
     assert total == mix
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_graph_system(rose_graph(2)),
+    perm3_system,
+    lambda: build_graph_system(five_vertex_mixed()),
+], ids=["rose2", "perm3", "5v-mixed"])
+def test_basis_classes_are_pure_tensors(make):
+    """basis[t] == (a, b) says basis vector t is the class of e_a (x) e_b."""
+    system = make()
+    cases = [(tensor_space(system, side, n), tensor_space(system, side, n - 1).dim,
+              tensor_space(system, side, 1).dim) for side in "QP" for n in (2, 3)]
+    cases += [(component_space(system, m, n), tensor_space(system, "Q", m).dim,
+               tensor_space(system, "P", n).dim) for m in (1, 2) for n in (1, 2)]
+    for space, d_left, d_right in cases:
+        assert len(space.basis) == space.dim > 0
+        for t, (a, b) in enumerate(space.basis):
+            pure = kron_vec(unit_vec(d_left, a), unit_vec(d_right, b))
+            assert matvec(space.proj, pure) == unit_vec(space.dim, t)
+
+
+def test_product_multiplies_only_the_operands_classes(monkeypatch):
+    """One Q^3 class times one P^3 class is one product of pure legs, not one
+    per pair of basis classes of the two grades (64 on rose2)."""
+    calls = []
+    real = toeplitz._legpair_product
+
+    def counting(system, g1, legs1, g2, legs2):
+        calls.append((g1, g2))
+        return real(system, g1, legs1, g2, legs2)
+
+    monkeypatch.setattr(toeplitz, "_legpair_product", counting)
+    system = build_graph_system(rose_graph(2))
+    d3 = tensor_space(system, "Q", 3).dim
+    q, p = unit_vec(d3, 5), unit_vec(d3, 2)
+    prod = toeplitz_mul(embed_n(system, "Q", 3, q), embed_n(system, "P", 3, p))
+    assert calls == [((3, 0), (0, 3))]
+    assert prod == pair(system, 3, 3, q, p)
 
 
 def test_system_mismatch(a2_system, line3_system):
