@@ -31,7 +31,11 @@ Element grammar:
 
 with rationals written `a/b` or as integers, plus the graph sugar `p(v)`,
 `x(e1 e2 ...)` (path in Q), and `y(e1 e2 ...)` (the same path reversed into
-P).  Printing is canonical and re-parses to an equal element.
+P).  Printing is canonical and re-parses to an equal element: each basis
+class prints as its word (the level-1 letters whose pure tensor it is the
+class of, `TensorSpace.words`), terms sorted by grade, then word.  Over a ring
+that is not diagonal that word may differ from the one typed (`Q:1*Q:x` over
+the dual numbers prints as `Q:x*Q:1`, the same class).
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .cpring import (
     cp_equal,
     validate_ideal,
 )
-from .exactlin import Subspace, matvec, unit_vec
+from .exactlin import Subspace, unit_vec
 from .finrank import canonical_ideals, check_fs
 from .graphalg import (
     FiniteGraph,
@@ -85,7 +89,7 @@ from .rsystem import (
     system_to_json,
     validate_axioms,
 )
-from .tensorpow import CapExceeded, DEFAULT_CAP, tensor_space, tensor_split
+from .tensorpow import CapExceeded, DEFAULT_CAP, tensor_space
 from .toeplitz import (
     SystemMismatch,
     ToeplitzElement,
@@ -388,61 +392,31 @@ def _fmt_coeff(c: Fraction) -> str:
     return str(c)
 
 
-def _pure_terms(system, side, level, coords):
-    """Expand level coordinates into pure unit tensors [(coeff, (i1..ik))]."""
-    if level <= 1:
-        return [(c, (i,)) for i, c in enumerate(coords) if c != 0]
-    dim_prev = tensor_space(system, side, level - 1).dim
-    split = tensor_split(system, side, 1, level - 1)
-    rep = matvec(split, list(coords))
-    out: dict = {}
-    for idx, c in enumerate(rep):
-        if c == 0:
-            continue
-        i, t = divmod(idx, dim_prev)
-        tail = _pure_terms(system, side, level - 1, unit_vec(dim_prev, t))
-        for c2, names in tail:
-            key = (i,) + names
-            out[key] = out.get(key, Fraction(0)) + c * c2
-    return [(c, k) for k, c in sorted(out.items()) if c != 0]
+def _grade_words(system, m: int, n: int):
+    """Each basis class of grade (m, n) as its word of (kind, index) letters."""
+    def leg(side, level):
+        return [tuple((side, i) for i in w) for w in tensor_space(system, side, level).words]
+
+    if m == 0 and n == 0:
+        return [(("R", i),) for i in range(system.ring.dim)]
+    if n == 0:
+        return leg("Q", m)
+    if m == 0:
+        return leg("P", n)
+    q, p = leg("Q", m), leg("P", n)
+    return [q[a] + p[b] for a, b in component_space(system, m, n).basis]
 
 
 def _format_toeplitz(x: ToeplitzElement) -> str:
     sy = x.system
-    terms = []  # (sort key, coeff, [factor strings])
-    for (m, n) in x.support():
-        v = list(x.comps[(m, n)])
-        if m == 0 and n == 0:
-            for i, c in enumerate(v):
-                if c != 0:
-                    terms.append(((0, 0, (i,)), c, [f"R:{sy.ring.labels[i]}"]))
-            continue
-        if n == 0:
-            for c, names in _pure_terms(sy, "Q", m, v):
-                terms.append(((m, 0, names), c, [f"Q:{sy.q.labels[i]}" for i in names]))
-            continue
-        if m == 0:
-            for c, names in _pure_terms(sy, "P", n, v):
-                terms.append(((0, n, names), c, [f"P:{sy.p.labels[i]}" for i in names]))
-            continue
-        basis = component_space(sy, m, n).basis
-        dq, dp = tensor_space(sy, "Q", m).dim, tensor_space(sy, "P", n).dim
-        combined: dict = {}
-        for idx, c in enumerate(v):
-            if c == 0:
-                continue
-            a, b = basis[idx]
-            for cq, qnames in _pure_terms(sy, "Q", m, unit_vec(dq, a)):
-                for cp_, pnames in _pure_terms(sy, "P", n, unit_vec(dp, b)):
-                    key = (qnames, pnames)
-                    combined[key] = combined.get(key, Fraction(0)) + c * cq * cp_
-        for (qnames, pnames), c in sorted(combined.items()):
-            if c == 0:
-                continue
-            factors = [f"Q:{sy.q.labels[i]}" for i in qnames]
-            factors += [f"P:{sy.p.labels[i]}" for i in pnames]
-            terms.append(((m, n, qnames + pnames), c, factors))
-    return _join_terms(terms)
+    labels = {"R": sy.ring.labels, "Q": sy.q.labels, "P": sy.p.labels}
+    terms = []  # (sort key, coeff, [factor strings]), sorted by grade, then word
+    for (m, n), v in x.comps.items():
+        words = _grade_words(sy, m, n)
+        for t, c in enumerate(v):
+            if c != 0:
+                terms.append(((m, n, words[t]), c, [f"{k}:{labels[k][i]}" for k, i in words[t]]))
+    return _join_terms(sorted(terms))
 
 
 def _format_lpa(x) -> str:

@@ -14,7 +14,7 @@ S(p) = [p, +1]; a word T(q1)...T(qm) S(p1)...S(pn) collapses to
 
 so every graded component contributes to exactly one Laurent degree n - m.
 `cp_to_crossed` implements that collapse directly on component coordinates
-(recursing through the tensor-power splittings), while
+(each basis class of a level is a word of letters, collapsed as above), while
 `crossed_representation` exposes the same triple to the generic evaluator in
 `toeplitz`; the two paths are independent, which the tests exploit.  The map
 kills the full-ideal relation generators, so it is well defined on the
@@ -33,13 +33,12 @@ from .exactlin import (
     mat_transpose,
     matmul,
     matvec,
-    unit_vec,
     vec_add,
     vec_scale,
     zero_vec,
 )
 from .rsystem import RSystem
-from .tensorpow import _system_store, tensor_space, tensor_split
+from .tensorpow import _system_store, tensor_space
 from .toeplitz import SystemMismatch, ToeplitzElement, component_space
 
 __all__ = [
@@ -192,30 +191,16 @@ def _leg_collapse(system: RSystem, side: str, level: int):
     key = ("crossed-leg", side, level)
     if key in store:
         return store[key]
-    d = system.ring.dim
-    if level <= 1:
-        out = mat_identity(d)
-    else:
-        prev = _leg_collapse(system, side, level - 1)
-        twist = phi_power(system, -1 if side == "Q" else 1)
-        shifted = mat_transpose(matmul(twist, prev))  # rows = collapsed tails
-        split = tensor_split(system, side, 1, level - 1)
-        dim_prev = tensor_space(system, side, level - 1).dim
-        dim_lvl = tensor_space(system, side, level).dim
-        cols = []
-        for c in range(dim_lvl):
-            acc = zero_vec(d)
-            for idx in range(len(split)):
-                coeff = split[idx][c]
-                if coeff == 0:
-                    continue
-                i, t = divmod(idx, dim_prev)
-                head = unit_vec(d, i)
-                acc = vec_add(
-                    acc, vec_scale(coeff, system.ring.multiply(head, shifted[t]))
-                )
-            cols.append(acc)
-        out = mat_transpose(cols)
+    # word (w1..wn) collapses to w1 phi^s(w2) ... phi^(s(n-1))(wn), s = -1 on Q, +1 on P
+    sign = -1 if side == "Q" else 1
+    twists = [mat_transpose(phi_power(system, sign * i)) for i in range(level)]  # rows = images
+    cols = []
+    for word in tensor_space(system, side, level).words:
+        acc = twists[0][word[0]]
+        for i, letter in enumerate(word[1:], 1):
+            acc = system.ring.multiply(acc, twists[i][letter])
+        cols.append(acc)
+    out = mat_transpose(cols)
     store[key] = out
     return out
 

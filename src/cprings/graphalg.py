@@ -119,11 +119,15 @@ class FiniteGraph:
 
 
 def graph_from_json(data: dict) -> FiniteGraph:
+    """A graph from its JSON form; an edge's "mult" is a positive integer or "inf"."""
     edges = []
     for e in data.get("edges", []):
         mult = e.get("mult", 1)
         if mult == "inf":
             mult = math.inf
+        elif isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
+            raise ValueError(f'edge {e["name"]!r}: multiplicity must be a positive integer '
+                             f'or "inf", got {mult!r}')
         edges.append(Edge(e["name"], e["src"], e["tgt"], mult))
     return FiniteGraph(data["vertices"], edges, name=data.get("name", "graph"))
 

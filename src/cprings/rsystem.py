@@ -34,8 +34,6 @@ from .exactlin import (
     matvec,
     solve_matrix,
     unit_vec,
-    vec_add,
-    vec_scale,
     zero_vec,
 )
 
@@ -101,23 +99,57 @@ class StructuredRing:
 
     def left_matrix(self, r: Sequence[Fraction]) -> list[list[Fraction]]:
         """Matrix of x -> r * x."""
-        cols = [self.multiply(r, unit_vec(self.dim, j)) for j in range(self.dim)]
-        return mat_transpose(cols)
+        return _combine(self.left_basis, r, self.dim)
 
     def right_matrix(self, r: Sequence[Fraction]) -> list[list[Fraction]]:
         """Matrix of x -> x * r."""
-        cols = [self.multiply(unit_vec(self.dim, j), r) for j in range(self.dim)]
-        return mat_transpose(cols)
+        return _combine(self.right_basis, r, self.dim)
 
     def __repr__(self) -> str:
         return f"StructuredRing({list(self.labels)!r})"
 
 
-class StructuredBimodule:
-    """R-bimodule given by action matrices per ring basis element.
+def _act(mats, r: Sequence[Fraction], x: Sequence[Fraction]) -> list[Fraction]:
+    """(sum_i r_i mats[i]) x for square matrices mats[i]."""
+    out = [ZERO] * len(x)
+    for i, ri in _nonzeros(r):
+        for k, y in enumerate(matvec(mats[i], x)):
+            if y:
+                out[k] += ri * y
+    return out
 
-    left[i] is the matrix of m -> e_i . m, right[i] of m -> m . e_i.
-    """
+
+def _combine(mats, r: Sequence[Fraction], n: int) -> list[list[Fraction]]:
+    """sum_i r_i mats[i] for n x n matrices mats[i]."""
+    out = mat_zero(n, n)
+    for i, ri in _nonzeros(r):
+        for a, row in enumerate(mats[i]):
+            for b, y in _nonzeros(row):
+                out[a][b] += ri * y
+    return out
+
+
+class _Actions:
+    """The R-actions of a space with one dim x dim matrix per ring basis element:
+    left[i] is the matrix of m -> e_i . m, right[i] of m -> m . e_i."""
+
+    __slots__ = ()
+
+    def act_left(self, r: Sequence[Fraction], m: Sequence[Fraction]) -> list[Fraction]:
+        return _act(self.left, r, m)
+
+    def act_right(self, m: Sequence[Fraction], r: Sequence[Fraction]) -> list[Fraction]:
+        return _act(self.right, r, m)
+
+    def left_matrix(self, r: Sequence[Fraction]) -> list[list[Fraction]]:
+        return _combine(self.left, r, self.dim)
+
+    def right_matrix(self, r: Sequence[Fraction]) -> list[list[Fraction]]:
+        return _combine(self.right, r, self.dim)
+
+
+class StructuredBimodule(_Actions):
+    """R-bimodule given by action matrices per ring basis element (`_Actions`)."""
 
     __slots__ = ("labels", "left", "right", "_index")
 
@@ -141,40 +173,6 @@ class StructuredBimodule:
 
     def basis_vector(self, label: str) -> list[Fraction]:
         return unit_vec(self.dim, self._index[label])
-
-    def act_left(self, r: Sequence[Fraction], m: Sequence[Fraction]) -> list[Fraction]:
-        out = zero_vec(self.dim)
-        for i, ri in enumerate(r):
-            if ri != 0:
-                out = vec_add(out, vec_scale(ri, matvec(self.left[i], m)))
-        return out
-
-    def act_right(self, m: Sequence[Fraction], r: Sequence[Fraction]) -> list[Fraction]:
-        out = zero_vec(self.dim)
-        for i, ri in enumerate(r):
-            if ri != 0:
-                out = vec_add(out, vec_scale(ri, matvec(self.right[i], m)))
-        return out
-
-    def left_matrix(self, r: Sequence[Fraction]) -> list[list[Fraction]]:
-        out = mat_zero(self.dim, self.dim)
-        for i, ri in enumerate(r):
-            if ri != 0:
-                for a in range(self.dim):
-                    for b in range(self.dim):
-                        if self.left[i][a][b] != 0:
-                            out[a][b] += ri * self.left[i][a][b]
-        return out
-
-    def right_matrix(self, r: Sequence[Fraction]) -> list[list[Fraction]]:
-        out = mat_zero(self.dim, self.dim)
-        for i, ri in enumerate(r):
-            if ri != 0:
-                for a in range(self.dim):
-                    for b in range(self.dim):
-                        if self.right[i][a][b] != 0:
-                            out[a][b] += ri * self.right[i][a][b]
-        return out
 
     def __repr__(self) -> str:
         return f"StructuredBimodule({list(self.labels)!r})"

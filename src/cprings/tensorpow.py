@@ -10,20 +10,24 @@ matrices.  Basis element t is the class of one pure tensor e_a (x) e_b
 (`basis[t] == (a, b)`): the quotient's basis is its kept (non-pivot)
 coordinates.  Level 0 is R with its own multiplication as both actions.
 
+Unwinding `basis` down to level 1 makes every basis class the class of a word
+of level-1 letters: `words[t] == words[a] + (b,)`, so the words of a level
+are prefix-closed.  `word_class(system, side, word)` gives the level
+coordinates of any word's class (memoized); every cut of a basis class into a
+head and a tail (`cut_class`) is the pair of classes of its word's two pieces.
+
 `tensor_embed(system, side, k, l)` is the concatenation map
-M^k (x) M^l -> M^(k+l) on Kronecker coordinates; for k=0 / l=0 it degenerates
-to the module action, and for k=l=0 to ring multiplication.  `tensor_split`
-is an exact right inverse (concatenations span every level, so the embed is
-onto).  Downstream consumers only ever compose a split with maps that factor
-through the balanced tensor product, so the choice of right inverse is invisible.
+M^k (x) M^l -> M^(k+l) on Kronecker coordinates: column (x, y) is the class
+of `words[x] + words[y]`.  For k=0 / l=0 it degenerates to the module action,
+and for k=l=0 to ring multiplication.
 
 `psi_n` iterates the pairing:
 
     psi_0(r1 (x) r2) = r1 r2,   psi_1 = psi,
     psi_n((p1 (x) p2) (x) (q1 (x) q2)) = psi(p1 . psi_(n-1)(p2 (x) q1) (x) q2)
 
-with p1 in P, p2 in P^(n-1), q1 in Q^(n-1), q2 in Q; computationally the left
-factor is split at (1, n-1) and the right factor at (n-1, 1).
+with p1 in P, p2 in P^(n-1), q1 in Q^(n-1), q2 in Q: a P class is cut after
+its word's first letter, and a Q class is its basis pair (prefix, last letter).
 
 Everything is memoized in memory on the system (`RSystem._store`), so the memo
 is freed with its system.
@@ -39,19 +43,19 @@ from .exactlin import (
     ZERO,
     Subspace,
     QuotientSpace,
+    _nonzeros,
     kron_columns,
     kron_vec,
     mat_identity,
     mat_transpose,
     matmul,
     matvec,
-    solve_matrix,
     unit_vec,
     vec_add,
     vec_scale,
     zero_vec,
 )
-from .rsystem import RSystem, _column_nonzeros
+from .rsystem import RSystem, _Actions, _column_nonzeros
 
 DEFAULT_CAP = 6
 
@@ -66,29 +70,16 @@ class CapExceeded(RuntimeError):
 
 
 @dataclass(eq=False)
-class TensorSpace:
+class TensorSpace(_Actions):
     system: RSystem
     side: str  # 'P' or 'Q'
     level: int
     dim: int
     proj: list | None  # (dim_{n-1} * d) -> dim, None for level <= 1
     basis: tuple | None  # basis[t] = (a, b): the class of e_a (x) e_b, None for level <= 1
+    words: tuple | None  # words[t]: level-1 letters whose pure tensor has class t, None for level 0
     left: tuple  # per ring basis element, dim x dim
     right: tuple
-
-    def act_left(self, r: Sequence[Fraction], x: Sequence[Fraction]) -> list[Fraction]:
-        out = zero_vec(self.dim)
-        for i, ri in enumerate(r):
-            if ri != 0:
-                out = vec_add(out, vec_scale(ri, matvec(self.left[i], x)))
-        return out
-
-    def act_right(self, x: Sequence[Fraction], r: Sequence[Fraction]) -> list[Fraction]:
-        out = zero_vec(self.dim)
-        for i, ri in enumerate(r):
-            if ri != 0:
-                out = vec_add(out, vec_scale(ri, matvec(self.right[i], x)))
-        return out
 
     def __repr__(self) -> str:
         return f"TensorSpace({self.side}^{self.level}, dim {self.dim})"
@@ -145,12 +136,15 @@ def balanced_quotient(a_right, a_dim: int, b_left, b_dim: int) -> QuotientSpace:
     for a in range(a_dim):
         for cols_a, cols_b in actions:
             for b in range(b_dim):
-                row = [ZERO] * n
+                rel: dict = {}
                 for x, v in cols_a[a]:
-                    row[x * b_dim + b] += v
+                    rel[x * b_dim + b] = rel.get(x * b_dim + b, ZERO) + v
                 for y, v in cols_b[b]:
-                    row[a * b_dim + y] -= v
-                if any(row):
+                    rel[a * b_dim + y] = rel.get(a * b_dim + y, ZERO) - v
+                if any(rel.values()):
+                    row = [ZERO] * n
+                    for k, v in rel.items():
+                        row[k] = v
                     rows.append(row)
     return QuotientSpace(Subspace(n, rows))
 
@@ -166,12 +160,13 @@ def tensor_space(system: RSystem, side: str, n: int) -> TensorSpace:
     ring = system.ring
     d_r = ring.dim
     if n == 0:
-        space = TensorSpace(system, side, 0, d_r, None, None, ring.left_basis, ring.right_basis)
+        space = TensorSpace(system, side, 0, d_r, None, None, None, ring.left_basis, ring.right_basis)
         store[key] = space
         return space
     mod = _module_of(system, side)
     if n == 1:
-        space = TensorSpace(system, side, 1, mod.dim, None, None, mod.left, mod.right)
+        words = tuple((b,) for b in range(mod.dim))
+        space = TensorSpace(system, side, 1, mod.dim, None, None, words, mod.left, mod.right)
         store[key] = space
         return space
 
@@ -181,12 +176,13 @@ def tensor_space(system: RSystem, side: str, n: int) -> TensorSpace:
     quot = balanced_quotient(prev.right, d_prev, mod.left, d_m)
     proj = quot.projection_matrix()
     basis = tuple(divmod(f, d_m) for f in quot.free)
+    words = tuple(prev.words[a] + (b,) for a, b in basis)
 
     id_prev, id_m = mat_identity(d_prev), mat_identity(d_m)
     left = tuple(matmul(proj, kron_columns(prev.left[i], id_m, basis)) for i in range(d_r))
     right = tuple(matmul(proj, kron_columns(id_prev, mod.right[i], basis)) for i in range(d_r))
 
-    space = TensorSpace(system, side, n, quot.dim, proj, basis, left, right)
+    space = TensorSpace(system, side, n, quot.dim, proj, basis, words, left, right)
     store[key] = space
     return space
 
@@ -226,40 +222,38 @@ def tensor_embed(system: RSystem, side: str, k: int, l: int):
     elif l == 1:
         out = tensor_space(system, side, k + 1).proj
     else:
-        # column (x, t), basis[t] = (y, z): concatenate x (x) y at level k+l-1, then append z
-        top = tensor_space(system, side, l)
-        d_mid = tensor_space(system, side, l - 1).dim
-        d_k = tensor_space(system, side, k).dim
-        inner = tensor_embed(system, side, k, l - 1)
-        glue = tensor_embed(system, side, k + l - 1, 1)
-        pairs = [(x * d_mid + y, z) for x in range(d_k) for y, z in top.basis]
-        out = matmul(glue, kron_columns(inner, mat_identity(_module_of(system, side).dim), pairs))
+        # column (x, y) is the class of the concatenated word
+        words_k = tensor_space(system, side, k).words
+        words_l = tensor_space(system, side, l).words
+        out = mat_transpose([word_class(system, side, u + w) for u in words_k for w in words_l])
     store[key] = out
     return out
 
 
-def tensor_split(system: RSystem, side: str, k: int, l: int):
-    """A right inverse of tensor_embed (exists because concatenations span)."""
+def word_class(system: RSystem, side: str, word: tuple) -> tuple:
+    """Level coordinates of the class of e_w1 (x) ... (x) e_wn for word = (w1..wn)."""
     store = _system_store(system)
-    key = ("split", side, k, l)
+    key = ("word", side, word)
     if key in store:
         return store[key]
-    target = tensor_space(system, side, k + l)
-    if target.dim == 0:
-        dk = tensor_space(system, side, k).dim
-        dl = tensor_space(system, side, l).dim
-        s = [[] for _ in range(dk * dl)]
-        store[key] = s
-        return s
-    e = tensor_embed(system, side, k, l)
-    s = solve_matrix(e, mat_identity(target.dim))
-    if s is None:
-        raise ArithmeticError(
-            f"concatenation {side}^{k} (x) {side}^{l} -> {side}^{k+l} is not onto; "
-            "the system violates the spanning property"
-        )
-    store[key] = s
-    return s
+    if not word:
+        raise ValueError("the empty word has no class")
+    sp = tensor_space(system, side, len(word))
+    if len(word) == 1:
+        out = tuple(unit_vec(sp.dim, word[0]))
+    else:
+        # class(u (x) e_b) = proj . kron(class(u), e_b): column a * d + b of proj per nonzero a
+        d_m = _module_of(system, side).dim
+        cols = [(a * d_m + word[-1], c) for a, c in _nonzeros(word_class(system, side, word[:-1]))]
+        out = tuple(sum((c * row[col] for col, c in cols if row[col]), ZERO) for row in sp.proj)
+    store[key] = out
+    return out
+
+
+def cut_class(system: RSystem, side: str, level: int, t: int, k: int):
+    """Classes of the first k letters and of the rest of basis class t's word (0 < k < level)."""
+    word = tensor_space(system, side, level).words[t]
+    return word_class(system, side, word[:k]), word_class(system, side, word[k:])
 
 
 def psi_n(system: RSystem, n: int):
@@ -284,46 +278,21 @@ def psi_n(system: RSystem, n: int):
         store[key] = system.psi.table
         return system.psi.table
 
-    prev = psi_n(system, n - 1)
-    p_mod, q_mod = system.p, system.q
     pn = tensor_space(system, "P", n)
     qn = tensor_space(system, "Q", n)
     if pn.dim == 0 or qn.dim == 0:
         table = tuple(tuple() for _ in range(pn.dim))
         store[key] = table
         return table
-    split_p = tensor_split(system, "P", 1, n - 1)  # p ~ p1 (x) p2
-    split_q = tensor_split(system, "Q", n - 1, 1)  # q ~ q1 (x) q2
-    d_pm, d_qm = p_mod.dim, q_mod.dim
-    d_pprev = tensor_space(system, "P", n - 1).dim
     d_qprev = tensor_space(system, "Q", n - 1).dim
-
-    split_p_cols = mat_transpose(split_p)
-    split_q_cols = mat_transpose(split_q)
-
     table = []
     for a in range(pn.dim):
-        pc = split_p_cols[a]  # index (i, a2) = i*d_pprev + a2
+        p1, p2 = cut_class(system, "P", n, a, 1)
         row_out = []
-        for b in range(qn.dim):
-            qc = split_q_cols[b]  # index (b1, j) = b1*d_qm + j
-            acc = zero_vec(ring.dim)
-            for i in range(d_pm):
-                for a2 in range(d_pprev):
-                    c1 = pc[i * d_pprev + a2]
-                    if c1 == 0:
-                        continue
-                    for b1 in range(d_qprev):
-                        r_mid = prev[a2][b1]
-                        for j in range(d_qm):
-                            c2 = qc[b1 * d_qm + j]
-                            if c2 == 0:
-                                continue
-                            # psi(p1 . r_mid (x) q2)
-                            p_acted = p_mod.act_right(unit_vec(d_pm, i), r_mid)
-                            val = system.psi.apply(p_acted, unit_vec(d_qm, j))
-                            acc = vec_add(acc, vec_scale(c1 * c2, val))
-            row_out.append(tuple(acc))
+        for b1, j in qn.basis:  # q = (class b1 of Q^(n-1)) (x) e_j
+            r_mid = psi_apply(system, n - 1, p2, unit_vec(d_qprev, b1))
+            q2 = unit_vec(system.q.dim, j)
+            row_out.append(tuple(system.psi.apply(system.p.act_right(p1, r_mid), q2)))
         table.append(tuple(row_out))
     table = tuple(table)
     store[key] = table
@@ -354,7 +323,5 @@ def path_element(system: RSystem, side: str, labels: Sequence[str]) -> ModuleEle
     mod = _module_of(system, side)
     if not labels:
         raise ValueError("empty label path")
-    out = basis_element(system, side, 1, mod.index(labels[0]))
-    for lab in labels[1:]:
-        out = out.tensor(basis_element(system, side, 1, mod.index(lab)))
-    return out
+    word = tuple(mod.index(lab) for lab in labels)
+    return ModuleElement(system, side, len(word), word_class(system, side, word))

@@ -64,10 +64,10 @@ from .tensorpow import (
     ModuleElement,
     _system_store,
     balanced_quotient,
+    cut_class,
     psi_apply,
     tensor_embed,
     tensor_space,
-    tensor_split,
 )
 
 __all__ = [
@@ -351,16 +351,12 @@ def _legpair_product(system: RSystem, g1, legs1, g2, legs2):
 
     if k == m2:  # k < n1: trailing P-factors of the left operand contract away
         head = tensor_space(system, "P", n1 - k)
-        dk = tensor_space(system, "P", k).dim
-        v = matvec(tensor_split(system, "P", n1 - k, k), p1)
         p_head = zero_vec(head.dim)
-        for h in range(head.dim):
-            for t in range(dk):
-                c = v[h * dk + t]
-                if c == 0:
-                    continue
-                r = psi_apply(system, k, unit_vec(dk, t), q2)
-                p_head = vec_add(p_head, vec_scale(c, head.act_right(unit_vec(head.dim, h), r)))
+        for b, c in enumerate(p1):
+            if c == 0:
+                continue
+            h, t = cut_class(system, "P", n1, b, n1 - k)
+            p_head = vec_add(p_head, vec_scale(c, head.act_right(h, psi_apply(system, k, t, q2))))
         if n2 >= 1:
             p_full = matvec(tensor_embed(system, "P", n1 - k, n2), kron_vec(p_head, p2))
         else:
@@ -369,16 +365,12 @@ def _legpair_product(system: RSystem, g1, legs1, g2, legs2):
 
     # k == n1 < m2: the whole P-leg contracts against the leading Q-factors
     tail = tensor_space(system, "Q", m2 - k)
-    dk = tensor_space(system, "Q", k).dim
-    v = matvec(tensor_split(system, "Q", k, m2 - k), q2)
     q_tail = zero_vec(tail.dim)
-    for h in range(dk):
-        for t in range(tail.dim):
-            c = v[h * tail.dim + t]
-            if c == 0:
-                continue
-            r = psi_apply(system, k, p1, unit_vec(dk, h))
-            q_tail = vec_add(q_tail, vec_scale(c, tail.act_left(r, unit_vec(tail.dim, t))))
+    for b, c in enumerate(q2):
+        if c == 0:
+            continue
+        h, t = cut_class(system, "Q", m2, b, k)
+        q_tail = vec_add(q_tail, vec_scale(c, tail.act_left(psi_apply(system, k, p1, h), t)))
     if m1 >= 1:
         q_full = matvec(tensor_embed(system, "Q", m1, m2 - k), kron_vec(q1, q_tail))
     else:
@@ -611,22 +603,12 @@ def _annihilator_block(system: RSystem, p_idx: int, j: int):
         # straight into the vacuum level: S(p)(q) = psi(p (x) q)
         cols = [system.psi.apply(ep, unit_vec(system.q.dim, c)) for c in range(system.q.dim)]
         return mat_transpose(cols)
-    src = tensor_space(system, "Q", j)
     dst = tensor_space(system, "Q", j - 1)
-    d1 = system.q.dim
-    split = tensor_split(system, "Q", 1, j - 1)
     cols = []
-    for c in range(src.dim):
-        v = matvec(split, unit_vec(src.dim, c))
-        acc = zero_vec(dst.dim)
-        for b in range(d1):
-            for rest in range(dst.dim):
-                w = v[b * dst.dim + rest]
-                if w == 0:
-                    continue
-                r = system.psi.apply(ep, unit_vec(d1, b))
-                acc = vec_add(acc, vec_scale(w, dst.act_left(r, unit_vec(dst.dim, rest))))
-        cols.append(acc)
+    for c in range(tensor_space(system, "Q", j).dim):
+        # S(e_p)(e_w0 (x) rest) = psi(e_p (x) e_w0) . rest
+        first, rest = cut_class(system, "Q", j, c, 1)
+        cols.append(dst.act_left(system.psi.apply(ep, first), rest))
     return mat_transpose(cols) if cols else [[] for _ in range(dst.dim)]
 
 
@@ -687,20 +669,7 @@ def fock_apply(x: ToeplitzElement, j: int, cap: int = DEFAULT_CAP) -> dict:
         if n > j:
             continue
         if m == 0 and n == 0:
-            # diagonal action of the ring
-            if j == 0:
-                mat = system.ring.left_matrix(list(v))
-            else:
-                dm = mat_zero(src.dim, src.dim)
-                for i, c in enumerate(v):
-                    if c != 0:
-                        li = src.left[i]
-                        for rr in range(src.dim):
-                            for cc in range(src.dim):
-                                if li[rr][cc] != 0:
-                                    dm[rr][cc] += c * li[rr][cc]
-                mat = dm
-            bump(j, mat)
+            bump(j, src.left_matrix(v))  # diagonal action of the ring
             continue
         if n == 0:
             for idx, c in enumerate(v):

@@ -78,6 +78,14 @@ def dual_numbers_ring() -> StructuredRing:
     return StructuredRing(["1", "x"], [[one, x], [x, zero]])
 
 
+def dual_numbers_unit_basis_ring() -> StructuredRing:
+    # Q[x]/(x^2) in the basis 1, u = 1 + x: u*u = 2u - 1 is not a multiple of
+    # one basis element, so classes of words have several nonzero coordinates
+    one = [F(1), F(0)]
+    u = [F(0), F(1)]
+    return StructuredRing(["1", "u"], [[one, u], [u, [F(-1), F(2)]]])
+
+
 def matrix2_ring() -> StructuredRing:
     # 2x2 matrix units e11, e12, e21, e22 (semisimple)
     labels = ["e11", "e12", "e21", "e22"]

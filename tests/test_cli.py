@@ -22,7 +22,10 @@ import pytest
 
 from conftest import (
     a2_graph,
+    dual_numbers_ring,
+    dual_numbers_unit_basis_ring,
     infinite_emitter_graph,
+    matrix2_ring,
     psi_zero_system,
     random_graph_element,
     three_vertex_two_cycle,
@@ -38,7 +41,8 @@ from cprings.cli import (
     parse_element,
 )
 from cprings.graphalg import graph_to_json, line_graph, rose_graph
-from cprings.rsystem import build_graph_system, system_to_json
+from cprings.exactlin import mat_identity
+from cprings.rsystem import build_automorphism_system, build_graph_system, system_from_json, system_to_json
 from cprings.toeplitz import embed, toeplitz_mul
 
 
@@ -140,6 +144,37 @@ def test_round_trip_toeplitz():
             continue
         assert parse_element(format_element(x), ctx) == x
         checked += 1
+
+
+@pytest.mark.parametrize("ring, d", [(dual_numbers_ring, 2), (matrix2_ring, 4), (dual_numbers_unit_basis_ring, 2)],
+                         ids=["dual", "matrix2", "dual-1u"])
+def test_round_trip_non_diagonal(ring, d, tmp_path):
+    """A basis class prints as its word, which over these rings is not always
+    the word that was typed; the text still re-parses to an equal element."""
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(system_to_json(build_automorphism_system(ring(), mat_identity(d)))))
+    sy = system_from_json(json.loads(path.read_text()))
+    ctx = EvalContext(sy, None, "toeplitz")
+    labels = sy.q.labels
+    rng = random.Random(3)
+    for _ in range(40):
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            m = rng.randint(0, 3)
+            n = rng.randint(max(0, 2 - m), 3 - m)
+            word = [f"Q:{rng.choice(labels)}" for _ in range(m)] + [f"P:{rng.choice(labels)}" for _ in range(n)]
+            terms.append(f"{rng.randint(1, 4)} " + "*".join(word))
+        x = parse_element(" + ".join(terms), ctx)
+        if not x.is_zero():
+            assert parse_element(format_element(x), ctx) == x
+    pinned = {  # terms sorted by word; Q:1*Q:x and Q:e11*Q:e12 print as the word of their class
+        dual_numbers_ring: ("3 Q:1*Q:1 + 2 Q:1*Q:x", "3 Q:1*Q:1 + 2 Q:x*Q:1"),
+        matrix2_ring: ("5 Q:e22*Q:e21 + 3 Q:e12*Q:e21 + 2 Q:e11*Q:e12",
+                       "3 Q:e12*Q:e21 + 2 Q:e12*Q:e22 + 5 Q:e22*Q:e21"),
+    }
+    if ring in pinned:
+        code, out = run_json("nf", str(path), pinned[ring][0])
+        assert code == 0 and out["result"]["element"] == pinned[ring][1]
 
 
 def test_round_trip_lpa():
@@ -335,6 +370,13 @@ def test_usage_errors(files, tmp_path):
         p.write_text(json.dumps(payload))
         code, out = run_json("validate", str(p))
         assert code == 2 and str(p) in out["diagnostics"][0]
+    for k, mult in enumerate(["abc", None, 2.5, 0]):
+        p = tmp_path / f"badmult{k}.json"
+        p.write_text(json.dumps({"vertices": ["u", "v"],
+                                 "edges": [{"name": "e9", "src": "u", "tgt": "v", "mult": mult}]}))
+        for argv in (["validate"], ["fs"], ["eq", "p(u)", "p(u)"], ["lattice"]):
+            code, out = run_json(argv[0], str(p), *argv[1:])
+            assert code == 2 and "edge 'e9'" in out["diagnostics"][0], (mult, argv)
 
 
 def test_outputs_deterministic(files):

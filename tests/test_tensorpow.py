@@ -14,7 +14,14 @@ import itertools
 
 import pytest
 
-from conftest import perm3_system, psi_zero_system
+from conftest import (
+    dual_numbers_ring,
+    dual_numbers_unit_basis_ring,
+    five_vertex_mixed,
+    matrix2_ring,
+    perm3_system,
+    psi_zero_system,
+)
 
 from cprings.exactlin import (
     kron,
@@ -27,7 +34,7 @@ from cprings.exactlin import (
     zero_vec,
     is_zero_vec,
 )
-from cprings.rsystem import build_graph_system
+from cprings.rsystem import build_automorphism_system, build_graph_system
 from cprings.graphalg import rose_graph
 from cprings.tensorpow import (
     CapExceeded,
@@ -38,7 +45,7 @@ from cprings.tensorpow import (
     psi_n,
     tensor_embed,
     tensor_space,
-    tensor_split,
+    word_class,
 )
 from cprings.toeplitz import embed_n, fock_apply, toeplitz_mul
 
@@ -149,15 +156,54 @@ def test_embed_concatenates_words_rose2():
                     assert got == full, (side, word, k)
 
 
-def test_split_is_right_inverse(perm3, line3_system):
-    cases = [(perm3, (1, 1)), (perm3, (2, 1)), (perm3, (1, 2)), (perm3, (0, 2)), (perm3, (2, 0)),
-             (line3_system, (1, 1)), (line3_system, (0, 2)), (line3_system, (2, 0))]
-    for system, (k, l) in cases:
-        for side in ("P", "Q"):
-            e = tensor_embed(system, side, k, l)
-            s = tensor_split(system, side, k, l)
-            d = tensor_space(system, side, k + l).dim
-            assert mat_eq(matmul(e, s), mat_identity(d)), (k, l, side)
+SYSTEMS = {
+    "rose2": lambda: build_graph_system(rose_graph(2)),
+    "perm3": perm3_system,
+    "5v-mixed": lambda: build_graph_system(five_vertex_mixed()),
+    "dual": lambda: build_automorphism_system(dual_numbers_ring(), mat_identity(2)),
+    "matrix2": lambda: build_automorphism_system(matrix2_ring(), mat_identity(4)),
+    "dual-1u": lambda: build_automorphism_system(dual_numbers_unit_basis_ring(), mat_identity(2)),
+}
+
+
+@pytest.mark.parametrize("name", ["rose2", "perm3", "5v-mixed", "dual", "matrix2", "dual-1u"])
+def test_words_name_their_classes(name):
+    """Basis class t is the class of the pure tensor of words[t], and the words
+    of a level extend those of the level below by one letter."""
+    system = SYSTEMS[name]()
+    for side in ("Q", "P"):
+        for n in range(1, 5):
+            sp = tensor_space(system, side, n)
+            assert len(sp.words) == sp.dim and all(len(w) == n for w in sp.words)
+            for t, word in enumerate(sp.words):
+                assert list(word_class(system, side, word)) == unit_vec(sp.dim, t), (side, n, word)
+            if n > 1:
+                assert {w[:-1] for w in sp.words} <= set(tensor_space(system, side, n - 1).words)
+
+
+def _psi_fold(system, pword, qword):
+    """psi_n on the pure tensors of two words, from level-1 psi and the P action:
+    psi_n(p1 p' (x) q' qn) = psi(p1 . psi_(n-1)(p' (x) q') (x) qn)."""
+    e_p = unit_vec(system.p.dim, pword[0])
+    e_q = unit_vec(system.q.dim, qword[-1])
+    if len(pword) == 1:
+        return system.psi.apply(e_p, e_q)
+    inner = _psi_fold(system, pword[1:], qword[:-1])
+    return system.psi.apply(system.p.act_right(e_p, inner), e_q)
+
+
+@pytest.mark.parametrize("name", ["perm3", "5v-mixed", "dual", "matrix2", "dual-1u"])
+def test_psi_n_is_the_fold_of_psi(name):
+    """On every pair of words, including those whose class is not a basis vector."""
+    system = SYSTEMS[name]()
+    for n in (2, 3):
+        pwords = list(itertools.product(range(system.p.dim), repeat=n))
+        qwords = list(itertools.product(range(system.q.dim), repeat=n))
+        for pw in pwords:
+            p = word_class(system, "P", pw)
+            for qw in qwords:
+                got = psi_apply(system, n, p, word_class(system, "Q", qw))
+                assert got == _psi_fold(system, pw, qw), (n, pw, qw)
 
 
 def test_concatenation_is_balanced(mixed5):

@@ -11,12 +11,20 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import five_vertex_mixed, perm3_system, random_graph_element, three_vertex_two_cycle
+from conftest import (
+    dual_numbers_ring,
+    dual_numbers_unit_basis_ring,
+    five_vertex_mixed,
+    matrix2_ring,
+    perm3_system,
+    random_graph_element,
+    three_vertex_two_cycle,
+)
 
 from cprings import toeplitz
-from cprings.exactlin import kron_vec, mat_eq, matvec, unit_vec, zero_vec
+from cprings.exactlin import kron_vec, mat_eq, mat_identity, matvec, unit_vec, zero_vec
 from cprings.graphalg import rose_graph
-from cprings.rsystem import build_graph_system
+from cprings.rsystem import build_automorphism_system, build_graph_system
 from cprings.tensorpow import CapExceeded, tensor_space
 from cprings.toeplitz import (
     InvalidRepresentation,
@@ -127,6 +135,34 @@ def test_basis_classes_are_pure_tensors(make):
         for t, (a, b) in enumerate(space.basis):
             pure = kron_vec(unit_vec(d_left, a), unit_vec(d_right, b))
             assert matvec(space.proj, pure) == unit_vec(space.dim, t)
+
+
+@pytest.mark.parametrize("ring, d", [(dual_numbers_ring, 2), (matrix2_ring, 4), (dual_numbers_unit_basis_ring, 2)],
+                         ids=["dual", "matrix2", "dual-1u"])
+def test_products_over_non_diagonal_rings(ring, d):
+    """Associativity, and a Fock representation that multiplies.  Over these
+    rings the class of a word need not be a basis vector (over dual-1u, not
+    even a multiple of one), so contractions and annihilators meet sums of
+    classes."""
+    system = build_automorphism_system(ring(), mat_identity(d))
+    rng = random.Random(5)
+
+    def letter():
+        return embed(system, rng.choice("RQP"), [rng.randint(-2, 2) for _ in range(d)])
+
+    def word():
+        out = letter()
+        for _ in range(rng.randint(0, 2)):
+            out = toeplitz_mul(out, letter())
+        return out
+
+    for _ in range(100):
+        a, b, c = word(), word(), word()
+        assert toeplitz_mul(toeplitz_mul(a, b), c) == toeplitz_mul(a, toeplitz_mul(b, c))
+        for j in range(3):
+            via = _compose_blocks(system, a, fock_apply(b, j))
+            direct = fock_apply(toeplitz_mul(a, b), j)
+            assert set(via) == set(direct) and all(mat_eq(via[k], direct[k]) for k in via)
 
 
 def test_product_multiplies_only_the_operands_classes(monkeypatch):
