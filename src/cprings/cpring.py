@@ -39,7 +39,7 @@ from .exactlin import (
     kernel,
     mat_identity,
     mat_transpose,
-    matvec,
+    matvec,  # not called here; perfbench/test_perfbench.py rebinds `cpring.matvec`
     preimage,
     solve_matrix,
     unit_vec,
@@ -171,7 +171,7 @@ def _pi_delta(ctx: CpContext, x: Sequence[Fraction]) -> Optional[list[Fraction]]
     if coeffs is None:
         raise ValueError("Delta(x) is not finite-rank: ideal is not psi-compatible")
     # c_ab sits at a * dim P + b, the kron_vec coordinate of e_a (x) e_b in Q (x) P
-    out = matvec(cs.proj, coeffs)
+    out = cs.quot.project(coeffs)
     ctx._pi_cache[key] = out
     return out
 

@@ -9,7 +9,10 @@ the results are exactly those of the dense formulas.  `Subspace` stores a
 reduced row echelon basis and supports the handful of lattice operations the
 higher layers need (sum, intersection, membership, canonical residuals).
 `QuotientSpace` takes the classes of the non-pivot coordinates as its basis,
-so basis vector t is the class of the unit vector at `free[t]`.
+so basis vector t is the class of the unit vector at `free[t]`; the class of
+every other coordinate is read off the RREF rows once, into a lookup table,
+and `QuotientSpace.project` is a sum of table entries over a vector's
+nonzeros.  No dense projection matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -133,33 +136,6 @@ def mat_transpose(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     if not a:
         return []
     return [list(col) for col in zip(*a)]
-
-
-def mat_eq(a, b) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
-def kron(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Kronecker product acting on kron_vec coordinates: (A (x) B)(x (x) y) = Ax (x) By."""
-    nb = len(b[0]) if b else 0
-    return kron_columns(a, b, [divmod(c, nb) for c in range(len(a[0]) * nb)] if a else [])
-
-
-def kron_columns(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]],
-                 pairs: Sequence[tuple[int, int]]) -> list[list[Fraction]]:
-    """The columns (i, j) of kron(a, b) listed in `pairs`: column t is a[:, i] (x) b[:, j]."""
-    if not a or not b:
-        return []
-    nb = len(b)
-    cols_a = [_nonzeros(col) for col in zip(*a)]
-    cols_b = [_nonzeros(col) for col in zip(*b)]
-    out = [[ZERO] * len(pairs) for _ in range(len(a) * nb)]
-    for t, (i, j) in enumerate(pairs):
-        for x, u in cols_a[i]:
-            base = x * nb
-            for y, v in cols_b[j]:
-                out[base + y][t] = u * v
-    return out
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -366,37 +342,46 @@ class Subspace:
 
 
 class QuotientSpace:
-    """Q^n / W with the canonical basis = images of the non-pivot coordinates."""
+    """Q^n / W with the canonical basis = images of the non-pivot coordinates.
 
-    __slots__ = ("ambient", "sub", "free")
+    The class of every coordinate is read off the RREF rows of W once: a free
+    coordinate free[t] is basis vector t, and the pivot p_k of row k is
+    e_{p_k} - row_k modulo W, i.e. -row_k on the free coordinates.  `project`
+    sums these classes over a vector's nonzero entries and is the only map
+    from coordinates to classes.
+    """
+
+    __slots__ = ("ambient", "sub", "free", "_classes")
 
     def __init__(self, sub: Subspace):
         self.sub = sub
         self.ambient = sub.ambient
         pivot_set = set(sub.pivots)
         self.free = tuple(c for c in range(sub.ambient) if c not in pivot_set)
+        position = {f: t for t, f in enumerate(self.free)}
+        classes: list = [None] * sub.ambient
+        for t, f in enumerate(self.free):
+            classes[f] = ((t, ONE),)
+        for p, support in zip(sub.pivots, sub._support):
+            classes[p] = tuple((position[j], -y) for j, y in support)
+        self._classes = classes
 
     @property
     def dim(self) -> int:
         return len(self.free)
 
-    def project(self, v: Sequence[Fraction]) -> list[Fraction]:
-        residual = self.sub.reduce(v)
-        return [residual[c] for c in self.free]
-
-    def projection_matrix(self) -> list[list[Fraction]]:
-        """Matrix of `project`, read off the RREF rows.
-
-        A free coordinate is its own residual; the pivot p_k of basis row k
-        has residual e_{p_k} - row_k, which is -row_k on the free coordinates.
-        """
-        position = {f: t for t, f in enumerate(self.free)}
-        out = [[ZERO] * self.ambient for _ in self.free]
-        for t, f in enumerate(self.free):
-            out[t][f] = ONE
-        for p, support in zip(self.sub.pivots, self.sub._support):
-            for j, y in support:
-                out[position[j]][p] = -y
+    def project(self, v) -> list[Fraction]:
+        """Class coordinates of v, given dense (length `ambient`) or as its
+        nonzero (index, value) pairs."""
+        if isinstance(v, (list, tuple)) and v and not isinstance(v[0], tuple):
+            if len(v) != self.ambient:
+                raise DimensionMismatch(f"vector of length {len(v)} in Q^{self.ambient}")
+            v = _nonzeros(v)
+        out = [ZERO] * len(self.free)
+        classes = self._classes
+        for j, x in v:
+            for t, y in classes[j]:
+                out[t] += x * y
         return out
 
     def __repr__(self) -> str:

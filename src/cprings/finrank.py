@@ -98,24 +98,6 @@ def _solve_over_table(system: RSystem, side: str, level: int, target: list):
     return solve(mat_transpose(rows), target)
 
 
-def _table_matrix(system: RSystem, side: str, level: int, g: int, h: int) -> list:
-    """Row g * dim(other side) + h of the theta table, as a matrix."""
-    d = tensor_space(system, side, level).dim
-    other = tensor_space(system, "P" if side == "Q" else "Q", level).dim
-    row = theta_table(system, side, level)[g * other + h]
-    return [list(row[i * d:(i + 1) * d]) for i in range(d)]
-
-
-def theta_matrix(system: RSystem, level: int, q_index: int, p_index: int) -> list:
-    """Matrix of theta_{e_q, e_p} on Q^(x)level."""
-    return _table_matrix(system, "Q", level, q_index, p_index)
-
-
-def theta_matrix_p(system: RSystem, level: int, p_index: int, q_index: int) -> list:
-    """Matrix of the opposite-leg rank-one y |-> psi_n(y (x) e_q) . e_p on P^(x)level."""
-    return _table_matrix(system, "P", level, p_index, q_index)
-
-
 def finite_rank_space(system: RSystem, level: int = 1, side: str = "Q") -> Subspace:
     """F_P(Q) (or F_Q(P) for side 'P') at one level, as a subspace of flattened matrices."""
     d = tensor_space(system, side, level).dim

@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .exactlin import (
+    ONE,
     QuotientSpace,
     Subspace,
-    kron_columns,
-    matmul,
-    matvec,
-    preimage,
+    _nonzeros,
+    mat_transpose,
     unit_vec,
     zero_vec,
 )
@@ -35,13 +34,14 @@ from .cpring import (
 )
 from .rsystem import (
     Pairing,
+    _column_nonzeros,
     RSystem,
     StructuredBimodule,
     StructuredRing,
     is_two_sided,
     validate_axioms,
 )
-from .tensorpow import tensor_space
+from .tensorpow import _build_upward, _project_kron, tensor_space
 from .toeplitz import ToeplitzElement, component_space, embed
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "lattice_json",
     "quotient_system",
     "tpair_le",
-    "tpair_meet",
     "validate_tpair",
 ]
 
@@ -111,34 +110,30 @@ class QuotientSystem:
     parent: RSystem
     i: Subspace
     system: RSystem
-    # keep_*[t] is the parent coordinate whose class is basis element t of the quotient
-    proj_r: list
-    keep_r: tuple
-    proj_q: list
-    keep_q: tuple
-    proj_p: list
-    keep_p: tuple
+    # R/I, Q/QI and P/IP: basis element t of each is the class of the parent
+    # coordinate free[t], and `project` maps parent coordinates to classes
+    quot_r: QuotientSpace
+    quot_q: QuotientSpace
+    quot_p: QuotientSpace
 
     def project_ring(self, r: Sequence) -> list:
-        return matvec(self.proj_r, list(r))
+        return self.quot_r.project(list(r))
 
     def project_subspace(self, space: Subspace) -> Subspace:
         return Subspace(self.system.ring.dim,
                         [self.project_ring(b) for b in space.basis()])
 
     def lift_subspace(self, space: Subspace) -> Subspace:
-        """Full preimage in R of a subspace of R/I (always contains I)."""
-        if self.system.ring.dim == 0:
-            # R/I = 0: the projection matrix is empty and every element of R
-            # lands in the (zero) subspace, so the preimage is all of R.
-            return Subspace.full(self.parent.ring.dim)
-        return preimage(self.proj_r, space)
-
-
-def _acting_quotient(ambient_dim, killed_rows):
-    """Projection onto Q^n / span(killed_rows) and the kept coordinates (its basis)."""
-    quo = QuotientSpace(Subspace(ambient_dim, killed_rows))
-    return quo.projection_matrix(), quo.free
+        """Full preimage in R of a subspace of R/I: I plus the lifts
+        sum_t w_t e_free[t] of the basis vectors w of the subspace."""
+        d, free = self.parent.ring.dim, self.quot_r.free
+        lifts = []
+        for w in space.basis():
+            v = zero_vec(d)
+            for t, c in _nonzeros(w):
+                v[free[t]] = c
+            lifts.append(v)
+        return Subspace(d, self.i.basis() + lifts)
 
 
 def quotient_system(system: RSystem, i: Subspace, *, name: Optional[str] = None) -> QuotientSystem:
@@ -154,46 +149,45 @@ def _quotient_system(system: RSystem, i: Subspace, name: Optional[str]) -> Quoti
     """`quotient_system` for an I already known to be two-sided and psi-invariant.
 
     Basis element t of each quotient is the class of the kept coordinate
-    keep[t], so the induced structure is the parent's, read at the kept
+    free[t], so the induced structure is the parent's, read at the kept
     coordinates and projected.
     """
     ring, q, p = system.ring, system.q, system.p
-    d, dq, dp = ring.dim, q.dim, p.dim
-    ibasis = [list(v) for v in i.basis()]
+    dq, dp = q.dim, p.dim
+    ibasis = i.basis()
 
-    proj_r, keep_r = _acting_quotient(d, ibasis)
-    qi_rows = [q.act_right(unit_vec(dq, b), x) for x in ibasis for b in range(dq)]
-    proj_q, keep_q = _acting_quotient(dq, qi_rows)
-    ip_rows = [p.act_left(x, unit_vec(dp, a)) for x in ibasis for a in range(dp)]
-    proj_p, keep_p = _acting_quotient(dp, ip_rows)
+    quot_r = QuotientSpace(i)
+    quot_q = QuotientSpace(Subspace(dq, [q.act_right(unit_vec(dq, b), x) for x in ibasis for b in range(dq)]))
+    quot_p = QuotientSpace(Subspace(dp, [p.act_left(x, unit_vec(dp, a)) for x in ibasis for a in range(dp)]))
+    keep_r = quot_r.free
 
     # the induced R/I actions exist only when IQ <= QI and PI <= IP
     for x in ibasis:
-        for row in matmul(proj_q, q.left_matrix(x)):
-            if any(c != 0 for c in row):
-                raise NotInvariant("IQ is not contained in QI: left action does not descend")
-        for row in matmul(proj_p, p.right_matrix(x)):
-            if any(c != 0 for c in row):
-                raise NotInvariant("PI is not contained in IP: right action does not descend")
+        if not all(quot_q.sub.contains(col) for col in zip(*q.left_matrix(x))):
+            raise NotInvariant("IQ is not contained in QI: left action does not descend")
+        if not all(quot_p.sub.contains(col) for col in zip(*p.right_matrix(x))):
+            raise NotInvariant("PI is not contained in IP: right action does not descend")
 
     ring2 = StructuredRing([ring.labels[c] for c in keep_r],
-                           [[matvec(proj_r, ring.mult[a][b]) for b in keep_r] for a in keep_r])
+                           [[quot_r.project(ring.mult[a][b]) for b in keep_r] for a in keep_r])
 
-    def induced(proj, keep, actions):
-        # the action of a basis element of R/I is that of its lift, read mod QI (IP)
-        return [matmul(proj, [[row[c] for c in keep] for row in actions[a]]) for a in keep_r]
+    def induced(quot, actions):
+        # the action of a basis element of R/I is that of its lift, read mod QI (IP):
+        # column t is the class of the lift's image of e_free[t]
+        return [mat_transpose([quot.project(cols[c]) for c in quot.free])
+                for cols in _column_nonzeros([actions[a] for a in keep_r])]
 
-    q2 = StructuredBimodule([q.labels[c] for c in keep_q],
-                            induced(proj_q, keep_q, q.left), induced(proj_q, keep_q, q.right))
-    p2 = StructuredBimodule([p.labels[c] for c in keep_p],
-                            induced(proj_p, keep_p, p.left), induced(proj_p, keep_p, p.right))
-    psi2 = Pairing([[matvec(proj_r, system.psi.table[a][b]) for b in keep_q] for a in keep_p])
+    q2 = StructuredBimodule([q.labels[c] for c in quot_q.free],
+                            induced(quot_q, q.left), induced(quot_q, q.right))
+    p2 = StructuredBimodule([p.labels[c] for c in quot_p.free],
+                            induced(quot_p, p.left), induced(quot_p, p.right))
+    psi2 = Pairing([[quot_r.project(system.psi.table[a][b]) for b in quot_q.free] for a in quot_p.free])
 
     quotient = RSystem(ring2, p2, q2, psi2, name=name or f"{system.name}/I")
     report = validate_axioms(quotient)
     if not report.ok:
         raise NotInvariant("quotient fails system axioms: " + "; ".join(report.failures))
-    return QuotientSystem(system, i, quotient, proj_r, keep_r, proj_q, keep_q, proj_p, keep_p)
+    return QuotientSystem(system, i, quotient, quot_r, quot_q, quot_p)
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +239,6 @@ def tpair_le(a: TPair, b: TPair) -> bool:
     return a.i.le(b.i) and a.j.le(b.j)
 
 
-def tpair_meet(a: TPair, b: TPair) -> TPair:
-    return TPair(a.i.intersect(b.i), a.j.intersect(b.j))
-
-
 # ---------------------------------------------------------------------------
 # graded-ideal correspondence
 
@@ -270,47 +260,54 @@ class IdealHandle:
     _level_maps: dict = field(default_factory=dict, init=False, repr=False)
     _comp_maps: dict = field(default_factory=dict, init=False, repr=False)
 
-    def _level_map(self, side: str, n: int):
-        key = (side, n)
-        if key in self._level_maps:
-            return self._level_maps[key]
-        qs = self.quotient
-        if n == 0:
-            out = qs.proj_r
-        elif n == 1:
-            out = qs.proj_q if side == "Q" else qs.proj_p
-        else:
-            src = tensor_space(self.context.system, side, n)
-            dst = tensor_space(qs.system, side, n)
-            prev = self._level_map(side, n - 1)
-            one = self._level_map(side, 1)
-            out = matmul(dst.proj, kron_columns(prev, one, src.basis)) if dst.dim else []
-        self._level_maps[key] = out
-        return out
+    def _level_map(self, side: str, n: int) -> list:
+        """Columns of the map from level n of the parent to level n of the
+        quotient: column t is the quotient class of parent basis class t.
 
-    def _comp_map(self, m: int, n: int):
+        The class of e_a (x) e_b is that of (image of e_a) (x) (image of e_b).
+        """
+        maps, qs = self._level_maps, self.quotient
+        if (side, n) in maps:
+            return maps[(side, n)]
+        if n <= 1:
+            quot = qs.quot_r if n == 0 else qs.quot_q if side == "Q" else qs.quot_p
+            maps[(side, n)] = [quot.project([(c, ONE)]) for c in range(quot.ambient)]
+        else:
+            ones = self._level_map(side, 1)
+            _build_upward(maps, lambda k: (side, k), n, lambda k: [
+                _project_kron(tensor_space(qs.system, side, k).quot, maps[(side, k - 1)][a], ones[b])
+                for a, b in tensor_space(self.context.system, side, k).basis])
+        return maps[(side, n)]
+
+    def _comp_map(self, m: int, n: int) -> list:
+        """Columns of the map from grade (m, n) of the parent to grade (m, n)
+        of the quotient."""
         key = (m, n)
         if key in self._comp_maps:
             return self._comp_maps[key]
         src = component_space(self.context.system, m, n)
         dst = component_space(self.quotient.system, m, n)
-        if dst.dim == 0 or src.dim == 0:
-            out = [[0] * src.dim for _ in range(dst.dim)]
-        elif n == 0:
+        if n == 0:
             out = self._level_map("Q", m)
         elif m == 0:
             out = self._level_map("P", n)
+        elif dst.dim == 0 or src.dim == 0:
+            out = [[] for _ in range(src.dim)]
         else:
-            big = kron_columns(self._level_map("Q", m), self._level_map("P", n), src.basis)
-            out = matmul(dst.proj, big)
+            qm, pn = self._level_map("Q", m), self._level_map("P", n)
+            out = [_project_kron(dst.quot, qm[a], pn[b]) for a, b in src.basis]
         self._comp_maps[key] = out
         return out
 
     def project_element(self, x: ToeplitzElement) -> ToeplitzElement:
         comps = {}
         for (m, n), v in x.comps.items():
-            mapped = matvec(self._comp_map(m, n), list(v))
-            if any(c != 0 for c in mapped):
+            cols = self._comp_map(m, n)
+            mapped = zero_vec(component_space(self.quotient.system, m, n).dim)
+            for c, coef in _nonzeros(v):
+                for t, y in _nonzeros(cols[c]):
+                    mapped[t] += coef * y
+            if any(mapped):
                 comps[(m, n)] = mapped
         return ToeplitzElement(self.quotient.system, comps)
 

@@ -350,11 +350,6 @@ def right_annihilator(ring: StructuredRing) -> Subspace:
     return Subspace(ring.dim, kernel(stacked))
 
 
-def is_right_nondegenerate(system: RSystem) -> bool:
-    """r R = 0 implies r = 0."""
-    return right_annihilator(system.ring).is_zero()
-
-
 # ---------------------------------------------------------------------------
 # builders
 

@@ -4,11 +4,11 @@ Level n of a leg M (side 'P' or 'Q') is built by appending:
 
     M^0 = R,   M^n = (M^(n-1) (x)_F M) / <(x.r) (x) y - x (x) (r.y)>
 
-so a level carries the projection from the ambient Kronecker coordinates of
-level (n-1) times level 1, its basis, and induced left/right R-action
-matrices.  Basis element t is the class of one pure tensor e_a (x) e_b
-(`basis[t] == (a, b)`): the quotient's basis is its kept (non-pivot)
-coordinates.  Level 0 is R with its own multiplication as both actions.
+so a level carries that quotient of the Kronecker coordinates of level (n-1)
+times level 1 (`quot`, whose `project` gives the class of any combination of
+pure tensors), its basis, and induced left/right R-action matrices.  Basis
+element t is the class of one pure tensor e_a (x) e_b (`basis[t] == (a, b)`):
+the quotient's basis is its kept (non-pivot) coordinates.  Level 0 is R with its own multiplication as both actions.
 
 Unwinding `basis` down to level 1 makes every basis class the class of a word
 of level-1 letters: `words[t] == words[a] + (b,)`, so the words of a level
@@ -44,11 +44,8 @@ from .exactlin import (
     Subspace,
     QuotientSpace,
     _nonzeros,
-    kron_columns,
     kron_vec,
-    mat_identity,
     mat_transpose,
-    matmul,
     matvec,
     unit_vec,
     vec_add,
@@ -75,7 +72,7 @@ class TensorSpace(_Actions):
     side: str  # 'P' or 'Q'
     level: int
     dim: int
-    proj: list | None  # (dim_{n-1} * d) -> dim, None for level <= 1
+    quot: QuotientSpace | None  # classes of the (dim_{n-1} * d) Kronecker coordinates, None for level <= 1
     basis: tuple | None  # basis[t] = (a, b): the class of e_a (x) e_b, None for level <= 1
     words: tuple | None  # words[t]: level-1 letters whose pure tensor has class t, None for level 0
     left: tuple  # per ring basis element, dim x dim
@@ -154,37 +151,46 @@ def tensor_space(system: RSystem, side: str, n: int) -> TensorSpace:
         raise ValueError("negative tensor level")
     store = _system_store(system)
     key = ("space", side, n)
-    if key in store:
-        return store[key]
+    if key not in store:
+        _build_upward(store, lambda k: ("space", side, k), n, lambda k: _build_level(system, side, k))
+    return store[key]
 
-    ring = system.ring
-    d_r = ring.dim
+
+def _build_upward(memo: dict, key, n: int, build) -> None:
+    """Set memo[key(k)] = build(k) for the levels k <= n above the highest one
+    already in memo, bottom-up, so that no level takes a stack frame per
+    level below it."""
+    k = n
+    while k and key(k - 1) not in memo:
+        k -= 1
+    for k in range(k, n + 1):
+        memo[key(k)] = build(k)
+
+
+def _build_level(system: RSystem, side: str, n: int) -> TensorSpace:
+    """Level n, from level n - 1 already in the store."""
     if n == 0:
-        space = TensorSpace(system, side, 0, d_r, None, None, None, ring.left_basis, ring.right_basis)
-        store[key] = space
-        return space
+        ring = system.ring
+        return TensorSpace(system, side, 0, ring.dim, None, None, None, ring.left_basis, ring.right_basis)
     mod = _module_of(system, side)
+    d_m = mod.dim
     if n == 1:
-        words = tuple((b,) for b in range(mod.dim))
-        space = TensorSpace(system, side, 1, mod.dim, None, None, words, mod.left, mod.right)
-        store[key] = space
-        return space
-
-    prev = tensor_space(system, side, n - 1)
-    d_prev, d_m = prev.dim, mod.dim
-
-    quot = balanced_quotient(prev.right, d_prev, mod.left, d_m)
-    proj = quot.projection_matrix()
+        words = tuple((b,) for b in range(d_m))
+        return TensorSpace(system, side, 1, d_m, None, None, words, mod.left, mod.right)
+    prev = _system_store(system)[("space", side, n - 1)]
+    quot = balanced_quotient(prev.right, prev.dim, mod.left, d_m)
     basis = tuple(divmod(f, d_m) for f in quot.free)
     words = tuple(prev.words[a] + (b,) for a, b in basis)
 
-    id_prev, id_m = mat_identity(d_prev), mat_identity(d_m)
-    left = tuple(matmul(proj, kron_columns(prev.left[i], id_m, basis)) for i in range(d_r))
-    right = tuple(matmul(proj, kron_columns(id_prev, mod.right[i], basis)) for i in range(d_r))
+    def action(columns):
+        return mat_transpose([quot.project(col) for col in columns])
 
-    space = TensorSpace(system, side, n, quot.dim, proj, basis, words, left, right)
-    store[key] = space
-    return space
+    # column t of an action is the class of r.e_a (x) e_b, resp. e_a (x) e_b.r
+    left = tuple(action([[(x * d_m + b, v) for x, v in cols[a]] for a, b in basis])
+                 for cols in _column_nonzeros(prev.left))
+    right = tuple(action([[(a * d_m + y, v) for y, v in cols[b]] for a, b in basis])
+                  for cols in _column_nonzeros(mod.right))
+    return TensorSpace(system, side, n, quot.dim, quot, basis, words, left, right)
 
 
 def tensor_embed(system: RSystem, side: str, k: int, l: int):
@@ -219,8 +225,6 @@ def tensor_embed(system: RSystem, side: str, k: int, l: int):
             for b in range(sp.dim):
                 cols.append(sp.act_left(ei, unit_vec(sp.dim, b)))
         out = mat_transpose(cols)
-    elif l == 1:
-        out = tensor_space(system, side, k + 1).proj
     else:
         # column (x, y) is the class of the concatenated word
         words_k = tensor_space(system, side, k).words
@@ -231,23 +235,35 @@ def tensor_embed(system: RSystem, side: str, k: int, l: int):
 
 
 def word_class(system: RSystem, side: str, word: tuple) -> tuple:
-    """Level coordinates of the class of e_w1 (x) ... (x) e_wn for word = (w1..wn)."""
+    """Level coordinates of the class of e_w1 (x) ... (x) e_wn for word = (w1..wn).
+
+    Extends the longest memoized prefix one letter at a time, the class of
+    u (x) e_b being that of class(u) (x) e_b; every prefix is memoized.
+    """
     store = _system_store(system)
-    key = ("word", side, word)
-    if key in store:
-        return store[key]
+    if ("word", side, word) in store:
+        return store[("word", side, word)]
     if not word:
         raise ValueError("the empty word has no class")
-    sp = tensor_space(system, side, len(word))
-    if len(word) == 1:
-        out = tuple(unit_vec(sp.dim, word[0]))
+    d_m = _module_of(system, side).dim
+    k = len(word) - 1
+    while k and ("word", side, word[:k]) not in store:
+        k -= 1
+    if k:
+        out = store[("word", side, word[:k])]
     else:
-        # class(u (x) e_b) = proj . kron(class(u), e_b): column a * d + b of proj per nonzero a
-        d_m = _module_of(system, side).dim
-        cols = [(a * d_m + word[-1], c) for a, c in _nonzeros(word_class(system, side, word[:-1]))]
-        out = tuple(sum((c * row[col] for col, c in cols if row[col]), ZERO) for row in sp.proj)
-    store[key] = out
+        k = 1
+        out = store[("word", side, word[:1])] = tuple(unit_vec(d_m, word[0]))
+    for k in range(k + 1, len(word) + 1):
+        out = tuple(_project_kron(tensor_space(system, side, k).quot, out, unit_vec(d_m, word[k - 1])))
+        store[("word", side, word[:k])] = out
     return out
+
+
+def _project_kron(quot: QuotientSpace, u: Sequence[Fraction], w: Sequence[Fraction]) -> list:
+    """Class of u (x) w: `quot` projects the nonzeros of its Kronecker coordinates."""
+    nz_w = _nonzeros(w)
+    return quot.project([(a * len(w) + b, x * y) for a, x in _nonzeros(u) for b, y in nz_w])
 
 
 def cut_class(system: RSystem, side: str, level: int, t: int, k: int):
@@ -265,25 +281,22 @@ def psi_n(system: RSystem, n: int):
     if n < 0:
         raise ValueError("negative pairing level")
     store = _system_store(system)
-    key = ("psi", n)
-    if key in store:
-        return store[key]
+    if ("psi", n) not in store:
+        _build_upward(store, lambda k: ("psi", k), n, lambda k: _psi_table(system, k))
+    return store[("psi", n)]
 
+
+def _psi_table(system: RSystem, n: int) -> tuple:
+    """psi_n, from psi_(n-1) already in the store."""
     ring = system.ring
     if n == 0:
-        table = tuple(tuple(tuple(ring.mult[i][j]) for j in range(ring.dim)) for i in range(ring.dim))
-        store[key] = table
-        return table
+        return tuple(tuple(tuple(ring.mult[i][j]) for j in range(ring.dim)) for i in range(ring.dim))
     if n == 1:
-        store[key] = system.psi.table
         return system.psi.table
-
     pn = tensor_space(system, "P", n)
     qn = tensor_space(system, "Q", n)
     if pn.dim == 0 or qn.dim == 0:
-        table = tuple(tuple() for _ in range(pn.dim))
-        store[key] = table
-        return table
+        return tuple(tuple() for _ in range(pn.dim))
     d_qprev = tensor_space(system, "Q", n - 1).dim
     table = []
     for a in range(pn.dim):
@@ -294,9 +307,7 @@ def psi_n(system: RSystem, n: int):
             q2 = unit_vec(system.q.dim, j)
             row_out.append(tuple(system.psi.apply(system.p.act_right(p1, r_mid), q2)))
         table.append(tuple(row_out))
-    table = tuple(table)
-    store[key] = table
-    return table
+    return tuple(table)
 
 
 def psi_apply(system: RSystem, n: int, p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
@@ -311,17 +322,3 @@ def psi_apply(system: RSystem, n: int, p: Sequence[Fraction], q: Sequence[Fracti
                 continue
             out = vec_add(out, vec_scale(pa * qb, row[b]))
     return out
-
-
-def basis_element(system: RSystem, side: str, level: int, index: int) -> ModuleElement:
-    sp = tensor_space(system, side, level)
-    return ModuleElement(system, side, level, tuple(unit_vec(sp.dim, index)))
-
-
-def path_element(system: RSystem, side: str, labels: Sequence[str]) -> ModuleElement:
-    """Concatenate level-1 basis elements named by labels (left to right)."""
-    mod = _module_of(system, side)
-    if not labels:
-        raise ValueError("empty label path")
-    word = tuple(mod.index(lab) for lab in labels)
-    return ModuleElement(system, side, len(word), word_class(system, side, word))

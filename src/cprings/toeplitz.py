@@ -46,6 +46,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactlin import (
+    QuotientSpace,
     kron_vec,
     mat_identity,
     mat_transpose,
@@ -62,6 +63,8 @@ from .tensorpow import (
     CapExceeded,
     DEFAULT_CAP,
     ModuleElement,
+    _build_upward,
+    _project_kron,
     _system_store,
     balanced_quotient,
     cut_class,
@@ -115,8 +118,10 @@ class ComponentSpace:
     m: int
     n: int
     dim: int
-    proj: Optional[list]  # only for mixed grades
-    basis: Optional[tuple]  # mixed grades: basis[t] = (a, b), the class of e_a (x) e_b
+    # mixed grades only: the balanced quotient of the Kronecker coordinates of
+    # Q^(x)m (x) P^(x)n, and basis[t] = (a, b), the class of e_a (x) e_b
+    quot: Optional[QuotientSpace]
+    basis: Optional[tuple]
 
     def __repr__(self) -> str:
         return f"ComponentSpace(({self.m},{self.n}), dim {self.dim})"
@@ -143,7 +148,7 @@ def component_space(system: RSystem, m: int, n: int) -> ComponentSpace:
         else:
             quot = balanced_quotient(qm.right, qm.dim, pn.left, pn.dim)
             basis = tuple(divmod(f, pn.dim) for f in quot.free)
-            comp = ComponentSpace(system, m, n, quot.dim, quot.projection_matrix(), basis)
+            comp = ComponentSpace(system, m, n, quot.dim, quot, basis)
     store[key] = comp
     return comp
 
@@ -157,7 +162,7 @@ def _class_coords(system: RSystem, m: int, n: int, q, p):
     comp = component_space(system, m, n)
     if comp.dim == 0:
         return None
-    return matvec(comp.proj, kron_vec(q, p))
+    return _project_kron(comp.quot, q, p)
 
 
 class ToeplitzElement:
@@ -528,22 +533,16 @@ def check_representation(system: RSystem, rep) -> list[str]:
 
 
 def _rep_leg_images(system: RSystem, rep, side: str, level: int, memo):
-    """Images of the level basis under T^m / S^n (multiplicative in order)."""
-    key = (side, level)
-    if key in memo:
-        return memo[key]
-    sp = tensor_space(system, side, level)
-    if level == 0:
-        out = [rep.sigma(unit_vec(system.ring.dim, i)) for i in range(system.ring.dim)]
-    elif level == 1:
+    """Images of the basis of level >= 1 under T^m / S^n (multiplicative in order)."""
+    if (side, 1) not in memo:
         f = rep.t if side == "Q" else rep.s
-        out = [f(unit_vec(sp.dim, i)) for i in range(sp.dim)]
-    else:
-        prev = _rep_leg_images(system, rep, side, level - 1, memo)
-        ones = _rep_leg_images(system, rep, side, 1, memo)
-        out = [prev[a] * ones[b] for a, b in sp.basis]
-    memo[key] = out
-    return out
+        d = tensor_space(system, side, 1).dim
+        memo[(side, 1)] = [f(unit_vec(d, i)) for i in range(d)]
+    ones = memo[(side, 1)]
+    if (side, level) not in memo:
+        _build_upward(memo, lambda k: (side, k), level, lambda k: [
+            memo[(side, k - 1)][a] * ones[b] for a, b in tensor_space(system, side, k).basis])
+    return memo[(side, level)]
 
 
 def evaluate(x: ToeplitzElement, rep):
@@ -613,32 +612,38 @@ def _annihilator_block(system: RSystem, p_idx: int, j: int):
 
 
 def _fock_leg_blocks(system: RSystem, side: str, level: int, idx: int, j: int):
-    """Block of T^level(e_idx) (side Q) or S^level(e_idx) (side P) from Q^(x)j."""
+    """Block of T^level(e_idx) (side Q) or S^level(e_idx) (side P) from Q^(x)j.
+
+    Basis class idx is the class of e_a (x) e_b (its basis pair), so
+    T^level(e_idx) = T^(level-1)(e_a) T(e_b), with T(e_b) from level j and
+    T^(level-1)(e_a) from level j + 1; likewise S^level(e_idx) =
+    S^(level-1)(e_a) S(e_b), with S(e_b) acting first, from level j.  The
+    block of every prefix of idx's word is built in turn, shortest first, and
+    memoized.
+    """
     store = _system_store(system)
     key = ("fockleg", side, level, idx, j)
     if key in store:
         return store[key]
-    if side == "Q":
-        if level == 1:
-            out = (j + 1, _creator_block(system, idx, j))
+    if side == "P" and level > j:
+        store[key] = (None, None)  # annihilates the whole level
+        return store[key]
+    step = 1 if side == "Q" else -1
+    prefixes = [idx]  # prefixes[k - 1]: the class of the first k letters of idx's word
+    for k in range(level, 1, -1):
+        prefixes.append(tensor_space(system, side, k).basis[prefixes[-1]][0])
+    prefixes.reverse()
+    for k, t in enumerate(prefixes, 1):
+        src = j + step * (level - k)  # the k-letter prefix acts from here
+        if ("fockleg", side, k, t, src) in store:
+            continue
+        if k == 1:
+            blk = _creator_block(system, t, src) if side == "Q" else _annihilator_block(system, t, src)
         else:
-            a, b = tensor_space(system, side, level).basis[idx]
-            _, first = _fock_leg_blocks(system, "Q", 1, b, j)
-            _, rest = _fock_leg_blocks(system, "Q", level - 1, a, j + 1)
-            out = (j + level, matmul(rest, first))
-    else:
-        if level > j:
-            out = (None, None)  # annihilates the whole level
-        elif level == 1:
-            out = (j - 1, _annihilator_block(system, idx, j))
-        else:
-            a, b = tensor_space(system, side, level).basis[idx]
-            # S^level(x (x) y) = S^(level-1)(x) S(y): S(y) acts first
-            _, last = _fock_leg_blocks(system, "P", 1, b, j)
-            _, rest = _fock_leg_blocks(system, "P", level - 1, a, j - 1)
-            out = (j - level, matmul(rest, last))
-    store[key] = out
-    return out
+            _, last = _fock_leg_blocks(system, side, 1, tensor_space(system, side, k).basis[t][1], src)
+            blk = matmul(store[("fockleg", side, k - 1, prefixes[k - 2], src + step)][1], last)
+        store[("fockleg", side, k, t, src)] = (src + step * k, blk)
+    return store[key]
 
 
 def _check_fock_cap(x: ToeplitzElement, j: int, cap: int) -> None:

@@ -21,6 +21,8 @@ from cprings.rsystem import (
     build_graph_system,
 )
 from cprings.exactlin import unit_vec, zero_vec
+from cprings.finrank import theta_table
+from cprings.tensorpow import ModuleElement, tensor_space, word_class
 
 F = Fraction
 
@@ -170,6 +172,60 @@ def random_graph_element(rng, system, ctx_free_degree=2):
             term = toeplitz.toeplitz_mul(term, w)
         x = x.add(term.scale(F(rng.randint(-3, 3))))
     return x
+
+
+# ---------------------------------------------------------------------------
+# oracles and shorthands that the library itself does not need
+
+
+def mat_eq(a, b) -> bool:
+    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
+
+
+def kron(a, b):
+    """Kronecker product acting on kron_vec coordinates: (A (x) B)(x (x) y) = Ax (x) By."""
+    if not a or not b:
+        return []
+    return [[x * y for x in arow for y in brow] for arow in a for brow in b]
+
+
+def _theta_table_matrix(system, side, level, g, h):
+    """Row g * dim(other side) + h of the theta table, as a matrix."""
+    d = tensor_space(system, side, level).dim
+    other = tensor_space(system, "P" if side == "Q" else "Q", level).dim
+    row = theta_table(system, side, level)[g * other + h]
+    return [list(row[i * d:(i + 1) * d]) for i in range(d)]
+
+
+def theta_matrix(system, level, q_index, p_index):
+    """Matrix of theta_{e_q, e_p} on Q^(x)level."""
+    return _theta_table_matrix(system, "Q", level, q_index, p_index)
+
+
+def theta_matrix_p(system, level, p_index, q_index):
+    """Matrix of the opposite-leg rank-one y |-> psi_n(y (x) e_q) . e_p on P^(x)level."""
+    return _theta_table_matrix(system, "P", level, p_index, q_index)
+
+
+def basis_element(system, side, level, index) -> ModuleElement:
+    sp = tensor_space(system, side, level)
+    return ModuleElement(system, side, level, tuple(unit_vec(sp.dim, index)))
+
+
+def path_element(system, side, labels) -> ModuleElement:
+    """Concatenate level-1 basis elements named by labels (left to right)."""
+    mod = system.q if side == "Q" else system.p
+    if not labels:
+        raise ValueError("empty label path")
+    word = tuple(mod.index(lab) for lab in labels)
+    return ModuleElement(system, side, len(word), word_class(system, side, word))
+
+
+def tpair_meet(a, b):
+    """The componentwise meet (I meet I', J meet J') of two T-pairs."""
+    from cprings.ideals import TPair
+
+    return TPair(a.i.intersect(b.i), a.j.intersect(b.j))
 
 
 @pytest.fixture

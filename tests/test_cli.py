@@ -15,6 +15,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -53,7 +54,9 @@ def files(tmp_path_factory):
     for name, payload in [
         ("a2", graph_to_json(a2_graph())),
         ("line3", graph_to_json(line_graph(3))),
+        ("rose1", graph_to_json(rose_graph(1))),
         ("rose2", graph_to_json(rose_graph(2))),
+        ("rose3", graph_to_json(rose_graph(3))),
         ("3v2c", graph_to_json(three_vertex_two_cycle())),
         ("inf", graph_to_json(infinite_emitter_graph())),
         ("perm3", system_to_json(perm3_system())),
@@ -338,6 +341,32 @@ def test_gauge_split(files):
     assert out["result"]["components"]["-1"] == "-3 P:e"
     code, out = run_json("gauge-split", files["a2"], "p(u) - p(u)")
     assert code == 0 and out["result"]["degrees"] == []
+
+
+def test_deep_words_answer(files):
+    """Levels, word classes and Fock blocks are built in loops over the
+    levels, so a 1500-letter word answers instead of exhausting the stack."""
+    w = " ".join(["l1"] * 1500)
+    # in L(rose1) = Q[t, 1/t], x(l1^n) = t^n and y(l1^n) = t^-n
+    for lhs, rhs, equal in ((f"x({w})", f"x({w})*x(l1)", False),
+                            (f"x({w})*y({w})", "p(v)", True)):
+        code, out = run_json("eq", files["rose1"], lhs, rhs, "--cap", "4000")
+        assert (code, out["result"]["equal"]) == (int(not equal), equal)
+
+
+def test_rose3_degree4_inequality_fits_in_memory(files):
+    """The degree-4 side builds the (4,4) component: 6561 Kronecker
+    coordinates and no nonzero balancing relation.  Its quotient map is a
+    lookup table, not a dense 6561 x 6561 matrix (330 MiB)."""
+    tracemalloc.start()
+    try:
+        code, out = run_json("eq", files["rose3"], "x(l1 l2 l3)*y(l1 l2 l3)",
+                             "x(l1 l2 l3 l1)*y(l1 l2 l3 l1)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out["result"]["equal"]) == (1, False)
+    assert peak < 32 * 2**20, peak
 
 
 def test_usage_errors(files, tmp_path):

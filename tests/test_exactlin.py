@@ -4,6 +4,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from conftest import kron
+
 from cprings.exactlin import (
     ONE,
     ZERO,
@@ -12,8 +14,7 @@ from cprings.exactlin import (
     Subspace,
     frac,
     kernel,
-    kron,
-    kron_columns,
+    _nonzeros,
     kron_vec,
     mat_identity,
     mat_transpose,
@@ -262,12 +263,6 @@ def dense_kron_vec(a, b):
     return [x * y for x in a for y in b]
 
 
-def dense_kron(a, b):
-    if not a or not b:
-        return []
-    return [[x * y for x in arow for y in brow] for arow in a for brow in b]
-
-
 def dense_rref(rows):
     a = [[frac(x) for x in row] for row in rows]
     pivots = []
@@ -344,10 +339,6 @@ def test_kernels_match_dense_references(data):
     assert matvec(a, x) == dense_matvec(a, x)
     assert matmul(a, b) == dense_matmul(a, b)
     assert kron_vec(x, y) == dense_kron_vec(x, y)
-    assert kron(a, b) == dense_kron(a, b)
-    pairs = [(i, j) for i in range(k) for j in range(n)][::-2]
-    picked = [[row[i * n + j] for i, j in pairs] for row in dense_kron(a, b)]
-    assert kron_columns(a, b, pairs) == picked
     # RREF is canonical, so the rows and pivots themselves must agree
     assert rref(a) == dense_rref(a)
 
@@ -358,4 +349,6 @@ def test_kernels_match_dense_references(data):
         assert sub.reduce(v) == residual
         assert sub.coordinates(v) == (coords if not any(residual) else None)
     q = QuotientSpace(sub)
-    assert q.projection_matrix() == dense_projection_matrix(q)
+    # the class of every coordinate, and of x given dense or as its nonzeros
+    assert mat_transpose([q.project(unit_vec(k, i)) for i in range(k)]) == dense_projection_matrix(q)
+    assert q.project(x) == q.project(_nonzeros(x)) == dense_matvec(dense_projection_matrix(q), x)

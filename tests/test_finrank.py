@@ -11,13 +11,12 @@ Graph-side oracles (worked out from the action tables):
 
 import pytest
 
-from conftest import diagonal_ring, five_vertex_mixed, psi_zero_system
+from conftest import diagonal_ring, five_vertex_mixed, mat_eq, psi_zero_system, theta_matrix, theta_matrix_p
 
 from cprings import finrank
 from cprings.cpring import CpContext, cp_equal, validate_ideal
 from cprings.exactlin import (
     Subspace,
-    mat_eq,
     mat_identity,
     mat_transpose,
     mat_zero,
@@ -31,8 +30,6 @@ from cprings.finrank import (
     canonical_ideals,
     check_fs,
     finite_rank_space,
-    theta_matrix,
-    theta_matrix_p,
 )
 from cprings.rsystem import Pairing, RSystem, StructuredBimodule, build_graph_system
 from cprings.tensorpow import psi_apply, tensor_space

@@ -12,7 +12,7 @@ import weakref
 import pytest
 
 from cprings import ideals
-from cprings.exactlin import Subspace, mat_eq, unit_vec
+from cprings.exactlin import Subspace, unit_vec
 from cprings.graphalg import line_graph, quotient_graph, rose_graph
 from cprings.rsystem import build_graph_system
 from cprings.finrank import canonical_ideals
@@ -32,11 +32,10 @@ from cprings.ideals import (
     lattice_json,
     quotient_system,
     tpair_le,
-    tpair_meet,
     validate_tpair,
 )
 
-from conftest import five_vertex_mixed, perm3_system
+from conftest import five_vertex_mixed, perm3_system, tpair_meet
 
 
 def _coord_ideal(system, *labels):

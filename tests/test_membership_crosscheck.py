@@ -16,19 +16,29 @@ with four facts that do not go through the Fock representation:
 Every product a g b with g from `relation_generators` must be accepted.  The
 graphs avoid vertices on two cycles (roses); C08 checks roses against the
 Leavitt closed form.
+
+The same facts are checked over rings that are not diagonal: automorphism
+systems of random changes of basis of Q^n, the dual numbers, the upper
+triangular 2x2 matrices and M_2(Q), with random automorphisms.  There a
+balancing relation has several nonzero entries, so the class of a word is in
+general a combination of several basis classes, and the RREF rows that
+`QuotientSpace.project` reads have support.  Members are built as x - y, where
+y rewrites x through the covariance relation
+iota_R(r) = sum c_ab iota_Q(e_a) iota_P(e_b), r in J.
 """
 
 import random
+from fractions import Fraction as F
 
 from conftest import random_graph, random_graph_element, random_permutation_system
 
 from cprings.cpring import CpContext, in_relation_ideal, relation_generators, validate_ideal
 from cprings.crossedprod import cp_to_crossed
-from cprings.exactlin import Subspace
-from cprings.finrank import canonical_ideals
+from cprings.exactlin import Subspace, mat_identity, matmul, solve, solve_matrix, unit_vec
+from cprings.finrank import canonical_ideals, theta_decomposition
 from cprings.graphalg import LpaElement, LpaTarget
-from cprings.rsystem import build_graph_system
-from cprings.toeplitz import evaluate, toeplitz_mul
+from cprings.rsystem import StructuredRing, build_automorphism_system, build_graph_system
+from cprings.toeplitz import ToeplitzElement, embed, evaluate, toeplitz_mul
 
 
 def _on_two_cycles(graph) -> bool:
@@ -118,3 +128,169 @@ def test_fock_membership_matches_exact_oracles():
                     verdicts.update(got)
     assert verdicts == {True, False}
     assert checked >= 400 and accepted >= 150, (checked, accepted)
+
+
+# ---------------------------------------------------------------------------
+# rings that are not diagonal
+
+
+def _unit(k, i, j):
+    return [[F(int((r, c) == (i, j))) for c in range(k)] for r in range(k)]
+
+
+def _algebra(kind, rng):
+    """Basis matrices of a subalgebra of M_k(Q), a g in GL_k(Q) whose
+    conjugation preserves it, and the bases of its proper nonzero ideals."""
+    if kind == "diagonal":
+        n = rng.choice((2, 3))
+        mats = [_unit(n, i, i) for i in range(n)]
+        perm = list(range(n))
+        rng.shuffle(perm)  # permutes the idempotents
+        g = [[F(int(perm[c] == r)) for c in range(n)] for r in range(n)]
+        ideals = [[mats[i] for i in range(n) if mask >> i & 1] for mask in range(1, (1 << n) - 1)]
+    elif kind == "dual":  # Q[N]/(N^2) as [[a, b], [0, a]]; diag(1, c) scales N
+        mats = [mat_identity(2), _unit(2, 0, 1)]
+        g = [[F(1), F(0)], [F(0), F(rng.choice((-3, -2, 2, 3)))]]
+        ideals = [[mats[1]]]
+    elif kind == "upper":  # conjugation by an invertible upper triangular matrix
+        mats = [_unit(2, 0, 0), _unit(2, 0, 1), _unit(2, 1, 1)]
+        g = [[F(rng.choice((1, 2, -1))), F(rng.randint(-2, 2))], [F(0), F(rng.choice((1, 3, -2)))]]
+        ideals = [[mats[1]], [mats[0], mats[1]], [mats[1], mats[2]]]
+    else:  # M_2(Q) is simple; any invertible g
+        mats = [_unit(2, i, j) for i in range(2) for j in range(2)]
+        g = _random_invertible(rng, 2)
+        ideals = []
+    return mats, g, ideals
+
+
+def _random_invertible(rng, d):
+    while True:
+        m = [[F(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)]
+        if solve_matrix(m, mat_identity(d)) is not None:
+            return m
+
+
+def _non_diagonal_system(kind, rng):
+    """An automorphism system of `kind`, presented in a random basis
+    f_i = sum_k b[k][i] m_k of the algebra, and its proper nonzero ideals."""
+    mats, g, ideals = _algebra(kind, rng)
+    d = len(mats)
+    flat = [[m[r][c] for m in mats] for r in range(len(mats[0])) for c in range(len(mats[0]))]
+
+    def coords(m):  # coordinates of a matrix of the algebra in the matrix basis
+        return solve(flat, [x for row in m for x in row])
+
+    b = _random_invertible(rng, d)
+    b_inv = solve_matrix(b, mat_identity(d))
+
+    def new_coords(m):
+        return [sum(b_inv[i][k] * c for k, c in enumerate(coords(m))) for i in range(d)]
+
+    f = [[[sum(b[k][i] * mats[k][r][c] for k in range(d)) for c in range(len(g))]
+          for r in range(len(g))] for i in range(d)]
+    mult = [[new_coords(matmul(fi, fj)) for fj in f] for fi in f]
+    g_inv = solve_matrix(g, mat_identity(len(g)))
+    phi = [list(col) for col in zip(*[new_coords(matmul(matmul(g, fi), g_inv)) for fi in f])]
+    ring = StructuredRing([f"f{i + 1}" for i in range(d)], mult)
+    system = build_automorphism_system(ring, phi)
+    system.name = f"{kind}-{d}"
+    return system, [Subspace(d, [new_coords(m) for m in ideal]) for ideal in ideals]
+
+
+def _word(rng, system, kinds):
+    """A product of generators of the given kinds, with small random coordinates."""
+    out = None
+    for kind in kinds:
+        d = {"R": system.ring, "Q": system.q, "P": system.p}[kind].dim
+        g = embed(system, kind, [F(rng.randint(-2, 2)) for _ in range(d)])
+        out = g if out is None else toeplitz_mul(out, g)
+    return out
+
+
+def _random_word(rng, system, low, high):
+    return _word(rng, system, rng.choices("RQP", k=rng.randint(low, high)))
+
+
+def _covariance_rhs(system, r):
+    """sum c_ab iota_Q(e_a) iota_P(e_b) for Delta(r) = sum c_ab theta_{e_a, e_b}."""
+    dq, dp = system.q.dim, system.p.dim
+    c = theta_decomposition(system, r)
+    out = ToeplitzElement(system)
+    for a in range(dq):
+        for b in range(dp):
+            if c[a * dp + b]:
+                qp = toeplitz_mul(embed(system, "Q", unit_vec(dq, a)), embed(system, "P", unit_vec(dp, b)))
+                out = out.add(qp.scale(c[a * dp + b]))
+    return out
+
+
+def _rewrites(rng, ctx, count):
+    """x - y with y the word x = u iota_R(r) v, r in J, in which iota_R(r) is
+    rewritten by the covariance relation."""
+    system = ctx.system
+    basis = ctx.j.ideal.basis()
+    out = []
+    for _ in range(count if basis else 0):
+        coeffs = [F(rng.randint(-2, 2)) for _ in basis]
+        r = [sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(system.ring.dim)]
+        u, v = _random_word(rng, system, 1, 2), _random_word(rng, system, 1, 2)
+        x = toeplitz_mul(toeplitz_mul(u, embed(system, "R", r)), v)
+        y = toeplitz_mul(toeplitz_mul(u, _covariance_rhs(system, r)), v)
+        out.append(x.sub(y))
+    return out
+
+
+def test_membership_over_non_diagonal_rings():
+    checked = 0
+    verdicts = set()
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        for kind in ("diagonal", "dual", "upper", "matrix2"):
+            system, proper = _non_diagonal_system(kind, rng)
+            d = system.ring.dim
+            assert canonical_ideals(system)["j_max"] == Subspace.full(d)
+            ideals = [Subspace.full(d)] + ([rng.choice(proper)] if proper else []) + [Subspace(d)]
+            contexts = []
+            for ideal in ideals:
+                j = validate_ideal(system, ideal)
+                assert j.ok
+                contexts.append(CpContext(system, j))
+            members = [_rewrites(rng, ctx, 5) for ctx in contexts]
+            for ctx, own in zip(contexts, members):
+                for m in own:
+                    assert in_relation_ideal(ctx, m), (system.name, m)
+            everyone = [m for own in members for m in own]
+            cases = everyone + [m.add(_random_word(rng, system, 1, 2)) for m in everyone]
+            cases += [_random_word(rng, system, 1, 3) for _ in range(8)]
+            for x in cases:
+                got = [in_relation_ideal(ctx, x) for ctx in contexts]
+                where = (system.name, x)
+                assert got[0] == cp_to_crossed(contexts[0], x).is_zero(), where
+                assert got[-1] == x.is_zero(), where
+                assert all(big or not small for big, small in zip(got, got[1:])), where
+                checked += 1
+                verdicts.add(got[0])
+    assert verdicts == {True, False}
+    assert checked >= 150, checked
+
+
+def test_deep_words_over_non_diagonal_rings():
+    """Contractions and annihilators cut a basis word into a head and a tail.
+    Products that cut words of three letters must collapse like the crossed
+    product, and members of degree 3 must be accepted."""
+    rng = random.Random(11)
+    for kind in ("diagonal", "dual", "upper", "matrix2"):
+        system, _ = _non_diagonal_system(kind, rng)
+        ctx = CpContext(system, validate_ideal(system, Subspace.full(system.ring.dim)))
+        for left, right in (("PPP", "QQ"), ("PP", "QQQ"), ("QPPP", "QQ"), ("PP", "QQQP")):
+            a, b = _word(rng, system, left), _word(rng, system, right)
+            ab = toeplitz_mul(a, b)
+            assert cp_to_crossed(ctx, ab) == cp_to_crossed(ctx, a) * cp_to_crossed(ctx, b), (system.name, left, right)
+        for _ in range(3):
+            u, v = _word(rng, system, "QQQ"), _word(rng, system, "PPP")
+            r = [F(rng.randint(-2, 2)) for _ in range(system.ring.dim)]
+            core = embed(system, "R", r).sub(_covariance_rhs(system, r))
+            member = toeplitz_mul(toeplitz_mul(u, core), v)
+            assert in_relation_ideal(ctx, member), system.name
+            for x in (member, member.add(toeplitz_mul(u, v))):
+                assert in_relation_ideal(ctx, x) == cp_to_crossed(ctx, x).is_zero(), system.name

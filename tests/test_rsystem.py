@@ -26,7 +26,6 @@ from cprings.rsystem import (
     basis_actions,
     build_automorphism_system,
     build_graph_system,
-    is_right_nondegenerate,
     right_annihilator,
     system_from_json,
     system_to_json,
@@ -107,7 +106,8 @@ def test_automorphism_rejects_non_automorphisms():
 
 
 def test_right_nondegenerate_graph_and_degenerate_ring():
-    assert is_right_nondegenerate(build_graph_system(a2_graph()))
+    # right-nondegenerate: r R = 0 implies r = 0
+    assert right_annihilator(build_graph_system(a2_graph()).ring).is_zero()
     # square-zero one-dimensional ring: x * R = 0
     ring = StructuredRing(["x"], [[zero_vec(1)]])
     sys = build_graph_system(a2_graph())
@@ -115,7 +115,7 @@ def test_right_nondegenerate_graph_and_degenerate_ring():
 
     dummy_mod = StructuredBimodule(["m"], [[[F(0)]]], [[[F(0)]]])
     degenerate = RSystem(ring=ring, p=dummy_mod, q=dummy_mod, psi=Pairing([[zero_vec(1)]]), name="sq0")
-    assert not is_right_nondegenerate(degenerate)
+    assert not right_annihilator(degenerate.ring).is_zero()
     assert right_annihilator(ring).dim == 1
 
 

@@ -17,16 +17,18 @@ import pytest
 from conftest import (
     dual_numbers_ring,
     dual_numbers_unit_basis_ring,
+    basis_element,
     five_vertex_mixed,
+    kron,
+    mat_eq,
     matrix2_ring,
+    path_element,
     perm3_system,
     psi_zero_system,
 )
 
 from cprings.exactlin import (
-    kron,
     kron_vec,
-    mat_eq,
     mat_identity,
     matmul,
     matvec,
@@ -39,8 +41,6 @@ from cprings.graphalg import rose_graph
 from cprings.tensorpow import (
     CapExceeded,
     ModuleElement,
-    basis_element,
-    path_element,
     psi_apply,
     psi_n,
     tensor_embed,
@@ -71,13 +71,13 @@ def test_line3_level2_classes(line3_system):
     assert q2.dim == 1 and p2.dim == 1
     e1, e2 = unit_vec(2, 0), unit_vec(2, 1)
     # only the composable word e1e2 survives on the Q side
-    assert not is_zero_vec(matvec(q2.proj, kron_vec(e1, e2)))
-    assert is_zero_vec(matvec(q2.proj, kron_vec(e2, e1)))
-    assert is_zero_vec(matvec(q2.proj, kron_vec(e1, e1)))
-    assert is_zero_vec(matvec(q2.proj, kron_vec(e2, e2)))
+    assert not is_zero_vec(q2.quot.project(kron_vec(e1, e2)))
+    assert is_zero_vec(q2.quot.project(kron_vec(e2, e1)))
+    assert is_zero_vec(q2.quot.project(kron_vec(e1, e1)))
+    assert is_zero_vec(q2.quot.project(kron_vec(e2, e2)))
     # reversed-edge side composes the other way around
-    assert not is_zero_vec(matvec(p2.proj, kron_vec(e2, e1)))
-    assert is_zero_vec(matvec(p2.proj, kron_vec(e1, e2)))
+    assert not is_zero_vec(p2.quot.project(kron_vec(e2, e1)))
+    assert is_zero_vec(p2.quot.project(kron_vec(e1, e2)))
 
 
 def test_line3_psi2_full_path(line3_system):
@@ -229,6 +229,13 @@ def test_rose1_stays_one_dimensional(rose1):
         assert tensor_space(system, "Q", n).dim == 1
         assert tensor_space(system, "P", n).dim == 1
         assert psi_apply(system, n, unit_vec(1, 0), unit_vec(1, 0)) == unit_vec(1, 0)
+
+
+def test_deep_pairing_needs_no_stack_per_level(rose1):
+    """psi_n and the tensor levels are built bottom-up in loops, so level
+    1500 (above the interpreter's recursion limit) is reached."""
+    system = build_graph_system(rose1)
+    assert psi_apply(system, 1500, unit_vec(1, 0), unit_vec(1, 0)) == unit_vec(1, 0)
 
 
 def test_zero_pairing_iterates_to_zero():

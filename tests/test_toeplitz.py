@@ -7,6 +7,7 @@ component product table.
 """
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from conftest import (
     dual_numbers_ring,
     dual_numbers_unit_basis_ring,
     five_vertex_mixed,
+    mat_eq,
     matrix2_ring,
     perm3_system,
     random_graph_element,
@@ -22,7 +24,7 @@ from conftest import (
 )
 
 from cprings import toeplitz
-from cprings.exactlin import kron_vec, mat_eq, mat_identity, matvec, unit_vec, zero_vec
+from cprings.exactlin import kron_vec, mat_identity, unit_vec, zero_vec
 from cprings.graphalg import rose_graph
 from cprings.rsystem import build_automorphism_system, build_graph_system
 from cprings.tensorpow import CapExceeded, tensor_space
@@ -134,7 +136,24 @@ def test_basis_classes_are_pure_tensors(make):
         assert len(space.basis) == space.dim > 0
         for t, (a, b) in enumerate(space.basis):
             pure = kron_vec(unit_vec(d_left, a), unit_vec(d_right, b))
-            assert matvec(space.proj, pure) == unit_vec(space.dim, t)
+            assert space.quot.project(pure) == unit_vec(space.dim, t)
+
+
+def test_rose3_44_component_fits_in_memory():
+    """Rose3's (4,4) component has 6561 Kronecker coordinates and no nonzero
+    balancing relation; its classes are a lookup table over those coordinates,
+    not a dense 6561 x 6561 projection matrix (330 MiB)."""
+    system = build_graph_system(rose_graph(3))
+    tracemalloc.start()
+    try:
+        comp = component_space(system, 4, 4)
+        x = pair(system, 4, 4, unit_vec(81, 5), unit_vec(81, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert comp.dim == 6561
+    assert x.comps == {(4, 4): tuple(unit_vec(6561, 5 * 81 + 7))}
+    assert peak < 16 * 2**20, peak
 
 
 @pytest.mark.parametrize("ring, d", [(dual_numbers_ring, 2), (matrix2_ring, 4), (dual_numbers_unit_basis_ring, 2)],
