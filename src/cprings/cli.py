@@ -147,6 +147,13 @@ class LoadedInput:
             self._system = build_graph_system(self.graph)
         return self._system
 
+    @property
+    def paths(self) -> Optional[FiniteGraph]:
+        """The graph expressions and the Leavitt closed form read: an edge e of finite
+        multiplicity k is the parallel edges e, e#2, ..., e#k, the system's copies."""
+        g = self.graph
+        return g if g is None or g.infinite_emitters() else g.expand()
+
 
 # what the JSON readers raise on a well-formed JSON value of the wrong shape
 _MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError)
@@ -511,7 +518,7 @@ class Outcome:
 
 
 def _toeplitz_ctx(loaded: LoadedInput, args) -> EvalContext:
-    return EvalContext(loaded.system, loaded.graph, "toeplitz", cap=args.cap)
+    return EvalContext(loaded.system, loaded.paths, "toeplitz", cap=args.cap)
 
 
 def _cp_context(loaded: LoadedInput, args, jspec: str) -> CpContext:
@@ -576,7 +583,7 @@ def _verb_nf(loaded, args) -> Outcome:
         raise _UsageError("--backend lpa needs a graph input")
     ctx = EvalContext(
         loaded.system if backend == "toeplitz" else None,
-        loaded.graph,
+        loaded.paths,
         backend,
         cap=args.cap,
     )
@@ -714,7 +721,7 @@ def _verb_compare(loaded, args) -> Outcome:
     sy = loaded.system
     rng = random.Random(args.seed)
     ctx = _cp_context(loaded, args, "jmax")
-    rep = LpaTarget(loaded.graph, sy)
+    rep = LpaTarget(loaded.paths, sy)
     gens = [
         embed(sy, kind, unit_vec(dim, i))
         for kind, dim in (("R", sy.ring.dim), ("Q", sy.q.dim), ("P", sy.p.dim))
@@ -779,9 +786,16 @@ _VERBS = {
 # ---------------------------------------------------------------------------
 
 
+class _HelpRequested(Exception):
+    pass
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):  # -h/--help: `run` returns the text with exit 0
+        raise _HelpRequested(self.format_help())
 
 
 def _nonnegative_int(text: str) -> int:
@@ -864,6 +878,8 @@ def run(argv) -> tuple[int, str]:
                     f"{args.file}: system fails the axioms: " + "; ".join(failures[:3]))
         handler, _ = _VERBS[args.verb]
         outcome = handler(loaded, args)
+    except _HelpRequested as exc:
+        return 0, str(exc)
     except _UsageError as exc:
         payload = {"ok": False, "result": None, "diagnostics": [str(exc)]}
         return 2, json.dumps(payload, sort_keys=True)

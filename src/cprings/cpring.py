@@ -170,7 +170,7 @@ def _pi_delta(ctx: CpContext, x: Sequence[Fraction]) -> Optional[list[Fraction]]
     coeffs = theta_decomposition(system, key)
     if coeffs is None:
         raise ValueError("Delta(x) is not finite-rank: ideal is not psi-compatible")
-    # c_ab sits at a * dim P + b, the kron_vec coordinate of e_a (x) e_b in Q (x) P
+    # c_ab sits at a * dim P + b, the Kronecker coordinate of e_a (x) e_b in Q (x) P
     out = cs.quot.project(coeffs)
     ctx._pi_cache[key] = out
     return out
@@ -231,16 +231,14 @@ def _ideal_image(ctx: CpContext, k: int) -> Subspace:
 def _vacuum_span(ctx: CpContext, k: int) -> Subspace:
     """Theta_{0,k}: the maps zeta |-> xi zeta from R to Q^(x)k, xi in Q^(x)k . J.
 
-    Matrices are flattened row by row, as `fock_apply` lays out its blocks.
+    Maps are flattened column by column, as `_fock_block` lays out a block.
     """
     span = ctx._theta_cache.get(("vacuum", k))
     if span is None:
         dst = tensor_space(ctx.system, "Q", k)
         d = ctx.system.ring.dim
-        rows = []
-        for xi in _ideal_image(ctx, k).basis():
-            cols = [dst.act_right(xi, unit_vec(d, c)) for c in range(d)]
-            rows.append([col[i] for i in range(dst.dim) for col in cols])
+        rows = [[e for c in range(d) for e in dst.act_right(xi, unit_vec(d, c))]
+                for xi in _ideal_image(ctx, k).basis()]
         span = Subspace(dst.dim * d, rows)
         ctx._theta_cache[("vacuum", k)] = span
     return span
@@ -251,17 +249,18 @@ def _theta_residual(ctx: CpContext, l: int, k: int, block: list) -> list[Fractio
     if l == 0:
         return _vacuum_span(ctx, k).reduce(block)
     image = _ideal_image(ctx, k)
-    width = len(block) // image.ambient  # dim Q^(x)l
-    return [e for c in range(width) for e in image.reduce(block[c::width])]
+    d = image.ambient  # dim Q^(x)k: column c of the block is block[c * d:(c + 1) * d]
+    return [e for c in range(0, len(block), d) for e in image.reduce(block[c:c + d])]
 
 
 def _fock_block(ctx: CpContext, x: ToeplitzElement, l: int, k: int) -> list[Fraction]:
-    """The flattened level-l -> level-k block of Fock(x)."""
-    blk = fock_apply(x, l, cap=ctx.cap).get(k)
-    if blk is None:
-        src = tensor_space(ctx.system, "Q", l).dim
-        return [ZERO] * (tensor_space(ctx.system, "Q", k).dim * src)
-    return [e for row in blk for e in row]
+    """The level-l -> level-k block of Fock(x), flattened column by column."""
+    d = tensor_space(ctx.system, "Q", k).dim
+    out = [ZERO] * (d * tensor_space(ctx.system, "Q", l).dim)
+    for c, col in enumerate(fock_apply(x, l, cap=ctx.cap).get(k, ())):
+        for r, v in col:
+            out[c * d + r] = v
+    return out
 
 
 def _combine(coeffs: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]]) -> list[Fraction]:

@@ -12,7 +12,8 @@ higher layers need (sum, intersection, membership, canonical residuals).
 so basis vector t is the class of the unit vector at `free[t]`; the class of
 every other coordinate is read off the RREF rows once, into a lookup table,
 and `QuotientSpace.project` is a sum of table entries over a vector's
-nonzeros.  No dense projection matrix is ever formed.
+nonzeros (`project_nz` the same sum, kept sparse).  No dense projection
+matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -60,6 +61,16 @@ def _nonzeros(v: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
     return [(j, x) for j, x in enumerate(v) if x]
 
 
+def _sum_nz(terms) -> tuple:
+    """Nonzero (index, value) pairs, by index, of the sum of c * v over the
+    (c, nonzero pairs of v) in `terms`."""
+    acc: dict = {}
+    for c, nz in terms:
+        for j, y in nz:
+            acc[j] = acc.get(j, ZERO) + c * y
+    return tuple(sorted((j, y) for j, y in acc.items() if y))
+
+
 def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     if len(a) != len(b):
         raise DimensionMismatch(f"vector lengths {len(a)} != {len(b)}")
@@ -76,18 +87,6 @@ def vec_scale(c, v: Sequence[Fraction]) -> list[Fraction]:
     if c:
         for j, x in _nonzeros(v):
             out[j] = c * x
-    return out
-
-
-def kron_vec(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    """Coordinates of a (x) b: index (i, j) -> i * len(b) + j."""
-    n = len(b)
-    nz_b = _nonzeros(b)
-    out = [ZERO] * (len(a) * n)
-    for i, x in _nonzeros(a):
-        base = i * n
-        for j, y in nz_b:
-            out[base + j] = x * y
     return out
 
 
@@ -383,6 +382,12 @@ class QuotientSpace:
             for t, y in classes[j]:
                 out[t] += x * y
         return out
+
+    def project_nz(self, pairs) -> tuple:
+        """Nonzero (index, value) pairs of the class of the vector whose
+        nonzero (index, value) pairs are `pairs`."""
+        classes = self._classes
+        return _sum_nz((x, classes[j]) for j, x in pairs)
 
     def __repr__(self) -> str:
         return f"QuotientSpace(Q^{self.ambient} / dim {self.sub.dim})"

@@ -1,14 +1,14 @@
 """Rank-one operator calculus on the tensor legs, built once per system.
 
-Operators act on Q^(x)n as matrices in canonical level coordinates.  The
-rank-one generators and the left action are
+Operators act on Q^(x)n as matrices in canonical level coordinates,
+flattened row by row.  The rank-one generators and the left action are
 
     theta_{q,p}(x) = q . psi_n(p (x) x)      (on P^(x)n: y |-> psi_n(y (x) q) . p)
     Delta(r)(x)    = r . x
 
 `theta_table(system, side, level)` holds the flattened generators of one side
-and level, read straight off psi_n and the level's action matrices; it is
-built once per system and everything rank-one reads it.  F_P(Q) is its span
+and level, read straight off psi_n and the columns of the level's actions; it
+is built once per system and everything rank-one reads it.  F_P(Q) is its span
 (`finite_rank_space`); condition (FS) asks the identity of Q to lie in F_P(Q)
 and the identity of P in F_Q(P), two exact solves over the table whose
 solutions double as certificates (`check_fs`); `theta_decomposition` solves
@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactlin import (
+    ONE,
     ZERO,
     Subspace,
     _nonzeros,
@@ -37,7 +38,7 @@ from .exactlin import (
     preimage,
     solve,
 )
-from .rsystem import RSystem, _column_nonzeros
+from .rsystem import RSystem
 from .tensorpow import _system_store, psi_n, tensor_space
 
 
@@ -45,8 +46,14 @@ class FsViolation(RuntimeError):
     """An operation that needs condition (FS) was run on a system without it."""
 
 
-def _flatten(m: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    return [x for row in m for x in row]
+def _flatten_columns(cols) -> list[Fraction]:
+    """The d x d map with columns' nonzeros `cols`, flattened row by row."""
+    d = len(cols)
+    out = [ZERO] * (d * d)
+    for c, col in enumerate(cols):
+        for r, v in col:
+            out[r * d + c] = v
+    return out
 
 
 def _build_theta_table(system: RSystem, side: str, level: int) -> tuple:
@@ -58,9 +65,9 @@ def _build_theta_table(system: RSystem, side: str, level: int) -> tuple:
     # theta_{e_g,e_h} sends e_c to e_g . psi_n(e_h (x) e_c) on Q, and
     # theta'_{e_g,e_h} sends e_c to psi_n(e_c (x) e_h) . e_g on P
     if side == "Q":
-        acts, pairing = _column_nonzeros(own.right), lambda h, c: psi[h][c]
+        acts, pairing = own.right, lambda h, c: psi[h][c]
     else:
-        acts, pairing = _column_nonzeros(own.left), lambda h, c: psi[c][h]
+        acts, pairing = own.left, lambda h, c: psi[c][h]
     rows = []
     for g in range(d):
         for h in range(other.dim):
@@ -109,7 +116,7 @@ def theta_decomposition(system: RSystem, x: Sequence[Fraction]):
 
     c_ab sits at a * dim P + b, the row of theta_{e_a,e_b} in the level-1 table.
     """
-    return _solve_over_table(system, "Q", 1, _flatten(system.q.left_matrix(list(x))))
+    return _solve_over_table(system, "Q", 1, _flatten_columns(system.q.left_map(list(x))))
 
 
 @dataclass
@@ -125,7 +132,8 @@ class FsReport:
 def _identity_in_span(system: RSystem, level: int, side: str):
     """Solve identity = sum c_{x,y} theta; returns certificate triples or None."""
     d = tensor_space(system, side, level).dim
-    sol = _solve_over_table(system, side, level, _flatten(mat_identity(d)))
+    identity = _flatten_columns(tuple(((c, ONE),) for c in range(d)))
+    sol = _solve_over_table(system, side, level, identity)
     if sol is None:
         return None
     inner = tensor_space(system, "P" if side == "Q" else "Q", level).dim
@@ -153,7 +161,7 @@ def check_fs(system: RSystem, level: int = 1) -> FsReport:
 
 def _delta_map_matrix(system: RSystem) -> list:
     """The linear map r |-> flatten(Delta(r)) as a (dQ^2 x dR) matrix."""
-    cols = [_flatten(system.q.left[i]) for i in range(system.ring.dim)]
+    cols = [_flatten_columns(system.q.left[i]) for i in range(system.ring.dim)]
     return mat_transpose(cols)
 
 

@@ -61,6 +61,12 @@ class FiniteGraph:
                 raise ValueError(f"duplicate edge name {e.name}")
             seen.add(e.name)
             norm.append(e)
+        # copy k of an edge e of finite multiplicity is named e#k (see `expand`)
+        mults = {e.name: e.mult for e in norm}
+        for e in norm:
+            base, _, k = e.name.rpartition("#")
+            if k.isdecimal() and k == str(int(k)) and 2 <= int(k) <= mults.get(base, 0) < math.inf:
+                raise ValueError(f"edge name {e.name} collides with copy {k} of edge {base}")
         self.edges = tuple(norm)
         self._out = {v: tuple(e for e in self.edges if e.src == v) for v in self.vertices}
 

@@ -22,7 +22,6 @@ from .exactlin import (
     QuotientSpace,
     Subspace,
     _nonzeros,
-    mat_transpose,
     unit_vec,
     zero_vec,
 )
@@ -34,7 +33,6 @@ from .cpring import (
 )
 from .rsystem import (
     Pairing,
-    _column_nonzeros,
     RSystem,
     StructuredBimodule,
     StructuredRing,
@@ -163,9 +161,9 @@ def _quotient_system(system: RSystem, i: Subspace, name: Optional[str]) -> Quoti
 
     # the induced R/I actions exist only when IQ <= QI and PI <= IP
     for x in ibasis:
-        if not all(quot_q.sub.contains(col) for col in zip(*q.left_matrix(x))):
+        if not all(quot_q.sub.contains(q.act_left(x, unit_vec(dq, b))) for b in range(dq)):
             raise NotInvariant("IQ is not contained in QI: left action does not descend")
-        if not all(quot_p.sub.contains(col) for col in zip(*p.right_matrix(x))):
+        if not all(quot_p.sub.contains(p.act_right(unit_vec(dp, a), x)) for a in range(dp)):
             raise NotInvariant("PI is not contained in IP: right action does not descend")
 
     ring2 = StructuredRing([ring.labels[c] for c in keep_r],
@@ -174,13 +172,12 @@ def _quotient_system(system: RSystem, i: Subspace, name: Optional[str]) -> Quoti
     def induced(quot, actions):
         # the action of a basis element of R/I is that of its lift, read mod QI (IP):
         # column t is the class of the lift's image of e_free[t]
-        return [mat_transpose([quot.project(cols[c]) for c in quot.free])
-                for cols in _column_nonzeros([actions[a] for a in keep_r])]
+        return [[quot.project_nz(actions[a][c]) for c in quot.free] for a in keep_r]
 
-    q2 = StructuredBimodule([q.labels[c] for c in quot_q.free],
-                            induced(quot_q, q.left), induced(quot_q, q.right))
-    p2 = StructuredBimodule([p.labels[c] for c in quot_p.free],
-                            induced(quot_p, p.left), induced(quot_p, p.right))
+    q2 = StructuredBimodule._of_columns([q.labels[c] for c in quot_q.free],
+                                        induced(quot_q, q.left), induced(quot_q, q.right))
+    p2 = StructuredBimodule._of_columns([p.labels[c] for c in quot_p.free],
+                                        induced(quot_p, p.left), induced(quot_p, p.right))
     psi2 = Pairing([[quot_r.project(system.psi.table[a][b]) for b in quot_q.free] for a in quot_p.free])
 
     quotient = RSystem(ring2, p2, q2, psi2, name=name or f"{system.name}/I")

@@ -5,8 +5,8 @@ bimodule map psi : P (x)_R Q -> R.  Everything here is finite-dimensional
 over Q and presented by structure constants:
 
 - `StructuredRing`: basis labels + multiplication table
-- `StructuredBimodule`: basis labels + one left and one right action matrix
-  per ring basis element
+- `StructuredBimodule`: basis labels + the left and right actions of each
+  ring basis element, kept as the nonzeros of their columns (`_Actions`)
 - `Pairing`: the table psi(p_i (x) q_j) in ring coordinates
 
 `validate_axioms` checks every defining identity on basis elements (which
@@ -25,12 +25,12 @@ from typing import Sequence
 from .exactlin import (
     Subspace,
     _nonzeros,
+    _sum_nz,
     frac,
     kernel,
     mat_identity,
     mat_transpose,
     mat_zero,
-    matmul,
     matvec,
     solve_matrix,
     unit_vec,
@@ -63,7 +63,7 @@ class StructuredRing:
     __slots__ = ("labels", "mult", "left_basis", "right_basis", "_index", "_mult_nz")
 
     def __init__(self, labels: Sequence[str], mult):
-        self.labels = tuple(labels)
+        self.labels = _distinct(labels, "ring")
         n = len(self.labels)
         if len(mult) != n or any(len(row) != n for row in mult):
             raise ValueError("multiplication table shape does not match basis")
@@ -82,7 +82,7 @@ class StructuredRing:
             tuple(tuple(self.mult[j][i][k] for j in range(n)) for k in range(n)) for i in range(n)
         )
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self._mult_nz = tuple(tuple(_nonzeros(cell) for cell in row) for row in self.mult)
+        self._mult_nz = tuple(tuple(tuple(_nonzeros(cell)) for cell in row) for row in self.mult)
 
     @property
     def dim(self) -> int:
@@ -109,14 +109,50 @@ class StructuredRing:
         return f"StructuredRing({list(self.labels)!r})"
 
 
-def _act(mats, r: Sequence[Fraction], x: Sequence[Fraction]) -> list[Fraction]:
-    """(sum_i r_i mats[i]) x for square matrices mats[i]."""
+def _columns(mats) -> tuple:
+    """cols[i][a]: the nonzero (row, value) pairs of column a of the square matrix mats[i]."""
+    return tuple(tuple(tuple(_nonzeros([frac(c) for c in col])) for col in zip(*m)) for m in mats)
+
+
+def _distinct(labels: Sequence[str], what: str) -> tuple:
+    labels = tuple(labels)
+    if len(set(labels)) != len(labels):
+        dup = next(lab for k, lab in enumerate(labels) if lab in labels[:k])
+        raise ValueError(f"duplicate {what} basis label {dup!r}")
+    return labels
+
+
+def _act(cols, r: Sequence[Fraction], x: Sequence[Fraction]) -> list[Fraction]:
+    """sum_i r_i M_i x, for the maps M_i given by their columns cols[i]."""
     out = [ZERO] * len(x)
+    nz_x = _nonzeros(x)
     for i, ri in _nonzeros(r):
-        for k, y in enumerate(matvec(mats[i], x)):
-            if y:
-                out[k] += ri * y
+        mi = cols[i]
+        for a, xa in nz_x:
+            c = ri * xa
+            for b, y in mi[a]:
+                out[b] += c * y
     return out
+
+
+class _Actions:
+    """The R-actions of a space, stored as the nonzeros of their columns:
+    left[i][a] holds the nonzero (index, value) pairs of e_i . m_a and
+    right[i][a] those of m_a . e_i, for ring basis elements e_i and basis
+    vectors m_a of the space."""
+
+    __slots__ = ()
+
+    def act_left(self, r: Sequence[Fraction], m: Sequence[Fraction]) -> list[Fraction]:
+        return _act(self.left, r, m)
+
+    def act_right(self, m: Sequence[Fraction], r: Sequence[Fraction]) -> list[Fraction]:
+        return _act(self.right, r, m)
+
+    def left_map(self, r: Sequence[Fraction]) -> list[tuple]:
+        """The columns of m -> r . m: column a holds the nonzeros of r . m_a."""
+        nz_r = _nonzeros(r)
+        return [_sum_nz((ri, self.left[i][a]) for i, ri in nz_r) for a in range(self.dim)]
 
 
 def _combine(mats, r: Sequence[Fraction], n: int) -> list[list[Fraction]]:
@@ -129,40 +165,27 @@ def _combine(mats, r: Sequence[Fraction], n: int) -> list[list[Fraction]]:
     return out
 
 
-class _Actions:
-    """The R-actions of a space with one dim x dim matrix per ring basis element:
-    left[i] is the matrix of m -> e_i . m, right[i] of m -> m . e_i."""
-
-    __slots__ = ()
-
-    def act_left(self, r: Sequence[Fraction], m: Sequence[Fraction]) -> list[Fraction]:
-        return _act(self.left, r, m)
-
-    def act_right(self, m: Sequence[Fraction], r: Sequence[Fraction]) -> list[Fraction]:
-        return _act(self.right, r, m)
-
-    def left_matrix(self, r: Sequence[Fraction]) -> list[list[Fraction]]:
-        return _combine(self.left, r, self.dim)
-
-    def right_matrix(self, r: Sequence[Fraction]) -> list[list[Fraction]]:
-        return _combine(self.right, r, self.dim)
-
-
 class StructuredBimodule(_Actions):
-    """R-bimodule given by action matrices per ring basis element (`_Actions`)."""
+    """R-bimodule given by its actions per ring basis element (`_Actions`); the
+    constructor takes one dim x dim matrix per ring basis element and side."""
 
     __slots__ = ("labels", "left", "right", "_index")
 
     def __init__(self, labels: Sequence[str], left, right):
-        self.labels = tuple(labels)
+        self.labels = _distinct(labels, "module")
         d = len(self.labels)
-        self.left = tuple(tuple(tuple(frac(c) for c in row) for row in m) for m in left)
-        self.right = tuple(tuple(tuple(frac(c) for c in row) for row in m) for m in right)
-        for mats in (self.left, self.right):
-            for m in mats:
-                if len(m) != d or any(len(row) != d for row in m):
-                    raise ValueError("action matrix shape does not match basis")
+        for m in (*left, *right):
+            if len(m) != d or any(len(row) != d for row in m):
+                raise ValueError("action matrix shape does not match basis")
+        self.left, self.right = _columns(left), _columns(right)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
+
+    @classmethod
+    def _of_columns(cls, labels: Sequence[str], left, right) -> "StructuredBimodule":
+        """The bimodule whose actions have the columns left[i][a], right[i][a]."""
+        mod = cls(labels, (), ())
+        mod.left, mod.right = tuple(map(tuple, left)), tuple(map(tuple, right))
+        return mod
 
     @property
     def dim(self) -> int:
@@ -187,7 +210,7 @@ class Pairing:
         self.table = tuple(
             tuple(tuple(frac(c) for c in cell) for cell in row) for row in table
         )
-        self._table_nz = tuple(tuple(_nonzeros(cell) for cell in row) for row in self.table)
+        self._table_nz = tuple(tuple(tuple(_nonzeros(cell)) for cell in row) for row in self.table)
 
     def apply(self, p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
         if not self.table:
@@ -229,33 +252,27 @@ class ValidationReport:
 
 
 def _check_bimodule(ring: StructuredRing, mod: StructuredBimodule, tag: str, failures, count):
+    """The three bimodule identities at each pair (e_i, e_j), read off the columns."""
     n, d = ring.dim, mod.dim
+    left, right = mod.left, mod.right
     for i in range(n):
         for j in range(n):
-            prod = ring.mult[i][j]
-            # e_i . (e_j . m) = (e_i e_j) . m
-            lhs = matmul(mod.left[i], mod.left[j])
-            rhs = mod.left_matrix(prod)
-            count[0] += 1
-            if lhs != rhs:
-                failures.append(f"{tag}: left action not associative at ({ring.labels[i]},{ring.labels[j]})")
-            # (m . e_i) . e_j = m . (e_i e_j)
-            lhs = matmul(mod.right[j], mod.right[i])
-            rhs = mod.right_matrix(prod)
-            count[0] += 1
-            if lhs != rhs:
-                failures.append(f"{tag}: right action not associative at ({ring.labels[i]},{ring.labels[j]})")
-            # (e_i . m) . e_j = e_i . (m . e_j)
-            lhs = matmul(mod.right[j], mod.left[i])
-            rhs = matmul(mod.left[i], mod.right[j])
-            count[0] += 1
-            if lhs != rhs:
-                failures.append(f"{tag}: actions do not commute at ({ring.labels[i]},{ring.labels[j]})")
-
-
-def _column_nonzeros(mats) -> list:
-    """cols[i][a] = nonzero (row, value) of column a of mats[i], i.e. of the action on basis vector a."""
-    return [[_nonzeros(col) for col in zip(*m)] for m in mats]
+            prod = ring._mult_nz[i][j]
+            identities = (  # each side as the (c, column) terms of its value at m_a
+                ("left action not associative",  # e_i . (e_j . m) = (e_i e_j) . m
+                 lambda a: ((c, left[i][x]) for x, c in left[j][a]),
+                 lambda a: ((c, left[l][a]) for l, c in prod)),
+                ("right action not associative",  # (m . e_i) . e_j = m . (e_i e_j)
+                 lambda a: ((c, right[j][x]) for x, c in right[i][a]),
+                 lambda a: ((c, right[l][a]) for l, c in prod)),
+                ("actions do not commute",  # (e_i . m) . e_j = e_i . (m . e_j)
+                 lambda a: ((c, right[j][x]) for x, c in left[i][a]),
+                 lambda a: ((c, left[i][x]) for x, c in right[j][a])),
+            )
+            for what, lhs, rhs in identities:
+                count[0] += 1
+                if any(_lincomb(d, lhs(a)) != _lincomb(d, rhs(a)) for a in range(d)):
+                    failures.append(f"{tag}: {what} at ({ring.labels[i]},{ring.labels[j]})")
 
 
 def _lincomb(n: int, terms) -> list[Fraction]:
@@ -271,7 +288,7 @@ def validate_axioms(system: RSystem) -> ValidationReport:
     """Check every defining identity of (R, P, Q, psi) on basis elements.
 
     Each side of an identity on basis elements is a combination of entries
-    of the structure tables (ring.mult, the action matrices, psi.table), so
+    of the structure tables (ring.mult, the action columns, psi.table), so
     both sides are read off those tables rather than computed by applying
     the structure maps to unit vectors.
     """
@@ -279,7 +296,7 @@ def validate_axioms(system: RSystem) -> ValidationReport:
     count = [0]
     ring = system.ring
     n = ring.dim
-    mult = [[_nonzeros(cell) for cell in row] for row in ring.mult]
+    mult = ring._mult_nz
 
     for i in range(n):
         for j in range(n):
@@ -301,9 +318,8 @@ def validate_axioms(system: RSystem) -> ValidationReport:
     if len(psi.table) != dp or any(len(row) != dq for row in psi.table):
         failures.append("psi: table shape does not match module bases")
     else:
-        table = [[_nonzeros(cell) for cell in row] for row in psi.table]
-        p_left, p_right = _column_nonzeros(system.p.left), _column_nonzeros(system.p.right)
-        q_left, q_right = _column_nonzeros(system.q.left), _column_nonzeros(system.q.right)
+        table = psi._table_nz
+        p_left, p_right, q_left, q_right = system.p.left, system.p.right, system.q.left, system.q.right
         for i in range(n):
             for a in range(dp):
                 for b in range(dq):
@@ -508,13 +524,12 @@ def _table_to_triples(table):
     return out
 
 
-def _mats_to_triples(mats):
+def _cols_to_triples(cols):
+    """[i, a, b, c] for each nonzero c of e_i acting on m_a at m_b, by i, then b, then a."""
     out = []
-    for i, m in enumerate(mats):
-        for b, row in enumerate(m):
-            for a, c in enumerate(row):
-                if c != 0:
-                    out.append([i, a, b, str(c)])
+    for i, m in enumerate(cols):
+        for b, a, c in sorted((b, a, c) for a, col in enumerate(m) for b, c in col):
+            out.append([i, a, b, str(c)])
     return out
 
 
@@ -528,13 +543,13 @@ def system_to_json(system: RSystem) -> dict:
         },
         "p": {
             "basis": list(system.p.labels),
-            "left": _mats_to_triples(system.p.left),
-            "right": _mats_to_triples(system.p.right),
+            "left": _cols_to_triples(system.p.left),
+            "right": _cols_to_triples(system.p.right),
         },
         "q": {
             "basis": list(system.q.labels),
-            "left": _mats_to_triples(system.q.left),
-            "right": _mats_to_triples(system.q.right),
+            "left": _cols_to_triples(system.q.left),
+            "right": _cols_to_triples(system.q.right),
         },
         "psi": _table_to_triples(system.psi.table),
     }

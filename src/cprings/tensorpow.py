@@ -6,9 +6,12 @@ Level n of a leg M (side 'P' or 'Q') is built by appending:
 
 so a level carries that quotient of the Kronecker coordinates of level (n-1)
 times level 1 (`quot`, whose `project` gives the class of any combination of
-pure tensors), its basis, and induced left/right R-action matrices.  Basis
+pure tensors), its basis, and the induced left/right R-actions, stored like a
+module's (`rsystem._Actions`) as the nonzeros of their columns.  Basis
 element t is the class of one pure tensor e_a (x) e_b (`basis[t] == (a, b)`):
-the quotient's basis is its kept (non-pivot) coordinates.  Level 0 is R with its own multiplication as both actions.
+the quotient's basis is its kept (non-pivot) coordinates, and column t of an
+action is the class of r.e_a (x) e_b, resp. e_a (x) e_b.r, read sparse off
+`quot`.  Level 0 is R with its own multiplication as both actions.
 
 Unwinding `basis` down to level 1 makes every basis class the class of a word
 of level-1 letters: `words[t] == words[a] + (b,)`, so the words of a level
@@ -16,10 +19,11 @@ are prefix-closed.  `word_class(system, side, word)` gives the level
 coordinates of any word's class (memoized); every cut of a basis class into a
 head and a tail (`cut_class`) is the pair of classes of its word's two pieces.
 
-`tensor_embed(system, side, k, l)` is the concatenation map
-M^k (x) M^l -> M^(k+l) on Kronecker coordinates: column (x, y) is the class
-of `words[x] + words[y]`.  For k=0 / l=0 it degenerates to the module action,
-and for k=l=0 to ring multiplication.
+`concat_class(system, side, k, u, l, w)` is the concatenation
+M^k (x) M^l -> M^(k+l): the class of u (x) w is the sum, over the nonzeros
+u_x w_y, of the classes of the concatenated words `words[x] + words[y]`.
+When a factor has level 0 it is the module action, and for k = l = 0 ring
+multiplication.  No matrix of the map is formed.
 
 `psi_n` iterates the pairing:
 
@@ -40,19 +44,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactlin import (
+    ONE,
     ZERO,
     Subspace,
     QuotientSpace,
     _nonzeros,
-    kron_vec,
-    mat_transpose,
-    matvec,
     unit_vec,
     vec_add,
     vec_scale,
-    zero_vec,
 )
-from .rsystem import RSystem, _Actions, _column_nonzeros
+from .rsystem import RSystem, _Actions
 
 DEFAULT_CAP = 6
 
@@ -75,8 +76,8 @@ class TensorSpace(_Actions):
     quot: QuotientSpace | None  # classes of the (dim_{n-1} * d) Kronecker coordinates, None for level <= 1
     basis: tuple | None  # basis[t] = (a, b): the class of e_a (x) e_b, None for level <= 1
     words: tuple | None  # words[t]: level-1 letters whose pure tensor has class t, None for level 0
-    left: tuple  # per ring basis element, dim x dim
-    right: tuple
+    left: tuple  # left[i][a]: nonzero (index, value) pairs of e_i . (basis vector a)
+    right: tuple  # right[i][a]: those of (basis vector a) . e_i
 
     def __repr__(self) -> str:
         return f"TensorSpace({self.side}^{self.level}, dim {self.dim})"
@@ -102,8 +103,7 @@ class ModuleElement:
     def tensor(self, other: "ModuleElement") -> "ModuleElement":
         if self.system is not other.system or self.side != other.side:
             raise ValueError("can only concatenate along one leg of one system")
-        e = tensor_embed(self.system, self.side, self.level, other.level)
-        coords = matvec(e, kron_vec(self.coords, other.coords))
+        coords = concat_class(self.system, self.side, self.level, self.coords, other.level, other.coords)
         return ModuleElement(self.system, self.side, self.level + other.level, tuple(coords))
 
 
@@ -122,13 +122,12 @@ def _module_of(system: RSystem, side: str):
 def balanced_quotient(a_right, a_dim: int, b_left, b_dim: int) -> QuotientSpace:
     """A (x)_F B modulo the balancing relations (a.r) (x) b - a (x) (r.b).
 
-    a_right[i] is the matrix of the right action of the ring basis element
-    e_i on A, b_left[i] that of its left action on B.  The relation for
-    (e_a, e_i, e_b) is read off column a of a_right[i] and column b of
-    b_left[i], in Kronecker coordinates (index a * b_dim + b).
+    a_right[i][a] holds the nonzeros of e_a . e_i in A, b_left[i][b] those of
+    e_i . e_b in B (`rsystem._Actions`).  The relation for (e_a, e_i, e_b) is
+    read off those two columns, in Kronecker coordinates (index a * b_dim + b).
     """
     n = a_dim * b_dim
-    actions = list(zip(_column_nonzeros(a_right), _column_nonzeros(b_left)))
+    actions = list(zip(a_right, b_left))
     rows = []
     for a in range(a_dim):
         for cols_a, cols_b in actions:
@@ -171,7 +170,9 @@ def _build_level(system: RSystem, side: str, n: int) -> TensorSpace:
     """Level n, from level n - 1 already in the store."""
     if n == 0:
         ring = system.ring
-        return TensorSpace(system, side, 0, ring.dim, None, None, None, ring.left_basis, ring.right_basis)
+        mult = ring._mult_nz  # mult[i][a]: the nonzeros of e_i e_a
+        right = tuple(tuple(mult[a][i] for a in range(ring.dim)) for i in range(ring.dim))
+        return TensorSpace(system, side, 0, ring.dim, None, None, None, mult, right)
     mod = _module_of(system, side)
     d_m = mod.dim
     if n == 1:
@@ -181,61 +182,45 @@ def _build_level(system: RSystem, side: str, n: int) -> TensorSpace:
     quot = balanced_quotient(prev.right, prev.dim, mod.left, d_m)
     basis = tuple(divmod(f, d_m) for f in quot.free)
     words = tuple(prev.words[a] + (b,) for a, b in basis)
-
-    def action(columns):
-        return mat_transpose([quot.project(col) for col in columns])
-
     # column t of an action is the class of r.e_a (x) e_b, resp. e_a (x) e_b.r
-    left = tuple(action([[(x * d_m + b, v) for x, v in cols[a]] for a, b in basis])
-                 for cols in _column_nonzeros(prev.left))
-    right = tuple(action([[(a * d_m + y, v) for y, v in cols[b]] for a, b in basis])
-                  for cols in _column_nonzeros(mod.right))
+    left = tuple(tuple(quot.project_nz([(x * d_m + b, v) for x, v in cols[a]]) for a, b in basis)
+                 for cols in prev.left)
+    right = tuple(tuple(quot.project_nz([(a * d_m + y, v) for y, v in cols[b]]) for a, b in basis)
+                  for cols in mod.right)
     return TensorSpace(system, side, n, quot.dim, quot, basis, words, left, right)
 
 
-def tensor_embed(system: RSystem, side: str, k: int, l: int):
-    """Concatenation matrix M^k (x) M^l -> M^(k+l) on Kronecker coordinates."""
-    store = _system_store(system)
-    key = ("embed", side, k, l)
-    if key in store:
-        return store[key]
-
-    ring = system.ring
-    if tensor_space(system, side, k + l).dim == 0:
-        out = []  # 0-row matrix: the target level vanished
-    elif k == 0 and l == 0:
-        cols = []
-        for i in range(ring.dim):
-            for j in range(ring.dim):
-                cols.append(list(ring.mult[i][j]))
-        out = mat_transpose(cols)
-    elif l == 0:
-        sp = tensor_space(system, side, k)
-        cols = []
-        for a in range(sp.dim):
-            ea = unit_vec(sp.dim, a)
-            for i in range(ring.dim):
-                cols.append(sp.act_right(ea, unit_vec(ring.dim, i)))
-        out = mat_transpose(cols)
-    elif k == 0:
-        sp = tensor_space(system, side, l)
-        cols = []
-        for i in range(ring.dim):
-            ei = unit_vec(ring.dim, i)
-            for b in range(sp.dim):
-                cols.append(sp.act_left(ei, unit_vec(sp.dim, b)))
-        out = mat_transpose(cols)
-    else:
-        # column (x, y) is the class of the concatenated word
-        words_k = tensor_space(system, side, k).words
-        words_l = tensor_space(system, side, l).words
-        out = mat_transpose([word_class(system, side, u + w) for u in words_k for w in words_l])
-    store[key] = out
+def concat_class(system: RSystem, side: str, k: int, u: Sequence[Fraction],
+                 l: int, w: Sequence[Fraction]) -> list[Fraction]:
+    """Level-(k + l) coordinates of the class of u (x) w, u at level k and w at level l."""
+    if k == 0 and l == 0:
+        return system.ring.multiply(u, w)
+    if l == 0:
+        return tensor_space(system, side, k).act_right(u, w)
+    if k == 0:
+        return tensor_space(system, side, l).act_left(u, w)
+    words_k = tensor_space(system, side, k).words
+    words_l = tensor_space(system, side, l).words
+    out = [ZERO] * tensor_space(system, side, k + l).dim
+    nz_w = _nonzeros(w)
+    for x, ux in _nonzeros(u):
+        for y, wy in nz_w:
+            c = ux * wy
+            for t, v in _word_nz(system, side, words_k[x] + words_l[y]):
+                out[t] += c * v
     return out
 
 
 def word_class(system: RSystem, side: str, word: tuple) -> tuple:
-    """Level coordinates of the class of e_w1 (x) ... (x) e_wn for word = (w1..wn).
+    """Level coordinates of the class of e_w1 (x) ... (x) e_wn for word = (w1..wn)."""
+    out = [ZERO] * tensor_space(system, side, len(word)).dim
+    for t, v in _word_nz(system, side, word):
+        out[t] = v
+    return tuple(out)
+
+
+def _word_nz(system: RSystem, side: str, word: tuple) -> tuple:
+    """The nonzero (index, value) pairs of `word_class(system, side, word)`.
 
     Extends the longest memoized prefix one letter at a time, the class of
     u (x) e_b being that of class(u) (x) e_b; every prefix is memoized.
@@ -253,9 +238,10 @@ def word_class(system: RSystem, side: str, word: tuple) -> tuple:
         out = store[("word", side, word[:k])]
     else:
         k = 1
-        out = store[("word", side, word[:1])] = tuple(unit_vec(d_m, word[0]))
+        out = store[("word", side, word[:1])] = ((word[0], ONE),)
     for k in range(k + 1, len(word) + 1):
-        out = tuple(_project_kron(tensor_space(system, side, k).quot, out, unit_vec(d_m, word[k - 1])))
+        b = word[k - 1]
+        out = tensor_space(system, side, k).quot.project_nz([(a * d_m + b, x) for a, x in out])
         store[("word", side, word[:k])] = out
     return out
 
@@ -312,13 +298,10 @@ def _psi_table(system: RSystem, n: int) -> tuple:
 
 def psi_apply(system: RSystem, n: int, p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
     table = psi_n(system, n)
-    out = zero_vec(system.ring.dim)
-    for a, pa in enumerate(p):
-        if pa == 0:
-            continue
-        row = table[a]
-        for b, qb in enumerate(q):
-            if qb == 0:
-                continue
-            out = vec_add(out, vec_scale(pa * qb, row[b]))
+    out = [ZERO] * system.ring.dim
+    nz_q = _nonzeros(q)
+    for a, pa in _nonzeros(p):
+        for b, qb in nz_q:
+            for k, y in _nonzeros(table[a][b]):
+                out[k] += pa * qb * y
     return out

@@ -31,7 +31,12 @@ cached as a sparse column of the output component.
 
 The module also hosts representation evaluation (images T^m(q) S^n(p),
 multiplicative in tensor order) and the Fock representation, block by block
-between tensor levels, used as the independent equality oracle.
+between tensor levels, used as the independent equality oracle.  A Fock
+block is its columns' nonzeros: one tuple of (index, value) pairs per basis
+vector of the source level.  Creation T^m(e_idx) sends basis class c to the
+class of the concatenated word words[idx] + words[c]; annihilation contracts
+the first letter through psi, its prefixes composed column by column.  No
+block is ever a dense matrix.
 
 Tensor levels are capped only where an operation creates a level its caller
 did not name: `toeplitz_mul` refuses an output grade with a leg above its
@@ -46,13 +51,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactlin import (
+    ONE,
+    ZERO,
     QuotientSpace,
-    kron_vec,
+    _nonzeros,
+    _sum_nz,
     mat_identity,
-    mat_transpose,
     mat_zero,
     matmul,
-    matvec,
     unit_vec,
     vec_add,
     vec_scale,
@@ -66,10 +72,11 @@ from .tensorpow import (
     _build_upward,
     _project_kron,
     _system_store,
+    _word_nz,
     balanced_quotient,
+    concat_class,
     cut_class,
     psi_apply,
-    tensor_embed,
     tensor_space,
 )
 
@@ -338,10 +345,10 @@ def _legpair_product(system: RSystem, g1, legs1, g2, legs2):
             if m2 == 0:
                 # pure Q times pure P: just the mixed class
                 return _class_coords(system, m1, n2, q1, p2)
-            q_full = matvec(tensor_embed(system, "Q", m1, m2), kron_vec(q1, q2))
+            q_full = concat_class(system, "Q", m1, q1, m2, q2)
             return _class_coords(system, m1 + m2, n2, q_full, p2)
         # m2 == 0, n1 >= 1: concatenate the P legs
-        p_full = matvec(tensor_embed(system, "P", n1, n2), kron_vec(p1, p2))
+        p_full = concat_class(system, "P", n1, p1, n2, p2)
         return _class_coords(system, m1, n1 + n2, q1, p_full)
 
     if k == n1 == m2:
@@ -357,29 +364,19 @@ def _legpair_product(system: RSystem, g1, legs1, g2, legs2):
     if k == m2:  # k < n1: trailing P-factors of the left operand contract away
         head = tensor_space(system, "P", n1 - k)
         p_head = zero_vec(head.dim)
-        for b, c in enumerate(p1):
-            if c == 0:
-                continue
+        for b, c in _nonzeros(p1):
             h, t = cut_class(system, "P", n1, b, n1 - k)
             p_head = vec_add(p_head, vec_scale(c, head.act_right(h, psi_apply(system, k, t, q2))))
-        if n2 >= 1:
-            p_full = matvec(tensor_embed(system, "P", n1 - k, n2), kron_vec(p_head, p2))
-        else:
-            p_full = p_head
+        p_full = concat_class(system, "P", n1 - k, p_head, n2, p2) if n2 else p_head
         return _class_coords(system, m1, n1 - k + n2, q1, p_full)
 
     # k == n1 < m2: the whole P-leg contracts against the leading Q-factors
     tail = tensor_space(system, "Q", m2 - k)
     q_tail = zero_vec(tail.dim)
-    for b, c in enumerate(q2):
-        if c == 0:
-            continue
+    for b, c in _nonzeros(q2):
         h, t = cut_class(system, "Q", m2, b, k)
         q_tail = vec_add(q_tail, vec_scale(c, tail.act_left(psi_apply(system, k, p1, h), t)))
-    if m1 >= 1:
-        q_full = matvec(tensor_embed(system, "Q", m1, m2 - k), kron_vec(q1, q_tail))
-    else:
-        q_full = q_tail
+    q_full = concat_class(system, "Q", m1, q1, m2 - k, q_tail) if m1 else q_tail
     return _class_coords(system, m1 + m2 - k, n2, q_full, p2)
 
 
@@ -558,91 +555,74 @@ def evaluate(x: ToeplitzElement, rep):
         if m == 0 and n == 0:
             acc = acc + rep.sigma(list(v))
             continue
-        if n == 0:
-            imgs = _rep_leg_images(system, rep, "Q", m, memo)
-            for i, c in enumerate(v):
-                if c != 0:
-                    acc = acc + Fraction(c) * imgs[i]
-            continue
-        if m == 0:
-            imgs = _rep_leg_images(system, rep, "P", n, memo)
-            for i, c in enumerate(v):
-                if c != 0:
-                    acc = acc + Fraction(c) * imgs[i]
-            continue
-        q_imgs = _rep_leg_images(system, rep, "Q", m, memo)
-        p_imgs = _rep_leg_images(system, rep, "P", n, memo)
+        q_imgs = _rep_leg_images(system, rep, "Q", m, memo) if m else None
+        p_imgs = _rep_leg_images(system, rep, "P", n, memo) if n else None
         basis = component_space(system, m, n).basis
-        for idx, c in enumerate(v):
-            if c != 0:
-                a, b = basis[idx]
-                acc = acc + Fraction(c) * (q_imgs[a] * p_imgs[b])
+        for idx, c in _nonzeros(v):
+            if m and n:
+                img = q_imgs[basis[idx][0]] * p_imgs[basis[idx][1]]
+            else:
+                img = q_imgs[idx] if m else p_imgs[idx]
+            acc = acc + Fraction(c) * img
     return acc
 
 
 # -- Fock representation -------------------------------------------------------
 
 
-def _creator_block(system: RSystem, q_idx: int, j: int):
-    """T(e_q): Q^(x)j -> Q^(x)(j+1) (prepend)."""
-    src = tensor_space(system, "Q", j)
-    emb = tensor_embed(system, "Q", 1, j)
-    d1 = system.q.dim
-    eq = unit_vec(d1, q_idx)
-    cols = [matvec(emb, kron_vec(eq, unit_vec(src.dim, c))) for c in range(src.dim)]
-    return mat_transpose(cols) if cols else []
-
-
-def _annihilator_block(system: RSystem, p_idx: int, j: int):
-    """S(e_p): Q^(x)j -> Q^(x)(j-1) (contract the first factor); kills j = 0."""
-    if j == 0:
-        return mat_zero(0, system.ring.dim)
-    ep = unit_vec(system.p.dim, p_idx)
-    if j == 1:
-        # straight into the vacuum level: S(p)(q) = psi(p (x) q)
-        cols = [system.psi.apply(ep, unit_vec(system.q.dim, c)) for c in range(system.q.dim)]
-        return mat_transpose(cols)
-    dst = tensor_space(system, "Q", j - 1)
-    cols = []
-    for c in range(tensor_space(system, "Q", j).dim):
-        # S(e_p)(e_w0 (x) rest) = psi(e_p (x) e_w0) . rest
-        first, rest = cut_class(system, "Q", j, c, 1)
-        cols.append(dst.act_left(system.psi.apply(ep, first), rest))
-    return mat_transpose(cols) if cols else [[] for _ in range(dst.dim)]
+def _compose(outer, inner) -> tuple:
+    """The columns of outer . inner, both given by their columns' nonzeros."""
+    return tuple(_sum_nz((v, outer[y]) for y, v in col) for col in inner)
 
 
 def _fock_leg_blocks(system: RSystem, side: str, level: int, idx: int, j: int):
-    """Block of T^level(e_idx) (side Q) or S^level(e_idx) (side P) from Q^(x)j.
+    """Block of T^level(e_idx) (side Q) or S^level(e_idx) (side P) from Q^(x)j,
+    as (level it lands on, columns); (None, None) when it kills level j.
 
+    T^level(e_idx) prepends idx's word: column c is the class of
+    words[idx] + words[c], and from level 0 the class of e_idx . e_c.
+    S(e_p) contracts the first letter, e_w0 (x) rest |-> psi(e_p (x) e_w0) . rest.
     Basis class idx is the class of e_a (x) e_b (its basis pair), so
-    T^level(e_idx) = T^(level-1)(e_a) T(e_b), with T(e_b) from level j and
-    T^(level-1)(e_a) from level j + 1; likewise S^level(e_idx) =
-    S^(level-1)(e_a) S(e_b), with S(e_b) acting first, from level j.  The
-    block of every prefix of idx's word is built in turn, shortest first, and
-    memoized.
+    S^level(e_idx) = S^(level-1)(e_a) S(e_b), with S(e_b) acting first, from
+    level j.  The block of every prefix of idx's word is built in turn,
+    shortest first, and memoized.
     """
     store = _system_store(system)
     key = ("fockleg", side, level, idx, j)
     if key in store:
         return store[key]
-    if side == "P" and level > j:
+    if side == "Q":
+        if j == 0:
+            right = tensor_space(system, "Q", level).right
+            blk = tuple(right[c][idx] for c in range(system.ring.dim))
+        else:
+            word = tensor_space(system, "Q", level).words[idx]
+            blk = tuple(_word_nz(system, "Q", word + w) for w in tensor_space(system, "Q", j).words)
+        store[key] = (j + level, blk)
+        return store[key]
+    if level > j:
         store[key] = (None, None)  # annihilates the whole level
         return store[key]
-    step = 1 if side == "Q" else -1
     prefixes = [idx]  # prefixes[k - 1]: the class of the first k letters of idx's word
     for k in range(level, 1, -1):
-        prefixes.append(tensor_space(system, side, k).basis[prefixes[-1]][0])
+        prefixes.append(tensor_space(system, "P", k).basis[prefixes[-1]][0])
     prefixes.reverse()
+    psi = system.psi._table_nz
     for k, t in enumerate(prefixes, 1):
-        src = j + step * (level - k)  # the k-letter prefix acts from here
-        if ("fockleg", side, k, t, src) in store:
+        src = j - level + k  # the k-letter prefix acts from here
+        if ("fockleg", "P", k, t, src) in store:
             continue
-        if k == 1:
-            blk = _creator_block(system, t, src) if side == "Q" else _annihilator_block(system, t, src)
+        if k > 1:
+            _, last = _fock_leg_blocks(system, "P", 1, tensor_space(system, "P", k).basis[t][1], src)
+            blk = _compose(store[("fockleg", "P", k - 1, prefixes[k - 2], src - 1)][1], last)
+        elif src == 1:
+            blk = psi[t]  # straight into the vacuum level: S(p)(q) = psi(p (x) q)
         else:
-            _, last = _fock_leg_blocks(system, side, 1, tensor_space(system, side, k).basis[t][1], src)
-            blk = matmul(store[("fockleg", side, k - 1, prefixes[k - 2], src + step)][1], last)
-        store[("fockleg", side, k, t, src)] = (src + step * k, blk)
+            dst = tensor_space(system, "Q", src - 1)
+            blk = tuple(_sum_nz((ri * v, dst.left[i][x]) for i, ri in psi[t][w[0]]
+                                for x, v in _word_nz(system, "Q", w[1:]))
+                        for w in tensor_space(system, "Q", src).words)
+        store[("fockleg", "P", k, t, src)] = (src - k, blk)
     return store[key]
 
 
@@ -654,7 +634,8 @@ def _check_fock_cap(x: ToeplitzElement, j: int, cap: int) -> None:
 
 
 def fock_apply(x: ToeplitzElement, j: int, cap: int = DEFAULT_CAP) -> dict:
-    """Blocks of the Fock image of x on the level-j summand: {j_out: matrix}.
+    """Blocks of the Fock image of x on the level-j summand: {j_out: columns},
+    column c holding the nonzeros of the image of basis vector c of Q^(x)j.
 
     Raises CapExceeded, before any work, when a block would land on a level
     above cap.
@@ -662,47 +643,33 @@ def fock_apply(x: ToeplitzElement, j: int, cap: int = DEFAULT_CAP) -> dict:
     _check_fock_cap(x, j, cap)
     system = x.system
     src = tensor_space(system, "Q", j)
-    out: dict = {}
+    acc: dict = {}  # j_out -> one {index: value} per column
 
-    def bump(j_out, mat):
-        if j_out in out:
-            out[j_out] = [vec_add(a, b) for a, b in zip(out[j_out], mat)]
-        else:
-            out[j_out] = [list(r) for r in mat]
+    def bump(j_out, blk, c):
+        for col, nz in zip(acc.setdefault(j_out, [{} for _ in range(src.dim)]), blk):
+            for r, v in nz:
+                col[r] = col.get(r, ZERO) + c * v
 
     for (m, n), v in sorted(x.comps.items()):
         if n > j:
             continue
         if m == 0 and n == 0:
-            bump(j, src.left_matrix(v))  # diagonal action of the ring
-            continue
-        if n == 0:
-            for idx, c in enumerate(v):
-                if c == 0:
-                    continue
-                j_out, blk = _fock_leg_blocks(system, "Q", m, idx, j)
-                bump(j_out, [[c * xx for xx in row] for row in blk])
-            continue
-        if m == 0:
-            for idx, c in enumerate(v):
-                if c == 0:
-                    continue
-                j_out, blk = _fock_leg_blocks(system, "P", n, idx, j)
-                if j_out is None:
-                    continue
-                bump(j_out, [[c * xx for xx in row] for row in blk])
+            bump(j, src.left_map(v), ONE)  # diagonal action of the ring
             continue
         basis = component_space(system, m, n).basis
-        for idx, c in enumerate(v):
-            if c == 0:
-                continue
-            a, b = basis[idx]
-            js, sblk = _fock_leg_blocks(system, "P", n, b, j)
+        for idx, c in _nonzeros(v):
+            a, b = basis[idx] if m and n else (idx, idx)
+            # S^n(e_b) acts first, then T^m(e_a)
+            js, blk = _fock_leg_blocks(system, "P", n, b, j) if n else (j, None)
             if js is None:
                 continue
-            jt, tblk = _fock_leg_blocks(system, "Q", m, a, js)
-            bump(jt, [[c * xx for xx in row] for row in matmul(tblk, sblk)])
-    return {k: v for k, v in out.items() if any(any(e != 0 for e in row) for row in v)}
+            if m:
+                js, tblk = _fock_leg_blocks(system, "Q", m, a, js)
+                blk = tblk if blk is None else _compose(tblk, blk)
+            bump(js, blk, c)
+    blocks = {k: tuple(tuple(sorted((r, y) for r, y in col.items() if y)) for col in cols)
+              for k, cols in acc.items()}
+    return {k: blk for k, blk in blocks.items() if any(blk)}
 
 
 def fock_is_zero(x: ToeplitzElement, cap: int = DEFAULT_CAP) -> bool:

@@ -178,8 +178,22 @@ def random_graph_element(rng, system, ctx_free_degree=2):
 # oracles and shorthands that the library itself does not need
 
 
+def dense(cols, rows: int) -> list:
+    """The rows x len(cols) matrix whose column c has the nonzero (index, value) pairs cols[c]."""
+    out = [[F(0)] * len(cols) for _ in range(rows)]
+    for c, col in enumerate(cols):
+        for r, v in col:
+            out[r][c] = v
+    return out
+
+
 def mat_eq(a, b) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
+
+
+def kron_vec(a, b):
+    """Coordinates of a (x) b: index (i, j) -> i * len(b) + j."""
+    return [x * y for x in a for y in b]
 
 
 def kron(a, b):

@@ -20,6 +20,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     a2_graph,
@@ -406,6 +407,128 @@ def test_usage_errors(files, tmp_path):
         for argv in (["validate"], ["fs"], ["eq", "p(u)", "p(u)"], ["lattice"]):
             code, out = run_json(argv[0], str(p), *argv[1:])
             assert code == 2 and "edge 'e9'" in out["diagnostics"][0], (mult, argv)
+
+
+def test_duplicate_labels_are_input_errors(tmp_path):
+    """Copy 2 of an edge e of multiplicity 2 is the basis label e#2, so a
+    graph that also names an edge e#2 would give two generators one label
+    (and `eq` read x(e#2) as the copy, the Leavitt side as the named edge);
+    a system file may not repeat a ring or module label either."""
+    graph = {"vertices": ["u", "v"], "edges": [{"name": "e", "src": "u", "tgt": "v", "mult": 2},
+                                               {"name": "e#2", "src": "v", "tgt": "u"}]}
+    dup_ring = system_to_json(perm3_system())
+    dup_ring["ring"]["basis"][2] = dup_ring["ring"]["basis"][0]
+    dup_q = system_to_json(perm3_system())
+    dup_q["q"]["basis"][1] = dup_q["q"]["basis"][0]
+    for name, payload, label in (("graph", graph, "e#2"), ("ring", dup_ring, "v1"), ("q", dup_q, "v1")):
+        p = tmp_path / f"dup-{name}.json"
+        p.write_text(json.dumps(payload))
+        for argv in (["validate"], ["eq", "R:v1", "R:v1"], ["nf", "p(v)", "--backend", "lpa"]):
+            code, out = run_json(argv[0], str(p), *argv[1:])
+            assert code == 2 and out["result"] is None, (name, argv)
+            assert str(p) in out["diagnostics"][0] and label in out["diagnostics"][0]
+    # without the collision, x(e#2) is copy 2 of e on both sides
+    graph["edges"][1]["name"] = "f"
+    p = tmp_path / "multi.json"
+    p.write_text(json.dumps(graph))
+    code, out = run_json("eq", str(p), "p(u)", "x(e)*y(e) + x(e#2)*y(e#2)")
+    assert code == 0 and out["result"]["equal"]
+    code, out = run_json("nf", str(p), "p(u) - x(e)*y(e) - x(e#2)*y(e#2)", "--backend", "lpa")
+    assert code == 0 and out["result"]["zero"]
+    code, out = run_json("compare", str(p), "--words", "20")
+    assert code == 0 and out["result"]["disagreements"] == []
+
+
+def test_help_returns_usage(files):
+    for argv, head in ((["--help"], "usage: cpr "), (["eq", files["a2"], "-h"], "usage: cpr eq "),
+                       (["lattice", "-h"], "usage: cpr lattice ")):
+        code, body = cli.run(argv)
+        assert code == 0 and body.startswith(head), argv
+
+
+# small inputs for the property below: valid graph and system files (weighted
+# up), and malformed ones of every kind the loader distinguishes
+_FUZZ_GRAPHS = {
+    "a2": {"vertices": ["u", "v"], "edges": [{"name": "e", "src": "u", "tgt": "v"}]},
+    "loops": {"vertices": ["u"], "edges": [{"name": "e", "src": "u", "tgt": "u"},
+                                          {"name": "f", "src": "u", "tgt": "u"}]},
+    "multi": {"vertices": ["u", "v"], "edges": [{"name": "e", "src": "u", "tgt": "v", "mult": 2},
+                                               {"name": "f", "src": "v", "tgt": "u"}]},
+    "inf": {"vertices": ["u", "v"], "edges": [{"name": "e", "src": "u", "tgt": "v", "mult": "inf"}]},
+}
+_FUZZ_BAD = {
+    "badmult": {"vertices": ["u"], "edges": [{"name": "e", "src": "u", "tgt": "u", "mult": 2.5}]},
+    "collide": {"vertices": ["u"], "edges": [{"name": "e", "src": "u", "tgt": "u", "mult": 2},
+                                            {"name": "e#2", "src": "u", "tgt": "u"}]},
+    "edgebad": {"vertices": ["u"], "edges": [{"name": "e"}]},
+    "noring": {"ring": {}},
+    "zero": {"ring": {"basis": ["a"], "mult": [[0, 0, 0, "1/0"]]}, "p": {"basis": []}, "q": {"basis": []}},
+    "list": [1, 2],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    twisted = system_to_json(perm3_system())
+    twisted["q"]["left"], twisted["q"]["right"] = twisted["q"]["right"], twisted["q"]["left"]
+    payloads = {**_FUZZ_GRAPHS, **_FUZZ_BAD, "perm3": system_to_json(perm3_system()),
+                "psizero": system_to_json(psi_zero_system()), "twisted": twisted}
+    out = {}
+    for name, payload in payloads.items():
+        out[name] = root / f"{name}.json"
+        out[name].write_text(json.dumps(payload))
+    out["notjson"] = root / "notjson.json"
+    out["notjson"].write_text("{")
+    out["missing"] = root / "missing.json"
+    return {k: str(v) for k, v in out.items()}
+
+
+_JUNK = ["p(zz)", "x()", "Q:", "0", "1/0 p(u)"]
+_ATOMS = {"graph": ["p(u)", "p(v)", "x(e)", "y(e)", "x(f)", "x(e f)", "y(f e)", "x(e#2)", "R:u", "Q:e", "P:e"],
+          "system": ["R:v1", "R:v2", "Q:v2", "P:v3", "Q:v1*P:v1"]}
+
+
+def _expr(atoms):
+    term = st.builds(lambda c, fs: c + "*".join(fs), st.sampled_from(["", "2 ", "-1/2 "]),
+                     st.lists(st.sampled_from(atoms * 4 + _JUNK), min_size=1, max_size=2))
+    return st.one_of(st.builds(" + ".join, st.lists(term, min_size=1, max_size=2)),
+                     st.builds(lambda a, b: f"({a}) - {b}", term, term),
+                     st.text(alphabet="pxyRQP:()*+-/ 01uvef#", max_size=8))
+
+
+_SPECS = ["jmax", "zero", "full", "u", "u,v", "v1", "v1,v2", "bogus"]
+_FLAGS = {  # the flags each verb takes, with values; every verb takes "all"
+    "all": [("--cap", c) for c in ("0", "1", "2")] + [("--format", f) for f in ("json", "dot", "table")],
+    "eq": [("--ring", r) for r in ("cp", "toeplitz")] + [("--j", s) for s in _SPECS],
+    "nf": [("--backend", b) for b in ("auto", "toeplitz", "lpa")],
+    "tpair": [(f, s) for f in ("--i", "--j") for s in _SPECS],
+    "quotient": [("--i", s) for s in _SPECS],
+    "compare": [("--words", "3"), ("--seed", "5")],
+}
+_BAD_FLAGS = [("--cap", "-1"), ("--cap", "x"), ("--format", "xml"), ("--ring", "other"),
+              ("--backend", "lpa"), ("--i", "u"), ("--words", "-1"), ("-h",)]
+_N_EXPRS = {"mul": 2, "eq": 2, "nf": 1, "gauge-split": 1}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_run_never_raises(fuzz_files, data):
+    """Any verb, file, expressions and flags: `run` returns an exit code of
+    0, 1, 2 or 3 and never raises.  Sizes are small and fixed (paths of at
+    most two edges, at most four letters per product), so no deep level is
+    built."""
+    valid = list(_FUZZ_GRAPHS) + ["perm3", "psizero"]
+    name = data.draw(st.sampled_from(valid * 3 + sorted(set(fuzz_files) - set(valid))))
+    verb = data.draw(st.sampled_from([*cli._VERBS, "bogus"]))
+    n = _N_EXPRS.get(verb, 0) + data.draw(st.sampled_from([0, 0, 0, 1]))
+    expr = _expr(_ATOMS["graph" if name in _FUZZ_GRAPHS else "system"])
+    flags = _FLAGS["all"] + _FLAGS.get(verb, [])
+    flag = st.sampled_from(flags * 3 + _BAD_FLAGS)
+    argv = [verb, fuzz_files[name], *(data.draw(expr) for _ in range(n)),
+            *(x for f in data.draw(st.lists(flag, max_size=2)) for x in f)]
+    code, body = cli.run(argv)
+    assert code in (0, 1, 2, 3) and isinstance(body, str), argv
 
 
 def test_outputs_deterministic(files):

@@ -25,9 +25,9 @@ from cprings.crossedprod import (
     phi_power,
     toeplitz_to_crossed,
 )
-from cprings.exactlin import Subspace, kron_vec, matvec, unit_vec, zero_vec
+from cprings.exactlin import Subspace, matvec, unit_vec, zero_vec
 from cprings.rsystem import build_automorphism_system, build_graph_system
-from cprings.tensorpow import psi_n, tensor_embed
+from cprings.tensorpow import concat_class, psi_n
 from cprings.toeplitz import (
     SystemMismatch,
     check_representation,
@@ -155,15 +155,13 @@ def test_crossed_representation_is_covariant(sys3):
 def test_psi2_closed_form(sys3):
     # Psi_2(p_a (x) p_b, q_c (x) q_d) = e_a phi(e_b) phi^2(e_c) phi(e_d)
     table = psi_n(sys3, 2)
-    emb_p = tensor_embed(sys3, "P", 1, 1)
-    emb_q = tensor_embed(sys3, "Q", 1, 1)
     mul = sys3.ring.multiply
     for a in range(3):
         for b in range(3):
-            pc = matvec(emb_p, kron_vec(e(a), e(b)))
+            pc = concat_class(sys3, "P", 1, e(a), 1, e(b))
             for c in range(3):
                 for d in range(3):
-                    qc = matvec(emb_q, kron_vec(e(c), e(d)))
+                    qc = concat_class(sys3, "Q", 1, e(c), 1, e(d))
                     got = zero_vec(3)
                     for s_i, ps in enumerate(pc):
                         if ps == 0:

@@ -4,7 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from conftest import kron
+from conftest import kron, kron_vec
 
 from cprings.exactlin import (
     ONE,
@@ -15,7 +15,6 @@ from cprings.exactlin import (
     frac,
     kernel,
     _nonzeros,
-    kron_vec,
     mat_identity,
     mat_transpose,
     matmul,
@@ -259,10 +258,6 @@ def dense_matmul(a, b):
     ]
 
 
-def dense_kron_vec(a, b):
-    return [x * y for x in a for y in b]
-
-
 def dense_rref(rows):
     a = [[frac(x) for x in row] for row in rows]
     pivots = []
@@ -338,7 +333,6 @@ def test_kernels_match_dense_references(data):
     assert vec_scale(c, x) == dense_vec_scale(c, x)
     assert matvec(a, x) == dense_matvec(a, x)
     assert matmul(a, b) == dense_matmul(a, b)
-    assert kron_vec(x, y) == dense_kron_vec(x, y)
     # RREF is canonical, so the rows and pivots themselves must agree
     assert rref(a) == dense_rref(a)
 

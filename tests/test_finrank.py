@@ -11,7 +11,7 @@ Graph-side oracles (worked out from the action tables):
 
 import pytest
 
-from conftest import diagonal_ring, five_vertex_mixed, mat_eq, psi_zero_system, theta_matrix, theta_matrix_p
+from conftest import dense, diagonal_ring, five_vertex_mixed, mat_eq, psi_zero_system, theta_matrix, theta_matrix_p
 
 from cprings import finrank
 from cprings.cpring import CpContext, cp_equal, validate_ideal
@@ -75,7 +75,8 @@ def test_theta_table_matches_definition(mixed5, perm3):
                 # psi_n(y (x) theta x) = psi_n(theta' y (x) x)
                 t, s = theta_matrix(system, level, b, a), theta_matrix_p(system, level, a, b)
                 for i in range(system.ring.dim):
-                    assert mat_eq(matmul(t, qn.right[i]), matmul(qn.right[i], t))
+                    ri = dense(qn.right[i], qn.dim)
+                    assert mat_eq(matmul(t, ri), matmul(ri, t))
                 for y in range(pn.dim):
                     for x in range(qn.dim):
                         assert psi_apply(system, level, unit_vec(pn.dim, y), [r[x] for r in t]) == \
@@ -84,12 +85,12 @@ def test_theta_table_matches_definition(mixed5, perm3):
 
 def test_delta_projects_onto_emitted_edges(line3_system):
     q, p = line3_system.q, line3_system.p
-    assert mat_eq(list(map(list, q.left[0])), [[1, 0], [0, 0]])  # Delta(1_{v1}): v1 emits e1 only
-    assert mat_eq(q.left_matrix(zero_vec(3)), mat_zero(2, 2))
+    assert mat_eq(dense(q.left[0], 2), [[1, 0], [0, 0]])  # Delta(1_{v1}): v1 emits e1 only
+    assert mat_eq(dense(q.left_map(zero_vec(3)), 2), mat_zero(2, 2))
     # the unit acts as the identity
-    assert mat_eq(q.left_matrix([1, 1, 1]), mat_identity(2))
+    assert mat_eq(dense(q.left_map([1, 1, 1]), 2), mat_identity(2))
     # Gamma(1_{v1}): s(e1) = v1 on the reversed leg
-    assert mat_eq(list(map(list, p.right[0])), [[1, 0], [0, 0]])
+    assert mat_eq(dense(p.right[0], 2), [[1, 0], [0, 0]])
 
 
 def _combination(mats, coeffs):
@@ -107,8 +108,8 @@ def test_theta_ideal_law(mixed5):
     dq = system.q.dim
     dp = system.p.dim
     for i in range(system.ring.dim):
-        dmat = system.q.left[i]  # Delta(e_i)
-        gmat = system.p.right[i]  # Gamma(e_i)
+        dmat = dense(system.q.left[i], dq)  # Delta(e_i)
+        gmat = dense(system.p.right[i], dp)  # Gamma(e_i)
         for b in range(dq):
             for a in range(dp):
                 t = theta_matrix(system, 1, b, a)

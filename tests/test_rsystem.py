@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     a2_graph,
+    dense,
     diagonal_ring,
     dual_numbers_ring,
     five_vertex_mixed,
@@ -22,7 +23,6 @@ from cprings.rsystem import (
     StructuredBimodule,
     StructuredRing,
     ValidationReport,
-    _check_bimodule,
     basis_actions,
     build_automorphism_system,
     build_graph_system,
@@ -136,7 +136,8 @@ def test_basis_matrices_match_left_and_right_matrix():
             assert [list(row) for row in ring.right_basis[i]] == ring.right_matrix(e)
         assert basis_actions(ring) == list(ring.left_basis) + list(ring.right_basis)
         level0 = tensor_space(sys, "Q", 0)
-        assert level0.left == ring.left_basis and level0.right == ring.right_basis
+        assert [dense(cols, ring.dim) for cols in level0.left] == [list(map(list, m)) for m in ring.left_basis]
+        assert [dense(cols, ring.dim) for cols in level0.right] == [list(map(list, m)) for m in ring.right_basis]
 
 
 def test_psi_zero_system_is_valid():
@@ -198,8 +199,24 @@ def reference_validate_axioms(system):
                     failures.append(
                         f"ring: associativity fails at ({ring.labels[i]},{ring.labels[j]},{ring.labels[k]})"
                     )
-    _check_bimodule(ring, system.p, "P", failures, count)
-    _check_bimodule(ring, system.q, "Q", failures, count)
+    for tag, mod in (("P", system.p), ("Q", system.q)):
+        units = [unit_vec(mod.dim, a) for a in range(mod.dim)]
+        for i in range(n):
+            ei = unit_vec(n, i)
+            for j in range(n):
+                ej, eij = unit_vec(n, j), list(ring.mult[i][j])
+                checks = (
+                    ("left action not associative",
+                     lambda m: mod.act_left(ei, mod.act_left(ej, m)), lambda m: mod.act_left(eij, m)),
+                    ("right action not associative",
+                     lambda m: mod.act_right(mod.act_right(m, ei), ej), lambda m: mod.act_right(m, eij)),
+                    ("actions do not commute",
+                     lambda m: mod.act_right(mod.act_left(ei, m), ej), lambda m: mod.act_left(ei, mod.act_right(m, ej))),
+                )
+                for what, lhs, rhs in checks:
+                    count[0] += 1
+                    if any(lhs(m) != rhs(m) for m in units):
+                        failures.append(f"{tag}: {what} at ({ring.labels[i]},{ring.labels[j]})")
     psi, p, q = system.psi, system.p, system.q
     if len(psi.table) != p.dim or any(len(row) != q.dim for row in psi.table):
         failures.append("psi: table shape does not match module bases")
@@ -229,8 +246,9 @@ def _tampered(system, rng):
         "psi": [[list(cell) for cell in row] for row in system.psi.table],
     }
     for leg in ("p", "q"):
+        mod = getattr(system, leg)
         for side in ("left", "right"):
-            tables[leg + side] = [[list(r) for r in m] for m in getattr(getattr(system, leg), side)]
+            tables[leg + side] = [dense(cols, mod.dim) for cols in getattr(mod, side)]
     for _ in range(rng.randint(1, 3)):
         cells = [row for table in tables.values() for block in table for row in block if row]
         if not cells:

@@ -11,6 +11,7 @@ The closed forms used as oracles:
 """
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -19,8 +20,7 @@ from conftest import (
     dual_numbers_unit_basis_ring,
     basis_element,
     five_vertex_mixed,
-    kron,
-    mat_eq,
+    kron_vec,
     matrix2_ring,
     path_element,
     perm3_system,
@@ -28,10 +28,7 @@ from conftest import (
 )
 
 from cprings.exactlin import (
-    kron_vec,
     mat_identity,
-    matmul,
-    matvec,
     unit_vec,
     zero_vec,
     is_zero_vec,
@@ -42,8 +39,8 @@ from cprings.tensorpow import (
     CapExceeded,
     ModuleElement,
     psi_apply,
+    concat_class,
     psi_n,
-    tensor_embed,
     tensor_space,
     word_class,
 )
@@ -117,28 +114,24 @@ def test_perm3_psi2_closed_form(perm3):
                         assert is_zero_vec(got), (a, b, c, d)
 
 
-def test_embed_associativity_perm3(perm3):
-    for (k, l, m) in [(1, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0), (2, 1, 1), (1, 2, 1), (1, 1, 2)]:
+def _check_concat_associative(system, triples):
+    """(x y) z == x (y z) under concat_class, on all basis vectors x, y, z of levels k, l, m."""
+    for (k, l, m) in triples:
         for side in ("P", "Q"):
-            dk = tensor_space(perm3, side, k).dim
-            dm = tensor_space(perm3, side, m).dim
-            lhs = matmul(tensor_embed(perm3, side, k + l, m),
-                         kron(tensor_embed(perm3, side, k, l), mat_identity(dm)))
-            rhs = matmul(tensor_embed(perm3, side, k, l + m),
-                         kron(mat_identity(dk), tensor_embed(perm3, side, l, m)))
-            assert mat_eq(lhs, rhs), (side, k, l, m)
+            dims = [tensor_space(system, side, n).dim for n in (k, l, m)]
+            for x, y, z in itertools.product(*(range(d) for d in dims)):
+                ux, uy, uz = (unit_vec(d, i) for d, i in zip(dims, (x, y, z)))
+                lhs = concat_class(system, side, k + l, concat_class(system, side, k, ux, l, uy), m, uz)
+                rhs = concat_class(system, side, k, ux, l + m, concat_class(system, side, l, uy, m, uz))
+                assert lhs == rhs, (side, k, l, m, x, y, z)
+
+
+def test_embed_associativity_perm3(perm3):
+    _check_concat_associative(perm3, [(1, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0), (2, 1, 1), (1, 2, 1), (1, 1, 2)])
 
 
 def test_embed_associativity_line3(line3_system):
-    for (k, l, m) in [(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)]:
-        for side in ("P", "Q"):
-            dk = tensor_space(line3_system, side, k).dim
-            dm = tensor_space(line3_system, side, m).dim
-            lhs = matmul(tensor_embed(line3_system, side, k + l, m),
-                         kron(tensor_embed(line3_system, side, k, l), mat_identity(dm)))
-            rhs = matmul(tensor_embed(line3_system, side, k, l + m),
-                         kron(mat_identity(dk), tensor_embed(line3_system, side, l, m)))
-            assert mat_eq(lhs, rhs), (side, k, l, m)
+    _check_concat_associative(line3_system, [(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)])
 
 
 def test_embed_concatenates_words_rose2():
@@ -152,7 +145,7 @@ def test_embed_concatenates_words_rose2():
                 for k in range(1, n):
                     left = path_element(system, side, word[:k]).coords
                     right = path_element(system, side, word[k:]).coords
-                    got = matvec(tensor_embed(system, side, k, n - k), kron_vec(left, right))
+                    got = concat_class(system, side, k, left, n - k, right)
                     assert got == full, (side, word, k)
 
 
@@ -211,16 +204,30 @@ def test_concatenation_is_balanced(mixed5):
     d_r = system.ring.dim
     for side in ("P", "Q"):
         sp1 = tensor_space(system, side, 1)
-        e = tensor_embed(system, side, 1, 1)
         for i in range(d_r):
             r = unit_vec(d_r, i)
             for a in range(sp1.dim):
                 xa = unit_vec(sp1.dim, a)
                 for b in range(sp1.dim):
                     yb = unit_vec(sp1.dim, b)
-                    lhs = matvec(e, kron_vec(sp1.act_right(xa, r), yb))
-                    rhs = matvec(e, kron_vec(xa, sp1.act_left(r, yb)))
+                    lhs = concat_class(system, side, 1, sp1.act_right(xa, r), 1, yb)
+                    rhs = concat_class(system, side, 1, xa, 1, sp1.act_left(r, yb))
                     assert lhs == rhs
+
+
+def test_rose4_level5_fits_in_memory():
+    """Rose4's Q^5 has 1024 basis classes; each action is 1024 columns of one
+    nonzero, not a dense 1024 x 1024 matrix (26 MiB traced for the two)."""
+    system = build_graph_system(rose_graph(4))
+    tracemalloc.start()
+    try:
+        sp = tensor_space(system, "Q", 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    assert sp.dim == 1024
+    assert sp.left[0][5] == sp.right[0][5] == ((5, 1),)
 
 
 def test_rose1_stays_one_dimensional(rose1):
@@ -276,6 +283,5 @@ def test_module_element_ops(perm3):
 
 
 def test_path_element_matches_embed(line3_system):
-    e = tensor_embed(line3_system, "Q", 1, 1)
-    manual = matvec(e, kron_vec(unit_vec(2, 0), unit_vec(2, 1)))
+    manual = concat_class(line3_system, "Q", 1, unit_vec(2, 0), 1, unit_vec(2, 1))
     assert list(path_element(line3_system, "Q", ["e1", "e2"]).coords) == manual

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    dense,
+    kron_vec,
     dual_numbers_ring,
     dual_numbers_unit_basis_ring,
     five_vertex_mixed,
@@ -24,7 +26,7 @@ from conftest import (
 )
 
 from cprings import toeplitz
-from cprings.exactlin import kron_vec, mat_identity, unit_vec, zero_vec
+from cprings.exactlin import mat_identity, unit_vec, zero_vec
 from cprings.graphalg import rose_graph
 from cprings.rsystem import build_automorphism_system, build_graph_system
 from cprings.tensorpow import CapExceeded, tensor_space
@@ -156,6 +158,23 @@ def test_rose3_44_component_fits_in_memory():
     assert peak < 16 * 2**20, peak
 
 
+def test_rose3_creation_block_fits_in_memory():
+    """T^3(e_4) from rose3's Q^3 lands on Q^6 (729 classes) as 27 columns of
+    one nonzero; no level action or block is a dense matrix (at 729 x 729,
+    23 MiB traced)."""
+    system = build_graph_system(rose_graph(3))
+    x = embed_n(system, "Q", 3, unit_vec(27, 4))
+    tracemalloc.start()
+    try:
+        blocks = fock_apply(x, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    assert list(blocks) == [6]
+    assert blocks[6] == tuple(((4 * 27 + c, 1),) for c in range(27))
+
+
 @pytest.mark.parametrize("ring, d", [(dual_numbers_ring, 2), (matrix2_ring, 4), (dual_numbers_unit_basis_ring, 2)],
                          ids=["dual", "matrix2", "dual-1u"])
 def test_products_over_non_diagonal_rings(ring, d):
@@ -179,8 +198,8 @@ def test_products_over_non_diagonal_rings(ring, d):
         a, b, c = word(), word(), word()
         assert toeplitz_mul(toeplitz_mul(a, b), c) == toeplitz_mul(a, toeplitz_mul(b, c))
         for j in range(3):
-            via = _compose_blocks(system, a, fock_apply(b, j))
-            direct = fock_apply(toeplitz_mul(a, b), j)
+            via = _compose_blocks(system, a, _fock_dense(b, j))
+            direct = _fock_dense(toeplitz_mul(a, b), j)
             assert set(via) == set(direct) and all(mat_eq(via[k], direct[k]) for k in via)
 
 
@@ -309,10 +328,10 @@ def test_evaluate_rejects_junk(a2_system):
 def test_fock_diagonal_of_ring_element(line3_system):
     r = [1, 0, 2]
     x = embed(line3_system, "R", r)
-    blocks = fock_apply(x, 0)
+    blocks = _fock_dense(x, 0)
     assert list(blocks) == [0]
     assert mat_eq(blocks[0], line3_system.ring.left_matrix(r))
-    blocks1 = fock_apply(x, 1)
+    blocks1 = _fock_dense(x, 1)
     # Delta(r) on Q: e1 scaled by r_{s(e1)} = 1, e2 by r_{s(e2)} = 0
     assert mat_eq(blocks1[1], [[1, 0], [0, 0]])
 
@@ -321,16 +340,22 @@ def test_fock_shift_rose(rose1):
     system = build_graph_system(rose1)
     x = embed(system, "Q", [1])
     for j in range(4):
-        blocks = fock_apply(x, j)
+        blocks = _fock_dense(x, j)
         assert list(blocks) == [j + 1]
         assert mat_eq(blocks[j + 1], [[1]])
+
+
+def _fock_dense(x, j, cap=6):
+    """fock_apply(x, j) with each block as a dense matrix."""
+    return {k: dense(cols, tensor_space(x.system, "Q", k).dim)
+            for k, cols in fock_apply(x, j, cap=cap).items()}
 
 
 def _compose_blocks(system, x, blocks_in, cap=6):
     """Apply x to an existing {level: matrix} family of blocks."""
     out = {}
     for j_mid, mat in blocks_in.items():
-        for j_out, blk in fock_apply(x, j_mid, cap=cap).items():
+        for j_out, blk in _fock_dense(x, j_mid, cap=cap).items():
             from cprings.exactlin import matmul, mat_zero, vec_add
             prod = matmul(blk, mat)
             if j_out in out:
@@ -349,9 +374,9 @@ def test_fock_functorial(seed):
     b = random_graph_element(rng, system)
     ab = toeplitz_mul(a, b)
     for j in range(3):
-        first = fock_apply(b, j)
+        first = _fock_dense(b, j)
         via = _compose_blocks(system, a, first)
-        direct = fock_apply(ab, j)
+        direct = _fock_dense(ab, j)
         assert set(via) == set(direct)
         for k in via:
             assert mat_eq(via[k], direct[k])
