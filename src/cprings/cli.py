@@ -26,7 +26,7 @@ syntax), 3 undecided: the question needs a tensor level above `--cap`.
 Element grammar:
 
     expr   := term (('+'|'-') term)*
-    term   := rational? factor ('*' factor)*
+    term   := ('-'? rational)? factor ('*' factor)*
     factor := 'R:'label | 'Q:'label | 'P:'label | '(' expr ')'
 
 with rationals written `a/b` or as integers, plus the graph sugar `p(v)`,
@@ -75,6 +75,7 @@ from .graphalg import (
 from .ideals import (
     NotInvariant,
     NotTwoSided,
+    _hasse_dot,
     enumerate_tpairs,
     hasse_edges,
     lattice_dot,
@@ -89,11 +90,11 @@ from .rsystem import (
     system_to_json,
     validate_axioms,
 )
-from .tensorpow import CapExceeded, DEFAULT_CAP, tensor_space
+from .tensorpow import CapExceeded, DEFAULT_CAP
 from .toeplitz import (
     SystemMismatch,
     ToeplitzElement,
-    component_space,
+    _class_words,
     embed,
     evaluate,
     toeplitz_mul,
@@ -185,7 +186,7 @@ def load_input(path: str) -> LoadedInput:
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
-      | (?P<num>-?\d+(?:/\d+)?)
+      | (?P<num>\d+(?:/\d+)?)
       | (?P<gen>[RQP]:[^\s()*+-]+)
       | (?P<sugar>[pxy]\()
       | (?P<op>[-+*()])
@@ -342,7 +343,11 @@ class _Parser:
 
     def term(self):
         coeff = None
-        if self.peek()[0] == "num":
+        # a '-' right before a term's coefficient is its sign: "-2 p(u)", "p(u) - -2 p(v)"
+        if self.peek()[:2] == ("op", "-") and self.tokens[self.i + 1][0] == "num":
+            self.next()
+            coeff = -Fraction(self.next()[1])
+        elif self.peek()[0] == "num":
             coeff = Fraction(self.next()[1])
         out = self.factor()
         while self.peek()[0] == "op" and self.peek()[1] == "*":
@@ -399,19 +404,12 @@ def _fmt_coeff(c: Fraction) -> str:
     return str(c)
 
 
-def _grade_words(system, m: int, n: int):
-    """Each basis class of grade (m, n) as its word of (kind, index) letters."""
-    def leg(side, level):
-        return [tuple((side, i) for i in w) for w in tensor_space(system, side, level).words]
-
+def _class_letters(system, m: int, n: int, t: int):
+    """Basis class t of grade (m, n) as its word of (kind, index) letters."""
     if m == 0 and n == 0:
-        return [(("R", i),) for i in range(system.ring.dim)]
-    if n == 0:
-        return leg("Q", m)
-    if m == 0:
-        return leg("P", n)
-    q, p = leg("Q", m), leg("P", n)
-    return [q[a] + p[b] for a, b in component_space(system, m, n).basis]
+        return (("R", t),)
+    q, p = _class_words(system, m, n, t)
+    return tuple(("Q", i) for i in q) + tuple(("P", i) for i in p)
 
 
 def _format_toeplitz(x: ToeplitzElement) -> str:
@@ -419,10 +417,10 @@ def _format_toeplitz(x: ToeplitzElement) -> str:
     labels = {"R": sy.ring.labels, "Q": sy.q.labels, "P": sy.p.labels}
     terms = []  # (sort key, coeff, [factor strings]), sorted by grade, then word
     for (m, n), v in x.comps.items():
-        words = _grade_words(sy, m, n)
         for t, c in enumerate(v):
             if c != 0:
-                terms.append(((m, n, words[t]), c, [f"{k}:{labels[k][i]}" for k, i in words[t]]))
+                word = _class_letters(sy, m, n, t)
+                terms.append(((m, n, word), c, [f"{k}:{labels[k][i]}" for k, i in word]))
     return _join_terms(sorted(terms))
 
 
@@ -641,15 +639,9 @@ def _graph_pair_lattice(graph: FiniteGraph) -> dict:
 
 
 def _graph_pair_dot(data: dict) -> str:
-    lines = ["digraph ideals {", "  rankdir=BT;"]
-    for idx, node in enumerate(data["nodes"]):
-        h = "{" + " ".join(node["h"]) + "}"
-        s = ("|" + " ".join(node["s"])) if node["s"] else ""
-        lines.append(f'  n{idx} [label="{h}{s}"];')
-    for a, b in data["hasse_edges"]:
-        lines.append(f"  n{a} -> n{b};")
-    lines.append("}")
-    return "\n".join(lines)
+    labels = ["{" + " ".join(node["h"]) + "}" + ("|" + " ".join(node["s"]) if node["s"] else "")
+              for node in data["nodes"]]
+    return _hasse_dot("ideals", labels, data["hasse_edges"])
 
 
 def _verb_lattice(loaded, args) -> Outcome:

@@ -444,6 +444,15 @@ def hasse_edges(le) -> list[list[int]]:
     return edges
 
 
+def _hasse_dot(name: str, labels, edges) -> str:
+    """DOT digraph `name`: node n<idx> labelled labels[idx], one arrow per Hasse edge."""
+    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines += [f'  n{idx} [label="{label}"];' for idx, label in enumerate(labels)]
+    lines += [f"  n{a} -> n{b};" for a, b in edges]
+    lines.append("}")
+    return "\n".join(lines)
+
+
 def lattice_json(system: RSystem, tpairs: Sequence[TPair]) -> dict:
     """Nodes with (i, j) bases and Hasse edges of the componentwise order."""
     edges = hasse_edges([[tpair_le(a, b) for b in tpairs] for a in tpairs])
@@ -454,11 +463,5 @@ def lattice_json(system: RSystem, tpairs: Sequence[TPair]) -> dict:
 
 def lattice_dot(data: dict) -> str:
     """DOT rendering of a `lattice_json` result."""
-    lines = ["digraph tpairs {", "  rankdir=BT;"]
-    for idx, node in enumerate(data["nodes"]):
-        label = f"i:{node['i_dim']} j:{node['j_dim']}"
-        lines.append(f'  n{idx} [label="{label}"];')
-    for a, b in data["hasse_edges"]:
-        lines.append(f"  n{a} -> n{b};")
-    lines.append("}")
-    return "\n".join(lines)
+    labels = [f"i:{node['i_dim']} j:{node['j_dim']}" for node in data["nodes"]]
+    return _hasse_dot("tpairs", labels, data["hasse_edges"])

@@ -16,8 +16,8 @@ action is the class of r.e_a (x) e_b, resp. e_a (x) e_b.r, read sparse off
 Unwinding `basis` down to level 1 makes every basis class the class of a word
 of level-1 letters: `words[t] == words[a] + (b,)`, so the words of a level
 are prefix-closed.  `word_class(system, side, word)` gives the level
-coordinates of any word's class (memoized); every cut of a basis class into a
-head and a tail (`cut_class`) is the pair of classes of its word's two pieces.
+coordinates of any word's class (memoized), so every piece of a basis word
+has a class, whether or not it is itself a basis word.
 
 `concat_class(system, side, k, u, l, w)` is the concatenation
 M^k (x) M^l -> M^(k+l): the class of u (x) w is the sum, over the nonzeros
@@ -252,12 +252,6 @@ def _project_kron(quot: QuotientSpace, u: Sequence[Fraction], w: Sequence[Fracti
     return quot.project([(a * len(w) + b, x * y) for a, x in _nonzeros(u) for b, y in nz_w])
 
 
-def cut_class(system: RSystem, side: str, level: int, t: int, k: int):
-    """Classes of the first k letters and of the rest of basis class t's word (0 < k < level)."""
-    word = tensor_space(system, side, level).words[t]
-    return word_class(system, side, word[:k]), word_class(system, side, word[k:])
-
-
 def psi_n(system: RSystem, n: int):
     """Table of the iterated pairing: psi_n[a][b] in ring coordinates.
 
@@ -285,8 +279,8 @@ def _psi_table(system: RSystem, n: int) -> tuple:
         return tuple(tuple() for _ in range(pn.dim))
     d_qprev = tensor_space(system, "Q", n - 1).dim
     table = []
-    for a in range(pn.dim):
-        p1, p2 = cut_class(system, "P", n, a, 1)
+    for word in pn.words:  # p = e_word[0] (x) (the class of the rest)
+        p1, p2 = unit_vec(system.p.dim, word[0]), word_class(system, "P", word[1:])
         row_out = []
         for b1, j in qn.basis:  # q = (class b1 of Q^(n-1)) (x) e_j
             r_mid = psi_apply(system, n - 1, p2, unit_vec(d_qprev, b1))

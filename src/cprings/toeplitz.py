@@ -8,26 +8,23 @@ coordinate vectors in the component
 
 with the grade product (m1,n1)(m2,n2) = (m1+m2-k, n1+n2-k), k = min(n1, m2).
 
-Multiplication runs one case analysis per component pair; the full bullet
-table collapses onto four code paths keyed on k = min(n1, m2):
+Every component basis class is the class of one pure tensor of level-1
+letters: a pair of words (u, v), u over Q and v over P (`_class_words`).
+Two classes multiply by one rule.  With k = min(n1, m2), the last k letters
+of v1 pair with the first k letters of u2 through psi_k, and the rest
+concatenates:
 
-* k = 0            — pure concatenation (module actions when a leg has
-                     level 0, covering all products with grade (0,0));
-* 0 < k = m2 < n1  — contract-right: the trailing k P-factors of the left
-                     operand pair against the whole Q-leg of the right one,
-                     and the resulting ring element multiplies the surviving
-                     P-head from the right;
-* 0 < k = n1 < m2  — contract-left: the whole P-leg pairs against the
-                     leading k Q-factors of the right operand, the ring
-                     element hitting the surviving Q-tail from the left;
-* k = n1 = m2      — full contraction down to psi_k, absorbed into the
-                     adjacent leg (or grade (0,0) when none remains).
+    (u1, v1) (u2, v2) = class of  u1 + u2[k:]  (x)  v1[:n1-k] + v2,
 
-Every component basis class is the class of one pure tensor (`basis[t] ==
-(a, b)` for the class of e_a (x) e_b), so the product of two classes is one
-product of pure legs.  A product is built only from the operands' nonzero
-coordinates: each pair of basis classes is multiplied once per system and
-cached as a sparse column of the output component.
+with at most one ring element r acting where the operands' letters meet:
+psi_k(v1[n1-k:], u2[:k]) when k >= 1, a ring operand e_i (e_i e_j when both
+operands are ring elements), or none when k = 0.  The letters meet inside
+the P word when v1[:n1-k] is not empty or no Q letter survives, and inside
+the Q word otherwise; r multiplies the piece before the meeting point from
+the right (or the piece after it from the left when nothing comes before).
+A product is built only from the operands' nonzero coordinates: each pair of
+basis classes is multiplied once per system and cached as a sparse column of
+the output component.
 
 The module also hosts representation evaluation (images T^m(q) S^n(p),
 multiplicative in tensor order) and the Fock representation, block by block
@@ -75,9 +72,9 @@ from .tensorpow import (
     _word_nz,
     balanced_quotient,
     concat_class,
-    cut_class,
     psi_apply,
     tensor_space,
+    word_class,
 )
 
 __all__ = [
@@ -161,11 +158,12 @@ def component_space(system: RSystem, m: int, n: int) -> ComponentSpace:
 
 
 def _class_coords(system: RSystem, m: int, n: int, q, p):
-    """Component coordinates of the class of q (x) p at grade (m, n)."""
-    if n == 0:
-        return q
+    """Component coordinates of the class of q (x) p at grade (m, n); with no
+    Q letter it is p (a ring element at (0,0)), with no P letter q."""
     if m == 0:
         return p
+    if n == 0:
+        return q
     comp = component_space(system, m, n)
     if comp.dim == 0:
         return None
@@ -279,10 +277,16 @@ def embed_n(system: RSystem, kind: str, level: int, coords) -> ToeplitzElement:
         grade = (0, level)
     else:
         raise ValueError(f"kind must be R, Q or P, got {kind!r}")
+    return ToeplitzElement(system, {grade: _leg_coords(system, kind, level, coords)})
+
+
+def _leg_coords(system: RSystem, kind: str, level: int, coords) -> list:
+    """coords as a list, checked to have the length of the level's coordinates."""
+    coords = list(coords)
     want = tensor_space(system, kind, level).dim
     if len(coords) != want:
         raise ValueError(f"coordinate length {len(coords)} != dim {want} of {kind}^{level}")
-    return ToeplitzElement(system, {grade: coords})
+    return coords
 
 
 def pair(system: RSystem, m: int, n: int, q_coords, p_coords) -> ToeplitzElement:
@@ -293,7 +297,8 @@ def pair(system: RSystem, m: int, n: int, q_coords, p_coords) -> ToeplitzElement
         return embed_n(system, "P", n, p_coords)
     if n == 0:
         return embed_n(system, "Q", m, q_coords)
-    v = _class_coords(system, m, n, list(q_coords), list(p_coords))
+    q, p = _leg_coords(system, "Q", m, q_coords), _leg_coords(system, "P", n, p_coords)
+    v = _class_coords(system, m, n, q, p)
     if v is None:
         return ToeplitzElement(system)
     return ToeplitzElement(system, {(m, n): v})
@@ -302,92 +307,53 @@ def pair(system: RSystem, m: int, n: int, q_coords, p_coords) -> ToeplitzElement
 # -- multiplication ----------------------------------------------------------
 
 
-def _basis_legs(system: RSystem, m: int, n: int, idx: int):
-    """The pure (q, p, r) legs whose class is basis element idx of grade (m, n)."""
-    if m == 0 and n == 0:
-        return None, None, unit_vec(system.ring.dim, idx)
-    if n == 0:
-        return unit_vec(tensor_space(system, "Q", m).dim, idx), None, None
-    if m == 0:
-        return None, unit_vec(tensor_space(system, "P", n).dim, idx), None
-    a, b = component_space(system, m, n).basis[idx]
-    return (unit_vec(tensor_space(system, "Q", m).dim, a),
-            unit_vec(tensor_space(system, "P", n).dim, b), None)
+def _class_words(system: RSystem, m: int, n: int, idx: int):
+    """Basis class idx of grade (m, n) as its (Q word, P word); both () at (0,0)."""
+    a, b = component_space(system, m, n).basis[idx] if m and n else (idx, idx)
+    return (tensor_space(system, "Q", m).words[a] if m else (),
+            tensor_space(system, "P", n).words[b] if n else ())
 
 
-def _legpair_product(system: RSystem, g1, legs1, g2, legs2):
-    """Product of two pure leg tuples; returns component coords at semigroup_mul(g1, g2)."""
-    (m1, n1), (m2, n2) = g1, g2
-    q1, p1, r1 = legs1
-    q2, p2, r2 = legs2
-    ring = system.ring
-
-    if g1 == (0, 0):
-        r = r1
-        if g2 == (0, 0):
-            return ring.multiply(r, r2)
-        if m2 >= 1:
-            q2s = tensor_space(system, "Q", m2)
-            return _class_coords(system, m2, n2, q2s.act_left(r, q2), p2)
-        pns = tensor_space(system, "P", n2)
-        return _class_coords(system, 0, n2, None, pns.act_left(r, p2))
-    if g2 == (0, 0):
-        r = r2
-        if n1 >= 1:
-            pns = tensor_space(system, "P", n1)
-            return _class_coords(system, m1, n1, q1, pns.act_right(p1, r))
-        qms = tensor_space(system, "Q", m1)
-        return _class_coords(system, m1, 0, qms.act_right(q1, r), None)
-
-    k = min(n1, m2)
-    if k == 0:
-        if n1 == 0:
-            if m2 == 0:
-                # pure Q times pure P: just the mixed class
-                return _class_coords(system, m1, n2, q1, p2)
-            q_full = concat_class(system, "Q", m1, q1, m2, q2)
-            return _class_coords(system, m1 + m2, n2, q_full, p2)
-        # m2 == 0, n1 >= 1: concatenate the P legs
-        p_full = concat_class(system, "P", n1, p1, n2, p2)
-        return _class_coords(system, m1, n1 + n2, q1, p_full)
-
-    if k == n1 == m2:
-        r = psi_apply(system, k, p1, q2)
-        if m1 >= 1:
-            qms = tensor_space(system, "Q", m1)
-            return _class_coords(system, m1, n2, qms.act_right(q1, r), p2)
-        if n2 >= 1:
-            pns = tensor_space(system, "P", n2)
-            return _class_coords(system, 0, n2, None, pns.act_left(r, p2))
-        return r  # grade (0,0)
-
-    if k == m2:  # k < n1: trailing P-factors of the left operand contract away
-        head = tensor_space(system, "P", n1 - k)
-        p_head = zero_vec(head.dim)
-        for b, c in _nonzeros(p1):
-            h, t = cut_class(system, "P", n1, b, n1 - k)
-            p_head = vec_add(p_head, vec_scale(c, head.act_right(h, psi_apply(system, k, t, q2))))
-        p_full = concat_class(system, "P", n1 - k, p_head, n2, p2) if n2 else p_head
-        return _class_coords(system, m1, n1 - k + n2, q1, p_full)
-
-    # k == n1 < m2: the whole P-leg contracts against the leading Q-factors
-    tail = tensor_space(system, "Q", m2 - k)
-    q_tail = zero_vec(tail.dim)
-    for b, c in _nonzeros(q2):
-        h, t = cut_class(system, "Q", m2, b, k)
-        q_tail = vec_add(q_tail, vec_scale(c, tail.act_left(psi_apply(system, k, p1, h), t)))
-    q_full = concat_class(system, "Q", m1, q1, m2 - k, q_tail) if m1 else q_tail
-    return _class_coords(system, m1 + m2 - k, n2, q_full, p2)
+def _join(system: RSystem, side: str, head: tuple, r, tail: tuple):
+    """Level coordinates of class(head).r (x) class(tail) on `side`, for r in
+    R (either word may be empty); with r None, the class of head + tail."""
+    if r is None:
+        return word_class(system, side, head + tail)
+    if head:
+        r = concat_class(system, side, len(head), word_class(system, side, head), 0, r)
+    if tail:
+        r = concat_class(system, side, len(head), r, len(tail), word_class(system, side, tail))
+    return r
 
 
 def _product_column(system: RSystem, g1, i: int, g2, j: int):
-    """Nonzero (k, c) of basis class i of C(g1) times basis class j of C(g2)."""
+    """Nonzero (k, c) of basis class i of C(g1) times basis class j of C(g2),
+    by the rule at the join (module docstring)."""
     store = _system_store(system)
     key = ("prodcol", g1, i, g2, j)
     if key not in store:
-        v = _legpair_product(system, g1, _basis_legs(system, *g1, i),
-                             g2, _basis_legs(system, *g2, j))
-        store[key] = [(k, c) for k, c in enumerate(v) if c]
+        (m1, n1), (m2, n2) = g1, g2
+        u1, v1 = _class_words(system, m1, n1, i)
+        u2, v2 = _class_words(system, m2, n2, j)
+        k = min(n1, m2)
+        ring = system.ring
+        if g1 == g2 == (0, 0):
+            r = ring.mult[i][j]
+        elif g1 == (0, 0):
+            r = unit_vec(ring.dim, i)
+        elif g2 == (0, 0):
+            r = unit_vec(ring.dim, j)
+        elif k:
+            r = psi_apply(system, k, word_class(system, "P", v1[n1 - k:]), word_class(system, "Q", u2[:k]))
+        else:
+            r = None
+        q_tail, p_head = u2[k:], v1[:n1 - k]  # one of them is empty
+        if p_head or not (u1 or q_tail):  # the letters meet inside the P word
+            q, p = word_class(system, "Q", u1) if u1 else None, _join(system, "P", p_head, r, v2)
+        else:
+            q, p = _join(system, "Q", u1, r, q_tail), word_class(system, "P", v2) if v2 else None
+        v = _class_coords(system, m1 + len(q_tail), len(p_head) + n2, q, p)
+        store[key] = [(t, c) for t, c in enumerate(v) if c]
     return store[key]
 
 

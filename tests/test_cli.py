@@ -109,6 +109,11 @@ def test_parse_rationals_parens_paths():
     # y(path) is the mirror of x(path): their product contracts to a vertex
     assert toeplitz_mul(path, ghost).support() == [(2, 2)]
     assert parse_element("y(e1 e2) * x(e1 e2)", ctx) == parse_element("p(v3)", ctx)
+    # '-' before a coefficient subtracts after a term and is its sign at the start
+    assert parse_element("p(v1)-2 p(v2)", ctx) == parse_element("p(v1) - 2 p(v2)", ctx)
+    assert parse_element("x(e1)-1/2 x(e1)", ctx) == parse_element("1/2 x(e1)", ctx)
+    assert parse_element("-2 p(v1)", ctx) == parse_element("p(v1) - 3 p(v1)", ctx)
+    assert parse_element("p(v1) - -2 p(v2)", ctx) == parse_element("p(v1) + 2 p(v2)", ctx)
 
 
 def test_parse_errors():
@@ -353,6 +358,11 @@ def test_deep_words_answer(files):
                             (f"x({w})*y({w})", "p(v)", True)):
         code, out = run_json("eq", files["rose1"], lhs, rhs, "--cap", "4000")
         assert (code, out["result"]["equal"]) == (int(not equal), equal)
+    # under the default cap the Toeplitz side stops before a deep level; the LPA side answers
+    code, out = run_json("nf", files["rose1"], f"x({w})", "--backend", "toeplitz")
+    assert code == 3 and out["diagnostics"][0].startswith("CapExceeded: ")
+    code, out = run_json("nf", files["rose1"], f"x({w})*y({w})")
+    assert code == 0 and out["result"]["element"] == "p(v)"
 
 
 def test_rose3_degree4_inequality_fits_in_memory(files):
@@ -485,7 +495,11 @@ def fuzz_files(tmp_path_factory):
 
 
 _JUNK = ["p(zz)", "x()", "Q:", "0", "1/0 p(u)"]
-_ATOMS = {"graph": ["p(u)", "p(v)", "x(e)", "y(e)", "x(f)", "x(e f)", "y(f e)", "x(e#2)", "R:u", "Q:e", "P:e"],
+# 1500-letter paths: composable on `loops` only, where the Toeplitz verbs stop
+# at the cap before building a deep level and the LPA backend answers
+_DEEP = ["x(" + " ".join(["e"] * 1500) + ")", "y(" + " ".join(["e", "f"] * 750) + ")"]
+_ATOMS = {"graph": ["p(u)", "p(v)", "x(e)", "y(e)", "x(f)", "x(e f)", "y(f e)", "x(e#2)", "R:u", "Q:e", "P:e",
+                    *_DEEP * 3],
           "system": ["R:v1", "R:v2", "Q:v2", "P:v3", "Q:v1*P:v1"]}
 
 
@@ -515,8 +529,8 @@ _N_EXPRS = {"mul": 2, "eq": 2, "nf": 1, "gauge-split": 1}
 @given(data=st.data())
 def test_run_never_raises(fuzz_files, data):
     """Any verb, file, expressions and flags: `run` returns an exit code of
-    0, 1, 2 or 3 and never raises.  Sizes are small and fixed (paths of at
-    most two edges, at most four letters per product), so no deep level is
+    0, 1, 2 or 3 and never raises.  Paths have at most two edges or 1500;
+    a deep path exceeds every cap the flags allow, so no deep level is
     built."""
     valid = list(_FUZZ_GRAPHS) + ["perm3", "psizero"]
     name = data.draw(st.sampled_from(valid * 3 + sorted(set(fuzz_files) - set(valid))))
@@ -592,3 +606,16 @@ def test_console_entry_point(files):
 )
 def test_installed_cpr_script(files):
     assert_cpr_verdicts([shutil.which("cpr")], files)
+
+
+SCRIPTS = PYPROJECT.parent / "scripts"
+
+
+@pytest.mark.parametrize("argv", [["crossed_walkthrough.py"], ["lattice_atlas.py"],
+                                  ["lattice_atlas.py", "--dot", "rose2"]])
+def test_scripts_run(argv):
+    """The scripts run end to end against the library they import."""
+    proc = run_process([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]])
+    assert proc.returncode == 0 and proc.stdout.strip()
+    if "--dot" in argv:
+        assert proc.stdout.startswith("digraph tpairs {")

@@ -25,7 +25,6 @@ from conftest import (
     three_vertex_two_cycle,
 )
 
-from cprings import toeplitz
 from cprings.exactlin import mat_identity, unit_vec, zero_vec
 from cprings.graphalg import rose_graph
 from cprings.rsystem import build_automorphism_system, build_graph_system
@@ -65,7 +64,7 @@ def test_semigroup_associative_small():
                 assert semigroup_mul(semigroup_mul(a, b), c) == semigroup_mul(a, semigroup_mul(b, c))
 
 
-def test_embed_basics(a2_system):
+def test_embed_basics(a2_system, line3_system):
     assert embed(a2_system, "R", zero_vec(2)).is_zero()
     x = embed(a2_system, "Q", [1])
     assert x.support() == [(1, 0)]
@@ -73,6 +72,13 @@ def test_embed_basics(a2_system):
         embed(a2_system, "Q", [1, 2, 3])
     with pytest.raises(ValueError):
         embed(a2_system, "X", [1])
+    # Q and P have dimension 2 on line3: pair checks each leg's length like embed_n
+    for q, p in (([1, 0, 0], [1, 0]), ([1, 0], [0, 1, 0]), ([1], [1, 0])):
+        with pytest.raises(ValueError):
+            pair(line3_system, 1, 1, q, p)
+    with pytest.raises(ValueError):
+        pair(line3_system, 0, 1, [], [1, 0, 0])
+    assert pair(line3_system, 1, 1, [1, 0], [1, 0]).support() == [(1, 1)]
 
 
 def test_embed_n_rose(rose1):
@@ -203,22 +209,16 @@ def test_products_over_non_diagonal_rings(ring, d):
             assert set(via) == set(direct) and all(mat_eq(via[k], direct[k]) for k in via)
 
 
-def test_product_multiplies_only_the_operands_classes(monkeypatch):
-    """One Q^3 class times one P^3 class is one product of pure legs, not one
+def test_product_multiplies_only_the_operands_classes():
+    """One Q^3 class times one P^3 class builds one product column, not one
     per pair of basis classes of the two grades (64 on rose2)."""
-    calls = []
-    real = toeplitz._legpair_product
-
-    def counting(system, g1, legs1, g2, legs2):
-        calls.append((g1, g2))
-        return real(system, g1, legs1, g2, legs2)
-
-    monkeypatch.setattr(toeplitz, "_legpair_product", counting)
     system = build_graph_system(rose_graph(2))
     d3 = tensor_space(system, "Q", 3).dim
     q, p = unit_vec(d3, 5), unit_vec(d3, 2)
-    prod = toeplitz_mul(embed_n(system, "Q", 3, q), embed_n(system, "P", 3, p))
-    assert calls == [((3, 0), (0, 3))]
+    x, y = embed_n(system, "Q", 3, q), embed_n(system, "P", 3, p)
+    before = set(system._store)
+    prod = toeplitz_mul(x, y)
+    assert {k for k in set(system._store) - before if k[0] == "prodcol"} == {("prodcol", (3, 0), 5, (0, 3), 2)}
     assert prod == pair(system, 3, 3, q, p)
 
 
