@@ -7,8 +7,9 @@ flattened row by row.  The rank-one generators and the left action are
     Delta(r)(x)    = r . x
 
 `theta_table(system, side, level)` holds the flattened generators of one side
-and level, read straight off psi_n and the columns of the level's actions; it
-is built once per system and everything rank-one reads it.  F_P(Q) is its span
+and level, read straight off the nonzeros of the psi_n cells and the columns
+of the level's actions; it is built once per system and everything rank-one
+reads it.  F_P(Q) is its span
 (`finite_rank_space`); condition (FS) asks the identity of Q to lie in F_P(Q)
 and the identity of P in F_Q(P), two exact solves over the table whose
 solutions double as certificates (`check_fs`); `theta_decomposition` solves
@@ -17,8 +18,9 @@ the paper-style quantification over finite subsets reduces to the basis.
 
 `check_fs` and `delta_ideals` (ker Delta and Delta^(-1)(F_P(Q))) are computed
 once per system and stored with it.  `canonical_ideals` adds the two-sided
-annihilator of ker Delta and the intersection j_max, the uniquely-maximal
-candidate.
+annihilator of ker Delta (the kernel of x -> k x and x -> x k over a basis of
+it, read off `ring.multiply`) and the intersection j_max, the
+uniquely-maximal candidate.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .exactlin import (
     ONE,
     ZERO,
     Subspace,
-    _nonzeros,
     kernel,
     mat_identity,
     mat_transpose,
@@ -73,7 +74,7 @@ def _build_theta_table(system: RSystem, side: str, level: int) -> tuple:
         for h in range(other.dim):
             m = [ZERO] * (d * d)
             for c in range(d):
-                for i, s in _nonzeros(pairing(h, c)):
+                for i, s in pairing(h, c):
                     for r, v in acts[i][g]:
                         m[r * d + c] += s * v
             rows.append(tuple(m))
@@ -170,10 +171,11 @@ def annihilator(system: RSystem, ideal: Subspace) -> Subspace:
     d = system.ring.dim
     if ideal.is_zero():
         return Subspace(d, mat_identity(d))
-    stacked = []
+    mul, units = system.ring.multiply, mat_identity(d)
+    stacked = []  # the rows of x -> k x and of x -> x k, for each basis vector k
     for k in ideal.basis():
-        stacked.extend(system.ring.left_matrix(k))
-        stacked.extend(system.ring.right_matrix(k))
+        stacked.extend(mat_transpose([mul(k, e) for e in units]))
+        stacked.extend(mat_transpose([mul(e, k) for e in units]))
     return Subspace(d, kernel(stacked))
 
 

@@ -174,10 +174,8 @@ def _quotient_system(system: RSystem, i: Subspace, name: Optional[str]) -> Quoti
         # column t is the class of the lift's image of e_free[t]
         return [[quot.project_nz(actions[a][c]) for c in quot.free] for a in keep_r]
 
-    q2 = StructuredBimodule._of_columns([q.labels[c] for c in quot_q.free],
-                                        induced(quot_q, q.left), induced(quot_q, q.right))
-    p2 = StructuredBimodule._of_columns([p.labels[c] for c in quot_p.free],
-                                        induced(quot_p, p.left), induced(quot_p, p.right))
+    q2 = StructuredBimodule([q.labels[c] for c in quot_q.free], induced(quot_q, q.left), induced(quot_q, q.right))
+    p2 = StructuredBimodule([p.labels[c] for c in quot_p.free], induced(quot_p, p.left), induced(quot_p, p.right))
     psi2 = Pairing([[quot_r.project(system.psi.table[a][b]) for b in quot_q.free] for a in quot_p.free])
 
     quotient = RSystem(ring2, p2, q2, psi2, name=name or f"{system.name}/I")

@@ -6,8 +6,16 @@ over Q and presented by structure constants:
 
 - `StructuredRing`: basis labels + multiplication table
 - `StructuredBimodule`: basis labels + the left and right actions of each
-  ring basis element, kept as the nonzeros of their columns (`_Actions`)
+  ring basis element, given and kept as the nonzeros of their columns
 - `Pairing`: the table psi(p_i (x) q_j) in ring coordinates
+
+Every R-action is stored once, as the nonzeros of its columns (`_Actions`:
+`left[i][a]` of e_i . m_a, `right[i][a]` of m_a . e_i), and that includes
+the ring itself: R is the R-bimodule whose columns are the cells of its
+multiplication table.  Each structure table in nonzero form -- these columns,
+the pairing's cells, and the iterated pairings of `tensorpow` -- is evaluated
+by the one kernel `_bilinear`.  A bimodule has one constructor, which takes
+the columns and checks every index in them.
 
 `validate_axioms` checks every defining identity on basis elements (which
 suffices by linearity) and reports each failure individually.  The two
@@ -23,21 +31,19 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactlin import (
+    ONE,
+    ZERO,
     Subspace,
     _nonzeros,
     _sum_nz,
     frac,
-    kernel,
     mat_identity,
     mat_transpose,
-    mat_zero,
     matvec,
     solve_matrix,
     unit_vec,
     zero_vec,
 )
-
-ZERO = Fraction(0)
 
 
 def _bilinear(n: int, table_nz, a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
@@ -53,14 +59,75 @@ def _bilinear(n: int, table_nz, a: Sequence[Fraction], b: Sequence[Fraction]) ->
     return out
 
 
-class StructuredRing:
+def _nz_table(table) -> tuple:
+    """table_nz[i][j]: the nonzero (index, value) pairs of the vector table[i][j]."""
+    return tuple(tuple(tuple(_nonzeros(cell)) for cell in row) for row in table)
+
+
+def _distinct(labels: Sequence[str], what: str) -> tuple:
+    labels = tuple(labels)
+    if len(set(labels)) != len(labels):
+        dup = next(lab for k, lab in enumerate(labels) if lab in labels[:k])
+        raise ValueError(f"duplicate {what} basis label {dup!r}")
+    return labels
+
+
+class _Actions:
+    """The R-actions of a space, stored as the nonzeros of their columns:
+    left[i][a] holds the nonzero (index, value) pairs of e_i . m_a and
+    right[i][a] those of m_a . e_i, for ring basis elements e_i and basis
+    vectors m_a of the space.  Both actions are `_bilinear` over them."""
+
+    __slots__ = ()
+
+    def act_left(self, r: Sequence[Fraction], m: Sequence[Fraction]) -> list[Fraction]:
+        return _bilinear(self.dim, self.left, r, m)
+
+    def act_right(self, m: Sequence[Fraction], r: Sequence[Fraction]) -> list[Fraction]:
+        return _bilinear(self.dim, self.right, r, m)
+
+    def left_map(self, r: Sequence[Fraction]) -> list[tuple]:
+        """The columns of m -> r . m: column a holds the nonzeros of r . m_a."""
+        return self._map(self.left, r)
+
+    def right_map(self, r: Sequence[Fraction]) -> list[tuple]:
+        """The columns of m -> m . r: column a holds the nonzeros of m_a . r."""
+        return self._map(self.right, r)
+
+    def _map(self, cols, r: Sequence[Fraction]) -> list[tuple]:
+        nz_r = _nonzeros(r)
+        return [_sum_nz((ri, cols[i][a]) for i, ri in nz_r) for a in range(self.dim)]
+
+
+class _Labelled(_Actions):
+    """A space with a labelled basis and its R-actions (`_Actions`)."""
+
+    __slots__ = ("labels", "left", "right", "_index")
+
+    @property
+    def dim(self) -> int:
+        return len(self.labels)
+
+    def index(self, label: str) -> int:
+        return self._index[label]
+
+    def basis_vector(self, label: str) -> list[Fraction]:
+        return unit_vec(self.dim, self._index[label])
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self.labels)!r})"
+
+
+class StructuredRing(_Labelled):
     """Finite-dimensional Q-algebra given by basis labels and a mult table.
 
-    mult[i][j] is the coordinate vector of e_i * e_j; left_basis[i] and
-    right_basis[i] are the matrices of x -> e_i x and x -> x e_i, read off it.
+    mult[i][j] is the coordinate vector of e_i * e_j, the ring's presentation.
+    As the R-bimodule R (`_Actions`), left[i][a] holds the nonzeros of
+    e_i e_a and right[i][a] those of e_a e_i: both are read off mult once,
+    and right shares left's cells.
     """
 
-    __slots__ = ("labels", "mult", "left_basis", "right_basis", "_index", "_mult_nz")
+    __slots__ = ("mult",)
 
     def __init__(self, labels: Sequence[str], mult):
         self.labels = _distinct(labels, "ring")
@@ -74,131 +141,41 @@ class StructuredRing:
             for cell in row:
                 if len(cell) != n:
                     raise ValueError("product vector has wrong length")
-        # column j of e_i's left matrix is e_i e_j, of its right matrix e_j e_i
-        self.left_basis = tuple(
-            tuple(tuple(self.mult[i][j][k] for j in range(n)) for k in range(n)) for i in range(n)
-        )
-        self.right_basis = tuple(
-            tuple(tuple(self.mult[j][i][k] for j in range(n)) for k in range(n)) for i in range(n)
-        )
+        self.left = _nz_table(self.mult)
+        self.right = tuple(zip(*self.left))
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self._mult_nz = tuple(tuple(tuple(_nonzeros(cell)) for cell in row) for row in self.mult)
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
-    def index(self, label: str) -> int:
-        return self._index[label]
-
-    def basis_vector(self, label: str) -> list[Fraction]:
-        return unit_vec(self.dim, self._index[label])
 
     def multiply(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-        return _bilinear(self.dim, self._mult_nz, a, b)
-
-    def left_matrix(self, r: Sequence[Fraction]) -> list[list[Fraction]]:
-        """Matrix of x -> r * x."""
-        return _combine(self.left_basis, r, self.dim)
-
-    def right_matrix(self, r: Sequence[Fraction]) -> list[list[Fraction]]:
-        """Matrix of x -> x * r."""
-        return _combine(self.right_basis, r, self.dim)
-
-    def __repr__(self) -> str:
-        return f"StructuredRing({list(self.labels)!r})"
+        return _bilinear(self.dim, self.left, a, b)
 
 
-def _columns(mats) -> tuple:
-    """cols[i][a]: the nonzero (row, value) pairs of column a of the square matrix mats[i]."""
-    return tuple(tuple(tuple(_nonzeros([frac(c) for c in col])) for col in zip(*m)) for m in mats)
-
-
-def _distinct(labels: Sequence[str], what: str) -> tuple:
-    labels = tuple(labels)
-    if len(set(labels)) != len(labels):
-        dup = next(lab for k, lab in enumerate(labels) if lab in labels[:k])
-        raise ValueError(f"duplicate {what} basis label {dup!r}")
-    return labels
-
-
-def _act(cols, r: Sequence[Fraction], x: Sequence[Fraction]) -> list[Fraction]:
-    """sum_i r_i M_i x, for the maps M_i given by their columns cols[i]."""
-    out = [ZERO] * len(x)
-    nz_x = _nonzeros(x)
-    for i, ri in _nonzeros(r):
-        mi = cols[i]
-        for a, xa in nz_x:
-            c = ri * xa
-            for b, y in mi[a]:
-                out[b] += c * y
-    return out
-
-
-class _Actions:
-    """The R-actions of a space, stored as the nonzeros of their columns:
-    left[i][a] holds the nonzero (index, value) pairs of e_i . m_a and
-    right[i][a] those of m_a . e_i, for ring basis elements e_i and basis
-    vectors m_a of the space."""
+class StructuredBimodule(_Labelled):
+    """R-bimodule given by its actions per ring basis element (`_Actions`):
+    the constructor takes the columns left[i][a] and right[i][a], one per
+    basis vector, each a sequence of (index, value) pairs with an int index
+    in range(dim)."""
 
     __slots__ = ()
-
-    def act_left(self, r: Sequence[Fraction], m: Sequence[Fraction]) -> list[Fraction]:
-        return _act(self.left, r, m)
-
-    def act_right(self, m: Sequence[Fraction], r: Sequence[Fraction]) -> list[Fraction]:
-        return _act(self.right, r, m)
-
-    def left_map(self, r: Sequence[Fraction]) -> list[tuple]:
-        """The columns of m -> r . m: column a holds the nonzeros of r . m_a."""
-        nz_r = _nonzeros(r)
-        return [_sum_nz((ri, self.left[i][a]) for i, ri in nz_r) for a in range(self.dim)]
-
-
-def _combine(mats, r: Sequence[Fraction], n: int) -> list[list[Fraction]]:
-    """sum_i r_i mats[i] for n x n matrices mats[i]."""
-    out = mat_zero(n, n)
-    for i, ri in _nonzeros(r):
-        for a, row in enumerate(mats[i]):
-            for b, y in _nonzeros(row):
-                out[a][b] += ri * y
-    return out
-
-
-class StructuredBimodule(_Actions):
-    """R-bimodule given by its actions per ring basis element (`_Actions`); the
-    constructor takes one dim x dim matrix per ring basis element and side."""
-
-    __slots__ = ("labels", "left", "right", "_index")
 
     def __init__(self, labels: Sequence[str], left, right):
         self.labels = _distinct(labels, "module")
         d = len(self.labels)
-        for m in (*left, *right):
-            if len(m) != d or any(len(row) != d for row in m):
-                raise ValueError("action matrix shape does not match basis")
-        self.left, self.right = _columns(left), _columns(right)
+        self.left, self.right = _checked_columns(left, d), _checked_columns(right, d)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
 
-    @classmethod
-    def _of_columns(cls, labels: Sequence[str], left, right) -> "StructuredBimodule":
-        """The bimodule whose actions have the columns left[i][a], right[i][a]."""
-        mod = cls(labels, (), ())
-        mod.left, mod.right = tuple(map(tuple, left)), tuple(map(tuple, right))
-        return mod
 
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
-    def index(self, label: str) -> int:
-        return self._index[label]
-
-    def basis_vector(self, label: str) -> list[Fraction]:
-        return unit_vec(self.dim, self._index[label])
-
-    def __repr__(self) -> str:
-        return f"StructuredBimodule({list(self.labels)!r})"
+def _checked_columns(maps, d: int) -> tuple:
+    """`maps` as tuples (a tuple column is kept as it is), after checking that
+    each map has d columns and each index is an int in range(d)."""
+    maps = tuple(tuple(map(tuple, cols)) for cols in maps)
+    for cols in maps:
+        if len(cols) != d:
+            raise ValueError("action has the wrong number of columns")
+        for col in cols:
+            for x, _ in col:
+                if type(x) is not int or not 0 <= x < d:
+                    raise ValueError(f"action column index {x!r} is not in range({d})")
+    return maps
 
 
 class Pairing:
@@ -210,7 +187,7 @@ class Pairing:
         self.table = tuple(
             tuple(tuple(frac(c) for c in cell) for cell in row) for row in table
         )
-        self._table_nz = tuple(tuple(tuple(_nonzeros(cell)) for cell in row) for row in self.table)
+        self._table_nz = _nz_table(self.table)
 
     def apply(self, p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
         if not self.table:
@@ -257,7 +234,7 @@ def _check_bimodule(ring: StructuredRing, mod: StructuredBimodule, tag: str, fai
     left, right = mod.left, mod.right
     for i in range(n):
         for j in range(n):
-            prod = ring._mult_nz[i][j]
+            prod = ring.left[i][j]
             identities = (  # each side as the (c, column) terms of its value at m_a
                 ("left action not associative",  # e_i . (e_j . m) = (e_i e_j) . m
                  lambda a: ((c, left[i][x]) for x, c in left[j][a]),
@@ -296,7 +273,7 @@ def validate_axioms(system: RSystem) -> ValidationReport:
     count = [0]
     ring = system.ring
     n = ring.dim
-    mult = ring._mult_nz
+    mult = ring.left
 
     for i in range(n):
         for j in range(n):
@@ -347,23 +324,12 @@ def validate_axioms(system: RSystem) -> ValidationReport:
     return ValidationReport(ok=not failures, failures=failures, checks=count[0])
 
 
-def basis_actions(ring: StructuredRing) -> list:
-    """The matrices of x -> e_i x and x -> x e_i for every basis element e_i."""
-    return list(ring.left_basis) + list(ring.right_basis)
-
-
 def is_two_sided(system: RSystem, space: Subspace) -> bool:
-    """Is the subspace a two-sided ideal of R?"""
-    acts = basis_actions(system.ring)
-    return all(space.contains(matvec(a, k)) for k in space.basis() for a in acts)
-
-
-def right_annihilator(ring: StructuredRing) -> Subspace:
-    """{r in R : r R = 0} as a subspace."""
-    if ring.dim == 0:
-        return Subspace(0)
-    stacked = [row for m in ring.right_basis for row in m]
-    return Subspace(ring.dim, kernel(stacked))
+    """Is the subspace a two-sided ideal of R?  For each basis vector k,
+    e_i k and k e_i are k's combinations of the columns of e_i's actions."""
+    ring = system.ring
+    return all(space.contains(_lincomb(ring.dim, ((c, cols[a]) for a, c in _nonzeros(k))))
+               for k in space.basis() for cols in (*ring.left, *ring.right))
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +367,8 @@ def build_graph_system(graph) -> RSystem:
     ]
     ring = StructuredRing(verts, ring_mult)
 
-    def diag(flags):
-        m = mat_zero(ne, ne)
-        for a, f in enumerate(flags):
-            if f:
-                m[a][a] = Fraction(1)
-        return m
+    def diag(flags):  # the columns of the diagonal matrix with these 0/1 entries
+        return [((a, ONE),) if f else () for a, f in enumerate(flags)]
 
     q_left = [diag([src == v for (_, src, _) in edges]) for v in verts]
     q_right = [diag([tgt == v for (_, _, tgt) in edges]) for v in verts]
@@ -448,17 +410,10 @@ def build_automorphism_system(ring: StructuredRing, phi) -> RSystem:
             if lhs != rhs:
                 raise ValueError(f"phi is not multiplicative at ({ring.labels[i]},{ring.labels[j]})")
 
-    left = list(ring.left_basis)
-    right_p = [ring.right_matrix(matvec(phi, unit_vec(d, i))) for i in range(d)]
-    right_q = [ring.right_matrix(matvec(phi_inv, unit_vec(d, i))) for i in range(d)]
+    p_mod = StructuredBimodule(ring.labels, ring.left, [ring.right_map(c) for c in cols])
+    q_mod = StructuredBimodule(ring.labels, ring.left, [ring.right_map(c) for c in mat_transpose(phi_inv)])
 
-    p_mod = StructuredBimodule(ring.labels, left, right_p)
-    q_mod = StructuredBimodule(ring.labels, list(left), right_q)
-
-    table = [
-        [ring.multiply(unit_vec(d, i), matvec(phi, unit_vec(d, j))) for j in range(d)]
-        for i in range(d)
-    ]
+    table = [[ring.multiply(unit_vec(d, i), cols[j]) for j in range(d)] for i in range(d)]
     psi = Pairing(table)
     sys = RSystem(ring=ring, p=p_mod, q=q_mod, psi=psi, name="automorphism")
     sys.phi = phi  # kept for the crossed-product backend
@@ -471,17 +426,19 @@ def build_automorphism_system(ring: StructuredRing, phi) -> RSystem:
 
 
 def _triples_to_table(triples, n1, n2, n3):
+    """table[i][j][k]: the sum of c over the triples [i, j, k, c], after checking
+    that each index is an int in range(n1), range(n2), range(n3) respectively."""
     table = [[zero_vec(n3) for _ in range(n2)] for _ in range(n1)]
-    for i, j, k, c in triples:
+    for t in triples:
+        *idx, c = t
+        if len(idx) != 3:
+            raise ValueError(f"triple {t!r} does not have 4 entries")
+        for x, n in zip(idx, (n1, n2, n3)):
+            if type(x) is not int or not 0 <= x < n:
+                raise ValueError(f"index {x!r} of triple {t!r} is not in range({n})")
+        i, j, k = idx
         table[i][j][k] += frac(c)
     return table
-
-
-def _triples_to_mats(triples, n_ring, d):
-    mats = [mat_zero(d, d) for _ in range(n_ring)]
-    for i, a, b, c in triples:
-        mats[i][b][a] += frac(c)  # coefficient of m_b in e_i . m_a: column a, row b
-    return mats
 
 
 def system_from_json(data: dict) -> RSystem:
@@ -504,8 +461,8 @@ def system_from_json(data: dict) -> RSystem:
         spec = data[key]
         labels = spec["basis"]
         d = len(labels)
-        left = _triples_to_mats(spec.get("left", []), n, d)
-        right = _triples_to_mats(spec.get("right", []), n, d)
+        # [i, a, b, c] is coefficient c of m_b in column a of e_i's action
+        left, right = (_nz_table(_triples_to_table(spec.get(side, []), n, d, d)) for side in ("left", "right"))
         return StructuredBimodule(labels, left, right)
 
     p_mod = load_mod("p")

@@ -11,7 +11,8 @@ module's (`rsystem._Actions`) as the nonzeros of their columns.  Basis
 element t is the class of one pure tensor e_a (x) e_b (`basis[t] == (a, b)`):
 the quotient's basis is its kept (non-pivot) coordinates, and column t of an
 action is the class of r.e_a (x) e_b, resp. e_a (x) e_b.r, read sparse off
-`quot`.  Level 0 is R with its own multiplication as both actions.
+`quot`.  Level 0 is the ring itself, an R-bimodule whose actions are its
+own columns (`ring.left`, `ring.right`), shared, not rebuilt.
 
 Unwinding `basis` down to level 1 makes every basis class the class of a word
 of level-1 letters: `words[t] == words[a] + (b,)`, so the words of a level
@@ -32,6 +33,9 @@ multiplication.  No matrix of the map is formed.
 
 with p1 in P, p2 in P^(n-1), q1 in Q^(n-1), q2 in Q: a P class is cut after
 its word's first letter, and a Q class is its basis pair (prefix, last letter).
+Each table cell holds the nonzeros of its value, like an action's column:
+psi_0 is `ring.left`, psi_1 the pairing's `_table_nz`, and `psi_apply` is
+`rsystem._bilinear` over the table, the kernel of every R-action too.
 
 Everything is memoized in memory on the system (`RSystem._store`), so the memo
 is freed with its system.
@@ -53,7 +57,7 @@ from .exactlin import (
     vec_add,
     vec_scale,
 )
-from .rsystem import RSystem, _Actions
+from .rsystem import RSystem, _Actions, _bilinear
 
 DEFAULT_CAP = 6
 
@@ -168,11 +172,9 @@ def _build_upward(memo: dict, key, n: int, build) -> None:
 
 def _build_level(system: RSystem, side: str, n: int) -> TensorSpace:
     """Level n, from level n - 1 already in the store."""
-    if n == 0:
+    if n == 0:  # R as an R-bimodule
         ring = system.ring
-        mult = ring._mult_nz  # mult[i][a]: the nonzeros of e_i e_a
-        right = tuple(tuple(mult[a][i] for a in range(ring.dim)) for i in range(ring.dim))
-        return TensorSpace(system, side, 0, ring.dim, None, None, None, mult, right)
+        return TensorSpace(system, side, 0, ring.dim, None, None, None, ring.left, ring.right)
     mod = _module_of(system, side)
     d_m = mod.dim
     if n == 1:
@@ -253,10 +255,11 @@ def _project_kron(quot: QuotientSpace, u: Sequence[Fraction], w: Sequence[Fracti
 
 
 def psi_n(system: RSystem, n: int):
-    """Table of the iterated pairing: psi_n[a][b] in ring coordinates.
+    """Table of the iterated pairing: psi_n[a][b] holds the nonzero
+    (index, value) pairs of psi_n(p_a (x) q_b) in ring coordinates.
 
     Index a runs over the level-n P basis, b over the level-n Q basis.
-    n = 0 is ring multiplication.
+    n = 0 is ring multiplication (`ring.left`), n = 1 the pairing's table.
     """
     if n < 0:
         raise ValueError("negative pairing level")
@@ -268,11 +271,10 @@ def psi_n(system: RSystem, n: int):
 
 def _psi_table(system: RSystem, n: int) -> tuple:
     """psi_n, from psi_(n-1) already in the store."""
-    ring = system.ring
     if n == 0:
-        return tuple(tuple(tuple(ring.mult[i][j]) for j in range(ring.dim)) for i in range(ring.dim))
+        return system.ring.left
     if n == 1:
-        return system.psi.table
+        return system.psi._table_nz
     pn = tensor_space(system, "P", n)
     qn = tensor_space(system, "Q", n)
     if pn.dim == 0 or qn.dim == 0:
@@ -285,17 +287,10 @@ def _psi_table(system: RSystem, n: int) -> tuple:
         for b1, j in qn.basis:  # q = (class b1 of Q^(n-1)) (x) e_j
             r_mid = psi_apply(system, n - 1, p2, unit_vec(d_qprev, b1))
             q2 = unit_vec(system.q.dim, j)
-            row_out.append(tuple(system.psi.apply(system.p.act_right(p1, r_mid), q2)))
+            row_out.append(tuple(_nonzeros(system.psi.apply(system.p.act_right(p1, r_mid), q2))))
         table.append(tuple(row_out))
     return tuple(table)
 
 
 def psi_apply(system: RSystem, n: int, p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    table = psi_n(system, n)
-    out = [ZERO] * system.ring.dim
-    nz_q = _nonzeros(q)
-    for a, pa in _nonzeros(p):
-        for b, qb in nz_q:
-            for k, y in _nonzeros(table[a][b]):
-                out[k] += pa * qb * y
-    return out
+    return _bilinear(system.ring.dim, psi_n(system, n), p, q)

@@ -20,7 +20,7 @@ from cprings.rsystem import (
     build_automorphism_system,
     build_graph_system,
 )
-from cprings.exactlin import unit_vec, zero_vec
+from cprings.exactlin import Subspace, kernel, mat_identity, mat_transpose, unit_vec, zero_vec
 from cprings.finrank import theta_table
 from cprings.tensorpow import ModuleElement, tensor_space, word_class
 
@@ -123,10 +123,8 @@ def psi_zero_system() -> RSystem:
     """P = Q = R = Q^2 (diagonal), psi identically zero: (FS) must fail."""
     ring = diagonal_ring(2)
     n = ring.dim
-    left = [ring.left_matrix(unit_vec(n, i)) for i in range(n)]
-    right = [ring.right_matrix(unit_vec(n, i)) for i in range(n)]
-    mod_p = StructuredBimodule(["p1", "p2"], left, right)
-    mod_q = StructuredBimodule(["q1", "q2"], list(left), list(right))
+    mod_p = StructuredBimodule(["p1", "p2"], ring.left, ring.right)
+    mod_q = StructuredBimodule(["q1", "q2"], ring.left, ring.right)
     psi = Pairing([[zero_vec(n) for _ in range(n)] for _ in range(n)])
     return RSystem(ring=ring, p=mod_p, q=mod_q, psi=psi, name="psi-zero")
 
@@ -185,6 +183,18 @@ def dense(cols, rows: int) -> list:
         for r, v in col:
             out[r][c] = v
     return out
+
+
+def columns(mat) -> tuple:
+    """The nonzero (row, value) pairs of each column of a dense matrix: the inverse of `dense`."""
+    return tuple(tuple((r, F(v)) for r, v in enumerate(col) if v) for col in zip(*mat))
+
+
+def right_annihilator(ring) -> Subspace:
+    """{r in R : r R = 0} as a subspace: the common kernel of x -> x e_i."""
+    units = mat_identity(ring.dim)
+    rows = [row for e in units for row in mat_transpose([ring.multiply(x, e) for x in units])]
+    return Subspace(ring.dim, kernel(rows))
 
 
 def mat_eq(a, b) -> bool:

@@ -404,6 +404,15 @@ def test_usage_errors(files, tmp_path):
         [1, 2, 3],  # not an object
         {"vertices": ["u"], "edges": [{"name": "e", "src": "u", "tgt": "w"}]},
         {"ring": {"basis": ["a"], "mult": [[0, 0, 5, "1"]]}},  # index out of range
+        # negative and boolean indices, which a list lookup would wrap or read as 1
+        {"ring": {"basis": ["a", "b"], "mult": [[0, 0, 0, "1"], [-1, -1, -1, "1"]]},
+         "p": {"basis": []}, "q": {"basis": []}},
+        {"ring": {"basis": ["a", "b"], "mult": [[0, 0, 0, "1"], [True, 1, 1, "1"]]},
+         "p": {"basis": []}, "q": {"basis": []}},
+        {"ring": {"basis": ["a", "b"], "mult": [[0, 0, 0, "1"], [1, 1, 1, "1"]]},
+         "p": {"basis": []}, "q": {"basis": ["m"], "right": [[-1, 0, 0, "1"]]}},
+        {"ring": {"basis": ["a", "b"], "mult": [[0, 0, 0, "1"], [1, 1, 1, "1"]]},
+         "p": {"basis": ["m"]}, "q": {"basis": ["m"]}, "psi": [[0, -1, 1, "1"]]},
     ]
     for k, payload in enumerate(malformed):
         p = tmp_path / f"bad{k}.json"

@@ -21,7 +21,6 @@ from cprings.toeplitz import (
     InvalidRepresentation,
     Mat,
     Representation,
-    ToeplitzElement,
     embed,
     embed_n,
     evaluate,

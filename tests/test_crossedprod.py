@@ -169,10 +169,8 @@ def test_psi2_closed_form(sys3):
                         for t_i, qt in enumerate(qc):
                             if qt == 0:
                                 continue
-                            got = [
-                                g + ps * qt * w
-                                for g, w in zip(got, table[s_i][t_i])
-                            ]
+                            for k, w in table[s_i][t_i]:
+                                got[k] += ps * qt * w
                     want = mul(
                         mul(list(e(a)), matvec(phi_power(sys3, 1), e(b))),
                         mul(

@@ -16,6 +16,7 @@ from conftest import dense, diagonal_ring, five_vertex_mixed, mat_eq, psi_zero_s
 from cprings import finrank
 from cprings.cpring import CpContext, cp_equal, validate_ideal
 from cprings.exactlin import (
+    ONE,
     Subspace,
     mat_identity,
     mat_transpose,
@@ -156,7 +157,7 @@ def test_fs_fails_when_only_p_vanishes():
     # R = Q = F, P = 0: no rank-one operators, so id_Q is out of reach while
     # id_P is the empty combination
     ring = diagonal_ring(1)
-    unit = [[[1]]]
+    unit = [[((0, ONE),)]]
     system = RSystem(ring=ring, p=StructuredBimodule([], [[]], [[]]),
                      q=StructuredBimodule(["q"], unit, unit), psi=Pairing([]), name="p-zero")
     rep = check_fs(system)

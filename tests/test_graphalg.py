@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    a2_graph,
     infinite_emitter_graph,
     random_graph,
     three_vertex_two_cycle,
@@ -16,7 +15,6 @@ from cprings.graphalg import (
     Edge,
     FiniteGraph,
     LpaElement,
-    LpaMonomial,
     breaking_vertices,
     enumerate_hs,
     enumerate_ideal_pairs,

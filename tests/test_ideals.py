@@ -13,11 +13,11 @@ import pytest
 
 from cprings import ideals
 from cprings.exactlin import Subspace, unit_vec
-from cprings.graphalg import line_graph, quotient_graph, rose_graph
+from cprings.graphalg import line_graph, quotient_graph
 from cprings.rsystem import build_graph_system
 from cprings.finrank import canonical_ideals
 from cprings.cpring import CpContext, validate_ideal
-from cprings.toeplitz import ToeplitzElement, embed, embed_n, toeplitz_mul
+from cprings.toeplitz import ToeplitzElement, embed
 from cprings.ideals import (
     HypothesisViolated,
     NotInvariant,
@@ -27,7 +27,6 @@ from cprings.ideals import (
     extract_tpair_from_handle,
     graded_ideal_correspondence,
     is_psi_invariant,
-    is_two_sided,
     lattice_dot,
     lattice_json,
     quotient_system,

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     a2_graph,
+    columns,
     dense,
     diagonal_ring,
     dual_numbers_ring,
@@ -15,18 +16,18 @@ from conftest import (
     psi_zero_system,
     random_graph,
     random_permutation_system,
+    right_annihilator,
 )
-from cprings.exactlin import mat_identity, unit_vec, zero_vec
+from cprings.exactlin import Subspace, mat_identity, unit_vec, zero_vec
 from cprings.rsystem import (
     Pairing,
     RSystem,
     StructuredBimodule,
     StructuredRing,
     ValidationReport,
-    basis_actions,
     build_automorphism_system,
     build_graph_system,
-    right_annihilator,
+    is_two_sided,
     system_from_json,
     system_to_json,
     validate_axioms,
@@ -113,13 +114,15 @@ def test_right_nondegenerate_graph_and_degenerate_ring():
     sys = build_graph_system(a2_graph())
     from cprings.rsystem import RSystem, StructuredBimodule, Pairing
 
-    dummy_mod = StructuredBimodule(["m"], [[[F(0)]]], [[[F(0)]]])
+    dummy_mod = StructuredBimodule(["m"], [[()]], [[()]])
     degenerate = RSystem(ring=ring, p=dummy_mod, q=dummy_mod, psi=Pairing([[zero_vec(1)]]), name="sq0")
     assert not right_annihilator(degenerate.ring).is_zero()
     assert right_annihilator(ring).dim == 1
 
 
-def test_basis_matrices_match_left_and_right_matrix():
+def test_ring_actions_match_mult():
+    """The ring is an `_Actions` read off its table: left[i][a] is e_i e_a and
+    right[i][a] is e_a e_i, and level 0 of each leg is the ring itself."""
     systems = [
         build_automorphism_system(diagonal_ring(3), mat_identity(3)),
         build_automorphism_system(dual_numbers_ring(), mat_identity(2)),
@@ -129,15 +132,45 @@ def test_basis_matrices_match_left_and_right_matrix():
         build_graph_system(five_vertex_mixed()),
     ]
     for sys in systems:
-        ring = sys.ring
-        for i in range(ring.dim):
-            e = unit_vec(ring.dim, i)
-            assert [list(row) for row in ring.left_basis[i]] == ring.left_matrix(e)
-            assert [list(row) for row in ring.right_basis[i]] == ring.right_matrix(e)
-        assert basis_actions(ring) == list(ring.left_basis) + list(ring.right_basis)
-        level0 = tensor_space(sys, "Q", 0)
-        assert [dense(cols, ring.dim) for cols in level0.left] == [list(map(list, m)) for m in ring.left_basis]
-        assert [dense(cols, ring.dim) for cols in level0.right] == [list(map(list, m)) for m in ring.right_basis]
+        ring, n = sys.ring, sys.ring.dim
+        vec = lambda col: [row[0] for row in dense([col], n)]
+        r = [F(k + 1, 2) for k in range(n)]
+        for a in range(n):
+            for i in range(n):
+                assert vec(ring.left[i][a]) == list(ring.mult[i][a])
+                assert vec(ring.right[i][a]) == list(ring.mult[a][i])
+                assert ring.act_left(unit_vec(n, i), unit_vec(n, a)) == list(ring.mult[i][a])
+                assert ring.act_right(unit_vec(n, a), unit_vec(n, i)) == list(ring.mult[a][i])
+            # r e_a and e_a r, summed from the table
+            assert vec(ring.left_map(r)[a]) == [sum((r[i] * ring.mult[i][a][k] for i in range(n)), F(0))
+                                                for k in range(n)]
+            assert vec(ring.right_map(r)[a]) == [sum((r[i] * ring.mult[a][i][k] for i in range(n)), F(0))
+                                                 for k in range(n)]
+        for side in ("P", "Q"):
+            level0 = tensor_space(sys, side, 0)
+            assert level0.left is ring.left and level0.right is ring.right
+
+
+def test_bimodule_rejects_bad_column_indices():
+    """The constructor takes columns and checks each index against the basis."""
+    one = F(1)
+    for bad in ([[((1, one),)]], [[((-1, one),)]], [[((True, one),)]], [[((0, one),), ()]], [[]]):
+        with pytest.raises(ValueError):
+            StructuredBimodule(["m"], bad, [[()]])
+        with pytest.raises(ValueError):
+            StructuredBimodule(["m"], [[()]], bad)
+    mod = StructuredBimodule(["m"], [[((0, one),)]], [[()]])
+    assert mod.act_left([one], [one]) == [one] and mod.act_right([one], [one]) == [F(0)]
+
+
+def test_is_two_sided_needs_both_sides():
+    """In M_2(Q) (basis e11, e12, e21, e22) a column is a left ideal only and a
+    row a right ideal only; 0 and M_2(Q) are two-sided."""
+    sys = build_automorphism_system(matrix2_ring(), mat_identity(4))
+    e = lambda k: unit_vec(4, k)
+    assert not is_two_sided(sys, Subspace(4, [e(0), e(2)]))  # first column: M x stays, x M leaves
+    assert not is_two_sided(sys, Subspace(4, [e(0), e(1)]))  # first row
+    assert is_two_sided(sys, Subspace(4)) and is_two_sided(sys, Subspace.full(4))
 
 
 def test_psi_zero_system_is_valid():
@@ -256,8 +289,9 @@ def _tampered(system, rng):
         row = rng.choice(cells)
         row[rng.randrange(len(row))] = rng.choice([F(0), F(1), F(-1), F(1, 2), F(2)])
     ring = StructuredRing(system.ring.labels, tables["mult"])
-    p = StructuredBimodule(system.p.labels, tables["pleft"], tables["pright"])
-    q = StructuredBimodule(system.q.labels, tables["qleft"], tables["qright"])
+    cols = {key: [columns(m) for m in tables[key]] for key in ("pleft", "pright", "qleft", "qright")}
+    p = StructuredBimodule(system.p.labels, cols["pleft"], cols["pright"])
+    q = StructuredBimodule(system.q.labels, cols["qleft"], cols["qright"])
     return RSystem(ring=ring, p=p, q=q, psi=Pairing(tables["psi"]), name="tampered")
 
 

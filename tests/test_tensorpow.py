@@ -19,6 +19,7 @@ from conftest import (
     dual_numbers_ring,
     dual_numbers_unit_basis_ring,
     basis_element,
+    dense,
     five_vertex_mixed,
     kron_vec,
     matrix2_ring,
@@ -37,7 +38,6 @@ from cprings.rsystem import build_automorphism_system, build_graph_system
 from cprings.graphalg import rose_graph
 from cprings.tensorpow import (
     CapExceeded,
-    ModuleElement,
     psi_apply,
     concat_class,
     psi_n,
@@ -85,11 +85,15 @@ def test_line3_psi2_full_path(line3_system):
 
 
 def test_psi0_and_psi1(perm3):
-    t0 = psi_n(perm3, 0)
-    for i in range(3):
-        for j in range(3):
-            assert list(t0[i][j]) == list(perm3.ring.mult[i][j])
-    assert psi_n(perm3, 1) is perm3.psi.table
+    """psi_0(e_i (x) e_j) = e_i e_j, in that order: the matrix units do not commute."""
+    for system in (perm3, build_automorphism_system(matrix2_ring(), mat_identity(4))):
+        n = system.ring.dim
+        t0 = psi_n(system, 0)
+        for i in range(n):
+            for j in range(n):
+                assert dense([t0[i][j]], n) == [[x] for x in system.ring.mult[i][j]]
+                assert psi_apply(system, 0, unit_vec(n, i), unit_vec(n, j)) == list(system.ring.mult[i][j])
+        assert psi_n(system, 1) is system.psi._table_nz
 
 
 def test_perm3_dims_stable(perm3):
@@ -249,9 +253,9 @@ def test_zero_pairing_iterates_to_zero():
     system = psi_zero_system()
     assert tensor_space(system, "Q", 2).dim == 2
     table = psi_n(system, 2)
+    assert len(table) == 2
     for row in table:
-        for cell in row:
-            assert is_zero_vec(cell)
+        assert row == ((), ())
 
 
 def test_cap_enforced(line3_system):

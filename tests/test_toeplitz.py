@@ -330,7 +330,7 @@ def test_fock_diagonal_of_ring_element(line3_system):
     x = embed(line3_system, "R", r)
     blocks = _fock_dense(x, 0)
     assert list(blocks) == [0]
-    assert mat_eq(blocks[0], line3_system.ring.left_matrix(r))
+    assert mat_eq(blocks[0], dense(line3_system.ring.left_map(r), 3))
     blocks1 = _fock_dense(x, 1)
     # Delta(r) on Q: e1 scaled by r_{s(e1)} = 1, e2 by r_{s(e2)} = 0
     assert mat_eq(blocks1[1], [[1, 0], [0, 0]])
@@ -356,7 +356,7 @@ def _compose_blocks(system, x, blocks_in, cap=6):
     out = {}
     for j_mid, mat in blocks_in.items():
         for j_out, blk in _fock_dense(x, j_mid, cap=cap).items():
-            from cprings.exactlin import matmul, mat_zero, vec_add
+            from cprings.exactlin import matmul, vec_add
             prod = matmul(blk, mat)
             if j_out in out:
                 out[j_out] = [vec_add(a, b) for a, b in zip(out[j_out], prod)]
