@@ -60,7 +60,6 @@ from .exactlin import Subspace, unit_vec
 from .finrank import canonical_ideals, check_fs
 from .graphalg import (
     FiniteGraph,
-    LpaElement,
     LpaTarget,
     breaking_vertices,
     enumerate_ideal_pairs,
@@ -71,6 +70,7 @@ from .graphalg import (
     lpa_x,
     lpa_y,
     pair_order,
+    restriction_graph,
 )
 from .ideals import (
     NotInvariant,
@@ -301,11 +301,6 @@ class EvalContext:
         if self.backend == "lpa":
             return a * b
         return toeplitz_mul(a, b, cap=self.cap)
-
-    def zero(self):
-        if self.backend == "lpa":
-            return LpaElement(self.graph, {})
-        return ToeplitzElement(self.system, {})
 
 
 # deepest parenthesis nesting the recursive-descent parser accepts; each level
@@ -692,15 +687,8 @@ def _verb_quotient(loaded, args) -> Outcome:
             # invariance (checked above) = heredity, so the restriction to the
             # complement presents the quotient system; saturation only matters
             # for the Cuntz-Krieger quotient, hence the diagnostic
-            g = loaded.graph
-            hs = frozenset(labels)
-            rest = FiniteGraph(
-                [v for v in g.vertices if v not in hs],
-                [e for e in g.edges if e.tgt not in hs],
-                name=f"{g.name}/{{{','.join(sorted(hs))}}}",
-            )
-            result["graph"] = graph_to_json(rest)
-            if not is_hereditary_saturated(g, labels):
+            result["graph"] = graph_to_json(restriction_graph(loaded.graph, labels))
+            if not is_hereditary_saturated(loaded.graph, labels):
                 diags.append("vertex set is hereditary but not saturated")
     return Outcome(True, result, diags)
 

@@ -252,10 +252,6 @@ class LpaElement:
         raw = dict(terms or {})
         self.terms = _normalize(graph, raw) if normalize else {m: c for m, c in raw.items() if c != 0}
 
-    @classmethod
-    def zero(cls, graph: FiniteGraph) -> "LpaElement":
-        return cls(graph, {})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -545,13 +541,19 @@ def pair_order(a: tuple[frozenset, frozenset], b: tuple[frozenset, frozenset]) -
     return h1 <= h2 and s1 <= (h2 | s2)
 
 
+def restriction_graph(graph: FiniteGraph, h: Iterable[str]) -> FiniteGraph:
+    """The restriction of the graph to the complement of a hereditary H: the
+    vertices outside H and the edges into them (no edge into the complement
+    leaves H, since H is hereditary)."""
+    hs = frozenset(h)
+    verts = [v for v in graph.vertices if v not in hs]
+    edges = [e for e in graph.edges if e.tgt not in hs]
+    return FiniteGraph(verts, edges, name=f"{graph.name}/{{{','.join(sorted(hs))}}}")
+
+
 def quotient_graph(graph: FiniteGraph, h: Iterable[str]) -> FiniteGraph:
     """The graph of the quotient by the ideal of a hereditary saturated H."""
     hs = frozenset(h)
     if not is_hereditary_saturated(graph, hs):
         raise ValueError("H is not hereditary and saturated")
-    verts = [v for v in graph.vertices if v not in hs]
-    edges = [e for e in graph.edges if e.tgt not in hs]
-    for e in edges:
-        assert e.src not in hs  # hereditary H cannot emit into the complement
-    return FiniteGraph(verts, edges, name=f"{graph.name}/{{{','.join(sorted(hs))}}}")
+    return restriction_graph(graph, hs)

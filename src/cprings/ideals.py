@@ -39,7 +39,7 @@ from .rsystem import (
     is_two_sided,
     validate_axioms,
 )
-from .tensorpow import _build_upward, _project_kron, tensor_space
+from .tensorpow import _build_upward, _project_kron, psi_apply, tensor_space
 from .toeplitz import ToeplitzElement, component_space, embed
 
 __all__ = [
@@ -93,7 +93,7 @@ def _psi_invariant(system: RSystem, i: Subspace) -> bool:
         for b in range(dq):
             xq = system.q.act_left(x, unit_vec(dq, b))
             for a in range(dp):
-                val = system.psi.apply(unit_vec(dp, a), xq)
+                val = psi_apply(system, 1, unit_vec(dp, a), xq)
                 if not i.contains(val):
                     return False
     return True
@@ -197,7 +197,7 @@ class TPair:
 
     @property
     def ok(self) -> bool:
-        required = ("i_two_sided", "i_psi_invariant", "i_in_j",
+        required = ("i_two_sided", "j_two_sided", "i_psi_invariant", "i_in_j",
                     "quotient_compatible", "quotient_faithful")
         return all(self.flags.get(k, False) for k in required)
 

@@ -189,12 +189,6 @@ class Pairing:
         )
         self._table_nz = _nz_table(self.table)
 
-    def apply(self, p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-        if not self.table:
-            return []
-        d_r = len(self.table[0][0]) if self.table[0] else 0
-        return _bilinear(d_r, self._table_nz, p, q)
-
     def __repr__(self) -> str:
         return f"Pairing({len(self.table)}x{len(self.table[0]) if self.table else 0})"
 

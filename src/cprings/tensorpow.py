@@ -16,7 +16,7 @@ own columns (`ring.left`, `ring.right`), shared, not rebuilt.
 
 Unwinding `basis` down to level 1 makes every basis class the class of a word
 of level-1 letters: `words[t] == words[a] + (b,)`, so the words of a level
-are prefix-closed.  `word_class(system, side, word)` gives the level
+are prefix-closed.  `_word_nz(system, side, word)` gives the nonzero level
 coordinates of any word's class (memoized), so every piece of a basis word
 has a class, whether or not it is itself a basis word.
 
@@ -26,16 +26,18 @@ u_x w_y, of the classes of the concatenated words `words[x] + words[y]`.
 When a factor has level 0 it is the module action, and for k = l = 0 ring
 multiplication.  No matrix of the map is formed.
 
-`psi_n` iterates the pairing:
+The iterated pairing is a contraction of words:
 
     psi_0(r1 (x) r2) = r1 r2,   psi_1 = psi,
     psi_n((p1 (x) p2) (x) (q1 (x) q2)) = psi(p1 . psi_(n-1)(p2 (x) q1) (x) q2)
 
-with p1 in P, p2 in P^(n-1), q1 in Q^(n-1), q2 in Q: a P class is cut after
-its word's first letter, and a Q class is its basis pair (prefix, last letter).
-Each table cell holds the nonzeros of its value, like an action's column:
-psi_0 is `ring.left`, psi_1 the pairing's `_table_nz`, and `psi_apply` is
-`rsystem._bilinear` over the table, the kernel of every R-action too.
+with p1 in P, p2 in P^(n-1), q1 in Q^(n-1), q2 in Q.  On the pure tensors of
+two words it pairs the letters off from the middle out, one pair at a time
+(`_contract`, memoized per pair of words), and the Toeplitz product reads it
+there.  The table `psi_n` holds each cell's nonzeros, like an action's
+column: psi_0 is `ring.left`, psi_1 the pairing's `_table_nz`, and the cell
+of two basis classes at n >= 2 the contraction of their words; `psi_apply`
+is `rsystem._bilinear` over the table, the kernel of every R-action too.
 
 Everything is memoized in memory on the system (`RSystem._store`), so the memo
 is freed with its system.
@@ -53,7 +55,7 @@ from .exactlin import (
     Subspace,
     QuotientSpace,
     _nonzeros,
-    unit_vec,
+    _sum_nz,
     vec_add,
     vec_scale,
 )
@@ -213,16 +215,9 @@ def concat_class(system: RSystem, side: str, k: int, u: Sequence[Fraction],
     return out
 
 
-def word_class(system: RSystem, side: str, word: tuple) -> tuple:
-    """Level coordinates of the class of e_w1 (x) ... (x) e_wn for word = (w1..wn)."""
-    out = [ZERO] * tensor_space(system, side, len(word)).dim
-    for t, v in _word_nz(system, side, word):
-        out[t] = v
-    return tuple(out)
-
-
 def _word_nz(system: RSystem, side: str, word: tuple) -> tuple:
-    """The nonzero (index, value) pairs of `word_class(system, side, word)`.
+    """The nonzero (index, value) pairs of the level coordinates of the class
+    of e_w1 (x) ... (x) e_wn, for word = (w1..wn).
 
     Extends the longest memoized prefix one letter at a time, the class of
     u (x) e_b being that of class(u) (x) e_b; every prefix is memoized.
@@ -259,37 +254,54 @@ def psi_n(system: RSystem, n: int):
     (index, value) pairs of psi_n(p_a (x) q_b) in ring coordinates.
 
     Index a runs over the level-n P basis, b over the level-n Q basis.
-    n = 0 is ring multiplication (`ring.left`), n = 1 the pairing's table.
+    n = 0 is ring multiplication (`ring.left`), n = 1 the pairing's table,
+    and each cell above is the contraction of the two basis words.
     """
     if n < 0:
         raise ValueError("negative pairing level")
-    store = _system_store(system)
-    if ("psi", n) not in store:
-        _build_upward(store, lambda k: ("psi", k), n, lambda k: _psi_table(system, k))
-    return store[("psi", n)]
-
-
-def _psi_table(system: RSystem, n: int) -> tuple:
-    """psi_n, from psi_(n-1) already in the store."""
     if n == 0:
         return system.ring.left
     if n == 1:
         return system.psi._table_nz
-    pn = tensor_space(system, "P", n)
-    qn = tensor_space(system, "Q", n)
-    if pn.dim == 0 or qn.dim == 0:
-        return tuple(tuple() for _ in range(pn.dim))
-    d_qprev = tensor_space(system, "Q", n - 1).dim
-    table = []
-    for word in pn.words:  # p = e_word[0] (x) (the class of the rest)
-        p1, p2 = unit_vec(system.p.dim, word[0]), word_class(system, "P", word[1:])
-        row_out = []
-        for b1, j in qn.basis:  # q = (class b1 of Q^(n-1)) (x) e_j
-            r_mid = psi_apply(system, n - 1, p2, unit_vec(d_qprev, b1))
-            q2 = unit_vec(system.q.dim, j)
-            row_out.append(tuple(_nonzeros(system.psi.apply(system.p.act_right(p1, r_mid), q2))))
-        table.append(tuple(row_out))
-    return tuple(table)
+    store = _system_store(system)
+    if ("psi", n) not in store:
+        qwords = tensor_space(system, "Q", n).words
+        store[("psi", n)] = tuple(tuple(_contract(system, p, q) for q in qwords)
+                                  for p in tensor_space(system, "P", n).words)
+    return store[("psi", n)]
+
+
+def _contract(system: RSystem, p: tuple, q: tuple) -> tuple:
+    """The nonzero (index, value) pairs of psi_k(e_p (x) e_q) in R, for a word
+    p over P and a word q over Q of one length k >= 1.
+
+    The letters pair off from the middle out: with t letters of each paired,
+
+        psi_t(p[k-t:] (x) q[:t]) = psi(e_p[k-t] . psi_(t-1)(p[k-t+1:] (x) q[:t-1]) (x) e_q[t-1]),
+
+    so the longest memoized pair (p[k-t:], q[:t]) is extended one letter pair
+    at a time, each pair memoized, in a loop rather than a stack frame per letter.
+    """
+    store = _system_store(system)
+    if ("contract", p, q) in store:
+        return store[("contract", p, q)]
+    k = len(p)
+    t = k - 1
+    while t and ("contract", p[k - t:], q[:t]) not in store:
+        t -= 1
+    psi = system.psi._table_nz
+    if t:
+        out = store[("contract", p[k - t:], q[:t])]
+    else:
+        t = 1
+        out = store[("contract", p[k - 1:], q[:1])] = psi[p[k - 1]][q[0]]
+    right = system.p.right
+    for t in range(t + 1, k + 1):
+        a, b = p[k - t], q[t - 1]
+        pr = _sum_nz((ri, right[i][a]) for i, ri in out)  # e_a . r in P
+        out = _sum_nz((x, psi[y][b]) for y, x in pr)
+        store[("contract", p[k - t:], q[:t])] = out
+    return out
 
 
 def psi_apply(system: RSystem, n: int, p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:

@@ -17,23 +17,24 @@ concatenates:
     (u1, v1) (u2, v2) = class of  u1 + u2[k:]  (x)  v1[:n1-k] + v2,
 
 with at most one ring element r acting where the operands' letters meet:
-psi_k(v1[n1-k:], u2[:k]) when k >= 1, a ring operand e_i (e_i e_j when both
-operands are ring elements), or none when k = 0.  The letters meet inside
-the P word when v1[:n1-k] is not empty or no Q letter survives, and inside
-the Q word otherwise; r multiplies the piece before the meeting point from
-the right (or the piece after it from the left when nothing comes before).
-A product is built only from the operands' nonzero coordinates: each pair of
-basis classes is multiplied once per system and cached as a sparse column of
-the output component.
+psi_k(v1[n1-k:], u2[:k]) when k >= 1 (`tensorpow._contract`, one letter
+pair at a time), a ring operand e_i (e_i e_j when both operands are ring
+elements), or none when k = 0.  The letters meet inside the P word when
+v1[:n1-k] is not empty or no Q letter survives, and inside the Q word
+otherwise; r multiplies the letter before the meeting point from the right
+(or the letter after it from the left when nothing comes before).  Every
+piece is the class of a word, read as its nonzeros, and a product is built
+only from the operands' nonzero coordinates: each pair of basis classes is
+multiplied once per system and cached as a sparse column of the output
+component.
 
 The module also hosts representation evaluation (images T^m(q) S^n(p),
-multiplicative in tensor order) and the Fock representation, block by block
-between tensor levels, used as the independent equality oracle.  A Fock
-block is its columns' nonzeros: one tuple of (index, value) pairs per basis
-vector of the source level.  Creation T^m(e_idx) sends basis class c to the
-class of the concatenated word words[idx] + words[c]; annihilation contracts
-the first letter through psi, its prefixes composed column by column.  No
-block is ever a dense matrix.
+multiplicative in tensor order) and the Fock representation.  The Fock
+module F = (+)_j Q^(x)j is T modulo the left ideal L of the grades (m, n)
+with n >= 1, so T acts on F by the same product rule (`fock_apply`).  A
+Fock block is its columns' nonzeros: one tuple of (index, value) pairs per
+basis vector of the source level, column c the product of a class with
+basis class c of Q^(x)j.  No block is ever a dense matrix.
 
 Tensor levels are capped only where an operation creates a level its caller
 did not name: `toeplitz_mul` refuses an output grade with a leg above its
@@ -67,14 +68,14 @@ from .tensorpow import (
     DEFAULT_CAP,
     ModuleElement,
     _build_upward,
+    _contract,
+    _module_of,
     _project_kron,
     _system_store,
     _word_nz,
     balanced_quotient,
-    concat_class,
     psi_apply,
     tensor_space,
-    word_class,
 )
 
 __all__ = [
@@ -157,17 +158,19 @@ def component_space(system: RSystem, m: int, n: int) -> ComponentSpace:
     return comp
 
 
-def _class_coords(system: RSystem, m: int, n: int, q, p):
-    """Component coordinates of the class of q (x) p at grade (m, n); with no
-    Q letter it is p (a ring element at (0,0)), with no P letter q."""
+def _class_nz(system: RSystem, m: int, n: int, q, p) -> tuple:
+    """Nonzeros of the component coordinates of the class of q (x) p at grade
+    (m, n), each leg given by its nonzeros; with no Q letter it is p (a ring
+    element at (0,0)), with no P letter q."""
     if m == 0:
         return p
     if n == 0:
         return q
     comp = component_space(system, m, n)
     if comp.dim == 0:
-        return None
-    return _project_kron(comp.quot, q, p)
+        return ()
+    d_p = tensor_space(system, "P", n).dim
+    return comp.quot.project_nz([(a * d_p + b, x * y) for a, x in q for b, y in p])
 
 
 class ToeplitzElement:
@@ -298,10 +301,10 @@ def pair(system: RSystem, m: int, n: int, q_coords, p_coords) -> ToeplitzElement
     if n == 0:
         return embed_n(system, "Q", m, q_coords)
     q, p = _leg_coords(system, "Q", m, q_coords), _leg_coords(system, "P", n, p_coords)
-    v = _class_coords(system, m, n, q, p)
-    if v is None:
+    comp = component_space(system, m, n)
+    if comp.dim == 0:
         return ToeplitzElement(system)
-    return ToeplitzElement(system, {(m, n): v})
+    return ToeplitzElement(system, {(m, n): _project_kron(comp.quot, q, p)})
 
 
 # -- multiplication ----------------------------------------------------------
@@ -314,19 +317,26 @@ def _class_words(system: RSystem, m: int, n: int, idx: int):
             tensor_space(system, "P", n).words[b] if n else ())
 
 
-def _join(system: RSystem, side: str, head: tuple, r, tail: tuple):
-    """Level coordinates of class(head).r (x) class(tail) on `side`, for r in
-    R (either word may be empty); with r None, the class of head + tail."""
+def _join(system: RSystem, side: str, head: tuple, r, tail: tuple) -> tuple:
+    """Nonzeros of the level coordinates of class(head).r (x) class(tail) on
+    `side`, for r in R given by its nonzeros (either word may be empty); with
+    r None, the class of head + tail.  r acts on the letter at the join:
+    (h (x) e_a).r = h (x) (e_a.r), and r.(e_b (x) t) = (r.e_b) (x) t."""
     if r is None:
-        return word_class(system, side, head + tail)
+        return _word_nz(system, side, head + tail)
+    if not (head or tail):
+        return r
+    mod = _module_of(system, side)
     if head:
-        r = concat_class(system, side, len(head), word_class(system, side, head), 0, r)
-    if tail:
-        r = concat_class(system, side, len(head), r, len(tail), word_class(system, side, tail))
-    return r
+        letters = _sum_nz((ri, mod.right[i][head[-1]]) for i, ri in r)
+        head = head[:-1]
+    else:
+        letters = _sum_nz((ri, mod.left[i][tail[0]]) for i, ri in r)
+        tail = tail[1:]
+    return _sum_nz((c, _word_nz(system, side, head + (y,) + tail)) for y, c in letters)
 
 
-def _product_column(system: RSystem, g1, i: int, g2, j: int):
+def _product_column(system: RSystem, g1, i: int, g2, j: int) -> tuple:
     """Nonzero (k, c) of basis class i of C(g1) times basis class j of C(g2),
     by the rule at the join (module docstring)."""
     store = _system_store(system)
@@ -336,24 +346,22 @@ def _product_column(system: RSystem, g1, i: int, g2, j: int):
         u1, v1 = _class_words(system, m1, n1, i)
         u2, v2 = _class_words(system, m2, n2, j)
         k = min(n1, m2)
-        ring = system.ring
         if g1 == g2 == (0, 0):
-            r = ring.mult[i][j]
+            r = system.ring.left[i][j]
         elif g1 == (0, 0):
-            r = unit_vec(ring.dim, i)
+            r = ((i, ONE),)
         elif g2 == (0, 0):
-            r = unit_vec(ring.dim, j)
+            r = ((j, ONE),)
         elif k:
-            r = psi_apply(system, k, word_class(system, "P", v1[n1 - k:]), word_class(system, "Q", u2[:k]))
+            r = _contract(system, v1[n1 - k:], u2[:k])
         else:
             r = None
         q_tail, p_head = u2[k:], v1[:n1 - k]  # one of them is empty
         if p_head or not (u1 or q_tail):  # the letters meet inside the P word
-            q, p = word_class(system, "Q", u1) if u1 else None, _join(system, "P", p_head, r, v2)
+            q, p = _word_nz(system, "Q", u1) if u1 else None, _join(system, "P", p_head, r, v2)
         else:
-            q, p = _join(system, "Q", u1, r, q_tail), word_class(system, "P", v2) if v2 else None
-        v = _class_coords(system, m1 + len(q_tail), len(p_head) + n2, q, p)
-        store[key] = [(t, c) for t, c in enumerate(v) if c]
+            q, p = _join(system, "Q", u1, r, q_tail), _word_nz(system, "P", v2) if v2 else None
+        store[key] = _class_nz(system, m1 + len(q_tail), len(p_head) + n2, q, p)
     return store[key]
 
 
@@ -489,7 +497,7 @@ def check_representation(system: RSystem, rep) -> list[str]:
                 failures.append(f"S(r.p) mismatch at (r{i},p{a})")
     for a in range(d_p):
         for b in range(d_q):
-            lhs = rep.sigma(system.psi.apply(unit_vec(d_p, a), unit_vec(d_q, b)))
+            lhs = rep.sigma(psi_apply(system, 1, unit_vec(d_p, a), unit_vec(d_q, b)))
             if ss[a] * tt[b] != lhs:
                 failures.append(f"covariance fails at (p{a},q{b})")
     return failures
@@ -536,62 +544,6 @@ def evaluate(x: ToeplitzElement, rep):
 # -- Fock representation -------------------------------------------------------
 
 
-def _compose(outer, inner) -> tuple:
-    """The columns of outer . inner, both given by their columns' nonzeros."""
-    return tuple(_sum_nz((v, outer[y]) for y, v in col) for col in inner)
-
-
-def _fock_leg_blocks(system: RSystem, side: str, level: int, idx: int, j: int):
-    """Block of T^level(e_idx) (side Q) or S^level(e_idx) (side P) from Q^(x)j,
-    as (level it lands on, columns); (None, None) when it kills level j.
-
-    T^level(e_idx) prepends idx's word: column c is the class of
-    words[idx] + words[c], and from level 0 the class of e_idx . e_c.
-    S(e_p) contracts the first letter, e_w0 (x) rest |-> psi(e_p (x) e_w0) . rest.
-    Basis class idx is the class of e_a (x) e_b (its basis pair), so
-    S^level(e_idx) = S^(level-1)(e_a) S(e_b), with S(e_b) acting first, from
-    level j.  The block of every prefix of idx's word is built in turn,
-    shortest first, and memoized.
-    """
-    store = _system_store(system)
-    key = ("fockleg", side, level, idx, j)
-    if key in store:
-        return store[key]
-    if side == "Q":
-        if j == 0:
-            right = tensor_space(system, "Q", level).right
-            blk = tuple(right[c][idx] for c in range(system.ring.dim))
-        else:
-            word = tensor_space(system, "Q", level).words[idx]
-            blk = tuple(_word_nz(system, "Q", word + w) for w in tensor_space(system, "Q", j).words)
-        store[key] = (j + level, blk)
-        return store[key]
-    if level > j:
-        store[key] = (None, None)  # annihilates the whole level
-        return store[key]
-    prefixes = [idx]  # prefixes[k - 1]: the class of the first k letters of idx's word
-    for k in range(level, 1, -1):
-        prefixes.append(tensor_space(system, "P", k).basis[prefixes[-1]][0])
-    prefixes.reverse()
-    psi = system.psi._table_nz
-    for k, t in enumerate(prefixes, 1):
-        src = j - level + k  # the k-letter prefix acts from here
-        if ("fockleg", "P", k, t, src) in store:
-            continue
-        if k > 1:
-            _, last = _fock_leg_blocks(system, "P", 1, tensor_space(system, "P", k).basis[t][1], src)
-            blk = _compose(store[("fockleg", "P", k - 1, prefixes[k - 2], src - 1)][1], last)
-        elif src == 1:
-            blk = psi[t]  # straight into the vacuum level: S(p)(q) = psi(p (x) q)
-        else:
-            dst = tensor_space(system, "Q", src - 1)
-            blk = tuple(_sum_nz((ri * v, dst.left[i][x]) for i, ri in psi[t][w[0]]
-                                for x, v in _word_nz(system, "Q", w[1:]))
-                        for w in tensor_space(system, "Q", src).words)
-        store[("fockleg", "P", k, t, src)] = (src - k, blk)
-    return store[key]
-
-
 def _check_fock_cap(x: ToeplitzElement, j: int, cap: int) -> None:
     """Raise CapExceeded if a block of x from a level <= j lands above cap."""
     for m, n in x.comps:
@@ -603,36 +555,32 @@ def fock_apply(x: ToeplitzElement, j: int, cap: int = DEFAULT_CAP) -> dict:
     """Blocks of the Fock image of x on the level-j summand: {j_out: columns},
     column c holding the nonzeros of the image of basis vector c of Q^(x)j.
 
+    The Fock module F = (+)_j Q^(x)j is T/L for the left ideal
+    L = (+)_(n>=1) T_(m,n): a product lands in grade
+    (m1,n1)(m2,n2) = (m1 + m2 - k, n1 + n2 - k), k = min(n1, m2), and
+    n1 + n2 - min(n1, m2) >= n2, so T L lies in L.  The pure-Q grades
+    T_(j,0) = Q^(x)j span T modulo L, so F = T/L as left T-modules, and x acts
+    on F by the ring's own multiplication: basis class idx of grade (m, n)
+    sends column c of Q^(x)j to the product column
+    (m, n) idx . (j, 0) c, which lands on level j - n + m when n <= j and
+    in L (so on 0 in F) when n > j.  The ring grade is the case m = n = 0:
+    e_i acts on the first letter, and on level 0 it is e_i e_c.
+
     Raises CapExceeded, before any work, when a block would land on a level
     above cap.
     """
     _check_fock_cap(x, j, cap)
     system = x.system
-    src = tensor_space(system, "Q", j)
+    d_src = tensor_space(system, "Q", j).dim
     acc: dict = {}  # j_out -> one {index: value} per column
-
-    def bump(j_out, blk, c):
-        for col, nz in zip(acc.setdefault(j_out, [{} for _ in range(src.dim)]), blk):
-            for r, v in nz:
-                col[r] = col.get(r, ZERO) + c * v
-
     for (m, n), v in sorted(x.comps.items()):
         if n > j:
             continue
-        if m == 0 and n == 0:
-            bump(j, src.left_map(v), ONE)  # diagonal action of the ring
-            continue
-        basis = component_space(system, m, n).basis
+        cols = acc.setdefault(j - n + m, [{} for _ in range(d_src)])
         for idx, c in _nonzeros(v):
-            a, b = basis[idx] if m and n else (idx, idx)
-            # S^n(e_b) acts first, then T^m(e_a)
-            js, blk = _fock_leg_blocks(system, "P", n, b, j) if n else (j, None)
-            if js is None:
-                continue
-            if m:
-                js, tblk = _fock_leg_blocks(system, "Q", m, a, js)
-                blk = tblk if blk is None else _compose(tblk, blk)
-            bump(js, blk, c)
+            for col_c, col in enumerate(cols):
+                for r, y in _product_column(system, (m, n), idx, (j, 0), col_c):
+                    col[r] = col.get(r, ZERO) + c * y
     blocks = {k: tuple(tuple(sorted((r, y) for r, y in col.items() if y)) for col in cols)
               for k, cols in acc.items()}
     return {k: blk for k, blk in blocks.items() if any(blk)}

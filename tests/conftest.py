@@ -20,9 +20,10 @@ from cprings.rsystem import (
     build_automorphism_system,
     build_graph_system,
 )
-from cprings.exactlin import Subspace, kernel, mat_identity, mat_transpose, unit_vec, zero_vec
+from cprings.exactlin import Subspace, _sum_nz, kernel, mat_identity, mat_transpose, unit_vec, zero_vec
 from cprings.finrank import theta_table
-from cprings.tensorpow import ModuleElement, tensor_space, word_class
+from cprings.tensorpow import ModuleElement, _word_nz, tensor_space
+from cprings.toeplitz import component_space
 
 F = Fraction
 
@@ -236,6 +237,14 @@ def basis_element(system, side, level, index) -> ModuleElement:
     return ModuleElement(system, side, level, tuple(unit_vec(sp.dim, index)))
 
 
+def word_class(system, side, word) -> tuple:
+    """Level coordinates of the class of e_w1 (x) ... (x) e_wn for word = (w1..wn)."""
+    out = [F(0)] * tensor_space(system, side, len(word)).dim
+    for t, v in _word_nz(system, side, word):
+        out[t] = v
+    return tuple(out)
+
+
 def path_element(system, side, labels) -> ModuleElement:
     """Concatenate level-1 basis elements named by labels (left to right)."""
     mod = system.q if side == "Q" else system.p
@@ -250,6 +259,85 @@ def tpair_meet(a, b):
     from cprings.ideals import TPair
 
     return TPair(a.i.intersect(b.i), a.j.intersect(b.j))
+
+
+def _compose(outer, inner) -> tuple:
+    """The columns of outer . inner, both given by their columns' nonzeros."""
+    return tuple(_sum_nz((v, outer[y]) for y, v in col) for col in inner)
+
+
+def _fock_leg_block(system, side, level, idx, j, memo):
+    """Block of T^level(e_idx) (side Q) or S^level(e_idx) (side P, level <= j)
+    from Q^(x)j, as (level it lands on, columns).
+
+    T^level(e_idx) prepends idx's word: column c is the class of
+    words[idx] + words[c], and from level 0 the class of e_idx . e_c.
+    S(e_p) contracts the first letter, e_w0 (x) rest |-> psi(e_p (x) e_w0) . rest.
+    Basis class idx of P^level is the class of e_a (x) e_b (its basis pair), so
+    S^level(e_idx) = S^(level-1)(e_a) S(e_b), with S(e_b) acting first: the
+    block of each prefix of idx's word is composed with that of the next letter.
+    """
+    key = (side, level, idx, j)
+    if key not in memo:
+        if side == "Q":
+            if j == 0:
+                right = tensor_space(system, "Q", level).right
+                blk = tuple(right[c][idx] for c in range(system.ring.dim))
+            else:
+                word = tensor_space(system, "Q", level).words[idx]
+                blk = tuple(_word_nz(system, "Q", word + w) for w in tensor_space(system, "Q", j).words)
+            memo[key] = (j + level, blk)
+        elif level == 1:
+            psi = system.psi._table_nz
+            if j == 1:
+                blk = psi[idx]  # straight into the vacuum level: S(p)(q) = psi(p (x) q)
+            else:
+                dst = tensor_space(system, "Q", j - 1)
+                blk = tuple(_sum_nz((ri * v, dst.left[i][x]) for i, ri in psi[idx][w[0]]
+                                    for x, v in _word_nz(system, "Q", w[1:]))
+                            for w in tensor_space(system, "Q", j).words)
+            memo[key] = (j - 1, blk)
+        else:
+            a, b = tensor_space(system, "P", level).basis[idx]
+            mid, last = _fock_leg_block(system, "P", 1, b, j, memo)
+            out, first = _fock_leg_block(system, "P", level - 1, a, mid, memo)
+            memo[key] = (out, _compose(first, last))
+    return memo[key]
+
+
+def fock_oracle(x, j) -> dict:
+    """`toeplitz.fock_apply(x, j)` composed leg by leg instead of multiplied:
+    for the basis pair (a, b) of a class of grade (m, n <= j), S^n(e_b) acts
+    first, then T^m(e_a); the ring grade acts by its left action on Q^(x)j."""
+    system = x.system
+    src = tensor_space(system, "Q", j)
+    memo: dict = {}
+    acc: dict = {}  # j_out -> one {index: value} per column
+
+    def bump(j_out, blk, c):
+        for col, nz in zip(acc.setdefault(j_out, [{} for _ in range(src.dim)]), blk):
+            for r, v in nz:
+                col[r] = col.get(r, F(0)) + c * v
+
+    for (m, n), v in sorted(x.comps.items()):
+        if n > j:
+            continue
+        if m == 0 and n == 0:
+            bump(j, src.left_map(v), 1)
+            continue
+        basis = component_space(system, m, n).basis
+        for idx, c in enumerate(v):
+            if not c:
+                continue
+            a, b = basis[idx] if m and n else (idx, idx)
+            js, blk = _fock_leg_block(system, "P", n, b, j, memo) if n else (j, None)
+            if m:
+                js, tblk = _fock_leg_block(system, "Q", m, a, js, memo)
+                blk = tblk if blk is None else _compose(tblk, blk)
+            bump(js, blk, c)
+    blocks = {k: tuple(tuple(sorted((r, y) for r, y in col.items() if y)) for col in cols)
+              for k, cols in acc.items()}
+    return {k: blk for k, blk in blocks.items() if any(blk)}
 
 
 @pytest.fixture

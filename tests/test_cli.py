@@ -319,6 +319,18 @@ def test_tpair(files):
     assert code == 2  # unknown label
 
 
+def test_tpair_needs_two_sided_j(tmp_path):
+    """A T-pair is a pair of two-sided ideals: over M_2(Q) the first column
+    span{e11, e21} is a left ideal only, so (0, it) is no T-pair, while
+    (0, R) is."""
+    path = tmp_path / "matrix2.json"
+    path.write_text(json.dumps(system_to_json(build_automorphism_system(matrix2_ring(), mat_identity(4)))))
+    code, out = run_json("tpair", str(path), "--i", "", "--j", "e11,e21")
+    assert code == 1 and not out["ok"] and out["result"]["flags"]["j_two_sided"] is False
+    code, out = run_json("tpair", str(path), "--i", "", "--j", "full")
+    assert code == 0 and out["ok"]
+
+
 def test_quotient(files):
     code, out = run_json("quotient", files["line3"], "--i", "v3")
     assert code == 0

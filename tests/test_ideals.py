@@ -119,6 +119,23 @@ def test_validate_tpair_basics(line3_system):
     assert not full.ok and not full.flags["quotient_faithful"]
 
 
+def test_tpair_needs_two_sided_j():
+    """Over M_2(Q) the column span{e11, e21} is a left ideal only: (0, it) is
+    no T-pair, and the correspondence refuses it."""
+    from conftest import matrix2_ring
+    from cprings.rsystem import build_automorphism_system
+    from cprings.exactlin import mat_identity
+
+    system = build_automorphism_system(matrix2_ring(), mat_identity(4))
+    column = _coord_ideal(system, "e11", "e21")
+    pair = validate_tpair(system, Subspace(4), column)
+    assert not pair.flags["j_two_sided"] and not pair.ok
+    assert validate_tpair(system, Subspace(4), Subspace.full(4)).ok
+    ctx = CpContext(system, validate_ideal(system, Subspace(4)))
+    with pytest.raises(ValueError, match="j_two_sided"):
+        graded_ideal_correspondence(ctx, TPair(Subspace(4), column))
+
+
 def test_enumerate_line3(line3_system):
     pairs = enumerate_tpairs(line3_system)
     assert len(pairs) == 8

@@ -32,7 +32,7 @@ from cprings.rsystem import (
     system_to_json,
     validate_axioms,
 )
-from cprings.tensorpow import tensor_space
+from cprings.tensorpow import psi_apply, tensor_space
 
 F = Fraction
 
@@ -54,7 +54,7 @@ def test_graph_system_a2_structure():
     assert sys.p.act_left(u, ebar) == zero_vec(1)
     assert sys.p.act_right(ebar, u) == ebar
     # contraction lands on the range idempotent
-    assert sys.psi.apply(ebar, e) == v
+    assert psi_apply(sys, 1, ebar, e) == v
 
 
 def test_graph_system_axioms_pass():
@@ -94,8 +94,8 @@ def test_automorphism_system_perm3():
     rep = validate_axioms(sys)
     assert rep.ok, rep.failures
     # psi(p_i (x) q_j) = e_i phi(e_j) = [i == pi(j)] e_i, phi: e1->e2->e3->e1
-    assert sys.psi.apply(unit_vec(3, 1), unit_vec(3, 0)) == unit_vec(3, 1)
-    assert sys.psi.apply(unit_vec(3, 0), unit_vec(3, 0)) == zero_vec(3)
+    assert psi_apply(sys, 1, unit_vec(3, 1), unit_vec(3, 0)) == unit_vec(3, 1)
+    assert psi_apply(sys, 1, unit_vec(3, 0), unit_vec(3, 0)) == zero_vec(3)
 
 
 def test_automorphism_rejects_non_automorphisms():
@@ -251,6 +251,10 @@ def reference_validate_axioms(system):
                     if any(lhs(m) != rhs(m) for m in units):
                         failures.append(f"{tag}: {what} at ({ring.labels[i]},{ring.labels[j]})")
     psi, p, q = system.psi, system.p, system.q
+
+    def pair(x, y):
+        return psi_apply(system, 1, x, y)
+
     if len(psi.table) != p.dim or any(len(row) != q.dim for row in psi.table):
         failures.append("psi: table shape does not match module bases")
     else:
@@ -261,9 +265,9 @@ def reference_validate_axioms(system):
                 for b in range(q.dim):
                     qb = unit_vec(q.dim, b)
                     checks = (
-                        ("not balanced", psi.apply(p.act_right(pa, e), qb), psi.apply(pa, q.act_left(e, qb))),
-                        ("not left linear", psi.apply(p.act_left(e, pa), qb), ring.multiply(e, psi.apply(pa, qb))),
-                        ("not right linear", psi.apply(pa, q.act_right(qb, e)), ring.multiply(psi.apply(pa, qb), e)),
+                        ("not balanced", pair(p.act_right(pa, e), qb), pair(pa, q.act_left(e, qb))),
+                        ("not left linear", pair(p.act_left(e, pa), qb), ring.multiply(e, pair(pa, qb))),
+                        ("not right linear", pair(pa, q.act_right(qb, e)), ring.multiply(pair(pa, qb), e)),
                     )
                     for what, lhs, rhs in checks:
                         count[0] += 1
@@ -348,6 +352,10 @@ def test_multiply_and_apply_match_dense_reference(data):
     assert ring.multiply(a, b) == dense_bilinear(n, ring.mult, a, b)
     psi = Pairing([[vector(n) for _ in range(dq)] for _ in range(dp)])
     p, q = vector(dp), vector(dq)
-    # apply reads the ring dimension off the table: an empty table gives []
-    expected = dense_bilinear(n if dq else 0, psi.table, p, q) if dp else []
-    assert psi.apply(p, q) == expected
+
+    def module(d, name):  # psi_1 reads neither action
+        return StructuredBimodule([f"{name}{a}" for a in range(d)], [[()] * d] * n, [[()] * d] * n)
+
+    system = RSystem(ring=ring, p=module(dp, "p"), q=module(dq, "q"), psi=psi)
+    # the zero of R when P = 0 or Q = 0, too
+    assert psi_apply(system, 1, p, q) == dense_bilinear(n, psi.table, p, q)

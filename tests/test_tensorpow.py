@@ -26,6 +26,7 @@ from conftest import (
     path_element,
     perm3_system,
     psi_zero_system,
+    word_class,
 )
 
 from cprings.exactlin import (
@@ -42,7 +43,6 @@ from cprings.tensorpow import (
     concat_class,
     psi_n,
     tensor_space,
-    word_class,
 )
 from cprings.toeplitz import embed_n, fock_apply, toeplitz_mul
 
@@ -184,9 +184,9 @@ def _psi_fold(system, pword, qword):
     e_p = unit_vec(system.p.dim, pword[0])
     e_q = unit_vec(system.q.dim, qword[-1])
     if len(pword) == 1:
-        return system.psi.apply(e_p, e_q)
+        return psi_apply(system, 1, e_p, e_q)
     inner = _psi_fold(system, pword[1:], qword[:-1])
-    return system.psi.apply(system.p.act_right(e_p, inner), e_q)
+    return psi_apply(system, 1, system.p.act_right(e_p, inner), e_q)
 
 
 @pytest.mark.parametrize("name", ["perm3", "5v-mixed", "dual", "matrix2", "dual-1u"])

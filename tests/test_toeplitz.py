@@ -1,13 +1,14 @@
 """Toeplitz-ring arithmetic against hand values, matrix-unit and Fock oracles.
 
 The A2 matrix-unit representation (p_u = E11, p_v = E22, x_e = E12,
-y_e = E21) gives an independent multiplication oracle; the Fock blocks give a
-second one that exercises the creator/annihilator recursions instead of the
-component product table.
+y_e = E21) gives an independent multiplication oracle.  `fock_apply` is the
+product itself acting on the pure-Q grades; `conftest.fock_oracle` composes
+the creator and annihilator blocks leg by leg instead, and the two must agree.
 """
 
 import random
 import tracemalloc
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from conftest import (
     dual_numbers_ring,
     dual_numbers_unit_basis_ring,
     five_vertex_mixed,
+    fock_oracle,
     mat_eq,
     matrix2_ring,
     perm3_system,
@@ -207,6 +209,34 @@ def test_products_over_non_diagonal_rings(ring, d):
             via = _compose_blocks(system, a, _fock_dense(b, j))
             direct = _fock_dense(toeplitz_mul(a, b), j)
             assert set(via) == set(direct) and all(mat_eq(via[k], direct[k]) for k in via)
+
+
+FOCK_SYSTEMS = {
+    "3v2c": lambda: build_graph_system(three_vertex_two_cycle()),
+    "perm3": perm3_system,
+    "dual": lambda: build_automorphism_system(dual_numbers_ring(), mat_identity(2)),
+    "dual-1u": lambda: build_automorphism_system(dual_numbers_unit_basis_ring(), mat_identity(2)),
+    "matrix2": lambda: build_automorphism_system(matrix2_ring(), mat_identity(4)),
+}
+
+
+@pytest.mark.parametrize("name", list(FOCK_SYSTEMS))
+def test_fock_apply_matches_leg_composition(name):
+    """The Fock action as left multiplication agrees, block by block on levels
+    0-3, with the blocks composed leg by leg, on random elements of one grade
+    of each type (ring, Q, P, mixed, legs up to 3) and on random sums of three."""
+    system = FOCK_SYSTEMS[name]()
+    rng = random.Random(name)
+    grades = [(0, 0), (1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (2, 1), (1, 2), (2, 3)]
+
+    def coords(g):
+        return [rng.choice([0, 0, 1, -1, 2, F(1, 2)]) for _ in range(component_space(system, *g).dim)]
+
+    elements = [ToeplitzElement(system, {g: coords(g)}) for g in grades for _ in range(2)]
+    elements += [ToeplitzElement(system, {g: coords(g) for g in rng.sample(grades, 3)}) for _ in range(6)]
+    for x in elements:
+        for j in range(4):
+            assert fock_apply(x, j) == fock_oracle(x, j), (x, j)
 
 
 def test_product_multiplies_only_the_operands_classes():
