@@ -9,14 +9,17 @@ by the relation ideal T(J) generated by
 
 where pi(Delta(x)) is the grade-(1,1) element realizing the rank-one
 decomposition of Delta(x).  Equality in O(J) is membership of the difference
-in T(J), which `relation_preimage` decides exactly on the Fock
-representation: there T(J) becomes a direct sum of operator spans, each
-between two tensor levels, so membership is a finite walk over the levels of
-an element's Fock blocks (the proof sketch is in its docstring).  The same
-walk, run on a span of elements, gives the subspace of combinations that lie
-in T(J), from which the graded-ideal correspondence reads T-pairs back.  It
-needs condition (FS), which makes the Fock representation faithful, and
-raises `FsViolation` without it.
+in T(J).  One walk decides membership in every graded ideal exactly on the
+Fock representation (`_graded_preimage`, whose docstring has the proof
+sketch): the preimage in T of the graded ideal H_(I,J) of a T-pair becomes
+a direct sum of operator spans, each between two tensor levels and read
+modulo Q^(x)k . I, so membership is a finite walk over the levels of an
+element's own Fock blocks.  T(J) is the case I = 0 (`relation_preimage`),
+and `ideals.IdealHandle` runs it for a T-pair.  Run on a span of elements,
+the walk gives the subspace of combinations that lie in the ideal, from
+which the graded-ideal correspondence reads T-pairs back.  It needs a
+faithful Fock representation, i.e. condition (FS) and no nonzero r with
+rR = 0; its callers raise `FsViolation` without them.
 
 The gauge action scales the grade-(m,n) component by t^(n-m); since the
 scalars form an infinite field, evaluating at enough distinct t recovers the
@@ -44,9 +47,16 @@ from .exactlin import (
     solve_matrix,
     unit_vec,
 )
-from .finrank import FsViolation, canonical_ideals, check_fs, delta_ideals, theta_decomposition
+from .finrank import (
+    FsViolation,
+    canonical_ideals,
+    check_fs,
+    delta_ideals,
+    left_annihilator,
+    theta_decomposition,
+)
 from .rsystem import RSystem, is_two_sided
-from .tensorpow import DEFAULT_CAP, tensor_space
+from .tensorpow import DEFAULT_CAP, _system_store, tensor_space
 from .toeplitz import (
     InvalidRepresentation,
     Representation,
@@ -135,7 +145,7 @@ class CpContext:
     cap: int = DEFAULT_CAP
     _pi_cache: dict = field(default_factory=dict, init=False, repr=False)
     _gen_cache: dict = field(default_factory=dict, init=False, repr=False)
-    _theta_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _zero: Subspace = field(init=False, repr=False)  # I = 0, the floor of T(J)
 
     def __post_init__(self):
         if self.j.system is not self.system:
@@ -144,6 +154,7 @@ class CpContext:
             bad = [n for n in ("is_two_sided", "is_psi_compatible", "is_faithful")
                    if not getattr(self.j, n)]
             raise ValueError("ideal fails: " + ", ".join(bad))
+        self._zero = Subspace(self.system.ring.dim)
 
     def element(self, x: ToeplitzElement) -> "CpElement":
         if x.system is not self.system:
@@ -155,9 +166,12 @@ def _pi_delta(ctx: CpContext, x: Sequence[Fraction]) -> Optional[list[Fraction]]
     """Grade-(1,1) mixed coordinates of pi(Delta(x)), or None if dim (1,1) = 0.
 
     Maps the coefficients of `theta_decomposition`, Delta(x) = sum c_ab
-    theta_{e_a, e_b}, through the balanced quotient.  Any solution gives
-    the same class: for right-nondegenerate systems q (x) p -> theta_{q,p} is
-    injective, so coefficient ambiguity dies in the quotient.
+    theta_{e_a, e_b}, through the balanced quotient.  Under (FS) any
+    solution gives the same class, because t -> theta_t is injective on
+    Q (x)_R P: by the P-side frame p = sum_j psi(p (x) q_j) . p_j, a
+    t = sum q_i (x) p_i equals sum_j theta_t(q_j) (x) p_j, which is 0 when
+    theta_t is.  Without (FS) the class may depend on the solution; the
+    membership walk's callers check (FS).
     """
     system = ctx.system
     key = tuple(frac(c) for c in x)
@@ -211,53 +225,53 @@ def relation_generators(ctx: CpContext, k: int, l: int) -> list[ToeplitzElement]
 
 
 # ---------------------------------------------------------------------------
-# exact membership in T(J) through the Fock representation
+# exact membership in a graded ideal through the Fock representation
 
 
-def _ideal_image(ctx: CpContext, k: int) -> Subspace:
-    """Q^(x)k . J as a subspace of Q^(x)k (J itself when k = 0)."""
-    span = ctx._theta_cache.get(("image", k))
+def _image(system: RSystem, ideal: Subspace, k: int) -> Subspace:
+    """Q^(x)k . ideal as a subspace of Q^(x)k (the ideal itself when k = 0), once per system."""
+    if k == 0:
+        return ideal
+    store = _system_store(system)
+    span = store.get(("image", k, ideal))
     if span is None:
-        if k == 0:
-            span = ctx.j.ideal
-        else:
-            dst = tensor_space(ctx.system, "Q", k)
-            span = Subspace(dst.dim, [dst.act_right(unit_vec(dst.dim, a), x)
-                                      for a in range(dst.dim) for x in ctx.j.ideal.basis()])
-        ctx._theta_cache[("image", k)] = span
+        dst = tensor_space(system, "Q", k)
+        span = store[("image", k, ideal)] = Subspace(dst.dim, [
+            dst.act_right(unit_vec(dst.dim, a), x) for a in range(dst.dim) for x in ideal.basis()])
     return span
 
 
-def _vacuum_span(ctx: CpContext, k: int) -> Subspace:
-    """Theta_{0,k}: the maps zeta |-> xi zeta from R to Q^(x)k, xi in Q^(x)k . J.
+def _vacuum_span(system: RSystem, j: Subspace, k: int) -> Subspace:
+    """Theta_{0,k}, once per system: the maps zeta |-> xi zeta from R to
+    Q^(x)k with xi in Q^(x)k . J.
 
     Maps are flattened column by column, as `_fock_block` lays out a block.
     """
-    span = ctx._theta_cache.get(("vacuum", k))
+    store = _system_store(system)
+    span = store.get(("vacuum", k, j))
     if span is None:
-        dst = tensor_space(ctx.system, "Q", k)
-        d = ctx.system.ring.dim
-        rows = [[e for c in range(d) for e in dst.act_right(xi, unit_vec(d, c))]
-                for xi in _ideal_image(ctx, k).basis()]
-        span = Subspace(dst.dim * d, rows)
-        ctx._theta_cache[("vacuum", k)] = span
+        dst = tensor_space(system, "Q", k)
+        d = system.ring.dim
+        span = store[("vacuum", k, j)] = Subspace(dst.dim * d, [
+            [e for c in range(d) for e in dst.act_right(xi, unit_vec(d, c))]
+            for xi in _image(system, j, k).basis()])
     return span
 
 
-def _theta_residual(ctx: CpContext, l: int, k: int, block: list) -> list[Fraction]:
-    """Residual of a flattened level-l -> level-k block modulo Theta_{l,k}: zero iff it lies there."""
-    if l == 0:
-        return _vacuum_span(ctx, k).reduce(block)
-    image = _ideal_image(ctx, k)
-    d = image.ambient  # dim Q^(x)k: column c of the block is block[c * d:(c + 1) * d]
-    return [e for c in range(0, len(block), d) for e in image.reduce(block[c:c + d])]
+def _column_residual(image: Subspace, block: list) -> list[Fraction]:
+    """Residual of a flattened block modulo `image`, column by column: zero
+    iff every column lies in it."""
+    if image.is_zero():  # as for the floor of T(J), I = 0
+        return block
+    n = image.ambient  # column c of the block is block[c * n:(c + 1) * n]
+    return [e for c in range(0, len(block), n) for e in image.reduce(block[c:c + n])]
 
 
-def _fock_block(ctx: CpContext, x: ToeplitzElement, l: int, k: int) -> list[Fraction]:
+def _fock_block(x: ToeplitzElement, l: int, k: int, cap: int) -> list[Fraction]:
     """The level-l -> level-k block of Fock(x), flattened column by column."""
-    d = tensor_space(ctx.system, "Q", k).dim
-    out = [ZERO] * (d * tensor_space(ctx.system, "Q", l).dim)
-    for c, col in enumerate(fock_apply(x, l, cap=ctx.cap).get(k, ())):
+    d = tensor_space(x.system, "Q", k).dim
+    out = [ZERO] * (d * tensor_space(x.system, "Q", l).dim)
+    for c, col in enumerate(fock_apply(x, l, cap=cap).get(k, ())):
         for r, v in col:
             out[c * d + r] = v
     return out
@@ -280,46 +294,91 @@ def _restrict(rows: list, residuals: list) -> list:
     return [_combine(y, rows) for y in kernel(mat_transpose(residuals))]
 
 
-def relation_preimage(ctx: CpContext, xs: Sequence[ToeplitzElement]) -> Subspace:
-    """{c : sum_i c_i xs[i] in T(J)}, exactly, as a subspace of Q^len(xs).
+def _require_faithful_fock(system: RSystem) -> None:
+    """Raise FsViolation unless the system's Fock representation is faithful:
+    (FS) holds and no nonzero r has rR = 0, both decided once per system."""
+    if not check_fs(system).ok:
+        raise FsViolation("membership in T(J) is decided on the Fock representation, "
+                          "which needs condition (FS)")
+    if not left_annihilator(system).is_zero():
+        raise FsViolation("membership in T(J) is decided on the Fock representation, "
+                          "which is not faithful when some nonzero r has rR = 0")
 
-    Proof sketch.  On the Fock module F = (+)_j Q^(x)j, iota_R(a) - pi(Delta(a))
-    acts as a on level 0 and as 0 on every higher level, since pi(Delta(a))
-    acts as Delta(a) (x) id there.  So the generator q (iota_R(a) - pi Delta(a)) p,
-    with q in Q^(x)k and p in P^(x)l, acts on one level only, as
-    zeta |-> (q.a) . psi_l(p (x) zeta) from level l to level k.  Operators of
-    this shape span an ideal of Fock(T), hence Fock(T(J)) = (+) Theta_{l,k},
-    where Theta_{l,k} is spanned by the maps zeta |-> xi . psi_l(p (x) zeta),
-    xi in Q^(x)k . J (in J when k = 0), p in P^(x)l; for l = 0 they read
-    zeta |-> xi zeta.  (FS) gives a frame id = sum theta_{q_i,p_i} on every
-    Q^(x)l, so for l >= 1 a right-R-linear map A equals
-    sum theta_{A q_i, p_i}: Theta_{l,k} is exactly the right-R-linear maps
-    with image in Q^(x)k . J, and Fock blocks are right-R-linear, so the
-    test is one on columns.  Under (FS) the Fock representation is faithful, so
-    x lies in T(J) exactly when, in every z-degree d, each block
-    A_l : Q^(x)l -> Q^(x)(l+d) of Fock(x) lies in Theta_{l,l+d} and all but
-    finitely many blocks vanish.  Let N be the largest n-degree of x_d.  On
-    levels l >= N every component acts through its first n factors, so
-    A_(l+1) = A_l (x) id_Q there.  Let x lie in T(J) and let L be its last
-    level with a nonzero block; suppose L >= N.  Then A_L is in Theta, so
-    im A_L <= Q^(x)k . J with k = L + d, and A_(L+1) = 0 gives
-    im A_L (x) Q = 0.  So psi_k(P^(x)k (x) im A_L) lies in J and kills Q,
-    i.e. lies in J meet ker Delta = 0 (J is faithful), and since psi_k
-    separates points under (FS), A_L = 0: a contradiction.  So a member has
-    A_N = 0, and x_d lies in T(J) exactly when A_l lies in Theta_{l,l+d} for
-    l < N and A_N = 0.  No level above the element's own degree is read.
+
+def _graded_preimage(system: RSystem, i: Subspace, j: Subspace,
+                     xs: Sequence[ToeplitzElement], cap: int) -> Subspace:
+    """{c : sum_i c_i xs[i] in the preimage of H_(I,J)}, exactly, as a subspace of Q^len(xs).
+
+    (I, J) is a T-pair.  The preimage in T of its graded ideal H_(I,J) is the
+    set of x whose image in the Toeplitz ring of R/I lies in T(J/I); for
+    I = 0 it is T(J) (`relation_preimage`).  The walk reads the Fock blocks
+    of x itself; R/I and its Toeplitz ring are never built.
+
+    Proof sketch.  Write Q^(x)k . I for the span of the xi . a with xi in
+    Q^(x)k and a in I, and read it as I itself when k = 0.
+
+    The walk for T(J).  On the Fock module F = (+)_j Q^(x)j (Q^(x)0 = R),
+    iota_R(a) - pi(Delta(a)) acts as a on level 0 and as 0 on every higher
+    level, since pi(Delta(a)) acts as Delta(a) (x) id there.  So the
+    generator q (iota_R(a) - pi Delta(a)) p, with q in Q^(x)k and p in
+    P^(x)l, acts on one level only, as zeta |-> (q.a) . psi_l(p (x) zeta)
+    from level l to level k.  Operators of this shape span an ideal of
+    Fock(T), hence Fock(T(J)) = (+) Theta_{l,k}, where Theta_{l,k} is
+    spanned by the maps zeta |-> xi . psi_l(p (x) zeta), xi in Q^(x)k . J,
+    p in P^(x)l; for l = 0 they read zeta |-> xi zeta.  (FS) gives a frame
+    id = sum theta_{q_i,p_i} on every Q^(x)l, so for l >= 1 a right-R-linear
+    map A equals sum theta_{A q_i, p_i}: Theta_{l,k} is exactly the
+    right-R-linear maps with image in Q^(x)k . J, and Fock blocks are
+    right-R-linear, so the test is one on columns.  The Fock representation
+    is faithful exactly when, besides (FS), no nonzero r has rR = 0.  A
+    nonzero z-homogeneous x acts on the level n of its lowest n-degree by
+    that grade alone, and injectively: for n >= 1 by the P-side frame, for
+    n = 0 by the Q-side frame and rR = 0 => r = 0.  Conversely, for a
+    nonzero r with rR = 0, iota_R(r) - pi(Delta(r)) is nonzero and acts as
+    0 on every level.  So x lies in T(J) exactly when, in every z-degree d,
+    each block A_l : Q^(x)l -> Q^(x)(l+d) of Fock(x) lies in
+    Theta_{l,l+d} and all but finitely many blocks vanish.  Let N be the
+    largest n-degree of x_d.  On levels l >= N every component acts through
+    its first n factors, so A_(l+1) = A_l (x) id_Q there.  Let x lie in T(J)
+    and let L be its last level with a nonzero block; suppose L >= N.  Then
+    A_L is in Theta, so im A_L <= Q^(x)k . J with k = L + d, and
+    A_(L+1) = 0 gives im A_L (x) Q = 0.  So psi_k(P^(x)k (x) im A_L) lies
+    in J and kills Q, i.e. lies in J meet ker Delta = 0 (J is faithful), and
+    since psi_k separates points under (FS), A_L = 0: a contradiction.  So
+    a member has A_N = 0, and x_d lies in T(J) exactly when A_l lies in
+    Theta_{l,l+d} for l < N and A_N = 0.  No level above the element's own
+    degree is read.
+
+    The floor.  IQ <= QI (checked by `ideals._quotient_system`) moves a
+    factor of I to the right end of a tensor, (q . a) (x) q' = q (x) a . q'
+    with a . q' in QI, so Q^(x)k / Q^(x)k . I = (Q/QI)^(x)k as right
+    R/I-modules.  The quotient map from F onto the Fock module of R/I,
+    level by level, intertwines iota_R, T and S with their images, so the
+    quotient's Fock blocks are the parent's blocks read modulo I: the same
+    columns, each taken modulo Q^(x)k . I.  Read back in the parent, and
+    with I <= J, the walk for T(J/I) over R/I changes in two places: Theta
+    is built from Q^(x)k . J, and at the top level N each column need only
+    lie in Q^(x)k . I instead of vanishing.  Theta_{0,k} itself needs no
+    floor: the level-0 block is zeta |-> eta zeta, eta the grade-(k,0)
+    part.  If it differs from zeta |-> xi zeta (xi in Q^(x)k . J) by
+    columns in Q^(x)k . I, the class w of eta - xi in (Q/QI)^(x)k has
+    w (R/I) = 0.  For k = 0 that makes w = 0, and for k >= 1 so does the
+    frame of R/I, w = sum q_i psi_k(p_i (x) w), since each
+    psi_k(p_i (x) w) also kills R/I.  So eta lies in xi + Q^(x)k . I,
+    inside Q^(x)k . J.  The termination step uses (FS) of R/I and that J/I
+    meets the kernel of R/I's Delta trivially (the pair's
+    `quotient_faithful` flag); faithfulness and the level-0 step need (FS)
+    of R/I and no nonzero class r with r (R/I) = 0.  The callers check
+    those on R/I with `_require_faithful_fock`, and for I = 0 on R itself.
 
     Every condition is linear in x, so the check runs on a subspace of
     coefficient vectors, starting from all of Q^len(xs); an element's own
-    verdict is the case len(xs) = 1.  Needs (FS): raises FsViolation
-    otherwise, and CapExceeded when a block needs a level above ctx.cap.
+    verdict is the case len(xs) = 1.  Raises CapExceeded when a block needs
+    a level above `cap`.
     """
     for x in xs:
-        if x.system is not ctx.system:
+        if x.system is not system:
             raise ContextMismatch("element belongs to a different system")
-    if not check_fs(ctx.system).ok:  # decided once per system
-        raise FsViolation("membership in T(J) is decided on the Fock representation, "
-                          "which needs condition (FS)")
     rows = mat_identity(len(xs))
     for d in sorted({d for x in xs for d in x.z_degrees()}):
         parts = [z_project(x, d) for x in xs]
@@ -327,13 +386,30 @@ def relation_preimage(ctx: CpContext, xs: Sequence[ToeplitzElement]) -> Subspace
         for l in range(max(0, -d), top + 1):
             if not rows:
                 return Subspace(len(xs), [])
-            blocks = [_fock_block(ctx, p, l, l + d) for p in parts]
+            blocks = [_fock_block(p, l, l + d, cap) for p in parts]
             combos = [_combine(row, blocks) for row in rows]
-            if l == top:
-                rows = _restrict(rows, combos)
-            elif any(any(v) for v in combos):
-                rows = _restrict(rows, [_theta_residual(ctx, l, l + d, v) for v in combos])
+            if l < top and not any(any(v) for v in combos):
+                continue  # zero blocks lie in every span
+            if l == 0 < top:
+                span = _vacuum_span(system, j, d)
+                residuals = [span.reduce(v) for v in combos]
+            else:  # columns in Q^(x)k . J below the top level, in Q^(x)k . I at it
+                image = _image(system, i if l == top else j, l + d)
+                residuals = [_column_residual(image, v) for v in combos]
+            rows = _restrict(rows, residuals)
     return Subspace(len(xs), rows)
+
+
+def relation_preimage(ctx: CpContext, xs: Sequence[ToeplitzElement]) -> Subspace:
+    """{c : sum_i c_i xs[i] in T(J)}, exactly, as a subspace of Q^len(xs).
+
+    The walk of `_graded_preimage` with I = 0, where the proof sketch is.
+    Needs a faithful Fock representation: raises FsViolation without (FS)
+    or when some nonzero r has rR = 0, and CapExceeded when a block needs a
+    level above ctx.cap.
+    """
+    _require_faithful_fock(ctx.system)
+    return _graded_preimage(ctx.system, ctx._zero, ctx.j.ideal, xs, ctx.cap)
 
 
 def in_relation_ideal(ctx: CpContext, x: ToeplitzElement) -> bool:

@@ -21,8 +21,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -334,7 +332,9 @@ class Subspace:
         return self.ambient == other.ambient and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.rows))
+        # equal subspaces have equal RREF rows, hence equal pivots; hashing the
+        # pivots alone keeps hashing cheap where subspaces key a memo
+        return hash((self.ambient, self.pivots))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient})"

@@ -16,11 +16,11 @@ solutions double as certificates (`check_fs`); `theta_decomposition` solves
 Delta(x) = sum c_ab theta_{e_a,e_b} over it.  For finite-dimensional modules
 the paper-style quantification over finite subsets reduces to the basis.
 
-`check_fs` and `delta_ideals` (ker Delta and Delta^(-1)(F_P(Q))) are computed
-once per system and stored with it.  `canonical_ideals` adds the two-sided
-annihilator of ker Delta (the kernel of x -> k x and x -> x k over a basis of
-it, read off `ring.multiply`) and the intersection j_max, the
-uniquely-maximal candidate.
+`check_fs`, `left_annihilator` ({r : rR = 0}) and `delta_ideals` (ker Delta
+and Delta^(-1)(F_P(Q))) are computed once per system and stored with it.
+`canonical_ideals` adds the two-sided annihilator of ker Delta (the kernel
+of x -> k x and x -> x k over a basis of it, read off `ring.multiply`) and
+the intersection j_max, the uniquely-maximal candidate.
 """
 
 from __future__ import annotations
@@ -158,6 +158,27 @@ def check_fs(system: RSystem, level: int = 1) -> FsReport:
             level=level,
         )
     return rep
+
+
+def left_annihilator(system: RSystem) -> Subspace:
+    """{r : r R = 0}, the left annihilator of R, computed once per system.
+
+    Its equations are the coordinates of r e_c = 0 for each basis element
+    e_c, read off the nonzeros of right multiplication (`ring.right[c][a]`
+    is e_a e_c); with none, every r qualifies.
+    """
+    store = _system_store(system)
+    out = store.get(("left_annihilator",))
+    if out is None:
+        d = system.ring.dim
+        rows: dict = {}  # (c, t): coordinate t of r e_c, as a row over r
+        for c, cols in enumerate(system.ring.right):
+            for a, col in enumerate(cols):
+                for t, v in col:
+                    rows.setdefault((c, t), [ZERO] * d)[a] = v
+        out = Subspace(d, kernel(list(rows.values()))) if rows else Subspace.full(d)
+        store[("left_annihilator",)] = out
+    return out
 
 
 def _delta_map_matrix(system: RSystem) -> list:

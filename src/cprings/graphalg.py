@@ -550,10 +550,3 @@ def restriction_graph(graph: FiniteGraph, h: Iterable[str]) -> FiniteGraph:
     edges = [e for e in graph.edges if e.tgt not in hs]
     return FiniteGraph(verts, edges, name=f"{graph.name}/{{{','.join(sorted(hs))}}}")
 
-
-def quotient_graph(graph: FiniteGraph, h: Iterable[str]) -> FiniteGraph:
-    """The graph of the quotient by the ideal of a hereditary saturated H."""
-    hs = frozenset(h)
-    if not is_hereditary_saturated(graph, hs):
-        raise ValueError("H is not hereditary and saturated")
-    return restriction_graph(graph, hs)

@@ -5,11 +5,12 @@ that is exactly what makes the quotient data R/I, Q/QI, P/IP, psi_I an
 R-system again.  A T-pair (I, J) couples such an I with an ideal J whose image
 in R/I is psi_I-compatible and faithful; these index the graded two-sided
 ideals of the relative Cuntz-Pimsner rings.  The correspondence is realized
-intensionally: an ideal handle answers membership by projecting an element
-into the quotient system's Toeplitz ring and asking whether it dies in the
-quotient CP ring, and the backward map reads (I, J) off the exact subspace of
-combinations of iota_R(R) and the grade-(1,1) component that lie in the
-relation ideal (`cpring.relation_preimage`).
+intensionally: an ideal handle answers membership by the one membership walk
+of `cpring` (`_graded_preimage`), run with the pair's I and J on the parent's
+own Fock blocks, whose columns it reads modulo Q^(x)k . I; R/I is built only
+for the pair's flags and the walk's guard.  The backward map reads (I, J) off
+the exact subspace of combinations of iota_R(R) and the grade-(1,1) component
+that the same walk accepts.
 """
 
 from __future__ import annotations
@@ -17,19 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .exactlin import (
-    ONE,
-    QuotientSpace,
-    Subspace,
-    _nonzeros,
-    unit_vec,
-    zero_vec,
-)
+from .exactlin import QuotientSpace, Subspace, unit_vec, zero_vec
 from .cpring import (
     CpContext,
-    relation_preimage,
     validate_ideal,
     _core_generator,
+    _graded_preimage,
+    _require_faithful_fock,
 )
 from .rsystem import (
     Pairing,
@@ -39,7 +34,7 @@ from .rsystem import (
     is_two_sided,
     validate_axioms,
 )
-from .tensorpow import _build_upward, _project_kron, psi_apply, tensor_space
+from .tensorpow import psi_apply
 from .toeplitz import ToeplitzElement, component_space, embed
 
 __all__ = [
@@ -120,18 +115,6 @@ class QuotientSystem:
     def project_subspace(self, space: Subspace) -> Subspace:
         return Subspace(self.system.ring.dim,
                         [self.project_ring(b) for b in space.basis()])
-
-    def lift_subspace(self, space: Subspace) -> Subspace:
-        """Full preimage in R of a subspace of R/I: I plus the lifts
-        sum_t w_t e_free[t] of the basis vectors w of the subspace."""
-        d, free = self.parent.ring.dim, self.quot_r.free
-        lifts = []
-        for w in space.basis():
-            v = zero_vec(d)
-            for t, c in _nonzeros(w):
-                v[free[t]] = c
-            lifts.append(v)
-        return Subspace(d, self.i.basis() + lifts)
 
 
 def quotient_system(system: RSystem, i: Subspace, *, name: Optional[str] = None) -> QuotientSystem:
@@ -214,20 +197,21 @@ def _tpair_i_part(system: RSystem, i: Subspace) -> tuple[bool, Optional[Quotient
 
 
 def _tpair_j_part(i: Subspace, j: Subspace, i_two_sided: bool, j_two_sided: bool,
-                  qs: Optional[QuotientSystem]):
-    """The T-pair (I, J) with its flags, and the image of J in R/I (None without R/I)."""
+                  qs: Optional[QuotientSystem]) -> TPair:
+    """The T-pair (I, J) with its flags; J's are read off its image in R/I,
+    and are false without R/I."""
     flags = {"i_two_sided": i_two_sided, "i_in_j": i.le(j),
              "j_two_sided": j_two_sided, "i_psi_invariant": qs is not None}
     jq = None if qs is None else validate_ideal(qs.system, qs.project_subspace(j))
     flags["quotient_two_sided"] = jq is not None and jq.is_two_sided
     flags["quotient_compatible"] = jq is not None and jq.is_psi_compatible
     flags["quotient_faithful"] = jq is not None and jq.is_faithful
-    return TPair(i, j, flags), jq
+    return TPair(i, j, flags)
 
 
 def validate_tpair(system: RSystem, i: Subspace, j: Subspace) -> TPair:
     i_two_sided, qs = _tpair_i_part(system, i)
-    return _tpair_j_part(i, j, i_two_sided, is_two_sided(system, j), qs)[0]
+    return _tpair_j_part(i, j, i_two_sided, is_two_sided(system, j), qs)
 
 
 def tpair_le(a: TPair, b: TPair) -> bool:
@@ -240,76 +224,27 @@ def tpair_le(a: TPair, b: TPair) -> bool:
 
 @dataclass(eq=False)
 class IdealHandle:
-    """Intensional handle on the graded ideal H_omega of the relative CP ring.
+    """Intensional handle on the graded ideal H_(I,J) of the relative CP ring O(K).
 
-    Membership: project into the quotient system's Toeplitz ring, then test
-    vanishing in the quotient CP ring.  Generator list: iota_R of the i-part
-    plus the covariance defects of the j-part (where theta-decomposable over
-    the parent).
+    Membership: the walk of `cpring._graded_preimage` with the pair's I and
+    J, on the parent's own Fock blocks.  `quotient` is R/I, which the pair's
+    flags were read from and whose Fock representation the walk's guard
+    checks.  Generator list: iota_R of the i-part plus the covariance
+    defects of the j-part (where theta-decomposable over the parent).
     """
 
     context: CpContext
     tpair: TPair
     quotient: QuotientSystem
-    qctx: CpContext
-    _level_maps: dict = field(default_factory=dict, init=False, repr=False)
-    _comp_maps: dict = field(default_factory=dict, init=False, repr=False)
 
-    def _level_map(self, side: str, n: int) -> list:
-        """Columns of the map from level n of the parent to level n of the
-        quotient: column t is the quotient class of parent basis class t.
-
-        The class of e_a (x) e_b is that of (image of e_a) (x) (image of e_b).
-        """
-        maps, qs = self._level_maps, self.quotient
-        if (side, n) in maps:
-            return maps[(side, n)]
-        if n <= 1:
-            quot = qs.quot_r if n == 0 else qs.quot_q if side == "Q" else qs.quot_p
-            maps[(side, n)] = [quot.project([(c, ONE)]) for c in range(quot.ambient)]
-        else:
-            ones = self._level_map(side, 1)
-            _build_upward(maps, lambda k: (side, k), n, lambda k: [
-                _project_kron(tensor_space(qs.system, side, k).quot, maps[(side, k - 1)][a], ones[b])
-                for a, b in tensor_space(self.context.system, side, k).basis])
-        return maps[(side, n)]
-
-    def _comp_map(self, m: int, n: int) -> list:
-        """Columns of the map from grade (m, n) of the parent to grade (m, n)
-        of the quotient."""
-        key = (m, n)
-        if key in self._comp_maps:
-            return self._comp_maps[key]
-        src = component_space(self.context.system, m, n)
-        dst = component_space(self.quotient.system, m, n)
-        if n == 0:
-            out = self._level_map("Q", m)
-        elif m == 0:
-            out = self._level_map("P", n)
-        elif dst.dim == 0 or src.dim == 0:
-            out = [[] for _ in range(src.dim)]
-        else:
-            qm, pn = self._level_map("Q", m), self._level_map("P", n)
-            out = [_project_kron(dst.quot, qm[a], pn[b]) for a, b in src.basis]
-        self._comp_maps[key] = out
-        return out
-
-    def project_element(self, x: ToeplitzElement) -> ToeplitzElement:
-        comps = {}
-        for (m, n), v in x.comps.items():
-            cols = self._comp_map(m, n)
-            mapped = zero_vec(component_space(self.quotient.system, m, n).dim)
-            for c, coef in _nonzeros(v):
-                for t, y in _nonzeros(cols[c]):
-                    mapped[t] += coef * y
-            if any(mapped):
-                comps[(m, n)] = mapped
-        return ToeplitzElement(self.quotient.system, comps)
+    def _preimage(self, xs: Sequence[ToeplitzElement]) -> Subspace:
+        """{c : sum_i c_i xs[i] in H}, as a subspace of Q^len(xs)."""
+        _require_faithful_fock(self.quotient.system)
+        ctx = self.context
+        return _graded_preimage(ctx.system, self.tpair.i, self.tpair.j, xs, ctx.cap)
 
     def contains(self, x: ToeplitzElement) -> bool:
-        from .cpring import in_relation_ideal
-
-        return in_relation_ideal(self.qctx, self.project_element(x))
+        return not self._preimage([x]).is_zero()
 
     def generators(self) -> list[ToeplitzElement]:
         system = self.context.system
@@ -325,44 +260,39 @@ class IdealHandle:
 
 
 def graded_ideal_correspondence(ctx: CpContext, tpair: TPair) -> IdealHandle:
-    """The graded ideal of O(K) attached to a T-pair (I, J) with K <= J."""
+    """The graded ideal of O(K) attached to a T-pair (I, J) with K <= J.
+
+    The pair's flags are computed here, never read off `tpair`.
+    """
     if not ctx.j.ideal.le(tpair.j):
         raise HypothesisViolated("the context ideal K must sit inside the pair's J")
-    qs = jq = None
-    if not tpair.flags:
-        i_two_sided, qs = _tpair_i_part(ctx.system, tpair.i)
-        tpair, jq = _tpair_j_part(tpair.i, tpair.j, i_two_sided,
-                                  is_two_sided(ctx.system, tpair.j), qs)
-    if not tpair.ok:
+    i_two_sided, qs = _tpair_i_part(ctx.system, tpair.i)
+    pair = _tpair_j_part(tpair.i, tpair.j, i_two_sided, is_two_sided(ctx.system, tpair.j), qs)
+    if not pair.ok:
         raise ValueError("not a T-pair: " +
-                         ", ".join(k for k, v in tpair.flags.items() if not v))
-    if jq is None:
-        qs = quotient_system(ctx.system, tpair.i)
-        jq = validate_ideal(qs.system, qs.project_subspace(tpair.j))
-    qctx = CpContext(qs.system, jq, cap=ctx.cap)
-    return IdealHandle(ctx, tpair, qs, qctx)
+                         ", ".join(k for k, v in pair.flags.items() if not v))
+    return IdealHandle(ctx, pair, qs)
 
 
 def extract_tpair_from_handle(handle: IdealHandle) -> TPair:
     """Recover (I, J) from the handle by exact linear membership.
 
     I = { r : iota_R(r) in H }; J = { r : iota_R(r) in H + pi(F_P(Q)) }, where
-    pi(F_P(Q)) is the grade-(1,1) component.  In the quotient system H is the
-    relation ideal of the quotient context, so I is the preimage of T(J_I)
-    under r |-> iota_R(r), and J the part on iota_R(R) of the preimage of T(J_I)
-    under (r, k) |-> iota_R(r) + k, k in the grade-(1,1) component; both are
-    lifted back to R.
+    pi(F_P(Q)) is the grade-(1,1) component.  Both are read by the handle's
+    walk on the parent: I is its preimage under r |-> iota_R(r), and J the
+    part on iota_R(R) of its preimage under (r, k) |-> iota_R(r) + k, k in
+    the grade-(1,1) component.  The grade-(1,1) component of the parent maps
+    onto that of R/I, so these are the full preimages of the quotient's
+    (0, J/I) and need no lifting.
     """
-    qctx = handle.qctx
-    qsys = qctx.system
-    d2 = qsys.ring.dim
-    units = [embed(qsys, "R", unit_vec(d2, r)) for r in range(d2)]
-    cs = component_space(qsys, 1, 1)
-    mixed = [ToeplitzElement(qsys, {(1, 1): unit_vec(cs.dim, c)}) for c in range(cs.dim)]
-    i_bar = relation_preimage(qctx, units)
-    j_bar = Subspace(d2, [row[:d2] for row in relation_preimage(qctx, units + mixed).rows])
-    qs = handle.quotient
-    return TPair(qs.lift_subspace(i_bar), qs.lift_subspace(j_bar))
+    system = handle.context.system
+    d = system.ring.dim
+    units = [embed(system, "R", unit_vec(d, r)) for r in range(d)]
+    cs = component_space(system, 1, 1)
+    mixed = [ToeplitzElement(system, {(1, 1): unit_vec(cs.dim, c)}) for c in range(cs.dim)]
+    i = handle._preimage(units)
+    j = Subspace(d, [row[:d] for row in handle._preimage(units + mixed).rows])
+    return TPair(i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +344,7 @@ def enumerate_tpairs(system: RSystem) -> list[TPair]:
                 j = coord(jmask)
                 js[jmask] = j, is_two_sided(system, j)
             j, j_two_sided = js[jmask]
-            pair, _ = _tpair_j_part(i, j, i_two_sided, j_two_sided, qs)
+            pair = _tpair_j_part(i, j, i_two_sided, j_two_sided, qs)
             if pair.ok:
                 out.append(pair)
     return out

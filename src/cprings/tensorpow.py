@@ -20,12 +20,6 @@ are prefix-closed.  `_word_nz(system, side, word)` gives the nonzero level
 coordinates of any word's class (memoized), so every piece of a basis word
 has a class, whether or not it is itself a basis word.
 
-`concat_class(system, side, k, u, l, w)` is the concatenation
-M^k (x) M^l -> M^(k+l): the class of u (x) w is the sum, over the nonzeros
-u_x w_y, of the classes of the concatenated words `words[x] + words[y]`.
-When a factor has level 0 it is the module action, and for k = l = 0 ring
-multiplication.  No matrix of the map is formed.
-
 The iterated pairing is a contraction of words:
 
     psi_0(r1 (x) r2) = r1 r2,   psi_1 = psi,
@@ -105,12 +99,6 @@ class ModuleElement:
 
     def scale(self, c) -> "ModuleElement":
         return ModuleElement(self.system, self.side, self.level, tuple(vec_scale(c, self.coords)))
-
-    def tensor(self, other: "ModuleElement") -> "ModuleElement":
-        if self.system is not other.system or self.side != other.side:
-            raise ValueError("can only concatenate along one leg of one system")
-        coords = concat_class(self.system, self.side, self.level, self.coords, other.level, other.coords)
-        return ModuleElement(self.system, self.side, self.level + other.level, tuple(coords))
 
 
 def _system_store(system: RSystem) -> dict:
@@ -192,27 +180,6 @@ def _build_level(system: RSystem, side: str, n: int) -> TensorSpace:
     right = tuple(tuple(quot.project_nz([(a * d_m + y, v) for y, v in cols[b]]) for a, b in basis)
                   for cols in mod.right)
     return TensorSpace(system, side, n, quot.dim, quot, basis, words, left, right)
-
-
-def concat_class(system: RSystem, side: str, k: int, u: Sequence[Fraction],
-                 l: int, w: Sequence[Fraction]) -> list[Fraction]:
-    """Level-(k + l) coordinates of the class of u (x) w, u at level k and w at level l."""
-    if k == 0 and l == 0:
-        return system.ring.multiply(u, w)
-    if l == 0:
-        return tensor_space(system, side, k).act_right(u, w)
-    if k == 0:
-        return tensor_space(system, side, l).act_left(u, w)
-    words_k = tensor_space(system, side, k).words
-    words_l = tensor_space(system, side, l).words
-    out = [ZERO] * tensor_space(system, side, k + l).dim
-    nz_w = _nonzeros(w)
-    for x, ux in _nonzeros(u):
-        for y, wy in nz_w:
-            c = ux * wy
-            for t, v in _word_nz(system, side, words_k[x] + words_l[y]):
-                out[t] += c * v
-    return out
 
 
 def _word_nz(system: RSystem, side: str, word: tuple) -> tuple:

@@ -11,7 +11,17 @@ from fractions import Fraction
 
 import pytest
 
-from cprings.graphalg import Edge, FiniteGraph, cycle_graph, line_graph, rose_graph
+from cprings.cpring import CpContext, in_relation_ideal, validate_ideal
+from cprings.graphalg import (
+    Edge,
+    FiniteGraph,
+    cycle_graph,
+    is_hereditary_saturated,
+    line_graph,
+    restriction_graph,
+    rose_graph,
+)
+from cprings.ideals import quotient_system
 from cprings.rsystem import (
     Pairing,
     RSystem,
@@ -20,10 +30,20 @@ from cprings.rsystem import (
     build_automorphism_system,
     build_graph_system,
 )
-from cprings.exactlin import Subspace, _sum_nz, kernel, mat_identity, mat_transpose, unit_vec, zero_vec
+from cprings.exactlin import (
+    ONE,
+    Subspace,
+    _nonzeros,
+    _sum_nz,
+    kernel,
+    mat_identity,
+    mat_transpose,
+    unit_vec,
+    zero_vec,
+)
 from cprings.finrank import theta_table
-from cprings.tensorpow import ModuleElement, _word_nz, tensor_space
-from cprings.toeplitz import component_space
+from cprings.tensorpow import ModuleElement, _build_upward, _project_kron, _word_nz, tensor_space
+from cprings.toeplitz import ToeplitzElement, component_space
 
 F = Fraction
 
@@ -128,6 +148,14 @@ def psi_zero_system() -> RSystem:
     mod_q = StructuredBimodule(["q1", "q2"], ring.left, ring.right)
     psi = Pairing([[zero_vec(n) for _ in range(n)] for _ in range(n)])
     return RSystem(ring=ring, p=mod_p, q=mod_q, psi=psi, name="psi-zero")
+
+
+def square_zero_json() -> dict:
+    """R = Q z with z z = 0 and P = Q = 0: (FS) holds, but z R = 0, so
+    iota_R(z) acts as 0 on the Fock module and the representation is not
+    faithful."""
+    return {"name": "zero1", "ring": {"basis": ["z"], "mult": []},
+            "p": {"basis": []}, "q": {"basis": []}, "psi": []}
 
 
 def random_graph(rng: random.Random, max_v: int = 6, max_e: int = 10) -> FiniteGraph:
@@ -254,6 +282,41 @@ def path_element(system, side, labels) -> ModuleElement:
     return ModuleElement(system, side, len(word), word_class(system, side, word))
 
 
+def concat_class(system, side, k, u, l, w) -> list:
+    """Level-(k + l) coordinates of the class of u (x) w, u at level k and w at
+    level l: the sum, over the nonzeros u_x w_y, of the classes of the
+    concatenated words (the module action when a factor has level 0, ring
+    multiplication for k = l = 0)."""
+    if k == 0 and l == 0:
+        return system.ring.multiply(u, w)
+    if l == 0:
+        return tensor_space(system, side, k).act_right(u, w)
+    if k == 0:
+        return tensor_space(system, side, l).act_left(u, w)
+    words_k = tensor_space(system, side, k).words
+    words_l = tensor_space(system, side, l).words
+    out = [F(0)] * tensor_space(system, side, k + l).dim
+    for x, ux in _nonzeros(u):
+        for y, wy in _nonzeros(w):
+            for t, v in _word_nz(system, side, words_k[x] + words_l[y]):
+                out[t] += ux * wy * v
+    return out
+
+
+def module_tensor(x, y) -> ModuleElement:
+    """x (x) y for two elements of one leg of one system."""
+    coords = concat_class(x.system, x.side, x.level, x.coords, y.level, y.coords)
+    return ModuleElement(x.system, x.side, x.level + y.level, tuple(coords))
+
+
+def quotient_graph(graph, h) -> FiniteGraph:
+    """The graph of the quotient by the ideal of a hereditary saturated H."""
+    hs = frozenset(h)
+    if not is_hereditary_saturated(graph, hs):
+        raise ValueError("H is not hereditary and saturated")
+    return restriction_graph(graph, hs)
+
+
 def tpair_meet(a, b):
     """The componentwise meet (I meet I', J meet J') of two T-pairs."""
     from cprings.ideals import TPair
@@ -338,6 +401,72 @@ def fock_oracle(x, j) -> dict:
     blocks = {k: tuple(tuple(sorted((r, y) for r, y in col.items() if y)) for col in cols)
               for k, cols in acc.items()}
     return {k: blk for k, blk in blocks.items() if any(blk)}
+
+
+class QuotientHandle:
+    """The graded ideal H_(I,J) of a T-pair decided in a second system:
+    project an element into the Toeplitz ring of R/I and test it against
+    T(J/I) there.  `ideals.IdealHandle` decides the same membership on the
+    parent's own Fock blocks; this is its oracle."""
+
+    def __init__(self, ctx, tpair):
+        self.context = ctx
+        self.quotient = qs = quotient_system(ctx.system, tpair.i)
+        jq = validate_ideal(qs.system, qs.project_subspace(tpair.j))
+        self.qctx = CpContext(qs.system, jq, cap=ctx.cap)
+        self._level_maps, self._comp_maps = {}, {}
+
+    def _level_map(self, side, n) -> list:
+        """Columns of the map from level n of the parent to level n of the
+        quotient: column t is the quotient class of parent basis class t.
+
+        The class of e_a (x) e_b is that of (image of e_a) (x) (image of e_b).
+        """
+        maps, qs = self._level_maps, self.quotient
+        if (side, n) in maps:
+            return maps[(side, n)]
+        if n <= 1:
+            quot = qs.quot_r if n == 0 else qs.quot_q if side == "Q" else qs.quot_p
+            maps[(side, n)] = [quot.project([(c, ONE)]) for c in range(quot.ambient)]
+        else:
+            ones = self._level_map(side, 1)
+            _build_upward(maps, lambda k: (side, k), n, lambda k: [
+                _project_kron(tensor_space(qs.system, side, k).quot, maps[(side, k - 1)][a], ones[b])
+                for a, b in tensor_space(self.context.system, side, k).basis])
+        return maps[(side, n)]
+
+    def _comp_map(self, m, n) -> list:
+        """Columns of the map from grade (m, n) of the parent to grade (m, n)
+        of the quotient."""
+        if (m, n) not in self._comp_maps:
+            src = component_space(self.context.system, m, n)
+            dst = component_space(self.quotient.system, m, n)
+            if n == 0:
+                out = self._level_map("Q", m)
+            elif m == 0:
+                out = self._level_map("P", n)
+            elif dst.dim == 0 or src.dim == 0:
+                out = [[] for _ in range(src.dim)]
+            else:
+                qm, pn = self._level_map("Q", m), self._level_map("P", n)
+                out = [_project_kron(dst.quot, qm[a], pn[b]) for a, b in src.basis]
+            self._comp_maps[(m, n)] = out
+        return self._comp_maps[(m, n)]
+
+    def project_element(self, x) -> ToeplitzElement:
+        comps = {}
+        for (m, n), v in x.comps.items():
+            cols = self._comp_map(m, n)
+            mapped = zero_vec(component_space(self.quotient.system, m, n).dim)
+            for c, coef in _nonzeros(v):
+                for t, y in _nonzeros(cols[c]):
+                    mapped[t] += coef * y
+            if any(mapped):
+                comps[(m, n)] = mapped
+        return ToeplitzElement(self.quotient.system, comps)
+
+    def contains(self, x) -> bool:
+        return in_relation_ideal(self.qctx, self.project_element(x))
 
 
 @pytest.fixture

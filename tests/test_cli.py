@@ -30,6 +30,7 @@ from conftest import (
     matrix2_ring,
     psi_zero_system,
     random_graph_element,
+    square_zero_json,
     three_vertex_two_cycle,
     perm3_system,
 )
@@ -329,6 +330,21 @@ def test_tpair_needs_two_sided_j(tmp_path):
     assert code == 1 and not out["ok"] and out["result"]["flags"]["j_two_sided"] is False
     code, out = run_json("tpair", str(path), "--i", "", "--j", "full")
     assert code == 0 and out["ok"]
+
+
+def test_eq_refuses_unfaithful_fock(tmp_path):
+    """On R = Q z with z z = 0 and P = Q = 0, (FS) holds but z R = 0: `eq`
+    in O(0) = T must not answer "equal" for z and 0, which `--ring toeplitz`
+    tells apart; it reports an FsViolation instead."""
+    path = tmp_path / "zero1.json"
+    path.write_text(json.dumps(square_zero_json()))
+    code, out = run_json("fs", str(path))
+    assert code == 0 and out["result"]["fs"] is True
+    code, out = run_json("eq", str(path), "R:z", "R:z-R:z", "--j", "zero")
+    assert code == 1 and not out["ok"] and out["result"] is None
+    assert out["diagnostics"][0].startswith("FsViolation:") and "rR = 0" in out["diagnostics"][0]
+    code, out = run_json("eq", str(path), "R:z", "R:z-R:z", "--ring", "toeplitz")
+    assert code == 1 and out["result"]["equal"] is False
 
 
 def test_quotient(files):

@@ -10,12 +10,21 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import psi_zero_system, three_vertex_two_cycle
+from conftest import (
+    dual_numbers_ring,
+    matrix2_ring,
+    perm3_system,
+    psi_zero_system,
+    right_annihilator,
+    square_zero_json,
+    three_vertex_two_cycle,
+)
 
-from cprings.exactlin import Subspace, frac, unit_vec
-from cprings.finrank import FsViolation, canonical_ideals
+from cprings.exactlin import Subspace, frac, mat_identity, unit_vec
+from cprings.finrank import FsViolation, canonical_ideals, check_fs, left_annihilator
 from cprings.graphalg import LpaElement, lpa_vertex, lpa_x, lpa_y, rose_graph
-from cprings.rsystem import build_graph_system
+from cprings.ideals import TPair, graded_ideal_correspondence
+from cprings.rsystem import build_automorphism_system, build_graph_system, system_from_json
 from cprings.tensorpow import CapExceeded
 from cprings.toeplitz import (
     InvalidRepresentation,
@@ -353,6 +362,35 @@ def test_membership_needs_fs():
     ctx = CpContext(system, CompatibleIdeal(system, Subspace(2), True, True, True))
     with pytest.raises(FsViolation):
         in_relation_ideal(ctx, embed(system, "R", [1, 0]))
+
+
+def test_membership_needs_faithful_fock():
+    """R = Q z with z z = 0 and P = Q = 0 satisfies (FS), yet iota_R(z) acts
+    as 0 on the Fock module R.  T(0) = 0, so iota_R(z) and 0 differ in O(0);
+    the Fock blocks cannot tell, and membership is refused instead of
+    answered "equal"; the graded-ideal handle refuses through R/I."""
+    system = system_from_json(square_zero_json())
+    assert check_fs(system).ok
+    assert left_annihilator(system) == right_annihilator(system.ring) == Subspace.full(1)
+    ctx = CpContext(system, validate_ideal(system, Subspace(1)))
+    z = embed(system, "R", [1])
+    with pytest.raises(FsViolation, match="rR = 0"):
+        cp_equal(ctx.element(z), ctx.element(z.sub(z)))
+    handle = graded_ideal_correspondence(ctx, TPair(Subspace(1), Subspace(1)))
+    with pytest.raises(FsViolation, match="rR = 0"):
+        handle.contains(z)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_graph_system(three_vertex_two_cycle()),
+    perm3_system,
+    lambda: build_automorphism_system(dual_numbers_ring(), mat_identity(2)),
+    lambda: build_automorphism_system(matrix2_ring(), mat_identity(4)),
+], ids=["3v2c", "perm3", "dual", "matrix2"])
+def test_left_annihilator_matches_oracle(make):
+    system = make()
+    assert left_annihilator(system) == right_annihilator(system.ring)
+    assert left_annihilator(system).is_zero()
 
 
 def test_graded_uniqueness_needs_fs():

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import diagonal_ring, perm3_system, rose_graph
+from conftest import concat_class, diagonal_ring, perm3_system, rose_graph
 
 from cprings.cpring import CpContext, ContextMismatch, relation_generators, validate_ideal
 from cprings.crossedprod import (
@@ -27,7 +27,7 @@ from cprings.crossedprod import (
 )
 from cprings.exactlin import Subspace, matvec, unit_vec, zero_vec
 from cprings.rsystem import build_automorphism_system, build_graph_system
-from cprings.tensorpow import concat_class, psi_n
+from cprings.tensorpow import psi_n
 from cprings.toeplitz import (
     SystemMismatch,
     check_representation,

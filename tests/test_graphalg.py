@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     infinite_emitter_graph,
+    quotient_graph,
     random_graph,
     three_vertex_two_cycle,
 )
@@ -31,7 +32,6 @@ from cprings.graphalg import (
     lpa_y,
     monomial,
     pair_order,
-    quotient_graph,
     rose_graph,
     special_edge,
     _normalize,

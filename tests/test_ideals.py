@@ -7,17 +7,18 @@ CP ring is simple 3x3 matrices).
 """
 
 import gc
+import random
 import weakref
 
 import pytest
 
 from cprings import ideals
-from cprings.exactlin import Subspace, unit_vec
-from cprings.graphalg import line_graph, quotient_graph
-from cprings.rsystem import build_graph_system
+from cprings.exactlin import Subspace, mat_identity, unit_vec
+from cprings.graphalg import line_graph
+from cprings.rsystem import build_automorphism_system, build_graph_system
 from cprings.finrank import canonical_ideals
 from cprings.cpring import CpContext, validate_ideal
-from cprings.toeplitz import ToeplitzElement, embed
+from cprings.toeplitz import ToeplitzElement, embed, toeplitz_mul
 from cprings.ideals import (
     HypothesisViolated,
     NotInvariant,
@@ -34,7 +35,18 @@ from cprings.ideals import (
     validate_tpair,
 )
 
-from conftest import five_vertex_mixed, perm3_system, tpair_meet
+from conftest import (
+    QuotientHandle,
+    dual_numbers_ring,
+    five_vertex_mixed,
+    matrix2_ring,
+    perm3_system,
+    quotient_graph,
+    random_graph,
+    random_graph_element,
+    three_vertex_two_cycle,
+    tpair_meet,
+)
 
 
 def _coord_ideal(system, *labels):
@@ -309,7 +321,10 @@ def test_correspondence_builds_one_quotient(line3_system, monkeypatch):
     i = _coord_ideal(line3_system, "v3")
     handle = graded_ideal_correspondence(ctx, TPair(i, i))
     assert len(built) == 1 and handle.tpair.ok
-    assert handle.qctx.j.ideal == handle.quotient.project_subspace(i)
+    assert handle.quotient.i == i and handle.quotient.system.ring.dim == 2
+    assert handle.contains(embed(line3_system, "R", [0, 0, 1]))
+    assert extract_tpair_from_handle(handle).j == i
+    assert len(built) == 1  # membership and extraction build no second quotient
 
 
 def test_correspondence_rejects_invalid(a2_system):
@@ -329,3 +344,110 @@ def test_cp_level_correspondence(line3_system):
     probe = embed(line3_system, "R", [1, 0, 0])
     values = sorted(h.contains(probe) for h in handles)
     assert values == [False, True]  # the zero ideal and the whole ring
+
+
+# ---------------------------------------------------------------------------
+# the membership walk against the quotient-system oracle
+
+
+def _contexts(system):
+    """The contexts K = 0 and, where it is admissible, K = j_max."""
+    d = system.ring.dim
+    out = [CpContext(system, validate_ideal(system, Subspace(d)))]
+    jmax = validate_ideal(system, canonical_ideals(system)["j_max"])
+    if jmax.ok and not jmax.ideal.is_zero():
+        out.append(CpContext(system, jmax))
+    return out
+
+
+def _check_against_oracle(system, pairs, rng):
+    """Every pair's handle agrees with `QuotientHandle` on members x g y
+    (g a generator of H) and on random elements, and extracts its own pair;
+    returns the verdicts."""
+    verdicts = []
+    for ctx in _contexts(system):
+        for pair in pairs:
+            if not ctx.j.ideal.le(pair.j):
+                continue
+            handle = graded_ideal_correspondence(ctx, pair)
+            oracle = QuotientHandle(ctx, pair)
+            back = extract_tpair_from_handle(handle)
+            assert (back.i, back.j) == (pair.i, pair.j)
+            members = [toeplitz_mul(toeplitz_mul(random_graph_element(rng, system, 1), g),
+                                    random_graph_element(rng, system, 1))
+                       for g in handle.generators()[:3]]
+            elements = members + [random_graph_element(rng, system) for _ in range(3)]
+            got = [handle.contains(x) for x in elements]
+            assert got == [oracle.contains(x) for x in elements], pair
+            assert all(got[:len(members)])
+            verdicts += got
+    return verdicts
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_graph_system(line_graph(3)),
+    lambda: build_graph_system(three_vertex_two_cycle()),
+    lambda: build_graph_system(five_vertex_mixed()),
+    perm3_system,
+    lambda: build_graph_system(random_graph(random.Random(3), max_v=4, max_e=5)),
+    lambda: build_graph_system(random_graph(random.Random(7), max_v=4, max_e=5)),
+    lambda: build_graph_system(random_graph(random.Random(11), max_v=4, max_e=5)),
+], ids=["line3", "3v2c", "5v-mixed", "perm3", "rand3", "rand7", "rand11"])
+def test_handle_matches_quotient_oracle(make):
+    """H_(I,J) decided on the parent's Fock blocks read modulo Q^(x)k . I
+    agrees with projecting into R/I and deciding T(J/I) there, on every
+    T-pair at K = 0 and K = j_max."""
+    system = make()
+    verdicts = _check_against_oracle(system, enumerate_tpairs(system), random.Random(5))
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("ring, ideals_", [
+    (matrix2_ring, [[], None]),
+    (dual_numbers_ring, [[], [[0, 1]], None]),
+], ids=["matrix2", "dual"])
+def test_handle_matches_quotient_oracle_nondiagonal(ring, ideals_):
+    """The same comparison over M_2(Q) and the dual numbers with the identity
+    automorphism, on the hand-given pairs among their ideals (None: all of R)."""
+    r = ring()
+    system = build_automorphism_system(r, mat_identity(r.dim))
+    spans = [Subspace.full(r.dim) if rows is None else Subspace(r.dim, rows) for rows in ideals_]
+    pairs = [p for p in (validate_tpair(system, i, j) for i in spans for j in spans) if p.ok]
+    assert pairs
+    verdicts = _check_against_oracle(system, pairs, random.Random(5))
+    assert True in verdicts and False in verdicts
+
+
+def test_handle_builds_nothing_over_the_quotient(line3_system, monkeypatch):
+    """`contains` and `extract_tpair_from_handle` run on the parent: no
+    ToeplitzElement and no CpContext over R/I."""
+    ctx = _toeplitz_ctx(line3_system)
+    i = _coord_ideal(line3_system, "v3")
+    handle = graded_ideal_correspondence(ctx, validate_tpair(line3_system, i, i))
+    made = []
+    for cls in (ToeplitzElement, CpContext):
+        real = cls.__init__
+
+        def counting(self, system, *args, _real=real, **kw):
+            made.append(system)
+            _real(self, system, *args, **kw)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    assert handle.contains(embed(line3_system, "Q", [0, 1]))
+    assert not handle.contains(embed(line3_system, "Q", [1, 0]))
+    assert extract_tpair_from_handle(handle).i == i
+    assert made and all(system is line3_system for system in made)
+
+
+def test_correspondence_ignores_forged_flags(a2_system):
+    """Flags on the given pair are not trusted: an invalid pair claiming every
+    flag is refused."""
+    ctx = _toeplitz_ctx(a2_system)
+    forged = dict(validate_tpair(a2_system, Subspace(2), Subspace(2)).flags)
+    assert all(forged.values())
+    # (0, R): J/I is not faithful; (u, u): I is not psi-invariant
+    for i, j in [(Subspace(2), Subspace.full(2)),
+                 (_coord_ideal(a2_system, "u"), _coord_ideal(a2_system, "u"))]:
+        assert not validate_tpair(a2_system, i, j).ok
+        with pytest.raises(ValueError, match="not a T-pair"):
+            graded_ideal_correspondence(ctx, TPair(i, j, dict(forged)))

@@ -19,10 +19,12 @@ from conftest import (
     dual_numbers_ring,
     dual_numbers_unit_basis_ring,
     basis_element,
+    concat_class,
     dense,
     five_vertex_mixed,
     kron_vec,
     matrix2_ring,
+    module_tensor,
     path_element,
     perm3_system,
     psi_zero_system,
@@ -40,7 +42,6 @@ from cprings.graphalg import rose_graph
 from cprings.tensorpow import (
     CapExceeded,
     psi_apply,
-    concat_class,
     psi_n,
     tensor_space,
 )
@@ -277,8 +278,8 @@ def test_module_element_ops(perm3):
     x = basis_element(perm3, "Q", 1, 0)
     y = basis_element(perm3, "Q", 1, 1)
     z = basis_element(perm3, "Q", 1, 2)
-    left = x.tensor(y).tensor(z)
-    right = x.tensor(y.tensor(z))
+    left = module_tensor(module_tensor(x, y), z)
+    right = module_tensor(x, module_tensor(y, z))
     assert left.coords == right.coords and left.level == 3
     w = x.add(y.scale(3))
     assert w.coords == (1, 3, 0)
