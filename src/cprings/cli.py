@@ -7,7 +7,7 @@ core operations:
     mul         product of two expressions in the Toeplitz ring
     eq          equality (Cuntz-Pimsner ring at a chosen J, or raw Toeplitz)
     nf          canonical normal form (Toeplitz components or LPA monomials)
-    fs          condition (FS) with certificates
+    fs          condition (FS) with certificates, and whether rR = 0 only for r = 0
     jmax        canonical ideals: ker Delta, Delta^-1(F), j_max
     lattice     graded-ideal lattice ((H,S) pairs for graphs, T-pairs for systems)
     tpair       validate a candidate T-pair (I, J)
@@ -56,8 +56,8 @@ from .cpring import (
     cp_equal,
     validate_ideal,
 )
-from .exactlin import Subspace, unit_vec
-from .finrank import canonical_ideals, check_fs
+from .exactlin import Subspace, frac, unit_vec
+from .finrank import canonical_ideals, check_fs, left_annihilator
 from .graphalg import (
     FiniteGraph,
     LpaTarget,
@@ -341,9 +341,9 @@ class _Parser:
         # a '-' right before a term's coefficient is its sign: "-2 p(u)", "p(u) - -2 p(v)"
         if self.peek()[:2] == ("op", "-") and self.tokens[self.i + 1][0] == "num":
             self.next()
-            coeff = -Fraction(self.next()[1])
+            coeff = -frac(self.next()[1])
         elif self.peek()[0] == "num":
-            coeff = Fraction(self.next()[1])
+            coeff = frac(self.next()[1])
         out = self.factor()
         while self.peek()[0] == "op" and self.peek()[1] == "*":
             self.next()
@@ -395,7 +395,8 @@ def parse_element(text: str, ctx: EvalContext):
 # ---------------------------------------------------------------------------
 
 
-def _fmt_coeff(c: Fraction) -> str:
+def _fmt_coeff(c: int | Fraction) -> str:
+    """An int and the equal integral Fraction print the same text."""
     return str(c)
 
 
@@ -602,6 +603,8 @@ def _verb_fs(loaded, args) -> Outcome:
     report = check_fs(loaded.system)
     result = {
         "fs": report.ok,
+        # the other half of the membership guard: no nonzero r has rR = 0
+        "fock_faithful": left_annihilator(loaded.system).is_zero(),
         "q_ok": report.q_ok,
         "p_ok": report.p_ok,
         "q_certificate_terms": None if report.q_certificate is None else len(report.q_certificate),

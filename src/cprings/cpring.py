@@ -174,7 +174,7 @@ def _pi_delta(ctx: CpContext, x: Sequence[Fraction]) -> Optional[list[Fraction]]
     membership walk's callers check (FS).
     """
     system = ctx.system
-    key = tuple(frac(c) for c in x)
+    key = tuple(x)
     if key in ctx._pi_cache:
         return ctx._pi_cache[key]
     cs = component_space(system, 1, 1)
@@ -559,7 +559,8 @@ def gauge(t, x):
         return CpElement(x.context, gauge(t, x.rep))
     comps = {}
     for (m, n), v in x.comps.items():
-        comps[(m, n)] = [t ** (n - m) * c for c in v]
+        s = frac(Fraction(t) ** (n - m))  # a Fraction base keeps t^-k exact
+        comps[(m, n)] = [s * c for c in v]
     return ToeplitzElement(x.system, comps)
 
 
@@ -581,13 +582,13 @@ def homogeneous_components(evaluations, degrees):
     ts = ts[: len(degrees)]
     elems = [e for _, e in evaluations][: len(degrees)]
     n = len(degrees)
-    vand = [[ts[i] ** (-degrees[j]) for j in range(n)] for i in range(n)]
+    vand = [[frac(Fraction(ts[i]) ** (-degrees[j])) for j in range(n)] for i in range(n)]
     inv = solve_matrix(vand, mat_identity(n))
     if inv is None:
         raise ValueError("evaluation points do not separate the degrees")
     out = {}
     for j, k in enumerate(degrees):
-        acc = elems[0].scale(Fraction(0))
+        acc = elems[0].scale(0)
         for i in range(n):
             c = inv[j][i]
             if c:

@@ -28,6 +28,8 @@ from fractions import Fraction
 
 from .cpring import ContextMismatch, CpContext, CpElement
 from .exactlin import (
+    ONE,
+    ZERO,
     frac,
     mat_identity,
     mat_transpose,
@@ -59,7 +61,7 @@ def permutation_matrix(perm) -> list[list[Fraction]]:
     if sorted(perm) != list(range(n)):
         raise ValueError("perm must be a permutation of 0..n-1")
     return [
-        [Fraction(1) if perm[j] == i else Fraction(0) for j in range(n)]
+        [ONE if perm[j] == i else ZERO for j in range(n)]
         for i in range(n)
     ]
 

@@ -2,12 +2,24 @@
 
 Everything in the package reduces to solving small exact linear systems, so
 this module keeps the representation boring on purpose: a vector is a list of
-`Fraction`, a matrix is a list of row vectors.  The matrices that graph and
-permutation systems produce are almost all zeros, so every kernel collects
-the nonzero entries of its operands first and does arithmetic only on those;
-the results are exactly those of the dense formulas.  `Subspace` stores a
-reduced row echelon basis and supports the handful of lattice operations the
-higher layers need (sum, intersection, membership, canonical residuals).
+exact rationals, a matrix is a list of row vectors.  An entry is an `int`
+when it is integral and a `fractions.Fraction` otherwise, so the 0 and +-1
+structure constants of graph and permutation systems cost integer arithmetic,
+not a gcd per operation; an int and the equal Fraction compare and hash
+equal, so results, printing and memo keys do not depend on which one a value
+is.  Numbers are coerced where they enter: `frac`, `vec`, and `rref`,
+`solve` and the `Subspace` constructor, which pass a vector of ints through
+as it is and coerce any other.  The other kernels, `Subspace.reduce` and
+`coordinates` among them, trust the vectors the library built.  `rref` is
+the one place that divides, by its pivots, and it brings an integral
+inverse back to an int.
+
+The matrices that graph and permutation systems produce are almost all
+zeros, so every kernel collects the nonzero entries of its operands first
+and does arithmetic only on those; the results are exactly those of the
+dense formulas.  `Subspace` stores a reduced row echelon basis and supports
+the handful of lattice operations the higher layers need (sum,
+intersection, membership, canonical residuals).
 `QuotientSpace` takes the classes of the non-pivot coordinates as its basis,
 so basis vector t is the class of the unit vector at `free[t]`; the class of
 every other coordinate is read off the RREF rows once, into a lookup table,
@@ -21,24 +33,33 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
+_INT = frozenset((int,))
 
 
 class DimensionMismatch(ValueError):
     """Raised when vector/matrix shapes do not line up."""
 
 
-def frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def frac(x) -> int | Fraction:
+    """x as an exact rational: an `int` when it is integral, else a `Fraction`.
+    Takes an int, a Fraction or a string; a float raises TypeError."""
+    if type(x) is int:
         return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {x!r} to an exact rational")
+    if not isinstance(x, Fraction):
+        if not isinstance(x, (int, str)):
+            raise TypeError(f"cannot coerce {x!r} to an exact rational")
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
-def vec(entries: Iterable) -> list[Fraction]:
-    return [frac(x) for x in entries]
+def vec(entries: Iterable) -> list:
+    """A new list of the entries; coerced by `frac` unless all are ints."""
+    v = list(entries)
+    if set(map(type, v)) <= _INT:
+        return v
+    return [frac(x) for x in v]
 
 
 def zero_vec(n: int) -> list[Fraction]:
@@ -137,7 +158,7 @@ def mat_transpose(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form.  Returns (nonzero rows, pivot column indices)."""
-    a = [list(map(frac, row)) for row in rows]
+    a = [vec(row) for row in rows]
     if not a:
         return [], []
     ncols = len(a[0])
@@ -159,9 +180,10 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
         # rows r.. are zero left of column c, so the pivot row's support starts at c
         support = [j for j in range(c + 1, ncols) if prow[j]]
         pv = prow[c]
-        if pv != ONE:
-            inv = ONE / pv
-            prow[c] = ONE
+        if pv != 1:
+            # the package's one division; a pivot of -1 needs none
+            inv = -1 if pv == -1 else frac(Fraction(1) / pv)
+            prow[c] = 1
             for j in support:
                 prow[j] *= inv
         nz_prow = [(j, prow[j]) for j in support]
@@ -184,7 +206,7 @@ def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fracti
     if len(b) != m:
         raise DimensionMismatch(f"matrix has {m} rows, rhs has {len(b)}")
     n = len(a[0]) if m else 0
-    aug = [list(map(frac, row)) + [frac(b[i])] for i, row in enumerate(a)]
+    aug = [[*row, b[i]] for i, row in enumerate(a)]
     red, pivots = rref(aug)
     x = [ZERO] * n
     for row, p in zip(red, pivots):
@@ -268,7 +290,7 @@ class Subspace:
         """Canonical residual of v modulo this subspace (zero iff v is a member)."""
         if len(v) != self.ambient:
             raise DimensionMismatch(f"vector of length {len(v)} in Q^{self.ambient}")
-        out = list(map(frac, v))
+        out = list(v)
         for p, support in zip(self.pivots, self._support):
             c = out[p]
             if c:
@@ -284,7 +306,7 @@ class Subspace:
         """Coefficients of v in the RREF basis rows, or None if v is outside."""
         if len(v) != self.ambient:
             raise DimensionMismatch("length mismatch")
-        out = list(map(frac, v))
+        out = list(v)
         coords = []
         for p, support in zip(self.pivots, self._support):
             c = out[p]

@@ -27,10 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactlin import frac
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .exactlin import ONE, ZERO, frac
 
 
 @dataclass(frozen=True)

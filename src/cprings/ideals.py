@@ -34,7 +34,7 @@ from .rsystem import (
     is_two_sided,
     validate_axioms,
 )
-from .tensorpow import psi_apply
+from .tensorpow import _system_store, psi_apply
 from .toeplitz import ToeplitzElement, component_space, embed
 
 __all__ = [
@@ -189,11 +189,22 @@ class TPair:
 
 
 def _tpair_i_part(system: RSystem, i: Subspace) -> tuple[bool, Optional[QuotientSystem]]:
-    """Whether I is two-sided, and R/I when I is also psi-invariant (else None)."""
-    two_sided = is_two_sided(system, i)
-    if two_sided and _psi_invariant(system, i):
-        return True, _quotient_system(system, i, None)
-    return two_sided, None
+    """Whether I is two-sided, and R/I when I is also psi-invariant (else None).
+
+    Memoized on the system per I, so the enumeration and every handle on a
+    pair with this I share one R/I.
+    """
+    store = _system_store(system)
+    key = ("tpair_i", i)
+    out = store.get(key)
+    if out is None:
+        two_sided = is_two_sided(system, i)
+        if two_sided and _psi_invariant(system, i):
+            out = True, _quotient_system(system, i, None)
+        else:
+            out = two_sided, None
+        store[key] = out
+    return out
 
 
 def _tpair_j_part(i: Subspace, j: Subspace, i_two_sided: bool, j_two_sided: bool,

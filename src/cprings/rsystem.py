@@ -165,8 +165,9 @@ class StructuredBimodule(_Labelled):
 
 
 def _checked_columns(maps, d: int) -> tuple:
-    """`maps` as tuples (a tuple column is kept as it is), after checking that
-    each map has d columns and each index is an int in range(d)."""
+    """`maps` as tuples of (index, value) pairs with each value coerced by
+    `frac`, after checking that each map has d columns and each index is an
+    int in range(d)."""
     maps = tuple(tuple(map(tuple, cols)) for cols in maps)
     for cols in maps:
         if len(cols) != d:
@@ -175,7 +176,7 @@ def _checked_columns(maps, d: int) -> tuple:
             for x, _ in col:
                 if type(x) is not int or not 0 <= x < d:
                     raise ValueError(f"action column index {x!r} is not in range({d})")
-    return maps
+    return tuple(tuple(tuple((x, frac(c)) for x, c in col) for col in cols) for cols in maps)
 
 
 class Pairing:

@@ -45,7 +45,6 @@ any cached work, so whether they raise does not depend on what ran before.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .exactlin import (
@@ -54,6 +53,7 @@ from .exactlin import (
     QuotientSpace,
     _nonzeros,
     _sum_nz,
+    frac,
     mat_identity,
     mat_zero,
     matmul,
@@ -221,7 +221,7 @@ class ToeplitzElement:
         return ToeplitzElement(self.system, comps)
 
     def scale(self, c) -> "ToeplitzElement":
-        c = Fraction(c)
+        c = frac(c)
         return ToeplitzElement(self.system, {g: vec_scale(c, v) for g, v in self.comps.items()})
 
     def neg(self) -> "ToeplitzElement":
@@ -410,7 +410,7 @@ class Mat:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        self.rows = tuple(tuple(map(frac, row)) for row in rows)
 
     @classmethod
     def zero(cls, d: int) -> "Mat":
@@ -430,7 +430,7 @@ class Mat:
         return Mat(matmul(self.rows, other.rows))
 
     def __rmul__(self, c) -> "Mat":
-        c = Fraction(c)
+        c = frac(c)
         return Mat([[c * x for x in row] for row in self.rows])
 
     def __eq__(self, other) -> bool:
@@ -468,7 +468,7 @@ class Representation:
         acc = Mat.zero(self.dim)
         for c, img in zip(coords, images):
             if c != 0:
-                acc = acc + Fraction(c) * img
+                acc = acc + frac(c) * img
         return acc
 
 
@@ -537,7 +537,7 @@ def evaluate(x: ToeplitzElement, rep):
                 img = q_imgs[basis[idx][0]] * p_imgs[basis[idx][1]]
             else:
                 img = q_imgs[idx] if m else p_imgs[idx]
-            acc = acc + Fraction(c) * img
+            acc = acc + frac(c) * img
     return acc
 
 

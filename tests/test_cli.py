@@ -332,14 +332,18 @@ def test_tpair_needs_two_sided_j(tmp_path):
     assert code == 0 and out["ok"]
 
 
-def test_eq_refuses_unfaithful_fock(tmp_path):
+def test_eq_refuses_unfaithful_fock(tmp_path, files):
     """On R = Q z with z z = 0 and P = Q = 0, (FS) holds but z R = 0: `eq`
     in O(0) = T must not answer "equal" for z and 0, which `--ring toeplitz`
-    tells apart; it reports an FsViolation instead."""
+    tells apart; it reports an FsViolation instead, and `fs` shows why."""
     path = tmp_path / "zero1.json"
     path.write_text(json.dumps(square_zero_json()))
     code, out = run_json("fs", str(path))
     assert code == 0 and out["result"]["fs"] is True
+    assert out["result"]["fock_faithful"] is False
+    for name in ("a2", "line3", "rose2", "3v2c", "perm3"):
+        code, out = run_json("fs", files[name])
+        assert code == 0 and out["result"]["fock_faithful"] is True, name
     code, out = run_json("eq", str(path), "R:z", "R:z-R:z", "--j", "zero")
     assert code == 1 and not out["ok"] and out["result"] is None
     assert out["diagnostics"][0].startswith("FsViolation:") and "rR = 0" in out["diagnostics"][0]

@@ -242,7 +242,7 @@ def dense_vec_add(a, b):
 
 
 def dense_vec_scale(c, v):
-    return [frac(c) * x for x in v]
+    return [F(c) * x for x in v]
 
 
 def dense_matvec(a, x):
@@ -259,7 +259,7 @@ def dense_matmul(a, b):
 
 
 def dense_rref(rows):
-    a = [[frac(x) for x in row] for row in rows]
+    a = [[F(x) for x in row] for row in rows]
     pivots = []
     r = 0
     for c in range(len(a[0]) if a else 0):
@@ -278,7 +278,7 @@ def dense_rref(rows):
 
 def dense_reduce(sub, v):
     """(residual, coefficients) of v against the RREF rows of `sub`."""
-    out = [frac(x) for x in v]
+    out = [F(x) for x in v]
     coords = []
     for row, p in zip(sub.rows, sub.pivots):
         c = out[p]

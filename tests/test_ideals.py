@@ -327,6 +327,17 @@ def test_correspondence_builds_one_quotient(line3_system, monkeypatch):
     assert len(built) == 1  # membership and extraction build no second quotient
 
 
+def test_enumeration_and_handles_share_quotients(line3_system, monkeypatch):
+    """One R/I per psi-invariant I: the handles reuse what the enumeration built."""
+    built = _count_quotients(monkeypatch)
+    ctx = _toeplitz_ctx(line3_system)
+    pairs = enumerate_tpairs(line3_system)
+    handles = [graded_ideal_correspondence(ctx, p) for p in pairs]
+    assert len(pairs) == 8 and len(built) == 4
+    for p, h in zip(pairs, handles):
+        assert h.quotient.i == p.i
+
+
 def test_correspondence_rejects_invalid(a2_system):
     ctx = _toeplitz_ctx(a2_system)
     bad = validate_tpair(a2_system, Subspace(2), Subspace.full(2))
