@@ -8,11 +8,11 @@ structure constants of graph and permutation systems cost integer arithmetic,
 not a gcd per operation; an int and the equal Fraction compare and hash
 equal, so results, printing and memo keys do not depend on which one a value
 is.  Numbers are coerced where they enter: `frac`, `vec`, and `rref`,
-`solve` and the `Subspace` constructor, which pass a vector of ints through
-as it is and coerce any other.  The other kernels, `Subspace.reduce` and
-`coordinates` among them, trust the vectors the library built.  `rref` is
-the one place that divides, by its pivots, and it brings an integral
-inverse back to an int.
+`solve`, the `Subspace` constructor, `Subspace.contains` and
+`Subspace.coordinates`, which pass a vector of ints through as it is and
+coerce any other.  The other kernels, `Subspace.reduce` among them, trust
+the vectors the library built.  `rref` is the one place that divides, by its
+pivots, and it brings an integral inverse back to an int.
 
 The matrices that graph and permutation systems produce are almost all
 zeros, so every kernel collects the nonzero entries of its operands first
@@ -299,14 +299,17 @@ class Subspace:
                     out[j] -= c * y
         return out
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return is_zero_vec(self.reduce(v))
+    def contains(self, v: Sequence) -> bool:
+        """Is v a member?  v is coerced by `vec`; the library's own callers,
+        whose vectors are exact already, test `reduce` directly."""
+        return is_zero_vec(self.reduce(vec(v)))
 
-    def coordinates(self, v: Sequence[Fraction]) -> list[Fraction] | None:
-        """Coefficients of v in the RREF basis rows, or None if v is outside."""
+    def coordinates(self, v: Sequence) -> list[Fraction] | None:
+        """Coefficients of v (coerced by `vec`) in the RREF basis rows, or
+        None if v is outside."""
         if len(v) != self.ambient:
             raise DimensionMismatch("length mismatch")
-        out = list(v)
+        out = vec(v)
         coords = []
         for p, support in zip(self.pivots, self._support):
             c = out[p]
@@ -346,7 +349,7 @@ class Subspace:
         return Subspace(self.ambient, gens)
 
     def le(self, other: "Subspace") -> bool:
-        return all(other.contains(list(r)) for r in self.rows)
+        return all(is_zero_vec(other.reduce(r)) for r in self.rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):

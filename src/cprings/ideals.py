@@ -18,14 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .exactlin import QuotientSpace, Subspace, unit_vec, zero_vec
+from .exactlin import QuotientSpace, Subspace, is_zero_vec, unit_vec, zero_vec
 from .cpring import (
     CpContext,
-    validate_ideal,
     _core_generator,
     _graded_preimage,
     _require_faithful_fock,
 )
+from .finrank import delta_ideals
 from .rsystem import (
     Pairing,
     RSystem,
@@ -82,15 +82,23 @@ def is_psi_invariant(system: RSystem, i: Subspace) -> bool:
 
 
 def _psi_invariant(system: RSystem, i: Subspace) -> bool:
-    """`is_psi_invariant` for an I already known to be two-sided."""
-    dq, dp = system.q.dim, system.p.dim
-    for x in i.basis():
-        for b in range(dq):
-            xq = system.q.act_left(x, unit_vec(dq, b))
-            for a in range(dp):
-                val = psi_apply(system, 1, unit_vec(dp, a), xq)
-                if not i.contains(val):
-                    return False
+    """`is_psi_invariant` for an I already known to be two-sided.
+
+    psi(p (x) x.q) is linear in x, so I is invariant exactly when, for each
+    basis row x of I, the span psi(P (x) x.Q) of the psi(e_a (x) x.e_b) lies
+    in I.  That span depends on x alone and is memoized on the system per
+    row: the ideals of an enumeration share their rows, the basis
+    idempotents, so each is contracted once.
+    """
+    store = _system_store(system)
+    q, dp = system.q, system.p.dim
+    for x in i.rows:
+        key = ("psi_image", x)
+        if key not in store:
+            store[key] = Subspace(i.ambient, [psi_apply(system, 1, unit_vec(dp, a), q.act_left(x, unit_vec(q.dim, b)))
+                                              for b in range(q.dim) for a in range(dp)])
+        if not store[key].le(i):
+            return False
     return True
 
 
@@ -144,9 +152,9 @@ def _quotient_system(system: RSystem, i: Subspace, name: Optional[str]) -> Quoti
 
     # the induced R/I actions exist only when IQ <= QI and PI <= IP
     for x in ibasis:
-        if not all(quot_q.sub.contains(q.act_left(x, unit_vec(dq, b))) for b in range(dq)):
+        if not all(is_zero_vec(quot_q.sub.reduce(q.act_left(x, unit_vec(dq, b)))) for b in range(dq)):
             raise NotInvariant("IQ is not contained in QI: left action does not descend")
-        if not all(quot_p.sub.contains(p.act_right(unit_vec(dp, a), x)) for a in range(dp)):
+        if not all(is_zero_vec(quot_p.sub.reduce(p.act_right(unit_vec(dp, a), x))) for a in range(dp)):
             raise NotInvariant("PI is not contained in IP: right action does not descend")
 
     ring2 = StructuredRing([ring.labels[c] for c in keep_r],
@@ -188,40 +196,46 @@ class TPair:
         return f"TPair(dim i={self.i.dim}, dim j={self.j.dim}, ok={self.ok})"
 
 
-def _tpair_i_part(system: RSystem, i: Subspace) -> tuple[bool, Optional[QuotientSystem]]:
-    """Whether I is two-sided, and R/I when I is also psi-invariant (else None).
+def _tpair_i_part(system: RSystem, i: Subspace) -> Optional[QuotientSystem]:
+    """R/I for a two-sided I, when I is also psi-invariant (else None).
 
-    Memoized on the system per I, so the enumeration and every handle on a
-    pair with this I share one R/I.
+    The caller knows that I is two-sided.  Memoized on the system per I, so
+    the enumeration and every handle on a pair with this I share one R/I.
     """
     store = _system_store(system)
     key = ("tpair_i", i)
-    out = store.get(key)
-    if out is None:
-        two_sided = is_two_sided(system, i)
-        if two_sided and _psi_invariant(system, i):
-            out = True, _quotient_system(system, i, None)
-        else:
-            out = two_sided, None
-        store[key] = out
-    return out
+    if key not in store:
+        store[key] = _quotient_system(system, i, None) if _psi_invariant(system, i) else None
+    return store[key]
 
 
 def _tpair_j_part(i: Subspace, j: Subspace, i_two_sided: bool, j_two_sided: bool,
                   qs: Optional[QuotientSystem]) -> TPair:
-    """The T-pair (I, J) with its flags; J's are read off its image in R/I,
-    and are false without R/I."""
+    """The T-pair (I, J) with its flags; J's are those of its image J/I in
+    R/I, and are false without R/I.
+
+    The image of a two-sided J under the ring map R -> R/I is two-sided:
+    (r + I)(x + I) = rx + I with rx in J, and likewise on the right.  So
+    `quotient_two_sided` is computed only for a J that is not.  J/I is
+    compatible when it lies in Delta^-1(F_P(Q)) of R/I and faithful when it
+    meets ker Delta of R/I trivially, both read off `delta_ideals`.
+    """
     flags = {"i_two_sided": i_two_sided, "i_in_j": i.le(j),
              "j_two_sided": j_two_sided, "i_psi_invariant": qs is not None}
-    jq = None if qs is None else validate_ideal(qs.system, qs.project_subspace(j))
-    flags["quotient_two_sided"] = jq is not None and jq.is_two_sided
-    flags["quotient_compatible"] = jq is not None and jq.is_psi_compatible
-    flags["quotient_faithful"] = jq is not None and jq.is_faithful
+    if qs is None:
+        flags.update(quotient_two_sided=False, quotient_compatible=False, quotient_faithful=False)
+        return TPair(i, j, flags)
+    jq = qs.project_subspace(j)
+    ker_delta, delta_inv = delta_ideals(qs.system)
+    flags["quotient_two_sided"] = j_two_sided or is_two_sided(qs.system, jq)
+    flags["quotient_compatible"] = jq.le(delta_inv)
+    flags["quotient_faithful"] = jq.intersect(ker_delta).is_zero()
     return TPair(i, j, flags)
 
 
 def validate_tpair(system: RSystem, i: Subspace, j: Subspace) -> TPair:
-    i_two_sided, qs = _tpair_i_part(system, i)
+    i_two_sided = is_two_sided(system, i)
+    qs = _tpair_i_part(system, i) if i_two_sided else None
     return _tpair_j_part(i, j, i_two_sided, is_two_sided(system, j), qs)
 
 
@@ -277,12 +291,11 @@ def graded_ideal_correspondence(ctx: CpContext, tpair: TPair) -> IdealHandle:
     """
     if not ctx.j.ideal.le(tpair.j):
         raise HypothesisViolated("the context ideal K must sit inside the pair's J")
-    i_two_sided, qs = _tpair_i_part(ctx.system, tpair.i)
-    pair = _tpair_j_part(tpair.i, tpair.j, i_two_sided, is_two_sided(ctx.system, tpair.j), qs)
+    pair = validate_tpair(ctx.system, tpair.i, tpair.j)
     if not pair.ok:
         raise ValueError("not a T-pair: " +
                          ", ".join(k for k, v in pair.flags.items() if not v))
-    return IdealHandle(ctx, pair, qs)
+    return IdealHandle(ctx, pair, _tpair_i_part(ctx.system, tpair.i))
 
 
 def extract_tpair_from_handle(handle: IdealHandle) -> TPair:
@@ -323,41 +336,33 @@ def _diagonal_idempotents(ring: StructuredRing) -> bool:
 def enumerate_tpairs(system: RSystem) -> list[TPair]:
     """All T-pairs, for systems over a diagonal ring of orthogonal idempotents.
 
-    Over such rings every two-sided ideal is spanned by a subset of the basis
-    idempotents, so the search over subsets is exhaustive.
+    Over such a ring, with e_s e_t = delta_st e_t, the two-sided ideals are
+    exactly the spans of subsets of the basis: e_s e_t and e_t e_s are e_t or
+    0, so a span of basis elements is a two-sided ideal; and if x = sum c_t e_t
+    lies in an ideal, so does each e_t x = c_t e_t, so every ideal is spanned
+    by the basis elements it contains.  The search over subsets is therefore
+    exhaustive, and every I and J it meets is two-sided without a check.
 
     Whether J qualifies depends on I only through the quotient system
-    R/I, Q/QI, P/IP, psi_I: `quotient_system` reads nothing but the system and
-    I, and the quotient flags are `validate_ideal` of the image of J in that
-    quotient.  So R/I is built once per psi-invariant I and shared by every
-    J containing it, together with the Delta ideals and (FS) result memoized
-    on it; the pairs and their flags are those `validate_tpair` gives.
+    R/I, Q/QI, P/IP, psi_I, which `_tpair_i_part` builds once per
+    psi-invariant I and shares with every J containing it; the pairs and
+    their flags are those `validate_tpair` gives.
     """
     ring = system.ring
     if not _diagonal_idempotents(ring):
         raise NotImplementedError("exhaustive T-pair enumeration needs a diagonal ring")
     d = ring.dim
-
-    def coord(mask):
-        return Subspace(d, [unit_vec(d, t) for t in range(d) if mask >> t & 1])
-
-    js: dict = {}  # J mask -> (J, whether J is two-sided), read for every I inside J
+    spans = [Subspace(d, [unit_vec(d, t) for t in range(d) if mask >> t & 1]) for mask in range(1 << d)]
     out = []
-    for imask in range(1 << d):
-        i = coord(imask)
-        i_two_sided, qs = _tpair_i_part(system, i)
+    for imask, i in enumerate(spans):
+        qs = _tpair_i_part(system, i)
         if qs is None:
             continue
-        for jmask in range(1 << d):
-            if jmask & imask != imask:
-                continue
-            if jmask not in js:
-                j = coord(jmask)
-                js[jmask] = j, is_two_sided(system, j)
-            j, j_two_sided = js[jmask]
-            pair = _tpair_j_part(i, j, i_two_sided, j_two_sided, qs)
-            if pair.ok:
-                out.append(pair)
+        for jmask, j in enumerate(spans):
+            if jmask & imask == imask:
+                pair = _tpair_j_part(i, j, True, True, qs)
+                if pair.ok:
+                    out.append(pair)
     return out
 
 
@@ -393,8 +398,17 @@ def _hasse_dot(name: str, labels, edges) -> str:
 
 
 def lattice_json(system: RSystem, tpairs: Sequence[TPair]) -> dict:
-    """Nodes with (i, j) bases and Hasse edges of the componentwise order."""
-    edges = hasse_edges([[tpair_le(a, b) for b in tpairs] for a in tpairs])
+    """Nodes with (i, j) bases and Hasse edges of the componentwise order.
+
+    The order is decided once per pair of distinct ideals among the pairs'
+    I's and J's.  Of two distinct subspaces, the smaller can lie in the larger
+    only when its dimension is strictly lower, so only those pairs are tested.
+    """
+    spaces = list(dict.fromkeys(s for t in tpairs for s in (t.i, t.j)))
+    at = {s: k for k, s in enumerate(spaces)}
+    le = [[a is b or (a.dim < b.dim and a.le(b)) for b in spaces] for a in spaces]
+    ends = [(at[t.i], at[t.j]) for t in tpairs]
+    edges = hasse_edges([[le[ai][bi] and le[aj][bj] for bi, bj in ends] for ai, aj in ends])
     nodes = [{"i_basis": _basis_lists(t.i), "j_basis": _basis_lists(t.j),
               "i_dim": t.i.dim, "j_dim": t.j.dim} for t in tpairs]
     return {"system": system.name, "nodes": nodes, "hasse_edges": edges}

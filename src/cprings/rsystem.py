@@ -37,6 +37,7 @@ from .exactlin import (
     _nonzeros,
     _sum_nz,
     frac,
+    is_zero_vec,
     mat_identity,
     mat_transpose,
     matvec,
@@ -323,7 +324,7 @@ def is_two_sided(system: RSystem, space: Subspace) -> bool:
     """Is the subspace a two-sided ideal of R?  For each basis vector k,
     e_i k and k e_i are k's combinations of the columns of e_i's actions."""
     ring = system.ring
-    return all(space.contains(_lincomb(ring.dim, ((c, cols[a]) for a, c in _nonzeros(k))))
+    return all(is_zero_vec(space.reduce(_lincomb(ring.dim, ((c, cols[a]) for a, c in _nonzeros(k)))))
                for k in space.basis() for cols in (*ring.left, *ring.right))
 
 

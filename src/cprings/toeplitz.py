@@ -58,6 +58,7 @@ from .exactlin import (
     mat_zero,
     matmul,
     unit_vec,
+    vec,
     vec_add,
     vec_scale,
     zero_vec,
@@ -265,12 +266,14 @@ def embed(system: RSystem, kind: str, x) -> ToeplitzElement:
 
 
 def embed_n(system: RSystem, kind: str, level: int, coords) -> ToeplitzElement:
+    """The element with the given coordinates at level `level` of leg `kind`
+    (R at level 0); coordinates are coerced by `vec`."""
     if isinstance(coords, ModuleElement):
         coords = coords.coords
-    coords = list(coords)
     if kind == "R":
         if level != 0:
             raise ValueError("ring elements sit at level 0")
+        coords = vec(coords)
         if len(coords) != system.ring.dim:
             raise ValueError("coordinate length mismatch")
         return ToeplitzElement(system, {(0, 0): coords})
@@ -284,8 +287,8 @@ def embed_n(system: RSystem, kind: str, level: int, coords) -> ToeplitzElement:
 
 
 def _leg_coords(system: RSystem, kind: str, level: int, coords) -> list:
-    """coords as a list, checked to have the length of the level's coordinates."""
-    coords = list(coords)
+    """coords coerced by `vec`, checked to have the length of the level's coordinates."""
+    coords = vec(coords)
     want = tensor_space(system, kind, level).dim
     if len(coords) != want:
         raise ValueError(f"coordinate length {len(coords)} != dim {want} of {kind}^{level}")

@@ -29,6 +29,7 @@ from cprings.rsystem import (
     StructuredRing,
     build_automorphism_system,
     build_graph_system,
+    is_two_sided,
 )
 from cprings.exactlin import (
     ONE,
@@ -42,7 +43,7 @@ from cprings.exactlin import (
     zero_vec,
 )
 from cprings.finrank import theta_table
-from cprings.tensorpow import ModuleElement, _build_upward, _project_kron, _word_nz, tensor_space
+from cprings.tensorpow import ModuleElement, _build_upward, _project_kron, _word_nz, psi_apply, tensor_space
 from cprings.toeplitz import ToeplitzElement, component_space
 
 F = Fraction
@@ -322,6 +323,30 @@ def tpair_meet(a, b):
     from cprings.ideals import TPair
 
     return TPair(a.i.intersect(b.i), a.j.intersect(b.j))
+
+
+def tpair_flags_oracle(system, i, j) -> dict:
+    """The flags of the candidate T-pair (I, J), each computed directly:
+    two-sidedness of I and of J by `is_two_sided`, psi-invariance of a
+    two-sided I by testing every psi(e_a (x) x.e_b), x a basis row of I, and
+    J's quotient flags as `validate_ideal` of its image in
+    `quotient_system(system, I)`.  `ideals.validate_tpair` and
+    `ideals.enumerate_tpairs` must give the same flags."""
+    q, p = system.q, system.p
+    i_two_sided = is_two_sided(system, i)
+    invariant = i_two_sided and all(
+        i.contains(psi_apply(system, 1, unit_vec(p.dim, a), q.act_left(x, unit_vec(q.dim, b))))
+        for x in i.basis() for b in range(q.dim) for a in range(p.dim))
+    flags = {"i_two_sided": i_two_sided, "i_in_j": i.le(j),
+             "j_two_sided": is_two_sided(system, j), "i_psi_invariant": invariant}
+    jq = None
+    if invariant:
+        qs = quotient_system(system, i)
+        jq = validate_ideal(qs.system, qs.project_subspace(j))
+    flags["quotient_two_sided"] = jq is not None and jq.is_two_sided
+    flags["quotient_compatible"] = jq is not None and jq.is_psi_compatible
+    flags["quotient_faithful"] = jq is not None and jq.is_faithful
+    return flags
 
 
 def _compose(outer, inner) -> tuple:

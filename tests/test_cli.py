@@ -653,10 +653,15 @@ SCRIPTS = PYPROJECT.parent / "scripts"
 
 
 @pytest.mark.parametrize("argv", [["crossed_walkthrough.py"], ["lattice_atlas.py"],
-                                  ["lattice_atlas.py", "--dot", "rose2"]])
+                                  ["lattice_atlas.py", "--dot", "rose2"],
+                                  ["payload_digest.py", "--seed", "1"]])
 def test_scripts_run(argv):
     """The scripts run end to end against the library they import."""
     proc = run_process([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]])
     assert proc.returncode == 0 and proc.stdout.strip()
     if "--dot" in argv:
         assert proc.stdout.startswith("digraph tpairs {")
+    if argv[0] == "payload_digest.py":
+        *calls, total = proc.stdout.splitlines()
+        assert re.fullmatch(r"total [0-9a-f]{64}", total)
+        assert {line.split()[2] for line in calls} >= {"eq", "lattice", "lattice:dot", "lattice:table"}

@@ -30,7 +30,7 @@ from cprings.exactlin import (
 from cprings.graphalg import line_graph, rose_graph
 from cprings.rsystem import build_graph_system, system_from_json
 from cprings.tensorpow import psi_apply, tensor_space
-from cprings.toeplitz import ToeplitzElement, component_space, embed, toeplitz_mul
+from cprings.toeplitz import ToeplitzElement, component_space, embed, embed_n, pair, toeplitz_mul
 
 SYSTEMS = [build_graph_system(line_graph(3)), build_graph_system(rose_graph(2)), perm3_system()]
 GRADES = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]
@@ -85,6 +85,29 @@ def test_floats_are_refused_where_numbers_enter(tmp_path):
         system_from_json(payload)
     code, body = cli.run(["validate", str(path)])
     assert code == 2 and "TypeError" in json.loads(body)["diagnostics"][0]
+
+
+def test_element_constructors_coerce_coordinates():
+    system = SYSTEMS[0]  # line3: R, Q and P of dimensions 3, 2, 2
+    for call in (lambda: embed(system, "R", [0.5, 0, 0]), lambda: embed(system, "Q", [0, 0.5]),
+                 lambda: embed_n(system, "P", 1, [0.5, 0]), lambda: pair(system, 1, 1, [1, 0], [0.5, 0]),
+                 lambda: pair(system, 2, 0, [0.5], [])):
+        with pytest.raises(TypeError):
+            call()
+    half = embed(system, "R", ["1/2", 0, "2/2"])
+    assert half.comps[(0, 0)] == (F(1, 2), 0, 1) and [type(x) for x in half.comps[(0, 0)]] == [F, int, int]
+    q = embed(system, "Q", ["1/3", 0])
+    assert exact(toeplitz_mul(half, q).comps[(1, 0)])
+    assert pair(system, 1, 1, ["1/2", 0], [1, 0]).comps == pair(system, 1, 1, [F(1, 2), 0], [1, 0]).comps
+
+
+def test_subspace_membership_coerces_its_argument():
+    sub = Subspace(2, [[1, 3]])
+    for call in (lambda: sub.contains([0.1, 0.3]), lambda: sub.coordinates([0.1, 0.3])):
+        with pytest.raises(TypeError):
+            call()
+    assert sub.contains(["1/10", "3/10"]) and not sub.contains(["1/10", "1/3"])
+    assert sub.coordinates(["1/10", "3/10"]) == [F(1, 10)] and sub.coordinates([1, 0]) is None
 
 
 entries_int = st.integers(-3, 3)

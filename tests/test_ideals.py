@@ -12,9 +12,9 @@ import weakref
 
 import pytest
 
-from cprings import ideals
+from cprings import cpring, ideals, rsystem
 from cprings.exactlin import Subspace, mat_identity, unit_vec
-from cprings.graphalg import line_graph
+from cprings.graphalg import cycle_graph, line_graph, rose_graph
 from cprings.rsystem import build_automorphism_system, build_graph_system
 from cprings.finrank import canonical_ideals
 from cprings.cpring import CpContext, validate_ideal
@@ -37,14 +37,17 @@ from cprings.ideals import (
 
 from conftest import (
     QuotientHandle,
+    a2_graph,
     dual_numbers_ring,
     five_vertex_mixed,
     matrix2_ring,
     perm3_system,
+    psi_zero_system,
     quotient_graph,
     random_graph,
     random_graph_element,
     three_vertex_two_cycle,
+    tpair_flags_oracle,
     tpair_meet,
 )
 
@@ -196,6 +199,68 @@ def test_enumerate_matches_brute_force(make):
     assert [(p.i, p.j, list(p.flags.items())) for p in enumerate_tpairs(system)] == want
 
 
+# the seven graph presets, perm3, and psi-zero, where Delta^-1(F_P(Q)) = 0 and
+# so no nonzero J is compatible
+ORACLE_SYSTEMS = {
+    "a2": lambda: build_graph_system(a2_graph()),
+    "line3": lambda: build_graph_system(line_graph(3)),
+    "3v2c": lambda: build_graph_system(three_vertex_two_cycle()),
+    "cyc3": lambda: build_graph_system(cycle_graph(3)),
+    "rose2": lambda: build_graph_system(rose_graph(2)),
+    "rose3": lambda: build_graph_system(rose_graph(3)),
+    "5v-mixed": lambda: build_graph_system(five_vertex_mixed()),
+    "perm3": perm3_system,
+    "psi-zero": psi_zero_system,
+}
+
+
+def _assert_flags_match_oracle(system):
+    """enumerate_tpairs and validate_tpair against `tpair_flags_oracle` on
+    every pair I <= J of coordinate spans."""
+    d = system.ring.dim
+    spans = [Subspace(d, [unit_vec(d, t) for t in range(d) if mask >> t & 1]) for mask in range(1 << d)]
+    found = [(p.i, p.j, list(p.flags.items())) for p in enumerate_tpairs(system)]
+    want = []
+    for i in spans:
+        for j in spans:
+            if i.le(j):
+                flags = tpair_flags_oracle(system, i, j)
+                assert list(validate_tpair(system, i, j).flags.items()) == list(flags.items())
+                if TPair(i, j, flags).ok:
+                    want.append((i, j, list(flags.items())))
+    assert found == want
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SYSTEMS))
+def test_tpair_flags_match_oracle(name):
+    _assert_flags_match_oracle(ORACLE_SYSTEMS[name]())
+
+
+def test_tpair_flags_match_oracle_on_random_graphs():
+    rng = random.Random(1807)
+    for _ in range(60):
+        _assert_flags_match_oracle(build_graph_system(random_graph(rng, max_v=4, max_e=6)))
+
+
+def test_validate_tpair_matches_oracle_over_matrix_ring():
+    """Over M_2(Q) a one-sided J has a two-sided image in R/R = 0 and a
+    one-sided one in R/0: `quotient_two_sided` is computed, not implied.
+    Every pair is tried, I <= J or not."""
+    system = build_automorphism_system(matrix2_ring(), mat_identity(4))
+
+    def span(*idx):  # basis e11, e12, e21, e22
+        return Subspace(4, [unit_vec(4, t) for t in idx])
+
+    spaces = [span(), span(0), span(0, 2), span(0, 1), span(0, 1, 2, 3)]
+    computed = 0
+    for i in spaces:
+        for j in spaces:
+            flags = tpair_flags_oracle(system, i, j)
+            assert list(validate_tpair(system, i, j).flags.items()) == list(flags.items())
+            computed += not flags["j_two_sided"] and flags["quotient_two_sided"]
+    assert computed == 3  # span(0), span(0, 2), span(0, 1) over I = R
+
+
 def test_enumerate_builds_one_quotient_per_invariant_ideal(monkeypatch):
     built = _count_quotients(monkeypatch)
     system = build_graph_system(five_vertex_mixed())
@@ -205,23 +270,30 @@ def test_enumerate_builds_one_quotient_per_invariant_ideal(monkeypatch):
 
 
 def test_enumeration_checks_each_ideal_once(monkeypatch):
-    """On 5v-mixed (32 coordinate ideals): two-sidedness once per I and once
-    per J, psi-invariance once per two-sided I."""
-    two_sided, invariant = [], []
-    real_two_sided, real_invariant = ideals.is_two_sided, ideals._psi_invariant
+    """On 5v-mixed (32 coordinate ideals): no two-sidedness check, since
+    coordinate spans over orthogonal idempotents are ideals; one psi image
+    psi(P (x) v.Q) per vertex v, i.e. dim P * dim Q contractions each; one
+    quotient per psi-invariant ideal."""
+    two_sided, contractions = [], []
+    real_two_sided, real_psi_apply = rsystem.is_two_sided, ideals.psi_apply
 
     def count_two_sided(system, x):
         two_sided.append(x)
         return real_two_sided(system, x)
 
-    def count_invariant(system, x):
-        invariant.append(x)
-        return real_invariant(system, x)
+    def count_psi_apply(system, n, p, q):
+        contractions.append((n, p, q))
+        return real_psi_apply(system, n, p, q)
 
-    monkeypatch.setattr(ideals, "is_two_sided", count_two_sided)
-    monkeypatch.setattr(ideals, "_psi_invariant", count_invariant)
-    enumerate_tpairs(build_graph_system(five_vertex_mixed()))
-    assert len(two_sided) == 2 * 32 and len(invariant) == 32
+    for module in (rsystem, cpring, ideals):
+        monkeypatch.setattr(module, "is_two_sided", count_two_sided)
+    monkeypatch.setattr(ideals, "psi_apply", count_psi_apply)
+    built = _count_quotients(monkeypatch)
+    system = build_graph_system(five_vertex_mixed())
+    enumerate_tpairs(system)
+    assert two_sided == []
+    assert len(contractions) == system.ring.dim * system.p.dim * system.q.dim
+    assert len(built) == 6
 
 
 def test_enumeration_frees_the_system():
