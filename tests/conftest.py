@@ -21,7 +21,7 @@ from cprings.graphalg import (
     restriction_graph,
     rose_graph,
 )
-from cprings.ideals import quotient_system
+from cprings.ideals import is_psi_invariant, quotient_system
 from cprings.rsystem import (
     Pairing,
     RSystem,
@@ -42,7 +42,7 @@ from cprings.exactlin import (
     unit_vec,
     zero_vec,
 )
-from cprings.finrank import theta_table
+from cprings.finrank import delta_ideals, theta_table
 from cprings.tensorpow import ModuleElement, _build_upward, _project_kron, _word_nz, psi_apply, tensor_space
 from cprings.toeplitz import ToeplitzElement, component_space
 
@@ -347,6 +347,39 @@ def tpair_flags_oracle(system, i, j) -> dict:
     flags["quotient_compatible"] = jq is not None and jq.is_psi_compatible
     flags["quotient_faithful"] = jq is not None and jq.is_faithful
     return flags
+
+
+def tpair_quotient_flags_oracle(system, i, j) -> dict:
+    """J's three quotient flags computed in R/I (`ideals._tpair_j_part`
+    reads the last two in R): J/I is the projection of J's basis into
+    `quotient_system(system, I)`; it is two-sided when J is or when
+    `is_two_sided` says so over R/I, compatible when it lies in
+    Delta^-1(F_P(Q)) of R/I, faithful when it meets ker Delta of R/I in 0.
+    All three are false unless I is two-sided and psi-invariant."""
+    if not (is_two_sided(system, i) and is_psi_invariant(system, i)):
+        return dict.fromkeys(("quotient_two_sided", "quotient_compatible", "quotient_faithful"), False)
+    qs = quotient_system(system, i)
+    jq = qs.project_subspace(j)
+    ker_delta, delta_inv = delta_ideals(qs.system)
+    return {"quotient_two_sided": is_two_sided(system, j) or is_two_sided(qs.system, jq),
+            "quotient_compatible": jq.le(delta_inv),
+            "quotient_faithful": jq.intersect(ker_delta).is_zero()}
+
+
+def hasse_edges_oracle(le) -> list:
+    """Covering pairs [a, b] of le, in index order, by the triple loop: a
+    related pair is an edge unless some third c has le[a][c] and le[c][b].
+    `ideals.hasse_edges` must give the same list."""
+    n = len(le)
+    edges = []
+    for a in range(n):
+        for b in range(n):
+            if a == b or not le[a][b]:
+                continue
+            if any(c != a and c != b and le[a][c] and le[c][b] for c in range(n)):
+                continue
+            edges.append([a, b])
+    return edges
 
 
 def _compose(outer, inner) -> tuple:

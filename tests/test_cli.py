@@ -665,3 +665,9 @@ def test_scripts_run(argv):
         *calls, total = proc.stdout.splitlines()
         assert re.fullmatch(r"total [0-9a-f]{64}", total)
         assert {line.split()[2] for line in calls} >= {"eq", "lattice", "lattice:dot", "lattice:table"}
+        # payloads and exit codes are pinned: a change that alters them on
+        # purpose, or alters the benchmark's questions, regenerates the file
+        pinned = (Path(__file__).parent / "payload_digest_seed1.txt").read_text().splitlines()
+        for got, want in zip(proc.stdout.splitlines(), pinned):
+            assert got == want, f"payload of `{' '.join(want.split()[:3])}` changed: {got!r}"
+        assert len(calls) + 1 == len(pinned)

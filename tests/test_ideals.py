@@ -11,10 +11,12 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cprings import cpring, ideals, rsystem
+from cprings.cli import _graph_pair_lattice
 from cprings.exactlin import Subspace, mat_identity, unit_vec
-from cprings.graphalg import cycle_graph, line_graph, rose_graph
+from cprings.graphalg import cycle_graph, enumerate_ideal_pairs, line_graph, pair_order, rose_graph
 from cprings.rsystem import build_automorphism_system, build_graph_system
 from cprings.finrank import canonical_ideals
 from cprings.cpring import CpContext, validate_ideal
@@ -27,6 +29,7 @@ from cprings.ideals import (
     enumerate_tpairs,
     extract_tpair_from_handle,
     graded_ideal_correspondence,
+    hasse_edges,
     is_psi_invariant,
     lattice_dot,
     lattice_json,
@@ -40,14 +43,18 @@ from conftest import (
     a2_graph,
     dual_numbers_ring,
     five_vertex_mixed,
+    hasse_edges_oracle,
+    infinite_emitter_graph,
     matrix2_ring,
     perm3_system,
     psi_zero_system,
     quotient_graph,
     random_graph,
     random_graph_element,
+    random_permutation_system,
     three_vertex_two_cycle,
     tpair_flags_oracle,
+    tpair_quotient_flags_oracle,
     tpair_meet,
 )
 
@@ -214,13 +221,17 @@ ORACLE_SYSTEMS = {
 }
 
 
+def _coordinate_spans(system):
+    d = system.ring.dim
+    return [Subspace(d, [unit_vec(d, t) for t in range(d) if mask >> t & 1]) for mask in range(1 << d)]
+
+
 def _assert_flags_match_oracle(system):
     """enumerate_tpairs and validate_tpair against `tpair_flags_oracle` on
     every pair I <= J of coordinate spans."""
-    d = system.ring.dim
-    spans = [Subspace(d, [unit_vec(d, t) for t in range(d) if mask >> t & 1]) for mask in range(1 << d)]
     found = [(p.i, p.j, list(p.flags.items())) for p in enumerate_tpairs(system)]
     want = []
+    spans = _coordinate_spans(system)
     for i in spans:
         for j in spans:
             if i.le(j):
@@ -231,15 +242,45 @@ def _assert_flags_match_oracle(system):
     assert found == want
 
 
+def _assert_quotient_flags_match_projection(system, spaces):
+    """validate_tpair's three quotient flags, read in R off the pulled-back
+    Delta ideals, against `tpair_quotient_flags_oracle`, which computes them
+    in R/I, on every pair (I, J) of `spaces`, I <= J or not; some pair is a
+    T-pair."""
+    accepted = 0
+    for i in spaces:
+        for j in spaces:
+            pair = validate_tpair(system, i, j)
+            want = tpair_quotient_flags_oracle(system, i, j)
+            assert {k: pair.flags[k] for k in want} == want, (i.basis(), j.basis())
+            accepted += pair.ok
+    assert accepted
+
+
 @pytest.mark.parametrize("name", list(ORACLE_SYSTEMS))
 def test_tpair_flags_match_oracle(name):
-    _assert_flags_match_oracle(ORACLE_SYSTEMS[name]())
+    system = ORACLE_SYSTEMS[name]()
+    _assert_flags_match_oracle(system)
+    _assert_quotient_flags_match_projection(system, _coordinate_spans(system))
 
 
 def test_tpair_flags_match_oracle_on_random_graphs():
     rng = random.Random(1807)
     for _ in range(60):
         _assert_flags_match_oracle(build_graph_system(random_graph(rng, max_v=4, max_e=6)))
+
+
+def _random_systems(seed, count):
+    """`count` seeded random graph systems (1-4 vertices) and as many random
+    permutation systems (1-4 points)."""
+    rng = random.Random(seed)
+    return ([build_graph_system(random_graph(rng, max_v=4, max_e=6)) for _ in range(count)]
+            + [random_permutation_system(rng, max_n=4) for _ in range(count)])
+
+
+def test_quotient_flags_match_projection_oracle_on_random_systems():
+    for system in _random_systems(1913, 15):
+        _assert_quotient_flags_match_projection(system, _coordinate_spans(system))
 
 
 def test_validate_tpair_matches_oracle_over_matrix_ring():
@@ -259,6 +300,45 @@ def test_validate_tpair_matches_oracle_over_matrix_ring():
             assert list(validate_tpair(system, i, j).flags.items()) == list(flags.items())
             computed += not flags["j_two_sided"] and flags["quotient_two_sided"]
     assert computed == 3  # span(0), span(0, 2), span(0, 1) over I = R
+    _assert_quotient_flags_match_projection(system, spaces)
+
+
+def test_quotient_flags_match_projection_oracle_over_dual_numbers():
+    """The ideals 0, (x) and R of Q[x]/(x^2), with the identity automorphism."""
+    system = build_automorphism_system(dual_numbers_ring(), mat_identity(2))
+    _assert_quotient_flags_match_projection(system, [Subspace(2), Subspace(2, [[0, 1]]), Subspace.full(2)])
+
+
+def _assert_quotients_valid(system):
+    """Every R/I that `enumerate_tpairs` and `quotient_system` build passes
+    `validate_axioms`, the check `_quotient_system` leaves to the theorem."""
+    built = []
+    real = ideals._quotient_system
+
+    def keeping(parent, i, name):
+        built.append(real(parent, i, name))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals, "_quotient_system", keeping)
+        enumerate_tpairs(system)
+    for i in _coordinate_spans(system):
+        if is_psi_invariant(system, i):
+            built.append(quotient_system(system, i))
+    assert built
+    for qs in built:
+        report = rsystem.validate_axioms(qs.system)
+        assert report.ok, report.failures
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SYSTEMS))
+def test_quotients_satisfy_axioms(name):
+    _assert_quotients_valid(ORACLE_SYSTEMS[name]())
+
+
+def test_quotients_satisfy_axioms_on_random_systems():
+    for system in _random_systems(2029, 15):
+        _assert_quotients_valid(system)
 
 
 def test_enumerate_builds_one_quotient_per_invariant_ideal(monkeypatch):
@@ -324,6 +404,45 @@ def test_meet_and_join_against_lattice(line3_system):
             m = tpair_meet(a, b)
             matches = [p for p in pairs if p.i == m.i and p.j == m.j]
             assert len(matches) == 1  # meet stays in the lattice
+
+
+@st.composite
+def _posets(draw):
+    """A random partial order on 0..n-1: the reflexive transitive closure of
+    random relations along a random linear order."""
+    n = draw(st.integers(0, 12))
+    rank = draw(st.permutations(range(n)))
+    le = [[a == b or (rank[a] < rank[b] and draw(st.booleans())) for b in range(n)] for a in range(n)]
+    for c in sorted(range(n), key=rank.__getitem__):
+        for a in range(n):
+            if le[a][c]:
+                for b in range(n):
+                    le[a][b] = le[a][b] or le[c][b]
+    return le
+
+
+@given(_posets())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_hasse_edges_match_triple_loop(le):
+    assert hasse_edges(le) == hasse_edges_oracle(le)
+
+
+@pytest.mark.parametrize("graph", [
+    a2_graph(), line_graph(3), three_vertex_two_cycle(), cycle_graph(3), rose_graph(2),
+    five_vertex_mixed(), infinite_emitter_graph(),
+    *(random_graph(random.Random(seed), max_v=5, max_e=8) for seed in range(6)),
+], ids=lambda g: g.name)
+def test_hasse_edges_match_triple_loop_on_lattices(graph):
+    """The Hasse diagrams of the graph-pair lattice (`cli._graph_pair_lattice`)
+    and of the T-pair lattice (`lattice_json`) are the triple loop's."""
+    pairs = enumerate_ideal_pairs(graph)
+    le = [[pair_order(a, b) for b in pairs] for a in pairs]
+    assert _graph_pair_lattice(graph)["hasse_edges"] == hasse_edges_oracle(le)
+    if not graph.infinite_emitters():
+        system = build_graph_system(graph)
+        tpairs = enumerate_tpairs(system)
+        le = [[tpair_le(a, b) for b in tpairs] for a in tpairs]
+        assert lattice_json(system, tpairs)["hasse_edges"] == hasse_edges_oracle(le)
 
 
 # ---------------------------------------------------------------------------
