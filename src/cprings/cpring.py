@@ -56,7 +56,7 @@ from .finrank import (
     theta_decomposition,
 )
 from .rsystem import RSystem, is_two_sided
-from .tensorpow import DEFAULT_CAP, _system_store, tensor_space
+from .tensorpow import DEFAULT_CAP, _system_store, ideal_image, tensor_space
 from .toeplitz import (
     InvalidRepresentation,
     Representation,
@@ -228,19 +228,6 @@ def relation_generators(ctx: CpContext, k: int, l: int) -> list[ToeplitzElement]
 # exact membership in a graded ideal through the Fock representation
 
 
-def _image(system: RSystem, ideal: Subspace, k: int) -> Subspace:
-    """Q^(x)k . ideal as a subspace of Q^(x)k (the ideal itself when k = 0), once per system."""
-    if k == 0:
-        return ideal
-    store = _system_store(system)
-    span = store.get(("image", k, ideal))
-    if span is None:
-        dst = tensor_space(system, "Q", k)
-        span = store[("image", k, ideal)] = Subspace(dst.dim, [
-            dst.act_right(unit_vec(dst.dim, a), x) for a in range(dst.dim) for x in ideal.basis()])
-    return span
-
-
 def _vacuum_span(system: RSystem, j: Subspace, k: int) -> Subspace:
     """Theta_{0,k}, once per system: the maps zeta |-> xi zeta from R to
     Q^(x)k with xi in Q^(x)k . J.
@@ -254,7 +241,7 @@ def _vacuum_span(system: RSystem, j: Subspace, k: int) -> Subspace:
         d = system.ring.dim
         span = store[("vacuum", k, j)] = Subspace(dst.dim * d, [
             [e for c in range(d) for e in dst.act_right(xi, unit_vec(d, c))]
-            for xi in _image(system, j, k).basis()])
+            for xi in ideal_image(system, "Q", k, j).basis()])
     return span
 
 
@@ -294,13 +281,15 @@ def _restrict(rows: list, residuals: list) -> list:
     return [_combine(y, rows) for y in kernel(mat_transpose(residuals))]
 
 
-def _require_faithful_fock(system: RSystem) -> None:
-    """Raise FsViolation unless the system's Fock representation is faithful:
-    (FS) holds and no nonzero r has rR = 0, both decided once per system."""
-    if not check_fs(system).ok:
+def _require_faithful_fock(system: RSystem, i: Subspace) -> None:
+    """Raise FsViolation unless the Fock representation of R/I (of R for
+    I = 0) is faithful: (FS) holds for R/I, and {r : rR <= I}, which contains
+    I as IR <= I, has dimension dim I.  Both are read in R modulo I
+    (`finrank._floor_maps`) and decided once per system and I."""
+    if not check_fs(system, i).ok:
         raise FsViolation("membership in T(J) is decided on the Fock representation, "
                           "which needs condition (FS)")
-    if not left_annihilator(system).is_zero():
+    if left_annihilator(system, i).dim != i.dim:
         raise FsViolation("membership in T(J) is decided on the Fock representation, "
                           "which is not faithful when some nonzero r has rR = 0")
 
@@ -349,7 +338,7 @@ def _graded_preimage(system: RSystem, i: Subspace, j: Subspace,
     Theta_{l,l+d} for l < N and A_N = 0.  No level above the element's own
     degree is read.
 
-    The floor.  IQ <= QI (checked by `ideals._quotient_system`) moves a
+    The floor.  IQ <= QI (checked by `ideals._check_descent`) moves a
     factor of I to the right end of a tensor, (q . a) (x) q' = q (x) a . q'
     with a . q' in QI, so Q^(x)k / Q^(x)k . I = (Q/QI)^(x)k as right
     R/I-modules.  The quotient map from F onto the Fock module of R/I,
@@ -369,7 +358,8 @@ def _graded_preimage(system: RSystem, i: Subspace, j: Subspace,
     meets the kernel of R/I's Delta trivially (the pair's
     `quotient_faithful` flag); faithfulness and the level-0 step need (FS)
     of R/I and no nonzero class r with r (R/I) = 0.  The callers check
-    those on R/I with `_require_faithful_fock`, and for I = 0 on R itself.
+    those with `_require_faithful_fock(system, I)`, which reads them in R
+    modulo I, as the walk does; R/I is never built.
 
     Every condition is linear in x, so the check runs on a subspace of
     coefficient vectors, starting from all of Q^len(xs); an element's own
@@ -394,7 +384,7 @@ def _graded_preimage(system: RSystem, i: Subspace, j: Subspace,
                 span = _vacuum_span(system, j, d)
                 residuals = [span.reduce(v) for v in combos]
             else:  # columns in Q^(x)k . J below the top level, in Q^(x)k . I at it
-                image = _image(system, i if l == top else j, l + d)
+                image = ideal_image(system, "Q", l + d, i if l == top else j)
                 residuals = [_column_residual(image, v) for v in combos]
             rows = _restrict(rows, residuals)
     return Subspace(len(xs), rows)
@@ -408,7 +398,7 @@ def relation_preimage(ctx: CpContext, xs: Sequence[ToeplitzElement]) -> Subspace
     or when some nonzero r has rR = 0, and CapExceeded when a block needs a
     level above ctx.cap.
     """
-    _require_faithful_fock(ctx.system)
+    _require_faithful_fock(ctx.system, ctx._zero)
     return _graded_preimage(ctx.system, ctx._zero, ctx.j.ideal, xs, ctx.cap)
 
 
@@ -503,43 +493,37 @@ def is_cp_invariant(system: RSystem, rep: Representation, j) -> bool:
     return True
 
 
-def _require_matrix_rep(system: RSystem, rep: Representation):
-    failures = check_representation(system, rep)
-    if failures:
-        raise InvalidRepresentation("; ".join(failures))
-
-
 def _flatten_image(m) -> list[Fraction]:
     return [ent for row in m.rows for ent in row]
 
 
+def _sigma_and_j(system: RSystem, rep: Representation) -> tuple[list, Subspace]:
+    """After checking that `rep` is a representation: sigma as the (dim^2 x dim R) matrix
+    of the flattened sigma(e_r), and J_{(S,T,sigma)} = sigma^-1(span{ T(q) S(p) })."""
+    failures = check_representation(system, rep)
+    if failures:
+        raise InvalidRepresentation("; ".join(failures))
+    d, amb = system.ring.dim, rep.dim * rep.dim
+    cols = [_flatten_image(rep.sigma(unit_vec(d, r))) for r in range(d)]
+    sigma = [[col[k] for col in cols] for k in range(amb)]
+    if not amb:
+        return sigma, Subspace.full(d)
+    dq, dp = system.q.dim, system.p.dim
+    span = Subspace(amb, [_flatten_image(rep.t(unit_vec(dq, a)) * rep.s(unit_vec(dp, b)))
+                          for a in range(dq) for b in range(dp)])
+    return sigma, preimage(sigma, span)
+
+
 def extract_j(system: RSystem, rep: Representation) -> Subspace:
     """J_{(S,T,sigma)} = { r : sigma(r) in span{ T(q) S(p) } }, exactly."""
-    _require_matrix_rep(system, rep)
-    d = system.ring.dim
-    if rep.dim == 0:
-        return Subspace(d, [unit_vec(d, i) for i in range(d)])
-    dq, dp = system.q.dim, system.p.dim
-    amb = rep.dim * rep.dim
-    rows = []
-    for a in range(dq):
-        for b in range(dp):
-            rows.append(_flatten_image(rep.t(unit_vec(dq, a)) * rep.s(unit_vec(dp, b))))
-    span = Subspace(amb, rows)
-    sig_cols = [_flatten_image(rep.sigma(unit_vec(d, i))) for i in range(d)]
-    sigma_map = [[sig_cols[c][r] for c in range(d)] for r in range(amb)]
-    return preimage(sigma_map, span)
+    return _sigma_and_j(system, rep)[1]
 
 
 def extract_tpair(system: RSystem, rep: Representation):
     """(ker sigma, J_{(S,T,sigma)}) — a T-pair when the rep is valid."""
-    _require_matrix_rep(system, rep)
+    sigma, j = _sigma_and_j(system, rep)
     d = system.ring.dim
-    amb = rep.dim * rep.dim
-    sig_cols = [_flatten_image(rep.sigma(unit_vec(d, i))) for i in range(d)]
-    sigma_map = [[sig_cols[c][r] for c in range(d)] for r in range(amb)]
-    i_rows = kernel(sigma_map) if amb else [unit_vec(d, i) for i in range(d)]
-    return Subspace(d, i_rows), extract_j(system, rep)
+    return (Subspace(d, kernel(sigma)) if rep.dim else Subspace.full(d)), j
 
 
 # ---------------------------------------------------------------------------

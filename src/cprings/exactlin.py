@@ -349,7 +349,12 @@ class Subspace:
         return Subspace(self.ambient, gens)
 
     def le(self, other: "Subspace") -> bool:
-        return all(is_zero_vec(other.reduce(r)) for r in self.rows)
+        """Is this a subspace of `other`?  A vector's leading column is a pivot of
+        any RREF subspace containing it, so self's pivots must be among other's."""
+        if self.ambient != other.ambient:
+            raise DimensionMismatch("ambient dimensions differ")
+        return (set(self.pivots).issubset(other.pivots)
+                and all(is_zero_vec(other.reduce(r)) for r in self.rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -424,6 +429,8 @@ def preimage(a: Sequence[Sequence[Fraction]], w: Subspace) -> Subspace:
     if w.ambient != m:
         raise DimensionMismatch(f"W lives in Q^{w.ambient}, matrix maps into Q^{m}")
     n = len(a[0]) if a else 0
+    if w.is_zero() and a:  # nothing to project away: the kernel of A
+        return Subspace(n, kernel(a))
     q = QuotientSpace(w)
     comp = [q.project(col) for col in mat_transpose(a)]  # per domain basis vector
     if not comp or not comp[0]:

@@ -17,10 +17,12 @@ Delta(x) = sum c_ab theta_{e_a,e_b} over it.  For finite-dimensional modules
 the paper-style quantification over finite subsets reduces to the basis.
 
 `check_fs`, `left_annihilator` ({r : rR = 0}) and `delta_ideals` (ker Delta
-and Delta^(-1)(F_P(Q))) are computed once per system and stored with it.
-`canonical_ideals` adds the two-sided annihilator of ker Delta (the kernel
-of x -> k x and x -> x k over a basis of it, read off `ring.multiply`) and
-the intersection j_max, the uniquely-maximal candidate.
+and Delta^(-1)(F_P(Q))) are computed once per system and stored with it;
+given a floor ideal I, each answers for R/I instead, read in R modulo I
+(`_floor_maps`); only `cpr quotient` builds R/I.  `canonical_ideals` adds
+the two-sided annihilator of ker Delta (the kernel of x -> k x and x -> x k
+over a basis of it, read off `ring.multiply`) and the intersection j_max,
+the uniquely-maximal candidate.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from typing import Optional, Sequence
 from .exactlin import (
     ONE,
     ZERO,
+    QuotientSpace,
     Subspace,
+    _nonzeros,
     kernel,
     mat_identity,
     mat_transpose,
@@ -40,7 +44,7 @@ from .exactlin import (
     solve,
 )
 from .rsystem import RSystem
-from .tensorpow import _system_store, psi_n, tensor_space
+from .tensorpow import _system_store, ideal_image, psi_n, tensor_space
 
 
 class FsViolation(RuntimeError):
@@ -98,18 +102,44 @@ def theta_table(system: RSystem, side: str, level: int) -> tuple:
     return rows
 
 
-def _solve_over_table(system: RSystem, side: str, level: int, target: list):
-    """Coefficients c with sum_k c_k theta_table[k] = target, or None."""
-    rows = theta_table(system, side, level)
-    if not rows:
+def _solve_over_table(system: RSystem, side: str, level: int, target: list, floor: Sequence = ()):
+    """Coefficients c with sum_k c_k theta_table[k] = target modulo span(floor), or None."""
+    table = theta_table(system, side, level)
+    if not (table or floor):
         return None if any(target) else []
-    return solve(mat_transpose(rows), target)
+    sol = solve(mat_transpose([*table, *floor]), target)
+    return None if sol is None else sol[:len(table)]
 
 
-def finite_rank_space(system: RSystem, level: int = 1, side: str = "Q") -> Subspace:
-    """F_P(Q) (or F_Q(P) for side 'P') at one level, as a subspace of flattened matrices."""
+def _floor_key(i: Optional[Subspace]) -> Optional[Subspace]:
+    """The memo key of a floor ideal: None for I = 0."""
+    return None if i is None or i.is_zero() else i
+
+
+def _floor_maps(system: RSystem, side: str, level: int, i: Optional[Subspace]) -> list:
+    """A basis of L(M, MI): the flattened maps on M = side^(x)level with
+    columns in MI = Q^(x)n . I or I . P^(x)n (`ideal_image`).
+
+    For a two-sided, psi-invariant I with IQ <= QI and PI <= IP, M/MI is the
+    leg of R/I.  The parent's theta's and Delta(r) map MI into MI
+    (theta_{q,p}(x a) = theta_{q,p}(x) a, and likewise) and induce those of
+    R/I; two MI-preserving maps induce the same operator on M/MI exactly
+    when their difference maps M into MI.  So "A lies in F of R/I" reads "A
+    lies in the theta span plus L(M, MI)", and "A is 0 on R/I" reads "A lies
+    in L(M, MI)".
+    """
+    if _floor_key(i) is None:
+        return []
     d = tensor_space(system, side, level).dim
-    return Subspace(d * d, theta_table(system, side, level))
+    return [_flatten_columns(tuple(_nonzeros(v) if c == k else () for k in range(d)))
+            for v in ideal_image(system, side, level, i).rows for c in range(d)]
+
+
+def finite_rank_space(system: RSystem, i: Optional[Subspace] = None) -> Subspace:
+    """F_P(Q), the span of the level-1 rank-one operators on Q, as a subspace of
+    flattened matrices; for a floor I, F_P(Q) + L(Q, QI), which is F of R/I read in R."""
+    d = system.q.dim
+    return Subspace(d * d, [*theta_table(system, "Q", 1), *_floor_maps(system, "Q", 1, i)])
 
 
 def theta_decomposition(system: RSystem, x: Sequence[Fraction]):
@@ -130,54 +160,49 @@ class FsReport:
     level: int = 1
 
 
-def _identity_in_span(system: RSystem, level: int, side: str):
-    """Solve identity = sum c_{x,y} theta; returns certificate triples or None."""
+def _identity_in_span(system: RSystem, level: int, side: str, i: Optional[Subspace]):
+    """Solve identity = sum c_{x,y} theta modulo L(M, MI); returns certificate triples or None."""
     d = tensor_space(system, side, level).dim
     identity = _flatten_columns(tuple(((c, ONE),) for c in range(d)))
-    sol = _solve_over_table(system, side, level, identity)
-    if sol is None:
-        return None
+    sol = _solve_over_table(system, side, level, identity, _floor_maps(system, side, level, i))
     inner = tensor_space(system, "P" if side == "Q" else "Q", level).dim
-    return [(*divmod(k, inner), c) for k, c in enumerate(sol) if c != 0]
+    return None if sol is None else [(*divmod(k, inner), c) for k, c in enumerate(sol) if c != 0]
 
 
-def check_fs(system: RSystem, level: int = 1) -> FsReport:
-    """Condition (FS) at one level, decided once per system and stored with it."""
+def check_fs(system: RSystem, i: Optional[Subspace] = None, level: int = 1) -> FsReport:
+    """Condition (FS) of R/I (of R for I = 0) at one level, decided once
+    per system and I: id_Q in the theta span plus L(Q, QI), and id_P in the
+    theta span plus L(P, IP) (`_floor_maps`)."""
     store = _system_store(system)
-    key = ("fs", level)
+    key = ("fs", level, _floor_key(i))
     rep = store.get(key)
     if rep is None:
-        q_cert = _identity_in_span(system, level, "Q")
-        p_cert = _identity_in_span(system, level, "P")
-        rep = store[key] = FsReport(
-            ok=q_cert is not None and p_cert is not None,
-            q_ok=q_cert is not None,
-            p_ok=p_cert is not None,
-            q_certificate=q_cert,
-            p_certificate=p_cert,
-            level=level,
-        )
+        q_cert, p_cert = (_identity_in_span(system, level, side, i) for side in ("Q", "P"))
+        rep = store[key] = FsReport(ok=q_cert is not None and p_cert is not None,
+                                    q_ok=q_cert is not None, p_ok=p_cert is not None,
+                                    q_certificate=q_cert, p_certificate=p_cert, level=level)
     return rep
 
 
-def left_annihilator(system: RSystem) -> Subspace:
-    """{r : r R = 0}, the left annihilator of R, computed once per system.
+def left_annihilator(system: RSystem, i: Optional[Subspace] = None) -> Subspace:
+    """{r : r R <= I}, the left annihilator of R for I = 0, computed once per
+    system and I: some nonzero class kills R/I exactly when it is not <= I.
 
-    Its equations are the coordinates of r e_c = 0 for each basis element
-    e_c, read off the nonzeros of right multiplication (`ring.right[c][a]`
-    is e_a e_c); with none, every r qualifies.
-    """
-    store = _system_store(system)
-    out = store.get(("left_annihilator",))
+    Its equations are the coordinates of r e_c modulo I for each basis
+    element e_c, read off the nonzeros of right multiplication
+    (`ring.right[c][a]` is e_a e_c); with none, every r qualifies."""
+    store, floor = _system_store(system), _floor_key(i)
+    key = ("left_annihilator", floor)
+    out = store.get(key)
     if out is None:
         d = system.ring.dim
-        rows: dict = {}  # (c, t): coordinate t of r e_c, as a row over r
+        classes = tuple if floor is None else QuotientSpace(floor).project_nz  # nonzeros modulo I
+        rows: dict = {}  # (c, t): coordinate t of the class of r e_c, as a row over r
         for c, cols in enumerate(system.ring.right):
             for a, col in enumerate(cols):
-                for t, v in col:
+                for t, v in classes(col):
                     rows.setdefault((c, t), [ZERO] * d)[a] = v
-        out = Subspace(d, kernel(list(rows.values()))) if rows else Subspace.full(d)
-        store[("left_annihilator",)] = out
+        out = store[key] = Subspace(d, kernel(list(rows.values()))) if rows else Subspace.full(d)
     return out
 
 
@@ -200,18 +225,22 @@ def annihilator(system: RSystem, ideal: Subspace) -> Subspace:
     return Subspace(d, kernel(stacked))
 
 
-def delta_ideals(system: RSystem) -> tuple[Subspace, Subspace]:
-    """(ker Delta, Delta^(-1)(F_P(Q))) as subspaces of R, computed once per system."""
+def delta_ideals(system: RSystem, i: Optional[Subspace] = None) -> tuple[Subspace, Subspace]:
+    """(ker Delta, Delta^(-1)(F_P(Q))) of R/I pulled back to R (of R for
+    I = 0), computed once per system and I: by `_floor_maps` these are
+    K_I = Delta^(-1)(L(Q, QI)) and D_I = Delta^(-1)(F_P(Q) + L(Q, QI))."""
     store = _system_store(system)
-    out = store.get(("delta_ideals",))
+    key = ("delta_ideals", _floor_key(i))
+    out = store.get(key)
     if out is None:
         d = system.ring.dim
         dmap = _delta_map_matrix(system)
         if not dmap:  # Q = 0, so Delta is the zero map
             out = (Subspace.full(d), Subspace.full(d))
         else:
-            out = (Subspace(d, kernel(dmap)), preimage(dmap, finite_rank_space(system)))
-        store[("delta_ideals",)] = out
+            lq = Subspace(len(dmap), _floor_maps(system, "Q", 1, i))  # L(Q, QI)
+            out = (preimage(dmap, lq), preimage(dmap, finite_rank_space(system, i)))
+        store[key] = out
     return out
 
 

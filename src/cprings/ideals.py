@@ -4,22 +4,21 @@ A two-sided ideal I of R is psi-invariant when psi(p (x) x q) lands back in I;
 that is exactly what makes the quotient data R/I, Q/QI, P/IP, psi_I an
 R-system again.  A T-pair (I, J) couples such an I with an ideal J whose image
 in R/I is psi_I-compatible and faithful; these index the graded two-sided
-ideals of the relative Cuntz-Pimsner rings.  The correspondence is realized
-intensionally: an ideal handle answers membership by the one membership walk
-of `cpring` (`_graded_preimage`), run with the pair's I and J on the parent's
-own Fock blocks, whose columns it reads modulo Q^(x)k . I; R/I is built only
-for the pair's flags and the walk's guard.  The backward map reads (I, J) off
-the exact subspace of combinations of iota_R(R) and the grade-(1,1) component
-that the same walk accepts.
+ideals of the relative Cuntz-Pimsner rings.  Every question about R/I is
+asked in R modulo I: the pair's flags read J against the floored Delta
+ideals of `finrank.delta_ideals`, and an ideal handle answers membership by
+the one membership walk of `cpring` (`_graded_preimage`) on the parent's own
+Fock blocks, read modulo Q^(x)k . I, behind a guard read the same way; only
+`quotient_system` builds R/I.  The backward map reads (I, J) off the
+combinations of iota_R(R) and the grade-(1,1) component the walk accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence
 
-from .exactlin import QuotientSpace, Subspace, is_zero_vec, rref, unit_vec, zero_vec
+from .exactlin import QuotientSpace, Subspace, is_zero_vec, unit_vec, zero_vec
 from .cpring import (
     CpContext,
     _core_generator,
@@ -34,7 +33,7 @@ from .rsystem import (
     StructuredRing,
     is_two_sided,
 )
-from .tensorpow import _system_store, psi_apply
+from .tensorpow import _system_store, ideal_image, psi_apply
 from .toeplitz import ToeplitzElement, component_space, embed
 
 __all__ = [
@@ -102,42 +101,30 @@ def _psi_invariant(system: RSystem, i: Subspace) -> bool:
     return True
 
 
+def _check_descent(system: RSystem, i: Subspace) -> None:
+    """Raise NotInvariant unless IQ <= QI and PI <= IP: R/I then acts on Q/QI
+    and P/IP, and its questions can be read in R modulo I (`finrank._floor_maps`)."""
+    q, p = system.q, system.p
+    qi, ip = ideal_image(system, "Q", 1, i), ideal_image(system, "P", 1, i)
+    for x in i.basis():
+        if not all(is_zero_vec(qi.reduce(q.act_left(x, unit_vec(q.dim, b)))) for b in range(q.dim)):
+            raise NotInvariant("IQ is not contained in QI: left action does not descend")
+        if not all(is_zero_vec(ip.reduce(p.act_right(unit_vec(p.dim, a), x))) for a in range(p.dim)):
+            raise NotInvariant("PI is not contained in IP: right action does not descend")
+
+
 # ---------------------------------------------------------------------------
 # quotient systems
 
 
 @dataclass(eq=False)
 class QuotientSystem:
-    parent: RSystem
-    i: Subspace
     system: RSystem
     # R/I, Q/QI and P/IP: basis element t of each is the class of the parent
     # coordinate free[t], and `project` maps parent coordinates to classes
     quot_r: QuotientSpace
     quot_q: QuotientSpace
     quot_p: QuotientSpace
-
-    def project_subspace(self, space: Subspace) -> Subspace:
-        return Subspace(self.system.ring.dim, [self.quot_r.project(b) for b in space.basis()])
-
-    @cached_property
-    def delta_pullbacks(self) -> tuple[QuotientSpace, Subspace]:
-        """(R/K_I, D_I) for the ideals K_I = pi^-1(ker Delta) and
-        D_I = pi^-1(Delta^-1(F_P(Q))) of R, where pi : R -> R/I and Delta is
-        that of R/I; computed once per R/I.
-
-        Class t of R/I is that of e_free[t], so the vector of R carrying a
-        class's coordinates at the free coordinates lifts it, and the
-        preimage of a subspace of R/I is the span of its rows' lifts plus I.
-        """
-        d, at = self.i.ambient, {f: t for t, f in enumerate(self.quot_r.free)}
-
-        def pull_back(space: Subspace) -> Subspace:
-            lifts = [[row[at[c]] if c in at else 0 for c in range(d)] for row in space.rows]
-            return Subspace(d, lifts + self.i.basis())
-
-        ker_delta, delta_inv = delta_ideals(self.system)
-        return QuotientSpace(pull_back(ker_delta)), pull_back(delta_inv)
 
 
 def quotient_system(system: RSystem, i: Subspace, *, name: Optional[str] = None) -> QuotientSystem:
@@ -162,8 +149,8 @@ def _quotient_system(system: RSystem, i: Subspace, name: Optional[str]) -> Quoti
     free[t], so the induced structure is the parent's, read at the kept
     coordinates and projected.
 
-    Valid by theorem, for a valid parent.  I is a two-sided ideal, and the
-    loop below checks IQ <= QI and PI <= IP; with QI.R <= QI, R.IP <= IP,
+    Valid by theorem, for a valid parent.  I is a two-sided ideal, and
+    `_check_descent` checks IQ <= QI and PI <= IP; with QI.R <= QI, R.IP <= IP,
     psi(IP (x) Q) = I psi(P (x) Q) <= I and psi(P (x) QI) <= I, every
     structure map is well defined on the classes.  The projections
     R -> R/I, Q -> Q/QI and P -> P/IP are then surjective and intertwine the
@@ -173,21 +160,12 @@ def _quotient_system(system: RSystem, i: Subspace, name: Optional[str]) -> Quoti
     are the projections of the parent's two sides, which agree.  So
     `validate_axioms` of the quotient would find nothing.
     """
+    _check_descent(system, i)
     ring, q, p = system.ring, system.q, system.p
-    dq, dp = q.dim, p.dim
-    ibasis = i.basis()
-
     quot_r = QuotientSpace(i)
-    quot_q = QuotientSpace(Subspace(dq, [q.act_right(unit_vec(dq, b), x) for x in ibasis for b in range(dq)]))
-    quot_p = QuotientSpace(Subspace(dp, [p.act_left(x, unit_vec(dp, a)) for x in ibasis for a in range(dp)]))
+    quot_q = QuotientSpace(ideal_image(system, "Q", 1, i))
+    quot_p = QuotientSpace(ideal_image(system, "P", 1, i))
     keep_r = quot_r.free
-
-    # the induced R/I actions exist only when IQ <= QI and PI <= IP
-    for x in ibasis:
-        if not all(is_zero_vec(quot_q.sub.reduce(q.act_left(x, unit_vec(dq, b)))) for b in range(dq)):
-            raise NotInvariant("IQ is not contained in QI: left action does not descend")
-        if not all(is_zero_vec(quot_p.sub.reduce(p.act_right(unit_vec(dp, a), x))) for a in range(dp)):
-            raise NotInvariant("PI is not contained in IP: right action does not descend")
 
     ring2 = StructuredRing([ring.labels[c] for c in keep_r],
                            [[quot_r.project(ring.mult[a][b]) for b in keep_r] for a in keep_r])
@@ -202,7 +180,7 @@ def _quotient_system(system: RSystem, i: Subspace, name: Optional[str]) -> Quoti
     psi2 = Pairing([[quot_r.project(system.psi.table[a][b]) for b in quot_q.free] for a in quot_p.free])
 
     quotient = RSystem(ring2, p2, q2, psi2, name=name or f"{system.name}/I")
-    return QuotientSystem(system, i, quotient, quot_r, quot_q, quot_p)
+    return QuotientSystem(quotient, quot_r, quot_q, quot_p)
 
 
 # ---------------------------------------------------------------------------
@@ -225,52 +203,44 @@ class TPair:
         return f"TPair(dim i={self.i.dim}, dim j={self.j.dim}, ok={self.ok})"
 
 
-def _tpair_i_part(system: RSystem, i: Subspace) -> Optional[QuotientSystem]:
-    """R/I for a two-sided I, when I is also psi-invariant (else None).
-
-    The caller knows that I is two-sided.  Memoized on the system per I, so
-    the enumeration and every handle on a pair with this I share one R/I.
-    """
-    store = _system_store(system)
-    key = ("tpair_i", i)
-    if key not in store:
-        store[key] = _quotient_system(system, i, None) if _psi_invariant(system, i) else None
-    return store[key]
+def _tpair_i_part(system: RSystem, i: Subspace) -> Optional[tuple[Subspace, Subspace]]:
+    """(K_I, D_I) of `finrank.delta_ideals(system, I)`, memoized per I, for a
+    psi-invariant I known to be two-sided (else None); raises NotInvariant
+    when R/I does not act on Q/QI or P/IP."""
+    if not _psi_invariant(system, i):
+        return None
+    _check_descent(system, i)
+    return delta_ideals(system, i)
 
 
-def _tpair_j_part(i: Subspace, j: Subspace, i_two_sided: bool, j_two_sided: bool,
-                  qs: Optional[QuotientSystem]) -> TPair:
-    """The T-pair (I, J) with its flags; J's are those of its image J/I in
-    R/I, and are false without R/I.
+def _tpair_j_part(system: RSystem, i: Subspace, j: Subspace, i_two_sided: bool, j_two_sided: bool,
+                  deltas: Optional[tuple[Subspace, Subspace]]) -> TPair:
+    """The T-pair (I, J) with its flags; J's are those of J/I in R/I, read
+    in R off `deltas` = (K_I, D_I), and false without them.
 
-    The image of a two-sided J under the ring map R -> R/I is two-sided:
-    (r + I)(x + I) = rx + I with rx in J, and likewise on the right.  So
-    `quotient_two_sided` is computed only for a J that is not.  The other
-    two flags are read in R, off the pulled-back ideals `delta_pullbacks`.
-    pi(J) lies in Delta^-1(F_P(Q)) exactly when J <= D_I.  pi(J) meets
-    ker Delta trivially exactly when its preimage J + I meets K_I in I, that
-    is when J + I maps onto a space of dimension dim(J + I) - dim I in R/K_I;
-    J's own rows span that image, since I <= K_I.  Over the enumeration
-    J contains I, so J + I is J.
-    """
+    J/I is two-sided exactly when its preimage J + I is, as it is when J is.
+    J/I <= Delta^-1(F_P(Q)) of R/I exactly when J <= D_I.  J/I meets
+    ker Delta of R/I trivially exactly when J + I meets K_I in I, i.e. when
+    J + I, like J since I <= K_I, maps onto dim(J + I) - dim I dimensions
+    of R/K_I.  Over the enumeration J contains I, so J + I is J."""
     i_in_j = i.le(j)
     flags = {"i_two_sided": i_two_sided, "i_in_j": i_in_j,
-             "j_two_sided": j_two_sided, "i_psi_invariant": qs is not None}
-    if qs is None:
+             "j_two_sided": j_two_sided, "i_psi_invariant": deltas is not None}
+    if deltas is None:
         flags.update(quotient_two_sided=False, quotient_compatible=False, quotient_faithful=False)
         return TPair(i, j, flags)
-    quot_k, d_i = qs.delta_pullbacks
-    gap = (j.dim if i_in_j else j.add(i).dim) - i.dim
-    flags["quotient_two_sided"] = j_two_sided or is_two_sided(qs.system, qs.project_subspace(j))
+    k_i, d_i = deltas
+    j_i = j if i_in_j else j.add(i)
+    flags["quotient_two_sided"] = j_two_sided or is_two_sided(system, j_i)
     flags["quotient_compatible"] = j.le(d_i)
-    flags["quotient_faithful"] = gap == len(rref([quot_k.project(row) for row in j.rows])[0])
+    flags["quotient_faithful"] = j.add(k_i).dim - k_i.dim == j_i.dim - i.dim
     return TPair(i, j, flags)
 
 
 def validate_tpair(system: RSystem, i: Subspace, j: Subspace) -> TPair:
     i_two_sided = is_two_sided(system, i)
-    qs = _tpair_i_part(system, i) if i_two_sided else None
-    return _tpair_j_part(i, j, i_two_sided, is_two_sided(system, j), qs)
+    deltas = _tpair_i_part(system, i) if i_two_sided else None
+    return _tpair_j_part(system, i, j, i_two_sided, is_two_sided(system, j), deltas)
 
 
 def tpair_le(a: TPair, b: TPair) -> bool:
@@ -286,19 +256,17 @@ class IdealHandle:
     """Intensional handle on the graded ideal H_(I,J) of the relative CP ring O(K).
 
     Membership: the walk of `cpring._graded_preimage` with the pair's I and
-    J, on the parent's own Fock blocks.  `quotient` is R/I, which the pair's
-    flags were read from and whose Fock representation the walk's guard
-    checks.  Generator list: iota_R of the i-part plus the covariance
-    defects of the j-part (where theta-decomposable over the parent).
-    """
+    J, on the parent's own Fock blocks, behind a guard that reads the
+    faithfulness of R/I's Fock representation in R modulo I.  Generator
+    list: iota_R of the i-part plus the covariance defects of the j-part
+    (where theta-decomposable over the parent)."""
 
     context: CpContext
     tpair: TPair
-    quotient: QuotientSystem
 
     def _preimage(self, xs: Sequence[ToeplitzElement]) -> Subspace:
         """{c : sum_i c_i xs[i] in H}, as a subspace of Q^len(xs)."""
-        _require_faithful_fock(self.quotient.system)
+        _require_faithful_fock(self.context.system, self.tpair.i)
         ctx = self.context
         return _graded_preimage(ctx.system, self.tpair.i, self.tpair.j, xs, ctx.cap)
 
@@ -329,7 +297,7 @@ def graded_ideal_correspondence(ctx: CpContext, tpair: TPair) -> IdealHandle:
     if not pair.ok:
         raise ValueError("not a T-pair: " +
                          ", ".join(k for k, v in pair.flags.items() if not v))
-    return IdealHandle(ctx, pair, _tpair_i_part(ctx.system, tpair.i))
+    return IdealHandle(ctx, pair)
 
 
 def extract_tpair_from_handle(handle: IdealHandle) -> TPair:
@@ -359,12 +327,8 @@ def extract_tpair_from_handle(handle: IdealHandle) -> TPair:
 
 def _diagonal_idempotents(ring: StructuredRing) -> bool:
     d = ring.dim
-    for i in range(d):
-        for j in range(d):
-            want = unit_vec(d, i) if i == j else zero_vec(d)
-            if list(ring.mult[i][j]) != want:
-                return False
-    return True
+    return all(list(ring.mult[i][j]) == (unit_vec(d, i) if i == j else zero_vec(d))
+               for i in range(d) for j in range(d))
 
 
 def enumerate_tpairs(system: RSystem) -> list[TPair]:
@@ -377,10 +341,9 @@ def enumerate_tpairs(system: RSystem) -> list[TPair]:
     by the basis elements it contains.  The search over subsets is therefore
     exhaustive, and every I and J it meets is two-sided without a check.
 
-    Whether J qualifies depends on I only through the quotient system
-    R/I, Q/QI, P/IP, psi_I, which `_tpair_i_part` builds once per
-    psi-invariant I and shares with every J containing it; the pairs and
-    their flags are those `validate_tpair` gives.
+    Whether J qualifies depends on I only through the Delta ideals of R/I,
+    which `_tpair_i_part` reads in R modulo I once per psi-invariant I; no
+    R/I is built.  The pairs and their flags are those `validate_tpair` gives.
     """
     ring = system.ring
     if not _diagonal_idempotents(ring):
@@ -389,12 +352,12 @@ def enumerate_tpairs(system: RSystem) -> list[TPair]:
     spans = [Subspace(d, [unit_vec(d, t) for t in range(d) if mask >> t & 1]) for mask in range(1 << d)]
     out = []
     for imask, i in enumerate(spans):
-        qs = _tpair_i_part(system, i)
-        if qs is None:
+        deltas = _tpair_i_part(system, i)
+        if deltas is None:
             continue
         for jmask, j in enumerate(spans):
             if jmask & imask == imask:
-                pair = _tpair_j_part(i, j, True, True, qs)
+                pair = _tpair_j_part(system, i, j, True, True, deltas)
                 if pair.ok:
                     out.append(pair)
     return out

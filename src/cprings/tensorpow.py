@@ -50,6 +50,7 @@ from .exactlin import (
     QuotientSpace,
     _nonzeros,
     _sum_nz,
+    unit_vec,
     vec_add,
     vec_scale,
 )
@@ -180,6 +181,21 @@ def _build_level(system: RSystem, side: str, n: int) -> TensorSpace:
     right = tuple(tuple(quot.project_nz([(a * d_m + y, v) for y, v in cols[b]]) for a, b in basis)
                   for cols in mod.right)
     return TensorSpace(system, side, n, quot.dim, quot, basis, words, left, right)
+
+
+def ideal_image(system: RSystem, side: str, k: int, ideal: Subspace) -> Subspace:
+    """Q^(x)k . I (side 'Q') or I . P^(x)k (side 'P') as a subspace of level k,
+    the ideal itself when k = 0; memoized per system."""
+    if k == 0:
+        return ideal
+    store, key = _system_store(system), ("image", side, k, ideal)
+    span = store.get(key)
+    if span is None:
+        dst = tensor_space(system, side, k)
+        units = [unit_vec(dst.dim, a) for a in range(dst.dim)]
+        span = store[key] = Subspace(dst.dim, [dst.act_right(u, x) if side == "Q" else dst.act_left(x, u)
+                                               for u in units for x in ideal.basis()])
+    return span
 
 
 def _word_nz(system: RSystem, side: str, word: tuple) -> tuple:

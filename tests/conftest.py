@@ -159,6 +159,30 @@ def square_zero_json() -> dict:
             "p": {"basis": []}, "q": {"basis": []}, "psi": []}
 
 
+def left_unit_json() -> dict:
+    """R = <e, z> with e e = e, e z = z (other products 0) and P = Q = 0:
+    z R = 0, so R fails the membership guard, but R/<z> = Q e does not."""
+    return {"name": "ez", "ring": {"basis": ["e", "z"], "mult": [[0, 0, 0, 1], [0, 1, 1, 1]]},
+            "p": {"basis": []}, "q": {"basis": []}, "psi": []}
+
+
+def square_into_ideal_json() -> dict:
+    """R = <x, y> with x x = y (other products 0) and P = Q = 0: x R = <y>,
+    so in R/<y> the class of x kills everything."""
+    return {"name": "xy", "ring": {"basis": ["x", "y"], "mult": [[0, 0, 1, 1]]},
+            "p": {"basis": []}, "q": {"basis": []}, "psi": []}
+
+
+def corner_bimodules_json() -> dict:
+    """R = Q e1 + Q e2 (orthogonal idempotents), Q = Q q and P = Q p with
+    e1 . m = m = m . e2 on both, and psi = 0.  Every two-sided ideal is
+    psi-invariant, yet neither R/(e1) nor R/(e2) acts on the quotient legs:
+    (e1) Q = Q but Q (e1) = 0, and P (e2) = P but (e2) P = 0."""
+    corner = {"left": [[0, 0, 0, 1]], "right": [[1, 0, 0, 1]]}
+    return {"name": "corners", "ring": {"basis": ["e1", "e2"], "mult": [[0, 0, 0, 1], [1, 1, 1, 1]]},
+            "q": {"basis": ["q"], **corner}, "p": {"basis": ["p"], **corner}, "psi": []}
+
+
 def random_graph(rng: random.Random, max_v: int = 6, max_e: int = 10) -> FiniteGraph:
     nv = rng.randint(1, max_v)
     verts = [f"v{i}" for i in range(1, nv + 1)]
@@ -325,6 +349,28 @@ def tpair_meet(a, b):
     return TPair(a.i.intersect(b.i), a.j.intersect(b.j))
 
 
+def project_into_quotient(qs, space) -> Subspace:
+    """The image in R/I of a subspace of R, for R/I = `qs.system`."""
+    return Subspace(qs.system.ring.dim, [qs.quot_r.project(b) for b in space.basis()])
+
+
+def delta_pullbacks_oracle(system, i) -> tuple:
+    """(K_I, D_I) computed in R/I: the Delta ideals (ker Delta,
+    Delta^-1(F_P(Q))) of `quotient_system(system, I)`, lifted back to R and
+    added to I.  Class t of R/I is that of e_free[t], so the vector of R
+    carrying a class's coordinates at the free coordinates lifts it, and the
+    preimage of a subspace of R/I is the span of its rows' lifts plus I.
+    `finrank.delta_ideals(system, I)` reads the same ideals in R."""
+    qs = quotient_system(system, i)
+    d, at = i.ambient, {f: t for t, f in enumerate(qs.quot_r.free)}
+
+    def pull_back(space):
+        lifts = [[row[at[c]] if c in at else 0 for c in range(d)] for row in space.rows]
+        return Subspace(d, lifts + i.basis())
+
+    return tuple(pull_back(space) for space in delta_ideals(qs.system))
+
+
 def tpair_flags_oracle(system, i, j) -> dict:
     """The flags of the candidate T-pair (I, J), each computed directly:
     two-sidedness of I and of J by `is_two_sided`, psi-invariance of a
@@ -342,7 +388,7 @@ def tpair_flags_oracle(system, i, j) -> dict:
     jq = None
     if invariant:
         qs = quotient_system(system, i)
-        jq = validate_ideal(qs.system, qs.project_subspace(j))
+        jq = validate_ideal(qs.system, project_into_quotient(qs, j))
     flags["quotient_two_sided"] = jq is not None and jq.is_two_sided
     flags["quotient_compatible"] = jq is not None and jq.is_psi_compatible
     flags["quotient_faithful"] = jq is not None and jq.is_faithful
@@ -359,7 +405,7 @@ def tpair_quotient_flags_oracle(system, i, j) -> dict:
     if not (is_two_sided(system, i) and is_psi_invariant(system, i)):
         return dict.fromkeys(("quotient_two_sided", "quotient_compatible", "quotient_faithful"), False)
     qs = quotient_system(system, i)
-    jq = qs.project_subspace(j)
+    jq = project_into_quotient(qs, j)
     ker_delta, delta_inv = delta_ideals(qs.system)
     return {"quotient_two_sided": is_two_sided(system, j) or is_two_sided(qs.system, jq),
             "quotient_compatible": jq.le(delta_inv),
@@ -470,7 +516,7 @@ class QuotientHandle:
     def __init__(self, ctx, tpair):
         self.context = ctx
         self.quotient = qs = quotient_system(ctx.system, tpair.i)
-        jq = validate_ideal(qs.system, qs.project_subspace(tpair.j))
+        jq = validate_ideal(qs.system, project_into_quotient(qs, tpair.j))
         self.qctx = CpContext(qs.system, jq, cap=ctx.cap)
         self._level_maps, self._comp_maps = {}, {}
 

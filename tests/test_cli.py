@@ -654,7 +654,8 @@ SCRIPTS = PYPROJECT.parent / "scripts"
 
 @pytest.mark.parametrize("argv", [["crossed_walkthrough.py"], ["lattice_atlas.py"],
                                   ["lattice_atlas.py", "--dot", "rose2"],
-                                  ["payload_digest.py", "--seed", "1"]])
+                                  ["payload_digest.py", "--seed", "1"],
+                                  ["payload_digest.py", "--seed", "4099"]])
 def test_scripts_run(argv):
     """The scripts run end to end against the library they import."""
     proc = run_process([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]])
@@ -665,9 +666,10 @@ def test_scripts_run(argv):
         *calls, total = proc.stdout.splitlines()
         assert re.fullmatch(r"total [0-9a-f]{64}", total)
         assert {line.split()[2] for line in calls} >= {"eq", "lattice", "lattice:dot", "lattice:table"}
-        # payloads and exit codes are pinned: a change that alters them on
-        # purpose, or alters the benchmark's questions, regenerates the file
-        pinned = (Path(__file__).parent / "payload_digest_seed1.txt").read_text().splitlines()
+        # payloads and exit codes are pinned at seeds 1 and 4099: a change that
+        # alters them on purpose, or alters the benchmark's questions,
+        # regenerates both files
+        pinned = (Path(__file__).parent / f"payload_digest_seed{argv[2]}.txt").read_text().splitlines()
         for got, want in zip(proc.stdout.splitlines(), pinned):
             assert got == want, f"payload of `{' '.join(want.split()[:3])}` changed: {got!r}"
         assert len(calls) + 1 == len(pinned)

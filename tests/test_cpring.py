@@ -368,7 +368,7 @@ def test_membership_needs_faithful_fock():
     """R = Q z with z z = 0 and P = Q = 0 satisfies (FS), yet iota_R(z) acts
     as 0 on the Fock module R.  T(0) = 0, so iota_R(z) and 0 differ in O(0);
     the Fock blocks cannot tell, and membership is refused instead of
-    answered "equal"; the graded-ideal handle refuses through R/I."""
+    answered "equal"; the graded-ideal handle over I = 0 refuses too."""
     system = system_from_json(square_zero_json())
     assert check_fs(system).ok
     assert left_annihilator(system) == right_annihilator(system.ring) == Subspace.full(1)

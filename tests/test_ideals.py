@@ -7,19 +7,20 @@ CP ring is simple 3x3 matrices).
 """
 
 import gc
+import json
 import random
 import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cprings import cpring, ideals, rsystem
+from cprings import cli, cpring, ideals, rsystem
 from cprings.cli import _graph_pair_lattice
 from cprings.exactlin import Subspace, mat_identity, unit_vec
 from cprings.graphalg import cycle_graph, enumerate_ideal_pairs, line_graph, pair_order, rose_graph
-from cprings.rsystem import build_automorphism_system, build_graph_system
-from cprings.finrank import canonical_ideals
-from cprings.cpring import CpContext, validate_ideal
+from cprings.rsystem import build_automorphism_system, build_graph_system, system_from_json
+from cprings.finrank import FsViolation, canonical_ideals, check_fs, delta_ideals, left_annihilator
+from cprings.cpring import CpContext, in_relation_ideal, validate_ideal
 from cprings.toeplitz import ToeplitzElement, embed, toeplitz_mul
 from cprings.ideals import (
     HypothesisViolated,
@@ -41,10 +42,14 @@ from cprings.ideals import (
 from conftest import (
     QuotientHandle,
     a2_graph,
+    corner_bimodules_json,
+    delta_pullbacks_oracle,
     dual_numbers_ring,
+    dual_numbers_unit_basis_ring,
     five_vertex_mixed,
     hasse_edges_oracle,
     infinite_emitter_graph,
+    left_unit_json,
     matrix2_ring,
     perm3_system,
     psi_zero_system,
@@ -52,6 +57,7 @@ from conftest import (
     random_graph,
     random_graph_element,
     random_permutation_system,
+    square_into_ideal_json,
     three_vertex_two_cycle,
     tpair_flags_oracle,
     tpair_quotient_flags_oracle,
@@ -128,6 +134,27 @@ def test_quotient_needs_invariance(a2_system):
         quotient_system(a2_system, _coord_ideal(a2_system, "u"))
 
 
+@pytest.mark.parametrize("label, message", [
+    ("e1", "IQ is not contained in QI: left action does not descend"),
+    ("e2", "PI is not contained in IP: right action does not descend"),
+])
+def test_descent_failure_is_reported(label, message, tmp_path):
+    """A psi-invariant I under which R/I does not act on Q/QI or P/IP is
+    refused with the same message by `quotient_system`, by `validate_tpair`
+    and by `cpr tpair`, which exits 1."""
+    data = corner_bimodules_json()
+    system = system_from_json(data)
+    i = _coord_ideal(system, label)
+    assert is_psi_invariant(system, i)
+    for ask in (lambda: quotient_system(system, i), lambda: validate_tpair(system, i, i)):
+        with pytest.raises(NotInvariant, match=message):
+            ask()
+    path = tmp_path / "corners.json"
+    path.write_text(json.dumps(data))
+    code, body = cli.run(["tpair", str(path), "--i", label, "--j", label])
+    assert code == 1 and json.loads(body)["diagnostics"] == [f"NotInvariant: {message}"]
+
+
 # ---------------------------------------------------------------------------
 # T-pairs
 
@@ -186,6 +213,12 @@ def _count_quotients(monkeypatch):
 
     monkeypatch.setattr(ideals, "_quotient_system", counting)
     return built
+
+
+def _floors(system, name="delta_ideals"):
+    """The floor ideals I (None for I = 0) at which `name` of finrank is
+    memoized on the system: each is one R/I question asked in R modulo I."""
+    return [key[-1] for key in system._store if key[0] == name]
 
 
 @pytest.mark.parametrize("make", [
@@ -309,22 +342,63 @@ def test_quotient_flags_match_projection_oracle_over_dual_numbers():
     _assert_quotient_flags_match_projection(system, [Subspace(2), Subspace(2, [[0, 1]]), Subspace.full(2)])
 
 
+def _assert_floors_match_quotient(system, spaces):
+    """At every psi-invariant I among `spaces`, the R/I questions read in R
+    modulo I agree with the same questions asked of R/I built by
+    `quotient_system`: the floored Delta ideals with R/I's lifted back
+    (`delta_pullbacks_oracle`), (FS), and the guard's {r : rR <= I} <= I
+    with R/I having no nonzero r with r (R/I) = 0.  Returns the (FS) and
+    guard verdicts."""
+    verdicts = []
+    for i in spaces:
+        if not is_psi_invariant(system, i):
+            continue
+        quotient = quotient_system(system, i).system
+        assert delta_ideals(system, i) == delta_pullbacks_oracle(system, i), i.basis()
+        fs, faithful = check_fs(system, i).ok, left_annihilator(system, i).le(i)
+        assert fs == check_fs(quotient).ok, i.basis()
+        assert faithful == left_annihilator(quotient).is_zero(), i.basis()
+        verdicts.append((fs, faithful))
+    assert verdicts
+    return verdicts
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SYSTEMS))
+def test_floors_match_quotient_oracle(name):
+    system = ORACLE_SYSTEMS[name]()
+    verdicts = _assert_floors_match_quotient(system, _coordinate_spans(system))
+    if name == "psi-zero":  # (FS) fails for R, and holds for R/R = 0
+        assert {fs for fs, _ in verdicts} == {True, False}
+
+
+def test_floors_match_quotient_oracle_on_random_systems():
+    for system in _random_systems(2203, 15):
+        _assert_floors_match_quotient(system, _coordinate_spans(system))
+
+
+@pytest.mark.parametrize("make, ideals_, faithful", [
+    (lambda: build_automorphism_system(matrix2_ring(), mat_identity(4)), [[], None], [True, True]),
+    (lambda: build_automorphism_system(dual_numbers_ring(), mat_identity(2)),
+     [[], [[0, 1]], None], [True, True, True]),
+    (lambda: build_automorphism_system(dual_numbers_unit_basis_ring(), mat_identity(2)),
+     [[], [[-1, 1]], None], [True, True, True]),
+    (lambda: system_from_json(left_unit_json()), [[], [[0, 1]], None], [False, True, True]),
+    (lambda: system_from_json(square_into_ideal_json()), [[], [[0, 1]], None], [False, False, True]),
+], ids=["matrix2", "dual", "dual-unit-basis", "left-unit", "square-into-ideal"])
+def test_floors_match_quotient_oracle_nondiagonal(make, ideals_, faithful):
+    """The same over M_2(Q), the dual numbers in both bases ((x) is spanned
+    by u - 1 in the second), and two rings with P = Q = 0 where the guard's
+    verdict depends on I (None: all of R)."""
+    system = make()
+    d = system.ring.dim
+    spans = [Subspace.full(d) if rows is None else Subspace(d, rows) for rows in ideals_]
+    assert [f for _, f in _assert_floors_match_quotient(system, spans)] == faithful
+
+
 def _assert_quotients_valid(system):
-    """Every R/I that `enumerate_tpairs` and `quotient_system` build passes
+    """R/I by `quotient_system`, for every psi-invariant I, passes
     `validate_axioms`, the check `_quotient_system` leaves to the theorem."""
-    built = []
-    real = ideals._quotient_system
-
-    def keeping(parent, i, name):
-        built.append(real(parent, i, name))
-        return built[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ideals, "_quotient_system", keeping)
-        enumerate_tpairs(system)
-    for i in _coordinate_spans(system):
-        if is_psi_invariant(system, i):
-            built.append(quotient_system(system, i))
+    built = [quotient_system(system, i) for i in _coordinate_spans(system) if is_psi_invariant(system, i)]
     assert built
     for qs in built:
         report = rsystem.validate_axioms(qs.system)
@@ -342,18 +416,22 @@ def test_quotients_satisfy_axioms_on_random_systems():
 
 
 def test_enumerate_builds_one_quotient_per_invariant_ideal(monkeypatch):
+    """No R/I is built: the Delta ideals of R/I are read in R modulo I, once
+    per hereditary vertex set."""
     built = _count_quotients(monkeypatch)
     system = build_graph_system(five_vertex_mixed())
     enumerate_tpairs(system)
-    assert len(built) == 6  # one per hereditary vertex set
-    assert all(a != b for k, a in enumerate(built) for b in built[:k])
+    assert built == []
+    floors = _floors(system)
+    assert len(floors) == 6  # one per hereditary vertex set
+    assert all(a != b for k, a in enumerate(floors) for b in floors[:k])
 
 
 def test_enumeration_checks_each_ideal_once(monkeypatch):
     """On 5v-mixed (32 coordinate ideals): no two-sidedness check, since
     coordinate spans over orthogonal idempotents are ideals; one psi image
     psi(P (x) v.Q) per vertex v, i.e. dim P * dim Q contractions each; one
-    quotient per psi-invariant ideal."""
+    set of floored Delta ideals per psi-invariant ideal, and no R/I."""
     two_sided, contractions = [], []
     real_two_sided, real_psi_apply = rsystem.is_two_sided, ideals.psi_apply
 
@@ -373,7 +451,7 @@ def test_enumeration_checks_each_ideal_once(monkeypatch):
     enumerate_tpairs(system)
     assert two_sided == []
     assert len(contractions) == system.ring.dim * system.p.dim * system.q.dim
-    assert len(built) == 6
+    assert built == [] and len(_floors(system)) == 6
 
 
 def test_enumeration_frees_the_system():
@@ -507,26 +585,64 @@ def test_correspondence_hypothesis(line3_system):
 
 
 def test_correspondence_builds_one_quotient(line3_system, monkeypatch):
+    """The correspondence, membership and extraction build no R/I: the
+    pair's flags and the walk's guard read R/I in R modulo I."""
     built = _count_quotients(monkeypatch)
     ctx = _toeplitz_ctx(line3_system)
     i = _coord_ideal(line3_system, "v3")
     handle = graded_ideal_correspondence(ctx, TPair(i, i))
-    assert len(built) == 1 and handle.tpair.ok
-    assert handle.quotient.i == i and handle.quotient.system.ring.dim == 2
+    assert built == [] and handle.tpair.ok
+    assert i in _floors(line3_system)
     assert handle.contains(embed(line3_system, "R", [0, 0, 1]))
+    # the guard asked (FS) and the annihilator of R/I, modulo I
+    assert i in _floors(line3_system, "fs") and i in _floors(line3_system, "left_annihilator")
     assert extract_tpair_from_handle(handle).j == i
-    assert len(built) == 1  # membership and extraction build no second quotient
+    assert built == []
 
 
 def test_enumeration_and_handles_share_quotients(line3_system, monkeypatch):
-    """One R/I per psi-invariant I: the handles reuse what the enumeration built."""
+    """One set of floored Delta ideals per psi-invariant I, and no R/I: the
+    handles reuse what the enumeration read."""
     built = _count_quotients(monkeypatch)
     ctx = _toeplitz_ctx(line3_system)
     pairs = enumerate_tpairs(line3_system)
+    floors = _floors(line3_system)
     handles = [graded_ideal_correspondence(ctx, p) for p in pairs]
-    assert len(pairs) == 8 and len(built) == 4
+    assert len(pairs) == 8 and built == [] and len(floors) == 4
+    assert _floors(line3_system) == floors
     for p, h in zip(pairs, handles):
-        assert h.quotient.i == p.i
+        assert h.tpair.i == p.i
+        assert all(h.contains(embed(line3_system, "R", v)) for v in p.i.basis())
+
+
+def test_handle_guard_reads_the_quotient():
+    """The handle's guard asks whether R/I, not R, has a faithful Fock
+    representation.  R = <e, z> (e e = e, e z = z) fails it, since z R = 0,
+    but over I = J = <z> R/I = Q e passes, and the handle answers as the
+    quotient oracle does.  R = <x, y> (x x = y) over I = J = <y> fails it in
+    R/I, where the class of x kills R/I, and the handle refuses."""
+    ez = system_from_json(left_unit_json())
+    ctx = _toeplitz_ctx(ez)
+    with pytest.raises(FsViolation, match="rR = 0"):
+        in_relation_ideal(ctx, embed(ez, "R", [0, 1]))
+    z = Subspace(2, [[0, 1]])
+    handle = graded_ideal_correspondence(ctx, TPair(z, z))
+    elements = [embed(ez, "R", v) for v in ([0, 1], [1, 0], [1, 1], [0, 0])]
+    got = [handle.contains(x) for x in elements]
+    assert got == [True, False, False, True]
+    assert got == [QuotientHandle(ctx, handle.tpair).contains(x) for x in elements]
+
+    xy = system_from_json(square_into_ideal_json())
+    y = Subspace(2, [[0, 1]])
+    handle = graded_ideal_correspondence(_toeplitz_ctx(xy), TPair(y, y))
+    with pytest.raises(FsViolation, match="rR = 0"):
+        handle.contains(embed(xy, "R", [1, 0]))
+
+    # (FS) likewise: psi-zero fails it, and R/R = 0 satisfies it
+    psi0 = psi_zero_system()
+    full = Subspace.full(2)
+    handle = graded_ideal_correspondence(_toeplitz_ctx(psi0), TPair(full, full))
+    assert handle.contains(embed(psi0, "R", [1, 2]))
 
 
 def test_correspondence_rejects_invalid(a2_system):
