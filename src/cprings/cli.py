@@ -632,8 +632,8 @@ def _graph_pair_lattice(graph: FiniteGraph) -> dict:
         {"h": sorted(h), "s": sorted(s), "breaking": sorted(breaking_vertices(graph, h))}
         for h, s in pairs
     ]
-    edges = hasse_edges([[pair_order(a, b) for b in pairs] for a in pairs])
-    return {"nodes": nodes, "hasse_edges": edges}
+    above = [sum(1 << b for b, y in enumerate(pairs) if b != a and pair_order(x, y)) for a, x in enumerate(pairs)]
+    return {"nodes": nodes, "hasse_edges": hasse_edges(above)}
 
 
 def _graph_pair_dot(data: dict) -> str:

@@ -283,6 +283,11 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.rows
 
+    def is_coordinate_span(self) -> bool:
+        """Is the space spanned by standard basis vectors?  It is exactly when
+        every reduced row is one, i.e. has nothing right of its pivot."""
+        return not any(self._support)
+
     def basis(self) -> list[list[Fraction]]:
         return [list(r) for r in self.rows]
 

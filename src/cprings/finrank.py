@@ -135,11 +135,12 @@ def _floor_maps(system: RSystem, side: str, level: int, i: Optional[Subspace]) -
             for v in ideal_image(system, side, level, i).rows for c in range(d)]
 
 
-def finite_rank_space(system: RSystem, i: Optional[Subspace] = None) -> Subspace:
+def finite_rank_space(system: RSystem, floor: Sequence = ()) -> Subspace:
     """F_P(Q), the span of the level-1 rank-one operators on Q, as a subspace of
-    flattened matrices; for a floor I, F_P(Q) + L(Q, QI), which is F of R/I read in R."""
+    flattened matrices; with `floor` the rows of L(Q, QI) for a floor I,
+    F_P(Q) + L(Q, QI), which is F of R/I read in R."""
     d = system.q.dim
-    return Subspace(d * d, [*theta_table(system, "Q", 1), *_floor_maps(system, "Q", 1, i)])
+    return Subspace(d * d, [*theta_table(system, "Q", 1), *floor])
 
 
 def theta_decomposition(system: RSystem, x: Sequence[Fraction]):
@@ -238,8 +239,8 @@ def delta_ideals(system: RSystem, i: Optional[Subspace] = None) -> tuple[Subspac
         if not dmap:  # Q = 0, so Delta is the zero map
             out = (Subspace.full(d), Subspace.full(d))
         else:
-            lq = Subspace(len(dmap), _floor_maps(system, "Q", 1, i))  # L(Q, QI)
-            out = (preimage(dmap, lq), preimage(dmap, finite_rank_space(system, i)))
+            lq = _floor_maps(system, "Q", 1, i)  # L(Q, QI)
+            out = (preimage(dmap, Subspace(len(dmap), lq)), preimage(dmap, finite_rank_space(system, lq)))
         store[key] = out
     return out
 

@@ -16,6 +16,8 @@ combinations of iota_R(R) and the grade-(1,1) component the walk accepts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, reduce
+from operator import and_
 from typing import Optional, Sequence
 
 from .exactlin import QuotientSpace, Subspace, is_zero_vec, unit_vec, zero_vec
@@ -33,7 +35,7 @@ from .rsystem import (
     StructuredRing,
     is_two_sided,
 )
-from .tensorpow import _system_store, ideal_image, psi_apply
+from .tensorpow import ideal_image, psi_apply
 from .toeplitz import ToeplitzElement, component_space, embed
 
 __all__ = [
@@ -52,7 +54,6 @@ __all__ = [
     "lattice_dot",
     "lattice_json",
     "quotient_system",
-    "tpair_le",
     "validate_tpair",
 ]
 
@@ -81,24 +82,16 @@ def is_psi_invariant(system: RSystem, i: Subspace) -> bool:
 
 
 def _psi_invariant(system: RSystem, i: Subspace) -> bool:
-    """`is_psi_invariant` for an I already known to be two-sided.
+    """`is_psi_invariant` for an I already known to be two-sided: psi(p (x) x.q)
+    is linear in x, so the basis rows x of I suffice."""
+    return all(is_zero_vec(i.reduce(v)) for x in i.rows for v in _psi_images(system, x))
 
-    psi(p (x) x.q) is linear in x, so I is invariant exactly when, for each
-    basis row x of I, the span psi(P (x) x.Q) of the psi(e_a (x) x.e_b) lies
-    in I.  That span depends on x alone and is memoized on the system per
-    row: the ideals of an enumeration share their rows, the basis
-    idempotents, so each is contracted once.
-    """
-    store = _system_store(system)
+
+def _psi_images(system: RSystem, x):
+    """The psi(e_a (x) x.e_b) over the bases of P and Q, which span psi(P (x) x.Q)."""
     q, dp = system.q, system.p.dim
-    for x in i.rows:
-        key = ("psi_image", x)
-        if key not in store:
-            store[key] = Subspace(i.ambient, [psi_apply(system, 1, unit_vec(dp, a), q.act_left(x, unit_vec(q.dim, b)))
-                                              for b in range(q.dim) for a in range(dp)])
-        if not store[key].le(i):
-            return False
-    return True
+    return (psi_apply(system, 1, unit_vec(dp, a), q.act_left(x, unit_vec(q.dim, b)))
+            for b in range(q.dim) for a in range(dp))
 
 
 def _check_descent(system: RSystem, i: Subspace) -> None:
@@ -187,6 +180,12 @@ def _quotient_system(system: RSystem, i: Subspace, name: Optional[str]) -> Quoti
 # T-pairs
 
 
+# the flags of a candidate pair, in the order they are reported; a T-pair has
+# them all (quotient_two_sided follows from j_two_sided and i_in_j)
+TPAIR_FLAGS = ("i_two_sided", "i_in_j", "j_two_sided", "i_psi_invariant",
+               "quotient_two_sided", "quotient_compatible", "quotient_faithful")
+
+
 @dataclass(eq=False)
 class TPair:
     i: Subspace
@@ -195,9 +194,7 @@ class TPair:
 
     @property
     def ok(self) -> bool:
-        required = ("i_two_sided", "j_two_sided", "i_psi_invariant", "i_in_j",
-                    "quotient_compatible", "quotient_faithful")
-        return all(self.flags.get(k, False) for k in required)
+        return all(self.flags.get(k, False) for k in TPAIR_FLAGS)
 
     def __repr__(self):
         return f"TPair(dim i={self.i.dim}, dim j={self.j.dim}, ok={self.ok})"
@@ -222,12 +219,12 @@ def _tpair_j_part(system: RSystem, i: Subspace, j: Subspace, i_two_sided: bool, 
     J/I <= Delta^-1(F_P(Q)) of R/I exactly when J <= D_I.  J/I meets
     ker Delta of R/I trivially exactly when J + I meets K_I in I, i.e. when
     J + I, like J since I <= K_I, maps onto dim(J + I) - dim I dimensions
-    of R/K_I.  Over the enumeration J contains I, so J + I is J."""
+    of R/K_I.  When J contains I, J + I is J."""
     i_in_j = i.le(j)
-    flags = {"i_two_sided": i_two_sided, "i_in_j": i_in_j,
-             "j_two_sided": j_two_sided, "i_psi_invariant": deltas is not None}
+    flags = dict.fromkeys(TPAIR_FLAGS, False)
+    flags.update(i_two_sided=i_two_sided, i_in_j=i_in_j, j_two_sided=j_two_sided,
+                 i_psi_invariant=deltas is not None)
     if deltas is None:
-        flags.update(quotient_two_sided=False, quotient_compatible=False, quotient_faithful=False)
         return TPair(i, j, flags)
     k_i, d_i = deltas
     j_i = j if i_in_j else j.add(i)
@@ -241,10 +238,6 @@ def validate_tpair(system: RSystem, i: Subspace, j: Subspace) -> TPair:
     i_two_sided = is_two_sided(system, i)
     deltas = _tpair_i_part(system, i) if i_two_sided else None
     return _tpair_j_part(system, i, j, i_two_sided, is_two_sided(system, j), deltas)
-
-
-def tpair_le(a: TPair, b: TPair) -> bool:
-    return a.i.le(b.i) and a.j.le(b.j)
 
 
 # ---------------------------------------------------------------------------
@@ -331,35 +324,66 @@ def _diagonal_idempotents(ring: StructuredRing) -> bool:
                for i in range(d) for j in range(d))
 
 
+def _bits(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _coordinate_mask(space: Subspace) -> int:
+    """The basis indices spanning a coordinate span, as a bitmask."""
+    if not space.is_coordinate_span():
+        raise ValueError("not a coordinate span")
+    return sum(1 << t for t in space.pivots)
+
+
 def enumerate_tpairs(system: RSystem) -> list[TPair]:
-    """All T-pairs, for systems over a diagonal ring of orthogonal idempotents.
+    """All T-pairs, for systems over a diagonal ring of orthogonal idempotents
+    e_1..e_d, as a closure system on bitmasks over the basis.
 
-    Over such a ring, with e_s e_t = delta_st e_t, the two-sided ideals are
-    exactly the spans of subsets of the basis: e_s e_t and e_t e_s are e_t or
-    0, so a span of basis elements is a two-sided ideal; and if x = sum c_t e_t
-    lies in an ideal, so does each e_t x = c_t e_t, so every ideal is spanned
-    by the basis elements it contains.  The search over subsets is therefore
-    exhaustive, and every I and J it meets is two-sided without a check.
+    Ideals.  With e_s e_t = delta_st e_t, a span of basis elements is a
+    two-sided ideal, and an ideal holding x = sum c_t e_t holds each
+    e_t x = c_t e_t.  So the ideals are the coordinate spans, one per mask.
 
-    Whether J qualifies depends on I only through the Delta ideals of R/I,
-    which `_tpair_i_part` reads in R modulo I once per psi-invariant I; no
-    R/I is built.  The pairs and their flags are those `validate_tpair` gives.
+    psi-closure.  psi(P (x) x.Q) is linear in x, so I is psi-invariant
+    exactly when supp psi(P (x) e_t Q) <= I for each t in I: I is closed
+    under the successors `succ` of one digraph.  Scanning masks upward,
+    reach[m] = reach[m without its lowest bit t] | succ[t], and m is closed
+    exactly when reach[m] <= m.
+
+    Descent.  Each closed I goes to `_check_descent`, which raises
+    NotInvariant unless IQ <= QI and PI <= IP; the least such I raises.
+
+    J's, an interval.  For a closed I that descends, J qualifies exactly
+    when J <= D_I and J meets K_I in I, for (K_I, D_I) =
+    `delta_ideals(system, I)` (see `_tpair_j_part`).  Both are ideals, so
+    coordinate spans, and I <= K_I <= D_I: for r in I, Delta(r) maps Q into
+    IQ <= QI.  So the J's are I | S for the S <= D_I \\ K_I, a Boolean
+    interval.
+
+    The pairs, their flags and their order (by I's mask, then J's) are those
+    of `validate_tpair` over all pairs of coordinate spans.
     """
-    ring = system.ring
-    if not _diagonal_idempotents(ring):
+    d = system.ring.dim
+    if not _diagonal_idempotents(system.ring):
         raise NotImplementedError("exhaustive T-pair enumeration needs a diagonal ring")
-    d = ring.dim
-    spans = [Subspace(d, [unit_vec(d, t) for t in range(d) if mask >> t & 1]) for mask in range(1 << d)]
-    out = []
-    for imask, i in enumerate(spans):
-        deltas = _tpair_i_part(system, i)
-        if deltas is None:
-            continue
-        for jmask, j in enumerate(spans):
-            if jmask & imask == imask:
-                pair = _tpair_j_part(system, i, j, True, True, deltas)
-                if pair.ok:
-                    out.append(pair)
+    succ = [0] * d
+    for t in range(d):
+        for v in _psi_images(system, unit_vec(d, t)):
+            succ[t] |= sum(1 << s for s, c in enumerate(v) if c)
+    span = cache(lambda mask: Subspace(d, [unit_vec(d, t) for t in _bits(mask)]))
+    reach, out = [0], []  # reach[m]: the union of succ over m
+    for m in range(1, 1 << d):
+        reach.append(reach[m & (m - 1)] | succ[(m & -m).bit_length() - 1])
+    for i in (m for m in range(1 << d) if not reach[m] & ~m):
+        _check_descent(system, span(i))
+        k_i, d_i = (_coordinate_mask(s) for s in delta_ideals(system, span(i)))
+        free, subsets = d_i & ~k_i, [0]
+        while subsets[-1] != free:  # the subsets of free, ascending
+            subsets.append((subsets[-1] - free) & free)
+        out += [TPair(span(i), span(i | s), dict.fromkeys(TPAIR_FLAGS, True)) for s in subsets]
     return out
 
 
@@ -371,19 +395,14 @@ def _basis_lists(space: Subspace) -> list[list[str]]:
     return [[str(c) for c in row] for row in space.basis()]
 
 
-def hasse_edges(le) -> list[list[int]]:
-    """Covering pairs [a, b] of the partial order le[a][b], in index order.
-
-    An element c strictly between a and b lies above a, so each a scans only
-    the list of the elements above it, for both b and c.
-    """
-    n = len(le)
+def hasse_edges(above: Sequence[int]) -> list[list[int]]:
+    """Covering pairs [a, b], in index order, of the partial order whose bitmask
+    row above[a] holds the b > a: the b of above[a] in no row above[c] of it."""
     edges = []
-    for a, row in enumerate(le):
-        above = [c for c in range(n) if c != a and row[c]]
-        for b in above:
-            if not any(c != b and le[c][b] for c in above):
-                edges.append([a, b])
+    for a, row in enumerate(above):
+        for c in _bits(row):
+            row &= ~above[c]
+        edges += [[a, b] for b in _bits(row)]
     return edges
 
 
@@ -399,18 +418,18 @@ def _hasse_dot(name: str, labels, edges) -> str:
 def lattice_json(system: RSystem, tpairs: Sequence[TPair]) -> dict:
     """Nodes with (i, j) bases and Hasse edges of the componentwise order.
 
-    The order is decided once per pair of distinct ideals among the pairs'
-    I's and J's.  Of two distinct subspaces, the smaller can lie in the larger
-    only when its dimension is strictly lower, so only those pairs are tested.
+    Each pair's I and J are coordinate spans (else ValueError), read as one
+    mask i | j << d, so (I, J) <= (I', J') is i & ~i' == 0 and j & ~j' == 0:
+    the nodes above a are those holding every coordinate of a's mask.
     """
-    spaces = list(dict.fromkeys(s for t in tpairs for s in (t.i, t.j)))
-    at = {s: k for k, s in enumerate(spaces)}
-    le = [[a is b or (a.dim < b.dim and a.le(b)) for b in spaces] for a in spaces]
-    ends = [(at[t.i], at[t.j]) for t in tpairs]
-    edges = hasse_edges([[le[ai][bi] and le[aj][bj] for bi, bj in ends] for ai, aj in ends])
+    d, n = system.ring.dim, len(tpairs)
+    ends = [_coordinate_mask(t.i) | _coordinate_mask(t.j) << d for t in tpairs]
+    holding = [sum(1 << k for k, m in enumerate(ends) if m >> c & 1) for c in range(2 * d)]
+    others = (1 << n) - 1  # a node's row starts from every other node
+    above = [reduce(and_, (holding[c] for c in _bits(m)), others ^ 1 << k) for k, m in enumerate(ends)]
     nodes = [{"i_basis": _basis_lists(t.i), "j_basis": _basis_lists(t.j),
               "i_dim": t.i.dim, "j_dim": t.j.dim} for t in tpairs]
-    return {"system": system.name, "nodes": nodes, "hasse_edges": edges}
+    return {"system": system.name, "nodes": nodes, "hasse_edges": hasse_edges(above)}
 
 
 def lattice_dot(data: dict) -> str:

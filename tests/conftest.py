@@ -21,7 +21,7 @@ from cprings.graphalg import (
     restriction_graph,
     rose_graph,
 )
-from cprings.ideals import is_psi_invariant, quotient_system
+from cprings.ideals import _tpair_i_part, _tpair_j_part, is_psi_invariant, quotient_system
 from cprings.rsystem import (
     Pairing,
     RSystem,
@@ -183,6 +183,21 @@ def corner_bimodules_json() -> dict:
             "q": {"basis": ["q"], **corner}, "p": {"basis": ["p"], **corner}, "psi": []}
 
 
+def killed_vector_json(leg: str, fixed: bool) -> dict:
+    """R = Q e1 + Q e2 (orthogonal idempotents), psi = 0, one leg (`leg`,
+    'q' or 'p') spanned by m and the other 0.  Every e_t kills m on the
+    outer side (m . e_t = 0 on Q, e_t . m = 0 on P); when `fixed`, e1 fixes
+    m on the inner side (e1 . m = m on Q, m . e1 = m on P), else it is
+    killed there too.  No unit of R acts on the leg, so a descent check
+    that reads the leg as the sum of its corners e_t M e_s misses m.  Every
+    ideal is psi-invariant; when `fixed`, no I holding e1 descends (QI = 0
+    and IP = 0)."""
+    inner, other = ("left", "p") if leg == "q" else ("right", "q")
+    mod = {"basis": ["m"], inner: [[0, 0, 0, 1]] if fixed else []}
+    return {"name": f"killed-{leg}", "ring": {"basis": ["e1", "e2"], "mult": [[0, 0, 0, 1], [1, 1, 1, 1]]},
+            leg: mod, other: {"basis": []}, "psi": []}
+
+
 def random_graph(rng: random.Random, max_v: int = 6, max_e: int = 10) -> FiniteGraph:
     nv = rng.randint(1, max_v)
     verts = [f"v{i}" for i in range(1, nv + 1)]
@@ -342,6 +357,12 @@ def quotient_graph(graph, h) -> FiniteGraph:
     return restriction_graph(graph, hs)
 
 
+def tpair_le(a, b) -> bool:
+    """The componentwise order (I, J) <= (I', J') of two T-pairs, by
+    `Subspace.le`; `ideals.lattice_json` decides it on coordinate masks."""
+    return a.i.le(b.i) and a.j.le(b.j)
+
+
 def tpair_meet(a, b):
     """The componentwise meet (I meet I', J meet J') of two T-pairs."""
     from cprings.ideals import TPair
@@ -410,6 +431,28 @@ def tpair_quotient_flags_oracle(system, i, j) -> dict:
     return {"quotient_two_sided": is_two_sided(system, j) or is_two_sided(qs.system, jq),
             "quotient_compatible": jq.le(delta_inv),
             "quotient_faithful": jq.intersect(ker_delta).is_zero()}
+
+
+def enumerate_tpairs_oracle(system) -> list:
+    """All T-pairs over a diagonal ring by exhaustive search over the 2^d
+    coordinate spans: for each I in mask order that `ideals._tpair_i_part`
+    finds psi-invariant (raising NotInvariant when R/I does not act on the
+    quotient legs), every span J containing I, in mask order, kept when
+    `ideals._tpair_j_part` accepts the pair.  `ideals.enumerate_tpairs` must
+    give the same pairs, in the same order, with the same flags."""
+    d = system.ring.dim
+    spans = [Subspace(d, [unit_vec(d, t) for t in range(d) if mask >> t & 1]) for mask in range(1 << d)]
+    out = []
+    for imask, i in enumerate(spans):
+        deltas = _tpair_i_part(system, i)
+        if deltas is None:
+            continue
+        for jmask, j in enumerate(spans):
+            if jmask & imask == imask:
+                pair = _tpair_j_part(system, i, j, True, True, deltas)
+                if pair.ok:
+                    out.append(pair)
+    return out
 
 
 def hasse_edges_oracle(le) -> list:

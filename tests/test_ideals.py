@@ -35,7 +35,6 @@ from cprings.ideals import (
     lattice_dot,
     lattice_json,
     quotient_system,
-    tpair_le,
     validate_tpair,
 )
 
@@ -46,9 +45,11 @@ from conftest import (
     delta_pullbacks_oracle,
     dual_numbers_ring,
     dual_numbers_unit_basis_ring,
+    enumerate_tpairs_oracle,
     five_vertex_mixed,
     hasse_edges_oracle,
     infinite_emitter_graph,
+    killed_vector_json,
     left_unit_json,
     matrix2_ring,
     perm3_system,
@@ -61,6 +62,7 @@ from conftest import (
     three_vertex_two_cycle,
     tpair_flags_oracle,
     tpair_quotient_flags_oracle,
+    tpair_le,
     tpair_meet,
 )
 
@@ -203,6 +205,13 @@ def test_enumerate_a2(a2_system):
     assert dot.startswith("digraph") and "n0" in dot
 
 
+def test_lattice_json_needs_coordinate_spans(a2_system):
+    """The order is read off coordinate masks, so a pair whose ideal is not
+    a coordinate span is refused."""
+    with pytest.raises(ValueError, match="not a coordinate span"):
+        lattice_json(a2_system, [TPair(Subspace(2, [[1, 1]]), Subspace.full(2))])
+
+
 def _count_quotients(monkeypatch):
     built = []
     real = ideals._quotient_system
@@ -257,6 +266,52 @@ ORACLE_SYSTEMS = {
 def _coordinate_spans(system):
     d = system.ring.dim
     return [Subspace(d, [unit_vec(d, t) for t in range(d) if mask >> t & 1]) for mask in range(1 << d)]
+
+
+def _enumeration(enumerate_, system):
+    """The pairs of `enumerate_(system)` with their flags, or the message of
+    the NotInvariant it raises."""
+    try:
+        return [(p.i, p.j, list(p.flags.items())) for p in enumerate_(system)]
+    except NotInvariant as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SYSTEMS))
+def test_enumeration_matches_oracle(name):
+    """The closure-system enumeration against the exhaustive search of
+    `enumerate_tpairs_oracle`, pair for pair, in order, with the flags."""
+    system = ORACLE_SYSTEMS[name]()
+    found = _enumeration(enumerate_tpairs, system)
+    assert found and found == _enumeration(enumerate_tpairs_oracle, system)
+
+
+def test_enumeration_matches_oracle_on_random_systems():
+    rng = random.Random(2111)
+    systems = ([build_graph_system(random_graph(rng, max_v=5, max_e=9)) for _ in range(60)]
+               + [random_permutation_system(rng, max_n=5) for _ in range(30)])
+    for system in systems:
+        assert _enumeration(enumerate_tpairs, system) == _enumeration(enumerate_tpairs_oracle, system)
+
+
+@pytest.mark.parametrize("data, want", [
+    (corner_bimodules_json(), "IQ is not contained in QI: left action does not descend"),
+    (killed_vector_json("q", True), "IQ is not contained in QI: left action does not descend"),
+    (killed_vector_json("p", True), "PI is not contained in IP: right action does not descend"),
+    (killed_vector_json("q", False), 4),
+    (killed_vector_json("p", False), 4),
+], ids=["corners", "killed-q-fixed", "killed-p-fixed", "killed-q", "killed-p"])
+def test_enumeration_matches_oracle_on_descent(data, want):
+    """Systems on which no unit of R acts on a leg: both enumerations raise
+    the same NotInvariant at the same least I, or give the same pairs (here
+    the four (I, I), since Delta = 0).  On the killed-vector systems e1 . m
+    (m . e1) is the one vector of IQ (PI), and it lies in no e_t Q e_s
+    (e_s P e_t)."""
+    system = system_from_json(data)
+    assert rsystem.validate_axioms(system).ok
+    found = _enumeration(enumerate_tpairs, system)
+    assert found == _enumeration(enumerate_tpairs_oracle, system)
+    assert found == want if isinstance(want, str) else len(found) == want
 
 
 def _assert_flags_match_oracle(system):
@@ -447,11 +502,18 @@ def test_enumeration_checks_each_ideal_once(monkeypatch):
         monkeypatch.setattr(module, "is_two_sided", count_two_sided)
     monkeypatch.setattr(ideals, "psi_apply", count_psi_apply)
     built = _count_quotients(monkeypatch)
+    subspace_ops = []  # no inclusion test, sum of ideals or J-flag check
+    for owner, name in ((Subspace, "le"), (Subspace, "add"), (ideals, "_tpair_j_part")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: subspace_ops.append(name) or real(*a))
     system = build_graph_system(five_vertex_mixed())
     enumerate_tpairs(system)
     assert two_sided == []
     assert len(contractions) == system.ring.dim * system.p.dim * system.q.dim
     assert built == [] and len(_floors(system)) == 6
+    assert subspace_ops == []
+    validate_tpair(system, Subspace(5), Subspace.full(5))
+    assert {"le", "_tpair_j_part"} <= set(subspace_ops)  # the counters count
 
 
 def test_enumeration_frees_the_system():
@@ -502,7 +564,8 @@ def _posets(draw):
 @given(_posets())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_hasse_edges_match_triple_loop(le):
-    assert hasse_edges(le) == hasse_edges_oracle(le)
+    above = [sum(1 << b for b, x in enumerate(row) if x and b != a) for a, row in enumerate(le)]
+    assert hasse_edges(above) == hasse_edges_oracle(le)
 
 
 @pytest.mark.parametrize("graph", [
