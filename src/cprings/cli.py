@@ -519,16 +519,8 @@ def _cp_context(loaded: LoadedInput, args, jspec: str) -> CpContext:
     sy = loaded.system
     j = validate_ideal(sy, _coord_subspace(loaded, jspec))
     if not j.ok:
-        bad = [
-            name
-            for name, good in (
-                ("two-sided", j.is_two_sided),
-                ("psi-compatible", j.is_psi_compatible),
-                ("faithful", j.is_faithful),
-            )
-            if not good
-        ]
-        raise NotInvariant(f"J is not admissible: fails {', '.join(bad)}")
+        bad = ", ".join(c[3:].replace("_", "-") for c in j.failed())
+        raise NotInvariant(f"J is not admissible: fails {bad}")
     return CpContext(sy, j, cap=args.cap)
 
 
@@ -648,11 +640,11 @@ def _verb_lattice(loaded, args) -> Outcome:
     if loaded.kind == "graph":
         result["graph_pairs"] = dict(_graph_pair_lattice(loaded.graph), graph=loaded.graph.name)
     try:
-        tpairs = enumerate_tpairs(loaded.system)
+        system = loaded.system
     except ValueError as exc:  # infinite emitters: algebraic side unavailable
         diags.append(f"T-pair enumeration skipped: {exc}")
     else:
-        result["tpairs"] = lattice_json(loaded.system, tpairs)
+        result["tpairs"] = lattice_json(system, enumerate_tpairs(system))
     rendered = None  # read by `run` only under --format dot
     if args.format == "dot":
         if "tpairs" in result:

@@ -19,7 +19,11 @@ and `ideals.IdealHandle` runs it for a T-pair.  Run on a span of elements,
 the walk gives the subspace of combinations that lie in the ideal, from
 which the graded-ideal correspondence reads T-pairs back.  It needs a
 faithful Fock representation, i.e. condition (FS) and no nonzero r with
-rR = 0; its callers raise `FsViolation` without them.
+rR = 0, and raises `FsViolation` without them.
+
+`validate_ideal` is the one decision of J's three conditions: for J in R,
+and, given a floor I, for J/I in R/I, read in R modulo I as the walk reads
+its blocks.  A T-pair's J flags (`ideals.validate_tpair`) are that call.
 
 The gauge action scales the grade-(m,n) component by t^(n-m); since the
 scalars form an infinite field, evaluating at enough distinct t recovers the
@@ -102,6 +106,10 @@ class ZeroScalar(ValueError):
 # ideal validation
 
 
+# J's three conditions, as CompatibleIdeal's fields; the messages name them
+IDEAL_CONDITIONS = ("is_two_sided", "is_psi_compatible", "is_faithful")
+
+
 @dataclass(eq=False)
 class CompatibleIdeal:
     system: RSystem
@@ -110,26 +118,41 @@ class CompatibleIdeal:
     is_psi_compatible: bool
     is_faithful: bool
 
+    def failed(self) -> list[str]:
+        """The conditions J fails, in the order of IDEAL_CONDITIONS."""
+        return [c for c in IDEAL_CONDITIONS if not getattr(self, c)]
+
     @property
     def ok(self) -> bool:
-        return self.is_two_sided and self.is_psi_compatible and self.is_faithful
+        return not self.failed()
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        flags = []
-        for name in ("is_two_sided", "is_psi_compatible", "is_faithful"):
-            flags.append(("+" if getattr(self, name) else "-") + name[3:])
-        return f"CompatibleIdeal(dim={self.ideal.dim}, {' '.join(flags)})"
+        flags = " ".join(("+" if getattr(self, c) else "-") + c[3:] for c in IDEAL_CONDITIONS)
+        return f"CompatibleIdeal(dim={self.ideal.dim}, {flags})"
 
 
-def validate_ideal(system: RSystem, subspace: Subspace) -> CompatibleIdeal:
-    """Check the three requirements on J: two-sided, psi-compatible, faithful."""
+def validate_ideal(system: RSystem, subspace: Subspace, i: Optional[Subspace] = None) -> CompatibleIdeal:
+    """Decide J's three conditions: two-sided, psi-compatible
+    (J <= Delta^-1(F_P(Q))) and faithful (J meets ker Delta in 0).  With a
+    floor I they are asked of J/I in R/I and read in R; I must then be a
+    two-sided, psi-invariant ideal under which R/I acts on Q/QI and P/IP
+    (`ideals._check_descent`), as for `delta_ideals`.
+
+    Proof sketch.  Let (K_I, D_I) = `delta_ideals(system, I)`, the
+    preimages in R of ker Delta and Delta^-1(F_P(Q)) of R/I; for I = 0 they
+    are those of R.  J/I is the image of J + I, so it is two-sided exactly
+    when J + I is, and lies in D_I / I exactly when J does (I <= D_I).  It
+    meets K_I / I in 0 exactly when (J + I) meet K_I = I, i.e. when J + I
+    maps onto dim(J + I) - dim I dimensions of R/K_I; since I <= K_I, J
+    maps onto as many.  When J contains I, J + I is J."""
     d = system.ring.dim
     if subspace.ambient != d:
         raise ValueError(f"ideal lives in dimension {subspace.ambient}, ring has {d}")
-    ker_delta, delta_inv = delta_ideals(system)
-    return CompatibleIdeal(
-        system, subspace, is_two_sided(system, subspace),
-        subspace.le(delta_inv), subspace.intersect(ker_delta).is_zero())
+    k_i, d_i = delta_ideals(system, i)
+    j_i = subspace if i is None or i.le(subspace) else subspace.add(i)
+    floor = 0 if i is None else i.dim
+    return CompatibleIdeal(system, subspace, is_two_sided(system, j_i), subspace.le(d_i),
+                           subspace.add(k_i).dim - k_i.dim == j_i.dim - floor)
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +174,7 @@ class CpContext:
         if self.j.system is not self.system:
             raise ContextMismatch("ideal was validated against a different system")
         if not self.j.ok:
-            bad = [n for n in ("is_two_sided", "is_psi_compatible", "is_faithful")
-                   if not getattr(self.j, n)]
-            raise ValueError("ideal fails: " + ", ".join(bad))
+            raise ValueError("ideal fails: " + ", ".join(self.j.failed()))
         self._zero = Subspace(self.system.ring.dim)
 
     def element(self, x: ToeplitzElement) -> "CpElement":
@@ -171,7 +192,7 @@ def _pi_delta(ctx: CpContext, x: Sequence[Fraction]) -> Optional[list[Fraction]]
     Q (x)_R P: by the P-side frame p = sum_j psi(p (x) q_j) . p_j, a
     t = sum q_i (x) p_i equals sum_j theta_t(q_j) (x) p_j, which is 0 when
     theta_t is.  Without (FS) the class may depend on the solution; the
-    membership walk's callers check (FS).
+    membership walk checks (FS).
     """
     system = ctx.system
     key = tuple(x)
@@ -357,8 +378,8 @@ def _graded_preimage(system: RSystem, i: Subspace, j: Subspace,
     inside Q^(x)k . J.  The termination step uses (FS) of R/I and that J/I
     meets the kernel of R/I's Delta trivially (the pair's
     `quotient_faithful` flag); faithfulness and the level-0 step need (FS)
-    of R/I and no nonzero class r with r (R/I) = 0.  The callers check
-    those with `_require_faithful_fock(system, I)`, which reads them in R
+    of R/I and no nonzero class r with r (R/I) = 0.  The walk checks those
+    first, with `_require_faithful_fock(system, I)`, which reads them in R
     modulo I, as the walk does; R/I is never built.
 
     Every condition is linear in x, so the check runs on a subspace of
@@ -369,6 +390,7 @@ def _graded_preimage(system: RSystem, i: Subspace, j: Subspace,
     for x in xs:
         if x.system is not system:
             raise ContextMismatch("element belongs to a different system")
+    _require_faithful_fock(system, i)
     rows = mat_identity(len(xs))
     for d in sorted({d for x in xs for d in x.z_degrees()}):
         parts = [z_project(x, d) for x in xs]
@@ -398,7 +420,6 @@ def relation_preimage(ctx: CpContext, xs: Sequence[ToeplitzElement]) -> Subspace
     or when some nonzero r has rR = 0, and CapExceeded when a block needs a
     level above ctx.cap.
     """
-    _require_faithful_fock(ctx.system, ctx._zero)
     return _graded_preimage(ctx.system, ctx._zero, ctx.j.ideal, xs, ctx.cap)
 
 

@@ -5,10 +5,11 @@ that is exactly what makes the quotient data R/I, Q/QI, P/IP, psi_I an
 R-system again.  A T-pair (I, J) couples such an I with an ideal J whose image
 in R/I is psi_I-compatible and faithful; these index the graded two-sided
 ideals of the relative Cuntz-Pimsner rings.  Every question about R/I is
-asked in R modulo I: the pair's flags read J against the floored Delta
-ideals of `finrank.delta_ideals`, and an ideal handle answers membership by
-the one membership walk of `cpring` (`_graded_preimage`) on the parent's own
-Fock blocks, read modulo Q^(x)k . I, behind a guard read the same way; only
+asked in R modulo I: the pair's J flags are `cpring.validate_ideal` with the
+floor I, which reads J against the floored Delta ideals of
+`finrank.delta_ideals`, and an ideal handle answers membership by the one
+membership walk of `cpring` (`_graded_preimage`) on the parent's own Fock
+blocks, read modulo Q^(x)k . I, behind a guard read the same way; only
 `quotient_system` builds R/I.  The backward map reads (I, J) off the
 combinations of iota_R(R) and the grade-(1,1) component the walk accepts.
 """
@@ -21,12 +22,7 @@ from operator import and_
 from typing import Optional, Sequence
 
 from .exactlin import QuotientSpace, Subspace, is_zero_vec, unit_vec, zero_vec
-from .cpring import (
-    CpContext,
-    _core_generator,
-    _graded_preimage,
-    _require_faithful_fock,
-)
+from .cpring import IDEAL_CONDITIONS, CpContext, _core_generator, _graded_preimage, validate_ideal
 from .finrank import delta_ideals
 from .rsystem import (
     Pairing,
@@ -88,10 +84,12 @@ def _psi_invariant(system: RSystem, i: Subspace) -> bool:
 
 
 def _psi_images(system: RSystem, x):
-    """The psi(e_a (x) x.e_b) over the bases of P and Q, which span psi(P (x) x.Q)."""
+    """The psi(e_a (x) x.e_b) over the bases of P and Q with x.e_b nonzero,
+    which span psi(P (x) x.Q)."""
     q, dp = system.q, system.p.dim
-    return (psi_apply(system, 1, unit_vec(dp, a), q.act_left(x, unit_vec(q.dim, b)))
-            for b in range(q.dim) for a in range(dp))
+    return (psi_apply(system, 1, unit_vec(dp, a), v)
+            for v in (q.act_left(x, unit_vec(q.dim, b)) for b in range(q.dim)) if not is_zero_vec(v)
+            for a in range(dp))
 
 
 def _check_descent(system: RSystem, i: Subspace) -> None:
@@ -181,7 +179,8 @@ def _quotient_system(system: RSystem, i: Subspace, name: Optional[str]) -> Quoti
 
 
 # the flags of a candidate pair, in the order they are reported; a T-pair has
-# them all (quotient_two_sided follows from j_two_sided and i_in_j)
+# them all (quotient_two_sided follows from j_two_sided and i_in_j), and the
+# last three are `cpring.IDEAL_CONDITIONS` of J/I
 TPAIR_FLAGS = ("i_two_sided", "i_in_j", "j_two_sided", "i_psi_invariant",
                "quotient_two_sided", "quotient_compatible", "quotient_faithful")
 
@@ -200,44 +199,20 @@ class TPair:
         return f"TPair(dim i={self.i.dim}, dim j={self.j.dim}, ok={self.ok})"
 
 
-def _tpair_i_part(system: RSystem, i: Subspace) -> Optional[tuple[Subspace, Subspace]]:
-    """(K_I, D_I) of `finrank.delta_ideals(system, I)`, memoized per I, for a
-    psi-invariant I known to be two-sided (else None); raises NotInvariant
-    when R/I does not act on Q/QI or P/IP."""
-    if not _psi_invariant(system, i):
-        return None
-    _check_descent(system, i)
-    return delta_ideals(system, i)
-
-
-def _tpair_j_part(system: RSystem, i: Subspace, j: Subspace, i_two_sided: bool, j_two_sided: bool,
-                  deltas: Optional[tuple[Subspace, Subspace]]) -> TPair:
-    """The T-pair (I, J) with its flags; J's are those of J/I in R/I, read
-    in R off `deltas` = (K_I, D_I), and false without them.
-
-    J/I is two-sided exactly when its preimage J + I is, as it is when J is.
-    J/I <= Delta^-1(F_P(Q)) of R/I exactly when J <= D_I.  J/I meets
-    ker Delta of R/I trivially exactly when J + I meets K_I in I, i.e. when
-    J + I, like J since I <= K_I, maps onto dim(J + I) - dim I dimensions
-    of R/K_I.  When J contains I, J + I is J."""
-    i_in_j = i.le(j)
-    flags = dict.fromkeys(TPAIR_FLAGS, False)
-    flags.update(i_two_sided=i_two_sided, i_in_j=i_in_j, j_two_sided=j_two_sided,
-                 i_psi_invariant=deltas is not None)
-    if deltas is None:
-        return TPair(i, j, flags)
-    k_i, d_i = deltas
-    j_i = j if i_in_j else j.add(i)
-    flags["quotient_two_sided"] = j_two_sided or is_two_sided(system, j_i)
-    flags["quotient_compatible"] = j.le(d_i)
-    flags["quotient_faithful"] = j.add(k_i).dim - k_i.dim == j_i.dim - i.dim
-    return TPair(i, j, flags)
-
-
 def validate_tpair(system: RSystem, i: Subspace, j: Subspace) -> TPair:
-    i_two_sided = is_two_sided(system, i)
-    deltas = _tpair_i_part(system, i) if i_two_sided else None
-    return _tpair_j_part(system, i, j, i_two_sided, is_two_sided(system, j), deltas)
+    """The candidate pair (I, J) with its flags.  J's three are those of
+    J/I in R/I, decided by `cpring.validate_ideal` with the floor I, and
+    false unless I is two-sided and psi-invariant; raises NotInvariant
+    when R/I does not act on Q/QI or P/IP.  When J contains I, J + I is J,
+    and that call's two-sidedness is J's own."""
+    i_two_sided, i_in_j = is_two_sided(system, i), i.le(j)
+    invariant = i_two_sided and _psi_invariant(system, i)
+    if invariant:
+        _check_descent(system, i)
+    jq = validate_ideal(system, j, i) if invariant else None
+    j_two_sided = jq.is_two_sided if jq and i_in_j else is_two_sided(system, j)
+    quotient = (getattr(jq, c) if jq else False for c in IDEAL_CONDITIONS)
+    return TPair(i, j, dict(zip(TPAIR_FLAGS, (i_two_sided, i_in_j, j_two_sided, invariant, *quotient))))
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +224,8 @@ class IdealHandle:
     """Intensional handle on the graded ideal H_(I,J) of the relative CP ring O(K).
 
     Membership: the walk of `cpring._graded_preimage` with the pair's I and
-    J, on the parent's own Fock blocks, behind a guard that reads the
-    faithfulness of R/I's Fock representation in R modulo I.  Generator
+    J, on the parent's own Fock blocks, behind the walk's guard, which reads
+    the faithfulness of R/I's Fock representation in R modulo I.  Generator
     list: iota_R of the i-part plus the covariance defects of the j-part
     (where theta-decomposable over the parent)."""
 
@@ -259,7 +234,6 @@ class IdealHandle:
 
     def _preimage(self, xs: Sequence[ToeplitzElement]) -> Subspace:
         """{c : sum_i c_i xs[i] in H}, as a subspace of Q^len(xs)."""
-        _require_faithful_fock(self.context.system, self.tpair.i)
         ctx = self.context
         return _graded_preimage(ctx.system, self.tpair.i, self.tpair.j, xs, ctx.cap)
 
@@ -358,7 +332,8 @@ def enumerate_tpairs(system: RSystem) -> list[TPair]:
 
     J's, an interval.  For a closed I that descends, J qualifies exactly
     when J <= D_I and J meets K_I in I, for (K_I, D_I) =
-    `delta_ideals(system, I)` (see `_tpair_j_part`).  Both are ideals, so
+    `delta_ideals(system, I)` (see `cpring.validate_ideal` with the floor
+    I; every J here is two-sided and contains I).  Both are ideals, so
     coordinate spans, and I <= K_I <= D_I: for r in I, Delta(r) maps Q into
     IQ <= QI.  So the J's are I | S for the S <= D_I \\ K_I, a Boolean
     interval.

@@ -21,7 +21,7 @@ from cprings.graphalg import (
     restriction_graph,
     rose_graph,
 )
-from cprings.ideals import _tpair_i_part, _tpair_j_part, is_psi_invariant, quotient_system
+from cprings.ideals import is_psi_invariant, quotient_system, validate_tpair
 from cprings.rsystem import (
     Pairing,
     RSystem,
@@ -417,8 +417,8 @@ def tpair_flags_oracle(system, i, j) -> dict:
 
 
 def tpair_quotient_flags_oracle(system, i, j) -> dict:
-    """J's three quotient flags computed in R/I (`ideals._tpair_j_part`
-    reads the last two in R): J/I is the projection of J's basis into
+    """J's three quotient flags computed in R/I (`cpring.validate_ideal`
+    with the floor I reads them in R): J/I is the projection of J's basis into
     `quotient_system(system, I)`; it is two-sided when J is or when
     `is_two_sided` says so over R/I, compatible when it lies in
     Delta^-1(F_P(Q)) of R/I, faithful when it meets ker Delta of R/I in 0.
@@ -435,24 +435,16 @@ def tpair_quotient_flags_oracle(system, i, j) -> dict:
 
 def enumerate_tpairs_oracle(system) -> list:
     """All T-pairs over a diagonal ring by exhaustive search over the 2^d
-    coordinate spans: for each I in mask order that `ideals._tpair_i_part`
-    finds psi-invariant (raising NotInvariant when R/I does not act on the
-    quotient legs), every span J containing I, in mask order, kept when
-    `ideals._tpair_j_part` accepts the pair.  `ideals.enumerate_tpairs` must
-    give the same pairs, in the same order, with the same flags."""
+    coordinate spans: for each I in mask order, every span J containing I,
+    in mask order, kept when `ideals.validate_tpair` accepts the pair (which
+    raises NotInvariant when a psi-invariant I does not let R/I act on the
+    quotient legs).  `ideals.enumerate_tpairs` must give the same pairs, in
+    the same order, with the same flags."""
     d = system.ring.dim
     spans = [Subspace(d, [unit_vec(d, t) for t in range(d) if mask >> t & 1]) for mask in range(1 << d)]
-    out = []
-    for imask, i in enumerate(spans):
-        deltas = _tpair_i_part(system, i)
-        if deltas is None:
-            continue
-        for jmask, j in enumerate(spans):
-            if jmask & imask == imask:
-                pair = _tpair_j_part(system, i, j, True, True, deltas)
-                if pair.ok:
-                    out.append(pair)
-    return out
+    pairs = (validate_tpair(system, i, j) for imask, i in enumerate(spans)
+             for jmask, j in enumerate(spans) if jmask & imask == imask)
+    return [pair for pair in pairs if pair.ok]
 
 
 def hasse_edges_oracle(le) -> list:

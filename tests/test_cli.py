@@ -24,9 +24,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     a2_graph,
+    corner_bimodules_json,
     dual_numbers_ring,
     dual_numbers_unit_basis_ring,
     infinite_emitter_graph,
+    killed_vector_json,
     matrix2_ring,
     psi_zero_system,
     random_graph_element,
@@ -263,6 +265,29 @@ def test_lattice_infinite_emitter_fallback(files):
     assert code == 0 and body.startswith("digraph") and body.count("label") == 6
 
 
+@pytest.mark.parametrize("data, nodes", [
+    (corner_bimodules_json(), None),
+    (killed_vector_json("q", True), None),
+    (killed_vector_json("p", True), None),
+    (killed_vector_json("q", False), 4),
+    (killed_vector_json("p", False), 4),
+], ids=["corners", "killed-q-fixed", "killed-p-fixed", "killed-q", "killed-p"])
+def test_lattice_reports_failed_descent(tmp_path, data, nodes):
+    """Where R/(e1) does not act on a leg, `lattice` fails as `tpair` does
+    on I = (e1): exit 1 with the same NotInvariant diagnostic, not a skipped
+    enumeration.  Where every I descends it lists the four (I, I)."""
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(data))
+    code, out = run_json("lattice", str(path))
+    if nodes is None:
+        assert code == 1 and out["result"] is None
+        assert out["diagnostics"] == run_json("tpair", str(path), "--i", "e1", "--j", "e1")[1]["diagnostics"]
+        assert out["diagnostics"][0].startswith("NotInvariant: ")
+    else:
+        assert code == 0 and out["diagnostics"] == []
+        assert len(out["result"]["tpairs"]["nodes"]) == nodes
+
+
 def test_eq_exit_codes(files):
     code, out = run_json("eq", files["a2"], "p(u)", "x(e)*y(e)")
     assert code == 0 and out["ok"] and out["result"]["equal"]
@@ -330,6 +355,20 @@ def test_tpair_needs_two_sided_j(tmp_path):
     assert code == 1 and not out["ok"] and out["result"]["flags"]["j_two_sided"] is False
     code, out = run_json("tpair", str(path), "--i", "", "--j", "full")
     assert code == 0 and out["ok"]
+
+
+def test_eq_names_the_failed_condition(tmp_path, files):
+    """`eq --j` with a J failing one of its three conditions exits 1 and
+    names that condition: a one-sided J over M_2(Q), an incompatible one
+    where psi = 0, and an unfaithful one holding a sink."""
+    path = tmp_path / "matrix2.json"
+    path.write_text(json.dumps(system_to_json(build_automorphism_system(matrix2_ring(), mat_identity(4)))))
+    for file, expr, spec, condition in [(str(path), "R:e11", "e11,e21", "two-sided"),
+                                        (files["psizero"], "R:v1", "full", "psi-compatible"),
+                                        (files["line3"], "R:v1", "v3", "faithful")]:
+        code, out = run_json("eq", file, expr, expr, "--j", spec)
+        assert code == 1 and out["result"] is None
+        assert out["diagnostics"] == [f"NotInvariant: J is not admissible: fails {condition}"]
 
 
 def test_eq_refuses_unfaithful_fock(tmp_path, files):

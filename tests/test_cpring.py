@@ -22,7 +22,7 @@ from conftest import (
 
 from cprings.exactlin import Subspace, frac, mat_identity, unit_vec
 from cprings.finrank import FsViolation, canonical_ideals, check_fs, left_annihilator
-from cprings.graphalg import LpaElement, lpa_vertex, lpa_x, lpa_y, rose_graph
+from cprings.graphalg import LpaElement, line_graph, lpa_vertex, lpa_x, lpa_y, rose_graph
 from cprings.ideals import TPair, graded_ideal_correspondence
 from cprings.rsystem import build_automorphism_system, build_graph_system, system_from_json
 from cprings.tensorpow import CapExceeded
@@ -93,6 +93,24 @@ def test_validate_matches_canonical(mixed5):
     system = build_graph_system(mixed5)
     j = validate_ideal(system, canonical_ideals(system)["j_max"])
     assert j.ok and j.ideal.dim == 3
+
+
+@pytest.mark.parametrize("make, rows, message", [
+    (lambda: build_automorphism_system(matrix2_ring(), mat_identity(4)), [[1, 0, 0, 0]], "is_two_sided"),
+    (psi_zero_system, [[0, 1]], "is_psi_compatible"),
+    (lambda: build_graph_system(line_graph(3)), [[0, 0, 1]], "is_faithful"),
+    (psi_zero_system, [[1, 1]], "is_two_sided, is_psi_compatible"),
+    (lambda: build_graph_system(line_graph(3)), [[1, 1, 0], [0, 0, 1]], "is_two_sided, is_faithful"),
+], ids=["one-sided", "incompatible", "unfaithful", "two-conditions", "two-sided-and-faithful"])
+def test_context_names_the_failed_conditions(make, rows, message):
+    """A J failing some of its conditions: the context refuses it, naming
+    each failed condition in the order two-sided, compatible, faithful."""
+    system = make()
+    j = validate_ideal(system, _span(system, rows))
+    assert not j.ok
+    with pytest.raises(ValueError) as exc:
+        CpContext(system, j)
+    assert str(exc.value) == "ideal fails: " + message
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from conftest import (
     left_unit_json,
     matrix2_ring,
     perm3_system,
+    project_into_quotient,
     psi_zero_system,
     quotient_graph,
     random_graph,
@@ -352,6 +353,18 @@ def test_tpair_flags_match_oracle(name):
     _assert_quotient_flags_match_projection(system, _coordinate_spans(system))
 
 
+@pytest.mark.parametrize("name", ["5v-mixed", "perm3", "psi-zero"])
+def test_unfloored_pair_flags_are_validate_ideal(name):
+    """At I = 0, J/I is J: the pair's three quotient flags are
+    `validate_ideal`'s verdicts on J, on every coordinate ideal."""
+    system = ORACLE_SYSTEMS[name]()
+    for j in _coordinate_spans(system):
+        flags = validate_tpair(system, Subspace(system.ring.dim), j).flags
+        ideal = validate_ideal(system, j)
+        assert ((flags["quotient_two_sided"], flags["quotient_compatible"], flags["quotient_faithful"])
+                == (ideal.is_two_sided, ideal.is_psi_compatible, ideal.is_faithful))
+
+
 def test_tpair_flags_match_oracle_on_random_graphs():
     rng = random.Random(1807)
     for _ in range(60):
@@ -401,15 +414,22 @@ def _assert_floors_match_quotient(system, spaces):
     """At every psi-invariant I among `spaces`, the R/I questions read in R
     modulo I agree with the same questions asked of R/I built by
     `quotient_system`: the floored Delta ideals with R/I's lifted back
-    (`delta_pullbacks_oracle`), (FS), and the guard's {r : rR <= I} <= I
-    with R/I having no nonzero r with r (R/I) = 0.  Returns the (FS) and
-    guard verdicts."""
-    verdicts = []
+    (`delta_pullbacks_oracle`), J's three conditions by `validate_ideal`
+    with the floor I against `validate_ideal` of J's image in R/I, for J
+    among `spaces` and the spans of single basis elements, (FS), and the
+    guard's {r : rR <= I} <= I with R/I having no nonzero r with
+    r (R/I) = 0.  Returns the (FS) and guard verdicts."""
+    d, verdicts = system.ring.dim, []
+    js = spaces + [Subspace(d, [unit_vec(d, t)]) for t in range(d)]
     for i in spaces:
         if not is_psi_invariant(system, i):
             continue
-        quotient = quotient_system(system, i).system
+        qs = quotient_system(system, i)
+        quotient = qs.system
         assert delta_ideals(system, i) == delta_pullbacks_oracle(system, i), i.basis()
+        for j in js:
+            floored, image = validate_ideal(system, j, i), validate_ideal(quotient, project_into_quotient(qs, j))
+            assert floored.failed() == image.failed(), (i.basis(), j.basis())
         fs, faithful = check_fs(system, i).ok, left_annihilator(system, i).le(i)
         assert fs == check_fs(quotient).ok, i.basis()
         assert faithful == left_annihilator(quotient).is_zero(), i.basis()
@@ -485,8 +505,9 @@ def test_enumerate_builds_one_quotient_per_invariant_ideal(monkeypatch):
 def test_enumeration_checks_each_ideal_once(monkeypatch):
     """On 5v-mixed (32 coordinate ideals): no two-sidedness check, since
     coordinate spans over orthogonal idempotents are ideals; one psi image
-    psi(P (x) v.Q) per vertex v, i.e. dim P * dim Q contractions each; one
-    set of floored Delta ideals per psi-invariant ideal, and no R/I."""
+    psi(P (x) v.Q) per vertex v, i.e. dim P contractions for each nonzero
+    v.q_b, one per edge q_b leaving v; one set of floored Delta ideals per
+    psi-invariant ideal, and no R/I."""
     two_sided, contractions = [], []
     real_two_sided, real_psi_apply = rsystem.is_two_sided, ideals.psi_apply
 
@@ -503,17 +524,19 @@ def test_enumeration_checks_each_ideal_once(monkeypatch):
     monkeypatch.setattr(ideals, "psi_apply", count_psi_apply)
     built = _count_quotients(monkeypatch)
     subspace_ops = []  # no inclusion test, sum of ideals or J-flag check
-    for owner, name in ((Subspace, "le"), (Subspace, "add"), (ideals, "_tpair_j_part")):
+    for owner, name in ((Subspace, "le"), (Subspace, "add"), (ideals, "validate_ideal")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: subspace_ops.append(name) or real(*a))
     system = build_graph_system(five_vertex_mixed())
     enumerate_tpairs(system)
     assert two_sided == []
-    assert len(contractions) == system.ring.dim * system.p.dim * system.q.dim
+    q, d = system.q, system.ring.dim
+    nonzero = sum(any(q.act_left(unit_vec(d, t), unit_vec(q.dim, b))) for t in range(d) for b in range(q.dim))
+    assert len(contractions) == nonzero * system.p.dim == 25
     assert built == [] and len(_floors(system)) == 6
     assert subspace_ops == []
     validate_tpair(system, Subspace(5), Subspace.full(5))
-    assert {"le", "_tpair_j_part"} <= set(subspace_ops)  # the counters count
+    assert {"le", "validate_ideal"} <= set(subspace_ops)  # the counters count
 
 
 def test_enumeration_frees_the_system():
