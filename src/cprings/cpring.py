@@ -21,9 +21,10 @@ which the graded-ideal correspondence reads T-pairs back.  It needs a
 faithful Fock representation, i.e. condition (FS) and no nonzero r with
 rR = 0, and raises `FsViolation` without them.
 
-`validate_ideal` is the one decision of J's three conditions: for J in R,
-and, given a floor I, for J/I in R/I, read in R modulo I as the walk reads
-its blocks.  A T-pair's J flags (`ideals.validate_tpair`) are that call.
+`finrank.validate_ideal`, importable from here, is the one decision of J's
+three conditions, for J in R and, given a floor I, for J/I in R/I; a
+T-pair's J flags (`ideals.validate_tpair`) are that call, and `CpContext`
+alone refuses a J that fails them.
 
 The gauge action scales the grade-(m,n) component by t^(n-m); since the
 scalars form an infinite field, evaluating at enough distinct t recovers the
@@ -52,14 +53,16 @@ from .exactlin import (
     unit_vec,
 )
 from .finrank import (
+    CompatibleIdeal,
     FsViolation,
+    _column_residual,
     canonical_ideals,
     check_fs,
-    delta_ideals,
     left_annihilator,
     theta_decomposition,
+    validate_ideal,
 )
-from .rsystem import RSystem, is_two_sided
+from .rsystem import RSystem
 from .tensorpow import DEFAULT_CAP, _system_store, ideal_image, tensor_space
 from .toeplitz import (
     InvalidRepresentation,
@@ -103,59 +106,6 @@ class ZeroScalar(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# ideal validation
-
-
-# J's three conditions, as CompatibleIdeal's fields; the messages name them
-IDEAL_CONDITIONS = ("is_two_sided", "is_psi_compatible", "is_faithful")
-
-
-@dataclass(eq=False)
-class CompatibleIdeal:
-    system: RSystem
-    ideal: Subspace
-    is_two_sided: bool
-    is_psi_compatible: bool
-    is_faithful: bool
-
-    def failed(self) -> list[str]:
-        """The conditions J fails, in the order of IDEAL_CONDITIONS."""
-        return [c for c in IDEAL_CONDITIONS if not getattr(self, c)]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failed()
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        flags = " ".join(("+" if getattr(self, c) else "-") + c[3:] for c in IDEAL_CONDITIONS)
-        return f"CompatibleIdeal(dim={self.ideal.dim}, {flags})"
-
-
-def validate_ideal(system: RSystem, subspace: Subspace, i: Optional[Subspace] = None) -> CompatibleIdeal:
-    """Decide J's three conditions: two-sided, psi-compatible
-    (J <= Delta^-1(F_P(Q))) and faithful (J meets ker Delta in 0).  With a
-    floor I they are asked of J/I in R/I and read in R; I must then be a
-    two-sided, psi-invariant ideal under which R/I acts on Q/QI and P/IP
-    (`ideals._check_descent`), as for `delta_ideals`.
-
-    Proof sketch.  Let (K_I, D_I) = `delta_ideals(system, I)`, the
-    preimages in R of ker Delta and Delta^-1(F_P(Q)) of R/I; for I = 0 they
-    are those of R.  J/I is the image of J + I, so it is two-sided exactly
-    when J + I is, and lies in D_I / I exactly when J does (I <= D_I).  It
-    meets K_I / I in 0 exactly when (J + I) meet K_I = I, i.e. when J + I
-    maps onto dim(J + I) - dim I dimensions of R/K_I; since I <= K_I, J
-    maps onto as many.  When J contains I, J + I is J."""
-    d = system.ring.dim
-    if subspace.ambient != d:
-        raise ValueError(f"ideal lives in dimension {subspace.ambient}, ring has {d}")
-    k_i, d_i = delta_ideals(system, i)
-    j_i = subspace if i is None or i.le(subspace) else subspace.add(i)
-    floor = 0 if i is None else i.dim
-    return CompatibleIdeal(system, subspace, is_two_sided(system, j_i), subspace.le(d_i),
-                           subspace.add(k_i).dim - k_i.dim == j_i.dim - floor)
-
-
-# ---------------------------------------------------------------------------
 # the relation ideal T(J)
 
 
@@ -174,7 +124,7 @@ class CpContext:
         if self.j.system is not self.system:
             raise ContextMismatch("ideal was validated against a different system")
         if not self.j.ok:
-            raise ValueError("ideal fails: " + ", ".join(self.j.failed()))
+            raise ValueError("J is not admissible: fails " + ", ".join(self.j.failed()))
         self._zero = Subspace(self.system.ring.dim)
 
     def element(self, x: ToeplitzElement) -> "CpElement":
@@ -266,15 +216,6 @@ def _vacuum_span(system: RSystem, j: Subspace, k: int) -> Subspace:
     return span
 
 
-def _column_residual(image: Subspace, block: list) -> list[Fraction]:
-    """Residual of a flattened block modulo `image`, column by column: zero
-    iff every column lies in it."""
-    if image.is_zero():  # as for the floor of T(J), I = 0
-        return block
-    n = image.ambient  # column c of the block is block[c * n:(c + 1) * n]
-    return [e for c in range(0, len(block), n) for e in image.reduce(block[c:c + n])]
-
-
 def _fock_block(x: ToeplitzElement, l: int, k: int, cap: int) -> list[Fraction]:
     """The level-l -> level-k block of Fock(x), flattened column by column."""
     d = tensor_space(x.system, "Q", k).dim
@@ -306,7 +247,8 @@ def _require_faithful_fock(system: RSystem, i: Subspace) -> None:
     """Raise FsViolation unless the Fock representation of R/I (of R for
     I = 0) is faithful: (FS) holds for R/I, and {r : rR <= I}, which contains
     I as IR <= I, has dimension dim I.  Both are read in R modulo I
-    (`finrank._floor_maps`) and decided once per system and I."""
+    (`finrank._floored`, `finrank.left_annihilator`) and decided once per
+    system and I."""
     if not check_fs(system, i).ok:
         raise FsViolation("membership in T(J) is decided on the Fock representation, "
                           "which needs condition (FS)")

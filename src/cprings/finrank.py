@@ -1,7 +1,8 @@
 """Rank-one operator calculus on the tensor legs, built once per system.
 
 Operators act on Q^(x)n as matrices in canonical level coordinates,
-flattened row by row.  The rank-one generators and the left action are
+flattened column by column, as `cpring._fock_block` lays out a Fock block.
+The rank-one generators and the left action are
 
     theta_{q,p}(x) = q . psi_n(p (x) x)      (on P^(x)n: y |-> psi_n(y (x) q) . p)
     Delta(r)(x)    = r . x
@@ -9,20 +10,21 @@ flattened row by row.  The rank-one generators and the left action are
 `theta_table(system, side, level)` holds the flattened generators of one side
 and level, read straight off the nonzeros of the psi_n cells and the columns
 of the level's actions; it is built once per system and everything rank-one
-reads it.  F_P(Q) is its span
-(`finite_rank_space`); condition (FS) asks the identity of Q to lie in F_P(Q)
-and the identity of P in F_Q(P), two exact solves over the table whose
-solutions double as certificates (`check_fs`); `theta_decomposition` solves
-Delta(x) = sum c_ab theta_{e_a,e_b} over it.  For finite-dimensional modules
-the paper-style quantification over finite subsets reduces to the basis.
+reads it.  F_P(Q) is its span (`finite_rank_space`); condition (FS) asks the
+identity of Q to lie in F_P(Q) and the identity of P in F_Q(P), two exact
+solves over the table whose solutions double as certificates (`check_fs`);
+`theta_decomposition` solves Delta(x) = sum c_ab theta_{e_a,e_b} over it.
+For finite-dimensional modules the paper-style quantification over finite
+subsets reduces to the basis.
 
 `check_fs`, `left_annihilator` ({r : rR = 0}) and `delta_ideals` (ker Delta
 and Delta^(-1)(F_P(Q))) are computed once per system and stored with it;
-given a floor ideal I, each answers for R/I instead, read in R modulo I
-(`_floor_maps`); only `cpr quotient` builds R/I.  `canonical_ideals` adds
-the two-sided annihilator of ker Delta (the kernel of x -> k x and x -> x k
-over a basis of it, read off `ring.multiply`) and the intersection j_max,
-the uniquely-maximal candidate.
+given a floor ideal I, each answers for R/I instead, read in R with operator
+columns taken modulo M.I (`_column_residual`, as in the membership walk);
+only `cpr quotient` builds R/I.  `validate_ideal` decides J's conditions
+against `delta_ideals`, and `canonical_ideals` adds the two-sided annihilator
+of ker Delta (the kernel of x -> k x and x -> x k over a basis, read off
+`ring.multiply`) and j_max, the intersection, the uniquely-maximal candidate.
 """
 
 from __future__ import annotations
@@ -36,14 +38,13 @@ from .exactlin import (
     ZERO,
     QuotientSpace,
     Subspace,
-    _nonzeros,
     kernel,
     mat_identity,
     mat_transpose,
     preimage,
     solve,
 )
-from .rsystem import RSystem
+from .rsystem import RSystem, is_two_sided
 from .tensorpow import _system_store, ideal_image, psi_n, tensor_space
 
 
@@ -52,12 +53,12 @@ class FsViolation(RuntimeError):
 
 
 def _flatten_columns(cols) -> list[Fraction]:
-    """The d x d map with columns' nonzeros `cols`, flattened row by row."""
+    """The d x d map with columns' nonzeros `cols`, flattened column by column."""
     d = len(cols)
     out = [ZERO] * (d * d)
     for c, col in enumerate(cols):
         for r, v in col:
-            out[r * d + c] = v
+            out[c * d + r] = v
     return out
 
 
@@ -80,7 +81,7 @@ def _build_theta_table(system: RSystem, side: str, level: int) -> tuple:
             for c in range(d):
                 for i, s in pairing(h, c):
                     for r, v in acts[i][g]:
-                        m[r * d + c] += s * v
+                        m[c * d + r] += s * v
             rows.append(tuple(m))
     return tuple(rows)
 
@@ -90,7 +91,7 @@ def theta_table(system: RSystem, side: str, level: int) -> tuple:
 
     Side 'Q': row b * dim P^n + a is theta_{e_b,e_a} on Q^(x)n; side 'P':
     row a * dim Q^n + b is y |-> psi_n(y (x) e_b) . e_a on P^(x)n.  Each row is
-    a dim x dim matrix flattened row by row.
+    a dim x dim matrix flattened column by column.
     """
     if side not in ("Q", "P"):
         raise ValueError("side must be 'Q' or 'P'")
@@ -102,13 +103,11 @@ def theta_table(system: RSystem, side: str, level: int) -> tuple:
     return rows
 
 
-def _solve_over_table(system: RSystem, side: str, level: int, target: list, floor: Sequence = ()):
-    """Coefficients c with sum_k c_k theta_table[k] = target modulo span(floor), or None."""
-    table = theta_table(system, side, level)
-    if not (table or floor):
+def _solve_over(rows: Sequence, target: list):
+    """Coefficients c with sum_k c_k rows[k] = target, or None."""
+    if not rows:
         return None if any(target) else []
-    sol = solve(mat_transpose([*table, *floor]), target)
-    return None if sol is None else sol[:len(table)]
+    return solve(mat_transpose(rows), target)
 
 
 def _floor_key(i: Optional[Subspace]) -> Optional[Subspace]:
@@ -116,31 +115,34 @@ def _floor_key(i: Optional[Subspace]) -> Optional[Subspace]:
     return None if i is None or i.is_zero() else i
 
 
-def _floor_maps(system: RSystem, side: str, level: int, i: Optional[Subspace]) -> list:
-    """A basis of L(M, MI): the flattened maps on M = side^(x)level with
-    columns in MI = Q^(x)n . I or I . P^(x)n (`ideal_image`).
+def _column_residual(image: Subspace, block: list) -> list[Fraction]:
+    """Residual of a flattened block modulo `image`, column by column: zero
+    iff every column lies in it."""
+    if image.is_zero():  # as for the floor of T(J), I = 0
+        return block
+    n = image.ambient  # column c of the block is block[c * n:(c + 1) * n]
+    return [e for c in range(0, len(block), n) for e in image.reduce(block[c:c + n])]
+
+
+def _floored(system: RSystem, side: str, level: int, i: Optional[Subspace], maps) -> list:
+    """The flattened maps on M = side^(x)level, each column reduced modulo
+    MI = Q^(x)n . I or I . P^(x)n (`ideal_image`).
 
     For a two-sided, psi-invariant I with IQ <= QI and PI <= IP, M/MI is the
-    leg of R/I.  The parent's theta's and Delta(r) map MI into MI
-    (theta_{q,p}(x a) = theta_{q,p}(x) a, and likewise) and induce those of
-    R/I; two MI-preserving maps induce the same operator on M/MI exactly
-    when their difference maps M into MI.  So "A lies in F of R/I" reads "A
-    lies in the theta span plus L(M, MI)", and "A is 0 on R/I" reads "A lies
-    in L(M, MI)".
-    """
+    leg of R/I.  The parent's theta's and Delta(r) map MI into MI and induce
+    those of R/I, and two such maps induce the same operator on M/MI exactly
+    when their columns agree modulo MI.  So A lies in F of R/I exactly when
+    its residual lies in the span of the theta residuals."""
     if _floor_key(i) is None:
-        return []
-    d = tensor_space(system, side, level).dim
-    return [_flatten_columns(tuple(_nonzeros(v) if c == k else () for k in range(d)))
-            for v in ideal_image(system, side, level, i).rows for c in range(d)]
+        return list(maps)
+    image = ideal_image(system, side, level, i)
+    return [_column_residual(image, m) for m in maps]
 
 
-def finite_rank_space(system: RSystem, floor: Sequence = ()) -> Subspace:
-    """F_P(Q), the span of the level-1 rank-one operators on Q, as a subspace of
-    flattened matrices; with `floor` the rows of L(Q, QI) for a floor I,
-    F_P(Q) + L(Q, QI), which is F of R/I read in R."""
+def finite_rank_space(system: RSystem) -> Subspace:
+    """F_P(Q), the span of the level-1 rank-one operators on Q, as flattened matrices."""
     d = system.q.dim
-    return Subspace(d * d, [*theta_table(system, "Q", 1), *floor])
+    return Subspace(d * d, theta_table(system, "Q", 1))
 
 
 def theta_decomposition(system: RSystem, x: Sequence[Fraction]):
@@ -148,7 +150,7 @@ def theta_decomposition(system: RSystem, x: Sequence[Fraction]):
 
     c_ab sits at a * dim P + b, the row of theta_{e_a,e_b} in the level-1 table.
     """
-    return _solve_over_table(system, "Q", 1, _flatten_columns(system.q.left_map(list(x))))
+    return _solve_over(theta_table(system, "Q", 1), _flatten_columns(system.q.left_map(list(x))))
 
 
 @dataclass
@@ -162,18 +164,19 @@ class FsReport:
 
 
 def _identity_in_span(system: RSystem, level: int, side: str, i: Optional[Subspace]):
-    """Solve identity = sum c_{x,y} theta modulo L(M, MI); returns certificate triples or None."""
+    """Certificate triples of identity = sum c_{x,y} theta modulo MI (`_floored`), or None."""
     d = tensor_space(system, side, level).dim
     identity = _flatten_columns(tuple(((c, ONE),) for c in range(d)))
-    sol = _solve_over_table(system, side, level, identity, _floor_maps(system, side, level, i))
+    *rows, target = _floored(system, side, level, i, [*theta_table(system, side, level), identity])
+    sol = _solve_over(rows, target)
     inner = tensor_space(system, "P" if side == "Q" else "Q", level).dim
     return None if sol is None else [(*divmod(k, inner), c) for k, c in enumerate(sol) if c != 0]
 
 
 def check_fs(system: RSystem, i: Optional[Subspace] = None, level: int = 1) -> FsReport:
     """Condition (FS) of R/I (of R for I = 0) at one level, decided once
-    per system and I: id_Q in the theta span plus L(Q, QI), and id_P in the
-    theta span plus L(P, IP) (`_floor_maps`)."""
+    per system and I: the residual of id_Q modulo QI in the span of the
+    theta residuals, and likewise for id_P modulo IP (`_floored`)."""
     store = _system_store(system)
     key = ("fs", level, _floor_key(i))
     rep = store.get(key)
@@ -207,10 +210,10 @@ def left_annihilator(system: RSystem, i: Optional[Subspace] = None) -> Subspace:
     return out
 
 
-def _delta_map_matrix(system: RSystem) -> list:
-    """The linear map r |-> flatten(Delta(r)) as a (dQ^2 x dR) matrix."""
-    cols = [_flatten_columns(system.q.left[i]) for i in range(system.ring.dim)]
-    return mat_transpose(cols)
+def _delta_map_matrix(system: RSystem, i: Optional[Subspace]) -> list:
+    """r |-> flatten(Delta(r)) read modulo QI (`_floored`), a (dQ^2 x dR) matrix."""
+    cols = [_flatten_columns(system.q.left[r]) for r in range(system.ring.dim)]
+    return mat_transpose(_floored(system, "Q", 1, i, cols))
 
 
 def annihilator(system: RSystem, ideal: Subspace) -> Subspace:
@@ -228,20 +231,73 @@ def annihilator(system: RSystem, ideal: Subspace) -> Subspace:
 
 def delta_ideals(system: RSystem, i: Optional[Subspace] = None) -> tuple[Subspace, Subspace]:
     """(ker Delta, Delta^(-1)(F_P(Q))) of R/I pulled back to R (of R for
-    I = 0), computed once per system and I: by `_floor_maps` these are
-    K_I = Delta^(-1)(L(Q, QI)) and D_I = Delta^(-1)(F_P(Q) + L(Q, QI))."""
+    I = 0), computed once per system and I: by `_floored`, K_I is the kernel of
+    Delta's residuals, and D_I the preimage of the span of the theta residuals."""
     store = _system_store(system)
     key = ("delta_ideals", _floor_key(i))
     out = store.get(key)
     if out is None:
         d = system.ring.dim
-        dmap = _delta_map_matrix(system)
+        dmap = _delta_map_matrix(system, i)
         if not dmap:  # Q = 0, so Delta is the zero map
             out = (Subspace.full(d), Subspace.full(d))
         else:
-            lq = _floor_maps(system, "Q", 1, i)  # L(Q, QI)
-            out = (preimage(dmap, Subspace(len(dmap), lq)), preimage(dmap, finite_rank_space(system, lq)))
+            thetas = _floored(system, "Q", 1, i, theta_table(system, "Q", 1))
+            out = (Subspace(d, kernel(dmap)), preimage(dmap, Subspace(len(dmap), thetas)))
         store[key] = out
+    return out
+
+
+# J's three conditions, as CompatibleIdeal's fields; the messages name them
+IDEAL_CONDITIONS = ("is_two_sided", "is_psi_compatible", "is_faithful")
+
+
+@dataclass(eq=False)
+class CompatibleIdeal:
+    system: RSystem
+    ideal: Subspace
+    is_two_sided: bool
+    is_psi_compatible: bool
+    is_faithful: bool
+
+    def failed(self) -> list[str]:
+        """The conditions J fails, in the order of IDEAL_CONDITIONS, named as
+        the messages name them: 'two-sided', 'psi-compatible', 'faithful'."""
+        return [c[3:].replace("_", "-") for c in IDEAL_CONDITIONS if not getattr(self, c)]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failed()
+
+    def __repr__(self):  # pragma: no cover - debugging aid
+        flags = " ".join(("+" if getattr(self, c) else "-") + c[3:] for c in IDEAL_CONDITIONS)
+        return f"CompatibleIdeal(dim={self.ideal.dim}, {flags})"
+
+
+def validate_ideal(system: RSystem, subspace: Subspace, i: Optional[Subspace] = None) -> CompatibleIdeal:
+    """Decide J's three conditions, once per system, J and I: two-sided,
+    psi-compatible (J <= Delta^-1(F_P(Q))) and faithful (J meets ker Delta
+    in 0).  With a floor I they are asked of J/I in R/I and read in R; I
+    must then be a two-sided, psi-invariant ideal under which R/I acts on
+    Q/QI and P/IP (`ideals._check_descent`), as for `delta_ideals`.
+
+    Proof sketch.  Let (K_I, D_I) = `delta_ideals(system, I)`, the
+    preimages in R of ker Delta and Delta^-1(F_P(Q)) of R/I; for I = 0 they
+    are those of R.  J/I is the image of J + I, so it is two-sided exactly
+    when J + I is, and lies in D_I / I exactly when J does (I <= D_I).  It
+    meets K_I / I in 0 exactly when (J + I) meet K_I = I, i.e. when J + I
+    maps onto dim(J + I) - dim I dimensions of R/K_I; since I <= K_I, J
+    maps onto as many.  When J contains I, J + I is J."""
+    d = system.ring.dim
+    if subspace.ambient != d:
+        raise ValueError(f"ideal lives in dimension {subspace.ambient}, ring has {d}")
+    store, key = _system_store(system), ("ideal", subspace, _floor_key(i))
+    out = store.get(key)
+    if out is None:
+        k_i, d_i = delta_ideals(system, i)
+        j_i = subspace if i is None or i.le(subspace) else subspace.add(i)
+        out = store[key] = CompatibleIdeal(system, subspace, is_two_sided(system, j_i), subspace.le(d_i),
+                                           subspace.add(k_i).dim - k_i.dim == j_i.dim - (i.dim if i else 0))
     return out
 
 
@@ -249,8 +305,8 @@ def canonical_ideals(system: RSystem) -> dict:
     """ker Delta, Delta^(-1)(F_P(Q)), (ker Delta)^perp and their intersection.
 
     j_max = Delta^(-1)(F_P(Q)) ∩ (ker Delta)^perp is the uniquely-maximal
-    faithful candidate; `hypothesis_ok` records whether j_max meets ker Delta
-    trivially (the hypothesis under which maximality is a theorem).  Needs
+    faithful candidate; `hypothesis_ok`, `validate_ideal`'s faithfulness of
+    j_max, is the hypothesis under which maximality is a theorem.  Needs
     (FS); raises FsViolation without it.
     """
     if not check_fs(system).ok:
@@ -263,5 +319,5 @@ def canonical_ideals(system: RSystem) -> dict:
         "delta_inv_F": delta_inv_f,
         "ker_perp": ker_perp,
         "j_max": j_max,
-        "hypothesis_ok": j_max.intersect(ker_delta).is_zero(),
+        "hypothesis_ok": validate_ideal(system, j_max).is_faithful,
     }

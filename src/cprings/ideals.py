@@ -5,8 +5,8 @@ that is exactly what makes the quotient data R/I, Q/QI, P/IP, psi_I an
 R-system again.  A T-pair (I, J) couples such an I with an ideal J whose image
 in R/I is psi_I-compatible and faithful; these index the graded two-sided
 ideals of the relative Cuntz-Pimsner rings.  Every question about R/I is
-asked in R modulo I: the pair's J flags are `cpring.validate_ideal` with the
-floor I, which reads J against the floored Delta ideals of
+asked in R modulo I: the pair's J flags are `finrank.validate_ideal` with
+the floor I, which reads J against the floored Delta ideals of
 `finrank.delta_ideals`, and an ideal handle answers membership by the one
 membership walk of `cpring` (`_graded_preimage`) on the parent's own Fock
 blocks, read modulo Q^(x)k . I, behind a guard read the same way; only
@@ -22,8 +22,8 @@ from operator import and_
 from typing import Optional, Sequence
 
 from .exactlin import QuotientSpace, Subspace, is_zero_vec, unit_vec, zero_vec
-from .cpring import IDEAL_CONDITIONS, CpContext, _core_generator, _graded_preimage, validate_ideal
-from .finrank import delta_ideals
+from .cpring import CpContext, _core_generator, _graded_preimage
+from .finrank import IDEAL_CONDITIONS, delta_ideals, validate_ideal
 from .rsystem import (
     Pairing,
     RSystem,
@@ -94,7 +94,7 @@ def _psi_images(system: RSystem, x):
 
 def _check_descent(system: RSystem, i: Subspace) -> None:
     """Raise NotInvariant unless IQ <= QI and PI <= IP: R/I then acts on Q/QI
-    and P/IP, and its questions can be read in R modulo I (`finrank._floor_maps`)."""
+    and P/IP, and its questions can be read in R modulo I (`finrank._floored`)."""
     q, p = system.q, system.p
     qi, ip = ideal_image(system, "Q", 1, i), ideal_image(system, "P", 1, i)
     for x in i.basis():
@@ -180,7 +180,7 @@ def _quotient_system(system: RSystem, i: Subspace, name: Optional[str]) -> Quoti
 
 # the flags of a candidate pair, in the order they are reported; a T-pair has
 # them all (quotient_two_sided follows from j_two_sided and i_in_j), and the
-# last three are `cpring.IDEAL_CONDITIONS` of J/I
+# last three are `finrank.IDEAL_CONDITIONS` of J/I
 TPAIR_FLAGS = ("i_two_sided", "i_in_j", "j_two_sided", "i_psi_invariant",
                "quotient_two_sided", "quotient_compatible", "quotient_faithful")
 
@@ -201,7 +201,7 @@ class TPair:
 
 def validate_tpair(system: RSystem, i: Subspace, j: Subspace) -> TPair:
     """The candidate pair (I, J) with its flags.  J's three are those of
-    J/I in R/I, decided by `cpring.validate_ideal` with the floor I, and
+    J/I in R/I, decided by `finrank.validate_ideal` with the floor I, and
     false unless I is two-sided and psi-invariant; raises NotInvariant
     when R/I does not act on Q/QI or P/IP.  When J contains I, J + I is J,
     and that call's two-sidedness is J's own."""
@@ -332,7 +332,7 @@ def enumerate_tpairs(system: RSystem) -> list[TPair]:
 
     J's, an interval.  For a closed I that descends, J qualifies exactly
     when J <= D_I and J meets K_I in I, for (K_I, D_I) =
-    `delta_ideals(system, I)` (see `cpring.validate_ideal` with the floor
+    `delta_ideals(system, I)` (see `finrank.validate_ideal` with the floor
     I; every J here is two-sided and contains I).  Both are ideals, so
     coordinate spans, and I <= K_I <= D_I: for r in I, Delta(r) maps Q into
     IQ <= QI.  So the J's are I | S for the S <= D_I \\ K_I, a Boolean

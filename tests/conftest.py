@@ -183,6 +183,16 @@ def corner_bimodules_json() -> dict:
             "q": {"basis": ["q"], **corner}, "p": {"basis": ["p"], **corner}, "psi": []}
 
 
+def idempotent_plus_null_json() -> dict:
+    """R = Q e + Q n with e e = e (other products 0), P = Q = Q with e acting
+    as 1 and n as 0 on both sides, and psi(p (x) q) = e.  (FS) holds, ker
+    Delta = (n) and j_max = R, which meets ker Delta: `hypothesis_ok` is
+    false."""
+    unit = {"left": [[0, 0, 0, 1]], "right": [[0, 0, 0, 1]]}
+    return {"name": "e-plus-null", "ring": {"basis": ["e", "n"], "mult": [[0, 0, 0, 1]]},
+            "q": {"basis": ["q"], **unit}, "p": {"basis": ["p"], **unit}, "psi": [[0, 0, 0, 1]]}
+
+
 def killed_vector_json(leg: str, fixed: bool) -> dict:
     """R = Q e1 + Q e2 (orthogonal idempotents), psi = 0, one leg (`leg`,
     'q' or 'p') spanned by m and the other 0.  Every e_t kills m on the
@@ -283,11 +293,12 @@ def kron(a, b):
 
 
 def _theta_table_matrix(system, side, level, g, h):
-    """Row g * dim(other side) + h of the theta table, as a matrix."""
+    """Row g * dim(other side) + h of the theta table, flattened column by
+    column, as a matrix."""
     d = tensor_space(system, side, level).dim
     other = tensor_space(system, "P" if side == "Q" else "Q", level).dim
     row = theta_table(system, side, level)[g * other + h]
-    return [list(row[i * d:(i + 1) * d]) for i in range(d)]
+    return [[row[c * d + r] for c in range(d)] for r in range(d)]
 
 
 def theta_matrix(system, level, q_index, p_index):

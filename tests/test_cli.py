@@ -27,6 +27,7 @@ from conftest import (
     corner_bimodules_json,
     dual_numbers_ring,
     dual_numbers_unit_basis_ring,
+    idempotent_plus_null_json,
     infinite_emitter_graph,
     killed_vector_json,
     matrix2_ring,
@@ -243,6 +244,18 @@ def test_jmax_example(files):
     assert out["result"]["hypothesis_ok"] is True
 
 
+def test_jmax_hypothesis_fails(tmp_path):
+    """When j_max meets ker Delta, `jmax` still answers, with hypothesis_ok
+    false and a diagnostic."""
+    path = tmp_path / "e-plus-null.json"
+    path.write_text(json.dumps(idempotent_plus_null_json()))
+    code, out = run_json("jmax", str(path))
+    assert code == 0 and out["ok"]
+    assert out["result"]["j_max"] == ["e", "n"] and out["result"]["ker_delta"] == ["n"]
+    assert out["result"]["hypothesis_ok"] is False
+    assert out["diagnostics"] == ["j_max meets ker Delta: maximality not guaranteed"]
+
+
 def test_lattice_counts(files):
     code, body = cli.run(["lattice", files["rose2"], "--format", "dot"])
     assert code == 0
@@ -359,8 +372,9 @@ def test_tpair_needs_two_sided_j(tmp_path):
 
 def test_eq_names_the_failed_condition(tmp_path, files):
     """`eq --j` with a J failing one of its three conditions exits 1 and
-    names that condition: a one-sided J over M_2(Q), an incompatible one
-    where psi = 0, and an unfaithful one holding a sink."""
+    names that condition, in the one refusal of `CpContext`: a one-sided J
+    over M_2(Q), an incompatible one where psi = 0, and an unfaithful one
+    holding a sink."""
     path = tmp_path / "matrix2.json"
     path.write_text(json.dumps(system_to_json(build_automorphism_system(matrix2_ring(), mat_identity(4)))))
     for file, expr, spec, condition in [(str(path), "R:e11", "e11,e21", "two-sided"),
@@ -368,7 +382,7 @@ def test_eq_names_the_failed_condition(tmp_path, files):
                                         (files["line3"], "R:v1", "v3", "faithful")]:
         code, out = run_json("eq", file, expr, expr, "--j", spec)
         assert code == 1 and out["result"] is None
-        assert out["diagnostics"] == [f"NotInvariant: J is not admissible: fails {condition}"]
+        assert out["diagnostics"] == [f"ValueError: J is not admissible: fails {condition}"]
 
 
 def test_eq_refuses_unfaithful_fock(tmp_path, files):
@@ -462,6 +476,10 @@ def test_usage_errors(files, tmp_path):
     assert code == 2
     code, out = run_json("eq", files["a2"], "1/0*p(u)", "p(u)")
     assert code == 2 and "zero denominator" in out["diagnostics"][0]
+    for numeral in ("1" * 5000, "1/" + "1" * 5000):  # past the interpreter's int-string limit
+        code, out = run_json("nf", files["a2"], numeral + " p(u)")
+        assert code == 2 and "too long" in out["diagnostics"][0]
+        assert "line 1, column 1" in out["diagnostics"][0]
     code, out = run_json("nf", files["a2"], "(" * 3000 + "p(u)" + ")" * 3000)
     assert code == 2 and "nested deeper" in out["diagnostics"][0]
     assert "column" in out["diagnostics"][0]

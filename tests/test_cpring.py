@@ -96,11 +96,11 @@ def test_validate_matches_canonical(mixed5):
 
 
 @pytest.mark.parametrize("make, rows, message", [
-    (lambda: build_automorphism_system(matrix2_ring(), mat_identity(4)), [[1, 0, 0, 0]], "is_two_sided"),
-    (psi_zero_system, [[0, 1]], "is_psi_compatible"),
-    (lambda: build_graph_system(line_graph(3)), [[0, 0, 1]], "is_faithful"),
-    (psi_zero_system, [[1, 1]], "is_two_sided, is_psi_compatible"),
-    (lambda: build_graph_system(line_graph(3)), [[1, 1, 0], [0, 0, 1]], "is_two_sided, is_faithful"),
+    (lambda: build_automorphism_system(matrix2_ring(), mat_identity(4)), [[1, 0, 0, 0]], "two-sided"),
+    (psi_zero_system, [[0, 1]], "psi-compatible"),
+    (lambda: build_graph_system(line_graph(3)), [[0, 0, 1]], "faithful"),
+    (psi_zero_system, [[1, 1]], "two-sided, psi-compatible"),
+    (lambda: build_graph_system(line_graph(3)), [[1, 1, 0], [0, 0, 1]], "two-sided, faithful"),
 ], ids=["one-sided", "incompatible", "unfaithful", "two-conditions", "two-sided-and-faithful"])
 def test_context_names_the_failed_conditions(make, rows, message):
     """A J failing some of its conditions: the context refuses it, naming
@@ -110,7 +110,7 @@ def test_context_names_the_failed_conditions(make, rows, message):
     assert not j.ok
     with pytest.raises(ValueError) as exc:
         CpContext(system, j)
-    assert str(exc.value) == "ideal fails: " + message
+    assert str(exc.value) == "J is not admissible: fails " + message
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,19 @@ Graph-side oracles (worked out from the action tables):
 
 import pytest
 
-from conftest import dense, diagonal_ring, five_vertex_mixed, mat_eq, psi_zero_system, theta_matrix, theta_matrix_p
+from conftest import (
+    dense,
+    diagonal_ring,
+    five_vertex_mixed,
+    idempotent_plus_null_json,
+    mat_eq,
+    psi_zero_system,
+    theta_matrix,
+    theta_matrix_p,
+)
 
 from cprings import finrank
-from cprings.cpring import CpContext, cp_equal, validate_ideal
+from cprings.cpring import CpContext, _fock_block, cp_equal, graded_uniqueness_check, validate_ideal
 from cprings.exactlin import (
     ONE,
     Subspace,
@@ -32,9 +41,17 @@ from cprings.finrank import (
     check_fs,
     finite_rank_space,
 )
-from cprings.rsystem import Pairing, RSystem, StructuredBimodule, build_graph_system
-from cprings.tensorpow import psi_apply, tensor_space
-from cprings.toeplitz import embed, toeplitz_mul
+from cprings.graphalg import rose_graph
+from cprings.rsystem import (
+    Pairing,
+    RSystem,
+    StructuredBimodule,
+    build_graph_system,
+    system_from_json,
+    validate_axioms,
+)
+from cprings.tensorpow import DEFAULT_CAP, psi_apply, tensor_space
+from cprings.toeplitz import embed, pair, toeplitz_mul
 
 
 def test_theta_is_matrix_unit_on_matching_ranges(line3_system):
@@ -82,6 +99,18 @@ def test_theta_table_matches_definition(mixed5, perm3):
                     for x in range(qn.dim):
                         assert psi_apply(system, level, unit_vec(pn.dim, y), [r[x] for r in t]) == \
                             psi_apply(system, level, [r[y] for r in s], unit_vec(qn.dim, x))
+
+
+def test_theta_rows_are_fock_blocks(line3_system, perm3):
+    """One operator layout across modules: q (x) p acts on level 1 of the
+    Fock module as theta_{q,p}, so the level-1 block of pair(e_b, e_a), as
+    the membership walk flattens it, is row b * dim P + a of the theta table."""
+    for system in (line3_system, build_graph_system(rose_graph(2)), perm3):
+        q, p, table = system.q.dim, system.p.dim, finrank.theta_table(system, "Q", 1)
+        for b in range(q):
+            for a in range(p):
+                block = _fock_block(pair(system, 1, 1, unit_vec(q, b), unit_vec(p, a)), 1, 1, DEFAULT_CAP)
+                assert block == list(table[b * p + a]), (system.name, b, a)
 
 
 def test_delta_projects_onto_emitted_edges(line3_system):
@@ -199,6 +228,22 @@ def test_canonical_ideals_requires_fs():
     system = psi_zero_system()
     with pytest.raises(FsViolation):
         canonical_ideals(system)
+
+
+def test_canonical_ideals_hypothesis_fails():
+    """On R = Q e + Q n (`idempotent_plus_null_json`) (FS) holds, ker Delta
+    = (n) and j_max = R: j_max is not faithful, so hypothesis_ok is false,
+    and maximality of the admissible J = (e) is not decided by j_max."""
+    system = system_from_json(idempotent_plus_null_json())
+    assert validate_axioms(system).ok and check_fs(system).ok
+    out = canonical_ideals(system)
+    assert out["ker_delta"] == Subspace(2, [unit_vec(2, 1)])
+    assert out["j_max"] == Subspace.full(2)
+    assert out["hypothesis_ok"] is False
+    j = validate_ideal(system, Subspace(2, [unit_vec(2, 0)]))
+    assert j.ok
+    with pytest.raises(ValueError, match="j_max meets ker Delta"):
+        graded_uniqueness_check(system, j)
 
 
 def test_rank_one_calculus_built_once_per_system(line3, monkeypatch):

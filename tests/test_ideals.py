@@ -14,7 +14,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cprings import cli, cpring, ideals, rsystem
+from cprings import cli, finrank, ideals, rsystem
 from cprings.cli import _graph_pair_lattice
 from cprings.exactlin import Subspace, mat_identity, unit_vec
 from cprings.graphalg import cycle_graph, enumerate_ideal_pairs, line_graph, pair_order, rose_graph
@@ -519,7 +519,7 @@ def test_enumeration_checks_each_ideal_once(monkeypatch):
         contractions.append((n, p, q))
         return real_psi_apply(system, n, p, q)
 
-    for module in (rsystem, cpring, ideals):
+    for module in (rsystem, finrank, ideals):
         monkeypatch.setattr(module, "is_two_sided", count_two_sided)
     monkeypatch.setattr(ideals, "psi_apply", count_psi_apply)
     built = _count_quotients(monkeypatch)
