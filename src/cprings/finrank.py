@@ -20,7 +20,8 @@ subsets reduces to the basis.
 `check_fs`, `left_annihilator` ({r : rR = 0}) and `delta_ideals` (ker Delta
 and Delta^(-1)(F_P(Q))) are computed once per system and stored with it;
 given a floor ideal I, each answers for R/I instead, read in R with operator
-columns taken modulo M.I (`_column_residual`, as in the membership walk);
+columns taken modulo M.I (`_column_residual`, as in the membership walk),
+and the theta table read so is stored once per floor (`_floored_thetas`);
 only `cpr quotient` builds R/I.  `validate_ideal` decides J's conditions
 against `delta_ideals`, and `canonical_ideals` adds the two-sided annihilator
 of ker Delta (the kernel of x -> k x and x -> x k over a basis, read off
@@ -139,6 +140,17 @@ def _floored(system: RSystem, side: str, level: int, i: Optional[Subspace], maps
     return [_column_residual(image, m) for m in maps]
 
 
+def _floored_thetas(system: RSystem, side: str, level: int, i: Optional[Subspace]) -> list:
+    """The theta table of one side and level `_floored` modulo MI, once per
+    system, side, level and floor: `check_fs` and `delta_ideals` share it."""
+    store = _system_store(system)
+    key = ("theta_floored", side, level, _floor_key(i))
+    rows = store.get(key)
+    if rows is None:
+        rows = store[key] = _floored(system, side, level, i, theta_table(system, side, level))
+    return rows
+
+
 def finite_rank_space(system: RSystem) -> Subspace:
     """F_P(Q), the span of the level-1 rank-one operators on Q, as flattened matrices."""
     d = system.q.dim
@@ -164,11 +176,12 @@ class FsReport:
 
 
 def _identity_in_span(system: RSystem, level: int, side: str, i: Optional[Subspace]):
-    """Certificate triples of identity = sum c_{x,y} theta modulo MI (`_floored`), or None."""
+    """Certificate triples of identity = sum c_{x,y} theta modulo MI, or None:
+    the identity's residual (`_floored`) solved over `_floored_thetas`."""
     d = tensor_space(system, side, level).dim
     identity = _flatten_columns(tuple(((c, ONE),) for c in range(d)))
-    *rows, target = _floored(system, side, level, i, [*theta_table(system, side, level), identity])
-    sol = _solve_over(rows, target)
+    [target] = _floored(system, side, level, i, [identity])
+    sol = _solve_over(_floored_thetas(system, side, level, i), target)
     inner = tensor_space(system, "P" if side == "Q" else "Q", level).dim
     return None if sol is None else [(*divmod(k, inner), c) for k, c in enumerate(sol) if c != 0]
 
@@ -242,7 +255,7 @@ def delta_ideals(system: RSystem, i: Optional[Subspace] = None) -> tuple[Subspac
         if not dmap:  # Q = 0, so Delta is the zero map
             out = (Subspace.full(d), Subspace.full(d))
         else:
-            thetas = _floored(system, "Q", 1, i, theta_table(system, "Q", 1))
+            thetas = _floored_thetas(system, "Q", 1, i)
             out = (Subspace(d, kernel(dmap)), preimage(dmap, Subspace(len(dmap), thetas)))
         store[key] = out
     return out

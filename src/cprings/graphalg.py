@@ -132,6 +132,8 @@ def graph_from_json(data: dict) -> FiniteGraph:
             raise ValueError(f'edge {e["name"]!r}: multiplicity must be a positive integer '
                              f'or "inf", got {mult!r}')
         edges.append(Edge(e["name"], e["src"], e["tgt"], mult))
+    if not isinstance(data["vertices"], list):
+        raise ValueError(f'"vertices" must be a list of labels, got {data["vertices"]!r}')
     return FiniteGraph(data["vertices"], edges, name=data.get("name", "graph"))
 
 

@@ -18,7 +18,9 @@ by the one kernel `_bilinear`.  A bimodule has one constructor, which takes
 the columns and checks every index in them.
 
 `validate_axioms` checks every defining identity on basis elements (which
-suffices by linearity) and reports each failure individually.  The two
+suffices by linearity) on their nonzero paths: each side is summed over
+paths through nonzero structure constants into one difference table per
+family of identities, and each failure is reported individually.  The two
 builders construct the standard examples: path/graph systems and
 automorphism (skew) systems.
 """
@@ -224,28 +226,104 @@ class ValidationReport:
         return self.ok
 
 
-def _check_bimodule(ring: StructuredRing, mod: StructuredBimodule, tag: str, failures, count):
-    """The three bimodule identities at each pair (e_i, e_j), read off the columns."""
-    n, d = ring.dim, mod.dim
-    left, right = mod.left, mod.right
-    for i in range(n):
-        for j in range(n):
-            prod = ring.left[i][j]
-            identities = (  # each side as the (c, column) terms of its value at m_a
-                ("left action not associative",  # e_i . (e_j . m) = (e_i e_j) . m
-                 lambda a: ((c, left[i][x]) for x, c in left[j][a]),
-                 lambda a: ((c, left[l][a]) for l, c in prod)),
-                ("right action not associative",  # (m . e_i) . e_j = m . (e_i e_j)
-                 lambda a: ((c, right[j][x]) for x, c in right[i][a]),
-                 lambda a: ((c, right[l][a]) for l, c in prod)),
-                ("actions do not commute",  # (e_i . m) . e_j = e_i . (m . e_j)
-                 lambda a: ((c, right[j][x]) for x, c in left[i][a]),
-                 lambda a: ((c, left[i][x]) for x, c in right[j][a])),
-            )
-            for what, lhs, rhs in identities:
-                count[0] += 1
-                if any(_lincomb(d, lhs(a)) != _lincomb(d, rhs(a)) for a in range(d)):
-                    failures.append(f"{tag}: {what} at ({ring.labels[i]},{ring.labels[j]})")
+class _Walk:
+    """Maps in nonzero form, maps[u][x] the nonzeros of column x of map u,
+    indexed for a path walk: cols[u] the nonempty columns of map u, at[x]
+    the maps whose column x (of `width`) is nonempty."""
+
+    __slots__ = ("maps", "cols", "at")
+
+    def __init__(self, maps, width: int):
+        self.maps = maps
+        self.cols = [[x for x, col in enumerate(cols) if col] for cols in maps]
+        self.at = [[] for _ in range(width)]
+        for u, xs in enumerate(self.cols):
+            for x in xs:
+                self.at[x].append(u)
+
+
+def _failing(width: int, *walks) -> list:
+    """The sorted index tuples key[:width] at which one family's difference
+    table is nonzero.  Each walk (sign, first, second, compose, key) adds
+    sign * c z at key(s, t, u, y) for each path through nonzero constants:
+    c at x in first.maps[s][t], then z at y in second.maps[u][x] (u over
+    second.at[x]) when `compose`, else in second.maps[x][u] (u over
+    second.cols[x])."""
+    diff: dict = {}
+    for sign, first, second, compose, key in walks:
+        for s, ts in enumerate(first.cols):
+            for t in ts:
+                for x, c in first.maps[s][t]:
+                    for u in second.at[x] if compose else second.cols[x]:
+                        for y, z in second.maps[u][x] if compose else second.maps[x][u]:
+                            k = key(s, t, u, y)
+                            diff[k] = diff.get(k, ZERO) + sign * c * z
+    return sorted({k[:width] for k, v in diff.items() if v})
+
+
+_BIMODULE = ("left action not associative", "right action not associative", "actions do not commute")
+_PSI = ("not balanced", "not left linear", "not right linear")
+
+
+def validate_axioms(system: RSystem) -> ValidationReport:
+    """Check every defining identity of (R, P, Q, psi) on basis elements.
+
+    The identities are R's associativity, for P and for Q
+    e_i.(e_j.m) = (e_i e_j).m, (m.e_i).e_j = m.(e_i e_j) and
+    (e_i.m).e_j = e_i.(m.e_j), and psi's balance and left and right
+    R-linearity; by linearity basis elements suffice.  A bimodule whose
+    actions do not have one map per ring basis element fails with that
+    message instead, and its identities and psi's are not checked.
+
+    Proof sketch of the walk: each side of an identity, at each coordinate
+    of its value, is a sum over paths of products of two structure
+    constants (e_i.(e_j.m_a) sums c z over c at x in e_j.m_a and z at y in
+    e_i.m_x).  A path through a zero constant adds nothing, so `_failing`
+    walks the nonzeros of the stored columns only, and a coordinate that no
+    path reaches is 0 on both sides.  The left side adds into one difference
+    table per family and the right side subtracts, so the identity holds at
+    its basis indices exactly when all of their coordinates vanish.  Sorted,
+    the failing indices come in the order of a loop over them, and `checks`
+    counts every identity checked.
+    """
+    ring, p, q, psi = system.ring, system.p, system.q, system.psi
+    n, lab = ring.dim, ring.labels
+    rl, rr = _Walk(ring.left, n), _Walk(ring.right, n)
+    failures = [f"ring: associativity fails at ({lab[i]},{lab[j]},{lab[k]})" for i, j, k in _failing(
+        3, (1, rl, rr, True, lambda i, j, k, y: (i, j, k, y)),  # (e_i e_j) e_k
+        (-1, rl, rl, True, lambda j, k, i, y: (i, j, k, y)))]  # e_i (e_j e_k)
+    checks = n * n * n
+    walks = {}
+    for tag, mod in (("P", p), ("Q", q)):
+        wrong = [f"{tag}: {side} action has {len(maps)} maps for {n} ring basis elements"
+                 for side, maps in (("left", mod.left), ("right", mod.right)) if len(maps) != n]
+        if wrong:
+            failures += wrong
+            continue
+        lm, rm = walks[tag] = _Walk(mod.left, mod.dim), _Walk(mod.right, mod.dim)
+        failures += [f"{tag}: {_BIMODULE[k]} at ({lab[i]},{lab[j]})" for i, j, k in _failing(
+            3, (1, lm, lm, True, lambda j, a, i, y: (i, j, 0, a, y)),  # e_i.(e_j.m_a)
+            (-1, rl, lm, False, lambda i, j, a, y: (i, j, 0, a, y)),  # (e_i e_j).m_a
+            (1, rm, rm, True, lambda i, a, j, y: (i, j, 1, a, y)),  # (m_a.e_i).e_j
+            (-1, rl, rm, False, lambda i, j, a, y: (i, j, 1, a, y)),  # m_a.(e_i e_j)
+            (1, lm, rm, True, lambda i, a, j, y: (i, j, 2, a, y)),  # (e_i.m_a).e_j
+            (-1, rm, lm, True, lambda j, a, i, y: (i, j, 2, a, y)))]  # e_i.(m_a.e_j)
+        checks += 3 * n * n
+
+    dp, dq = p.dim, q.dim
+    if len(psi.table) != dp or any(len(row) != dq for row in psi.table):
+        failures.append("psi: table shape does not match module bases")
+    elif len(walks) == 2:
+        (pl, pr), (ql, qr), t = walks["P"], walks["Q"], _Walk(psi._table_nz, dq)
+        failures += [f"psi: {_PSI[k]} at ({lab[i]},p{a},q{b})" for i, a, b, k in _failing(
+            4, (1, pr, t, False, lambda i, a, b, y: (i, a, b, 0, y)),  # psi(p_a.e_i (x) q_b)
+            (-1, ql, t, True, lambda i, b, a, y: (i, a, b, 0, y)),  # psi(p_a (x) e_i.q_b)
+            (1, pl, t, False, lambda i, a, b, y: (i, a, b, 1, y)),  # psi(e_i.p_a (x) q_b)
+            (-1, t, rl, True, lambda a, b, i, y: (i, a, b, 1, y)),  # e_i psi(p_a (x) q_b)
+            (1, qr, t, True, lambda i, b, a, y: (i, a, b, 2, y)),  # psi(p_a (x) q_b.e_i)
+            (-1, t, rr, True, lambda a, b, i, y: (i, a, b, 2, y)))]  # psi(p_a (x) q_b) e_i
+        checks += 3 * n * dp * dq
+    return ValidationReport(ok=not failures, failures=failures, checks=checks)
 
 
 def _lincomb(n: int, terms) -> list[Fraction]:
@@ -255,69 +333,6 @@ def _lincomb(n: int, terms) -> list[Fraction]:
         for j, y in nz:
             out[j] += c * y
     return out
-
-
-def validate_axioms(system: RSystem) -> ValidationReport:
-    """Check every defining identity of (R, P, Q, psi) on basis elements.
-
-    Each side of an identity on basis elements is a combination of entries
-    of the structure tables (ring.mult, the action columns, psi.table), so
-    both sides are read off those tables rather than computed by applying
-    the structure maps to unit vectors.
-    """
-    failures: list[str] = []
-    count = [0]
-    ring = system.ring
-    n = ring.dim
-    mult = ring.left
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # (e_i e_j) e_k = e_i (e_j e_k)
-                lhs = _lincomb(n, ((c, mult[l][k]) for l, c in mult[i][j]))
-                rhs = _lincomb(n, ((c, mult[i][l]) for l, c in mult[j][k]))
-                count[0] += 1
-                if lhs != rhs:
-                    failures.append(
-                        f"ring: associativity fails at ({ring.labels[i]},{ring.labels[j]},{ring.labels[k]})"
-                    )
-
-    _check_bimodule(ring, system.p, "P", failures, count)
-    _check_bimodule(ring, system.q, "Q", failures, count)
-
-    psi = system.psi
-    dp, dq = system.p.dim, system.q.dim
-    if len(psi.table) != dp or any(len(row) != dq for row in psi.table):
-        failures.append("psi: table shape does not match module bases")
-    else:
-        table = psi._table_nz
-        p_left, p_right, q_left, q_right = system.p.left, system.p.right, system.q.left, system.q.right
-        for i in range(n):
-            for a in range(dp):
-                for b in range(dq):
-                    # balanced over R: psi(p.r (x) q) = psi(p (x) r.q)
-                    lhs = _lincomb(n, ((c, table[x][b]) for x, c in p_right[i][a]))
-                    rhs = _lincomb(n, ((c, table[a][y]) for y, c in q_left[i][b]))
-                    count[0] += 1
-                    if lhs != rhs:
-                        failures.append(
-                            f"psi: not balanced at ({ring.labels[i]},p{a},q{b})"
-                        )
-                    # left R-linear: psi(r.p (x) q) = r psi(p (x) q)
-                    lhs = _lincomb(n, ((c, table[x][b]) for x, c in p_left[i][a]))
-                    rhs = _lincomb(n, ((c, mult[i][l]) for l, c in table[a][b]))
-                    count[0] += 1
-                    if lhs != rhs:
-                        failures.append(f"psi: not left linear at ({ring.labels[i]},p{a},q{b})")
-                    # right R-linear: psi(p (x) q.r) = psi(p (x) q) r
-                    lhs = _lincomb(n, ((c, table[a][y]) for y, c in q_right[i][b]))
-                    rhs = _lincomb(n, ((c, mult[l][i]) for l, c in table[a][b]))
-                    count[0] += 1
-                    if lhs != rhs:
-                        failures.append(f"psi: not right linear at ({ring.labels[i]},p{a},q{b})")
-
-    return ValidationReport(ok=not failures, failures=failures, checks=count[0])
 
 
 def is_two_sided(system: RSystem, space: Subspace) -> bool:
@@ -437,6 +452,14 @@ def _triples_to_table(triples, n1, n2, n3):
     return table
 
 
+def _basis(data: dict, key: str) -> list:
+    """data[key]["basis"], which must be a JSON list of labels."""
+    labels = data[key]["basis"]
+    if not isinstance(labels, list):
+        raise ValueError(f'{key} "basis" must be a list of labels, got {labels!r}')
+    return labels
+
+
 def system_from_json(data: dict) -> RSystem:
     """Build a system from the interchange schema.
 
@@ -448,14 +471,13 @@ def system_from_json(data: dict) -> RSystem:
     """
     if data.get("base_field", "Q") != "Q":
         raise ValueError("only base_field 'Q' is supported")
-    rbasis = data["ring"]["basis"]
+    rbasis = _basis(data, "ring")
     n = len(rbasis)
     mult = _triples_to_table(data["ring"].get("mult", []), n, n, n)
     ring = StructuredRing(rbasis, mult)
 
     def load_mod(key):
-        spec = data[key]
-        labels = spec["basis"]
+        spec, labels = data[key], _basis(data, key)
         d = len(labels)
         # [i, a, b, c] is coefficient c of m_b in column a of e_i's action
         left, right = (_nz_table(_triples_to_table(spec.get(side, []), n, d, d)) for side in ("left", "right"))

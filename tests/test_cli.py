@@ -508,6 +508,18 @@ def test_usage_errors(files, tmp_path):
         p.write_text(json.dumps(payload))
         code, out = run_json("validate", str(p))
         assert code == 2 and str(p) in out["diagnostics"][0]
+    # a string where a list of labels belongs, which iteration would read one character at a time
+    system = {"ring": {"basis": ["a", "b"], "mult": [[0, 0, 0, "1"], [1, 1, 1, "1"]]},
+              "p": {"basis": ["m"]}, "q": {"basis": ["m"]}}
+    labels_as_string = [{"vertices": "uv", "edges": [{"name": "e", "src": "u", "tgt": "v"}]},
+                        {**system, "ring": {**system["ring"], "basis": "ab"}},
+                        {**system, "p": {"basis": "m"}}, {**system, "q": {"basis": "m"}}]
+    for k, payload in enumerate(labels_as_string):
+        p = tmp_path / f"labels{k}.json"
+        p.write_text(json.dumps(payload))
+        for verb in ("validate", "lattice"):
+            code, out = run_json(verb, str(p))
+            assert code == 2 and "must be a list of labels" in out["diagnostics"][0], (payload, verb)
     for k, mult in enumerate(["abc", None, 2.5, 0]):
         p = tmp_path / f"badmult{k}.json"
         p.write_text(json.dumps({"vertices": ["u", "v"],

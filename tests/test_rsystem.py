@@ -7,16 +7,21 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     a2_graph,
     columns,
+    corner_bimodules_json,
     dense,
     diagonal_ring,
     dual_numbers_ring,
     five_vertex_mixed,
+    idempotent_plus_null_json,
+    left_unit_json,
     matrix2_ring,
     perm3_system,
     psi_zero_system,
     random_graph,
     random_permutation_system,
     right_annihilator,
+    square_into_ideal_json,
+    square_zero_json,
 )
 from cprings.exactlin import Subspace, mat_identity, unit_vec, zero_vec
 from cprings.rsystem import (
@@ -299,20 +304,77 @@ def _tampered(system, rng):
     return RSystem(ring=ring, p=p, q=q, psi=Pairing(tables["psi"]), name="tampered")
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 6), st.sampled_from(["graph", "perm", "dual", "matrix2"]))
+_REFERENCE_SYSTEMS = {
+    "graph": lambda rng: build_graph_system(random_graph(rng, max_v=4, max_e=5)),
+    "perm": lambda rng: random_permutation_system(rng, max_n=4),
+    "dual": lambda rng: build_automorphism_system(dual_numbers_ring(), mat_identity(2)),
+    "matrix2": lambda rng: build_automorphism_system(matrix2_ring(), mat_identity(4)),
+    "psi-zero": lambda rng: psi_zero_system(),
+    **{data()["name"]: lambda rng, data=data: system_from_json(data())
+       for data in (square_zero_json, left_unit_json, square_into_ideal_json,
+                    corner_bimodules_json, idempotent_plus_null_json)},
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(sorted(_REFERENCE_SYSTEMS)))
 def test_validate_axioms_matches_unit_vector_reference(seed, kind):
     rng = random.Random(seed)
-    if kind == "graph":
-        sys = build_graph_system(random_graph(rng, max_v=4, max_e=5))
-    elif kind == "perm":
-        sys = random_permutation_system(rng, max_n=4)
-    elif kind == "dual":
-        sys = build_automorphism_system(dual_numbers_ring(), mat_identity(2))
-    else:
-        sys = build_automorphism_system(matrix2_ring(), mat_identity(4))
-    for candidate in (sys, _tampered(sys, rng)):
+    sys = _REFERENCE_SYSTEMS[kind](rng)
+    for candidate in (sys, _tampered(sys, rng), _tampered(sys, rng)):
         assert validate_axioms(candidate) == reference_validate_axioms(candidate)
+
+
+def _one_element_system(z_z, q_left):
+    """R = Q z with z z = z_z z, Q = Q^2 with z acting on the left by the
+    columns `q_left` and as 0 on the right, P = 0 and psi = 0."""
+    ring = StructuredRing(["z"], [[[z_z]]])
+    q = StructuredBimodule(["m0", "m1"], [q_left], [[(), ()]])
+    return RSystem(ring=ring, p=StructuredBimodule([], [[]], [[]]), q=q, psi=Pairing([]))
+
+
+def test_validate_axioms_cancelling_paths():
+    """z z = 0 and z acting on Q by the columns (1, -1), (1, -1): z.(z.m0)
+    has the paths m0 -> m0 -> m0 (weight 1) and m0 -> m1 -> m0 (weight -1),
+    which cancel, so L^2 = 0 = (z z).m and Q is a bimodule.  With the
+    second column tampered to (1, -2) they no longer cancel.  With z z = z
+    and z swapping m0 and m1, L^2 - L has opposite columns, so the
+    differences of two basis vectors m_a cancel only if read as one."""
+    cols = [((0, 1), (1, -1)), ((0, 1), (1, -1))]
+    rep = validate_axioms(_one_element_system(0, cols))
+    assert rep == ValidationReport(ok=True, failures=[], checks=7)
+    fails = ValidationReport(ok=False, failures=["Q: left action not associative at (z,z)"], checks=7)
+    for tampered in (_one_element_system(0, [cols[0], ((0, 1), (1, -2))]),
+                     _one_element_system(1, [((1, 1),), ((0, 1),)])):
+        assert validate_axioms(tampered) == fails == reference_validate_axioms(tampered)
+
+
+def _corner_system(dp, dq, p_left=None):
+    """R = Q e1 + Q e2 (orthogonal idempotents); P = Q^dp and Q = Q^dq with
+    e1 acting as 1 and e2 as 0 on both sides; psi = 0."""
+    def module(name, d, left=None):
+        one = [tuple(((a, 1),) for a in range(d)), [()] * d]
+        return StructuredBimodule([f"{name}{a}" for a in range(d)], left or one, one)
+    zero = [[[0, 0]] * dq for _ in range(dp)]
+    return RSystem(ring=diagonal_ring(2), p=module("p", dp, p_left), q=module("q", dq),
+                   psi=Pairing(zero))
+
+
+def test_validate_axioms_counts_checks_with_unequal_legs():
+    """checks = n^3 + 6 n^2 + 3 n dP dQ: 8 + 24 + 18 for n = 2, dP = 1, dQ = 3."""
+    sys = _corner_system(1, 3)
+    assert validate_axioms(sys) == ValidationReport(ok=True, failures=[], checks=50)
+    assert reference_validate_axioms(sys).checks == 50
+
+
+def test_validate_axioms_reports_action_shape():
+    """A bimodule with more or fewer action maps than ring basis elements
+    fails by name; its identities and psi's are left out of `checks`."""
+    one, zero, five = ((0, 1),), (), ((0, 5),)
+    for maps in ([[one], [zero], [five]], [[one]]):
+        rep = validate_axioms(_corner_system(1, 1, p_left=maps))
+        message = f"P: left action has {len(maps)} maps for 2 ring basis elements"
+        assert rep == ValidationReport(ok=False, failures=[message], checks=8 + 12)
 
 
 def dense_bilinear(n, table, a, b):
