@@ -479,13 +479,13 @@ def _coord_subspace(loaded: LoadedInput, spec: str) -> Subspace:
         return Subspace.full(d)
     if spec == "jmax":
         return canonical_ideals(sy)["j_max"]
-    vecs = []
+    indices = []
     for label in spec.split(","):
         label = label.strip()
         if label not in sy.ring.labels:
             raise UnknownGenerator(f"unknown ring label {label!r} in ideal spec")
-        vecs.append(unit_vec(d, sy.ring.labels.index(label)))
-    return Subspace(d, vecs)
+        indices.append(sy.ring.labels.index(label))
+    return Subspace.coordinate_span(d, indices)
 
 
 def _subspace_json(ring, sub: Subspace):

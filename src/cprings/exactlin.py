@@ -17,9 +17,10 @@ pivots, and it brings an integral inverse back to an int.
 The matrices that graph and permutation systems produce are almost all
 zeros, so every kernel collects the nonzero entries of its operands first
 and does arithmetic only on those; the results are exactly those of the
-dense formulas.  `Subspace` stores a reduced row echelon basis and supports
-the handful of lattice operations the higher layers need (sum,
-intersection, membership, canonical residuals).
+dense formulas.  `Subspace` stores a reduced row echelon basis (a span of
+unit vectors is its own, so `coordinate_span` eliminates nothing) and has the
+lattice operations the higher layers need (sum, intersection, membership,
+canonical residuals).
 `QuotientSpace` takes the classes of the non-pivot coordinates as its basis,
 so basis vector t is the class of the unit vector at `free[t]`; the class of
 every other coordinate is read off the RREF rows once, into a lookup table,
@@ -273,8 +274,22 @@ class Subspace:
         )
 
     @classmethod
+    def coordinate_span(cls, ambient: int, indices: Iterable[int]) -> "Subspace":
+        """The span of the unit vectors at `indices` (any order, repeats
+        allowed), built as its own RREF: the distinct indices, sorted, are the
+        pivots of unit rows with nothing right of them."""
+        pivots = set(indices)
+        if any(type(t) is not int or not 0 <= t < ambient for t in pivots):
+            raise ValueError(f"coordinate indices must be ints in range({ambient}), got {sorted(map(repr, pivots))}")
+        self = object.__new__(cls)
+        self.ambient, self.pivots = ambient, tuple(sorted(pivots))
+        self.rows = tuple(tuple(unit_vec(ambient, t)) for t in self.pivots)
+        self._support = ((),) * len(self.pivots)
+        return self
+
+    @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, mat_identity(ambient))
+        return cls.coordinate_span(ambient, range(ambient))
 
     @property
     def dim(self) -> int:
@@ -338,6 +353,10 @@ class Subspace:
             raise DimensionMismatch("ambient dimensions differ")
         if self.is_zero() or other.is_zero():
             return Subspace(self.ambient)
+        if self.dim == self.ambient:  # all of Q^n
+            return other
+        if other.dim == other.ambient:
+            return self
         # coefficients (c, d) with sum c_i u_i = sum d_j w_j, read off the u-part
         cols = [list(r) for r in self.rows] + [[-x for x in r] for r in other.rows]
         relations = kernel(mat_transpose(cols))

@@ -26,6 +26,11 @@ only `cpr quotient` builds R/I.  `validate_ideal` decides J's conditions
 against `delta_ideals`, and `canonical_ideals` adds the two-sided annihilator
 of ker Delta (the kernel of x -> k x and x -> x k over a basis, read off
 `ring.multiply`) and j_max, the intersection, the uniquely-maximal candidate.
+
+Delta(r) theta_{q,p} = theta_{r.q,p}, so F_P(Q) is a left ideal for Delta(R),
+as the compacts are one of L(X) in Katsura's J_X.  Once (FS) puts id_Q in
+F_P(Q), Delta^(-1)(F_P(Q)) is all of R, at every floor I, and j_max is
+(ker Delta)^perp: `delta_ideals` eliminates only for systems without (FS).
 """
 
 from __future__ import annotations
@@ -186,6 +191,15 @@ def _identity_in_span(system: RSystem, level: int, side: str, i: Optional[Subspa
     return None if sol is None else [(*divmod(k, inner), c) for k, c in enumerate(sol) if c != 0]
 
 
+def _fs_half(system: RSystem, side: str, level: int = 1, i: Optional[Subspace] = None):
+    """`_identity_in_span` of one side, once per system, side, level and I."""
+    store = _system_store(system)
+    key = ("fs_half", side, level, _floor_key(i))
+    if key not in store:
+        store[key] = _identity_in_span(system, level, side, i)
+    return store[key]
+
+
 def check_fs(system: RSystem, i: Optional[Subspace] = None, level: int = 1) -> FsReport:
     """Condition (FS) of R/I (of R for I = 0) at one level, decided once
     per system and I: the residual of id_Q modulo QI in the span of the
@@ -194,7 +208,7 @@ def check_fs(system: RSystem, i: Optional[Subspace] = None, level: int = 1) -> F
     key = ("fs", level, _floor_key(i))
     rep = store.get(key)
     if rep is None:
-        q_cert, p_cert = (_identity_in_span(system, level, side, i) for side in ("Q", "P"))
+        q_cert, p_cert = (_fs_half(system, side, level, i) for side in ("Q", "P"))
         rep = store[key] = FsReport(ok=q_cert is not None and p_cert is not None,
                                     q_ok=q_cert is not None, p_ok=p_cert is not None,
                                     q_certificate=q_cert, p_certificate=p_cert, level=level)
@@ -233,7 +247,7 @@ def annihilator(system: RSystem, ideal: Subspace) -> Subspace:
     """Two-sided annihilator {x : x y = y x = 0 for all y in the subspace}."""
     d = system.ring.dim
     if ideal.is_zero():
-        return Subspace(d, mat_identity(d))
+        return Subspace.full(d)
     mul, units = system.ring.multiply, mat_identity(d)
     stacked = []  # the rows of x -> k x and of x -> x k, for each basis vector k
     for k in ideal.basis():
@@ -245,18 +259,26 @@ def annihilator(system: RSystem, ideal: Subspace) -> Subspace:
 def delta_ideals(system: RSystem, i: Optional[Subspace] = None) -> tuple[Subspace, Subspace]:
     """(ker Delta, Delta^(-1)(F_P(Q))) of R/I pulled back to R (of R for
     I = 0), computed once per system and I: by `_floored`, K_I is the kernel of
-    Delta's residuals, and D_I the preimage of the span of the theta residuals."""
+    Delta's residuals, and D_I is R when R has (FS) on Q, else the preimage of
+    the span of the theta residuals.
+
+    Proof sketch.  For r in R, Delta(r) theta_{q,p} = theta_{r.q,p}, since
+    r.(q.psi(p (x) x)) = (r.q).psi(p (x) x) is Q's bimodule law.  So F_P(Q)
+    is a left ideal for Delta(R): with id_Q in F_P(Q), Delta(r) = Delta(r)
+    id_Q lies in it for every r, and D_0 = R.  The column residual modulo QI
+    is linear, so a combination of theta's leaves a combination of theta
+    residuals: D_I contains D_0 = R at every floor I."""
     store = _system_store(system)
     key = ("delta_ideals", _floor_key(i))
     out = store.get(key)
     if out is None:
         d = system.ring.dim
         dmap = _delta_map_matrix(system, i)
-        if not dmap:  # Q = 0, so Delta is the zero map
-            out = (Subspace.full(d), Subspace.full(d))
-        else:
-            thetas = _floored_thetas(system, "Q", 1, i)
-            out = (Subspace(d, kernel(dmap)), preimage(dmap, Subspace(len(dmap), thetas)))
+        k_i = Subspace(d, kernel(dmap)) if dmap else Subspace.full(d)  # Q = 0: Delta is zero
+        if _fs_half(system, "Q") is not None:
+            out = (k_i, Subspace.full(d))
+        else:  # without (FS) Q is nonzero, and only the elimination decides D_I
+            out = (k_i, preimage(dmap, Subspace(len(dmap), _floored_thetas(system, "Q", 1, i))))
         store[key] = out
     return out
 
@@ -320,7 +342,9 @@ def canonical_ideals(system: RSystem) -> dict:
     j_max = Delta^(-1)(F_P(Q)) ∩ (ker Delta)^perp is the uniquely-maximal
     faithful candidate; `hypothesis_ok`, `validate_ideal`'s faithfulness of
     j_max, is the hypothesis under which maximality is a theorem.  Needs
-    (FS); raises FsViolation without it.
+    (FS); raises FsViolation without it.  Under (FS), Delta(r) = Delta(r)
+    id_Q lies in F_P(Q), a left ideal for Delta(R) (see `delta_ideals`), so
+    Delta^(-1)(F_P(Q)) = R and j_max = (ker Delta)^perp, with no elimination.
     """
     if not check_fs(system).ok:
         raise FsViolation("condition (FS) fails; rank-one calculus would be unreliable")

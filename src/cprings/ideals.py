@@ -348,7 +348,7 @@ def enumerate_tpairs(system: RSystem) -> list[TPair]:
     for t in range(d):
         for v in _psi_images(system, unit_vec(d, t)):
             succ[t] |= sum(1 << s for s, c in enumerate(v) if c)
-    span = cache(lambda mask: Subspace(d, [unit_vec(d, t) for t in _bits(mask)]))
+    span = cache(lambda mask: Subspace.coordinate_span(d, _bits(mask)))
     reach, out = [0], []  # reach[m]: the union of succ over m
     for m in range(1, 1 << d):
         reach.append(reach[m & (m - 1)] | succ[(m & -m).bit_length() - 1])

@@ -273,7 +273,9 @@ def validate_axioms(system: RSystem) -> ValidationReport:
     (e_i.m).e_j = e_i.(m.e_j), and psi's balance and left and right
     R-linearity; by linearity basis elements suffice.  A bimodule whose
     actions do not have one map per ring basis element fails with that
-    message instead, and its identities and psi's are not checked.
+    message instead, and its identities and psi's are not checked.  A psi
+    cell with other than dim R coordinates fails likewise, and psi's
+    identities are not checked.
 
     Proof sketch of the walk: each side of an identity, at each coordinate
     of its value, is a sum over paths of products of two structure
@@ -311,8 +313,12 @@ def validate_axioms(system: RSystem) -> ValidationReport:
         checks += 3 * n * n
 
     dp, dq = p.dim, q.dim
+    cells = [f"psi: cell (p{a},q{b}) has {len(cell)} coordinates for a {n}-dimensional ring"
+             for a, row in enumerate(psi.table) for b, cell in enumerate(row) if len(cell) != n]
     if len(psi.table) != dp or any(len(row) != dq for row in psi.table):
         failures.append("psi: table shape does not match module bases")
+    elif cells:
+        failures += cells
     elif len(walks) == 2:
         (pl, pr), (ql, qr), t = walks["P"], walks["Q"], _Walk(psi._table_nz, dq)
         failures += [f"psi: {_PSI[k]} at ({lab[i]},p{a},q{b})" for i, a, b, k in _failing(

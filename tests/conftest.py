@@ -39,10 +39,11 @@ from cprings.exactlin import (
     kernel,
     mat_identity,
     mat_transpose,
+    preimage,
     unit_vec,
     zero_vec,
 )
-from cprings.finrank import delta_ideals, theta_table
+from cprings.finrank import _delta_map_matrix, _floored_thetas, delta_ideals, theta_table
 from cprings.tensorpow import ModuleElement, _build_upward, _project_kron, _word_nz, psi_apply, tensor_space
 from cprings.toeplitz import ToeplitzElement, component_space
 
@@ -401,6 +402,19 @@ def delta_pullbacks_oracle(system, i) -> tuple:
         return Subspace(d, lifts + i.basis())
 
     return tuple(pull_back(space) for space in delta_ideals(qs.system))
+
+
+def delta_ideals_oracle(system, i) -> tuple:
+    """(K_I, D_I) by elimination, with no appeal to (FS): the kernel of
+    Delta's residuals modulo QI, and the preimage under them of the span of
+    the floored theta table.  `finrank.delta_ideals` takes D_I = R whenever
+    R has (FS) on Q, and must agree."""
+    d = system.ring.dim
+    dmap = _delta_map_matrix(system, i)
+    if not dmap:  # Q = 0, so Delta is the zero map
+        return Subspace.full(d), Subspace.full(d)
+    thetas = Subspace(len(dmap), _floored_thetas(system, "Q", 1, i))
+    return Subspace(d, kernel(dmap)), preimage(dmap, thetas)
 
 
 def tpair_flags_oracle(system, i, j) -> dict:

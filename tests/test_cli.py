@@ -356,6 +356,9 @@ def test_tpair(files):
     assert out["result"]["flags"]["quotient_faithful"] is False
     code, out = run_json("tpair", files["line3"], "--i", "zz", "--j", "full")
     assert code == 2  # unknown label
+    code, out = run_json("tpair", files["line3"], "--i", "v1,v1", "--j", "v3,v1,v3")
+    assert out["result"]["i"] == ["v1"] and out["result"]["j"] == ["v1", "v3"]  # one label per basis element
+    assert code == 1 and out["result"]["flags"]["i_psi_invariant"] is False  # v1 emits e1 to v2
 
 
 def test_tpair_needs_two_sided_j(tmp_path):

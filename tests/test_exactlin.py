@@ -111,6 +111,36 @@ def test_subspace_intersect_hand():
     assert c.contains([0, 1, 0])
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_coordinate_span_is_the_rref_of_its_unit_vectors(data):
+    """Indices in any order, with repeats: the same RREF rows, pivots and
+    supports as `Subspace` of the unit vectors, so equal and hashing alike."""
+    indices = data.draw(st.lists(st.integers(0, 6), max_size=10))
+    d = data.draw(st.integers(max(indices, default=-1) + 1, 7))
+    built, reduced = Subspace.coordinate_span(d, indices), Subspace(d, [unit_vec(d, t) for t in indices])
+    assert (built.rows, built.pivots, built._support) == (reduced.rows, reduced.pivots, reduced._support)
+    assert built == reduced and hash(built) == hash(reduced)
+    assert built.dim == len(set(indices)) and built.is_coordinate_span()
+    assert Subspace.coordinate_span(d, range(d)) == Subspace.full(d) == Subspace(d, mat_identity(d))
+
+
+@pytest.mark.parametrize("indices", [[3], [-1], [0, 3], [1.0], ["0"], [True]])
+def test_coordinate_span_rejects_bad_indices(indices):
+    with pytest.raises(ValueError, match="coordinate indices"):
+        Subspace.coordinate_span(3, indices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_intersect_with_all_of_q_n_is_the_other_operand(data):
+    k = data.draw(st.integers(1, 5))
+    w = Subspace(k, data.draw(sparse_matrix(data.draw(st.integers(0, 4)), k)))
+    full = Subspace.full(k)
+    assert full.intersect(w) == w == w.intersect(full)
+    assert full.intersect(full) == full
+
+
 def test_quotient_project_section():
     w = Subspace(3, [[1, 1, 0]])
     q = QuotientSpace(w)

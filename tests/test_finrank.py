@@ -12,17 +12,20 @@ Graph-side oracles (worked out from the action tables):
 import pytest
 
 from conftest import (
+    delta_ideals_oracle,
     dense,
     diagonal_ring,
     five_vertex_mixed,
     idempotent_plus_null_json,
     mat_eq,
+    matrix2_ring,
+    perm3_system,
     psi_zero_system,
     theta_matrix,
     theta_matrix_p,
 )
 
-from cprings import finrank
+from cprings import exactlin, finrank
 from cprings.cpring import CpContext, _fock_block, cp_equal, graded_uniqueness_check, validate_ideal
 from cprings.exactlin import (
     ONE,
@@ -39,13 +42,17 @@ from cprings.finrank import (
     annihilator,
     canonical_ideals,
     check_fs,
+    delta_ideals,
     finite_rank_space,
+    theta_table,
 )
-from cprings.graphalg import rose_graph
+from cprings.graphalg import line_graph, rose_graph
+from cprings.ideals import validate_tpair
 from cprings.rsystem import (
     Pairing,
     RSystem,
     StructuredBimodule,
+    build_automorphism_system,
     build_graph_system,
     system_from_json,
     validate_axioms,
@@ -151,6 +158,53 @@ def test_theta_ideal_law(mixed5):
                 rhs2 = _combination([theta_matrix(system, 1, b, c) for c in range(dp)],
                                     [gmat[c][a] for c in range(dp)])
                 assert mat_eq(matmul(t, dmat), rhs2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_graph_system(line_graph(3)),
+    perm3_system,
+    lambda: build_automorphism_system(matrix2_ring(), mat_identity(4)),
+], ids=["line3", "perm3", "matrix2"])
+def test_delta_composes_into_theta_rows(make):
+    """The lemma behind `delta_ideals`' shortcut: Delta(e_i) theta_{e_a,e_b}
+    is theta_{e_i.e_a,e_b}, as flattened rows of the level-1 table (row
+    a * dim P + b is theta_{e_a,e_b}, flattened column by column).  So
+    F_P(Q) is a left ideal for Delta(R)."""
+    system = make()
+    q, dp, d = system.q, system.p.dim, system.ring.dim
+    rows = theta_table(system, "Q", 1)
+    for i in range(d):
+        e_i = unit_vec(d, i)
+        for a in range(q.dim):
+            coeffs = q.act_left(e_i, unit_vec(q.dim, a))  # e_i . e_a
+            for b in range(dp):
+                theta = list(rows[a * dp + b])
+                composed = [x for c in range(0, q.dim ** 2, q.dim) for x in q.act_left(e_i, theta[c:c + q.dim])]
+                want = [sum(coeffs[g] * rows[g * dp + b][k] for g in range(q.dim)) for k in range(q.dim ** 2)]
+                assert composed == want, (i, a, b)
+
+
+def test_fs_decides_delta_inverse_without_elimination(monkeypatch):
+    """With (FS), D_I = R by the lemma: `canonical_ideals` takes no preimage
+    and no intersection elimination (j_max is (ker Delta)^perp itself), and
+    `validate_tpair` at a nonzero floor floors no theta table.  psi-zero,
+    without (FS), still reads D_I by the preimage, as the oracle does."""
+    calls = []
+    real_preimage, real_kernel = finrank.preimage, exactlin.kernel
+    monkeypatch.setattr(finrank, "preimage", lambda *a: calls.append("preimage") or real_preimage(*a))
+    # exactlin's own kernel calls are the eliminations of `intersect` and `preimage`
+    monkeypatch.setattr(exactlin, "kernel", lambda a: calls.append("elimination") or real_kernel(a))
+    for system in (build_graph_system(five_vertex_mixed()), perm3_system()):
+        out = canonical_ideals(system)
+        assert out["delta_inv_F"] == Subspace.full(system.ring.dim) and out["j_max"] is out["ker_perp"]
+    system, sinks = build_graph_system(five_vertex_mixed()), Subspace.coordinate_span(5, [3, 4])  # t, w
+    assert validate_tpair(system, sinks, Subspace.full(5)).ok
+    assert calls == []
+    assert [k for k in system._store if k[0] == "theta_floored" and k[-1] is not None] == []
+    psi_zero = psi_zero_system()
+    delta_ideals(psi_zero)
+    assert calls.count("preimage") == 1
+    assert delta_ideals(psi_zero) == delta_ideals_oracle(psi_zero, None)
 
 
 def _reconstruct(system, level, cert, side):

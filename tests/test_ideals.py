@@ -42,6 +42,7 @@ from conftest import (
     QuotientHandle,
     a2_graph,
     corner_bimodules_json,
+    delta_ideals_oracle,
     delta_pullbacks_oracle,
     dual_numbers_ring,
     dual_numbers_unit_basis_ring,
@@ -414,7 +415,8 @@ def _assert_floors_match_quotient(system, spaces):
     """At every psi-invariant I among `spaces`, the R/I questions read in R
     modulo I agree with the same questions asked of R/I built by
     `quotient_system`: the floored Delta ideals with R/I's lifted back
-    (`delta_pullbacks_oracle`), J's three conditions by `validate_ideal`
+    (`delta_pullbacks_oracle`) and with the elimination that reads D_I
+    without (FS) (`delta_ideals_oracle`), J's three conditions by `validate_ideal`
     with the floor I against `validate_ideal` of J's image in R/I, for J
     among `spaces` and the spans of single basis elements, (FS), and the
     guard's {r : rR <= I} <= I with R/I having no nonzero r with
@@ -427,6 +429,7 @@ def _assert_floors_match_quotient(system, spaces):
         qs = quotient_system(system, i)
         quotient = qs.system
         assert delta_ideals(system, i) == delta_pullbacks_oracle(system, i), i.basis()
+        assert delta_ideals(system, i) == delta_ideals_oracle(system, i), i.basis()
         for j in js:
             floored, image = validate_ideal(system, j, i), validate_ideal(quotient, project_into_quotient(qs, j))
             assert floored.failed() == image.failed(), (i.basis(), j.basis())
@@ -507,7 +510,8 @@ def test_enumeration_checks_each_ideal_once(monkeypatch):
     coordinate spans over orthogonal idempotents are ideals; one psi image
     psi(P (x) v.Q) per vertex v, i.e. dim P contractions for each nonzero
     v.q_b, one per edge q_b leaving v; one set of floored Delta ideals per
-    psi-invariant ideal, and no R/I."""
+    psi-invariant ideal, and no R/I.  5v-mixed has (FS), so no D_I takes a
+    preimage or floors the theta table."""
     two_sided, contractions = [], []
     real_two_sided, real_psi_apply = rsystem.is_two_sided, ideals.psi_apply
 
@@ -523,8 +527,8 @@ def test_enumeration_checks_each_ideal_once(monkeypatch):
         monkeypatch.setattr(module, "is_two_sided", count_two_sided)
     monkeypatch.setattr(ideals, "psi_apply", count_psi_apply)
     built = _count_quotients(monkeypatch)
-    subspace_ops = []  # no inclusion test, sum of ideals or J-flag check
-    for owner, name in ((Subspace, "le"), (Subspace, "add"), (ideals, "validate_ideal")):
+    subspace_ops = []  # no inclusion test, sum of ideals, J-flag check or preimage
+    for owner, name in ((Subspace, "le"), (Subspace, "add"), (ideals, "validate_ideal"), (finrank, "preimage")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: subspace_ops.append(name) or real(*a))
     system = build_graph_system(five_vertex_mixed())
@@ -535,6 +539,7 @@ def test_enumeration_checks_each_ideal_once(monkeypatch):
     assert len(contractions) == nonzero * system.p.dim == 25
     assert built == [] and len(_floors(system)) == 6
     assert subspace_ops == []
+    assert set(_floors(system, "theta_floored")) <= {None}  # (FS): D_I = R, no theta table floored
     validate_tpair(system, Subspace(5), Subspace.full(5))
     assert {"le", "validate_ideal"} <= set(subspace_ops)  # the counters count
 

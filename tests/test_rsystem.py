@@ -377,6 +377,19 @@ def test_validate_axioms_reports_action_shape():
         assert rep == ValidationReport(ok=False, failures=[message], checks=8 + 12)
 
 
+@pytest.mark.parametrize("cell", [[0, 1, 1], [0]], ids=["long", "short"])
+def test_validate_axioms_reports_psi_cell_length(cell):
+    """a2's one psi cell, replaced through the Python API by one with 3 or 1
+    coordinates over its 2-dimensional ring, fails by name (it raised
+    IndexError, or was read as if padded with zeros); psi's identities are
+    left out of `checks` (38 with them)."""
+    a2 = build_graph_system(a2_graph())
+    assert validate_axioms(a2) == ValidationReport(ok=True, failures=[], checks=38)
+    system = RSystem(a2.ring, a2.p, a2.q, Pairing([[cell]]))
+    message = f"psi: cell (p0,q0) has {len(cell)} coordinates for a 2-dimensional ring"
+    assert validate_axioms(system) == ValidationReport(ok=False, failures=[message], checks=32)
+
+
 def dense_bilinear(n, table, a, b):
     """The former dense loop of multiply / apply: one full-length update per nonzero pair."""
     out = zero_vec(n)
