@@ -18,7 +18,8 @@ The matrices that graph and permutation systems produce are almost all
 zeros, so every kernel collects the nonzero entries of its operands first
 and does arithmetic only on those; the results are exactly those of the
 dense formulas.  `Subspace` stores a reduced row echelon basis (a span of
-unit vectors is its own, so `coordinate_span` eliminates nothing) and has the
+unit vectors is its own, so `coordinate_span` eliminates nothing, nor does
+the sum of two such spans) and has the
 lattice operations the higher layers need (sum, intersection, membership,
 canonical residuals).
 `QuotientSpace` takes the classes of the non-pivot coordinates as its basis,
@@ -303,6 +304,11 @@ class Subspace:
         every reduced row is one, i.e. has nothing right of its pivot."""
         return not any(self._support)
 
+    def coordinate_mask(self) -> int | None:
+        """The indices of the unit vectors spanning a coordinate span, as a
+        bitmask (bit t for e_t); None when the space is not one."""
+        return sum(1 << t for t in self.pivots) if self.is_coordinate_span() else None
+
     def basis(self) -> list[list[Fraction]]:
         return [list(r) for r in self.rows]
 
@@ -345,6 +351,8 @@ class Subspace:
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise DimensionMismatch("ambient dimensions differ")
+        if self.is_coordinate_span() and other.is_coordinate_span():  # the span of both index sets
+            return Subspace.coordinate_span(self.ambient, self.pivots + other.pivots)
         return Subspace(self.ambient, list(self.rows) + list(other.rows))
 
     def intersect(self, other: "Subspace") -> "Subspace":

@@ -31,6 +31,9 @@ Delta(r) theta_{q,p} = theta_{r.q,p}, so F_P(Q) is a left ideal for Delta(R),
 as the compacts are one of L(X) in Katsura's J_X.  Once (FS) puts id_Q in
 F_P(Q), Delta^(-1)(F_P(Q)) is all of R, at every floor I, and j_max is
 (ker Delta)^perp: `delta_ideals` eliminates only for systems without (FS).
+On a system with a corner graph (`rsystem.corner_graph`), ker Delta at a
+coordinate floor and the annihilator of a coordinate span are read off the
+corners' bitmasks, with no elimination at all.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .exactlin import (
     preimage,
     solve,
 )
-from .rsystem import RSystem, is_two_sided
+from .rsystem import RSystem, corner_graph, is_two_sided
 from .tensorpow import _system_store, ideal_image, psi_n, tensor_space
 
 
@@ -244,7 +247,23 @@ def _delta_map_matrix(system: RSystem, i: Optional[Subspace]) -> list:
 
 
 def annihilator(system: RSystem, ideal: Subspace) -> Subspace:
-    """Two-sided annihilator {x : x y = y x = 0 for all y in the subspace}."""
+    """Two-sided annihilator {x : x y = y x = 0 for all y in the subspace}.
+
+    On a system with a corner graph (`rsystem.corner_graph`), the
+    annihilator of the span of the e_t, t in a set M, is the span of the
+    other e_t: x = sum c_s e_s has x e_t = e_t x = c_t e_t, which vanishes
+    for every t in M exactly when c_t = 0 there.  Any other subspace goes to
+    `_annihilator_by_kernel`."""
+    mask = ideal.coordinate_mask()
+    if mask is not None and corner_graph(system) is not None:
+        d = system.ring.dim
+        return Subspace.coordinate_span(d, [t for t in range(d) if not mask >> t & 1])
+    return _annihilator_by_kernel(system, ideal)
+
+
+def _annihilator_by_kernel(system: RSystem, ideal: Subspace) -> Subspace:
+    """`annihilator` for any subspace: the kernel of x -> k x and x -> x k
+    over the basis vectors k."""
     d = system.ring.dim
     if ideal.is_zero():
         return Subspace.full(d)
@@ -258,26 +277,41 @@ def annihilator(system: RSystem, ideal: Subspace) -> Subspace:
 
 def delta_ideals(system: RSystem, i: Optional[Subspace] = None) -> tuple[Subspace, Subspace]:
     """(ker Delta, Delta^(-1)(F_P(Q))) of R/I pulled back to R (of R for
-    I = 0), computed once per system and I: by `_floored`, K_I is the kernel of
-    Delta's residuals, and D_I is R when R has (FS) on Q, else the preimage of
-    the span of the theta residuals.
+    I = 0), computed once per system and I: by `_floored`, K_I = {r : r.Q <=
+    QI}, the kernel of Delta's residuals, and D_I is R when R has (FS) on Q,
+    else the preimage of the span of the theta residuals.  On a system with
+    a corner graph (`rsystem.corner_graph`) and a coordinate floor, K_I is
+    read off the Q-corners, with no elimination.
 
     Proof sketch.  For r in R, Delta(r) theta_{q,p} = theta_{r.q,p}, since
     r.(q.psi(p (x) x)) = (r.q).psi(p (x) x) is Q's bimodule law.  So F_P(Q)
     is a left ideal for Delta(R): with id_Q in F_P(Q), Delta(r) = Delta(r)
     id_Q lies in it for every r, and D_0 = R.  The column residual modulo QI
     is linear, so a combination of theta's leaves a combination of theta
-    residuals: D_I contains D_0 = R at every floor I."""
+    residuals: D_I contains D_0 = R at every floor I.
+
+    K_I on the corners.  Let I be the span of the e_t, t in M.  Q is the sum
+    of its corners e_t Q e_s, and QI = sum_{s in M} Q e_s is the sum of the
+    corners with s in M; so e_t Q <= QI exactly when every nonzero Q-corner
+    (t, s) has s in M.  QI is a left submodule, so r = sum c_t e_t has
+    r.Q <= QI exactly when each e_t r.Q = c_t e_t Q does: K_I is the span of
+    the e_t whose nonzero Q-corners all end in M."""
     store = _system_store(system)
     key = ("delta_ideals", _floor_key(i))
     out = store.get(key)
     if out is None:
-        d = system.ring.dim
-        dmap = _delta_map_matrix(system, i)
-        k_i = Subspace(d, kernel(dmap)) if dmap else Subspace.full(d)  # Q = 0: Delta is zero
+        d, graph, dmap = system.ring.dim, corner_graph(system), None
+        mask = 0 if i is None else i.coordinate_mask()
+        if graph is not None and mask is not None:
+            k_i = Subspace.coordinate_span(d, [t for t in range(d) if not graph.q[t] & ~mask])
+        else:
+            dmap = _delta_map_matrix(system, i)
+            k_i = Subspace(d, kernel(dmap)) if dmap else Subspace.full(d)  # Q = 0: Delta is zero
         if _fs_half(system, "Q") is not None:
             out = (k_i, Subspace.full(d))
         else:  # without (FS) Q is nonzero, and only the elimination decides D_I
+            if dmap is None:
+                dmap = _delta_map_matrix(system, i)
             out = (k_i, preimage(dmap, Subspace(len(dmap), _floored_thetas(system, "Q", 1, i))))
         store[key] = out
     return out

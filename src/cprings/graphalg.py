@@ -457,14 +457,6 @@ def lpa_dim_upto(graph: FiniteGraph, max_len: int) -> int:
     return count
 
 
-def lpa_dim_total(graph: FiniteGraph):
-    """Total dimension of the Leavitt path algebra; math.inf when a cycle exists."""
-    if not graph.is_acyclic():
-        return math.inf
-    n = len(graph.vertices)
-    return lpa_dim_upto(graph, 2 * n)  # acyclic paths have < n edges
-
-
 # ---------------------------------------------------------------------------
 # hereditary / saturated vertex sets and admissible pairs
 

@@ -10,7 +10,9 @@ the floor I, which reads J against the floored Delta ideals of
 `finrank.delta_ideals`, and an ideal handle answers membership by the one
 membership walk of `cpring` (`_graded_preimage`) on the parent's own Fock
 blocks, read modulo Q^(x)k . I, behind a guard read the same way; only
-`quotient_system` builds R/I.  The backward map reads (I, J) off the
+`quotient_system` builds R/I.  On a system with a corner graph
+(`rsystem.corner_graph`), descent at a coordinate I is a test on bitmasks,
+as are two-sidedness and K_I.  The backward map reads (I, J) off the
 combinations of iota_R(R) and the grade-(1,1) component the walk accepts.
 """
 
@@ -21,7 +23,7 @@ from functools import cache, reduce
 from operator import and_
 from typing import Optional, Sequence
 
-from .exactlin import QuotientSpace, Subspace, is_zero_vec, unit_vec, zero_vec
+from .exactlin import QuotientSpace, Subspace, is_zero_vec, unit_vec
 from .cpring import CpContext, _core_generator, _graded_preimage
 from .finrank import IDEAL_CONDITIONS, delta_ideals, validate_ideal
 from .rsystem import (
@@ -29,7 +31,9 @@ from .rsystem import (
     RSystem,
     StructuredBimodule,
     StructuredRing,
+    corner_graph,
     is_two_sided,
+    orthogonal_idempotents,
 )
 from .tensorpow import ideal_image, psi_apply
 from .toeplitz import ToeplitzElement, component_space, embed
@@ -92,16 +96,44 @@ def _psi_images(system: RSystem, x):
             for a in range(dp))
 
 
-def _check_descent(system: RSystem, i: Subspace) -> None:
+_NO_LEFT_DESCENT = "IQ is not contained in QI: left action does not descend"
+_NO_RIGHT_DESCENT = "PI is not contained in IP: right action does not descend"
+
+
+def _require_descent(system: RSystem, i: Subspace) -> None:
     """Raise NotInvariant unless IQ <= QI and PI <= IP: R/I then acts on Q/QI
-    and P/IP, and its questions can be read in R modulo I (`finrank._floored`)."""
+    and P/IP, and its questions can be read in R modulo I (`finrank._floored`).
+    On a system with a corner graph (`rsystem.corner_graph`) a coordinate
+    span is decided on its bitmask; any other I goes to `_check_descent`.
+
+    Proof sketch.  Let I be the span of the e_t, t in M.  Q is the sum of
+    its corners e_t Q e_s, so QI = sum_{s in M} Q e_s is the sum of the
+    corners with s in M, and e_t Q = sum_s e_t Q e_s lies in it exactly when
+    no nonzero Q-corner (t, s) has s outside M; IQ is the sum of the e_t Q,
+    t in M.  Likewise IP is the sum of the corners e_s P e_t with s in M,
+    and P e_t lies in it exactly when no nonzero P-corner (t, s) has s
+    outside M.  The t run in the order of I's basis rows, Q before P at
+    each, as in `_check_descent`, so the same message is raised."""
+    graph, mask = corner_graph(system), i.coordinate_mask()
+    if graph is None or mask is None:
+        return _check_descent(system, i)
+    for t in _bits(mask):
+        if graph.q[t] & ~mask:
+            raise NotInvariant(_NO_LEFT_DESCENT)
+        if graph.p[t] & ~mask:
+            raise NotInvariant(_NO_RIGHT_DESCENT)
+
+
+def _check_descent(system: RSystem, i: Subspace) -> None:
+    """`_require_descent` for any I, by elimination: each x.e_b and e_a.x,
+    x a basis row of I, reduced modulo QI and IP (`ideal_image`)."""
     q, p = system.q, system.p
     qi, ip = ideal_image(system, "Q", 1, i), ideal_image(system, "P", 1, i)
     for x in i.basis():
         if not all(is_zero_vec(qi.reduce(q.act_left(x, unit_vec(q.dim, b)))) for b in range(q.dim)):
-            raise NotInvariant("IQ is not contained in QI: left action does not descend")
+            raise NotInvariant(_NO_LEFT_DESCENT)
         if not all(is_zero_vec(ip.reduce(p.act_right(unit_vec(p.dim, a), x))) for a in range(p.dim)):
-            raise NotInvariant("PI is not contained in IP: right action does not descend")
+            raise NotInvariant(_NO_RIGHT_DESCENT)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +173,7 @@ def _quotient_system(system: RSystem, i: Subspace, name: Optional[str]) -> Quoti
     coordinates and projected.
 
     Valid by theorem, for a valid parent.  I is a two-sided ideal, and
-    `_check_descent` checks IQ <= QI and PI <= IP; with QI.R <= QI, R.IP <= IP,
+    `_require_descent` checks IQ <= QI and PI <= IP; with QI.R <= QI, R.IP <= IP,
     psi(IP (x) Q) = I psi(P (x) Q) <= I and psi(P (x) QI) <= I, every
     structure map is well defined on the classes.  The projections
     R -> R/I, Q -> Q/QI and P -> P/IP are then surjective and intertwine the
@@ -151,7 +183,7 @@ def _quotient_system(system: RSystem, i: Subspace, name: Optional[str]) -> Quoti
     are the projections of the parent's two sides, which agree.  So
     `validate_axioms` of the quotient would find nothing.
     """
-    _check_descent(system, i)
+    _require_descent(system, i)
     ring, q, p = system.ring, system.q, system.p
     quot_r = QuotientSpace(i)
     quot_q = QuotientSpace(ideal_image(system, "Q", 1, i))
@@ -208,7 +240,7 @@ def validate_tpair(system: RSystem, i: Subspace, j: Subspace) -> TPair:
     i_two_sided, i_in_j = is_two_sided(system, i), i.le(j)
     invariant = i_two_sided and _psi_invariant(system, i)
     if invariant:
-        _check_descent(system, i)
+        _require_descent(system, i)
     jq = validate_ideal(system, j, i) if invariant else None
     j_two_sided = jq.is_two_sided if jq and i_in_j else is_two_sided(system, j)
     quotient = (getattr(jq, c) if jq else False for c in IDEAL_CONDITIONS)
@@ -292,12 +324,6 @@ def extract_tpair_from_handle(handle: IdealHandle) -> TPair:
 # enumeration (idempotent-diagonal coefficient rings)
 
 
-def _diagonal_idempotents(ring: StructuredRing) -> bool:
-    d = ring.dim
-    return all(list(ring.mult[i][j]) == (unit_vec(d, i) if i == j else zero_vec(d))
-               for i in range(d) for j in range(d))
-
-
 def _bits(mask: int):
     """The indices of the set bits of mask, ascending."""
     while mask:
@@ -308,9 +334,10 @@ def _bits(mask: int):
 
 def _coordinate_mask(space: Subspace) -> int:
     """The basis indices spanning a coordinate span, as a bitmask."""
-    if not space.is_coordinate_span():
+    mask = space.coordinate_mask()
+    if mask is None:
         raise ValueError("not a coordinate span")
-    return sum(1 << t for t in space.pivots)
+    return mask
 
 
 def enumerate_tpairs(system: RSystem) -> list[TPair]:
@@ -327,8 +354,11 @@ def enumerate_tpairs(system: RSystem) -> list[TPair]:
     reach[m] = reach[m without its lowest bit t] | succ[t], and m is closed
     exactly when reach[m] <= m.
 
-    Descent.  Each closed I goes to `_check_descent`, which raises
+    Descent.  Each closed I goes to `_require_descent`, which raises
     NotInvariant unless IQ <= QI and PI <= IP; the least such I raises.
+    On a system with a corner graph (`rsystem.corner_graph`) it reads the
+    bitmasks of the corners, and so does `delta_ideals` for K_I; under (FS)
+    D_I is R, so the enumeration then does no elimination.
 
     J's, an interval.  For a closed I that descends, J qualifies exactly
     when J <= D_I and J meets K_I in I, for (K_I, D_I) =
@@ -342,7 +372,7 @@ def enumerate_tpairs(system: RSystem) -> list[TPair]:
     of `validate_tpair` over all pairs of coordinate spans.
     """
     d = system.ring.dim
-    if not _diagonal_idempotents(system.ring):
+    if not orthogonal_idempotents(system.ring):
         raise NotImplementedError("exhaustive T-pair enumeration needs a diagonal ring")
     succ = [0] * d
     for t in range(d):
@@ -353,7 +383,7 @@ def enumerate_tpairs(system: RSystem) -> list[TPair]:
     for m in range(1, 1 << d):
         reach.append(reach[m & (m - 1)] | succ[(m & -m).bit_length() - 1])
     for i in (m for m in range(1 << d) if not reach[m] & ~m):
-        _check_descent(system, span(i))
+        _require_descent(system, span(i))
         k_i, d_i = (_coordinate_mask(s) for s in delta_ideals(system, span(i)))
         free, subsets = d_i & ~k_i, [0]
         while subsets[-1] != free:  # the subsets of free, ascending
@@ -398,12 +428,20 @@ def lattice_json(system: RSystem, tpairs: Sequence[TPair]) -> dict:
     the nodes above a are those holding every coordinate of a's mask.
     """
     d, n = system.ring.dim, len(tpairs)
-    ends = [_coordinate_mask(t.i) | _coordinate_mask(t.j) << d for t in tpairs]
+    masks = [(_coordinate_mask(t.i), _coordinate_mask(t.j)) for t in tpairs]
+    ends = [i | j << d for i, j in masks]
     holding = [sum(1 << k for k, m in enumerate(ends) if m >> c & 1) for c in range(2 * d)]
     others = (1 << n) - 1  # a node's row starts from every other node
     above = [reduce(and_, (holding[c] for c in _bits(m)), others ^ 1 << k) for k, m in enumerate(ends)]
-    nodes = [{"i_basis": _basis_lists(t.i), "j_basis": _basis_lists(t.j),
-              "i_dim": t.i.dim, "j_dim": t.j.dim} for t in tpairs]
+    lists: dict = {}  # each distinct I or J basis, keyed by its mask, formatted once
+
+    def basis(space, mask):
+        if mask not in lists:
+            lists[mask] = _basis_lists(space)
+        return lists[mask]
+
+    nodes = [{"i_basis": basis(t.i, i), "j_basis": basis(t.j, j), "i_dim": t.i.dim, "j_dim": t.j.dim}
+             for t, (i, j) in zip(tpairs, masks)]
     return {"system": system.name, "nodes": nodes, "hasse_edges": hasse_edges(above)}
 
 

@@ -23,6 +23,12 @@ paths through nonzero structure constants into one difference table per
 family of identities, and each failure is reported individually.  The two
 builders construct the standard examples: path/graph systems and
 automorphism (skew) systems.
+
+Over a ring whose basis is orthogonal idempotents, with their sum acting as
+the identity on both legs, `corner_graph` records, once per system, which
+corners e_t Q e_s and e_s P e_t are nonzero; two-sidedness here, and
+descent, ker Delta and annihilators in `finrank` and `ideals`, are read off
+it for coordinate spans.
 """
 
 from __future__ import annotations
@@ -113,9 +119,6 @@ class _Labelled(_Actions):
 
     def index(self, label: str) -> int:
         return self._index[label]
-
-    def basis_vector(self, label: str) -> list[Fraction]:
-        return unit_vec(self.dim, self._index[label])
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({list(self.labels)!r})"
@@ -342,11 +345,108 @@ def _lincomb(n: int, terms) -> list[Fraction]:
 
 
 def is_two_sided(system: RSystem, space: Subspace) -> bool:
-    """Is the subspace a two-sided ideal of R?  For each basis vector k,
-    e_i k and k e_i are k's combinations of the columns of e_i's actions."""
-    ring = system.ring
+    """Is the subspace a two-sided ideal of R?  On a system with a corner
+    graph (`corner_graph`) a coordinate span is one, since e_i e_t =
+    e_t e_i = delta_it e_t; any other space goes to `_two_sided_by_columns`."""
+    if space.is_coordinate_span() and corner_graph(system) is not None:
+        return True
+    return _two_sided_by_columns(system.ring, space)
+
+
+def _two_sided_by_columns(ring: StructuredRing, space: Subspace) -> bool:
+    """`is_two_sided` for any subspace: for each basis vector k, e_i k and
+    k e_i are k's combinations of the columns of e_i's actions."""
     return all(is_zero_vec(space.reduce(_lincomb(ring.dim, ((c, cols[a]) for a, c in _nonzeros(k)))))
                for k in space.basis() for cols in (*ring.left, *ring.right))
+
+
+# ---------------------------------------------------------------------------
+# the corner graph of a system over orthogonal idempotents
+
+
+def orthogonal_idempotents(ring: StructuredRing) -> bool:
+    """Is R's basis e_1..e_d orthogonal idempotents, e_i e_a = delta_ia e_a?
+    Read off the nonzeros of the product columns."""
+    return all(col == (((i, ONE),) if i == a else ()) for i, cols in enumerate(ring.left)
+               for a, col in enumerate(cols))
+
+
+@dataclass(frozen=True)
+class CornerGraph:
+    """The nonzero corners of the legs, as bitmasks over R's basis: bit s of
+    q[t] says e_t Q e_s != 0, and bit s of p[t] says e_s P e_t != 0.  On a
+    graph system both are the graph: t -> s for each edge from t to s."""
+
+    q: tuple
+    p: tuple
+
+
+def _sums_to_identity(walk: _Walk) -> bool:
+    """Do the maps of a `_Walk` sum to the identity?"""
+    for b, us in enumerate(walk.at):
+        if len(us) == 1 and walk.maps[us[0]][b] == ((b, ONE),):
+            continue
+        total: dict = {}
+        for u in us:
+            for y, v in walk.maps[u][b]:
+                total[y] = total.get(y, ZERO) + v
+        if {y: v for y, v in total.items() if v} != {b: ONE}:
+            return False
+    return True
+
+
+def _corner_masks(mod: StructuredBimodule, d: int):
+    """masks[t], bit s set when e_t M e_s != 0, or None unless e_1 + .. + e_d
+    acts as the identity on both sides of M.  One pass over the nonzero
+    columns m_a . e_s, each composed with the nonzero columns of the e_t."""
+    if len(mod.left) != d or len(mod.right) != d:
+        return None
+    left, right = _Walk(mod.left, mod.dim), _Walk(mod.right, mod.dim)
+    if not (_sums_to_identity(left) and _sums_to_identity(right)):
+        return None
+    masks = [0] * d
+    for s, xs in enumerate(right.cols):
+        for a in xs:
+            col = mod.right[s][a]  # m_a . e_s
+            if len(col) == 1:  # e_t . (v m_b) is nonzero exactly when e_t . m_b is
+                for t in left.at[col[0][0]]:
+                    masks[t] |= 1 << s
+                continue
+            acc: dict = {}  # (t, y): coordinate y of e_t . (m_a . e_s)
+            for b, v in col:
+                for t in left.at[b]:
+                    for y, z in mod.left[t][b]:
+                        acc[t, y] = acc.get((t, y), ZERO) + v * z
+            for (t, _), c in acc.items():
+                if c:
+                    masks[t] |= 1 << s
+    return masks
+
+
+def corner_graph(system: RSystem) -> CornerGraph | None:
+    """The `CornerGraph` of a valid system, or None; built once per system.
+
+    It exists when R's basis is orthogonal idempotents
+    (`orthogonal_idempotents`) and e_1 + .. + e_d acts as the identity on
+    both sides of Q and of P.  Then, by the bimodule laws, the maps
+    m -> e_t . m are idempotents with sum the identity, orthogonal
+    (e_s . (e_t . m) = (e_s e_t) . m) and commuting with the maps
+    m -> m . e_s, which are alike.  So Q is the direct sum of its corners
+    e_t Q e_s, the images of m -> e_t . (m . e_s), and likewise P.  A
+    corner is nonzero exactly when that map is nonzero on some basis vector
+    m_a, whatever the basis of the leg.  A system with a leg vector that
+    every e_t kills from one side (m . e_t = 0 for every t, say) has no
+    corner graph, and its questions keep the general path."""
+    store = system._store
+    if ("corners",) not in store:
+        graph, d = None, system.ring.dim
+        if orthogonal_idempotents(system.ring):
+            q, p = _corner_masks(system.q, d), _corner_masks(system.p, d)
+            if q is not None and p is not None:  # P's corner (t, s) is e_s P e_t
+                graph = CornerGraph(tuple(q), tuple(sum(1 << s for s in range(d) if p[s] >> t & 1)
+                                                    for t in range(d)))
+        store[("corners",)] = graph
+    return store[("corners",)]
 
 
 # ---------------------------------------------------------------------------

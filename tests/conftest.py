@@ -6,6 +6,7 @@ suite for these objects were derived by hand before the engine existed; see
 the assertions where they are used.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from cprings.graphalg import (
     cycle_graph,
     is_hereditary_saturated,
     line_graph,
+    lpa_dim_upto,
     restriction_graph,
     rose_graph,
 )
@@ -39,7 +41,9 @@ from cprings.exactlin import (
     kernel,
     mat_identity,
     mat_transpose,
+    matmul,
     preimage,
+    solve_matrix,
     unit_vec,
     zero_vec,
 )
@@ -270,11 +274,63 @@ def columns(mat) -> tuple:
     return tuple(tuple((r, F(v)) for r, v in enumerate(col) if v) for col in zip(*mat))
 
 
+def basis_vector(space, label: str) -> list:
+    """The coordinate vector of the basis element `label` of a ring or bimodule."""
+    return unit_vec(space.dim, space.index(label))
+
+
+def lpa_dim_total(graph) -> int | float:
+    """Total dimension of the Leavitt path algebra; math.inf when a cycle
+    exists.  An acyclic graph's paths have fewer edges than it has vertices,
+    so `graphalg.lpa_dim_upto` at twice that length counts every normal
+    monomial."""
+    if not graph.is_acyclic():
+        return math.inf
+    return lpa_dim_upto(graph, 2 * len(graph.vertices))
+
+
 def right_annihilator(ring) -> Subspace:
     """{r in R : r R = 0} as a subspace: the common kernel of x -> x e_i."""
     units = mat_identity(ring.dim)
     rows = [row for e in units for row in mat_transpose([ring.multiply(x, e) for x in units])]
     return Subspace(ring.dim, kernel(rows))
+
+
+def random_unimodular(rng, n: int) -> list:
+    """A random n x n integer matrix of determinant 1: the identity plus a
+    few entries of +-1 below the diagonal of a random order of the basis,
+    so each of its columns mixes several basis vectors, and its inverse is
+    integral too."""
+    order = list(range(n))
+    rng.shuffle(order)
+    out = [[int(r == c) for c in range(n)] for r in range(n)]
+    for k, r in enumerate(order):
+        for c in order[:k]:
+            if rng.random() < 0.3:
+                out[r][c] = rng.choice((-1, 1))
+    return out
+
+
+def rebased_legs(system, rng) -> RSystem:
+    """The system with Q and P re-presented in random bases (`random_unimodular`):
+    new basis vector a of a leg is sum_b A[b][a] m_b, so each action matrix
+    M becomes A^-1 M A and psi(p'_a (x) q'_b) = sum B[c][a] A[e][b] psi(p_c (x) q_e).
+    The new basis vectors mostly span several corners e_t Q e_s."""
+    d = system.ring.dim
+    change = {}
+    for side, mod in (("Q", system.q), ("P", system.p)):
+        a = random_unimodular(rng, mod.dim)
+        a_inv = solve_matrix(a, mat_identity(mod.dim)) if mod.dim else []
+
+        def conj(maps, a=a, a_inv=a_inv, n=mod.dim):
+            return [columns(matmul(a_inv, matmul(dense(cols, n), a))) if n else cols for cols in maps]
+
+        change[side] = (a, StructuredBimodule([f"{x}'" for x in mod.labels], conj(mod.left), conj(mod.right)))
+    (a, q), (b, p) = change["Q"], change["P"]
+    table = [[[sum(b[c][i] * a[e][j] * system.psi.table[c][e][k]
+                   for c in range(p.dim) for e in range(q.dim)) for k in range(d)]
+              for j in range(q.dim)] for i in range(p.dim)]
+    return RSystem(ring=system.ring, p=p, q=q, psi=Pairing(table), name=f"{system.name}'")
 
 
 def mat_eq(a, b) -> bool:

@@ -23,6 +23,7 @@ from conftest import (
     a2_graph,
     five_vertex_mixed,
     infinite_emitter_graph,
+    lpa_dim_total,
     perm3_system,
     random_graph,
     random_graph_element,
@@ -49,7 +50,6 @@ from cprings.graphalg import (
     enumerate_hs,
     enumerate_ideal_pairs,
     line_graph,
-    lpa_dim_total,
     lpa_dim_upto,
     lpa_mul,
     lpa_vertex,

@@ -115,13 +115,21 @@ def test_subspace_intersect_hand():
 @given(st.data())
 def test_coordinate_span_is_the_rref_of_its_unit_vectors(data):
     """Indices in any order, with repeats: the same RREF rows, pivots and
-    supports as `Subspace` of the unit vectors, so equal and hashing alike."""
-    indices = data.draw(st.lists(st.integers(0, 6), max_size=10))
-    d = data.draw(st.integers(max(indices, default=-1) + 1, 7))
+    supports as `Subspace` of the unit vectors, so equal and hashing alike;
+    its bitmask holds the indices, and the sum of two coordinate spans is the
+    coordinate span of both index lists."""
+    indices, more = (data.draw(st.lists(st.integers(0, 6), max_size=10)) for _ in range(2))
+    d = data.draw(st.integers(max(indices + more, default=-1) + 1, 7))
     built, reduced = Subspace.coordinate_span(d, indices), Subspace(d, [unit_vec(d, t) for t in indices])
     assert (built.rows, built.pivots, built._support) == (reduced.rows, reduced.pivots, reduced._support)
     assert built == reduced and hash(built) == hash(reduced)
     assert built.dim == len(set(indices)) and built.is_coordinate_span()
+    assert built.coordinate_mask() == sum(1 << t for t in set(indices))
+    total, summed = built.add(Subspace.coordinate_span(d, more)), Subspace(d, reduced.rows + tuple(
+        unit_vec(d, t) for t in more))
+    assert (total.rows, total.pivots, total._support) == (summed.rows, summed.pivots, summed._support)
+    if d > 1:
+        assert Subspace(d, [[1, 1] + [0] * (d - 2)]).coordinate_mask() is None
     assert Subspace.coordinate_span(d, range(d)) == Subspace.full(d) == Subspace(d, mat_identity(d))
 
 

@@ -319,7 +319,7 @@ def test_rank_one_calculus_built_once_per_system(line3, monkeypatch):
     # solved once, with no floor: the walk's guard passes I = 0, which shares
     # the memo of canonical_ideals' unfloored check
     assert sorted(fs_solves) == [(1, "P", None), (1, "Q", None)]
-    assert len(delta_maps) == 1
+    assert delta_maps == []  # ker Delta is read off line3's corner graph
 
 
 def test_annihilator_on_diagonal(line3_system):

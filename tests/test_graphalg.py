@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     infinite_emitter_graph,
+    lpa_dim_total,
     quotient_graph,
     random_graph,
     three_vertex_two_cycle,
@@ -24,7 +25,6 @@ from cprings.graphalg import (
     hereditary_saturated_closure,
     is_hereditary_saturated,
     line_graph,
-    lpa_dim_total,
     lpa_dim_upto,
     lpa_mul,
     lpa_vertex,

@@ -14,7 +14,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cprings import cli, finrank, ideals, rsystem
+from cprings import cli, exactlin, finrank, ideals, rsystem
 from cprings.cli import _graph_pair_lattice
 from cprings.exactlin import Subspace, mat_identity, unit_vec
 from cprings.graphalg import cycle_graph, enumerate_ideal_pairs, line_graph, pair_order, rose_graph
@@ -60,6 +60,7 @@ from conftest import (
     random_graph,
     random_graph_element,
     random_permutation_system,
+    rebased_legs,
     square_into_ideal_json,
     three_vertex_two_cycle,
     tpair_flags_oracle,
@@ -316,6 +317,88 @@ def test_enumeration_matches_oracle_on_descent(data, want):
     assert found == want if isinstance(want, str) else len(found) == want
 
 
+def _descent(check, system, i):
+    """None when `check` lets R/I act on the quotient legs, else its message."""
+    try:
+        check(system, i)
+    except NotInvariant as exc:
+        return str(exc)
+    return None
+
+
+def _assert_corners_match_elimination(system):
+    """At every coordinate floor I of a system with a corner graph, the
+    answers read off its bitmasks equal the general path: descent (whether
+    `_require_descent` raises, and its message) against `_check_descent`,
+    `delta_ideals` against the elimination of `delta_ideals_oracle`, and
+    `is_two_sided` and `annihilator` against their column and kernel
+    readings.  Returns the number of floors that descend."""
+    assert rsystem.corner_graph(system) is not None
+    descending = 0
+    for i in _coordinate_spans(system):
+        failure = _descent(ideals._require_descent, system, i)
+        assert failure == _descent(ideals._check_descent, system, i), i.basis()
+        descending += failure is None
+        assert delta_ideals(system, i) == delta_ideals_oracle(system, i), i.basis()
+        assert rsystem.is_two_sided(system, i) and rsystem._two_sided_by_columns(system.ring, i)
+        assert finrank.annihilator(system, i) == finrank._annihilator_by_kernel(system, i), i.basis()
+    return descending
+
+
+def test_corner_graph_matches_elimination():
+    """The corner-graph answers against the general path on 60 random
+    graphs (at most 5 vertices and 9 edges), 20 random permutation systems,
+    perm3, psi-zero (no (FS), so D_I still eliminates), 5v-mixed and the
+    corner bimodules (where descent fails), and on each of them again with
+    Q and P in random bases whose vectors span several corners: the corner
+    graph does not depend on the legs' bases."""
+    rng = random.Random(2609)
+    systems = ([build_graph_system(random_graph(rng, max_v=5, max_e=9)) for _ in range(60)]
+               + [random_permutation_system(rng, max_n=5) for _ in range(20)]
+               + [perm3_system(), psi_zero_system(), build_graph_system(five_vertex_mixed()),
+                  system_from_json(corner_bimodules_json())])
+    descending = failing = mixed = 0
+    for system in systems:
+        rebased = rebased_legs(system, rng)
+        assert rsystem.validate_axioms(rebased).ok
+        assert rsystem.corner_graph(rebased) == rsystem.corner_graph(system)
+        # some e_t . m_a is not m_a or 0: m_a lies in no one corner
+        mixed += any(col not in ((), ((a, 1),)) for cols in rebased.q.left for a, col in enumerate(cols))
+        for each in (system, rebased):
+            floors = _assert_corners_match_elimination(each)
+            descending, failing = descending + floors, failing + (1 << each.ring.dim) - floors
+    assert descending and failing and mixed >= 40
+
+
+@pytest.mark.parametrize("data", [killed_vector_json(leg, fixed) for leg in "qp" for fixed in (True, False)],
+                         ids=["killed-q-fixed", "killed-q", "killed-p-fixed", "killed-p"])
+def test_killed_vectors_have_no_corner_graph(data):
+    """On a leg with a vector that every e_t kills from one side, e_1 + e_2
+    is not the identity, so the system has no corner graph, and its
+    questions keep the general path: `is_two_sided` reads the columns."""
+    system = system_from_json(data)
+    assert rsystem.orthogonal_idempotents(system.ring) and rsystem.corner_graph(system) is None
+    assert rsystem.is_two_sided(system, Subspace.full(2))
+
+
+def test_corner_graph_is_the_graph():
+    """On a graph system both corner masks are the graph: bit s of q[t] and
+    of p[t] for each edge t -> s; over M_2(Q) there is no corner graph, and
+    off a coordinate span the general paths answer."""
+    graph = five_vertex_mixed()
+    system = build_graph_system(graph)
+    index = {v: k for k, v in enumerate(graph.vertices)}
+    succ = [0] * len(index)
+    for e in graph.edges:
+        succ[index[e.src]] |= 1 << index[e.tgt]
+    corners = rsystem.corner_graph(system)
+    assert corners.q == corners.p == tuple(succ)
+    diagonal = Subspace(5, [[1, 1, 0, 0, 0]])  # e_s + e_a, no ideal
+    assert not rsystem.is_two_sided(system, diagonal)
+    assert finrank.annihilator(system, diagonal) == finrank._annihilator_by_kernel(system, diagonal)
+    assert rsystem.corner_graph(build_automorphism_system(matrix2_ring(), mat_identity(4))) is None
+
+
 def _assert_flags_match_oracle(system):
     """enumerate_tpairs and validate_tpair against `tpair_flags_oracle` on
     every pair I <= J of coordinate spans."""
@@ -511,7 +594,10 @@ def test_enumeration_checks_each_ideal_once(monkeypatch):
     psi(P (x) v.Q) per vertex v, i.e. dim P contractions for each nonzero
     v.q_b, one per edge q_b leaving v; one set of floored Delta ideals per
     psi-invariant ideal, and no R/I.  5v-mixed has (FS), so no D_I takes a
-    preimage or floors the theta table."""
+    preimage or floors the theta table.  Descent and K_I are read off the
+    corner graph: no `_check_descent`, `ideal_image`, `kernel` or Delta
+    matrix; on the killed-vector system, which has no corner graph, the
+    same counters count."""
     two_sided, contractions = [], []
     real_two_sided, real_psi_apply = rsystem.is_two_sided, ideals.psi_apply
 
@@ -531,6 +617,11 @@ def test_enumeration_checks_each_ideal_once(monkeypatch):
     for owner, name in ((Subspace, "le"), (Subspace, "add"), (ideals, "validate_ideal"), (finrank, "preimage")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: subspace_ops.append(name) or real(*a))
+    eliminations = []  # no descent by elimination, QI, kernel or Delta matrix
+    for owner, name in ((ideals, "_check_descent"), (ideals, "ideal_image"), (finrank, "ideal_image"),
+                        (finrank, "kernel"), (exactlin, "kernel"), (finrank, "_delta_map_matrix")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: eliminations.append(name) or real(*a))
     system = build_graph_system(five_vertex_mixed())
     enumerate_tpairs(system)
     assert two_sided == []
@@ -538,10 +629,47 @@ def test_enumeration_checks_each_ideal_once(monkeypatch):
     nonzero = sum(any(q.act_left(unit_vec(d, t), unit_vec(q.dim, b))) for t in range(d) for b in range(q.dim))
     assert len(contractions) == nonzero * system.p.dim == 25
     assert built == [] and len(_floors(system)) == 6
-    assert subspace_ops == []
+    assert subspace_ops == [] and eliminations == []
     assert set(_floors(system, "theta_floored")) <= {None}  # (FS): D_I = R, no theta table floored
     validate_tpair(system, Subspace(5), Subspace.full(5))
     assert {"le", "validate_ideal"} <= set(subspace_ops)  # the counters count
+    enumerate_tpairs(system_from_json(killed_vector_json("q", False)))
+    assert {"_check_descent", "ideal_image", "kernel", "_delta_map_matrix"} <= set(eliminations)
+
+
+def test_coordinate_questions_read_the_corner_graph(monkeypatch):
+    """On coordinate specs over a corner graph, `validate_tpair` and the
+    checks of `quotient_system` decide descent without `_check_descent`
+    (5v-mixed at every pair I <= J, and the corner bimodules, where
+    descent fails), and `canonical_ideals` calls no `kernel`, so none
+    inside `annihilator` (5v-mixed, perm3).  Without a corner graph both
+    counters count."""
+    descents, kernels = [], []
+    real_descent, real_kernel = ideals._check_descent, exactlin.kernel
+    monkeypatch.setattr(ideals, "_check_descent", lambda *a: descents.append(a) or real_descent(*a))
+    for module in (finrank, exactlin):
+        monkeypatch.setattr(module, "kernel", lambda *a: kernels.append(a) or real_kernel(*a))
+    system = build_graph_system(five_vertex_mixed())
+    spans = _coordinate_spans(system)
+    for i in spans:
+        for j in spans:
+            if i.le(j):
+                validate_tpair(system, i, j)
+        if is_psi_invariant(system, i):
+            quotient_system(system, i)
+    corners = system_from_json(corner_bimodules_json())
+    for i in _coordinate_spans(corners)[1:3]:
+        with pytest.raises(NotInvariant):
+            quotient_system(corners, i)
+    assert descents == []
+    for each in (build_graph_system(five_vertex_mixed()), perm3_system()):
+        canonical_ideals(each)
+    assert kernels == []
+    killed = system_from_json(killed_vector_json("q", True))
+    with pytest.raises(NotInvariant):
+        validate_tpair(killed, Subspace(2, [[1, 0]]), Subspace.full(2))
+    finrank.annihilator(system, Subspace(5, [[1, 1, 0, 0, 0]]))
+    assert len(descents) == 1 and kernels  # the counters count
 
 
 def test_enumeration_frees_the_system():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     a2_graph,
+    basis_vector,
     columns,
     corner_bimodules_json,
     dense,
@@ -45,10 +46,10 @@ F = Fraction
 def test_graph_system_a2_structure():
     sys = build_graph_system(a2_graph())
     assert sys.ring.dim == 2 and sys.q.dim == 1 and sys.p.dim == 1
-    u = sys.ring.basis_vector("u")
-    v = sys.ring.basis_vector("v")
-    e = sys.q.basis_vector("e")
-    ebar = sys.p.basis_vector("e")
+    u = basis_vector(sys.ring, "u")
+    v = basis_vector(sys.ring, "v")
+    e = basis_vector(sys.q, "e")
+    ebar = basis_vector(sys.p, "e")
     # source acts on the left of an edge, range on the right
     assert sys.q.act_left(u, e) == e
     assert sys.q.act_left(v, e) == zero_vec(1)
