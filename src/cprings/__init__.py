@@ -7,7 +7,7 @@ The package is layered bottom-up:
 - tensorpow: balanced tensor powers of the module legs and the iterated pairing
 - finrank: one theta table per system feeding F_P(Q), (FS) and Delta^-1(F), each computed once per system
 - toeplitz: the graded Toeplitz ring, its product, and the Fock representation
-- cpring: relative Cuntz-Pimsner quotients, exact relation-ideal membership from Fock blocks, gauge action
+- cpring: relative Cuntz-Pimsner quotients, exact relation-ideal membership from Fock blocks, covariance of representations
 - ideals: T-pairs, quotient systems, the graded-ideal correspondence
 - graphalg: finite graphs, Leavitt path algebra normal forms (closed-form backend)
 - crossedprod: skew Laurent / crossed product backend for automorphism systems

@@ -139,7 +139,6 @@ class _UsageError(Exception):
 class LoadedInput:
     kind: str  # "graph" | "system"
     graph: Optional[FiniteGraph]
-    data: dict
     _system: Optional[RSystem] = None  # a system file's, read by load_input
 
     @property
@@ -172,9 +171,9 @@ def load_input(path: str) -> LoadedInput:
         raise _UsageError(f"{path}: top-level JSON value is not an object")
     try:
         if "vertices" in data:
-            return LoadedInput("graph", graph_from_json(data), data)
+            return LoadedInput("graph", graph_from_json(data))
         if "ring" in data:
-            return LoadedInput("system", None, data, system_from_json(data))
+            return LoadedInput("system", None, system_from_json(data))
     except _MALFORMED as exc:
         raise _UsageError(f"{path}: malformed input: {type(exc).__name__}: {exc}")
     raise _UsageError(f"{path}: neither a graph (vertices) nor a system (ring) file")
@@ -490,17 +489,10 @@ def _coord_subspace(loaded: LoadedInput, spec: str) -> Subspace:
 
 def _subspace_json(ring, sub: Subspace):
     """Label list when the subspace is a coordinate span, else basis rows."""
-    labels = []
-    for row in sub.basis():
-        hot = [i for i, c in enumerate(row) if c != 0]
-        if len(hot) == 1 and row[hot[0]] == 1:
-            labels.append(ring.labels[hot[0]])
-        else:
-            return {
-                "dim": sub.dim,
-                "basis": [[str(c) for c in r] for r in sub.basis()],
-            }
-    return sorted(labels)
+    mask = sub.coordinate_mask()
+    if mask is None:
+        return {"dim": sub.dim, "basis": [[str(c) for c in r] for r in sub.basis()]}
+    return sorted(label for t, label in enumerate(ring.labels) if mask >> t & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +791,6 @@ def _build_argparser() -> argparse.ArgumentParser:
         sp.add_argument("--cap", type=_nonnegative_int, default=DEFAULT_CAP,
                         help="highest tensor level a product or membership test may create")
         sp.add_argument("--format", choices=("json", "dot", "table"), default="json")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized verbs")
         if verb == "eq":
             sp.add_argument("--ring", choices=("cp", "toeplitz"), default="cp")
             sp.add_argument("--j", default="jmax", help="ideal spec: labels, zero, full, jmax")
@@ -812,6 +803,7 @@ def _build_argparser() -> argparse.ArgumentParser:
         if verb == "compare":
             sp.add_argument("--words", type=_nonnegative_int, default=40,
                             help="random pairs to test")
+            sp.add_argument("--seed", type=int, default=0, help="seed of the random pairs")
     return ap
 
 

@@ -26,11 +26,16 @@ three conditions, for J in R and, given a floor I, for J/I in R/I; a
 T-pair's J flags (`ideals.validate_tpair`) are that call, and `CpContext`
 alone refuses a J that fails them.
 
-The gauge action scales the grade-(m,n) component by t^(n-m); since the
-scalars form an infinite field, evaluating at enough distinct t recovers the
-z-homogeneous parts by solving a Vandermonde system, which is what
-``homogeneous_components`` does; the tests use it as an independent oracle
-for ``toeplitz.z_project``, which reads the same parts off the grades.
+A representation (S, T, sigma) is covariant on x when sigma(x) =
+pi_{T,S}(Delta(x)); those x form the ideal J_(S,T,sigma), which ties a
+representation to the rings O(J).  One helper reads covariance through the
+frame of condition (FS) (`_covariance_defect`, whose docstring has the
+proof), and `is_cp_invariant`, `extract_j` and `extract_tpair` all read it.
+
+The gauge action scales the grade-(m,n) component by t^(n-m), so its
+eigencomponents are the z-homogeneous parts, which `toeplitz.z_project`
+reads off the grades; the Vandermonde interpolation of gauge evaluations
+that recovers them independently is a test oracle (`tests/conftest.py`).
 """
 
 from __future__ import annotations
@@ -43,14 +48,12 @@ from .exactlin import (
     ZERO,
     Subspace,
     _nonzeros,
-    frac,
     kernel,
     mat_identity,
     mat_transpose,
     matvec,  # not called here; perfbench/test_perfbench.py rebinds `cpring.matvec`
-    preimage,
-    solve_matrix,
     unit_vec,
+    zero_vec,
 )
 from .finrank import (
     CompatibleIdeal,
@@ -63,14 +66,13 @@ from .finrank import (
     validate_ideal,
 )
 from .rsystem import RSystem
-from .tensorpow import DEFAULT_CAP, _system_store, ideal_image, tensor_space
+from .tensorpow import DEFAULT_CAP, ideal_image, tensor_space
 from .toeplitz import (
     InvalidRepresentation,
     Representation,
     ToeplitzElement,
     check_representation,
     component_space,
-    embed_n,
     fock_apply,
     toeplitz_mul,
     z_project,
@@ -82,16 +84,12 @@ __all__ = [
     "CpContext",
     "CpElement",
     "GradedUniquenessReport",
-    "ZeroScalar",
     "cp_equal",
     "extract_j",
     "extract_tpair",
-    "gauge",
     "graded_uniqueness_check",
-    "homogeneous_components",
     "in_relation_ideal",
     "is_cp_invariant",
-    "relation_generators",
     "relation_preimage",
     "validate_ideal",
 ]
@@ -99,10 +97,6 @@ __all__ = [
 
 class ContextMismatch(ValueError):
     """Operands belong to different Cuntz-Pimsner contexts."""
-
-
-class ZeroScalar(ValueError):
-    """The gauge action is only defined for nonzero scalars."""
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +111,6 @@ class CpContext:
     # of the membership test may create (see toeplitz_mul, fock_apply)
     cap: int = DEFAULT_CAP
     _pi_cache: dict = field(default_factory=dict, init=False, repr=False)
-    _gen_cache: dict = field(default_factory=dict, init=False, repr=False)
     _zero: Subspace = field(init=False, repr=False)  # I = 0, the floor of T(J)
 
     def __post_init__(self):
@@ -170,31 +163,6 @@ def _core_generator(ctx: CpContext, x: Sequence[Fraction]) -> ToeplitzElement:
     return ToeplitzElement(ctx.system, comps)
 
 
-def relation_generators(ctx: CpContext, k: int, l: int) -> list[ToeplitzElement]:
-    """Spanning elements iota_Q^k(q) (iota_R(x) - pi(Delta(x))) iota_P^l(p)."""
-    key = (k, l)
-    if key in ctx._gen_cache:
-        return ctx._gen_cache[key]
-    system = ctx.system
-    jbasis = ctx.j.ideal.basis()
-    out: list[ToeplitzElement] = []
-    if jbasis:
-        qs = tensor_space(system, "Q", k)
-        ps = tensor_space(system, "P", l)
-        for x in jbasis:
-            core = _core_generator(ctx, x)
-            for a in range(qs.dim) if k else [None]:
-                left = core if a is None else toeplitz_mul(
-                    embed_n(system, "Q", k, unit_vec(qs.dim, a)), core, cap=ctx.cap)
-                for b in range(ps.dim) if l else [None]:
-                    g = left if b is None else toeplitz_mul(
-                        left, embed_n(system, "P", l, unit_vec(ps.dim, b)), cap=ctx.cap)
-                    if not g.is_zero():
-                        out.append(g)
-    ctx._gen_cache[key] = out
-    return out
-
-
 # ---------------------------------------------------------------------------
 # exact membership in a graded ideal through the Fock representation
 
@@ -205,7 +173,7 @@ def _vacuum_span(system: RSystem, j: Subspace, k: int) -> Subspace:
 
     Maps are flattened column by column, as `_fock_block` lays out a block.
     """
-    store = _system_store(system)
+    store = system._store
     span = store.get(("vacuum", k, j))
     if span is None:
         dst = tensor_space(system, "Q", k)
@@ -425,123 +393,88 @@ def cp_equal(a: CpElement, b: CpElement) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Cuntz-Pimsner invariance and ideal extraction from representations
+# covariance of a representation and the ideal J_(S,T,sigma)
 
 
-def is_cp_invariant(system: RSystem, rep: Representation, j) -> bool:
-    """Does the representation satisfy sigma(x) = sum T(q_i) S(p_i) for x in J?
+def _covariance_defect(system: RSystem, rep):
+    """x |-> sigma(x) - sigma(x) E, the covariance defect of a representation,
+    for E = sum c T(q_b) S(p_a) over the P-side certificate (a, b, c) of
+    (FS), id_P = sum c psi(. (x) q_b) . p_a (`check_fs`).
 
-    `j` may be a CompatibleIdeal or a raw Subspace of R.  A representation
-    factors through the relative Cuntz-Pimsner ring exactly when this holds.
+    J_(S,T,sigma) = {x in Delta^-1(F_P(Q)) : sigma(x) = pi_{T,S}(Delta(x))},
+    where pi_{T,S}(theta_{q,p}) = T(q) S(p), is the kernel of the defect.
+    Checks `rep` first (`check_representation`) and refuses a system
+    without (FS) with FsViolation.
+
+    Proof sketch.  Write k = sum theta_{q_i,p_i}.  (1) pi_{T,S} is well
+    defined: by S(p) T(q) = sigma(psi(p (x) q)), sigma(r) S(p) = S(r.p) and
+    the P-frame, sum T(q_i) S(p_i) E = sum c T(q_i) S(psi(p_i (x) q_b) . p_a)
+    = sum T(q_i) S(p_i), and by T(q) sigma(r) = T(q.r) the same product is
+    sum c T(q_i . psi(p_i (x) q_b)) S(p_a) = sum c T(k(q_b)) S(p_a), which
+    depends on k alone.  (2) (FS) makes Delta^-1(F_P(Q)) = R (see
+    `finrank.delta_ideals`), and with k = Delta(x), k(q_b) = x.q_b and
+    T(x.q) = sigma(x) T(q) give pi(Delta(x)) = sigma(x) E.  (3) If
+    sigma(x) = sum T(q_i) S(p_i), then sigma(x) E = sigma(x) by (1); and
+    conversely sigma(x) = sigma(x) E = sum c T(x.q_b) S(p_a) lies in
+    span{T(q) S(p)}.  So under (FS), J is also sigma^-1(span{T(q) S(p)}),
+    and it is the ideal that the theta coefficients of Delta(x) give.
+    Without (FS) those readings can differ, so such systems are refused.
+    (t = sum c q_b (x) p_a has theta_t = id_Q under (FS), so E = pi(id_Q)
+    commutes with sigma(R), and the side E multiplies from is immaterial.)
     """
-    ideal = j.ideal if isinstance(j, CompatibleIdeal) else j
-    dq, dp = system.q.dim, system.p.dim
-    for x in ideal.basis():
-        coeffs = theta_decomposition(system, x)
-        if coeffs is None:
-            return False  # Delta(x) not finite-rank: no theta decomposition
-        lhs = rep.sigma(list(x))
-        rhs = None
-        for a in range(dq):
-            for b in range(dp):
-                c = coeffs[a * dp + b]
-                if not c:
-                    continue
-                term = c * (rep.t(unit_vec(dq, a)) * rep.s(unit_vec(dp, b)))
-                rhs = term if rhs is None else rhs + term
-        if rhs is None:
-            rhs = 0 * lhs
-        if not (lhs == rhs):
-            return False
-    return True
-
-
-def _flatten_image(m) -> list[Fraction]:
-    return [ent for row in m.rows for ent in row]
-
-
-def _sigma_and_j(system: RSystem, rep: Representation) -> tuple[list, Subspace]:
-    """After checking that `rep` is a representation: sigma as the (dim^2 x dim R) matrix
-    of the flattened sigma(e_r), and J_{(S,T,sigma)} = sigma^-1(span{ T(q) S(p) })."""
     failures = check_representation(system, rep)
     if failures:
         raise InvalidRepresentation("; ".join(failures))
-    d, amb = system.ring.dim, rep.dim * rep.dim
-    cols = [_flatten_image(rep.sigma(unit_vec(d, r))) for r in range(d)]
-    sigma = [[col[k] for col in cols] for k in range(amb)]
-    if not amb:
-        return sigma, Subspace.full(d)
+    fs = check_fs(system)
+    if not fs.ok:
+        raise FsViolation("the covariance of a representation is read through the (FS) "
+                          "frame, which needs condition (FS)")
     dq, dp = system.q.dim, system.p.dim
-    span = Subspace(amb, [_flatten_image(rep.t(unit_vec(dq, a)) * rep.s(unit_vec(dp, b)))
-                          for a in range(dq) for b in range(dp)])
-    return sigma, preimage(sigma, span)
+    e = rep.sigma(zero_vec(system.ring.dim))  # the target's zero
+    for a, b, c in fs.p_certificate:
+        e = e + c * (rep.t(unit_vec(dq, b)) * rep.s(unit_vec(dp, a)))
+
+    def defect(x):
+        s = rep.sigma(list(x))
+        return s - s * e
+
+    return defect
+
+
+def _kernel_over_basis(system: RSystem, rep, f) -> Subspace:
+    """{x in R : f(x) = 0} for a linear f into rep.dim x rep.dim matrices
+    (`Mat`): the kernel of f flattened over R's basis, all of R at dim 0."""
+    d = system.ring.dim
+    if not rep.dim:
+        return Subspace.full(d)
+    cols = [[v for row in f(unit_vec(d, r)).rows for v in row] for r in range(d)]
+    return Subspace(d, kernel(mat_transpose(cols)))
+
+
+def is_cp_invariant(system: RSystem, rep, j) -> bool:
+    """Is J <= J_(S,T,sigma): does every basis vector of J have zero
+    covariance defect (`_covariance_defect`, where the proof is)?
+
+    `j` may be a CompatibleIdeal or a raw Subspace of R.  A representation
+    factors through the relative Cuntz-Pimsner ring O(J) exactly when this
+    holds.  Works on any target with ring operations and `==`.
+    """
+    ideal = j.ideal if isinstance(j, CompatibleIdeal) else j
+    defect = _covariance_defect(system, rep)
+    zero = defect(zero_vec(system.ring.dim))
+    return all(defect(x) == zero for x in ideal.basis())
 
 
 def extract_j(system: RSystem, rep: Representation) -> Subspace:
-    """J_{(S,T,sigma)} = { r : sigma(r) in span{ T(q) S(p) } }, exactly."""
-    return _sigma_and_j(system, rep)[1]
+    """J_(S,T,sigma), exactly: the kernel of the covariance defect
+    (`_covariance_defect`) over R's basis."""
+    return _kernel_over_basis(system, rep, _covariance_defect(system, rep))
 
 
 def extract_tpair(system: RSystem, rep: Representation):
-    """(ker sigma, J_{(S,T,sigma)}) — a T-pair when the rep is valid."""
-    sigma, j = _sigma_and_j(system, rep)
-    d = system.ring.dim
-    return (Subspace(d, kernel(sigma)) if rep.dim else Subspace.full(d)), j
-
-
-# ---------------------------------------------------------------------------
-# gauge action
-
-
-def gauge(t, x):
-    """tau_t: scales the grade-(m,n) component by t^(n-m).
-
-    On generators: iota_P(p) -> t * iota_P(p), iota_Q(q) -> t^{-1} iota_Q(q),
-    iota_R fixed; works on ToeplitzElement or CpElement.
-    """
-    t = frac(t)
-    if t == 0:
-        raise ZeroScalar("gauge action needs t != 0")
-    if isinstance(x, CpElement):
-        return CpElement(x.context, gauge(t, x.rep))
-    comps = {}
-    for (m, n), v in x.comps.items():
-        s = frac(Fraction(t) ** (n - m))  # a Fraction base keeps t^-k exact
-        comps[(m, n)] = [s * c for c in v]
-    return ToeplitzElement(x.system, comps)
-
-
-def homogeneous_components(evaluations, degrees):
-    """Recover z-homogeneous parts from gauge evaluations (Vandermonde solve).
-
-    evaluations: sequence of (t, tau_t(x)) pairs with distinct nonzero t;
-    degrees: the candidate z-degrees.  Needs len(evaluations) >= len(degrees).
-    Returns {degree: component}.
-    """
-    ts = [frac(t) for t, _ in evaluations]
-    if any(t == 0 for t in ts):
-        raise ZeroScalar("gauge evaluations need nonzero t")
-    if len(set(ts)) != len(ts):
-        raise ValueError("evaluation points must be distinct")
-    degrees = list(degrees)
-    if len(ts) < len(degrees):
-        raise ValueError("need at least one evaluation per candidate degree")
-    ts = ts[: len(degrees)]
-    elems = [e for _, e in evaluations][: len(degrees)]
-    n = len(degrees)
-    vand = [[frac(Fraction(ts[i]) ** (-degrees[j])) for j in range(n)] for i in range(n)]
-    inv = solve_matrix(vand, mat_identity(n))
-    if inv is None:
-        raise ValueError("evaluation points do not separate the degrees")
-    out = {}
-    for j, k in enumerate(degrees):
-        acc = elems[0].scale(0)
-        for i in range(n):
-            c = inv[j][i]
-            if c:
-                acc = acc.add(elems[i].scale(c))
-        out[k] = acc
-    return out
+    """(ker sigma, J_(S,T,sigma)), a T-pair for a valid representation."""
+    defect = _covariance_defect(system, rep)
+    return _kernel_over_basis(system, rep, rep.sigma), _kernel_over_basis(system, rep, defect)
 
 
 # ---------------------------------------------------------------------------

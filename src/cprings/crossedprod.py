@@ -40,7 +40,7 @@ from .exactlin import (
     zero_vec,
 )
 from .rsystem import RSystem
-from .tensorpow import _system_store, tensor_space
+from .tensorpow import tensor_space
 from .toeplitz import SystemMismatch, ToeplitzElement, component_space
 
 __all__ = [
@@ -77,7 +77,7 @@ def phi_power(system: RSystem, k: int):
     """Cached matrix of phi^k (negative k through the stored inverse)."""
     _require_automorphism(system)
     k = int(k)
-    store = _system_store(system)
+    store = system._store
     key = ("phi-pow", k)
     if key in store:
         return store[key]
@@ -189,7 +189,7 @@ def _leg_collapse(system: RSystem, side: str, level: int):
     """Matrix taking level-`level` tensor coordinates to the ring part of the
     crossed-product word (degree -level for Q, +level for P)."""
     _require_automorphism(system)
-    store = _system_store(system)
+    store = system._store
     key = ("crossed-leg", side, level)
     if key in store:
         return store[key]

@@ -10,7 +10,7 @@ The rank-one generators and the left action are
 `theta_table(system, side, level)` holds the flattened generators of one side
 and level, read straight off the nonzeros of the psi_n cells and the columns
 of the level's actions; it is built once per system and everything rank-one
-reads it.  F_P(Q) is its span (`finite_rank_space`); condition (FS) asks the
+reads it.  F_P(Q) is the span of its level-1 Q rows; condition (FS) asks the
 identity of Q to lie in F_P(Q) and the identity of P in F_Q(P), two exact
 solves over the table whose solutions double as certificates (`check_fs`);
 `theta_decomposition` solves Delta(x) = sum c_ab theta_{e_a,e_b} over it.
@@ -54,7 +54,7 @@ from .exactlin import (
     solve,
 )
 from .rsystem import RSystem, corner_graph, is_two_sided
-from .tensorpow import _system_store, ideal_image, psi_n, tensor_space
+from .tensorpow import ideal_image, psi_n, tensor_space
 
 
 class FsViolation(RuntimeError):
@@ -104,7 +104,7 @@ def theta_table(system: RSystem, side: str, level: int) -> tuple:
     """
     if side not in ("Q", "P"):
         raise ValueError("side must be 'Q' or 'P'")
-    store = _system_store(system)
+    store = system._store
     key = ("theta", side, level)
     rows = store.get(key)
     if rows is None:
@@ -151,18 +151,12 @@ def _floored(system: RSystem, side: str, level: int, i: Optional[Subspace], maps
 def _floored_thetas(system: RSystem, side: str, level: int, i: Optional[Subspace]) -> list:
     """The theta table of one side and level `_floored` modulo MI, once per
     system, side, level and floor: `check_fs` and `delta_ideals` share it."""
-    store = _system_store(system)
+    store = system._store
     key = ("theta_floored", side, level, _floor_key(i))
     rows = store.get(key)
     if rows is None:
         rows = store[key] = _floored(system, side, level, i, theta_table(system, side, level))
     return rows
-
-
-def finite_rank_space(system: RSystem) -> Subspace:
-    """F_P(Q), the span of the level-1 rank-one operators on Q, as flattened matrices."""
-    d = system.q.dim
-    return Subspace(d * d, theta_table(system, "Q", 1))
 
 
 def theta_decomposition(system: RSystem, x: Sequence[Fraction]):
@@ -196,7 +190,7 @@ def _identity_in_span(system: RSystem, level: int, side: str, i: Optional[Subspa
 
 def _fs_half(system: RSystem, side: str, level: int = 1, i: Optional[Subspace] = None):
     """`_identity_in_span` of one side, once per system, side, level and I."""
-    store = _system_store(system)
+    store = system._store
     key = ("fs_half", side, level, _floor_key(i))
     if key not in store:
         store[key] = _identity_in_span(system, level, side, i)
@@ -207,7 +201,7 @@ def check_fs(system: RSystem, i: Optional[Subspace] = None, level: int = 1) -> F
     """Condition (FS) of R/I (of R for I = 0) at one level, decided once
     per system and I: the residual of id_Q modulo QI in the span of the
     theta residuals, and likewise for id_P modulo IP (`_floored`)."""
-    store = _system_store(system)
+    store = system._store
     key = ("fs", level, _floor_key(i))
     rep = store.get(key)
     if rep is None:
@@ -225,7 +219,7 @@ def left_annihilator(system: RSystem, i: Optional[Subspace] = None) -> Subspace:
     Its equations are the coordinates of r e_c modulo I for each basis
     element e_c, read off the nonzeros of right multiplication
     (`ring.right[c][a]` is e_a e_c); with none, every r qualifies."""
-    store, floor = _system_store(system), _floor_key(i)
+    store, floor = system._store, _floor_key(i)
     key = ("left_annihilator", floor)
     out = store.get(key)
     if out is None:
@@ -296,7 +290,7 @@ def delta_ideals(system: RSystem, i: Optional[Subspace] = None) -> tuple[Subspac
     (t, s) has s in M.  QI is a left submodule, so r = sum c_t e_t has
     r.Q <= QI exactly when each e_t r.Q = c_t e_t Q does: K_I is the span of
     the e_t whose nonzero Q-corners all end in M."""
-    store = _system_store(system)
+    store = system._store
     key = ("delta_ideals", _floor_key(i))
     out = store.get(key)
     if out is None:
@@ -360,7 +354,7 @@ def validate_ideal(system: RSystem, subspace: Subspace, i: Optional[Subspace] = 
     d = system.ring.dim
     if subspace.ambient != d:
         raise ValueError(f"ideal lives in dimension {subspace.ambient}, ring has {d}")
-    store, key = _system_store(system), ("ideal", subspace, _floor_key(i))
+    store, key = system._store, ("ideal", subspace, _floor_key(i))
     out = store.get(key)
     if out is None:
         k_i, d_i = delta_ideals(system, i)

@@ -82,21 +82,6 @@ class FiniteGraph:
     def infinite_emitters(self) -> list[str]:
         return [v for v in self.vertices if self.out_degree(v) == math.inf]
 
-    def is_acyclic(self) -> bool:
-        color = {v: 0 for v in self.vertices}
-
-        def visit(v):
-            color[v] = 1
-            for e in self._out[v]:
-                if color[e.tgt] == 1:
-                    return False
-                if color[e.tgt] == 0 and not visit(e.tgt):
-                    return False
-            color[v] = 2
-            return True
-
-        return all(color[v] != 0 or visit(v) for v in self.vertices)
-
     def expand(self) -> "FiniteGraph":
         """Replace multiplicities by parallel edges (refuses infinite ones)."""
         out = []
@@ -411,50 +396,6 @@ class LpaTarget:
 
     def s(self, p) -> LpaElement:
         return self._comb(p, self._p)
-
-
-def _all_paths(graph: FiniteGraph, max_len: int | None = None):
-    """All forward paths as edge-name tuples, grouped with their range vertex.
-
-    Includes the empty path at each vertex as ((), v).  If the graph has a
-    cycle and max_len is None this would not terminate, so callers bound it.
-    """
-    out = [((), v) for v in graph.vertices]
-    frontier = [((), v) for v in graph.vertices]
-    length = 0
-    while frontier and (max_len is None or length < max_len):
-        nxt = []
-        for path, v in frontier:
-            for e in graph.out_edges(v):
-                nxt.append((path + (e.name,), e.tgt))
-        out.extend(nxt)
-        frontier = nxt
-        length += 1
-    return out
-
-
-def _is_normal_pair(graph: FiniteGraph, alpha: tuple, beta: tuple) -> bool:
-    if not alpha or not beta:
-        return True
-    e = alpha[-1]
-    if e != beta[-1]:
-        return True
-    return special_edge(graph, graph.edge(e).src) != e
-
-
-def lpa_dim_upto(graph: FiniteGraph, max_len: int) -> int:
-    """Number of normal-form monomials with |alpha| + |beta| <= max_len."""
-    paths = _all_paths(graph, max_len)
-    by_range: dict[str, list[tuple]] = {}
-    for path, v in paths:
-        by_range.setdefault(v, []).append(path)
-    count = 0
-    for v, plist in by_range.items():
-        for alpha in plist:
-            for beta in plist:
-                if len(alpha) + len(beta) <= max_len and _is_normal_pair(graph, alpha, beta):
-                    count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------

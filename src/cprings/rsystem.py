@@ -209,7 +209,7 @@ class RSystem:
     q: StructuredBimodule
     psi: Pairing
     name: str = "system"
-    # memo of tensor levels, components and rank-one data (`tensorpow._system_store`)
+    # memo of tensor levels, components and rank-one data, read as `system._store`
     _store: dict = field(default_factory=dict, init=False, repr=False)
 
     def __repr__(self) -> str:

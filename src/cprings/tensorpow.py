@@ -51,8 +51,6 @@ from .exactlin import (
     _nonzeros,
     _sum_nz,
     unit_vec,
-    vec_add,
-    vec_scale,
 )
 from .rsystem import RSystem, _Actions, _bilinear
 
@@ -82,28 +80,6 @@ class TensorSpace(_Actions):
 
     def __repr__(self) -> str:
         return f"TensorSpace({self.side}^{self.level}, dim {self.dim})"
-
-
-@dataclass(frozen=True)
-class ModuleElement:
-    """An element of P^(x)n or Q^(x)n in canonical level coordinates."""
-
-    system: RSystem
-    side: str
-    level: int
-    coords: tuple
-
-    def add(self, other: "ModuleElement") -> "ModuleElement":
-        if (self.system, self.side, self.level) != (other.system, other.side, other.level):
-            raise ValueError("elements live in different tensor spaces")
-        return ModuleElement(self.system, self.side, self.level, tuple(vec_add(self.coords, other.coords)))
-
-    def scale(self, c) -> "ModuleElement":
-        return ModuleElement(self.system, self.side, self.level, tuple(vec_scale(c, self.coords)))
-
-
-def _system_store(system: RSystem) -> dict:
-    return system._store
 
 
 def _module_of(system: RSystem, side: str):
@@ -143,7 +119,7 @@ def balanced_quotient(a_right, a_dim: int, b_left, b_dim: int) -> QuotientSpace:
 def tensor_space(system: RSystem, side: str, n: int) -> TensorSpace:
     if n < 0:
         raise ValueError("negative tensor level")
-    store = _system_store(system)
+    store = system._store
     key = ("space", side, n)
     if key not in store:
         _build_upward(store, lambda k: ("space", side, k), n, lambda k: _build_level(system, side, k))
@@ -171,7 +147,7 @@ def _build_level(system: RSystem, side: str, n: int) -> TensorSpace:
     if n == 1:
         words = tuple((b,) for b in range(d_m))
         return TensorSpace(system, side, 1, d_m, None, None, words, mod.left, mod.right)
-    prev = _system_store(system)[("space", side, n - 1)]
+    prev = system._store[("space", side, n - 1)]
     quot = balanced_quotient(prev.right, prev.dim, mod.left, d_m)
     basis = tuple(divmod(f, d_m) for f in quot.free)
     words = tuple(prev.words[a] + (b,) for a, b in basis)
@@ -188,7 +164,7 @@ def ideal_image(system: RSystem, side: str, k: int, ideal: Subspace) -> Subspace
     the ideal itself when k = 0; memoized per system."""
     if k == 0:
         return ideal
-    store, key = _system_store(system), ("image", side, k, ideal)
+    store, key = system._store, ("image", side, k, ideal)
     span = store.get(key)
     if span is None:
         dst = tensor_space(system, side, k)
@@ -205,7 +181,7 @@ def _word_nz(system: RSystem, side: str, word: tuple) -> tuple:
     Extends the longest memoized prefix one letter at a time, the class of
     u (x) e_b being that of class(u) (x) e_b; every prefix is memoized.
     """
-    store = _system_store(system)
+    store = system._store
     if ("word", side, word) in store:
         return store[("word", side, word)]
     if not word:
@@ -246,7 +222,7 @@ def psi_n(system: RSystem, n: int):
         return system.ring.left
     if n == 1:
         return system.psi._table_nz
-    store = _system_store(system)
+    store = system._store
     if ("psi", n) not in store:
         qwords = tensor_space(system, "Q", n).words
         store[("psi", n)] = tuple(tuple(_contract(system, p, q) for q in qwords)
@@ -265,7 +241,7 @@ def _contract(system: RSystem, p: tuple, q: tuple) -> tuple:
     so the longest memoized pair (p[k-t:], q[:t]) is extended one letter pair
     at a time, each pair memoized, in a loop rather than a stack frame per letter.
     """
-    store = _system_store(system)
+    store = system._store
     if ("contract", p, q) in store:
         return store[("contract", p, q)]
     k = len(p)

@@ -67,12 +67,10 @@ from .rsystem import RSystem
 from .tensorpow import (
     CapExceeded,
     DEFAULT_CAP,
-    ModuleElement,
     _build_upward,
     _contract,
     _module_of,
     _project_kron,
-    _system_store,
     _word_nz,
     balanced_quotient,
     psi_apply,
@@ -94,7 +92,6 @@ __all__ = [
     "embed_n",
     "evaluate",
     "fock_apply",
-    "fock_is_zero",
     "pair",
     "semigroup_mul",
     "toeplitz_mul",
@@ -134,7 +131,7 @@ class ComponentSpace:
 
 
 def component_space(system: RSystem, m: int, n: int) -> ComponentSpace:
-    store = _system_store(system)
+    store = system._store
     key = ("comp", m, n)
     if key in store:
         return store[key]
@@ -257,19 +254,14 @@ class ToeplitzElement:
         return f"ToeplitzElement({parts})"
 
 
-def embed(system: RSystem, kind: str, x) -> ToeplitzElement:
-    """Level-1 (or ring) embedding; accepts raw coordinates or a ModuleElement."""
-    if isinstance(x, ModuleElement):
-        return embed_n(system, kind, x.level, x.coords)
-    level = 0 if kind == "R" else 1
-    return embed_n(system, kind, level, x)
+def embed(system: RSystem, kind: str, coords) -> ToeplitzElement:
+    """Level-1 (or ring) embedding of coordinates (see `embed_n`)."""
+    return embed_n(system, kind, 0 if kind == "R" else 1, coords)
 
 
 def embed_n(system: RSystem, kind: str, level: int, coords) -> ToeplitzElement:
     """The element with the given coordinates at level `level` of leg `kind`
     (R at level 0); coordinates are coerced by `vec`."""
-    if isinstance(coords, ModuleElement):
-        coords = coords.coords
     if kind == "R":
         if level != 0:
             raise ValueError("ring elements sit at level 0")
@@ -342,7 +334,7 @@ def _join(system: RSystem, side: str, head: tuple, r, tail: tuple) -> tuple:
 def _product_column(system: RSystem, g1, i: int, g2, j: int) -> tuple:
     """Nonzero (k, c) of basis class i of C(g1) times basis class j of C(g2),
     by the rule at the join (module docstring)."""
-    store = _system_store(system)
+    store = system._store
     key = ("prodcol", g1, i, g2, j)
     if key not in store:
         (m1, n1), (m2, n2) = g1, g2
@@ -587,18 +579,3 @@ def fock_apply(x: ToeplitzElement, j: int, cap: int = DEFAULT_CAP) -> dict:
     blocks = {k: tuple(tuple(sorted((r, y) for r, y in col.items() if y)) for col in cols)
               for k, cols in acc.items()}
     return {k: blk for k, blk in blocks.items() if any(blk)}
-
-
-def fock_is_zero(x: ToeplitzElement, cap: int = DEFAULT_CAP) -> bool:
-    """Exact zero test through the Fock representation.
-
-    Testing domain levels j = 0..max_n(x) suffices: a nonzero component of
-    minimal n in its z-degree acts nontrivially on Q^(x)n already (the lower
-    levels cannot interfere, and higher components kill them).  Raises
-    CapExceeded, before any work, when one of those blocks lands above cap.
-    """
-    _check_fock_cap(x, x.max_n_degree(), cap)
-    for j in range(x.max_n_degree() + 1):
-        if fock_apply(x, j, cap=cap):
-            return False
-    return True

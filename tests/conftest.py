@@ -8,20 +8,21 @@ the assertions where they are used.
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from cprings.cpring import CpContext, in_relation_ideal, validate_ideal
+from cprings.cpring import CpContext, CpElement, _core_generator, in_relation_ideal, validate_ideal
 from cprings.graphalg import (
     Edge,
     FiniteGraph,
     cycle_graph,
     is_hereditary_saturated,
     line_graph,
-    lpa_dim_upto,
     restriction_graph,
     rose_graph,
+    special_edge,
 )
 from cprings.ideals import is_psi_invariant, quotient_system, validate_tpair
 from cprings.rsystem import (
@@ -38,6 +39,7 @@ from cprings.exactlin import (
     Subspace,
     _nonzeros,
     _sum_nz,
+    frac,
     kernel,
     mat_identity,
     mat_transpose,
@@ -45,11 +47,21 @@ from cprings.exactlin import (
     preimage,
     solve_matrix,
     unit_vec,
+    vec_add,
+    vec_scale,
     zero_vec,
 )
 from cprings.finrank import _delta_map_matrix, _floored_thetas, delta_ideals, theta_table
-from cprings.tensorpow import ModuleElement, _build_upward, _project_kron, _word_nz, psi_apply, tensor_space
-from cprings.toeplitz import ToeplitzElement, component_space
+from cprings.tensorpow import DEFAULT_CAP, _build_upward, _project_kron, _word_nz, psi_apply, tensor_space
+from cprings.toeplitz import (
+    ToeplitzElement,
+    _check_fock_cap,
+    check_representation,
+    component_space,
+    embed_n,
+    fock_apply,
+    toeplitz_mul,
+)
 
 F = Fraction
 
@@ -279,12 +291,53 @@ def basis_vector(space, label: str) -> list:
     return unit_vec(space.dim, space.index(label))
 
 
+def is_acyclic(graph) -> bool:
+    """Has the graph no directed cycle?  A depth-first search that meets a
+    vertex still on its stack has found one."""
+    color = {v: 0 for v in graph.vertices}  # 0 unseen, 1 on the stack, 2 done
+
+    def visit(v):
+        color[v] = 1
+        for e in graph.out_edges(v):
+            if color[e.tgt] == 1 or color[e.tgt] == 0 and not visit(e.tgt):
+                return False
+        color[v] = 2
+        return True
+
+    return all(color[v] != 0 or visit(v) for v in graph.vertices)
+
+
+def _all_paths(graph, max_len: int) -> list:
+    """All forward paths of at most max_len edges, as (edge-name tuple, range
+    vertex), the empty path at each vertex included."""
+    out = [((), v) for v in graph.vertices]
+    frontier = list(out)
+    for _ in range(max_len):
+        frontier = [(path + (e.name,), e.tgt) for path, v in frontier for e in graph.out_edges(v)]
+        if not frontier:
+            break
+        out.extend(frontier)
+    return out
+
+
+def lpa_dim_upto(graph, max_len: int) -> int:
+    """Number of Leavitt normal-form monomials x_alpha y_beta^* with
+    |alpha| + |beta| <= max_len: alpha and beta share a range, and they do not
+    both end in the special edge of its source (`graphalg.special_edge`)."""
+    by_range: dict = {}
+    for path, v in _all_paths(graph, max_len):
+        by_range.setdefault(v, []).append(path)
+    return sum(1 for plist in by_range.values() for alpha in plist for beta in plist
+               if len(alpha) + len(beta) <= max_len
+               and not (alpha and beta and alpha[-1] == beta[-1]
+                        and special_edge(graph, graph.edge(alpha[-1]).src) == alpha[-1]))
+
+
 def lpa_dim_total(graph) -> int | float:
     """Total dimension of the Leavitt path algebra; math.inf when a cycle
     exists.  An acyclic graph's paths have fewer edges than it has vertices,
-    so `graphalg.lpa_dim_upto` at twice that length counts every normal
-    monomial."""
-    if not graph.is_acyclic():
+    so `lpa_dim_upto` at twice that length counts every normal monomial."""
+    if not is_acyclic(graph):
         return math.inf
     return lpa_dim_upto(graph, 2 * len(graph.vertices))
 
@@ -312,14 +365,19 @@ def random_unimodular(rng, n: int) -> list:
 
 
 def rebased_legs(system, rng) -> RSystem:
-    """The system with Q and P re-presented in random bases (`random_unimodular`):
-    new basis vector a of a leg is sum_b A[b][a] m_b, so each action matrix
-    M becomes A^-1 M A and psi(p'_a (x) q'_b) = sum B[c][a] A[e][b] psi(p_c (x) q_e).
-    The new basis vectors mostly span several corners e_t Q e_s."""
+    """The system with Q and P re-presented in random bases (`random_unimodular`,
+    Q's first); the new basis vectors mostly span several corners e_t Q e_s."""
+    return rebase_legs(system, random_unimodular(rng, system.q.dim), random_unimodular(rng, system.p.dim))
+
+
+def rebase_legs(system, q_change, p_change) -> RSystem:
+    """The system with Q and P re-presented in new bases: new basis vector a
+    of a leg is sum_b A[b][a] m_b, for A = q_change on Q and p_change on P
+    (invertible), so each action matrix M becomes A^-1 M A and
+    psi(p'_a (x) q'_b) = sum B[c][a] A[e][b] psi(p_c (x) q_e)."""
     d = system.ring.dim
     change = {}
-    for side, mod in (("Q", system.q), ("P", system.p)):
-        a = random_unimodular(rng, mod.dim)
+    for side, mod, a in (("Q", system.q, q_change), ("P", system.p, p_change)):
         a_inv = solve_matrix(a, mat_identity(mod.dim)) if mod.dim else []
 
         def conj(maps, a=a, a_inv=a_inv, n=mod.dim):
@@ -366,6 +424,24 @@ def theta_matrix(system, level, q_index, p_index):
 def theta_matrix_p(system, level, p_index, q_index):
     """Matrix of the opposite-leg rank-one y |-> psi_n(y (x) e_q) . e_p on P^(x)level."""
     return _theta_table_matrix(system, "P", level, p_index, q_index)
+
+
+@dataclass(frozen=True)
+class ModuleElement:
+    """An element of P^(x)n or Q^(x)n in canonical level coordinates."""
+
+    system: RSystem
+    side: str
+    level: int
+    coords: tuple
+
+    def add(self, other: "ModuleElement") -> "ModuleElement":
+        if (self.system, self.side, self.level) != (other.system, other.side, other.level):
+            raise ValueError("elements live in different tensor spaces")
+        return ModuleElement(self.system, self.side, self.level, tuple(vec_add(self.coords, other.coords)))
+
+    def scale(self, c) -> "ModuleElement":
+        return ModuleElement(self.system, self.side, self.level, tuple(vec_scale(c, self.coords)))
 
 
 def basis_element(system, side, level, index) -> ModuleElement:
@@ -415,6 +491,114 @@ def module_tensor(x, y) -> ModuleElement:
     """x (x) y for two elements of one leg of one system."""
     coords = concat_class(x.system, x.side, x.level, x.coords, y.level, y.coords)
     return ModuleElement(x.system, x.side, x.level + y.level, tuple(coords))
+
+
+def finite_rank_space(system) -> Subspace:
+    """F_P(Q), the span of the level-1 rank-one operators on Q, as flattened matrices."""
+    d = system.q.dim
+    return Subspace(d * d, theta_table(system, "Q", 1))
+
+
+def fock_is_zero(x, cap: int = DEFAULT_CAP) -> bool:
+    """Exact zero test through the Fock representation.
+
+    Testing domain levels j = 0..max_n(x) suffices: a nonzero component of
+    minimal n in its z-degree acts nontrivially on Q^(x)n already (the lower
+    levels cannot interfere, and higher components kill them).  Raises
+    CapExceeded, before any work, when one of those blocks lands above cap.
+    """
+    _check_fock_cap(x, x.max_n_degree(), cap)
+    return not any(fock_apply(x, j, cap=cap) for j in range(x.max_n_degree() + 1))
+
+
+def relation_generators(ctx, k: int, l: int) -> list:
+    """The nonzero spanning elements iota_Q^k(q) (iota_R(x) - pi(Delta(x)))
+    iota_P^l(p) of T(J), x over J's basis, q and p over the level bases."""
+    system = ctx.system
+    qs, ps = tensor_space(system, "Q", k), tensor_space(system, "P", l)
+    out = []
+    for x in ctx.j.ideal.basis():
+        core = _core_generator(ctx, x)
+        for a in range(qs.dim) if k else [None]:
+            left = core if a is None else toeplitz_mul(
+                embed_n(system, "Q", k, unit_vec(qs.dim, a)), core, cap=ctx.cap)
+            for b in range(ps.dim) if l else [None]:
+                g = left if b is None else toeplitz_mul(
+                    left, embed_n(system, "P", l, unit_vec(ps.dim, b)), cap=ctx.cap)
+                if not g.is_zero():
+                    out.append(g)
+    return out
+
+
+class ZeroScalar(ValueError):
+    """The gauge action is only defined for nonzero scalars."""
+
+
+def gauge(t, x):
+    """tau_t: scales the grade-(m,n) component by t^(n-m).
+
+    On generators: iota_P(p) -> t * iota_P(p), iota_Q(q) -> t^{-1} iota_Q(q),
+    iota_R fixed; works on ToeplitzElement or CpElement.
+    """
+    t = frac(t)
+    if t == 0:
+        raise ZeroScalar("gauge action needs t != 0")
+    if isinstance(x, CpElement):
+        return CpElement(x.context, gauge(t, x.rep))
+    return ToeplitzElement(x.system, {(m, n): [frac(Fraction(t) ** (n - m)) * c for c in v]
+                                      for (m, n), v in x.comps.items()})
+
+
+def homogeneous_components(evaluations, degrees) -> dict:
+    """Recover z-homogeneous parts from gauge evaluations (Vandermonde solve):
+    an independent oracle for `toeplitz.z_project`.
+
+    evaluations: sequence of (t, tau_t(x)) pairs with distinct nonzero t;
+    degrees: the candidate z-degrees.  Needs len(evaluations) >= len(degrees).
+    Returns {degree: component}.
+    """
+    ts = [frac(t) for t, _ in evaluations]
+    if any(t == 0 for t in ts):
+        raise ZeroScalar("gauge evaluations need nonzero t")
+    if len(set(ts)) != len(ts):
+        raise ValueError("evaluation points must be distinct")
+    degrees = list(degrees)
+    n = len(degrees)
+    if len(ts) < n:
+        raise ValueError("need at least one evaluation per candidate degree")
+    elems = [e for _, e in evaluations][:n]
+    vand = [[frac(Fraction(ts[i]) ** (-degrees[j])) for j in range(n)] for i in range(n)]
+    inv = solve_matrix(vand, mat_identity(n))
+    if inv is None:
+        raise ValueError("evaluation points do not separate the degrees")
+    out = {}
+    for j, k in enumerate(degrees):
+        acc = elems[0].scale(0)
+        for i in range(n):
+            if inv[j][i]:
+                acc = acc.add(elems[i].scale(inv[j][i]))
+        out[k] = acc
+    return out
+
+
+def span_reading_j(system, rep) -> Subspace:
+    """sigma^-1(span{T(q) S(p)}) for a valid matrix representation, all of R
+    at dimension 0: the reading of J_(S,T,sigma) that asks only that sigma(x)
+    be a sum of T(q) S(p).  Under (FS) it is the ideal `cpring.extract_j`
+    reads off the covariance defect."""
+    assert check_representation(system, rep) == []
+    d = system.ring.dim
+    if not rep.dim:
+        return Subspace.full(d)
+
+    def flat(m):
+        return [v for row in m.rows for v in row]
+
+    sigma = mat_transpose([flat(rep.sigma(unit_vec(d, r))) for r in range(d)])
+    dq, dp = system.q.dim, system.p.dim
+    span = Subspace(rep.dim * rep.dim, [flat(rep.t(unit_vec(dq, a)) * rep.s(unit_vec(dp, b)))
+                                        for a in range(dq) for b in range(dp)])
+    return preimage(sigma, span)
 
 
 def quotient_graph(graph, h) -> FiniteGraph:

@@ -22,23 +22,25 @@ import pytest
 from conftest import (
     a2_graph,
     five_vertex_mixed,
+    fock_is_zero,
+    gauge,
+    homogeneous_components,
     infinite_emitter_graph,
     lpa_dim_total,
+    lpa_dim_upto,
     perm3_system,
     random_graph,
     random_graph_element,
     random_permutation_system,
+    relation_generators,
     three_vertex_two_cycle,
 )
 
 from cprings.cpring import (
     CpContext,
     cp_equal,
-    gauge,
     graded_uniqueness_check,
-    homogeneous_components,
     in_relation_ideal,
-    relation_generators,
     validate_ideal,
 )
 from cprings.crossedprod import toeplitz_to_crossed
@@ -50,7 +52,6 @@ from cprings.graphalg import (
     enumerate_hs,
     enumerate_ideal_pairs,
     line_graph,
-    lpa_dim_upto,
     lpa_mul,
     lpa_vertex,
     lpa_x,
@@ -69,7 +70,6 @@ from cprings.toeplitz import (
     component_space,
     embed,
     evaluate,
-    fock_is_zero,
     semigroup_mul,
     toeplitz_mul,
     z_project,

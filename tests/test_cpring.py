@@ -11,19 +11,27 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    ZeroScalar,
+    a2_graph,
     dual_numbers_ring,
+    gauge,
+    homogeneous_components,
     matrix2_ring,
     perm3_system,
     psi_zero_system,
+    rebase_legs,
+    relation_generators,
     right_annihilator,
+    span_reading_j,
     square_zero_json,
     three_vertex_two_cycle,
 )
 
+from cprings.crossedprod import crossed_representation
 from cprings.exactlin import Subspace, frac, mat_identity, unit_vec
 from cprings.finrank import FsViolation, canonical_ideals, check_fs, left_annihilator
 from cprings.graphalg import LpaElement, line_graph, lpa_vertex, lpa_x, lpa_y, rose_graph
-from cprings.ideals import TPair, graded_ideal_correspondence
+from cprings.ideals import TPair, graded_ideal_correspondence, validate_tpair
 from cprings.rsystem import build_automorphism_system, build_graph_system, system_from_json
 from cprings.tensorpow import CapExceeded
 from cprings.toeplitz import (
@@ -40,16 +48,12 @@ from cprings.cpring import (
     CompatibleIdeal,
     ContextMismatch,
     CpContext,
-    ZeroScalar,
     cp_equal,
     extract_j,
     extract_tpair,
-    gauge,
     graded_uniqueness_check,
-    homogeneous_components,
     in_relation_ideal,
     is_cp_invariant,
-    relation_generators,
     validate_ideal,
 )
 
@@ -305,6 +309,116 @@ def test_extract_zero_dim_rep(a2_system):
     i, j = extract_tpair(a2_system, rep)
     assert i.dim == 2  # ker sigma = R
     assert j.dim == 2
+
+
+def _unit(n, i, j):
+    """The n x n matrix unit E_ij (0-based)."""
+    return Mat([[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
+
+
+def _zero_rep(system):
+    z = Mat.zero(0)
+    return Representation(0, [z] * system.ring.dim, [z] * system.q.dim, [z] * system.p.dim)
+
+
+def _point_rep(system, vertex):
+    """The 1-dimensional representation of a graph system that is 1 at one
+    vertex idempotent and 0 elsewhere, with T = S = 0 (the vertex's edges all
+    leave it, so T(e) = sigma(s(e)) T(e) sigma(r(e)) = 0)."""
+    ring = system.ring
+    return Representation(1, [Mat([[int(label == vertex)]]) for label in ring.labels],
+                          [Mat([[0]])] * system.q.dim, [Mat([[0]])] * system.p.dim)
+
+
+def _line3_matrix_units(system):
+    """sigma(v_k) = E_kk, T(e_k) = E_k,k+1, S(e_k~) = E_k+1,k."""
+    return Representation(3, [_unit(3, k, k) for k in range(3)],
+                          [_unit(3, k, k + 1) for k in range(2)], [_unit(3, k + 1, k) for k in range(2)])
+
+
+def _direct_sum(a, b):
+    def block(x, y):
+        return Mat([list(r) + [0] * b.dim for r in x.rows] + [[0] * a.dim + list(r) for r in y.rows])
+
+    return Representation(a.dim + b.dim, *[[block(x, y) for x, y in zip(xs, ys)] for xs, ys in (
+        (a.r_images, b.r_images), (a.q_images, b.q_images), (a.p_images, b.p_images))])
+
+
+# line3 with its legs re-presented: q'_1 = e1 + e2 and p'_0 = e1~ + e2~, so
+# the (FS) certificate pairs different indices of Q and P
+_CHANGE_Q, _CHANGE_P = [[1, 1], [0, 1]], [[1, 0], [1, 1]]
+_A2, _LINE3 = (lambda: build_graph_system(a2_graph())), (lambda: build_graph_system(line_graph(3)))
+_LINE3_REBASED = lambda: rebase_legs(_LINE3(), _CHANGE_Q, _CHANGE_P)
+
+
+def _rebased_rep(rep):
+    """`rep` read in the bases of `_LINE3_REBASED`: T(q'_a) = sum_b A[b][a] T(m_b)."""
+    def images(old, change):
+        return [sum((change[b][a] * img for b, img in enumerate(old)), Mat.zero(rep.dim))
+                for a in range(len(old))]
+
+    return Representation(rep.dim, rep.r_images, images(rep.q_images, _CHANGE_Q), images(rep.p_images, _CHANGE_P))
+
+
+@pytest.mark.parametrize("make_system, make_rep", [
+    (_A2, lambda s: _a2_matrix_rep()),
+    (_A2, lambda s: _point_rep(s, "u")),
+    (_A2, _zero_rep),
+    (_LINE3, _zero_rep),
+    (perm3_system, _zero_rep),
+    (_LINE3, _line3_matrix_units),
+    (_LINE3, lambda s: _point_rep(s, "v1")),
+    (_A2, lambda s: _direct_sum(_a2_matrix_rep(), _point_rep(s, "u"))),
+    (_A2, lambda s: _direct_sum(_a2_matrix_rep(), _a2_matrix_rep())),
+    (_LINE3, lambda s: _direct_sum(_line3_matrix_units(s), _point_rep(s, "v1"))),
+    (_LINE3, lambda s: _direct_sum(_point_rep(s, "v1"), _zero_rep(s))),
+    (_LINE3_REBASED, lambda s: _rebased_rep(_line3_matrix_units(s))),
+    (_LINE3_REBASED, lambda s: _rebased_rep(_direct_sum(_line3_matrix_units(s), _point_rep(s, "v1")))),
+], ids=["a2-matrix", "a2-at-u", "a2-zero", "line3-zero", "perm3-zero", "line3-units",
+        "line3-at-v1", "a2-matrix+at-u", "a2-matrix+matrix", "line3-units+at-v1", "line3-at-v1+zero",
+        "line3-rebased-units", "line3-rebased-units+at-v1"])
+def test_covariance_is_read_one_way(make_system, make_rep):
+    """J_(S,T,sigma) read through the (FS) frame (`extract_j`) equals the
+    span reading sigma^-1(span{T(q) S(p)}) of `conftest.span_reading_j`, on
+    injective, non-injective and zero representations; `is_cp_invariant(J)`
+    is J <= J_(S,T,sigma) on random J; and (ker sigma, J_(S,T,sigma)) is a
+    T-pair."""
+    system = make_system()
+    rep = make_rep(system)
+    j = extract_j(system, rep)
+    assert j == span_reading_j(system, rep)
+    rng = random.Random(system.ring.dim * 100 + rep.dim)
+    d = system.ring.dim
+    for _ in range(20):
+        rows = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(d)] for _ in range(rng.randint(0, d))]
+        sub = _span(system, rows)
+        assert is_cp_invariant(system, rep, sub) == sub.le(j)
+    assert is_cp_invariant(system, rep, j)
+    i, j2 = extract_tpair(system, rep)
+    assert j2 == j
+    assert validate_tpair(system, i, j).ok
+
+
+def test_covariance_on_ring_targets(a2_system, a2, perm3):
+    """`is_cp_invariant` reads any target with ring operations: on the
+    Leavitt target of a2, J_(S,T,sigma) is j_max = span{u}; on perm3's
+    crossed-product target it is all of R."""
+    lpa = _LpaRep(a2, a2_system)
+    assert is_cp_invariant(a2_system, lpa, _span(a2_system, [[1, 0]]))
+    assert not is_cp_invariant(a2_system, lpa, _span(a2_system, [[0, 1]]))
+    assert not is_cp_invariant(a2_system, lpa, _span(a2_system, [[1, 1]]))
+    assert is_cp_invariant(perm3, crossed_representation(perm3), Subspace.full(3))
+
+
+def test_covariance_needs_fs():
+    """psi-zero fails (FS): its zero representation is refused, where the
+    span reading alone would give J = R."""
+    system = psi_zero_system()
+    rep = _zero_rep(system)
+    assert span_reading_j(system, rep) == Subspace.full(2)
+    for decide in (extract_j, extract_tpair, lambda s, r: is_cp_invariant(s, r, Subspace.full(2))):
+        with pytest.raises(FsViolation):
+            decide(system, rep)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import concat_class, diagonal_ring, perm3_system, rose_graph
+from conftest import concat_class, diagonal_ring, perm3_system, relation_generators, rose_graph
 
-from cprings.cpring import CpContext, ContextMismatch, relation_generators, validate_ideal
+from cprings.cpring import CpContext, ContextMismatch, validate_ideal
 from cprings.crossedprod import (
     CrossedElement,
     cp_to_crossed,

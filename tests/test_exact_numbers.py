@@ -13,10 +13,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import perm3_system, square_zero_json
+from conftest import gauge, homogeneous_components, perm3_system, square_zero_json
 
 from cprings import cli
-from cprings.cpring import gauge, homogeneous_components
 from cprings.exactlin import (
     QuotientSpace,
     Subspace,

@@ -16,10 +16,6 @@ ROOT = Path(__file__).resolve().parent.parent
 ALLOWED = {
     ("src/cprings/exactlin.py", "rref", "Fraction(1) / pv"):
         "the pivot inverse: a Fraction numerator, brought back to an int by frac",
-    ("src/cprings/cpring.py", "gauge", "Fraction(t) ** (n - m)"):
-        "t^(n - m) may be a negative power: a Fraction base keeps it exact",
-    ("src/cprings/cpring.py", "homogeneous_components", "Fraction(ts[i]) ** (-degrees[j])"):
-        "the Vandermonde entries t^-k: a Fraction base keeps them exact",
 }
 
 

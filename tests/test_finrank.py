@@ -15,6 +15,7 @@ from conftest import (
     delta_ideals_oracle,
     dense,
     diagonal_ring,
+    finite_rank_space,
     five_vertex_mixed,
     idempotent_plus_null_json,
     mat_eq,
@@ -43,7 +44,6 @@ from cprings.finrank import (
     canonical_ideals,
     check_fs,
     delta_ideals,
-    finite_rank_space,
     theta_table,
 )
 from cprings.graphalg import line_graph, rose_graph

@@ -1,9 +1,13 @@
-"""No module of the library, the tests or the scripts imports a name it never uses.
+"""No module of the library, the tests or the scripts imports a name it
+never uses, and every public function or class of the library has a caller.
 
-No linter is part of the toolchain, so this is the check: an AST scan of
+No linter is part of the toolchain, so these are the checks: AST scans of
 every module under src/, tests/ and scripts/.  A module uses a bound name
 when the name is read anywhere in it or listed in its `__all__`; a name that
-conftest imports counts as used when a test imports it from conftest.
+conftest imports counts as used when a test imports it from conftest.  A
+public module-level function or class of src/cprings is reached when src/,
+scripts/ or perfbench/ reads its name somewhere outside its own body; one
+that only the tests read belongs in tests/conftest.py as an oracle.
 """
 
 import ast
@@ -16,6 +20,19 @@ ALLOWED = {
     # perfbench's tracer rebinds `cpring.matvec`, and its own test checks
     # that the binding is restored; `cpring` no longer calls it
     ("src/cprings/cpring.py", "matvec"): "rebound by perfbench/test_perfbench.py",
+}
+
+
+# public names of src/cprings that no verb, script or benchmark reaches yet
+UNREACHED = {
+    ("cpring", "is_cp_invariant"): "covariance of a representation; a verb is planned (ROADMAP item 5)",
+    ("cpring", "extract_j"): "J of a representation; a verb is planned (ROADMAP item 5)",
+    ("cpring", "extract_tpair"): "T-pair of a representation; a verb is planned (ROADMAP item 5)",
+    ("cpring", "graded_uniqueness_check"): "maximality of J; a verb is planned (ROADMAP item 5)",
+    ("ideals", "graded_ideal_correspondence"): "graded ideal of a T-pair; a verb is planned (ROADMAP item 4)",
+    ("ideals", "extract_tpair_from_handle"): "T-pair of a graded ideal; a verb is planned (ROADMAP item 4)",
+    ("ideals", "is_psi_invariant"): "the public psi-invariance test of an ideal; the library reads "
+                                    "its private twin `_psi_invariant`",
 }
 
 
@@ -64,3 +81,30 @@ def test_no_unused_imports():
     # an allow-list entry whose import is gone is stale
     for rel, name in ALLOWED:
         assert name in {n for n, _ in _imported(trees[rel])}, (rel, name)
+
+
+def _read_lines(tree) -> dict:
+    """name -> the lines where the name is read (loaded)."""
+    out: dict = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.setdefault(node.id, []).append(node.lineno)
+    return out
+
+
+def test_every_export_is_reached():
+    reads = {path: _read_lines(ast.parse(path.read_text(), str(path)))
+             for pattern in ("src/**/*.py", "scripts/*.py", "perfbench/*.py") for path in sorted(ROOT.glob(pattern))}
+    unreached = set()
+    for path in sorted((ROOT / "src" / "cprings").glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(line not in own or other != path
+                       for other, names in reads.items() for line in names.get(node.name, ())):
+                unreached.add((path.stem, node.name))
+    new = sorted(unreached - set(UNREACHED))
+    assert not new, "public names that nothing in src/, scripts/ or perfbench/ reads:\n" + "\n".join(map(str, new))
+    # an allow-list entry that is reached, or gone, is stale
+    assert set(UNREACHED) <= unreached, set(UNREACHED) - unreached

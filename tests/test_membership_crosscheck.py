@@ -30,9 +30,9 @@ iota_R(r) = sum c_ab iota_Q(e_a) iota_P(e_b), r in J.
 import random
 from fractions import Fraction as F
 
-from conftest import random_graph, random_graph_element, random_permutation_system
+from conftest import random_graph, random_graph_element, random_permutation_system, relation_generators
 
-from cprings.cpring import CpContext, in_relation_ideal, relation_generators, validate_ideal
+from cprings.cpring import CpContext, in_relation_ideal, validate_ideal
 from cprings.crossedprod import cp_to_crossed
 from cprings.exactlin import Subspace, mat_identity, matmul, solve, solve_matrix, unit_vec
 from cprings.finrank import canonical_ideals, theta_decomposition

@@ -19,6 +19,7 @@ from conftest import (
     dual_numbers_ring,
     dual_numbers_unit_basis_ring,
     five_vertex_mixed,
+    fock_is_zero,
     fock_oracle,
     mat_eq,
     matrix2_ring,
@@ -43,7 +44,6 @@ from cprings.toeplitz import (
     embed_n,
     evaluate,
     fock_apply,
-    fock_is_zero,
     pair,
     semigroup_mul,
     toeplitz_mul,
