@@ -17,7 +17,9 @@ pivots, and it brings an integral inverse back to an int.
 The matrices that graph and permutation systems produce are almost all
 zeros, so every kernel collects the nonzero entries of its operands first
 and does arithmetic only on those; the results are exactly those of the
-dense formulas.  `Subspace` stores a reduced row echelon basis (a span of
+dense formulas.  A sparse vector is the tuple of its nonzero (index, value)
+pairs, by index (`_nonzeros`, `_sum_nz`); `_dense` reads one back.
+`Subspace` stores a reduced row echelon basis (a span of
 unit vectors is its own, so `coordinate_span` eliminates nothing, nor does
 the sum of two such spans) and has the
 lattice operations the higher layers need (sum, intersection, membership,
@@ -80,6 +82,14 @@ def is_zero_vec(v: Sequence[Fraction]) -> bool:
 
 def _nonzeros(v: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
     return [(j, x) for j, x in enumerate(v) if x]
+
+
+def _dense(n: int, pairs) -> list:
+    """The vector in Q^n whose nonzero (index, value) pairs are `pairs`."""
+    out = [ZERO] * n
+    for j, y in pairs:
+        out[j] += y
+    return out
 
 
 def _sum_nz(terms) -> tuple:

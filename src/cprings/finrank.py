@@ -8,24 +8,30 @@ The rank-one generators and the left action are
     Delta(r)(x)    = r . x
 
 `theta_table(system, side, level)` holds the flattened generators of one side
-and level, read straight off the nonzeros of the psi_n cells and the columns
-of the level's actions; it is built once per system and everything rank-one
-reads it.  F_P(Q) is the span of its level-1 Q rows; condition (FS) asks the
-identity of Q to lie in F_P(Q) and the identity of P in F_Q(P), two exact
-solves over the table whose solutions double as certificates (`check_fs`);
+and level, each row kept as its nonzero (index, value) pairs and read
+straight off the nonzero psi_n cells and the columns of the level's actions;
+it is built once per system and everything rank-one reads it.  F_P(Q) is
+the span of its level-1 Q rows; condition (FS) asks the identity of Q to
+lie in F_P(Q) and the identity of P in F_Q(P), two exact solves over the
+table whose solutions double as certificates (`check_fs`);
 `theta_decomposition` solves Delta(x) = sum c_ab theta_{e_a,e_b} over it.
-For finite-dimensional modules the paper-style quantification over finite
-subsets reduces to the basis.
+Each solve (`_solve_over`) hands `exactlin.solve` only the equations of the
+coordinates that some row or the target touches, over the nonzero rows,
+and its certificate is that of the dense system.  For finite-dimensional
+modules the paper-style quantification over finite subsets reduces to the
+basis.
 
 `check_fs`, `left_annihilator` ({r : rR = 0}) and `delta_ideals` (ker Delta
 and Delta^(-1)(F_P(Q))) are computed once per system and stored with it;
 given a floor ideal I, each answers for R/I instead, read in R with operator
 columns taken modulo M.I (`_column_residual`, as in the membership walk),
 and the theta table read so is stored once per floor (`_floored_thetas`);
-only `cpr quotient` builds R/I.  `validate_ideal` decides J's conditions
-against `delta_ideals`, and `canonical_ideals` adds the two-sided annihilator
-of ker Delta (the kernel of x -> k x and x -> x k over a basis, read off
-`ring.multiply`) and j_max, the intersection, the uniquely-maximal candidate.
+only `cpr quotient` builds R/I.  Rows are dense only while they are reduced
+so, and in the eliminations of `delta_ideals`.  `validate_ideal` decides
+J's conditions against `delta_ideals`, and `canonical_ideals` adds the
+two-sided annihilator of ker Delta (the kernel of x -> k x and x -> x k
+over a basis, read off `ring.multiply`) and j_max, the intersection, the
+uniquely-maximal candidate.
 
 Delta(r) theta_{q,p} = theta_{r.q,p}, so F_P(Q) is a left ideal for Delta(R),
 as the compacts are one of L(X) in Katsura's J_X.  Once (FS) puts id_Q in
@@ -47,6 +53,8 @@ from .exactlin import (
     ZERO,
     QuotientSpace,
     Subspace,
+    _dense,
+    _nonzeros,
     kernel,
     mat_identity,
     mat_transpose,
@@ -61,37 +69,37 @@ class FsViolation(RuntimeError):
     """An operation that needs condition (FS) was run on a system without it."""
 
 
-def _flatten_columns(cols) -> list[Fraction]:
-    """The d x d map with columns' nonzeros `cols`, flattened column by column."""
+def _flatten_columns(cols) -> tuple:
+    """The nonzero (index, value) pairs of the d x d map with columns'
+    nonzeros `cols`, flattened column by column."""
     d = len(cols)
-    out = [ZERO] * (d * d)
-    for c, col in enumerate(cols):
-        for r, v in col:
-            out[c * d + r] = v
-    return out
+    return tuple((c * d + r, v) for c, col in enumerate(cols) for r, v in col)
 
 
 def _build_theta_table(system: RSystem, side: str, level: int) -> tuple:
-    """Flattened rank-one generators on side^(x)level (see `theta_table`)."""
+    """Flattened rank-one generators on side^(x)level (see `theta_table`),
+    each read off the nonzero psi_n cells it pairs with."""
     psi = psi_n(system, level)
     own = tensor_space(system, side, level)
     other = tensor_space(system, "P" if side == "Q" else "Q", level)
     d = own.dim
     # theta_{e_g,e_h} sends e_c to e_g . psi_n(e_h (x) e_c) on Q, and
-    # theta'_{e_g,e_h} sends e_c to psi_n(e_c (x) e_h) . e_g on P
+    # theta'_{e_g,e_h} sends e_c to psi_n(e_c (x) e_h) . e_g on P;
+    # cells[h] holds the nonzero cells (c, psi_n pairing of e_h and e_c)
     if side == "Q":
-        acts, pairing = own.right, lambda h, c: psi[h][c]
+        acts, cells = own.right, [[(c, cell) for c, cell in enumerate(row) if cell] for row in psi]
     else:
-        acts, pairing = own.left, lambda h, c: psi[c][h]
+        acts = own.left
+        cells = [[(c, row[h]) for c, row in enumerate(psi) if row[h]] for h in range(other.dim)]
     rows = []
     for g in range(d):
         for h in range(other.dim):
-            m = [ZERO] * (d * d)
-            for c in range(d):
-                for i, s in pairing(h, c):
+            m: dict = {}
+            for c, cell in cells[h]:
+                for i, s in cell:
                     for r, v in acts[i][g]:
-                        m[c * d + r] += s * v
-            rows.append(tuple(m))
+                        m[c * d + r] = m.get(c * d + r, ZERO) + s * v
+            rows.append(tuple(sorted((k, v) for k, v in m.items() if v)))
     return tuple(rows)
 
 
@@ -100,7 +108,8 @@ def theta_table(system: RSystem, side: str, level: int) -> tuple:
 
     Side 'Q': row b * dim P^n + a is theta_{e_b,e_a} on Q^(x)n; side 'P':
     row a * dim Q^n + b is y |-> psi_n(y (x) e_b) . e_a on P^(x)n.  Each row is
-    a dim x dim matrix flattened column by column.
+    a dim x dim matrix flattened column by column, kept as its nonzero
+    (index, value) pairs.
     """
     if side not in ("Q", "P"):
         raise ValueError("side must be 'Q' or 'P'")
@@ -112,11 +121,38 @@ def theta_table(system: RSystem, side: str, level: int) -> tuple:
     return rows
 
 
-def _solve_over(rows: Sequence, target: list):
-    """Coefficients c with sum_k c_k rows[k] = target, or None."""
-    if not rows:
-        return None if any(target) else []
-    return solve(mat_transpose(rows), target)
+def _solve_over(rows: Sequence, target) -> Optional[list]:
+    """Coefficients c with sum_k c_k rows[k] = target, or None; the rows and
+    the target are given as their nonzero (index, value) pairs.
+
+    Only the coordinates that some row or the target touches make
+    equations, and only the nonzero rows unknowns, for `solve`.  A
+    coordinate no row touches reads 0 = 0, or 0 = target and so None, and a
+    zero row is a zero column of the system.  Dropping zero equations and
+    zero columns leaves the other columns' RREF as it is (RREF is unique),
+    so the pivots, and the solution with every free unknown 0, are those of
+    the dense system."""
+    live = [k for k, row in enumerate(rows) if row]
+    eqs: dict = {}  # coordinate -> its equation over the live rows
+    for u, k in enumerate(live):
+        for j, v in rows[k]:
+            eq = eqs.get(j)
+            if eq is None:
+                eq = eqs[j] = [ZERO] * len(live)
+            eq[u] += v
+    rhs: dict = {}
+    for j, v in target:
+        if j not in eqs:
+            return None
+        rhs[j] = rhs.get(j, ZERO) + v
+    out = [ZERO] * len(rows)
+    if eqs:
+        sol = solve(list(eqs.values()), [rhs.get(j, ZERO) for j in eqs])
+        if sol is None:
+            return None
+        for k, c in zip(live, sol):
+            out[k] = c
+    return out
 
 
 def _floor_key(i: Optional[Subspace]) -> Optional[Subspace]:
@@ -134,8 +170,9 @@ def _column_residual(image: Subspace, block: list) -> list[Fraction]:
 
 
 def _floored(system: RSystem, side: str, level: int, i: Optional[Subspace], maps) -> list:
-    """The flattened maps on M = side^(x)level, each column reduced modulo
-    MI = Q^(x)n . I or I . P^(x)n (`ideal_image`).
+    """The flattened maps on M = side^(x)level, each given and returned as
+    its nonzero (index, value) pairs, each column reduced modulo MI =
+    Q^(x)n . I or I . P^(x)n (`ideal_image`); only then are they dense.
 
     For a two-sided, psi-invariant I with IQ <= QI and PI <= IP, M/MI is the
     leg of R/I.  The parent's theta's and Delta(r) map MI into MI and induce
@@ -145,7 +182,8 @@ def _floored(system: RSystem, side: str, level: int, i: Optional[Subspace], maps
     if _floor_key(i) is None:
         return list(maps)
     image = ideal_image(system, side, level, i)
-    return [_column_residual(image, m) for m in maps]
+    n = image.ambient * image.ambient
+    return [tuple(_nonzeros(_column_residual(image, _dense(n, m)))) for m in maps]
 
 
 def _floored_thetas(system: RSystem, side: str, level: int, i: Optional[Subspace]) -> list:
@@ -181,7 +219,7 @@ def _identity_in_span(system: RSystem, level: int, side: str, i: Optional[Subspa
     """Certificate triples of identity = sum c_{x,y} theta modulo MI, or None:
     the identity's residual (`_floored`) solved over `_floored_thetas`."""
     d = tensor_space(system, side, level).dim
-    identity = _flatten_columns(tuple(((c, ONE),) for c in range(d)))
+    identity = tuple((c * d + c, ONE) for c in range(d))
     [target] = _floored(system, side, level, i, [identity])
     sol = _solve_over(_floored_thetas(system, side, level, i), target)
     inner = tensor_space(system, "P" if side == "Q" else "Q", level).dim
@@ -237,7 +275,8 @@ def left_annihilator(system: RSystem, i: Optional[Subspace] = None) -> Subspace:
 def _delta_map_matrix(system: RSystem, i: Optional[Subspace]) -> list:
     """r |-> flatten(Delta(r)) read modulo QI (`_floored`), a (dQ^2 x dR) matrix."""
     cols = [_flatten_columns(system.q.left[r]) for r in range(system.ring.dim)]
-    return mat_transpose(_floored(system, "Q", 1, i, cols))
+    n = system.q.dim * system.q.dim
+    return mat_transpose([_dense(n, col) for col in _floored(system, "Q", 1, i, cols)])
 
 
 def annihilator(system: RSystem, ideal: Subspace) -> Subspace:
@@ -306,7 +345,9 @@ def delta_ideals(system: RSystem, i: Optional[Subspace] = None) -> tuple[Subspac
         else:  # without (FS) Q is nonzero, and only the elimination decides D_I
             if dmap is None:
                 dmap = _delta_map_matrix(system, i)
-            out = (k_i, preimage(dmap, Subspace(len(dmap), _floored_thetas(system, "Q", 1, i))))
+            n = len(dmap)
+            thetas = Subspace(n, [_dense(n, row) for row in _floored_thetas(system, "Q", 1, i)])
+            out = (k_i, preimage(dmap, thetas))
         store[key] = out
     return out
 

@@ -107,7 +107,8 @@ class FiniteGraph:
 
 
 def graph_from_json(data: dict) -> FiniteGraph:
-    """A graph from its JSON form; an edge's "mult" is a positive integer or "inf"."""
+    """A graph from its JSON form; an edge's "mult" is a positive integer or
+    "inf", and vertices, edge names and endpoints are strings."""
     edges = []
     for e in data.get("edges", []):
         mult = e.get("mult", 1)
@@ -116,10 +117,17 @@ def graph_from_json(data: dict) -> FiniteGraph:
         elif isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
             raise ValueError(f'edge {e["name"]!r}: multiplicity must be a positive integer '
                              f'or "inf", got {mult!r}')
+        for key in ("name", "src", "tgt"):
+            if not isinstance(e[key], str):
+                raise ValueError(f'edge {key} {e[key]!r} is not a string')
         edges.append(Edge(e["name"], e["src"], e["tgt"], mult))
-    if not isinstance(data["vertices"], list):
-        raise ValueError(f'"vertices" must be a list of labels, got {data["vertices"]!r}')
-    return FiniteGraph(data["vertices"], edges, name=data.get("name", "graph"))
+    vertices = data["vertices"]
+    if not isinstance(vertices, list):
+        raise ValueError(f'"vertices" must be a list of labels, got {vertices!r}')
+    bad = [v for v in vertices if not isinstance(v, str)]
+    if bad:
+        raise ValueError(f'vertex {bad[0]!r} is not a string')
+    return FiniteGraph(vertices, edges, name=data.get("name", "graph"))
 
 
 def graph_to_json(graph: FiniteGraph) -> dict:

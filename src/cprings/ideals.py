@@ -23,7 +23,7 @@ from functools import cache, reduce
 from operator import and_
 from typing import Optional, Sequence
 
-from .exactlin import QuotientSpace, Subspace, is_zero_vec, unit_vec
+from .exactlin import QuotientSpace, Subspace, _dense, _nonzeros, _sum_nz, is_zero_vec, unit_vec
 from .cpring import CpContext, _core_generator, _graded_preimage
 from .finrank import IDEAL_CONDITIONS, delta_ideals, validate_ideal
 from .rsystem import (
@@ -35,7 +35,7 @@ from .rsystem import (
     is_two_sided,
     orthogonal_idempotents,
 )
-from .tensorpow import ideal_image, psi_apply
+from .tensorpow import ideal_image
 from .toeplitz import ToeplitzElement, component_space, embed
 
 __all__ = [
@@ -84,16 +84,19 @@ def is_psi_invariant(system: RSystem, i: Subspace) -> bool:
 def _psi_invariant(system: RSystem, i: Subspace) -> bool:
     """`is_psi_invariant` for an I already known to be two-sided: psi(p (x) x.q)
     is linear in x, so the basis rows x of I suffice."""
-    return all(is_zero_vec(i.reduce(v)) for x in i.rows for v in _psi_images(system, x))
+    d = system.ring.dim
+    return all(is_zero_vec(i.reduce(_dense(d, v))) for x in i.rows for v in _psi_images(system, _nonzeros(x)))
 
 
-def _psi_images(system: RSystem, x):
-    """The psi(e_a (x) x.e_b) over the bases of P and Q with x.e_b nonzero,
-    which span psi(P (x) x.Q)."""
-    q, dp = system.q, system.p.dim
-    return (psi_apply(system, 1, unit_vec(dp, a), v)
-            for v in (q.act_left(x, unit_vec(q.dim, b)) for b in range(q.dim)) if not is_zero_vec(v)
-            for a in range(dp))
+def _psi_images(system: RSystem, x_nz):
+    """The nonzeros of the psi(e_a (x) x.e_b) over the bases of P and Q with
+    x.e_b nonzero, which span psi(P (x) x.Q), for x given by its nonzeros:
+    x.e_b is read off Q's left columns and psi(e_a (x) v) off psi's cells."""
+    left, psi = system.q.left, system.psi._table_nz
+    for b in range(system.q.dim):
+        v = _sum_nz((c, left[i][b]) for i, c in x_nz)  # x.e_b
+        if v:
+            yield from (_sum_nz((c, row[y]) for y, c in v) for row in psi)
 
 
 _NO_LEFT_DESCENT = "IQ is not contained in QI: left action does not descend"
@@ -190,8 +193,8 @@ def _quotient_system(system: RSystem, i: Subspace, name: Optional[str]) -> Quoti
     quot_p = QuotientSpace(ideal_image(system, "P", 1, i))
     keep_r = quot_r.free
 
-    ring2 = StructuredRing([ring.labels[c] for c in keep_r],
-                           [[quot_r.project(ring.mult[a][b]) for b in keep_r] for a in keep_r])
+    ring2 = StructuredRing.from_cells([ring.labels[c] for c in keep_r],
+                                      [[quot_r.project_nz(ring.left[a][b]) for b in keep_r] for a in keep_r])
 
     def induced(quot, actions):
         # the action of a basis element of R/I is that of its lift, read mod QI (IP):
@@ -200,7 +203,8 @@ def _quotient_system(system: RSystem, i: Subspace, name: Optional[str]) -> Quoti
 
     q2 = StructuredBimodule([q.labels[c] for c in quot_q.free], induced(quot_q, q.left), induced(quot_q, q.right))
     p2 = StructuredBimodule([p.labels[c] for c in quot_p.free], induced(quot_p, p.left), induced(quot_p, p.right))
-    psi2 = Pairing([[quot_r.project(system.psi.table[a][b]) for b in quot_q.free] for a in quot_p.free])
+    psi = system.psi._table_nz
+    psi2 = Pairing.from_cells([[quot_r.project_nz(psi[a][b]) for b in quot_q.free] for a in quot_p.free], quot_r.dim)
 
     quotient = RSystem(ring2, p2, q2, psi2, name=name or f"{system.name}/I")
     return QuotientSystem(quotient, quot_r, quot_q, quot_p)
@@ -376,8 +380,8 @@ def enumerate_tpairs(system: RSystem) -> list[TPair]:
         raise NotImplementedError("exhaustive T-pair enumeration needs a diagonal ring")
     succ = [0] * d
     for t in range(d):
-        for v in _psi_images(system, unit_vec(d, t)):
-            succ[t] |= sum(1 << s for s, c in enumerate(v) if c)
+        for v in _psi_images(system, ((t, 1),)):
+            succ[t] |= sum(1 << s for s, _ in v)
     span = cache(lambda mask: Subspace.coordinate_span(d, _bits(mask)))
     reach, out = [0], []  # reach[m]: the union of succ over m
     for m in range(1, 1 << d):

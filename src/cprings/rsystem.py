@@ -4,18 +4,26 @@ An R-system is a triple (P, Q, psi): two bimodules over a ring R and a
 bimodule map psi : P (x)_R Q -> R.  Everything here is finite-dimensional
 over Q and presented by structure constants:
 
-- `StructuredRing`: basis labels + multiplication table
+- `StructuredRing`: basis labels + the products e_i e_j
 - `StructuredBimodule`: basis labels + the left and right actions of each
-  ring basis element, given and kept as the nonzeros of their columns
-- `Pairing`: the table psi(p_i (x) q_j) in ring coordinates
+  ring basis element
+- `Pairing`: the values psi(p_a (x) q_b) in ring coordinates
 
-Every R-action is stored once, as the nonzeros of its columns (`_Actions`:
-`left[i][a]` of e_i . m_a, `right[i][a]` of m_a . e_i), and that includes
-the ring itself: R is the R-bimodule whose columns are the cells of its
-multiplication table.  Each structure table in nonzero form -- these columns,
-the pairing's cells, and the iterated pairings of `tensorpow` -- is evaluated
-by the one kernel `_bilinear`.  A bimodule has one constructor, which takes
-the columns and checks every index in them.
+Every structure is stored once, as the nonzeros of its columns: each cell
+is the tuple of nonzero (index, value) pairs of one vector.  An R-action
+(`_Actions`) keeps `left[i][a]`, the cell of e_i . m_a, and `right[i][a]`,
+that of m_a . e_i, and that includes the ring itself: R is the R-bimodule
+whose columns are the cells of its products.  The pairing keeps the cell of
+each psi(p_a (x) q_b).  Each structure table in nonzero form -- these
+cells and the iterated pairings of `tensorpow` -- is evaluated by the one
+kernel `_bilinear`.  Each structure has one checking constructor from cells
+(`StructuredBimodule(labels, left, right)`, `StructuredRing.from_cells`,
+`Pairing.from_cells`), which checks every index and coerces every value in
+one pass (`_checked_cells`); the builders and the file loader write cells
+straight into it.  `StructuredRing(labels, mult)` and `Pairing(table)` take
+dense tables, turn them into cells and delegate; `ring.mult` and
+`psi.table` read the dense tables back, as read-only views built the first
+time they are read, which no verdict does.
 
 `validate_axioms` checks every defining identity on basis elements (which
 suffices by linearity) on their nonzero paths: each side is summed over
@@ -42,16 +50,15 @@ from .exactlin import (
     ONE,
     ZERO,
     Subspace,
+    _dense,
     _nonzeros,
     _sum_nz,
     frac,
     is_zero_vec,
     mat_identity,
     mat_transpose,
-    matvec,
     solve_matrix,
-    unit_vec,
-    zero_vec,
+    vec,
 )
 
 
@@ -68,9 +75,39 @@ def _bilinear(n: int, table_nz, a: Sequence[Fraction], b: Sequence[Fraction]) ->
     return out
 
 
-def _nz_table(table) -> tuple:
-    """table_nz[i][j]: the nonzero (index, value) pairs of the vector table[i][j]."""
-    return tuple(tuple(tuple(_nonzeros(cell)) for cell in row) for row in table)
+def _checked_cells(maps, width, d: int) -> tuple:
+    """`maps` as tuples of cells, each a tuple of (index, value) pairs with
+    each value that is not an int coerced by `frac`, checked in the same
+    pass: each map has `width` cells (any number when width is None) and
+    each index is an int in range(d)."""
+    out = []
+    for cells in maps:
+        row = []
+        for cell in cells:
+            if not cell:  # most cells of a graph system
+                row.append(())
+                continue
+            pairs = []
+            for x, c in cell:
+                if type(x) is not int or not 0 <= x < d:
+                    raise ValueError(f"cell index {x!r} is not in range({d})")
+                pairs.append((x, c if type(c) is int else frac(c)))
+            row.append(tuple(pairs))
+        if width is not None and len(row) != width:
+            raise ValueError(f"{len(row)} cells where {width} belong")
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _nz_cells(table) -> list:
+    """The nonzero (index, value) pairs of each vector table[i][j], each
+    entry coerced by `frac`."""
+    return [[_nonzeros(vec(cell)) for cell in row] for row in table]
+
+
+def _dense_table(cells, n: int) -> tuple:
+    """table[i][j]: the vector in Q^n whose nonzero pairs are cells[i][j]."""
+    return tuple(tuple(tuple(_dense(n, cell)) for cell in row) for row in cells)
 
 
 def _distinct(labels: Sequence[str], what: str) -> tuple:
@@ -125,31 +162,53 @@ class _Labelled(_Actions):
 
 
 class StructuredRing(_Labelled):
-    """Finite-dimensional Q-algebra given by basis labels and a mult table.
+    """Finite-dimensional Q-algebra given by basis labels and its products.
 
-    mult[i][j] is the coordinate vector of e_i * e_j, the ring's presentation.
-    As the R-bimodule R (`_Actions`), left[i][a] holds the nonzeros of
-    e_i e_a and right[i][a] those of e_a e_i: both are read off mult once,
-    and right shares left's cells.
+    It is kept as the nonzeros of its products: left[i][a] holds those of
+    e_i e_a and right[i][a] those of e_a e_i, so that R is the R-bimodule
+    (`_Actions`) whose columns are these cells; right shares left's cells.
+    `StructuredRing(labels, mult)` takes the dense table, mult[i][j] the
+    coordinate vector of e_i e_j, and `from_cells` the cells left[i][j]
+    themselves.  `mult` is that dense table again, a read-only view built
+    the first time it is read.
     """
 
-    __slots__ = ("mult",)
+    __slots__ = ("_mult",)
 
     def __init__(self, labels: Sequence[str], mult):
-        self.labels = _distinct(labels, "ring")
-        n = len(self.labels)
+        labels = tuple(labels)
+        n = len(labels)
         if len(mult) != n or any(len(row) != n for row in mult):
             raise ValueError("multiplication table shape does not match basis")
-        self.mult = tuple(
-            tuple(tuple(frac(c) for c in cell) for cell in row) for row in mult
-        )
-        for row in self.mult:
-            for cell in row:
-                if len(cell) != n:
-                    raise ValueError("product vector has wrong length")
-        self.left = _nz_table(self.mult)
+        if any(len(cell) != n for row in mult for cell in row):
+            raise ValueError("product vector has wrong length")
+        self._set(labels, _nz_cells(mult))
+
+    @classmethod
+    def from_cells(cls, labels: Sequence[str], cells) -> "StructuredRing":
+        """The ring whose product e_i e_j has the nonzero (index, value)
+        pairs cells[i][j]; every index is checked and every value coerced
+        (`_checked_cells`)."""
+        ring = object.__new__(cls)
+        ring._set(labels, cells)
+        return ring
+
+    def _set(self, labels, cells) -> None:
+        self.labels = _distinct(labels, "ring")
+        n = len(self.labels)
+        cells = tuple(cells)
+        if len(cells) != n:
+            raise ValueError("multiplication table shape does not match basis")
+        self.left = _checked_cells(cells, n, n)
         self.right = tuple(zip(*self.left))
         self._index = {lab: i for i, lab in enumerate(self.labels)}
+        self._mult = None
+
+    @property
+    def mult(self) -> tuple:
+        if self._mult is None:
+            self._mult = _dense_table(self.left, self.dim)
+        return self._mult
 
     def multiply(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
         return _bilinear(self.dim, self.left, a, b)
@@ -166,38 +225,53 @@ class StructuredBimodule(_Labelled):
     def __init__(self, labels: Sequence[str], left, right):
         self.labels = _distinct(labels, "module")
         d = len(self.labels)
-        self.left, self.right = _checked_columns(left, d), _checked_columns(right, d)
+        self.left, self.right = _checked_cells(left, d, d), _checked_cells(right, d, d)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
 
 
-def _checked_columns(maps, d: int) -> tuple:
-    """`maps` as tuples of (index, value) pairs with each value coerced by
-    `frac`, after checking that each map has d columns and each index is an
-    int in range(d)."""
-    maps = tuple(tuple(map(tuple, cols)) for cols in maps)
-    for cols in maps:
-        if len(cols) != d:
-            raise ValueError("action has the wrong number of columns")
-        for col in cols:
-            for x, _ in col:
-                if type(x) is not int or not 0 <= x < d:
-                    raise ValueError(f"action column index {x!r} is not in range({d})")
-    return tuple(tuple(tuple((x, frac(c)) for x, c in col) for col in cols) for cols in maps)
-
-
 class Pairing:
-    """psi : P (x) Q -> R as the table psi(p_i (x) q_j) in ring coordinates."""
+    """psi : P (x) Q -> R, kept as its nonzero cells: _table_nz[a][b] holds
+    the nonzero (index, value) pairs of psi(p_a (x) q_b) in the `dim` ring
+    coordinates of each cell.
 
-    __slots__ = ("table", "_table_nz")
+    `Pairing(table)` takes the dense table, table[a][b] the coordinate
+    vector of psi(p_a (x) q_b), whose cells must all have one length (`dim`,
+    None when there are no cells), and `from_cells` the cells themselves.
+    `table` is the dense table again, a read-only view built the first time
+    it is read.  Whether the shape fits P, Q and R is `validate_axioms`'
+    question."""
+
+    __slots__ = ("_table_nz", "dim", "_table")
 
     def __init__(self, table):
-        self.table = tuple(
-            tuple(tuple(frac(c) for c in cell) for cell in row) for row in table
-        )
-        self._table_nz = _nz_table(self.table)
+        lengths = {len(cell) for row in table for cell in row}
+        if len(lengths) > 1:
+            raise ValueError(f"psi cells of {sorted(lengths)} coordinates in one table")
+        self._set(_nz_cells(table), lengths.pop() if lengths else None)
+
+    @classmethod
+    def from_cells(cls, cells, dim: int) -> "Pairing":
+        """The pairing whose psi(p_a (x) q_b) has the nonzero (index, value)
+        pairs cells[a][b], each index checked to lie in range(dim) and each
+        value coerced (`_checked_cells`)."""
+        psi = object.__new__(cls)
+        psi._set(cells, dim)
+        return psi
+
+    def _set(self, cells, dim) -> None:
+        self._table_nz = _checked_cells(cells, None, dim or 0)
+        self.dim = dim
+        self._table = None
+
+    @property
+    def table(self) -> tuple:
+        if self._table is None:
+            self._table = _dense_table(self._table_nz, self.dim or 0)
+        return self._table
 
     def __repr__(self) -> str:
-        return f"Pairing({len(self.table)}x{len(self.table[0]) if self.table else 0})"
+        rows = self._table_nz
+        return f"Pairing({len(rows)}x{len(rows[0]) if rows else 0})"
 
 
 @dataclass(eq=False)
@@ -315,15 +389,14 @@ def validate_axioms(system: RSystem) -> ValidationReport:
             (-1, rm, lm, True, lambda j, a, i, y: (i, j, 2, a, y)))]  # e_i.(m_a.e_j)
         checks += 3 * n * n
 
-    dp, dq = p.dim, q.dim
-    cells = [f"psi: cell (p{a},q{b}) has {len(cell)} coordinates for a {n}-dimensional ring"
-             for a, row in enumerate(psi.table) for b, cell in enumerate(row) if len(cell) != n]
-    if len(psi.table) != dp or any(len(row) != dq for row in psi.table):
+    dp, dq, table = p.dim, q.dim, psi._table_nz
+    if len(table) != dp or any(len(row) != dq for row in table):
         failures.append("psi: table shape does not match module bases")
-    elif cells:
-        failures += cells
+    elif psi.dim not in (None, n):  # every cell has psi.dim coordinates
+        failures += [f"psi: cell (p{a},q{b}) has {psi.dim} coordinates for a {n}-dimensional ring"
+                     for a in range(dp) for b in range(dq)]
     elif len(walks) == 2:
-        (pl, pr), (ql, qr), t = walks["P"], walks["Q"], _Walk(psi._table_nz, dq)
+        (pl, pr), (ql, qr), t = walks["P"], walks["Q"], _Walk(table, dq)
         failures += [f"psi: {_PSI[k]} at ({lab[i]},p{a},q{b})" for i, a, b, k in _failing(
             4, (1, pr, t, False, lambda i, a, b, y: (i, a, b, 0, y)),  # psi(p_a.e_i (x) q_b)
             (-1, ql, t, True, lambda i, b, a, y: (i, a, b, 0, y)),  # psi(p_a (x) e_i.q_b)
@@ -333,15 +406,6 @@ def validate_axioms(system: RSystem) -> ValidationReport:
             (-1, t, rr, True, lambda a, b, i, y: (i, a, b, 2, y)))]  # psi(p_a (x) q_b) e_i
         checks += 3 * n * dp * dq
     return ValidationReport(ok=not failures, failures=failures, checks=checks)
-
-
-def _lincomb(n: int, terms) -> list[Fraction]:
-    """sum of c * v over the (c, nonzeros of v) in `terms`, as a dense vector in Q^n."""
-    out = [ZERO] * n
-    for c, nz in terms:
-        for j, y in nz:
-            out[j] += c * y
-    return out
 
 
 def is_two_sided(system: RSystem, space: Subspace) -> bool:
@@ -356,7 +420,7 @@ def is_two_sided(system: RSystem, space: Subspace) -> bool:
 def _two_sided_by_columns(ring: StructuredRing, space: Subspace) -> bool:
     """`is_two_sided` for any subspace: for each basis vector k, e_i k and
     k e_i are k's combinations of the columns of e_i's actions."""
-    return all(is_zero_vec(space.reduce(_lincomb(ring.dim, ((c, cols[a]) for a, c in _nonzeros(k)))))
+    return all(is_zero_vec(space.reduce(_dense(ring.dim, _sum_nz((c, cols[a]) for a, c in _nonzeros(k)))))
                for k in space.basis() for cols in (*ring.left, *ring.right))
 
 
@@ -476,34 +540,18 @@ def build_graph_system(graph) -> RSystem:
             name = e.name if k == 0 else f"{e.name}#{k + 1}"
             edges.append((name, e.src, e.tgt))
 
-    nv = len(verts)
-    ne = len(edges)
-    ring_mult = [
-        [unit_vec(nv, i) if i == j else zero_vec(nv) for j in range(nv)]
-        for i in range(nv)
-    ]
-    ring = StructuredRing(verts, ring_mult)
+    nv, ne = len(verts), len(edges)
+    ring = StructuredRing.from_cells(verts, [[((i, ONE),) if i == j else () for j in range(nv)] for i in range(nv)])
+    src = [vidx[s] for (_, s, _) in edges]
+    tgt = [vidx[t] for (_, _, t) in edges]
 
-    def diag(flags):  # the columns of the diagonal matrix with these 0/1 entries
-        return [((a, ONE),) if f else () for a, f in enumerate(flags)]
-
-    q_left = [diag([src == v for (_, src, _) in edges]) for v in verts]
-    q_right = [diag([tgt == v for (_, _, tgt) in edges]) for v in verts]
-    p_left = [diag([tgt == v for (_, _, tgt) in edges]) for v in verts]
-    p_right = [diag([src == v for (_, src, _) in edges]) for v in verts]
+    def diag(ends, v):  # the columns of the diagonal matrix with 1 where ends[a] == v
+        return [((a, ONE),) if x == v else () for a, x in enumerate(ends)]
 
     labels = [name for (name, _, _) in edges]
-    q_mod = StructuredBimodule(labels, q_left, q_right)
-    p_mod = StructuredBimodule(labels, p_left, p_right)
-
-    table = [
-        [
-            unit_vec(nv, vidx[edges[a][2]]) if a == b else zero_vec(nv)
-            for b in range(ne)
-        ]
-        for a in range(ne)
-    ]
-    psi = Pairing(table)
+    q_mod = StructuredBimodule(labels, [diag(src, v) for v in range(nv)], [diag(tgt, v) for v in range(nv)])
+    p_mod = StructuredBimodule(labels, [diag(tgt, v) for v in range(nv)], [diag(src, v) for v in range(nv)])
+    psi = Pairing.from_cells([[((tgt[a], ONE),) if a == b else () for b in range(ne)] for a in range(ne)], nv)
     return RSystem(ring=ring, p=p_mod, q=q_mod, psi=psi, name=f"graph:{getattr(graph, 'name', '?')}")
 
 
@@ -518,20 +566,21 @@ def build_automorphism_system(ring: StructuredRing, phi) -> RSystem:
     phi_inv = solve_matrix(phi, mat_identity(d))
     if phi_inv is None:
         raise ValueError("phi is not invertible")
-    # automorphism check: phi(e_i e_j) = phi(e_i) phi(e_j)
+    # automorphism check: phi(e_i e_j) = phi(e_i) phi(e_j), on nonzeros
     cols = mat_transpose(phi)
+    images = [_nonzeros(c) for c in cols]  # phi(e_k)
     for i in range(d):
         for j in range(d):
-            lhs = matvec(phi, ring.mult[i][j])
-            rhs = ring.multiply(cols[i], cols[j])
-            if lhs != rhs:
+            lhs = _sum_nz((c, images[k]) for k, c in ring.left[i][j])
+            if lhs != tuple(_nonzeros(ring.multiply(cols[i], cols[j]))):
                 raise ValueError(f"phi is not multiplicative at ({ring.labels[i]},{ring.labels[j]})")
 
     p_mod = StructuredBimodule(ring.labels, ring.left, [ring.right_map(c) for c in cols])
     q_mod = StructuredBimodule(ring.labels, ring.left, [ring.right_map(c) for c in mat_transpose(phi_inv)])
 
-    table = [[ring.multiply(unit_vec(d, i), cols[j]) for j in range(d)] for i in range(d)]
-    psi = Pairing(table)
+    # psi(e_i (x) e_j) = e_i phi(e_j)
+    psi = Pairing.from_cells([[_sum_nz((c, ring.left[i][k]) for k, c in images[j]) for j in range(d)]
+                              for i in range(d)], d)
     sys = RSystem(ring=ring, p=p_mod, q=q_mod, psi=psi, name="automorphism")
     sys.phi = phi  # kept for the crossed-product backend
     sys.phi_inv = phi_inv
@@ -542,10 +591,12 @@ def build_automorphism_system(ring: StructuredRing, phi) -> RSystem:
 # JSON serialization (schema shared with the CLI)
 
 
-def _triples_to_table(triples, n1, n2, n3):
-    """table[i][j][k]: the sum of c over the triples [i, j, k, c], after checking
-    that each index is an int in range(n1), range(n2), range(n3) respectively."""
-    table = [[zero_vec(n3) for _ in range(n2)] for _ in range(n1)]
+def _triples_to_cells(triples, n1: int, n2: int, n3: int) -> list:
+    """cells[i][j]: the nonzero (k, sum of c), by k, over the triples
+    [i, j, k, c], after checking that each index is an int in range(n1),
+    range(n2), range(n3) respectively and that c is a string or an int
+    (not a boolean)."""
+    acc: dict = {}  # (i, j) -> {k: sum of c}
     for t in triples:
         *idx, c = t
         if len(idx) != 3:
@@ -553,9 +604,15 @@ def _triples_to_table(triples, n1, n2, n3):
         for x, n in zip(idx, (n1, n2, n3)):
             if type(x) is not int or not 0 <= x < n:
                 raise ValueError(f"index {x!r} of triple {t!r} is not in range({n})")
+        if type(c) is bool:
+            raise ValueError(f"coefficient of triple {t!r} is a boolean, not a string or an int")
         i, j, k = idx
-        table[i][j][k] += frac(c)
-    return table
+        cell = acc.setdefault((i, j), {})
+        cell[k] = cell.get(k, ZERO) + frac(c)
+    cells = [[()] * n2 for _ in range(n1)]
+    for (i, j), cell in acc.items():
+        cells[i][j] = tuple(sorted((k, c) for k, c in cell.items() if c))
+    return cells
 
 
 def _basis(data: dict, key: str) -> list:
@@ -563,6 +620,9 @@ def _basis(data: dict, key: str) -> list:
     labels = data[key]["basis"]
     if not isinstance(labels, list):
         raise ValueError(f'{key} "basis" must be a list of labels, got {labels!r}')
+    bad = [lab for lab in labels if not isinstance(lab, str)]
+    if bad:
+        raise ValueError(f'{key} "basis" label {bad[0]!r} is not a string')
     return labels
 
 
@@ -579,30 +639,24 @@ def system_from_json(data: dict) -> RSystem:
         raise ValueError("only base_field 'Q' is supported")
     rbasis = _basis(data, "ring")
     n = len(rbasis)
-    mult = _triples_to_table(data["ring"].get("mult", []), n, n, n)
-    ring = StructuredRing(rbasis, mult)
+    ring = StructuredRing.from_cells(rbasis, _triples_to_cells(data["ring"].get("mult", []), n, n, n))
 
     def load_mod(key):
         spec, labels = data[key], _basis(data, key)
         d = len(labels)
         # [i, a, b, c] is coefficient c of m_b in column a of e_i's action
-        left, right = (_nz_table(_triples_to_table(spec.get(side, []), n, d, d)) for side in ("left", "right"))
+        left, right = (_triples_to_cells(spec.get(side, []), n, d, d) for side in ("left", "right"))
         return StructuredBimodule(labels, left, right)
 
     p_mod = load_mod("p")
     q_mod = load_mod("q")
-    psi = Pairing(_triples_to_table(data.get("psi", []), p_mod.dim, q_mod.dim, n))
+    psi = Pairing.from_cells(_triples_to_cells(data.get("psi", []), p_mod.dim, q_mod.dim, n), n)
     return RSystem(ring=ring, p=p_mod, q=q_mod, psi=psi, name=data.get("name", "system"))
 
 
-def _table_to_triples(table):
-    out = []
-    for i, row in enumerate(table):
-        for j, cell in enumerate(row):
-            for k, c in enumerate(cell):
-                if c != 0:
-                    out.append([i, j, k, str(c)])
-    return out
+def _cells_to_triples(cells):
+    """[i, j, k, c] for each pair (k, c) of cells[i][j], in that order."""
+    return [[i, j, k, str(c)] for i, row in enumerate(cells) for j, cell in enumerate(row) for k, c in cell]
 
 
 def _cols_to_triples(cols):
@@ -620,7 +674,7 @@ def system_to_json(system: RSystem) -> dict:
         "name": system.name,
         "ring": {
             "basis": list(system.ring.labels),
-            "mult": _table_to_triples(system.ring.mult),
+            "mult": _cells_to_triples(system.ring.left),
         },
         "p": {
             "basis": list(system.p.labels),
@@ -632,5 +686,5 @@ def system_to_json(system: RSystem) -> dict:
             "left": _cols_to_triples(system.q.left),
             "right": _cols_to_triples(system.q.right),
         },
-        "psi": _table_to_triples(system.psi.table),
+        "psi": _cells_to_triples(system.psi._table_nz),
     }

@@ -476,7 +476,7 @@ def check_representation(system: RSystem, rep) -> list[str]:
     ss = [rep.s(unit_vec(d_p, a)) for a in range(d_p)]
     for i in range(d_r):
         for j in range(d_r):
-            if sig[i] * sig[j] != rep.sigma(system.ring.mult[i][j]):
+            if sig[i] * sig[j] != rep.sigma(system.ring.multiply(unit_vec(d_r, i), unit_vec(d_r, j))):
                 failures.append(f"sigma not multiplicative at ({i},{j})")
     for i in range(d_r):
         r = unit_vec(d_r, i)

@@ -37,6 +37,7 @@ from cprings.rsystem import (
 from cprings.exactlin import (
     ONE,
     Subspace,
+    _dense,
     _nonzeros,
     _sum_nz,
     frac,
@@ -45,6 +46,7 @@ from cprings.exactlin import (
     mat_transpose,
     matmul,
     preimage,
+    solve,
     solve_matrix,
     unit_vec,
     vec_add,
@@ -246,6 +248,69 @@ def random_permutation_system(rng: random.Random, max_n: int = 6) -> RSystem:
     return sys
 
 
+def _matrix_unit(k, i, j):
+    return [[F(int((r, c) == (i, j))) for c in range(k)] for r in range(k)]
+
+
+def _algebra(kind, rng):
+    """Basis matrices of a subalgebra of M_k(Q), a g in GL_k(Q) whose
+    conjugation preserves it, and the bases of its proper nonzero ideals."""
+    if kind == "diagonal":
+        n = rng.choice((2, 3))
+        mats = [_matrix_unit(n, i, i) for i in range(n)]
+        perm = list(range(n))
+        rng.shuffle(perm)  # permutes the idempotents
+        g = [[F(int(perm[c] == r)) for c in range(n)] for r in range(n)]
+        ideals = [[mats[i] for i in range(n) if mask >> i & 1] for mask in range(1, (1 << n) - 1)]
+    elif kind == "dual":  # Q[N]/(N^2) as [[a, b], [0, a]]; diag(1, c) scales N
+        mats = [mat_identity(2), _matrix_unit(2, 0, 1)]
+        g = [[F(1), F(0)], [F(0), F(rng.choice((-3, -2, 2, 3)))]]
+        ideals = [[mats[1]]]
+    elif kind == "upper":  # conjugation by an invertible upper triangular matrix
+        mats = [_matrix_unit(2, 0, 0), _matrix_unit(2, 0, 1), _matrix_unit(2, 1, 1)]
+        g = [[F(rng.choice((1, 2, -1))), F(rng.randint(-2, 2))], [F(0), F(rng.choice((1, 3, -2)))]]
+        ideals = [[mats[1]], [mats[0], mats[1]], [mats[1], mats[2]]]
+    else:  # M_2(Q) is simple; any invertible g
+        mats = [_matrix_unit(2, i, j) for i in range(2) for j in range(2)]
+        g = random_invertible(rng, 2)
+        ideals = []
+    return mats, g, ideals
+
+
+def random_invertible(rng, d):
+    while True:
+        m = [[F(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)]
+        if solve_matrix(m, mat_identity(d)) is not None:
+            return m
+
+
+def non_diagonal_system(kind, rng):
+    """An automorphism system of `kind`, presented in a random basis
+    f_i = sum_k b[k][i] m_k of the algebra, and its proper nonzero ideals."""
+    mats, g, ideals = _algebra(kind, rng)
+    d = len(mats)
+    flat = [[m[r][c] for m in mats] for r in range(len(mats[0])) for c in range(len(mats[0]))]
+
+    def coords(m):  # coordinates of a matrix of the algebra in the matrix basis
+        return solve(flat, [x for row in m for x in row])
+
+    b = random_invertible(rng, d)
+    b_inv = solve_matrix(b, mat_identity(d))
+
+    def new_coords(m):
+        return [sum(b_inv[i][k] * c for k, c in enumerate(coords(m))) for i in range(d)]
+
+    f = [[[sum(b[k][i] * mats[k][r][c] for k in range(d)) for c in range(len(g))]
+          for r in range(len(g))] for i in range(d)]
+    mult = [[new_coords(matmul(fi, fj)) for fj in f] for fi in f]
+    g_inv = solve_matrix(g, mat_identity(len(g)))
+    phi = [list(col) for col in zip(*[new_coords(matmul(matmul(g, fi), g_inv)) for fi in f])]
+    ring = StructuredRing([f"f{i + 1}" for i in range(d)], mult)
+    system = build_automorphism_system(ring, phi)
+    system.name = f"{kind}-{d}"
+    return system, [Subspace(d, [new_coords(m) for m in ideal]) for ideal in ideals]
+
+
 def random_graph_element(rng, system, ctx_free_degree=2):
     """Small random Toeplitz element over a graph system (used by several suites)."""
     from cprings import toeplitz
@@ -407,12 +472,18 @@ def kron(a, b):
     return [[x * y for x in arow for y in brow] for arow in a for brow in b]
 
 
+def dense_rows(rows, n: int) -> list:
+    """Rows kept as their nonzero (index, value) pairs, such as the theta
+    table's, as dense vectors in Q^n."""
+    return [_dense(n, row) for row in rows]
+
+
 def _theta_table_matrix(system, side, level, g, h):
     """Row g * dim(other side) + h of the theta table, flattened column by
     column, as a matrix."""
     d = tensor_space(system, side, level).dim
     other = tensor_space(system, "P" if side == "Q" else "Q", level).dim
-    row = theta_table(system, side, level)[g * other + h]
+    [row] = dense_rows([theta_table(system, side, level)[g * other + h]], d * d)
     return [[row[c * d + r] for c in range(d)] for r in range(d)]
 
 
@@ -496,7 +567,7 @@ def module_tensor(x, y) -> ModuleElement:
 def finite_rank_space(system) -> Subspace:
     """F_P(Q), the span of the level-1 rank-one operators on Q, as flattened matrices."""
     d = system.q.dim
-    return Subspace(d * d, theta_table(system, "Q", 1))
+    return Subspace(d * d, dense_rows(theta_table(system, "Q", 1), d * d))
 
 
 def fock_is_zero(x, cap: int = DEFAULT_CAP) -> bool:
@@ -653,7 +724,7 @@ def delta_ideals_oracle(system, i) -> tuple:
     dmap = _delta_map_matrix(system, i)
     if not dmap:  # Q = 0, so Delta is the zero map
         return Subspace.full(d), Subspace.full(d)
-    thetas = Subspace(len(dmap), _floored_thetas(system, "Q", 1, i))
+    thetas = Subspace(len(dmap), dense_rows(_floored_thetas(system, "Q", 1, i), len(dmap)))
     return Subspace(d, kernel(dmap)), preimage(dmap, thetas)
 
 

@@ -38,7 +38,7 @@ from conftest import (
     perm3_system,
 )
 
-from cprings import cli
+from cprings import cli, rsystem
 from cprings.cli import (
     EvalContext,
     ExprSyntaxError,
@@ -560,6 +560,64 @@ def test_duplicate_labels_are_input_errors(tmp_path):
     assert code == 0 and out["result"]["zero"]
     code, out = run_json("compare", str(p), "--words", "20")
     assert code == 0 and out["result"]["disagreements"] == []
+
+
+def test_non_string_labels_are_input_errors(tmp_path):
+    """Labels are strings: a vertex, edge name or endpoint, or a ring or
+    module basis label of another JSON type exits 2 at load, where sorting
+    mixed labels raised a TypeError traceback in `lattice` and `jmax`."""
+    graph = {"vertices": ["u", "v"], "edges": [{"name": "e", "src": "u", "tgt": "v"}]}
+    edge = graph["edges"][0]
+    system = system_to_json(perm3_system())
+    cases = [{**graph, "vertices": [1, "v"], "edges": [{**edge, "src": 1}]},
+             {**graph, "vertices": [1, "v"], "edges": []},
+             {**graph, "edges": [{**edge, "name": 7}]},
+             {**graph, "edges": [{**edge, "tgt": None}]},
+             {**system, "ring": {**system["ring"], "basis": [1, "v2", "v3"]}},
+             {**system, "q": {**system["q"], "basis": ["v1", True, "v3"]}},
+             {**system, "p": {**system["p"], "basis": ["v1", "v2", 3]}}]
+    for k, payload in enumerate(cases):
+        p = tmp_path / f"labels{k}.json"
+        p.write_text(json.dumps(payload))
+        for verb in ("lattice", "jmax", "validate"):
+            code, out = run_json(verb, str(p))
+            assert code == 2 and out["result"] is None, (payload, verb)
+            assert "is not a string" in out["diagnostics"][0]
+
+
+def test_boolean_coefficients_are_input_errors(tmp_path):
+    """A coefficient of a system file is a string or an int: `true` as a
+    product, action or psi coefficient exits 2 (it was read as 1, and
+    perm3's file with one `true` for a 1 validated)."""
+    for key, side in (("ring", "mult"), ("q", "left"), ("p", "right"), (None, "psi")):
+        data = system_to_json(perm3_system())
+        triples = data[key][side] if key else data[side]
+        triples[0][3] = True
+        p = tmp_path / f"bool-{side}.json"
+        p.write_text(json.dumps(data))
+        code, out = run_json("validate", str(p))
+        assert code == 2 and "boolean" in out["diagnostics"][0], side
+        triples[0][3] = 1
+        p.write_text(json.dumps(data))
+        assert run_json("validate", str(p))[0] == 0
+
+
+def test_hot_verbs_build_no_dense_view(files, monkeypatch):
+    """`lattice`, `tpair`, `jmax`, `fs`, `quotient` and `eq` read a system
+    through its cells: on a graph preset and on perm3's system file none of
+    them builds the dense `ring.mult` or `psi.table` view."""
+    built = []
+    real = rsystem._dense_table
+    monkeypatch.setattr(rsystem, "_dense_table", lambda *a: built.append(a) or real(*a))
+    for name, i, j, lhs, rhs in (("3v2c", "c", "c", "p(a)", "x(e_ab)*y(e_ab) + x(e_ac)*y(e_ac)"),
+                                 ("perm3", "", "full", "Q:v1*P:v2", "R:v1")):
+        for argv in (["lattice"], ["tpair", "--i", i, "--j", j], ["jmax"], ["fs"], ["quotient", "--i", i],
+                     ["eq", lhs, rhs]):
+            code, out = run_json(argv[0], files[name], *argv[1:])
+            assert code == 0 and out["ok"], (name, argv, out)
+    assert built == []
+    sy = build_graph_system(a2_graph())
+    assert sy.ring.mult and sy.psi.table and len(built) == 2  # the hook sees both views
 
 
 def test_help_returns_usage(files):

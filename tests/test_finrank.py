@@ -9,19 +9,29 @@ Graph-side oracles (worked out from the action tables):
   j_max is spanned by the non-sinks.
 """
 
+import random
+
 import pytest
 
 from conftest import (
+    a2_graph,
     delta_ideals_oracle,
     dense,
+    dense_rows,
     diagonal_ring,
     finite_rank_space,
     five_vertex_mixed,
     idempotent_plus_null_json,
+    killed_vector_json,
     mat_eq,
     matrix2_ring,
+    non_diagonal_system,
     perm3_system,
     psi_zero_system,
+    random_graph,
+    random_permutation_system,
+    rebased_legs,
+    three_vertex_two_cycle,
     theta_matrix,
     theta_matrix_p,
 )
@@ -31,10 +41,12 @@ from cprings.cpring import CpContext, _fock_block, cp_equal, graded_uniqueness_c
 from cprings.exactlin import (
     ONE,
     Subspace,
+    _dense,
     mat_identity,
     mat_transpose,
     mat_zero,
     matmul,
+    solve,
     unit_vec,
     zero_vec,
 )
@@ -46,7 +58,7 @@ from cprings.finrank import (
     delta_ideals,
     theta_table,
 )
-from cprings.graphalg import line_graph, rose_graph
+from cprings.graphalg import cycle_graph, line_graph, rose_graph
 from cprings.ideals import validate_tpair
 from cprings.rsystem import (
     Pairing,
@@ -117,7 +129,7 @@ def test_theta_rows_are_fock_blocks(line3_system, perm3):
         for b in range(q):
             for a in range(p):
                 block = _fock_block(pair(system, 1, 1, unit_vec(q, b), unit_vec(p, a)), 1, 1, DEFAULT_CAP)
-                assert block == list(table[b * p + a]), (system.name, b, a)
+                assert block == dense_rows([table[b * p + a]], q * q)[0], (system.name, b, a)
 
 
 def test_delta_projects_onto_emitted_edges(line3_system):
@@ -172,7 +184,7 @@ def test_delta_composes_into_theta_rows(make):
     F_P(Q) is a left ideal for Delta(R)."""
     system = make()
     q, dp, d = system.q, system.p.dim, system.ring.dim
-    rows = theta_table(system, "Q", 1)
+    rows = dense_rows(theta_table(system, "Q", 1), q.dim * q.dim)
     for i in range(d):
         e_i = unit_vec(d, i)
         for a in range(q.dim):
@@ -328,3 +340,50 @@ def test_annihilator_on_diagonal(line3_system):
     assert ann.dim == 2
     assert ann.contains(unit_vec(3, 1)) and ann.contains(unit_vec(3, 2))
     assert annihilator(line3_system, Subspace(3, [])).dim == 3
+
+
+def _dense_solve_over(rows, target, n):
+    """`finrank._solve_over` as it solved over the dense transposed table,
+    one equation per coordinate of Q^n."""
+    if not rows:
+        return None if target else []
+    return solve(mat_transpose(dense_rows(rows, n)), _dense(n, target))
+
+
+def test_reduced_solve_matches_dense_solve():
+    """`_solve_over` on the equations some theta row or the target touches
+    returns exactly what `solve` returns over the dense transposed table --
+    the same certificate, or None -- for id_Q and id_P at every coordinate
+    floor, and for each Delta(e_r) and level 2 with no floor, on the presets,
+    psi-zero, the killed-vector systems, random graph and permutation
+    systems, the automorphism families of the membership crosscheck, and
+    each of these with its legs re-presented (`rebased_legs`, whose pivots
+    are not all +-1)."""
+    rng = random.Random(2812)
+    graphs = [a2_graph(), line_graph(3), three_vertex_two_cycle(), cycle_graph(3), rose_graph(2), rose_graph(3),
+              five_vertex_mixed()]
+    graphs += [random_graph(rng, max_v=4, max_e=6) for _ in range(12)]
+    systems = [build_graph_system(g) for g in graphs] + [perm3_system(), psi_zero_system()]
+    systems += [system_from_json(killed_vector_json(leg, fixed)) for leg in ("q", "p") for fixed in (False, True)]
+    systems += [random_permutation_system(rng, max_n=4) for _ in range(6)]
+    systems += [non_diagonal_system(kind, random.Random(seed))[0]
+                for seed in (1, 2) for kind in ("diagonal", "dual", "upper", "matrix2")]
+    systems += [rebased_legs(system, rng) for system in list(systems)]
+    verdicts = set()
+    for system in systems:
+        d = system.ring.dim
+        cases = [(side, 1, Subspace.coordinate_span(d, [t for t in range(d) if mask >> t & 1]))
+                 for mask in range(1 << d) for side in ("Q", "P")]
+        cases += [(side, 2, None) for side in ("Q", "P") if d <= 3]
+        for side, level, floor in cases:
+            m = tensor_space(system, side, level).dim
+            identity = tuple((c * m + c, ONE) for c in range(m))
+            targets = finrank._floored(system, side, level, floor, [identity])
+            if side == "Q" and level == 1 and floor.is_zero():
+                targets += [finrank._flatten_columns(cols) for cols in system.q.left]
+            rows = finrank._floored_thetas(system, side, level, floor)
+            for target in targets:
+                found = finrank._solve_over(rows, target)
+                assert found == _dense_solve_over(rows, target, m * m), (system.name, side, level, floor)
+                verdicts.add(found is None)
+    assert verdicts == {True, False}

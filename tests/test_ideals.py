@@ -599,19 +599,20 @@ def test_enumeration_checks_each_ideal_once(monkeypatch):
     matrix; on the killed-vector system, which has no corner graph, the
     same counters count."""
     two_sided, contractions = [], []
-    real_two_sided, real_psi_apply = rsystem.is_two_sided, ideals.psi_apply
+    real_two_sided, real_psi_images = rsystem.is_two_sided, ideals._psi_images
 
     def count_two_sided(system, x):
         two_sided.append(x)
         return real_two_sided(system, x)
 
-    def count_psi_apply(system, n, p, q):
-        contractions.append((n, p, q))
-        return real_psi_apply(system, n, p, q)
+    def count_psi_images(system, x):
+        for image in real_psi_images(system, x):
+            contractions.append(image)
+            yield image
 
     for module in (rsystem, finrank, ideals):
         monkeypatch.setattr(module, "is_two_sided", count_two_sided)
-    monkeypatch.setattr(ideals, "psi_apply", count_psi_apply)
+    monkeypatch.setattr(ideals, "_psi_images", count_psi_images)
     built = _count_quotients(monkeypatch)
     subspace_ops = []  # no inclusion test, sum of ideals, J-flag check or preimage
     for owner, name in ((Subspace, "le"), (Subspace, "add"), (ideals, "validate_ideal"), (finrank, "preimage")):

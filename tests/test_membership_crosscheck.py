@@ -30,14 +30,20 @@ iota_R(r) = sum c_ab iota_Q(e_a) iota_P(e_b), r in J.
 import random
 from fractions import Fraction as F
 
-from conftest import random_graph, random_graph_element, random_permutation_system, relation_generators
+from conftest import (
+    non_diagonal_system,
+    random_graph,
+    random_graph_element,
+    random_permutation_system,
+    relation_generators,
+)
 
 from cprings.cpring import CpContext, in_relation_ideal, validate_ideal
 from cprings.crossedprod import cp_to_crossed
-from cprings.exactlin import Subspace, mat_identity, matmul, solve, solve_matrix, unit_vec
+from cprings.exactlin import Subspace, unit_vec
 from cprings.finrank import canonical_ideals, theta_decomposition
 from cprings.graphalg import LpaElement, LpaTarget
-from cprings.rsystem import StructuredRing, build_automorphism_system, build_graph_system
+from cprings.rsystem import build_graph_system
 from cprings.toeplitz import ToeplitzElement, embed, evaluate, toeplitz_mul
 
 
@@ -134,69 +140,6 @@ def test_fock_membership_matches_exact_oracles():
 # rings that are not diagonal
 
 
-def _unit(k, i, j):
-    return [[F(int((r, c) == (i, j))) for c in range(k)] for r in range(k)]
-
-
-def _algebra(kind, rng):
-    """Basis matrices of a subalgebra of M_k(Q), a g in GL_k(Q) whose
-    conjugation preserves it, and the bases of its proper nonzero ideals."""
-    if kind == "diagonal":
-        n = rng.choice((2, 3))
-        mats = [_unit(n, i, i) for i in range(n)]
-        perm = list(range(n))
-        rng.shuffle(perm)  # permutes the idempotents
-        g = [[F(int(perm[c] == r)) for c in range(n)] for r in range(n)]
-        ideals = [[mats[i] for i in range(n) if mask >> i & 1] for mask in range(1, (1 << n) - 1)]
-    elif kind == "dual":  # Q[N]/(N^2) as [[a, b], [0, a]]; diag(1, c) scales N
-        mats = [mat_identity(2), _unit(2, 0, 1)]
-        g = [[F(1), F(0)], [F(0), F(rng.choice((-3, -2, 2, 3)))]]
-        ideals = [[mats[1]]]
-    elif kind == "upper":  # conjugation by an invertible upper triangular matrix
-        mats = [_unit(2, 0, 0), _unit(2, 0, 1), _unit(2, 1, 1)]
-        g = [[F(rng.choice((1, 2, -1))), F(rng.randint(-2, 2))], [F(0), F(rng.choice((1, 3, -2)))]]
-        ideals = [[mats[1]], [mats[0], mats[1]], [mats[1], mats[2]]]
-    else:  # M_2(Q) is simple; any invertible g
-        mats = [_unit(2, i, j) for i in range(2) for j in range(2)]
-        g = _random_invertible(rng, 2)
-        ideals = []
-    return mats, g, ideals
-
-
-def _random_invertible(rng, d):
-    while True:
-        m = [[F(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)]
-        if solve_matrix(m, mat_identity(d)) is not None:
-            return m
-
-
-def _non_diagonal_system(kind, rng):
-    """An automorphism system of `kind`, presented in a random basis
-    f_i = sum_k b[k][i] m_k of the algebra, and its proper nonzero ideals."""
-    mats, g, ideals = _algebra(kind, rng)
-    d = len(mats)
-    flat = [[m[r][c] for m in mats] for r in range(len(mats[0])) for c in range(len(mats[0]))]
-
-    def coords(m):  # coordinates of a matrix of the algebra in the matrix basis
-        return solve(flat, [x for row in m for x in row])
-
-    b = _random_invertible(rng, d)
-    b_inv = solve_matrix(b, mat_identity(d))
-
-    def new_coords(m):
-        return [sum(b_inv[i][k] * c for k, c in enumerate(coords(m))) for i in range(d)]
-
-    f = [[[sum(b[k][i] * mats[k][r][c] for k in range(d)) for c in range(len(g))]
-          for r in range(len(g))] for i in range(d)]
-    mult = [[new_coords(matmul(fi, fj)) for fj in f] for fi in f]
-    g_inv = solve_matrix(g, mat_identity(len(g)))
-    phi = [list(col) for col in zip(*[new_coords(matmul(matmul(g, fi), g_inv)) for fi in f])]
-    ring = StructuredRing([f"f{i + 1}" for i in range(d)], mult)
-    system = build_automorphism_system(ring, phi)
-    system.name = f"{kind}-{d}"
-    return system, [Subspace(d, [new_coords(m) for m in ideal]) for ideal in ideals]
-
-
 def _word(rng, system, kinds):
     """A product of generators of the given kinds, with small random coordinates."""
     out = None
@@ -246,7 +189,7 @@ def test_membership_over_non_diagonal_rings():
     for seed in (1, 2):
         rng = random.Random(seed)
         for kind in ("diagonal", "dual", "upper", "matrix2"):
-            system, proper = _non_diagonal_system(kind, rng)
+            system, proper = non_diagonal_system(kind, rng)
             d = system.ring.dim
             assert canonical_ideals(system)["j_max"] == Subspace.full(d)
             ideals = [Subspace.full(d)] + ([rng.choice(proper)] if proper else []) + [Subspace(d)]
@@ -280,7 +223,7 @@ def test_deep_words_over_non_diagonal_rings():
     product, and members of degree 3 must be accepted."""
     rng = random.Random(11)
     for kind in ("diagonal", "dual", "upper", "matrix2"):
-        system, _ = _non_diagonal_system(kind, rng)
+        system, _ = non_diagonal_system(kind, rng)
         ctx = CpContext(system, validate_ideal(system, Subspace.full(system.ring.dim)))
         for left, right in (("PPP", "QQ"), ("PP", "QQQ"), ("QPPP", "QQ"), ("PP", "QQQP")):
             a, b = _word(rng, system, left), _word(rng, system, right)

@@ -14,8 +14,10 @@ from conftest import (
     dual_numbers_ring,
     five_vertex_mixed,
     idempotent_plus_null_json,
+    killed_vector_json,
     left_unit_json,
     matrix2_ring,
+    non_diagonal_system,
     perm3_system,
     psi_zero_system,
     random_graph,
@@ -23,8 +25,10 @@ from conftest import (
     right_annihilator,
     square_into_ideal_json,
     square_zero_json,
+    three_vertex_two_cycle,
 )
-from cprings.exactlin import Subspace, mat_identity, unit_vec, zero_vec
+from cprings.exactlin import Subspace, _nonzeros, mat_identity, mat_transpose, solve_matrix, unit_vec, zero_vec
+from cprings.graphalg import cycle_graph, line_graph, rose_graph
 from cprings.rsystem import (
     Pairing,
     RSystem,
@@ -435,3 +439,145 @@ def test_multiply_and_apply_match_dense_reference(data):
     system = RSystem(ring=ring, p=module(dp, "p"), q=module(dq, "q"), psi=psi)
     # the zero of R when P = 0 or Q = 0, too
     assert psi_apply(system, 1, p, q) == dense_bilinear(n, psi.table, p, q)
+
+
+# ---------------------------------------------------------------------------
+# cells against the dense constructors
+
+
+def _dense_graph_system(graph) -> RSystem:
+    """The path system of `graph` as `build_graph_system` built it through
+    the dense constructors: a dense d x d x d product table and a dense
+    (edges x edges) table of d-vectors for psi."""
+    verts = list(graph.vertices)
+    vidx = {v: i for i, v in enumerate(verts)}
+    edges = graph.expand().edges
+    nv, ne = len(verts), len(edges)
+    ring = StructuredRing(verts, [[unit_vec(nv, i) if i == j else zero_vec(nv) for j in range(nv)]
+                                  for i in range(nv)])
+
+    def diag(flags):
+        return [((a, 1),) if f else () for a, f in enumerate(flags)]
+
+    src = [diag([e.src == v for e in edges]) for v in verts]
+    tgt = [diag([e.tgt == v for e in edges]) for v in verts]
+    labels = [e.name for e in edges]
+    psi = Pairing([[unit_vec(nv, vidx[edges[a].tgt]) if a == b else zero_vec(nv) for b in range(ne)]
+                   for a in range(ne)])
+    return RSystem(ring, StructuredBimodule(labels, tgt, src), StructuredBimodule(labels, src, tgt), psi,
+                   name=f"graph:{graph.name}")
+
+
+def _dense_automorphism_system(system) -> RSystem:
+    """An automorphism system built again through the dense constructors:
+    the ring from its dense table, psi from the dense table
+    psi(e_i (x) e_j) = e_i phi(e_j)."""
+    ring, d = system.ring, system.ring.dim
+    cols = mat_transpose(system.phi)
+    phi_inv = solve_matrix(system.phi, mat_identity(d))
+    p = StructuredBimodule(ring.labels, ring.left, [ring.right_map(c) for c in cols])
+    q = StructuredBimodule(ring.labels, ring.left, [ring.right_map(c) for c in mat_transpose(phi_inv)])
+    psi = Pairing([[ring.multiply(unit_vec(d, i), cols[j]) for j in range(d)] for i in range(d)])
+    return RSystem(StructuredRing(ring.labels, ring.mult), p, q, psi, name=system.name)
+
+
+def _dense_from_json(data) -> RSystem:
+    """`system_from_json` as it read a file into the dense constructors:
+    each list of triples [i, j, k, c] summed into a dense table."""
+    def table(triples, n1, n2, n3):
+        out = [[zero_vec(n3) for _ in range(n2)] for _ in range(n1)]
+        for i, j, k, c in triples:
+            out[i][j][k] += F(c)
+        return out
+
+    basis = data["ring"]["basis"]
+    n = len(basis)
+    ring = StructuredRing(basis, table(data["ring"].get("mult", []), n, n, n))
+    legs = {}
+    for key in ("p", "q"):
+        spec, d = data[key], len(data[key]["basis"])
+        left, right = ([[_nonzeros(cell) for cell in row] for row in table(spec.get(side, []), n, d, d)]
+                       for side in ("left", "right"))
+        legs[key] = StructuredBimodule(spec["basis"], left, right)
+    psi = Pairing(table(data.get("psi", []), legs["p"].dim, legs["q"].dim, n))
+    return RSystem(ring, legs["p"], legs["q"], psi, name=data.get("name", "system"))
+
+
+def _from_cells(system) -> RSystem:
+    """A system built through the dense constructors, built again from its cells."""
+    ring = StructuredRing.from_cells(system.ring.labels, system.ring.left)
+    return RSystem(ring, system.p, system.q, Pairing.from_cells(system.psi._table_nz, ring.dim), name=system.name)
+
+
+def _cells(system) -> tuple:
+    """Everything a system keeps: labels, the cells of its product, actions
+    and pairing, and psi's coordinate count where it has cells."""
+    psi = system.psi
+    return (system.ring.labels, system.ring.left, system.ring.right,
+            *((m.labels, m.left, m.right) for m in (system.p, system.q)),
+            psi._table_nz, psi.dim if any(psi._table_nz) else None)
+
+
+def _cell_and_dense_pairs():
+    """(built from cells, built through the dense constructors) for every
+    preset, random graph and permutation systems, the automorphism families
+    of the membership crosscheck, and the reference system files."""
+    graphs = [a2_graph(), line_graph(3), three_vertex_two_cycle(), cycle_graph(3), rose_graph(2), rose_graph(3),
+              five_vertex_mixed()]
+    rng = random.Random(2811)
+    graphs += [random_graph(rng, max_v=5, max_e=9) for _ in range(20)]
+    pairs = [(build_graph_system(g), _dense_graph_system(g)) for g in graphs]
+    autos = [perm3_system()] + [random_permutation_system(rng, max_n=5) for _ in range(10)]
+    autos += [non_diagonal_system(kind, random.Random(seed))[0]
+              for seed in (1, 2) for kind in ("diagonal", "dual", "upper", "matrix2")]
+    pairs += [(system, _dense_automorphism_system(system)) for system in autos]
+    files = [system_to_json(perm3_system()), square_zero_json(), left_unit_json(), square_into_ideal_json(),
+             corner_bimodules_json(), idempotent_plus_null_json()]
+    files += [killed_vector_json(leg, fixed) for leg in ("q", "p") for fixed in (False, True)]
+    pairs += [(system_from_json(data), _dense_from_json(data)) for data in files]
+    pairs.append((_from_cells(psi_zero_system()), psi_zero_system()))
+    return pairs
+
+
+def test_cells_match_dense_constructors():
+    """A system built from cells -- by the builders, the file loader and
+    `from_cells` -- keeps exactly the cells of the same system built through
+    `StructuredRing(labels, mult)` and `Pairing(table)`, reads back the same
+    dense `mult` and `table`, writes the same file, which loads back to the
+    same cells, and gets the same `validate_axioms` report, also with psi
+    given one coordinate too many in every cell or one P-row too few."""
+    shapes = 0
+    for cells, dense_ in _cell_and_dense_pairs():
+        assert _cells(cells) == _cells(dense_), cells.name
+        assert cells.ring.mult == dense_.ring.mult and cells.psi.table == dense_.psi.table
+        assert system_to_json(cells) == system_to_json(dense_)
+        assert _cells(system_from_json(system_to_json(cells))) == _cells(cells)
+        assert validate_axioms(cells) == validate_axioms(dense_)
+        n, table = cells.ring.dim, cells.psi._table_nz
+        if not any(table):
+            continue
+        long_cells = Pairing.from_cells(table, n + 1)
+        long_dense = Pairing([[[*cell, 0] for cell in row] for row in dense_.psi.table])
+        short_cells, short_dense = Pairing.from_cells(table[:-1], n), Pairing(dense_.psi.table[:-1])
+        for a, b in ((long_cells, long_dense), (short_cells, short_dense)):
+            rep = validate_axioms(RSystem(cells.ring, cells.p, cells.q, a))
+            assert not rep.ok and rep == validate_axioms(RSystem(dense_.ring, dense_.p, dense_.q, b))
+        assert f"coordinates for a {n}-dimensional ring" in validate_axioms(
+            RSystem(cells.ring, cells.p, cells.q, long_cells)).failures[0]
+        shapes += 1
+    assert shapes >= 40
+
+
+def test_cell_constructors_check_every_index():
+    """`from_cells` refuses an index outside the ring, and the dense views
+    are read-only."""
+    ring = diagonal_ring(2)
+    with pytest.raises(ValueError, match="not in range"):
+        StructuredRing.from_cells(ring.labels, [[((2, 1),), ()], [(), ((1, 1),)]])
+    with pytest.raises(ValueError, match="not in range"):
+        Pairing.from_cells([[((0, 1),), ((-1, 1),)]], 2)
+    with pytest.raises(ValueError, match="shape does not match"):
+        StructuredRing.from_cells(ring.labels, [[((0, 1),), ()]])
+    with pytest.raises(AttributeError):
+        ring.mult = ()
+    assert StructuredRing.from_cells(["x"], [[((0, "1/2"),)]]).left == (((((0, F(1, 2)),),),))
