@@ -23,6 +23,11 @@ lattice output.  Exit status: 0 affirmative, 1 negative verdict or domain
 error, 2 usage/input error (bad flags, missing or malformed file, expression
 syntax), 3 undecided: the question needs a tensor level above `--cap`.
 
+A verb takes FILE, its EXPR operands and its flags (`cpr VERB -h` lists
+them with their defaults and choices).  Flags come after the verb as `--flag
+value` or `--flag=value`, spelt out or as a unique prefix, and the last of a
+repeated flag wins; `--` ends them.
+
 Element grammar:
 
     expr   := term (('+'|'-') term)*
@@ -40,14 +45,14 @@ the dual numbers prints as `Q:x*Q:1`, the same class).
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from types import SimpleNamespace
+from typing import NamedTuple, Optional
 
 from .cpring import (
     ContextMismatch,
@@ -735,21 +740,6 @@ def _verb_gauge_split(loaded, args) -> Outcome:
     )
 
 
-_VERBS = {
-    "validate": (_verb_validate, 0),
-    "mul": (_verb_mul, 2),
-    "eq": (_verb_eq, 2),
-    "nf": (_verb_nf, 1),
-    "fs": (_verb_fs, 0),
-    "jmax": (_verb_jmax, 0),
-    "lattice": (_verb_lattice, 0),
-    "tpair": (_verb_tpair, 0),
-    "quotient": (_verb_quotient, 0),
-    "compare": (_verb_compare, 0),
-    "gauge-split": (_verb_gauge_split, 1),
-}
-
-
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
@@ -759,52 +749,185 @@ class _HelpRequested(Exception):
     pass
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-    def print_help(self, file=None):  # -h/--help: `run` returns the text with exit 0
-        raise _HelpRequested(self.format_help())
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
 
 
 def _nonnegative_int(text: str) -> int:
     """A non-negative integer flag value; anything else is a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        raise ValueError(f"must be >= 0, got {value}")
     return value
 
 
-@functools.lru_cache(maxsize=None)
-def _build_argparser() -> argparse.ArgumentParser:
-    """The `cpr` parser, built once: parsing leaves it unchanged."""
-    ap = _ArgumentParser(prog="cpr", description=__doc__, add_help=True)
-    sub = ap.add_subparsers(dest="verb", required=True)
-    for verb, (_, n_exprs) in _VERBS.items():
-        sp = sub.add_parser(verb)
-        sp.add_argument("file", help="system or graph JSON")
-        if n_exprs:
-            sp.add_argument("exprs", nargs=n_exprs, metavar="EXPR")
-        sp.add_argument("--cap", type=_nonnegative_int, default=DEFAULT_CAP,
-                        help="highest tensor level a product or membership test may create")
-        sp.add_argument("--format", choices=("json", "dot", "table"), default="json")
-        if verb == "eq":
-            sp.add_argument("--ring", choices=("cp", "toeplitz"), default="cp")
-            sp.add_argument("--j", default="jmax", help="ideal spec: labels, zero, full, jmax")
-        if verb == "nf":
-            sp.add_argument("--backend", choices=("auto", "toeplitz", "lpa"), default="auto")
-        if verb in ("tpair", "quotient"):
-            sp.add_argument("--i", default="", help="ideal spec for I")
-        if verb == "tpair":
-            sp.add_argument("--j", default="", help="ideal spec for J")
-        if verb == "compare":
-            sp.add_argument("--words", type=_nonnegative_int, default=40,
-                            help="random pairs to test")
-            sp.add_argument("--seed", type=int, default=0, help="seed of the random pairs")
-    return ap
+class _Flag(NamedTuple):
+    convert: object  # str -> value, raising ValueError on a bad one
+    default: object
+    choices: tuple = ()
+    help: str = ""
+
+
+_COMMON_FLAGS = {
+    "cap": _Flag(_nonnegative_int, DEFAULT_CAP, help="highest tensor level a product or membership test may create"),
+    "format": _Flag(str, "json", ("json", "dot", "table")),
+}
+
+
+class _Verb:
+    """A verb's handler, its number of EXPRs after FILE and its flags;
+    `options` also maps `-h` and `--help`, to None."""
+
+    def __init__(self, handler, n_exprs=0, **flags):
+        self.handler = handler
+        self.n_exprs = n_exprs
+        flags = {**_COMMON_FLAGS, **flags}
+        self.flags = {f"--{name}": flag for name, flag in flags.items()}
+        self.options = {**_HELP_OPTIONS, **self.flags}
+        self.defaults = {name: flag.default for name, flag in flags.items()}
+
+
+# the verb table: `_parse_argv` reads every command line against it, and
+# `_verb_help` builds each verb's help from it
+_HELP_OPTIONS = {"-h": None, "--help": None}
+_VERBS = {
+    "validate": _Verb(_verb_validate),
+    "mul": _Verb(_verb_mul, 2),
+    "eq": _Verb(_verb_eq, 2, ring=_Flag(str, "cp", ("cp", "toeplitz")),
+                j=_Flag(str, "jmax", help="ideal spec: labels, zero, full, jmax")),
+    "nf": _Verb(_verb_nf, 1, backend=_Flag(str, "auto", ("auto", "toeplitz", "lpa"))),
+    "fs": _Verb(_verb_fs),
+    "jmax": _Verb(_verb_jmax),
+    "lattice": _Verb(_verb_lattice),
+    "tpair": _Verb(_verb_tpair, i=_Flag(str, "", help="ideal spec for I"), j=_Flag(str, "", help="ideal spec for J")),
+    "quotient": _Verb(_verb_quotient, i=_Flag(str, "", help="ideal spec for I")),
+    "compare": _Verb(_verb_compare, words=_Flag(_nonnegative_int, 40, help="random pairs to test"),
+                     seed=_Flag(_int, 0, help="seed of the random pairs")),
+    "gauge-split": _Verb(_verb_gauge_split, 1),
+}
+
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _option(token: str, options: dict):
+    """None for an operand, else (option or None if unknown, value joined
+    on or None).  A token starting with `-` is an operand only when it is
+    `-`, a negative number or has a space; `-hX` is `-h` with X joined on."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in options:
+        return token, None
+    head, eq, value = token.partition("=")
+    if eq and head in options:
+        return head, value
+    if token[1] == "-":
+        hits = [o for o in options if o.startswith(head)]
+        if len(hits) > 1:
+            raise _UsageError(f"ambiguous option: {token} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], value if eq else None
+    elif token[:2] == "-h":
+        return "-h", token[2:]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _check_help(option: str, value, text: str) -> None:
+    """Raise `_HelpRequested(text)`, or `_UsageError` for a value joined on
+    (but `-hh`, a cluster of short flags, is help)."""
+    if value is None or option == "-h" and value and not value.strip("h"):
+        raise _HelpRequested(text)
+    raise _UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+
+
+def _parse_argv(argv) -> SimpleNamespace:
+    """Read a `cpr` command line against `_VERBS`, by the rules of the
+    module docstring; the operands are FILE and then the EXPRs, flags or not
+    between them.  A usage error raises `_UsageError` naming the bad token,
+    `-h`/`--help` raises `_HelpRequested`."""
+    extras = []  # unknown flags before the verb, refused once the verb has parsed
+    for k, token in enumerate(argv):
+        opt = None if token == "--" else _option(token, _HELP_OPTIONS)
+        if opt is None:
+            break
+        if opt[0] is None:
+            extras.append(token)
+        else:
+            _check_help(*opt, _top_help())
+    else:
+        raise _UsageError("the following arguments are required: verb")
+    verb = argv[k]
+    spec = _VERBS.get(verb)
+    if spec is None:
+        raise _UsageError(f"argument verb: invalid choice: {verb!r} (choose from {', '.join(_VERBS)})")
+    tokens = argv[k + 1:]
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    opts = [_option(token, spec.options) for token in tokens[:cut]]  # an ambiguous flag is refused first
+    values = dict(spec.defaults)
+    operands = []
+    k = 0
+    while k < cut:
+        token, opt = tokens[k], opts[k]
+        k += 1
+        if opt is None:
+            operands.append(token)
+            continue
+        option, value = opt
+        if option is None:
+            extras.append(token)
+            continue
+        flag = spec.options[option]
+        if flag is None:
+            _check_help(option, value, _verb_help(verb))
+        if value is None:
+            if k == cut or opts[k] is not None:
+                raise _UsageError(f"argument {option}: expected one argument")
+            value = tokens[k]
+            k += 1
+        try:
+            value = flag.convert(value)
+        except ValueError as exc:
+            raise _UsageError(f"argument {option}: {exc}") from None
+        if flag.choices and value not in flag.choices:
+            raise _UsageError(f"argument {option}: invalid choice: {value!r} "
+                              f"(choose from {', '.join(map(repr, flag.choices))})")
+        values[option[2:]] = value
+    operands += tokens[cut + 1:]
+    n = 1 + spec.n_exprs
+    if len(operands) < n:
+        missing = ["EXPR"] if operands else ["file", "EXPR"][:n]
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if len(operands) > n or extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras + operands[n:])}")
+    if spec.n_exprs:
+        values["exprs"] = operands[1:]
+    return SimpleNamespace(verb=verb, file=operands[0], **values)
+
+
+def _spelling(option: str, flag: _Flag) -> str:
+    return f"{option} {{{','.join(flag.choices)}}}" if flag.choices else f"{option} {option[2:].upper()}"
+
+
+def _verb_help(verb: str) -> str:
+    """`cpr VERB -h`: the usage line, then each flag with its default and choices."""
+    spec = _VERBS[verb]
+    lines = [f"usage: cpr {verb} [-h] " + " ".join(f"[{_spelling(o, f)}]" for o, f in spec.flags.items())
+             + " file" + " EXPR" * spec.n_exprs, "",
+             "  file  system or graph JSON"]
+    if spec.n_exprs:
+        lines.append("  EXPR  an element expression (`cpr --help` gives the grammar)")
+    for option, flag in spec.flags.items():
+        lines.append(f"  {_spelling(option, flag)}  {flag.help + ' ' if flag.help else ''}(default: {flag.default!r})")
+    return "\n".join(lines)
+
+
+def _top_help() -> str:
+    """`cpr --help`: the usage line and the module docstring, which names every verb."""
+    return f"usage: cpr [-h] {{{','.join(_VERBS)}}} file ...\n\n{__doc__ or ''}"
 
 
 def _render_table(result, indent=0) -> str:
@@ -838,15 +961,14 @@ def _is_flat(v) -> bool:
 def run(argv) -> tuple[int, str]:
     """Execute a command line; returns (exit_code, stdout payload)."""
     try:
-        args = _build_argparser().parse_args(argv)
+        args = _parse_argv(argv)
         loaded = load_input(args.file)
         if loaded.kind == "system" and args.verb != "validate":
             failures = validate_axioms(loaded.system).failures
             if failures:  # `validate` lists them all and exits 1
                 raise _UsageError(
                     f"{args.file}: system fails the axioms: " + "; ".join(failures[:3]))
-        handler, _ = _VERBS[args.verb]
-        outcome = handler(loaded, args)
+        outcome = _VERBS[args.verb].handler(loaded, args)
     except _HelpRequested as exc:
         return 0, str(exc)
     except _UsageError as exc:
@@ -891,5 +1013,10 @@ def run(argv) -> tuple[int, str]:
 
 def main(argv=None) -> int:
     code, body = run(sys.argv[1:] if argv is None else argv)
-    print(body)
+    try:
+        print(body)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left: the verdict's exit code still stands
+        # point stdout at devnull, or the interpreter's flush at exit fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code

@@ -52,6 +52,8 @@ def frac(x) -> int | Fraction:
     if type(x) is int:
         return x
     if not isinstance(x, Fraction):
+        if type(x) is str and x.isdecimal():  # a plain numeral: int reads it without Fraction's regex
+            return int(x)
         if not isinstance(x, (int, str)):
             raise TypeError(f"cannot coerce {x!r} to an exact rational")
         x = Fraction(x)

@@ -6,6 +6,8 @@ suite for these objects were derived by hand before the engine existed; see
 the assertions where they are used.
 """
 
+import argparse
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -942,6 +944,78 @@ class QuotientHandle:
 
     def contains(self, x) -> bool:
         return in_relation_ideal(self.qctx, self.project_element(x))
+
+
+class ArgparseUsage(Exception):
+    """The argparse oracle refused a command line."""
+
+
+class ArgparseHelp(Exception):
+    """The argparse oracle answered a command line with its help text."""
+
+
+class _OracleParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ArgparseUsage(message)
+
+    def print_help(self, file=None):
+        raise ArgparseHelp(self.format_help())
+
+
+def _oracle_nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+# each verb's EXPR operands, written out here so that the oracle does not read the table it checks
+ORACLE_EXPRS = {"validate": 0, "mul": 2, "eq": 2, "nf": 1, "fs": 0, "jmax": 0, "lattice": 0, "tpair": 0,
+                "quotient": 0, "compare": 0, "gauge-split": 1}
+
+
+@functools.lru_cache(maxsize=None)
+def argparse_oracle() -> argparse.ArgumentParser:
+    """The `cpr` command line as the argparse subparsers that read it before
+    the verb table did: `cli._parse_argv`'s differential oracle."""
+    ap = _OracleParser(prog="cpr", add_help=True)
+    sub = ap.add_subparsers(dest="verb", required=True)
+    for verb, n_exprs in ORACLE_EXPRS.items():
+        sp = sub.add_parser(verb)
+        sp.add_argument("file", help="system or graph JSON")
+        if n_exprs:
+            sp.add_argument("exprs", nargs=n_exprs, metavar="EXPR")
+        sp.add_argument("--cap", type=_oracle_nonnegative_int, default=DEFAULT_CAP,
+                        help="highest tensor level a product or membership test may create")
+        sp.add_argument("--format", choices=("json", "dot", "table"), default="json")
+        if verb == "eq":
+            sp.add_argument("--ring", choices=("cp", "toeplitz"), default="cp")
+            sp.add_argument("--j", default="jmax", help="ideal spec: labels, zero, full, jmax")
+        if verb == "nf":
+            sp.add_argument("--backend", choices=("auto", "toeplitz", "lpa"), default="auto")
+        if verb in ("tpair", "quotient"):
+            sp.add_argument("--i", default="", help="ideal spec for I")
+        if verb == "tpair":
+            sp.add_argument("--j", default="", help="ideal spec for J")
+        if verb == "compare":
+            sp.add_argument("--words", type=_oracle_nonnegative_int, default=40,
+                            help="random pairs to test")
+            sp.add_argument("--seed", type=int, default=0, help="seed of the random pairs")
+    return ap
+
+
+def parse_argv_oracle(argv):
+    """("ok", namespace dict), ("help", text) or ("usage", message): how the
+    argparse oracle reads argv."""
+    try:
+        return "ok", vars(argparse_oracle().parse_args(list(argv)))
+    except ArgparseHelp as exc:
+        return "help", str(exc)
+    except ArgparseUsage as exc:
+        return "usage", str(exc)
 
 
 @pytest.fixture

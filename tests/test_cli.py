@@ -20,10 +20,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from conftest import (
+    ORACLE_EXPRS,
     a2_graph,
+    argparse_oracle,
     corner_bimodules_json,
     dual_numbers_ring,
     dual_numbers_unit_basis_ring,
@@ -31,6 +33,7 @@ from conftest import (
     infinite_emitter_graph,
     killed_vector_json,
     matrix2_ring,
+    parse_argv_oracle,
     psi_zero_system,
     random_graph_element,
     square_zero_json,
@@ -625,6 +628,59 @@ def test_help_returns_usage(files):
                        (["lattice", "-h"], "usage: cpr lattice ")):
         code, body = cli.run(argv)
         assert code == 0 and body.startswith(head), argv
+    code, body = cli.run(["--help"])
+    assert all(verb in body for verb in ORACLE_EXPRS)
+    # every flag the argparse oracle gives a verb, with its default and choices
+    subparsers = next(a for a in argparse_oracle()._actions if a.dest == "verb").choices
+    for verb, parser in subparsers.items():
+        code, body = cli.run([verb, "-h"])
+        assert code == 0 and body.startswith(f"usage: cpr {verb} "), verb
+        flags = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+        assert {a.option_strings[0] for a in flags} == set(cli._VERBS[verb].flags)
+        for action in flags:
+            line = next(line for line in body.splitlines() if line.startswith(f"  {action.option_strings[0]} "))
+            assert f"(default: {action.default!r})" in line, (verb, line)
+            assert all(choice in line for choice in action.choices or ()), (verb, line)
+
+
+def test_cli_questions_build_no_argparser(monkeypatch):
+    """`cli.run` over the eq-cold and lattice questions at seed 1 (and their
+    `--format dot` and `table` runs) reads every command line off the verb
+    table: no `argparse.ArgumentParser` is constructed."""
+    import argparse
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("payload_digest", SCRIPTS / "payload_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    built = []
+    real = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(a) or real(self, *a, **k))
+    lines = list(digest.digest_lines(1))
+    pinned = (Path(__file__).parent / "payload_digest_seed1.txt").read_text().splitlines()
+    assert built == [] and lines == pinned[:-1]
+
+
+@pytest.mark.parametrize("argv, code", [(["lattice", "a2"], 0),
+                                        (["eq", "a2", "p(u)", "x(e)*y(e)", "--ring", "toeplitz"], 1)])
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_keeps_the_verdict(files, argv, code, unbuffered):
+    """A reader that closes stdout before `cpr` prints gets the verdict's
+    exit code and nothing on stderr, where a `BrokenPipeError` traceback (exit
+    1, unbuffered) or an ignored-exception note (exit 120) came.  The pipe is
+    closed before the child imports anything, so the write always fails."""
+    env = process_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [files[a] if a in files else a for a in argv]
+    proc = subprocess.Popen([sys.executable, "-m", "cprings", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (code, b"")
 
 
 # small inputs for the property below: valid graph and system files (weighted
@@ -716,6 +772,130 @@ def test_run_never_raises(fuzz_files, data):
     assert code in (0, 1, 2, 3) and isinstance(body, str), argv
 
 
+# argv tokens for the differential test against the argparse oracle: expressions
+# that start with '-', and flags exact, abbreviated, joined by '=', missing
+# their value, bad, unknown or belonging to another verb
+_ARGV_EXPRS = ["p(u)", "x(e)*y(e)", "-2 p(u)", "-1", "-x", "-2*p(u)", "-", "", "--"]
+_ARGV_FLAGS = [*(f for flags in _FLAGS.values() for f in flags), ("--form", "table"), ("--ca", "2"), ("--r", "toeplitz"),
+               ("--w", "3"), ("--b", "lpa"), ("--cap=3",), ("--form=dot",), ("--j=u",), ("--ca=1",), ("--cap=",),
+               ("--cap",), ("--j",), ("--format",), ("--cap", "--format", "json"), ("--j", "--cap=2"),
+               ("--bogus",), ("--=x",), ("-h", "--=x"),
+               ("--",), ("--",), ("-h",), ("--help",), ("--he",), ("-hh",), ("-hx",), ("--help=x",)]
+
+
+def _reads_alike(got, want) -> bool:
+    """Whether argparse's namespace `want` is `got`.  argparse dropped an
+    operand `--` that follows the first `--` from the EXPRs, leaving `nf`
+    or `eq` one short (a traceback); the verb table keeps it."""
+    if len(want.get("exprs", ())) == ORACLE_EXPRS[want["verb"]]:
+        return got == want
+    exprs = list(got.get("exprs", ()))
+    if "--" not in exprs:
+        return False
+    exprs.remove("--")
+    return {**got, "exprs": exprs} == want
+
+
+def _operands_split_by_a_flag(got, refusal) -> bool:
+    """The one deliberate relaxation: argparse read operands only in runs
+    between flags, so it refused the two EXPRs of `eq` or `mul` with a flag
+    between them ("required: EXPR") and a `--` with no operand after it
+    that follows a flag ("unrecognized arguments: --").  The verb table
+    reads either as the question written with its flags first and its
+    operands after `--`."""
+    canonical = [got["verb"], *(f"--{k}={v}" for k, v in got.items() if k not in ("verb", "file", "exprs")),
+                 "--", got["file"], *got.get("exprs", ())]
+    split = ORACLE_EXPRS[got["verb"]] == 2 and refusal == "the following arguments are required: EXPR"
+    kind, want = parse_argv_oracle(canonical)
+    return (split or refusal == "unrecognized arguments: --") and kind == "ok" and _reads_alike(got, want)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_parse_argv_matches_argparse(files, data):
+    """Wherever the argparse oracle accepts a command line, `_parse_argv`
+    reads the same namespace; where it answers with help, so does `run`,
+    with the same usage head; where it refuses, `run` exits 2, except for
+    operands split by a flag."""
+    verb = data.draw(st.sampled_from([*ORACLE_EXPRS, "bogus"]))
+    n_ops = max(0, 1 + ORACLE_EXPRS.get(verb, 0) + data.draw(st.sampled_from([-1, 0, 0, 0, 0, 0, 1])))
+    argv = [verb, files["a2"], *(data.draw(st.sampled_from(_ARGV_EXPRS)) for _ in range(n_ops - 1))][:n_ops + 1]
+    own = _FLAGS["all"] + _FLAGS.get(verb, [])  # weighted up
+    for chunk in data.draw(st.lists(st.sampled_from(own * 3 + _ARGV_FLAGS), max_size=3)):
+        at = data.draw(st.sampled_from([0, *list(range(1, len(argv) + 1)) * 3]))  # rarely before the verb
+        argv[at:at] = chunk
+    kind, want = parse_argv_oracle(argv)
+    try:
+        got = ("ok", vars(cli._parse_argv(argv)))
+    except cli._HelpRequested as exc:
+        got = ("help", str(exc))
+    except cli._UsageError as exc:
+        got = ("usage", str(exc))
+    event(f"oracle {kind}, verb table {got[0]}")
+    if kind == "ok":
+        assert got[0] == "ok" and _reads_alike(got[1], want), (argv, want, got)
+    elif kind == "help":
+        code, body = cli.run(argv)
+        assert code == 0 and body.split()[:3] == want.split()[:3], (argv, body)
+    elif got[0] == "ok":
+        assert _operands_split_by_a_flag(got[1], want), (argv, want, got)
+    else:
+        assert cli.run(argv)[0] == 2, (argv, want)
+
+
+def test_parse_argv_rules():
+    """The rules the verb table reads a command line by, one case each."""
+    def parsed(*argv):
+        return vars(cli._parse_argv(list(argv)))
+
+    base = {"verb": "eq", "file": "F", "cap": 6, "format": "json", "ring": "cp", "j": "jmax", "exprs": ["a", "b"]}
+    assert parsed("eq", "F", "a", "b") == base
+    assert parsed("eq", "--ri", "toeplitz", "F", "--form=table", "a", "b", "--cap=1", "--cap", "2") == {
+        **base, "ring": "toeplitz", "format": "table", "cap": 2}
+    assert parsed("eq", "F", "--j=", "--", "-2 p(u)", "--cap") == {**base, "j": "", "exprs": ["-2 p(u)", "--cap"]}
+    assert parsed("eq", "F", "-1", "-2 p(u)")["exprs"] == ["-1", "-2 p(u)"]
+    for argv, message in ((["eq", "F", "a", "-x", "b"], "unrecognized arguments: -x"),
+                          (["eq", "F", "a", "b", "--j", "--cap=2"], "argument --j: expected one argument"),
+                          (["eq", "F", "a", "b", "--j"], "argument --j: expected one argument"),
+                          (["eq", "F", "a", "b", "--i", "v"], "unrecognized arguments: --i v"),
+                          (["eq", "F", "a", "b", "--ring", "lpa"], "argument --ring: invalid choice: 'lpa'"),
+                          (["eq", "F", "a", "b", "-h", "--=x"], "ambiguous option: --=x"),
+                          (["eq", "F", "a"], "the following arguments are required: EXPR"),
+                          (["eq"], "the following arguments are required: file, EXPR"),
+                          (["bogus", "F"], "argument verb: invalid choice: 'bogus'")):
+        with pytest.raises(cli._UsageError, match=re.escape(message)):
+            cli._parse_argv(argv)
+    for argv in (["eq", "F", "--he"], ["-h", "eq"], ["lattice", "-hh"]):
+        with pytest.raises(cli._HelpRequested):
+            cli._parse_argv(argv)
+
+
+def test_operands_split_by_a_flag_parse(files):
+    """`eq FILE A --cap 3 B` asks what `eq FILE A B --cap 3` asks, and a
+    `--` after the last flag ends nothing; argparse refused both."""
+    for split, joined, refusal in (
+            (["eq", files["a2"], "p(u)", "--cap", "3", "x(e)*y(e)"], ["eq", files["a2"], "p(u)", "x(e)*y(e)", "--cap", "3"],
+             "the following arguments are required: EXPR"),
+            (["lattice", files["a2"], "--format", "json", "--"], ["lattice", files["a2"], "--format", "json"],
+             "unrecognized arguments: --")):
+        assert parse_argv_oracle(split) == ("usage", refusal)
+        got = vars(cli._parse_argv(split))
+        assert got == parse_argv_oracle(joined)[1] and _operands_split_by_a_flag(got, refusal)
+        assert cli.run(split) == cli.run(joined) and cli.run(joined)[0] == 0
+
+
+def test_operand_after_double_dash(files):
+    """After `--` ends the flags, a second `--` is an operand: `nf FILE -- --`
+    parses `--` as its expression (a syntax error, exit 2), where argparse
+    dropped it and `nf` raised an IndexError."""
+    assert parse_argv_oracle(["nf", files["a2"], "--", "--"])[1]["exprs"] == []
+    code, out = run_json("nf", files["a2"], "--", "--")
+    assert code == 2 and "column" in out["diagnostics"][0]
+    code, out = run_json("eq", files["a2"], "--", "-2 p(u)", "--")
+    assert code == 2 and "column" in out["diagnostics"][0]
+    assert run_json("eq", files["a2"], "--cap=2", "--", "-1 p(u)", "--help")[0] == 2  # an EXPR, not help
+
+
 def test_outputs_deterministic(files):
     a = cli.run(["lattice", files["3v2c"]])
     b = cli.run(["lattice", files["3v2c"]])
@@ -740,12 +920,17 @@ def declared_cpr_target():
     return re.search(r'^cpr\s*=\s*"([^"]+)"', text, re.M).group(1)
 
 
-def run_process(argv):
-    """Run argv with the directory of the imported `cprings` first on PYTHONPATH."""
+def process_env() -> dict:
+    """The environment with the directory of the imported `cprings` first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    return env
+
+
+def run_process(argv):
+    """Run argv in `process_env()`."""
+    proc = subprocess.run(argv, capture_output=True, text=True, env=process_env())
     sys.stderr.write(proc.stderr)  # pytest shows it when the test fails
     return proc
 

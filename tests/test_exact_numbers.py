@@ -47,6 +47,23 @@ def test_frac_returns_int_for_integral_values():
     assert [type(x) for x in vec([1, F(4, 2), "2/4", False])] == [int, int, F, int]
 
 
+@pytest.mark.parametrize("text", ["007", "\u0663", "\u00b2", "+1", " 1", "1_0", "1/2", "1" * 5000, "-3", ""],
+                         ids=["007", "arabic-indic-3", "superscript-2", "plus-1", "space-1", "1_0", "1/2",
+                              "5000-digits", "-3", "empty"])
+def test_frac_reads_numerals_as_fraction_does(text):
+    """`frac` reads a string of decimal digits with `int`: the value is
+    Fraction's, and a string Fraction refuses (a superscript two, a numeral
+    past the int-string limit) raises the same exception type."""
+    def outcome(read):
+        try:
+            return read(text)
+        except Exception as exc:
+            return type(exc)
+
+    got, want = outcome(frac), outcome(F)
+    assert got == want and type(got) is (int if isinstance(want, F) and want.denominator == 1 else type(want))
+
+
 def test_rref_hand_case_divides_back_to_ints():
     rows, pivots = rref([[2, 4], [1, 3]])
     assert rows == [[1, 0], [0, 1]] and pivots == [0, 1]
