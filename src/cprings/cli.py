@@ -54,18 +54,13 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
-from .cpring import (
-    ContextMismatch,
-    CpContext,
-    FsViolation,
-    cp_equal,
-    validate_ideal,
-)
+from .cpring import CpContext, FsViolation, cp_equal, validate_ideal
 from .exactlin import Subspace, frac, unit_vec
 from .finrank import canonical_ideals, check_fs, left_annihilator
 from .graphalg import (
     FiniteGraph,
     LpaTarget,
+    _check_path,
     breaking_vertices,
     enumerate_ideal_pairs,
     graph_from_json,
@@ -78,8 +73,6 @@ from .graphalg import (
     restriction_graph,
 )
 from .ideals import (
-    NotInvariant,
-    NotTwoSided,
     _hasse_dot,
     enumerate_tpairs,
     hasse_edges,
@@ -97,7 +90,6 @@ from .rsystem import (
 )
 from .tensorpow import CapExceeded, DEFAULT_CAP
 from .toeplitz import (
-    SystemMismatch,
     ToeplitzElement,
     _class_words,
     embed,
@@ -253,20 +245,16 @@ class EvalContext:
         except ValueError:
             raise UnknownGenerator(f"unknown {what} {label!r}") from None
 
-    def _check_path(self, edges, what):
+    def _require_path(self, edges, what):
+        """Refuse a nonempty list of edge names that is not a path of the graph."""
         if self.graph is None:
             return
-        prev = None
-        for name in edges:
-            try:
-                e = self.graph.edge(name)
-            except KeyError:
-                raise UnknownGenerator(f"unknown edge {name!r} in {what}") from None
-            if prev is not None and prev != e.src:
-                raise UnknownGenerator(
-                    f"{what}: {' '.join(edges)} is not a composable path"
-                )
-            prev = e.tgt
+        try:
+            ends = _check_path(self.graph, edges)
+        except KeyError as exc:
+            raise UnknownGenerator(f"unknown edge {exc.args[0]!r} in {what}") from None
+        if ends is None:
+            raise UnknownGenerator(f"{what}: {' '.join(edges)} is not a composable path")
 
     # -- generator constructors ---------------------------------------------
     def generator(self, kind: str, label: str):
@@ -276,7 +264,7 @@ class EvalContext:
                 if label not in g.vertices:
                     raise UnknownGenerator(f"unknown vertex {label!r}")
                 return lpa_vertex(g, label)
-            self._check_path([label], f"{kind}:{label}")
+            self._require_path([label], f"{kind}:{label}")
             return lpa_x(g, label) if kind == "Q" else lpa_y(g, label)
         sy = self.system
         if kind == "R":
@@ -293,7 +281,7 @@ class EvalContext:
             return self.generator("R", names[0])
         if not names:
             raise UnknownGenerator(f"{head}() needs at least one edge")
-        self._check_path(names, f"{head}({' '.join(names)})")
+        self._require_path(names, f"{head}({' '.join(names)})")
         if self.backend == "lpa":
             return lpa_x(self.graph, *names) if head == "x" else lpa_y(self.graph, *names)
         if head == "x":
@@ -672,7 +660,7 @@ def _verb_tpair(loaded, args) -> Outcome:
 def _verb_quotient(loaded, args) -> Outcome:
     sy = loaded.system
     i_sub = _coord_subspace(loaded, args.i)
-    qs = quotient_system(sy, i_sub, name=f"{sy.name}/I")
+    qs = quotient_system(sy, i_sub)
     result = {"system": system_to_json(qs.system)}
     diags = []
     if loaded.kind == "graph":
@@ -958,6 +946,29 @@ def _is_flat(v) -> bool:
     return False
 
 
+def _named(exc) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+# each failure's exit code and diagnostic, by the first class that matches:
+# an input error exits 2, a domain error 1 (ValueError covers NotTwoSided,
+# NotInvariant, ContextMismatch and SystemMismatch), and a question above the
+# cap 3, undecided: neither "yes" nor "no"
+_FAILURES = {
+    _UsageError: (2, str),
+    ExprSyntaxError: (2, lambda exc: exc.msg),
+    UnknownGenerator: (2, str),
+    FsViolation: (1, _named),
+    NotImplementedError: (1, _named),
+    ValueError: (1, _named),
+    CapExceeded: (3, _named),
+}
+
+
+def _payload(ok: bool, result, diagnostics: list) -> dict:
+    return {"ok": ok, "result": result, "diagnostics": diagnostics}
+
+
 def run(argv) -> tuple[int, str]:
     """Execute a command line; returns (exit_code, stdout payload)."""
     try:
@@ -971,44 +982,14 @@ def run(argv) -> tuple[int, str]:
         outcome = _VERBS[args.verb].handler(loaded, args)
     except _HelpRequested as exc:
         return 0, str(exc)
-    except _UsageError as exc:
-        payload = {"ok": False, "result": None, "diagnostics": [str(exc)]}
-        return 2, json.dumps(payload, sort_keys=True)
-    except (ExprSyntaxError, UnknownGenerator) as exc:
-        msg = exc.msg if isinstance(exc, SyntaxError) else str(exc)
-        payload = {"ok": False, "result": None, "diagnostics": [msg]}
-        return 2, json.dumps(payload, sort_keys=True)
-    except (
-        NotTwoSided,
-        NotInvariant,
-        FsViolation,
-        ContextMismatch,
-        SystemMismatch,
-        NotImplementedError,
-        ValueError,
-    ) as exc:
-        payload = {
-            "ok": False,
-            "result": None,
-            "diagnostics": [f"{type(exc).__name__}: {exc}"],
-        }
-        return 1, json.dumps(payload, sort_keys=True)
-    except CapExceeded as exc:  # undecided within the cap: neither "yes" nor "no"
-        payload = {"ok": False, "result": None, "diagnostics": [f"CapExceeded: {exc}"]}
-        return 3, json.dumps(payload, sort_keys=True)
+    except tuple(_FAILURES) as exc:
+        code, message = next(each for cls, each in _FAILURES.items() if isinstance(exc, cls))
+        return code, json.dumps(_payload(False, None, [message(exc)]), sort_keys=True)
+    code = 0 if outcome.ok else 1
     if args.format == "dot" and outcome.rendered is not None:
-        return (0 if outcome.ok else 1), outcome.rendered
-    if args.format == "table":
-        body = _render_table(
-            {"ok": outcome.ok, "result": outcome.result, "diagnostics": outcome.diagnostics}
-        )
-        return (0 if outcome.ok else 1), body
-    payload = {
-        "ok": outcome.ok,
-        "result": outcome.result,
-        "diagnostics": outcome.diagnostics,
-    }
-    return (0 if outcome.ok else 1), json.dumps(payload, sort_keys=True)
+        return code, outcome.rendered
+    payload = _payload(outcome.ok, outcome.result, outcome.diagnostics)
+    return code, _render_table(payload) if args.format == "table" else json.dumps(payload, sort_keys=True)
 
 
 def main(argv=None) -> int:

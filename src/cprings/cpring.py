@@ -65,7 +65,7 @@ from .finrank import (
     theta_decomposition,
     validate_ideal,
 )
-from .rsystem import RSystem
+from .rsystem import RSystem, _memo
 from .tensorpow import DEFAULT_CAP, ideal_image, tensor_space
 from .toeplitz import (
     InvalidRepresentation,
@@ -110,7 +110,6 @@ class CpContext:
     # highest tensor level that products of CpElements and the Fock blocks
     # of the membership test may create (see toeplitz_mul, fock_apply)
     cap: int = DEFAULT_CAP
-    _pi_cache: dict = field(default_factory=dict, init=False, repr=False)
     _zero: Subspace = field(init=False, repr=False)  # I = 0, the floor of T(J)
 
     def __post_init__(self):
@@ -126,7 +125,7 @@ class CpContext:
         return CpElement(self, x)
 
 
-def _pi_delta(ctx: CpContext, x: Sequence[Fraction]) -> Optional[list[Fraction]]:
+def _pi_delta(system: RSystem, x: Sequence[Fraction]) -> Optional[list[Fraction]]:
     """Grade-(1,1) mixed coordinates of pi(Delta(x)), or None if dim (1,1) = 0.
 
     Maps the coefficients of `theta_decomposition`, Delta(x) = sum c_ab
@@ -135,29 +134,27 @@ def _pi_delta(ctx: CpContext, x: Sequence[Fraction]) -> Optional[list[Fraction]]
     Q (x)_R P: by the P-side frame p = sum_j psi(p (x) q_j) . p_j, a
     t = sum q_i (x) p_i equals sum_j theta_t(q_j) (x) p_j, which is 0 when
     theta_t is.  Without (FS) the class may depend on the solution; the
-    membership walk checks (FS).
+    membership walk checks (FS).  Memoized per system and x.
     """
-    system = ctx.system
-    key = tuple(x)
-    if key in ctx._pi_cache:
-        return ctx._pi_cache[key]
+    x = tuple(x)
+    return _memo(system, ("pi_delta", x), _build_pi_delta, system, x)
+
+
+def _build_pi_delta(system: RSystem, x: tuple) -> Optional[list[Fraction]]:
     cs = component_space(system, 1, 1)
     if cs.dim == 0:
-        ctx._pi_cache[key] = None
         return None
-    coeffs = theta_decomposition(system, key)
+    coeffs = theta_decomposition(system, x)
     if coeffs is None:
         raise ValueError("Delta(x) is not finite-rank: ideal is not psi-compatible")
     # c_ab sits at a * dim P + b, the Kronecker coordinate of e_a (x) e_b in Q (x) P
-    out = cs.quot.project(coeffs)
-    ctx._pi_cache[key] = out
-    return out
+    return cs.quot.project(coeffs)
 
 
 def _core_generator(ctx: CpContext, x: Sequence[Fraction]) -> ToeplitzElement:
     """iota_R(x) - pi(Delta(x)) as a Toeplitz element."""
     comps = {(0, 0): list(x)}
-    pd = _pi_delta(ctx, x)
+    pd = _pi_delta(ctx.system, x)
     if pd is not None:
         comps[(1, 1)] = [-c for c in pd]
     return ToeplitzElement(ctx.system, comps)
@@ -173,15 +170,13 @@ def _vacuum_span(system: RSystem, j: Subspace, k: int) -> Subspace:
 
     Maps are flattened column by column, as `_fock_block` lays out a block.
     """
-    store = system._store
-    span = store.get(("vacuum", k, j))
-    if span is None:
-        dst = tensor_space(system, "Q", k)
-        d = system.ring.dim
-        span = store[("vacuum", k, j)] = Subspace(dst.dim * d, [
-            [e for c in range(d) for e in dst.act_right(xi, unit_vec(d, c))]
-            for xi in ideal_image(system, "Q", k, j).basis()])
-    return span
+    return _memo(system, ("vacuum", k, j), _build_vacuum_span, system, j, k)
+
+
+def _build_vacuum_span(system: RSystem, j: Subspace, k: int) -> Subspace:
+    dst, d = tensor_space(system, "Q", k), system.ring.dim
+    return Subspace(dst.dim * d, [[e for c in range(d) for e in dst.act_right(xi, unit_vec(d, c))]
+                                  for xi in ideal_image(system, "Q", k, j).basis()])
 
 
 def _fock_block(x: ToeplitzElement, l: int, k: int, cap: int) -> list[Fraction]:

@@ -39,7 +39,7 @@ from .exactlin import (
     vec_scale,
     zero_vec,
 )
-from .rsystem import RSystem
+from .rsystem import RSystem, _chain, _memo
 from .tensorpow import tensor_space
 from .toeplitz import SystemMismatch, ToeplitzElement, component_space
 
@@ -74,21 +74,23 @@ def _require_automorphism(system: RSystem):
 
 
 def phi_power(system: RSystem, k: int):
-    """Cached matrix of phi^k (negative k through the stored inverse)."""
+    """Cached matrix of phi^k (negative k through the stored inverse): a
+    chain (`rsystem._chain`) over phi^0, phi^(+-1), .., phi^k."""
     _require_automorphism(system)
     k = int(k)
-    store = system._store
-    key = ("phi-pow", k)
-    if key in store:
-        return store[key]
-    if k == 0:
-        out = mat_identity(system.ring.dim)
-    elif k > 0:
-        out = matmul(system.phi, phi_power(system, k - 1))
-    else:
-        out = matmul(system.phi_inv, phi_power(system, k + 1))
-    store[key] = out
-    return out
+    sign = -1 if k < 0 else 1
+    return _chain(system, ("phi-pow", k), abs(k), _power_key, _power_link, sign)
+
+
+def _power_key(j: int, sign: int) -> tuple:
+    return ("phi-pow", sign * j)
+
+
+def _power_link(system: RSystem, j: int, prev, sign: int):
+    """phi^(sign j), from phi^(sign (j - 1)) (`prev`)."""
+    if prev is None:
+        return mat_identity(system.ring.dim)
+    return matmul(system.phi if sign > 0 else system.phi_inv, prev)
 
 
 class CrossedElement:
@@ -189,10 +191,10 @@ def _leg_collapse(system: RSystem, side: str, level: int):
     """Matrix taking level-`level` tensor coordinates to the ring part of the
     crossed-product word (degree -level for Q, +level for P)."""
     _require_automorphism(system)
-    store = system._store
-    key = ("crossed-leg", side, level)
-    if key in store:
-        return store[key]
+    return _memo(system, ("crossed-leg", side, level), _build_leg_collapse, system, side, level)
+
+
+def _build_leg_collapse(system: RSystem, side: str, level: int):
     # word (w1..wn) collapses to w1 phi^s(w2) ... phi^(s(n-1))(wn), s = -1 on Q, +1 on P
     sign = -1 if side == "Q" else 1
     twists = [mat_transpose(phi_power(system, sign * i)) for i in range(level)]  # rows = images
@@ -202,9 +204,7 @@ def _leg_collapse(system: RSystem, side: str, level: int):
         for i, letter in enumerate(word[1:], 1):
             acc = system.ring.multiply(acc, twists[i][letter])
         cols.append(acc)
-    out = mat_transpose(cols)
-    store[key] = out
-    return out
+    return mat_transpose(cols)
 
 
 def toeplitz_to_crossed(x: ToeplitzElement) -> CrossedElement:

@@ -22,11 +22,13 @@ modules the paper-style quantification over finite subsets reduces to the
 basis.
 
 `check_fs`, `left_annihilator` ({r : rR = 0}) and `delta_ideals` (ker Delta
-and Delta^(-1)(F_P(Q))) are computed once per system and stored with it;
-given a floor ideal I, each answers for R/I instead, read in R with operator
-columns taken modulo M.I (`_column_residual`, as in the membership walk),
-and the theta table read so is stored once per floor (`_floored_thetas`);
-only `cpr quotient` builds R/I.  Rows are dense only while they are reduced
+and Delta^(-1)(F_P(Q))) are computed once per system, like the theta
+tables: each is an entry of the system's memo (`rsystem._memo`), built on a
+miss by a module-level function.  Given a floor ideal I, each answers for
+R/I instead, read in R with operator columns taken modulo M.I
+(`_column_residual`, as in the membership walk), and the theta table read
+so is stored once per floor (`_floored_thetas`); only `cpr quotient`
+builds R/I.  Rows are dense only while they are reduced
 so, and in the eliminations of `delta_ideals`.  `validate_ideal` decides
 J's conditions against `delta_ideals`, and `canonical_ideals` adds the
 two-sided annihilator of ker Delta (the kernel of x -> k x and x -> x k
@@ -61,7 +63,7 @@ from .exactlin import (
     preimage,
     solve,
 )
-from .rsystem import RSystem, corner_graph, is_two_sided
+from .rsystem import RSystem, _memo, corner_graph, is_two_sided
 from .tensorpow import ideal_image, psi_n, tensor_space
 
 
@@ -113,12 +115,7 @@ def theta_table(system: RSystem, side: str, level: int) -> tuple:
     """
     if side not in ("Q", "P"):
         raise ValueError("side must be 'Q' or 'P'")
-    store = system._store
-    key = ("theta", side, level)
-    rows = store.get(key)
-    if rows is None:
-        rows = store[key] = _build_theta_table(system, side, level)
-    return rows
+    return _memo(system, ("theta", side, level), _build_theta_table, system, side, level)
 
 
 def _solve_over(rows: Sequence, target) -> Optional[list]:
@@ -189,12 +186,12 @@ def _floored(system: RSystem, side: str, level: int, i: Optional[Subspace], maps
 def _floored_thetas(system: RSystem, side: str, level: int, i: Optional[Subspace]) -> list:
     """The theta table of one side and level `_floored` modulo MI, once per
     system, side, level and floor: `check_fs` and `delta_ideals` share it."""
-    store = system._store
     key = ("theta_floored", side, level, _floor_key(i))
-    rows = store.get(key)
-    if rows is None:
-        rows = store[key] = _floored(system, side, level, i, theta_table(system, side, level))
-    return rows
+    return _memo(system, key, _build_floored_thetas, system, side, level, i)
+
+
+def _build_floored_thetas(system: RSystem, side: str, level: int, i: Optional[Subspace]) -> list:
+    return _floored(system, side, level, i, theta_table(system, side, level))
 
 
 def theta_decomposition(system: RSystem, x: Sequence[Fraction]):
@@ -228,26 +225,20 @@ def _identity_in_span(system: RSystem, level: int, side: str, i: Optional[Subspa
 
 def _fs_half(system: RSystem, side: str, level: int = 1, i: Optional[Subspace] = None):
     """`_identity_in_span` of one side, once per system, side, level and I."""
-    store = system._store
-    key = ("fs_half", side, level, _floor_key(i))
-    if key not in store:
-        store[key] = _identity_in_span(system, level, side, i)
-    return store[key]
+    return _memo(system, ("fs_half", side, level, _floor_key(i)), _identity_in_span, system, level, side, i)
 
 
 def check_fs(system: RSystem, i: Optional[Subspace] = None, level: int = 1) -> FsReport:
     """Condition (FS) of R/I (of R for I = 0) at one level, decided once
     per system and I: the residual of id_Q modulo QI in the span of the
     theta residuals, and likewise for id_P modulo IP (`_floored`)."""
-    store = system._store
-    key = ("fs", level, _floor_key(i))
-    rep = store.get(key)
-    if rep is None:
-        q_cert, p_cert = (_fs_half(system, side, level, i) for side in ("Q", "P"))
-        rep = store[key] = FsReport(ok=q_cert is not None and p_cert is not None,
-                                    q_ok=q_cert is not None, p_ok=p_cert is not None,
-                                    q_certificate=q_cert, p_certificate=p_cert, level=level)
-    return rep
+    return _memo(system, ("fs", level, _floor_key(i)), _build_fs_report, system, i, level)
+
+
+def _build_fs_report(system: RSystem, i: Optional[Subspace], level: int) -> FsReport:
+    q_cert, p_cert = (_fs_half(system, side, level, i) for side in ("Q", "P"))
+    return FsReport(ok=q_cert is not None and p_cert is not None, q_ok=q_cert is not None,
+                    p_ok=p_cert is not None, q_certificate=q_cert, p_certificate=p_cert, level=level)
 
 
 def left_annihilator(system: RSystem, i: Optional[Subspace] = None) -> Subspace:
@@ -257,19 +248,19 @@ def left_annihilator(system: RSystem, i: Optional[Subspace] = None) -> Subspace:
     Its equations are the coordinates of r e_c modulo I for each basis
     element e_c, read off the nonzeros of right multiplication
     (`ring.right[c][a]` is e_a e_c); with none, every r qualifies."""
-    store, floor = system._store, _floor_key(i)
-    key = ("left_annihilator", floor)
-    out = store.get(key)
-    if out is None:
-        d = system.ring.dim
-        classes = tuple if floor is None else QuotientSpace(floor).project_nz  # nonzeros modulo I
-        rows: dict = {}  # (c, t): coordinate t of the class of r e_c, as a row over r
-        for c, cols in enumerate(system.ring.right):
-            for a, col in enumerate(cols):
-                for t, v in classes(col):
-                    rows.setdefault((c, t), [ZERO] * d)[a] = v
-        out = store[key] = Subspace(d, kernel(list(rows.values()))) if rows else Subspace.full(d)
-    return out
+    floor = _floor_key(i)
+    return _memo(system, ("left_annihilator", floor), _build_left_annihilator, system, floor)
+
+
+def _build_left_annihilator(system: RSystem, floor: Optional[Subspace]) -> Subspace:
+    d = system.ring.dim
+    classes = tuple if floor is None else QuotientSpace(floor).project_nz  # nonzeros modulo I
+    rows: dict = {}  # (c, t): coordinate t of the class of r e_c, as a row over r
+    for c, cols in enumerate(system.ring.right):
+        for a, col in enumerate(cols):
+            for t, v in classes(col):
+                rows.setdefault((c, t), [ZERO] * d)[a] = v
+    return Subspace(d, kernel(list(rows.values()))) if rows else Subspace.full(d)
 
 
 def _delta_map_matrix(system: RSystem, i: Optional[Subspace]) -> list:
@@ -329,27 +320,25 @@ def delta_ideals(system: RSystem, i: Optional[Subspace] = None) -> tuple[Subspac
     (t, s) has s in M.  QI is a left submodule, so r = sum c_t e_t has
     r.Q <= QI exactly when each e_t r.Q = c_t e_t Q does: K_I is the span of
     the e_t whose nonzero Q-corners all end in M."""
-    store = system._store
-    key = ("delta_ideals", _floor_key(i))
-    out = store.get(key)
-    if out is None:
-        d, graph, dmap = system.ring.dim, corner_graph(system), None
-        mask = 0 if i is None else i.coordinate_mask()
-        if graph is not None and mask is not None:
-            k_i = Subspace.coordinate_span(d, [t for t in range(d) if not graph.q[t] & ~mask])
-        else:
-            dmap = _delta_map_matrix(system, i)
-            k_i = Subspace(d, kernel(dmap)) if dmap else Subspace.full(d)  # Q = 0: Delta is zero
-        if _fs_half(system, "Q") is not None:
-            out = (k_i, Subspace.full(d))
-        else:  # without (FS) Q is nonzero, and only the elimination decides D_I
-            if dmap is None:
-                dmap = _delta_map_matrix(system, i)
-            n = len(dmap)
-            thetas = Subspace(n, [_dense(n, row) for row in _floored_thetas(system, "Q", 1, i)])
-            out = (k_i, preimage(dmap, thetas))
-        store[key] = out
-    return out
+    return _memo(system, ("delta_ideals", _floor_key(i)), _build_delta_ideals, system, i)
+
+
+def _build_delta_ideals(system: RSystem, i: Optional[Subspace]) -> tuple[Subspace, Subspace]:
+    d, graph, dmap = system.ring.dim, corner_graph(system), None
+    mask = 0 if i is None else i.coordinate_mask()
+    if graph is not None and mask is not None:
+        k_i = Subspace.coordinate_span(d, [t for t in range(d) if not graph.q[t] & ~mask])
+    else:
+        dmap = _delta_map_matrix(system, i)
+        k_i = Subspace(d, kernel(dmap)) if dmap else Subspace.full(d)  # Q = 0: Delta is zero
+    if _fs_half(system, "Q") is not None:
+        return k_i, Subspace.full(d)
+    # without (FS) Q is nonzero, and only the elimination decides D_I
+    if dmap is None:
+        dmap = _delta_map_matrix(system, i)
+    n = len(dmap)
+    thetas = Subspace(n, [_dense(n, row) for row in _floored_thetas(system, "Q", 1, i)])
+    return k_i, preimage(dmap, thetas)
 
 
 # J's three conditions, as CompatibleIdeal's fields; the messages name them
@@ -395,14 +384,14 @@ def validate_ideal(system: RSystem, subspace: Subspace, i: Optional[Subspace] = 
     d = system.ring.dim
     if subspace.ambient != d:
         raise ValueError(f"ideal lives in dimension {subspace.ambient}, ring has {d}")
-    store, key = system._store, ("ideal", subspace, _floor_key(i))
-    out = store.get(key)
-    if out is None:
-        k_i, d_i = delta_ideals(system, i)
-        j_i = subspace if i is None or i.le(subspace) else subspace.add(i)
-        out = store[key] = CompatibleIdeal(system, subspace, is_two_sided(system, j_i), subspace.le(d_i),
-                                           subspace.add(k_i).dim - k_i.dim == j_i.dim - (i.dim if i else 0))
-    return out
+    return _memo(system, ("ideal", subspace, _floor_key(i)), _build_compatible_ideal, system, subspace, i)
+
+
+def _build_compatible_ideal(system: RSystem, subspace: Subspace, i: Optional[Subspace]) -> CompatibleIdeal:
+    k_i, d_i = delta_ideals(system, i)
+    j_i = subspace if i is None or i.le(subspace) else subspace.add(i)
+    return CompatibleIdeal(system, subspace, is_two_sided(system, j_i), subspace.le(d_i),
+                           subspace.add(k_i).dim - k_i.dim == j_i.dim - (i.dim if i else 0))
 
 
 def canonical_ideals(system: RSystem) -> dict:

@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exactlin import ONE, ZERO, frac
+from .rsystem import _json_name
 
 
 @dataclass(frozen=True)
@@ -82,19 +83,20 @@ class FiniteGraph:
     def infinite_emitters(self) -> list[str]:
         return [v for v in self.vertices if self.out_degree(v) == math.inf]
 
-    def expand(self) -> "FiniteGraph":
-        """Replace multiplicities by parallel edges (refuses infinite ones)."""
-        out = []
+    def copies(self):
+        """(name, src, tgt) of each parallel copy of each edge, copy k >= 2
+        of an edge e named e#k; refuses an infinite multiplicity."""
         for e in self.edges:
-            if e.mult == math.inf:
-                raise ValueError(f"edge {e.name} has infinite multiplicity")
-            m = int(e.mult)
-            if m != e.mult or m < 1:
-                raise ValueError(f"edge {e.name}: bad multiplicity {e.mult}")
-            out.append(Edge(e.name, e.src, e.tgt))
-            for k in range(2, m + 1):
-                out.append(Edge(f"{e.name}#{k}", e.src, e.tgt))
-        return FiniteGraph(self.vertices, out, name=self.name)
+            if not math.isfinite(e.mult) or e.mult != int(e.mult):
+                raise ValueError(f"edge {e.name}: infinite multiplicity is not supported algebraically")
+            if e.mult < 1:
+                raise ValueError(f"edge {e.name}: multiplicity must be >= 1")
+            for k in range(1, int(e.mult) + 1):
+                yield e.name if k == 1 else f"{e.name}#{k}", e.src, e.tgt
+
+    def expand(self) -> "FiniteGraph":
+        """Replace multiplicities by parallel edges (`copies`)."""
+        return FiniteGraph(self.vertices, [Edge(*c) for c in self.copies()], name=self.name)
 
     def edge(self, name: str) -> Edge:
         for e in self.edges:
@@ -127,7 +129,7 @@ def graph_from_json(data: dict) -> FiniteGraph:
     bad = [v for v in vertices if not isinstance(v, str)]
     if bad:
         raise ValueError(f'vertex {bad[0]!r} is not a string')
-    return FiniteGraph(vertices, edges, name=data.get("name", "graph"))
+    return FiniteGraph(vertices, edges, name=_json_name(data, "graph"))
 
 
 def graph_to_json(graph: FiniteGraph) -> dict:

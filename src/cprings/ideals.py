@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from operator import and_
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exactlin import QuotientSpace, Subspace, _dense, _nonzeros, _sum_nz, is_zero_vec, unit_vec
 from .cpring import CpContext, _core_generator, _graded_preimage
@@ -153,8 +153,9 @@ class QuotientSystem:
     quot_p: QuotientSpace
 
 
-def quotient_system(system: RSystem, i: Subspace, *, name: Optional[str] = None) -> QuotientSystem:
-    """R/I, Q/QI, P/IP with the induced actions and pairing.
+def quotient_system(system: RSystem, i: Subspace) -> QuotientSystem:
+    """R/I, Q/QI, P/IP with the induced actions and pairing, named `name/I`
+    for a system named `name`.
 
     The parent must be a valid system: `build_graph_system` and
     `build_automorphism_system` give one, and `cli.run` validates every
@@ -165,10 +166,10 @@ def quotient_system(system: RSystem, i: Subspace, *, name: Optional[str] = None)
         raise NotTwoSided("quotients need a two-sided ideal")
     if not _psi_invariant(system, i):
         raise NotInvariant("quotients need a psi-invariant ideal")
-    return _quotient_system(system, i, name)
+    return _quotient_system(system, i)
 
 
-def _quotient_system(system: RSystem, i: Subspace, name: Optional[str]) -> QuotientSystem:
+def _quotient_system(system: RSystem, i: Subspace) -> QuotientSystem:
     """`quotient_system` for an I already known to be two-sided and psi-invariant.
 
     Basis element t of each quotient is the class of the kept coordinate
@@ -206,7 +207,7 @@ def _quotient_system(system: RSystem, i: Subspace, name: Optional[str]) -> Quoti
     psi = system.psi._table_nz
     psi2 = Pairing.from_cells([[quot_r.project_nz(psi[a][b]) for b in quot_q.free] for a in quot_p.free], quot_r.dim)
 
-    quotient = RSystem(ring2, p2, q2, psi2, name=name or f"{system.name}/I")
+    quotient = RSystem(ring2, p2, q2, psi2, name=f"{system.name}/I")
     return QuotientSystem(quotient, quot_r, quot_q, quot_p)
 
 

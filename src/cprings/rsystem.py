@@ -37,11 +37,17 @@ the identity on both legs, `corner_graph` records, once per system, which
 corners e_t Q e_s and e_s P e_t are nonzero; two-sidedness here, and
 descent, ker Delta and annihilators in `finrank` and `ideals`, are read off
 it for coordinate spans.
+
+Each system carries one memo, freed with it.  Every construction built once
+per system goes through `_memo(system, key, build, *args)`, which returns
+the entry `key` and on a miss sets it to build(*args), or through `_chain`,
+for the last entry of a chain whose entries are each built from the one
+before (tensor levels, word prefixes, the letter pairs of a contraction,
+powers of an automorphism).  No other module touches the memo itself.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -283,7 +289,7 @@ class RSystem:
     q: StructuredBimodule
     psi: Pairing
     name: str = "system"
-    # memo of tensor levels, components and rank-one data, read as `system._store`
+    # the one per-system memo, read and written by `_memo` and `_chain` alone
     _store: dict = field(default_factory=dict, init=False, repr=False)
 
     def __repr__(self) -> str:
@@ -291,6 +297,39 @@ class RSystem:
             f"RSystem({self.name!r}: dim R={self.ring.dim}, "
             f"dim P={self.p.dim}, dim Q={self.q.dim})"
         )
+
+
+def _memo(system: RSystem, key, build, *args):
+    """The system's memo entry `key`, set to build(*args) on a miss: every
+    construction cached per system goes through here or `_chain`.  A hit is
+    one dict lookup; a value of None is cached like any other."""
+    store = system._store
+    try:
+        return store[key]
+    except KeyError:
+        pass
+    out = store[key] = build(*args)
+    return out
+
+
+def _chain(system: RSystem, key, n: int, at, link, *args):
+    """The memo entry `key` = at(n, *args), the last of the chain of entries
+    at(k, *args), k <= n: entry k is link(system, k, entry k - 1, *args),
+    entry 0 link(system, 0, None, *args).  On a miss, the entries above the
+    highest one memoized are built bottom-up and memoized, in a loop rather
+    than a stack frame per entry."""
+    store = system._store
+    try:
+        return store[key]
+    except KeyError:
+        pass
+    k = n
+    while k and at(k - 1, *args) not in store:
+        k -= 1
+    out = store[at(k - 1, *args)] if k else None
+    for k in range(k, n + 1):
+        out = store[at(k, *args)] = link(system, k, out, *args)
+    return out
 
 
 @dataclass
@@ -501,16 +540,17 @@ def corner_graph(system: RSystem) -> CornerGraph | None:
     m_a, whatever the basis of the leg.  A system with a leg vector that
     every e_t kills from one side (m . e_t = 0 for every t, say) has no
     corner graph, and its questions keep the general path."""
-    store = system._store
-    if ("corners",) not in store:
-        graph, d = None, system.ring.dim
-        if orthogonal_idempotents(system.ring):
-            q, p = _corner_masks(system.q, d), _corner_masks(system.p, d)
-            if q is not None and p is not None:  # P's corner (t, s) is e_s P e_t
-                graph = CornerGraph(tuple(q), tuple(sum(1 << s for s in range(d) if p[s] >> t & 1)
-                                                    for t in range(d)))
-        store[("corners",)] = graph
-    return store[("corners",)]
+    return _memo(system, ("corners",), _build_corner_graph, system)
+
+
+def _build_corner_graph(system: RSystem) -> CornerGraph | None:
+    graph, d = None, system.ring.dim
+    if orthogonal_idempotents(system.ring):
+        q, p = _corner_masks(system.q, d), _corner_masks(system.p, d)
+        if q is not None and p is not None:  # P's corner (t, s) is e_s P e_t
+            graph = CornerGraph(tuple(q), tuple(sum(1 << s for s in range(d) if p[s] >> t & 1)
+                                                for t in range(d)))
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -528,18 +568,7 @@ def build_graph_system(graph) -> RSystem:
     """
     verts = list(graph.vertices)
     vidx = {v: i for i, v in enumerate(verts)}
-    edges = []
-    for e in graph.edges:
-        mult = getattr(e, "mult", 1)
-        if not math.isfinite(mult) or mult != int(mult):
-            raise ValueError(f"edge {e.name}: infinite multiplicity is not supported algebraically")
-        mult = int(mult)
-        if mult < 1:
-            raise ValueError(f"edge {e.name}: multiplicity must be >= 1")
-        for k in range(mult):
-            name = e.name if k == 0 else f"{e.name}#{k + 1}"
-            edges.append((name, e.src, e.tgt))
-
+    edges = list(graph.copies())
     nv, ne = len(verts), len(edges)
     ring = StructuredRing.from_cells(verts, [[((i, ONE),) if i == j else () for j in range(nv)] for i in range(nv)])
     src = [vidx[s] for (_, s, _) in edges]
@@ -552,7 +581,7 @@ def build_graph_system(graph) -> RSystem:
     q_mod = StructuredBimodule(labels, [diag(src, v) for v in range(nv)], [diag(tgt, v) for v in range(nv)])
     p_mod = StructuredBimodule(labels, [diag(tgt, v) for v in range(nv)], [diag(src, v) for v in range(nv)])
     psi = Pairing.from_cells([[((tgt[a], ONE),) if a == b else () for b in range(ne)] for a in range(ne)], nv)
-    return RSystem(ring=ring, p=p_mod, q=q_mod, psi=psi, name=f"graph:{getattr(graph, 'name', '?')}")
+    return RSystem(ring=ring, p=p_mod, q=q_mod, psi=psi, name=f"graph:{graph.name}")
 
 
 def build_automorphism_system(ring: StructuredRing, phi) -> RSystem:
@@ -626,6 +655,14 @@ def _basis(data: dict, key: str) -> list:
     return labels
 
 
+def _json_name(data: dict, default: str) -> str:
+    """data["name"], which must be a string, or `default` when there is none."""
+    name = data.get("name", default)
+    if not isinstance(name, str):
+        raise ValueError(f'"name" {name!r} is not a string')
+    return name
+
+
 def system_from_json(data: dict) -> RSystem:
     """Build a system from the interchange schema.
 
@@ -651,7 +688,7 @@ def system_from_json(data: dict) -> RSystem:
     p_mod = load_mod("p")
     q_mod = load_mod("q")
     psi = Pairing.from_cells(_triples_to_cells(data.get("psi", []), p_mod.dim, q_mod.dim, n), n)
-    return RSystem(ring=ring, p=p_mod, q=q_mod, psi=psi, name=data.get("name", "system"))
+    return RSystem(ring=ring, p=p_mod, q=q_mod, psi=psi, name=_json_name(data, "system"))
 
 
 def _cells_to_triples(cells):

@@ -17,8 +17,8 @@ own columns (`ring.left`, `ring.right`), shared, not rebuilt.
 Unwinding `basis` down to level 1 makes every basis class the class of a word
 of level-1 letters: `words[t] == words[a] + (b,)`, so the words of a level
 are prefix-closed.  `_word_nz(system, side, word)` gives the nonzero level
-coordinates of any word's class (memoized), so every piece of a basis word
-has a class, whether or not it is itself a basis word.
+coordinates of any word's class, so every piece of a basis word has a
+class, whether or not it is itself a basis word.
 
 The iterated pairing is a contraction of words:
 
@@ -33,8 +33,13 @@ column: psi_0 is `ring.left`, psi_1 the pairing's `_table_nz`, and the cell
 of two basis classes at n >= 2 the contraction of their words; `psi_apply`
 is `rsystem._bilinear` over the table, the kernel of every R-action too.
 
-Everything is memoized in memory on the system (`RSystem._store`), so the memo
-is freed with its system.
+Levels, ideal images, word classes, contractions and the tables psi_n are
+memoized on the system, through the one memo of `rsystem` (`_memo`), and
+freed with it.  Three of them are chains, each entry built from the one
+before it: the levels of a leg, the prefixes of a word and the letter pairs
+of a contraction.  `rsystem._chain` builds each bottom-up from the highest
+entry already memoized, in a loop, so depth is bounded by the cap, not the
+stack.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from .exactlin import (
     _sum_nz,
     unit_vec,
 )
-from .rsystem import RSystem, _Actions, _bilinear
+from .rsystem import RSystem, _Actions, _bilinear, _chain, _memo
 
 DEFAULT_CAP = 6
 
@@ -119,26 +124,15 @@ def balanced_quotient(a_right, a_dim: int, b_left, b_dim: int) -> QuotientSpace:
 def tensor_space(system: RSystem, side: str, n: int) -> TensorSpace:
     if n < 0:
         raise ValueError("negative tensor level")
-    store = system._store
-    key = ("space", side, n)
-    if key not in store:
-        _build_upward(store, lambda k: ("space", side, k), n, lambda k: _build_level(system, side, k))
-    return store[key]
+    return _chain(system, ("space", side, n), n, _level_key, _build_level, side)
 
 
-def _build_upward(memo: dict, key, n: int, build) -> None:
-    """Set memo[key(k)] = build(k) for the levels k <= n above the highest one
-    already in memo, bottom-up, so that no level takes a stack frame per
-    level below it."""
-    k = n
-    while k and key(k - 1) not in memo:
-        k -= 1
-    for k in range(k, n + 1):
-        memo[key(k)] = build(k)
+def _level_key(k: int, side: str) -> tuple:
+    return ("space", side, k)
 
 
-def _build_level(system: RSystem, side: str, n: int) -> TensorSpace:
-    """Level n, from level n - 1 already in the store."""
+def _build_level(system: RSystem, n: int, prev: TensorSpace | None, side: str) -> TensorSpace:
+    """Level n, from level n - 1 (`prev`)."""
     if n == 0:  # R as an R-bimodule
         ring = system.ring
         return TensorSpace(system, side, 0, ring.dim, None, None, None, ring.left, ring.right)
@@ -147,7 +141,6 @@ def _build_level(system: RSystem, side: str, n: int) -> TensorSpace:
     if n == 1:
         words = tuple((b,) for b in range(d_m))
         return TensorSpace(system, side, 1, d_m, None, None, words, mod.left, mod.right)
-    prev = system._store[("space", side, n - 1)]
     quot = balanced_quotient(prev.right, prev.dim, mod.left, d_m)
     basis = tuple(divmod(f, d_m) for f in quot.free)
     words = tuple(prev.words[a] + (b,) for a, b in basis)
@@ -164,42 +157,38 @@ def ideal_image(system: RSystem, side: str, k: int, ideal: Subspace) -> Subspace
     the ideal itself when k = 0; memoized per system."""
     if k == 0:
         return ideal
-    store, key = system._store, ("image", side, k, ideal)
-    span = store.get(key)
-    if span is None:
-        dst = tensor_space(system, side, k)
-        units = [unit_vec(dst.dim, a) for a in range(dst.dim)]
-        span = store[key] = Subspace(dst.dim, [dst.act_right(u, x) if side == "Q" else dst.act_left(x, u)
-                                               for u in units for x in ideal.basis()])
-    return span
+    return _memo(system, ("image", side, k, ideal), _build_ideal_image, system, side, k, ideal)
+
+
+def _build_ideal_image(system: RSystem, side: str, k: int, ideal: Subspace) -> Subspace:
+    dst = tensor_space(system, side, k)
+    units = [unit_vec(dst.dim, a) for a in range(dst.dim)]
+    return Subspace(dst.dim, [dst.act_right(u, x) if side == "Q" else dst.act_left(x, u)
+                              for u in units for x in ideal.basis()])
 
 
 def _word_nz(system: RSystem, side: str, word: tuple) -> tuple:
     """The nonzero (index, value) pairs of the level coordinates of the class
     of e_w1 (x) ... (x) e_wn, for word = (w1..wn).
 
-    Extends the longest memoized prefix one letter at a time, the class of
-    u (x) e_b being that of class(u) (x) e_b; every prefix is memoized.
+    A chain over the prefixes (`_chain`): the class of u (x) e_b is that of
+    class(u) (x) e_b, so every prefix is memoized on the way.
     """
-    store = system._store
-    if ("word", side, word) in store:
-        return store[("word", side, word)]
     if not word:
         raise ValueError("the empty word has no class")
+    return _chain(system, ("word", side, word), len(word) - 1, _prefix_key, _word_link, side, word)
+
+
+def _prefix_key(k: int, side: str, word: tuple) -> tuple:
+    return ("word", side, word[:k + 1])
+
+
+def _word_link(system: RSystem, k: int, prev, side: str, word: tuple) -> tuple:
+    """The class of word[:k + 1], from that of word[:k] (`prev`)."""
+    if prev is None:
+        return ((word[0], ONE),)
     d_m = _module_of(system, side).dim
-    k = len(word) - 1
-    while k and ("word", side, word[:k]) not in store:
-        k -= 1
-    if k:
-        out = store[("word", side, word[:k])]
-    else:
-        k = 1
-        out = store[("word", side, word[:1])] = ((word[0], ONE),)
-    for k in range(k + 1, len(word) + 1):
-        b = word[k - 1]
-        out = tensor_space(system, side, k).quot.project_nz([(a * d_m + b, x) for a, x in out])
-        store[("word", side, word[:k])] = out
-    return out
+    return tensor_space(system, side, k + 1).quot.project_nz([(a * d_m + word[k], x) for a, x in prev])
 
 
 def _project_kron(quot: QuotientSpace, u: Sequence[Fraction], w: Sequence[Fraction]) -> list:
@@ -222,12 +211,12 @@ def psi_n(system: RSystem, n: int):
         return system.ring.left
     if n == 1:
         return system.psi._table_nz
-    store = system._store
-    if ("psi", n) not in store:
-        qwords = tensor_space(system, "Q", n).words
-        store[("psi", n)] = tuple(tuple(_contract(system, p, q) for q in qwords)
-                                  for p in tensor_space(system, "P", n).words)
-    return store[("psi", n)]
+    return _memo(system, ("psi", n), _build_psi_n, system, n)
+
+
+def _build_psi_n(system: RSystem, n: int) -> tuple:
+    qwords = tensor_space(system, "Q", n).words
+    return tuple(tuple(_contract(system, p, q) for q in qwords) for p in tensor_space(system, "P", n).words)
 
 
 def _contract(system: RSystem, p: tuple, q: tuple) -> tuple:
@@ -238,29 +227,23 @@ def _contract(system: RSystem, p: tuple, q: tuple) -> tuple:
 
         psi_t(p[k-t:] (x) q[:t]) = psi(e_p[k-t] . psi_(t-1)(p[k-t+1:] (x) q[:t-1]) (x) e_q[t-1]),
 
-    so the longest memoized pair (p[k-t:], q[:t]) is extended one letter pair
-    at a time, each pair memoized, in a loop rather than a stack frame per letter.
+    a chain over t (`_chain`) whose every pair (p[k-t:], q[:t]) is memoized.
     """
-    store = system._store
-    if ("contract", p, q) in store:
-        return store[("contract", p, q)]
-    k = len(p)
-    t = k - 1
-    while t and ("contract", p[k - t:], q[:t]) not in store:
-        t -= 1
-    psi = system.psi._table_nz
-    if t:
-        out = store[("contract", p[k - t:], q[:t])]
-    else:
-        t = 1
-        out = store[("contract", p[k - 1:], q[:1])] = psi[p[k - 1]][q[0]]
-    right = system.p.right
-    for t in range(t + 1, k + 1):
-        a, b = p[k - t], q[t - 1]
-        pr = _sum_nz((ri, right[i][a]) for i, ri in out)  # e_a . r in P
-        out = _sum_nz((x, psi[y][b]) for y, x in pr)
-        store[("contract", p[k - t:], q[:t])] = out
-    return out
+    return _chain(system, ("contract", p, q), len(p) - 1, _pair_key, _contract_link, p, q)
+
+
+def _pair_key(t: int, p: tuple, q: tuple) -> tuple:
+    return ("contract", p[len(p) - t - 1:], q[:t + 1])
+
+
+def _contract_link(system: RSystem, t: int, prev, p: tuple, q: tuple) -> tuple:
+    """psi_(t+1) of the t + 1 innermost letter pairs, from psi_t of the t
+    innermost (`prev`)."""
+    psi, a, b = system.psi._table_nz, p[len(p) - t - 1], q[t]
+    if prev is None:
+        return psi[a][b]
+    pr = _sum_nz((ri, system.p.right[i][a]) for i, ri in prev)  # e_a . r in P
+    return _sum_nz((x, psi[y][b]) for y, x in pr)
 
 
 def psi_apply(system: RSystem, n: int, p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:

@@ -63,11 +63,10 @@ from .exactlin import (
     vec_scale,
     zero_vec,
 )
-from .rsystem import RSystem
+from .rsystem import RSystem, _memo
 from .tensorpow import (
     CapExceeded,
     DEFAULT_CAP,
-    _build_upward,
     _contract,
     _module_of,
     _project_kron,
@@ -131,29 +130,24 @@ class ComponentSpace:
 
 
 def component_space(system: RSystem, m: int, n: int) -> ComponentSpace:
-    store = system._store
-    key = ("comp", m, n)
-    if key in store:
-        return store[key]
+    return _memo(system, ("comp", m, n), _build_component, system, m, n)
+
+
+def _build_component(system: RSystem, m: int, n: int) -> ComponentSpace:
     if m < 0 or n < 0:
         raise ValueError("negative grade")
     if m == 0 and n == 0:
-        comp = ComponentSpace(system, 0, 0, system.ring.dim, None, None)
-    elif n == 0:
-        comp = ComponentSpace(system, m, 0, tensor_space(system, "Q", m).dim, None, None)
-    elif m == 0:
-        comp = ComponentSpace(system, 0, n, tensor_space(system, "P", n).dim, None, None)
-    else:
-        qm = tensor_space(system, "Q", m)
-        pn = tensor_space(system, "P", n)
-        if qm.dim == 0 or pn.dim == 0:
-            comp = ComponentSpace(system, m, n, 0, None, None)
-        else:
-            quot = balanced_quotient(qm.right, qm.dim, pn.left, pn.dim)
-            basis = tuple(divmod(f, pn.dim) for f in quot.free)
-            comp = ComponentSpace(system, m, n, quot.dim, quot, basis)
-    store[key] = comp
-    return comp
+        return ComponentSpace(system, 0, 0, system.ring.dim, None, None)
+    if n == 0:
+        return ComponentSpace(system, m, 0, tensor_space(system, "Q", m).dim, None, None)
+    if m == 0:
+        return ComponentSpace(system, 0, n, tensor_space(system, "P", n).dim, None, None)
+    qm = tensor_space(system, "Q", m)
+    pn = tensor_space(system, "P", n)
+    if qm.dim == 0 or pn.dim == 0:
+        return ComponentSpace(system, m, n, 0, None, None)
+    quot = balanced_quotient(qm.right, qm.dim, pn.left, pn.dim)
+    return ComponentSpace(system, m, n, quot.dim, quot, tuple(divmod(f, pn.dim) for f in quot.free))
 
 
 def _class_nz(system: RSystem, m: int, n: int, q, p) -> tuple:
@@ -333,31 +327,31 @@ def _join(system: RSystem, side: str, head: tuple, r, tail: tuple) -> tuple:
 
 def _product_column(system: RSystem, g1, i: int, g2, j: int) -> tuple:
     """Nonzero (k, c) of basis class i of C(g1) times basis class j of C(g2),
-    by the rule at the join (module docstring)."""
-    store = system._store
-    key = ("prodcol", g1, i, g2, j)
-    if key not in store:
-        (m1, n1), (m2, n2) = g1, g2
-        u1, v1 = _class_words(system, m1, n1, i)
-        u2, v2 = _class_words(system, m2, n2, j)
-        k = min(n1, m2)
-        if g1 == g2 == (0, 0):
-            r = system.ring.left[i][j]
-        elif g1 == (0, 0):
-            r = ((i, ONE),)
-        elif g2 == (0, 0):
-            r = ((j, ONE),)
-        elif k:
-            r = _contract(system, v1[n1 - k:], u2[:k])
-        else:
-            r = None
-        q_tail, p_head = u2[k:], v1[:n1 - k]  # one of them is empty
-        if p_head or not (u1 or q_tail):  # the letters meet inside the P word
-            q, p = _word_nz(system, "Q", u1) if u1 else None, _join(system, "P", p_head, r, v2)
-        else:
-            q, p = _join(system, "Q", u1, r, q_tail), _word_nz(system, "P", v2) if v2 else None
-        store[key] = _class_nz(system, m1 + len(q_tail), len(p_head) + n2, q, p)
-    return store[key]
+    by the rule at the join (module docstring), once per system."""
+    return _memo(system, ("prodcol", g1, i, g2, j), _build_product_column, system, g1, i, g2, j)
+
+
+def _build_product_column(system: RSystem, g1, i: int, g2, j: int) -> tuple:
+    (m1, n1), (m2, n2) = g1, g2
+    u1, v1 = _class_words(system, m1, n1, i)
+    u2, v2 = _class_words(system, m2, n2, j)
+    k = min(n1, m2)
+    if g1 == g2 == (0, 0):
+        r = system.ring.left[i][j]
+    elif g1 == (0, 0):
+        r = ((i, ONE),)
+    elif g2 == (0, 0):
+        r = ((j, ONE),)
+    elif k:
+        r = _contract(system, v1[n1 - k:], u2[:k])
+    else:
+        r = None
+    q_tail, p_head = u2[k:], v1[:n1 - k]  # one of them is empty
+    if p_head or not (u1 or q_tail):  # the letters meet inside the P word
+        q, p = _word_nz(system, "Q", u1) if u1 else None, _join(system, "P", p_head, r, v2)
+    else:
+        q, p = _join(system, "Q", u1, r, q_tail), _word_nz(system, "P", v2) if v2 else None
+    return _class_nz(system, m1 + len(q_tail), len(p_head) + n2, q, p)
 
 
 def toeplitz_mul(a: ToeplitzElement, b: ToeplitzElement, cap: int = DEFAULT_CAP) -> ToeplitzElement:
@@ -498,17 +492,17 @@ def check_representation(system: RSystem, rep) -> list[str]:
     return failures
 
 
-def _rep_leg_images(system: RSystem, rep, side: str, level: int, memo):
-    """Images of the basis of level >= 1 under T^m / S^n (multiplicative in order)."""
-    if (side, 1) not in memo:
-        f = rep.t if side == "Q" else rep.s
-        d = tensor_space(system, side, 1).dim
-        memo[(side, 1)] = [f(unit_vec(d, i)) for i in range(d)]
-    ones = memo[(side, 1)]
-    if (side, level) not in memo:
-        _build_upward(memo, lambda k: (side, k), level, lambda k: [
-            memo[(side, k - 1)][a] * ones[b] for a, b in tensor_space(system, side, k).basis])
-    return memo[(side, level)]
+def _rep_leg_images(system: RSystem, rep, side: str, level: int, memo: dict):
+    """Images of the basis of level >= 1 under T^m / S^n, memo[side][k] those
+    of level k: basis class (a, b) of level k is the class of e_a (x) e_b,
+    and its image the product of theirs."""
+    imgs = memo.get(side)
+    if imgs is None:
+        f, d = rep.t if side == "Q" else rep.s, tensor_space(system, side, 1).dim
+        imgs = memo[side] = [None, [f(unit_vec(d, i)) for i in range(d)]]
+    while len(imgs) <= level:
+        imgs.append([imgs[-1][a] * imgs[1][b] for a, b in tensor_space(system, side, len(imgs)).basis])
+    return imgs[level]
 
 
 def evaluate(x: ToeplitzElement, rep):

@@ -56,7 +56,7 @@ from cprings.exactlin import (
     zero_vec,
 )
 from cprings.finrank import _delta_map_matrix, _floored_thetas, delta_ideals, theta_table
-from cprings.tensorpow import DEFAULT_CAP, _build_upward, _project_kron, _word_nz, psi_apply, tensor_space
+from cprings.tensorpow import DEFAULT_CAP, _project_kron, _word_nz, psi_apply, tensor_space
 from cprings.toeplitz import (
     ToeplitzElement,
     _check_fock_cap,
@@ -897,20 +897,20 @@ class QuotientHandle:
         """Columns of the map from level n of the parent to level n of the
         quotient: column t is the quotient class of parent basis class t.
 
-        The class of e_a (x) e_b is that of (image of e_a) (x) (image of e_b).
+        The class of e_a (x) e_b is that of (image of e_a) (x) (image of e_b);
+        maps[side][k] is the map of level k, built level by level.
         """
-        maps, qs = self._level_maps, self.quotient
-        if (side, n) in maps:
-            return maps[(side, n)]
-        if n <= 1:
-            quot = qs.quot_r if n == 0 else qs.quot_q if side == "Q" else qs.quot_p
-            maps[(side, n)] = [quot.project([(c, ONE)]) for c in range(quot.ambient)]
-        else:
-            ones = self._level_map(side, 1)
-            _build_upward(maps, lambda k: (side, k), n, lambda k: [
-                _project_kron(tensor_space(qs.system, side, k).quot, maps[(side, k - 1)][a], ones[b])
-                for a, b in tensor_space(self.context.system, side, k).basis])
-        return maps[(side, n)]
+        qs = self.quotient
+        maps = self._level_maps.setdefault(side, [])
+        while len(maps) <= n:
+            k = len(maps)
+            if k <= 1:
+                quot = qs.quot_r if k == 0 else qs.quot_q if side == "Q" else qs.quot_p
+                maps.append([quot.project([(c, ONE)]) for c in range(quot.ambient)])
+            else:
+                maps.append([_project_kron(tensor_space(qs.system, side, k).quot, maps[-1][a], maps[1][b])
+                             for a, b in tensor_space(self.context.system, side, k).basis])
+        return maps[n]
 
     def _comp_map(self, m, n) -> list:
         """Columns of the map from grade (m, n) of the parent to grade (m, n)

@@ -588,6 +588,24 @@ def test_non_string_labels_are_input_errors(tmp_path):
             assert "is not a string" in out["diagnostics"][0]
 
 
+def test_non_string_system_name_is_an_input_error(tmp_path):
+    """A system file's "name" is a string: `5` exits 2 at load, where
+    `lattice` printed it as the system's name, "system": 5."""
+    p = tmp_path / "named.json"
+    p.write_text(json.dumps({**system_to_json(perm3_system()), "name": 5}))
+    code, out = run_json("lattice", str(p))
+    assert code == 2 and out["diagnostics"] == [f'{p}: malformed input: ValueError: "name" 5 is not a string']
+
+
+def test_non_string_graph_name_is_an_input_error(tmp_path):
+    """A graph file's "name" is a string: `["x"]` exits 2 at load, where
+    `lattice` printed "graph": ["x"] and "system": "graph:['x']"."""
+    p = tmp_path / "named.json"
+    p.write_text(json.dumps({**graph_to_json(a2_graph()), "name": ["x"]}))
+    code, out = run_json("lattice", str(p))
+    assert code == 2 and out["diagnostics"] == [f'{p}: malformed input: ValueError: "name" [\'x\'] is not a string']
+
+
 def test_boolean_coefficients_are_input_errors(tmp_path):
     """A coefficient of a system file is a string or an int: `true` as a
     product, action or psi coefficient exits 2 (it was read as 1, and

@@ -219,9 +219,9 @@ def _count_quotients(monkeypatch):
     built = []
     real = ideals._quotient_system
 
-    def counting(system, i, name):
+    def counting(system, i):
         built.append(i)
-        return real(system, i, name)
+        return real(system, i)
 
     monkeypatch.setattr(ideals, "_quotient_system", counting)
     return built

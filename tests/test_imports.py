@@ -108,3 +108,32 @@ def test_every_export_is_reached():
     assert not new, "public names that nothing in src/, scripts/ or perfbench/ reads:\n" + "\n".join(map(str, new))
     # an allow-list entry that is reached, or gone, is stale
     assert set(UNREACHED) <= unreached, set(UNREACHED) - unreached
+
+
+def _is_memo_field(node) -> bool:
+    """Is an annotated class field `field(default_factory=dict, init=False)`,
+    a dict that the object fills itself?"""
+    call = node.value
+    if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "field"):
+        return False
+    kw = {k.arg: k.value for k in call.keywords}
+    return (isinstance(kw.get("default_factory"), ast.Name) and kw["default_factory"].id == "dict"
+            and isinstance(kw.get("init"), ast.Constant) and kw["init"].value is False)
+
+
+def test_the_memo_is_one_modules_decision():
+    """Every per-system cache goes through `rsystem._memo` or `rsystem._chain`:
+    no module of src/cprings but `rsystem` names the memo `_store`, and no
+    class but `RSystem` declares a memo field of its own."""
+    naming, fields = [], []
+    for path in sorted((ROOT / "src" / "cprings").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if path.name != "rsystem.py":
+            naming += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute) and node.attr == "_store"
+                       or isinstance(node, ast.Name) and node.id == "_store"]
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            fields += [f"{path.name}:{cls.name}.{node.target.id}" for node in cls.body
+                       if isinstance(node, ast.AnnAssign) and node.value is not None and _is_memo_field(node)]
+    assert naming == [], naming
+    assert fields == ["rsystem.py:RSystem._store"], fields

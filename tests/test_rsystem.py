@@ -27,6 +27,7 @@ from conftest import (
     square_zero_json,
     three_vertex_two_cycle,
 )
+from cprings import finrank, rsystem
 from cprings.exactlin import Subspace, _nonzeros, mat_identity, mat_transpose, solve_matrix, unit_vec, zero_vec
 from cprings.graphalg import cycle_graph, line_graph, rose_graph
 from cprings.rsystem import (
@@ -37,6 +38,7 @@ from cprings.rsystem import (
     ValidationReport,
     build_automorphism_system,
     build_graph_system,
+    corner_graph,
     is_two_sided,
     system_from_json,
     system_to_json,
@@ -581,3 +583,20 @@ def test_cell_constructors_check_every_index():
     with pytest.raises(AttributeError):
         ring.mult = ()
     assert StructuredRing.from_cells(["x"], [[((0, "1/2"),)]]).left == (((((0, F(1, 2)),),),))
+
+
+@pytest.mark.parametrize("make, builder, ask, calls", [
+    (lambda: system_from_json(killed_vector_json("q", True)), (rsystem, "_corner_masks"), corner_graph, 2),
+    (lambda: non_diagonal_system("dual", random.Random(3))[0], (rsystem, "orthogonal_idempotents"), corner_graph, 1),
+    (psi_zero_system, (finrank, "_identity_in_span"), lambda system: finrank._fs_half(system, "Q"), 1),
+], ids=["no-corner-graph", "non-diagonal", "psi-zero"])
+def test_memo_builds_a_none_value_once(make, builder, ask, calls, monkeypatch):
+    """A memo entry whose value is None is built once, like any other: the
+    corner graph of a system without one (its ring diagonal or not) and the
+    Q half of (FS) on psi-zero, each asked twice, are built once."""
+    owner, name = builder
+    built, real = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: built.append(a) or real(*a))
+    system = make()
+    for _ in range(2):
+        assert ask(system) is None and len(built) == calls
