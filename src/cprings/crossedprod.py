@@ -240,7 +240,8 @@ def toeplitz_to_crossed(x: ToeplitzElement) -> CrossedElement:
         for idx, coeff in enumerate(v):
             if coeff == 0:
                 continue
-            a, b = comp.basis[idx]  # basis class idx is that of e_a (x) e_b in Q^m (x) P^n
+            # basis class idx is that of e_a (x) e_b in Q^m (x) P^n
+            a, b = divmod(comp.quot.free[idx], tensor_space(system, "P", n).dim)
             w = vec_add(w, vec_scale(coeff, system.ring.multiply(q_cols[a], p_cols[b])))
         put(n - m, w)
     return CrossedElement(system, acc)

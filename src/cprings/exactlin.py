@@ -28,7 +28,12 @@ canonical residuals).
 so basis vector t is the class of the unit vector at `free[t]`; the class of
 every other coordinate is read off the RREF rows once, into a lookup table,
 and `QuotientSpace.project` is a sum of table entries over a vector's
-nonzeros (`project_nz` the same sum, kept sparse).  No dense projection
+nonzeros (`project_nz` the same sum, kept sparse).  `QuotientSpace.of_relations`
+builds one from spanning relations given as their nonzeros: a relation with
+one nonzero entry kills its coordinate with no elimination, so when every
+relation is one the quotient is a coordinate selection, and `rref` runs only
+on the others, over the coordinates they touch.  A quotient by 0 is the
+identity (`free` is a `range`) and keeps no table.  No dense projection
 matrix is ever formed.
 """
 
@@ -421,21 +426,65 @@ class QuotientSpace:
     coordinate free[t] is basis vector t, and the pivot p_k of row k is
     e_{p_k} - row_k modulo W, i.e. -row_k on the free coordinates.  `project`
     sums these classes over a vector's nonzero entries and is the only map
-    from coordinates to classes.
+    from coordinates to classes.  `QuotientSpace(sub)` reads the RREF of a
+    `Subspace`; `of_relations` reads it off spanning relations given sparse.
+    With W = 0 the quotient is the identity: `free` is `range(n)` and no
+    class table is stored.
     """
 
-    __slots__ = ("ambient", "sub", "free", "_classes")
+    __slots__ = ("ambient", "free", "_classes")
 
     def __init__(self, sub: Subspace):
-        self.sub = sub
-        self.ambient = sub.ambient
-        pivot_set = set(sub.pivots)
-        self.free = tuple(c for c in range(sub.ambient) if c not in pivot_set)
+        self._read_rref(sub.ambient, dict(zip(sub.pivots, sub._support)))
+
+    @classmethod
+    def of_relations(cls, ambient: int, relations) -> "QuotientSpace":
+        """Q^ambient modulo the span of `relations`, each given as its
+        nonzero (index, value) pairs at distinct indices; no dense row of
+        Q^ambient is formed.
+
+        A relation with one nonzero entry is a unit row: its coordinate is
+        a pivot whose class is 0.  The other relations, with those
+        coordinates dropped (reduced modulo the unit rows), are eliminated by
+        `rref` over only the coordinates they touch; their pivots are
+        pivots too, and their rows give the pivots' classes.  With nothing
+        left over no `rref` runs, and with no relation the quotient is the
+        identity.  The unit rows and the reduced rows' RREF are together the
+        RREF of the relation span (`tensorpow.balanced_quotient` has the
+        argument), so the classes are those of `QuotientSpace(Subspace(...))`
+        on the dense relation rows.
+        """
+        rows: dict = {}  # pivot -> nonzero (column, value) pairs right of it
+        rest = []
+        for rel in relations:
+            if len(rel) == 1:
+                rows[rel[0][0]] = ()
+            else:
+                rest.append(rel)
+        rest = [kept for kept in ([(j, v) for j, v in rel if j not in rows] for rel in rest) if kept]
+        if rest:
+            touched = sorted({j for rel in rest for j, _ in rel})
+            local = {j: c for c, j in enumerate(touched)}
+            red, pivots = rref([_dense(len(touched), [(local[j], v) for j, v in rel]) for rel in rest])
+            for row, p in zip(red, pivots):
+                rows[touched[p]] = tuple((touched[c], row[c]) for c in range(p + 1, len(touched)) if row[c])
+        self = object.__new__(cls)
+        self._read_rref(ambient, rows)
+        return self
+
+    def _read_rref(self, ambient: int, rows: dict) -> None:
+        """Fill `free` and the class table from W's RREF, given as
+        {pivot: nonzero (column, value) pairs right of the pivot}."""
+        self.ambient = ambient
+        if not rows:
+            self.free, self._classes = range(ambient), None
+            return
+        self.free = tuple(c for c in range(ambient) if c not in rows)
         position = {f: t for t, f in enumerate(self.free)}
-        classes: list = [None] * sub.ambient
+        classes: list = [None] * ambient
         for t, f in enumerate(self.free):
             classes[f] = ((t, ONE),)
-        for p, support in zip(sub.pivots, sub._support):
+        for p, support in rows.items():
             classes[p] = tuple((position[j], -y) for j, y in support)
         self._classes = classes
 
@@ -450,8 +499,10 @@ class QuotientSpace:
             if len(v) != self.ambient:
                 raise DimensionMismatch(f"vector of length {len(v)} in Q^{self.ambient}")
             v = _nonzeros(v)
-        out = [ZERO] * len(self.free)
         classes = self._classes
+        if classes is None:
+            return _dense(self.ambient, v)
+        out = [ZERO] * len(self.free)
         for j, x in v:
             for t, y in classes[j]:
                 out[t] += x * y
@@ -461,10 +512,12 @@ class QuotientSpace:
         """Nonzero (index, value) pairs of the class of the vector whose
         nonzero (index, value) pairs are `pairs`."""
         classes = self._classes
+        if classes is None:
+            return _sum_nz((x, ((j, ONE),)) for j, x in pairs)
         return _sum_nz((x, classes[j]) for j, x in pairs)
 
     def __repr__(self) -> str:
-        return f"QuotientSpace(Q^{self.ambient} / dim {self.sub.dim})"
+        return f"QuotientSpace(Q^{self.ambient} / dim {self.ambient - self.dim})"
 
 
 def preimage(a: Sequence[Sequence[Fraction]], w: Subspace) -> Subspace:

@@ -85,10 +85,12 @@ class FiniteGraph:
 
     def copies(self):
         """(name, src, tgt) of each parallel copy of each edge, copy k >= 2
-        of an edge e named e#k; refuses an infinite multiplicity."""
+        of an edge e named e#k; refuses an infinite or non-integral multiplicity."""
         for e in self.edges:
-            if not math.isfinite(e.mult) or e.mult != int(e.mult):
+            if not math.isfinite(e.mult):
                 raise ValueError(f"edge {e.name}: infinite multiplicity is not supported algebraically")
+            if e.mult != int(e.mult):
+                raise ValueError(f"edge {e.name}: multiplicity {e.mult} is not an integer")
             if e.mult < 1:
                 raise ValueError(f"edge {e.name}: multiplicity must be >= 1")
             for k in range(1, int(e.mult) + 1):

@@ -6,17 +6,23 @@ Level n of a leg M (side 'P' or 'Q') is built by appending:
 
 so a level carries that quotient of the Kronecker coordinates of level (n-1)
 times level 1 (`quot`, whose `project` gives the class of any combination of
-pure tensors), its basis, and the induced left/right R-actions, stored like a
-module's (`rsystem._Actions`) as the nonzeros of their columns.  Basis
-element t is the class of one pure tensor e_a (x) e_b (`basis[t] == (a, b)`):
-the quotient's basis is its kept (non-pivot) coordinates, and column t of an
-action is the class of r.e_a (x) e_b, resp. e_a (x) e_b.r, read sparse off
-`quot`.  Level 0 is the ring itself, an R-bimodule whose actions are its
-own columns (`ring.left`, `ring.right`), shared, not rebuilt.
+pure tensors), the words of its basis, and the induced left/right
+R-actions, stored like a module's (`rsystem._Actions`) as the nonzeros of
+their columns.  The quotient's basis is its kept (non-pivot) coordinates, so
+basis element t is the class of one pure tensor e_a (x) e_b, with
+(a, b) = divmod(quot.free[t], d) for d the dimension of level 1, and column
+t of an action is the class of r.e_a (x) e_b, resp. e_a (x) e_b.r, read
+sparse off `quot`.  `balanced_quotient` eliminates only relations with more
+than one nonzero entry: over a graph or permutation system every relation
+has at most one, so the level selects the composable pairs (the paths) and
+no elimination runs, and with no relation at all (a rose) `quot` is the
+identity and keeps no class table.  Level 0 is the ring itself, an
+R-bimodule whose actions are its own columns (`ring.left`, `ring.right`),
+shared, not rebuilt.
 
-Unwinding `basis` down to level 1 makes every basis class the class of a word
-of level-1 letters: `words[t] == words[a] + (b,)`, so the words of a level
-are prefix-closed.  `_word_nz(system, side, word)` gives the nonzero level
+Unwinding those pairs down to level 1 makes every basis class the class of
+a word of level-1 letters: `words[t] == words[a] + (b,)`, so the words of a
+level are prefix-closed.  `_word_nz(system, side, word)` gives the nonzero level
 coordinates of any word's class, so every piece of a basis word has a
 class, whether or not it is itself a basis word.
 
@@ -78,7 +84,6 @@ class TensorSpace(_Actions):
     level: int
     dim: int
     quot: QuotientSpace | None  # classes of the (dim_{n-1} * d) Kronecker coordinates, None for level <= 1
-    basis: tuple | None  # basis[t] = (a, b): the class of e_a (x) e_b, None for level <= 1
     words: tuple | None  # words[t]: level-1 letters whose pure tensor has class t, None for level 0
     left: tuple  # left[i][a]: nonzero (index, value) pairs of e_i . (basis vector a)
     right: tuple  # right[i][a]: those of (basis vector a) . e_i
@@ -100,25 +105,57 @@ def balanced_quotient(a_right, a_dim: int, b_left, b_dim: int) -> QuotientSpace:
 
     a_right[i][a] holds the nonzeros of e_a . e_i in A, b_left[i][b] those of
     e_i . e_b in B (`rsystem._Actions`).  The relation for (e_a, e_i, e_b) is
-    read off those two columns, in Kronecker coordinates (index a * b_dim + b).
+    read off those two columns as its nonzeros, in Kronecker coordinates
+    (index a * b_dim + b), and `QuotientSpace.of_relations` takes the
+    quotient; no dense relation row is formed.  Where e_a . e_i = c e_a and
+    e_i . e_b = c e_b for one scalar c (0 for two empty columns) the
+    relation is c e_ab - c e_ab = 0 and is not built, so the work grows with
+    the nonzero relations, not with a_dim * b_dim.
+
+    Its classes are those of the dense elimination of all the relations.
+    Let K be the coordinates of the relations with one nonzero entry.  The
+    unit rows e_k (k in K), together with the RREF of the other relations
+    reduced modulo them (their K entries dropped), are the RREF of the
+    relation span: they span it; the reduced rows vanish on K, so each unit
+    row's pivot is zero in every other row; and the reduced rows' RREF, taken
+    over the coordinates they touch, is theirs over all coordinates, since
+    zero columns do not change an RREF.  RREF is unique, so the free
+    coordinates and every class are the ones the dense elimination gives.
+
+    Over a diagonal ring with a corner basis (graph and permutation systems)
+    every relation is 0 or +-1 times one coordinate: the quotient keeps the
+    composable pairs, the paths, with no elimination, and with no relation
+    at all (a rose, one vertex) it is the identity.
     """
-    n = a_dim * b_dim
-    actions = list(zip(a_right, b_left))
-    rows = []
-    for a in range(a_dim):
-        for cols_a, cols_b in actions:
-            for b in range(b_dim):
+    relations = []
+    for cols_a, cols_b in zip(a_right, b_left):
+        scalars_b = _scalars(cols_b)
+        live: dict = {}  # c -> the b with e_i . e_b != c e_b
+        for a, c in enumerate(_scalars(cols_a)):
+            if c is None:
+                bs = range(b_dim)
+            else:  # e_a . e_i = c e_a: the relation is 0 wherever e_i . e_b = c e_b
+                bs = live.get(c)
+                if bs is None:
+                    bs = live[c] = [b for b, c_b in enumerate(scalars_b) if c_b != c]
+            col_a = cols_a[a]
+            for b in bs:
                 rel: dict = {}
-                for x, v in cols_a[a]:
+                for x, v in col_a:
                     rel[x * b_dim + b] = rel.get(x * b_dim + b, ZERO) + v
                 for y, v in cols_b[b]:
                     rel[a * b_dim + y] = rel.get(a * b_dim + y, ZERO) - v
-                if any(rel.values()):
-                    row = [ZERO] * n
-                    for k, v in rel.items():
-                        row[k] = v
-                    rows.append(row)
-    return QuotientSpace(Subspace(n, rows))
+                nz = [(k, v) for k, v in rel.items() if v]
+                if nz:
+                    relations.append(nz)
+    return QuotientSpace.of_relations(a_dim * b_dim, relations)
+
+
+def _scalars(cols) -> list:
+    """For each column k of an action, c when it is c e_k (0 when it is
+    empty), else None."""
+    return [ZERO if not col else col[0][1] if len(col) == 1 and col[0][0] == k else None
+            for k, col in enumerate(cols)]
 
 
 def tensor_space(system: RSystem, side: str, n: int) -> TensorSpace:
@@ -135,21 +172,21 @@ def _build_level(system: RSystem, n: int, prev: TensorSpace | None, side: str) -
     """Level n, from level n - 1 (`prev`)."""
     if n == 0:  # R as an R-bimodule
         ring = system.ring
-        return TensorSpace(system, side, 0, ring.dim, None, None, None, ring.left, ring.right)
+        return TensorSpace(system, side, 0, ring.dim, None, None, ring.left, ring.right)
     mod = _module_of(system, side)
     d_m = mod.dim
     if n == 1:
         words = tuple((b,) for b in range(d_m))
-        return TensorSpace(system, side, 1, d_m, None, None, words, mod.left, mod.right)
+        return TensorSpace(system, side, 1, d_m, None, words, mod.left, mod.right)
     quot = balanced_quotient(prev.right, prev.dim, mod.left, d_m)
-    basis = tuple(divmod(f, d_m) for f in quot.free)
-    words = tuple(prev.words[a] + (b,) for a, b in basis)
+    pairs = [divmod(f, d_m) for f in quot.free]  # basis class t is that of e_a (x) e_b
+    words = tuple(prev.words[a] + (b,) for a, b in pairs)
     # column t of an action is the class of r.e_a (x) e_b, resp. e_a (x) e_b.r
-    left = tuple(tuple(quot.project_nz([(x * d_m + b, v) for x, v in cols[a]]) for a, b in basis)
+    left = tuple(tuple(quot.project_nz([(x * d_m + b, v) for x, v in cols[a]]) for a, b in pairs)
                  for cols in prev.left)
-    right = tuple(tuple(quot.project_nz([(a * d_m + y, v) for y, v in cols[b]]) for a, b in basis)
+    right = tuple(tuple(quot.project_nz([(a * d_m + y, v) for y, v in cols[b]]) for a, b in pairs)
                   for cols in mod.right)
-    return TensorSpace(system, side, n, quot.dim, quot, basis, words, left, right)
+    return TensorSpace(system, side, n, quot.dim, quot, words, left, right)
 
 
 def ideal_image(system: RSystem, side: str, k: int, ideal: Subspace) -> Subspace:

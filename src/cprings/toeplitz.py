@@ -121,9 +121,9 @@ class ComponentSpace:
     n: int
     dim: int
     # mixed grades only: the balanced quotient of the Kronecker coordinates of
-    # Q^(x)m (x) P^(x)n, and basis[t] = (a, b), the class of e_a (x) e_b
+    # Q^(x)m (x) P^(x)n; basis class t is that of e_a (x) e_b, with
+    # (a, b) = divmod(quot.free[t], dim P^(x)n)
     quot: Optional[QuotientSpace]
-    basis: Optional[tuple]
 
     def __repr__(self) -> str:
         return f"ComponentSpace(({self.m},{self.n}), dim {self.dim})"
@@ -137,17 +137,17 @@ def _build_component(system: RSystem, m: int, n: int) -> ComponentSpace:
     if m < 0 or n < 0:
         raise ValueError("negative grade")
     if m == 0 and n == 0:
-        return ComponentSpace(system, 0, 0, system.ring.dim, None, None)
+        return ComponentSpace(system, 0, 0, system.ring.dim, None)
     if n == 0:
-        return ComponentSpace(system, m, 0, tensor_space(system, "Q", m).dim, None, None)
+        return ComponentSpace(system, m, 0, tensor_space(system, "Q", m).dim, None)
     if m == 0:
-        return ComponentSpace(system, 0, n, tensor_space(system, "P", n).dim, None, None)
+        return ComponentSpace(system, 0, n, tensor_space(system, "P", n).dim, None)
     qm = tensor_space(system, "Q", m)
     pn = tensor_space(system, "P", n)
     if qm.dim == 0 or pn.dim == 0:
-        return ComponentSpace(system, m, n, 0, None, None)
+        return ComponentSpace(system, m, n, 0, None)
     quot = balanced_quotient(qm.right, qm.dim, pn.left, pn.dim)
-    return ComponentSpace(system, m, n, quot.dim, quot, tuple(divmod(f, pn.dim) for f in quot.free))
+    return ComponentSpace(system, m, n, quot.dim, quot)
 
 
 def _class_nz(system: RSystem, m: int, n: int, q, p) -> tuple:
@@ -176,7 +176,7 @@ class ToeplitzElement:
         if components:
             for g, v in components.items():
                 v = tuple(v)
-                if any(c != 0 for c in v):
+                if any(v):
                     comps[(int(g[0]), int(g[1]))] = v
         self.comps = comps
 
@@ -301,7 +301,10 @@ def pair(system: RSystem, m: int, n: int, q_coords, p_coords) -> ToeplitzElement
 
 def _class_words(system: RSystem, m: int, n: int, idx: int):
     """Basis class idx of grade (m, n) as its (Q word, P word); both () at (0,0)."""
-    a, b = component_space(system, m, n).basis[idx] if m and n else (idx, idx)
+    if m and n:
+        a, b = divmod(component_space(system, m, n).quot.free[idx], tensor_space(system, "P", n).dim)
+    else:
+        a = b = idx
     return (tensor_space(system, "Q", m).words[a] if m else (),
             tensor_space(system, "P", n).words[b] if n else ())
 
@@ -494,14 +497,16 @@ def check_representation(system: RSystem, rep) -> list[str]:
 
 def _rep_leg_images(system: RSystem, rep, side: str, level: int, memo: dict):
     """Images of the basis of level >= 1 under T^m / S^n, memo[side][k] those
-    of level k: basis class (a, b) of level k is the class of e_a (x) e_b,
-    and its image the product of theirs."""
+    of level k: basis class t of level k is the class of e_a (x) e_b,
+    (a, b) = divmod(quot.free[t], dim of level 1), and its image the product
+    of theirs."""
     imgs = memo.get(side)
     if imgs is None:
         f, d = rep.t if side == "Q" else rep.s, tensor_space(system, side, 1).dim
         imgs = memo[side] = [None, [f(unit_vec(d, i)) for i in range(d)]]
     while len(imgs) <= level:
-        imgs.append([imgs[-1][a] * imgs[1][b] for a, b in tensor_space(system, side, len(imgs)).basis])
+        pairs = (divmod(f, len(imgs[1])) for f in tensor_space(system, side, len(imgs)).quot.free)
+        imgs.append([imgs[-1][a] * imgs[1][b] for a, b in pairs])
     return imgs[level]
 
 
@@ -520,10 +525,11 @@ def evaluate(x: ToeplitzElement, rep):
             continue
         q_imgs = _rep_leg_images(system, rep, "Q", m, memo) if m else None
         p_imgs = _rep_leg_images(system, rep, "P", n, memo) if n else None
-        basis = component_space(system, m, n).basis
+        free = component_space(system, m, n).quot.free if m and n else None
         for idx, c in _nonzeros(v):
             if m and n:
-                img = q_imgs[basis[idx][0]] * p_imgs[basis[idx][1]]
+                a, b = divmod(free[idx], len(p_imgs))
+                img = q_imgs[a] * p_imgs[b]
             else:
                 img = q_imgs[idx] if m else p_imgs[idx]
             acc = acc + frac(c) * img

@@ -38,6 +38,7 @@ from cprings.rsystem import (
 )
 from cprings.exactlin import (
     ONE,
+    QuotientSpace,
     Subspace,
     _dense,
     _nonzeros,
@@ -462,6 +463,22 @@ def mat_eq(a, b) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
+def dense_balanced_quotient(a_right, a_dim: int, b_left, b_dim: int):
+    """`tensorpow.balanced_quotient` by dense elimination: every nonzero
+    balancing relation (a.r) (x) b - a (x) (r.b) as a dense row of the
+    Kronecker coordinates, then `QuotientSpace(Subspace(n, rows))`."""
+    n = a_dim * b_dim
+    rows = []
+    for a in range(a_dim):
+        for cols_a, cols_b in zip(a_right, b_left):
+            for b in range(b_dim):
+                rel = _sum_nz([(1, [(x * b_dim + b, v) for x, v in cols_a[a]]),
+                               (-1, [(a * b_dim + y, v) for y, v in cols_b[b]])])
+                if rel:
+                    rows.append(_dense(n, rel))
+    return QuotientSpace(Subspace(n, rows))
+
+
 def kron_vec(a, b):
     """Coordinates of a (x) b: index (i, j) -> i * len(b) + j."""
     return [x * y for x in a for y in b]
@@ -838,7 +855,7 @@ def _fock_leg_block(system, side, level, idx, j, memo):
                             for w in tensor_space(system, "Q", j).words)
             memo[key] = (j - 1, blk)
         else:
-            a, b = tensor_space(system, "P", level).basis[idx]
+            a, b = divmod(tensor_space(system, "P", level).quot.free[idx], system.p.dim)
             mid, last = _fock_leg_block(system, "P", 1, b, j, memo)
             out, first = _fock_leg_block(system, "P", level - 1, a, mid, memo)
             memo[key] = (out, _compose(first, last))
@@ -865,11 +882,12 @@ def fock_oracle(x, j) -> dict:
         if m == 0 and n == 0:
             bump(j, src.left_map(v), 1)
             continue
-        basis = component_space(system, m, n).basis
+        free = component_space(system, m, n).quot.free if m and n else None
+        d_p = tensor_space(system, "P", n).dim
         for idx, c in enumerate(v):
             if not c:
                 continue
-            a, b = basis[idx] if m and n else (idx, idx)
+            a, b = divmod(free[idx], d_p) if m and n else (idx, idx)
             js, blk = _fock_leg_block(system, "P", n, b, j, memo) if n else (j, None)
             if m:
                 js, tblk = _fock_leg_block(system, "Q", m, a, js, memo)
@@ -908,8 +926,9 @@ class QuotientHandle:
                 quot = qs.quot_r if k == 0 else qs.quot_q if side == "Q" else qs.quot_p
                 maps.append([quot.project([(c, ONE)]) for c in range(quot.ambient)])
             else:
-                maps.append([_project_kron(tensor_space(qs.system, side, k).quot, maps[-1][a], maps[1][b])
-                             for a, b in tensor_space(self.context.system, side, k).basis])
+                d = len(maps[1])
+                maps.append([_project_kron(tensor_space(qs.system, side, k).quot, maps[-1][f // d], maps[1][f % d])
+                             for f in tensor_space(self.context.system, side, k).quot.free])
         return maps[n]
 
     def _comp_map(self, m, n) -> list:
@@ -926,7 +945,7 @@ class QuotientHandle:
                 out = [[] for _ in range(src.dim)]
             else:
                 qm, pn = self._level_map("Q", m), self._level_map("P", n)
-                out = [_project_kron(dst.quot, qm[a], pn[b]) for a, b in src.basis]
+                out = [_project_kron(dst.quot, qm[f // len(pn)], pn[f % len(pn)]) for f in src.quot.free]
             self._comp_maps[(m, n)] = out
         return self._comp_maps[(m, n)]
 

@@ -325,10 +325,10 @@ def dense_reduce(sub, v):
     return out, coords
 
 
-def dense_projection_matrix(q):
+def dense_projection_matrix(q, sub):
     cols = []
     for i in range(q.ambient):
-        residual, _ = dense_reduce(q.sub, unit_vec(q.ambient, i))
+        residual, _ = dense_reduce(sub, unit_vec(q.ambient, i))
         cols.append([residual[f] for f in q.free])
     return mat_transpose(cols)
 
@@ -382,5 +382,5 @@ def test_kernels_match_dense_references(data):
         assert sub.coordinates(v) == (coords if not any(residual) else None)
     q = QuotientSpace(sub)
     # the class of every coordinate, and of x given dense or as its nonzeros
-    assert mat_transpose([q.project(unit_vec(k, i)) for i in range(k)]) == dense_projection_matrix(q)
-    assert q.project(x) == q.project(_nonzeros(x)) == dense_matvec(dense_projection_matrix(q), x)
+    assert mat_transpose([q.project(unit_vec(k, i)) for i in range(k)]) == dense_projection_matrix(q, sub)
+    assert q.project(x) == q.project(_nonzeros(x)) == dense_matvec(dense_projection_matrix(q, sub), x)

@@ -15,6 +15,7 @@ from conftest import (
     random_graph,
     three_vertex_two_cycle,
 )
+from cprings.rsystem import build_graph_system
 from cprings.graphalg import (
     Edge,
     FiniteGraph,
@@ -55,6 +56,21 @@ def test_expand_multiplicities():
     assert [e.name for e in ex.edges] == ["e", "e#2", "e#3"]
     with pytest.raises(ValueError):
         infinite_emitter_graph().expand()
+
+
+def test_infinite_multiplicity_is_refused_as_infinite():
+    """`cpr` prints this message, so it is pinned byte for byte."""
+    g = FiniteGraph(["u", "v"], [Edge("e", "u", "v", math.inf)])
+    with pytest.raises(ValueError) as err:
+        build_graph_system(g)
+    assert str(err.value) == "edge e: infinite multiplicity is not supported algebraically"
+
+
+def test_non_integral_multiplicity_is_refused_as_non_integral():
+    g = FiniteGraph(["u", "v"], [Edge("e", "u", "v", 2.5)])
+    with pytest.raises(ValueError) as err:
+        build_graph_system(g)
+    assert str(err.value) == "edge e: multiplicity 2.5 is not an integer"
 
 
 def test_graph_json_roundtrip():

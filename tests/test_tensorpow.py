@@ -11,7 +11,9 @@ The closed forms used as oracles:
 """
 
 import itertools
+import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -21,31 +23,40 @@ from conftest import (
     basis_element,
     concat_class,
     dense,
+    dense_balanced_quotient,
     five_vertex_mixed,
     kron_vec,
     matrix2_ring,
     module_tensor,
+    non_diagonal_system,
     path_element,
     perm3_system,
     psi_zero_system,
+    random_graph,
+    random_permutation_system,
+    rebased_legs,
+    three_vertex_two_cycle,
     word_class,
 )
 
+from cprings import exactlin, tensorpow, toeplitz
 from cprings.exactlin import (
+    _dense,
     mat_identity,
     unit_vec,
     zero_vec,
     is_zero_vec,
 )
 from cprings.rsystem import build_automorphism_system, build_graph_system
-from cprings.graphalg import rose_graph
+from cprings.graphalg import cycle_graph, rose_graph
 from cprings.tensorpow import (
     CapExceeded,
+    balanced_quotient,
     psi_apply,
     psi_n,
     tensor_space,
 )
-from cprings.toeplitz import embed_n, fock_apply, toeplitz_mul
+from cprings.toeplitz import component_space, embed_n, fock_apply, toeplitz_mul
 
 
 def test_a2_level2_vanishes(a2_system):
@@ -290,3 +301,133 @@ def test_module_element_ops(perm3):
 def test_path_element_matches_embed(line3_system):
     manual = concat_class(line3_system, "Q", 1, unit_vec(2, 0), 1, unit_vec(2, 1))
     assert list(path_element(line3_system, "Q", ["e1", "e2"]).coords) == manual
+
+
+def _family(name):
+    """Fresh systems of one family: graph systems, permutation systems, graph
+    and permutation systems with their legs re-presented (`rebased_legs`,
+    relations with several entries), and automorphism systems of
+    non-diagonal algebras in random bases."""
+    rng = random.Random(f"balanced/{name}")
+    graphs = [three_vertex_two_cycle(), five_vertex_mixed(), rose_graph(2), cycle_graph(3)]
+    graphs += [random_graph(rng, max_v=4, max_e=5) for _ in range(4)]
+    if name == "graph":
+        return [build_graph_system(g) for g in graphs]
+    perms = [perm3_system()] + [random_permutation_system(rng, max_n=4) for _ in range(3)]
+    if name == "permutation":
+        return perms
+    if name == "rebased":
+        return [rebased_legs(build_graph_system(g), rng) for g in graphs] + [rebased_legs(s, rng) for s in perms]
+    fixed = [build_automorphism_system(ring(), mat_identity(ring().dim))
+             for ring in (dual_numbers_ring, dual_numbers_unit_basis_ring, matrix2_ring)]
+    return fixed + [non_diagonal_system(kind, random.Random(seed))[0]
+                    for seed in (1, 2) for kind in ("diagonal", "dual", "upper", "matrix2")]
+
+
+def _quotient_cases(system):
+    """(where, arguments of `balanced_quotient`, the quotient stored there)
+    for levels 2 and 3 of both legs (level 1 is the module itself) and the
+    mixed components up to (3, 3)."""
+    for side in "QP":
+        mod = tensor_space(system, side, 1)
+        for n in (2, 3):
+            prev = tensor_space(system, side, n - 1)
+            yield (side, n), (prev.right, prev.dim, mod.left, mod.dim), tensor_space(system, side, n).quot
+    for m in (1, 2, 3):
+        for n in (1, 2, 3):
+            qm, pn = tensor_space(system, "Q", m), tensor_space(system, "P", n)
+            yield (m, n), (qm.right, qm.dim, pn.left, pn.dim), component_space(system, m, n).quot
+
+
+FAMILIES = ("graph", "permutation", "rebased", "non-diagonal")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_balanced_quotient_matches_dense_elimination(family):
+    """The sparse construction keeps the free coordinates of the dense
+    elimination of every relation row and gives every coordinate, and random
+    vectors, the same class."""
+    rng = random.Random(family)
+    for system in _family(family):
+        for where, args, stored in _quotient_cases(system):
+            new, old = balanced_quotient(*args), dense_balanced_quotient(*args)
+            label = (system.name, where)
+            assert tuple(new.free) == tuple(old.free), label
+            if stored is not None:
+                assert tuple(stored.free) == tuple(old.free), label
+            n = new.ambient
+            for j in range(n):
+                assert new.project_nz(((j, 1),)) == old.project_nz(((j, 1),)), (label, j)
+            for _ in range(4):
+                support = sorted(rng.sample(range(n), min(n, rng.randint(1, 6)))) if n else []
+                pairs = [(j, Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))) for j in support]
+                assert new.project_nz(pairs) == old.project_nz(pairs), label
+                assert new.project(_dense(n, pairs)) == old.project(_dense(n, pairs)), label
+
+
+def test_balanced_quotient_matches_dense_elimination_on_random_columns():
+    """The same on random action columns, which need not come from a system:
+    empty, c e_k at their own index k (with several c), one entry elsewhere,
+    or several entries."""
+    rng = random.Random(3131)
+
+    def column(k, d):
+        kind = rng.randrange(4)
+        if kind == 0 or d == 0:
+            return ()
+        if kind == 1:
+            return ((k, rng.choice((1, 1, -1, 2))),)
+        if kind == 2:
+            return ((rng.randrange(d), rng.choice((1, -1, 3))),)
+        return tuple((j, rng.choice((1, -2, Fraction(1, 2)))) for j in sorted(rng.sample(range(d), min(d, 2))))
+
+    for _ in range(150):
+        d_r, a_dim, b_dim = rng.randint(1, 3), rng.randint(0, 4), rng.randint(0, 4)
+        a_right = [[column(a, a_dim) for a in range(a_dim)] for _ in range(d_r)]
+        b_left = [[column(b, b_dim) for b in range(b_dim)] for _ in range(d_r)]
+        args = (a_right, a_dim, b_left, b_dim)
+        new, old = balanced_quotient(*args), dense_balanced_quotient(*args)
+        assert tuple(new.free) == tuple(old.free), (a_right, b_left)
+        for j in range(new.ambient):
+            assert new.project_nz(((j, 1),)) == old.project_nz(((j, 1),)), (a_right, b_left, j)
+
+
+@pytest.mark.parametrize("family, eliminates", [("graph", False), ("permutation", False),
+                                                ("rebased", True), ("non-diagonal", True)])
+def test_corner_bases_build_levels_without_elimination(family, eliminates, monkeypatch):
+    """Over a diagonal ring with a corner basis every balancing relation is
+    0 or +-1 times one coordinate, so the levels up to 3 and the components
+    up to (3, 3) are built with no `rref` call; with the legs re-presented,
+    or over a non-diagonal ring, some relation has several entries and is
+    eliminated (which shows the count sees the calls)."""
+    systems = _family(family)  # built before counting: building a system may eliminate
+    calls, quotients = [], []
+    real_rref, real_quotient = exactlin.rref, tensorpow.balanced_quotient
+    monkeypatch.setattr(exactlin, "rref", lambda rows: calls.append(len(rows)) or real_rref(rows))
+
+    def counting(*args):
+        quotients.append(args)
+        return real_quotient(*args)
+
+    monkeypatch.setattr(tensorpow, "balanced_quotient", counting)
+    monkeypatch.setattr(toeplitz, "balanced_quotient", counting)
+    for system in systems:
+        for side in "QP":
+            tensor_space(system, side, 3)
+        for m in (1, 2, 3):
+            for n in (1, 2, 3):
+                component_space(system, m, n)
+    assert quotients
+    assert bool(calls) == eliminates, calls
+
+
+def test_no_relation_is_the_identity():
+    """A rose has one vertex, so every balancing relation is 0: each level and
+    component is the identity quotient and holds no class table."""
+    system = build_graph_system(rose_graph(3))
+    quotients = [tensor_space(system, side, n).quot for side in "QP" for n in (2, 3)]
+    quotients += [component_space(system, m, n).quot for m in (1, 2) for n in (1, 2)]
+    for quot in quotients:
+        assert quot.free == range(quot.ambient) and quot._classes is None
+        assert quot.project_nz([(5, 2), (1, 1), (5, -2)]) == ((1, 1),)
+        assert quot.project([(3, 1)]) == unit_vec(quot.ambient, 3)

@@ -136,15 +136,16 @@ def test_grade_and_z_projection(a2_system):
     lambda: build_graph_system(five_vertex_mixed()),
 ], ids=["rose2", "perm3", "5v-mixed"])
 def test_basis_classes_are_pure_tensors(make):
-    """basis[t] == (a, b) says basis vector t is the class of e_a (x) e_b."""
+    """With (a, b) = divmod(quot.free[t], d_right), basis vector t is the
+    class of e_a (x) e_b."""
     system = make()
     cases = [(tensor_space(system, side, n), tensor_space(system, side, n - 1).dim,
               tensor_space(system, side, 1).dim) for side in "QP" for n in (2, 3)]
     cases += [(component_space(system, m, n), tensor_space(system, "Q", m).dim,
                tensor_space(system, "P", n).dim) for m in (1, 2) for n in (1, 2)]
     for space, d_left, d_right in cases:
-        assert len(space.basis) == space.dim > 0
-        for t, (a, b) in enumerate(space.basis):
+        assert len(space.quot.free) == space.dim > 0
+        for t, (a, b) in enumerate(divmod(f, d_right) for f in space.quot.free):
             pure = kron_vec(unit_vec(d_left, a), unit_vec(d_right, b))
             assert space.quot.project(pure) == unit_vec(space.dim, t)
 
