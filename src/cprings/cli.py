@@ -410,10 +410,9 @@ def _format_toeplitz(x: ToeplitzElement) -> str:
     labels = {"R": sy.ring.labels, "Q": sy.q.labels, "P": sy.p.labels}
     terms = []  # (sort key, coeff, [factor strings]), sorted by grade, then word
     for (m, n), v in x.comps.items():
-        for t, c in enumerate(v):
-            if c != 0:
-                word = _class_letters(sy, m, n, t)
-                terms.append(((m, n, word), c, [f"{k}:{labels[k][i]}" for k, i in word]))
+        for t, c in v:
+            word = _class_letters(sy, m, n, t)
+            terms.append(((m, n, word), c, [f"{k}:{labels[k][i]}" for k, i in word]))
     return _join_terms(sorted(terms))
 
 

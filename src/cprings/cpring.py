@@ -14,12 +14,14 @@ Fock representation (`_graded_preimage`, whose docstring has the proof
 sketch): the preimage in T of the graded ideal H_(I,J) of a T-pair becomes
 a direct sum of operator spans, each between two tensor levels and read
 modulo Q^(x)k . I, so membership is a finite walk over the levels of an
-element's own Fock blocks.  T(J) is the case I = 0 (`relation_preimage`),
+element's own Fock blocks.  T(J) is the case I = 0 (`in_relation_ideal`),
 and `ideals.IdealHandle` runs it for a T-pair.  Run on a span of elements,
 the walk gives the subspace of combinations that lie in the ideal, from
 which the graded-ideal correspondence reads T-pairs back.  It needs a
 faithful Fock representation, i.e. condition (FS) and no nonzero r with
-rR = 0, and raises `FsViolation` without them.
+rR = 0, and raises `FsViolation` without them.  Elements and Fock blocks
+stay as their nonzeros all through the walk, and one element's verdict is
+a zero test on each residual, with no elimination.
 
 `finrank.validate_ideal`, importable from here, is the one decision of J's
 three conditions, for J in R and, given a floor I, for J/I in R/I; a
@@ -48,6 +50,7 @@ from .exactlin import (
     ZERO,
     Subspace,
     _nonzeros,
+    _sum_nz,
     kernel,
     mat_identity,
     mat_transpose,
@@ -58,7 +61,6 @@ from .exactlin import (
 from .finrank import (
     CompatibleIdeal,
     FsViolation,
-    _column_residual,
     canonical_ideals,
     check_fs,
     left_annihilator,
@@ -90,7 +92,6 @@ __all__ = [
     "graded_uniqueness_check",
     "in_relation_ideal",
     "is_cp_invariant",
-    "relation_preimage",
     "validate_ideal",
 ]
 
@@ -168,25 +169,42 @@ def _vacuum_span(system: RSystem, j: Subspace, k: int) -> Subspace:
     """Theta_{0,k}, once per system: the maps zeta |-> xi zeta from R to
     Q^(x)k with xi in Q^(x)k . J.
 
-    Maps are flattened column by column, as `_fock_block` lays out a block.
+    Maps are flattened column by column, as `_flatten` lays out a block.
     """
     return _memo(system, ("vacuum", k, j), _build_vacuum_span, system, j, k)
 
 
 def _build_vacuum_span(system: RSystem, j: Subspace, k: int) -> Subspace:
+    """Column c of zeta |-> xi zeta is xi . e_c, read off the level's right
+    action columns as its nonzeros; on graph and permutation systems every
+    map has one nonzero, so nothing is eliminated (`Subspace.of_nonzeros`)."""
     dst, d = tensor_space(system, "Q", k), system.ring.dim
-    return Subspace(dst.dim * d, [[e for c in range(d) for e in dst.act_right(xi, unit_vec(d, c))]
-                                  for xi in ideal_image(system, "Q", k, j).basis()])
+    return Subspace.of_nonzeros(dst.dim * d, [_flatten([_sum_nz((x, dst.right[c][a]) for a, x in xi)
+                                                        for c in range(d)], dst.dim)
+                                              for xi in ideal_image(system, "Q", k, j).basis_nz()])
 
 
-def _fock_block(x: ToeplitzElement, l: int, k: int, cap: int) -> list[Fraction]:
-    """The level-l -> level-k block of Fock(x), flattened column by column."""
-    d = tensor_space(x.system, "Q", k).dim
-    out = [ZERO] * (d * tensor_space(x.system, "Q", l).dim)
-    for c, col in enumerate(fock_apply(x, l, cap=cap).get(k, ())):
-        for r, v in col:
-            out[c * d + r] = v
-    return out
+def _fock_block(x: ToeplitzElement, l: int, k: int, cap: int) -> tuple:
+    """The level-l -> level-k block of Fock(x) as `fock_apply` gives it, one
+    tuple of nonzero (index, value) pairs per column; () when it is zero."""
+    return fock_apply(x, l, cap=cap).get(k, ())
+
+
+def _flatten(cols, n: int) -> tuple:
+    """The nonzero (index, value) pairs of a map with n-row columns given by
+    their nonzeros `cols`, flattened column by column."""
+    return tuple((c * n + r, v) for c, col in enumerate(cols) for r, v in col)
+
+
+def _combine_blocks(coeffs: Sequence[Fraction], blocks: Sequence[tuple]) -> tuple:
+    """sum of coeffs[i] * blocks[i], column by column, each block and the
+    sum given as one tuple of nonzero (index, value) pairs per column, and
+    () when the sum is zero (as `_fock_block` gives a zero block)."""
+    terms = [(c, b) for c, b in zip(coeffs, blocks) if c and b]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    cols = tuple(_sum_nz((c, b[col]) for c, b in terms) for col in range(len(terms[0][1]))) if terms else ()
+    return cols if any(len(col) for col in cols) else ()
 
 
 def _combine(coeffs: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]]) -> list[Fraction]:
@@ -200,10 +218,28 @@ def _combine(coeffs: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]]) 
 
 
 def _restrict(rows: list, residuals: list) -> list:
-    """Basis of the combinations of `rows` whose residual (linear in the row) is 0."""
-    if not any(any(r) for r in residuals):
+    """Basis of the combinations of `rows` whose residual is 0; each
+    residual is linear in its row and given by its nonzero (index, value)
+    pairs.
+
+    One row is kept or dropped on its own residual, with no elimination.
+    Over several rows the combinations y are the kernel of
+    y |-> sum y_k residuals[k], with one equation per coordinate.  A
+    coordinate that no residual touches gives a zero equation, and dropping
+    zero equations leaves the RREF of the system as it is (RREF is unique),
+    hence the kernel basis `kernel` reads off it; so `kernel` runs over the
+    touched coordinates only, as `finrank._solve_over` restricts `solve`.
+    """
+    if not any(residuals):
         return rows
-    return [_combine(y, rows) for y in kernel(mat_transpose(residuals))]
+    if len(rows) == 1:
+        return []
+    at = {t: e for e, t in enumerate(sorted({t for res in residuals for t, _ in res}))}
+    eqs = [[ZERO] * len(rows) for _ in at]
+    for k, res in enumerate(residuals):
+        for t, y in res:
+            eqs[at[t]][k] = y
+    return [_combine(y, rows) for y in kernel(eqs)]
 
 
 def _require_faithful_fock(system: RSystem, i: Subspace) -> None:
@@ -221,12 +257,12 @@ def _require_faithful_fock(system: RSystem, i: Subspace) -> None:
 
 
 def _graded_preimage(system: RSystem, i: Subspace, j: Subspace,
-                     xs: Sequence[ToeplitzElement], cap: int) -> Subspace:
-    """{c : sum_i c_i xs[i] in the preimage of H_(I,J)}, exactly, as a subspace of Q^len(xs).
+                     xs: Sequence[ToeplitzElement], cap: int) -> list:
+    """{c : sum_i c_i xs[i] in the preimage of H_(I,J)}, exactly, as a basis of rows in Q^len(xs).
 
     (I, J) is a T-pair.  The preimage in T of its graded ideal H_(I,J) is the
     set of x whose image in the Toeplitz ring of R/I lies in T(J/I); for
-    I = 0 it is T(J) (`relation_preimage`).  The walk reads the Fock blocks
+    I = 0 it is T(J) (`in_relation_ideal`).  The walk reads the Fock blocks
     of x itself; R/I and its Toeplitz ring are never built.
 
     Proof sketch.  Write Q^(x)k . I for the span of the xi . a with xi in
@@ -289,8 +325,16 @@ def _graded_preimage(system: RSystem, i: Subspace, j: Subspace,
 
     Every condition is linear in x, so the check runs on a subspace of
     coefficient vectors, starting from all of Q^len(xs); an element's own
-    verdict is the case len(xs) = 1.  Raises CapExceeded when a block needs
-    a level above `cap`.
+    verdict is the case len(xs) = 1.  Returns a basis of that subspace as
+    rows, not reduced: an element is a member exactly when the list is not
+    empty.  Raises CapExceeded when a block needs a level above `cap`.
+
+    The walk keeps every block as its columns' nonzeros, as `fock_apply`
+    gives them, and reduces each combination modulo Q^(x)k . J (or
+    Theta_{0,k}, or Q^(x)k . I at the top level) by `Subspace.residual_nz`
+    on those nonzeros.  For one element a residual is a zero test, so no
+    `kernel` or `rref` runs; several elements take `kernel` over the
+    coordinates their residuals touch (`_restrict`).
     """
     for x in xs:
         if x.system is not system:
@@ -302,35 +346,33 @@ def _graded_preimage(system: RSystem, i: Subspace, j: Subspace,
         top = max(p.max_n_degree() for p in parts)
         for l in range(max(0, -d), top + 1):
             if not rows:
-                return Subspace(len(xs), [])
-            blocks = [_fock_block(p, l, l + d, cap) for p in parts]
-            combos = [_combine(row, blocks) for row in rows]
-            if l < top and not any(any(v) for v in combos):
+                return []
+            k = l + d
+            blocks = [_fock_block(p, l, k, cap) for p in parts]
+            combos = [_combine_blocks(row, blocks) for row in rows]
+            if l < top and not any(combos):
                 continue  # zero blocks lie in every span
             if l == 0 < top:
-                span = _vacuum_span(system, j, d)
-                residuals = [span.reduce(v) for v in combos]
+                span, n = _vacuum_span(system, j, d), tensor_space(system, "Q", k).dim
+                residuals = [span.residual_nz(_flatten(cols, n)) for cols in combos]
             else:  # columns in Q^(x)k . J below the top level, in Q^(x)k . I at it
-                image = ideal_image(system, "Q", l + d, i if l == top else j)
-                residuals = [_column_residual(image, v) for v in combos]
+                image = ideal_image(system, "Q", k, i if l == top else j)
+                residuals = [_flatten(cols if image.is_zero() else [image.residual_nz(c) for c in cols],
+                                      image.ambient) for cols in combos]
             rows = _restrict(rows, residuals)
-    return Subspace(len(xs), rows)
+    return rows
 
 
-def relation_preimage(ctx: CpContext, xs: Sequence[ToeplitzElement]) -> Subspace:
-    """{c : sum_i c_i xs[i] in T(J)}, exactly, as a subspace of Q^len(xs).
+def in_relation_ideal(ctx: CpContext, x: ToeplitzElement) -> bool:
+    """Exact membership of x in the relation ideal T(J): the walk of
+    `_graded_preimage` with I = 0, where the proof sketch is, on x alone,
+    read off its rows with no elimination.
 
-    The walk of `_graded_preimage` with I = 0, where the proof sketch is.
     Needs a faithful Fock representation: raises FsViolation without (FS)
     or when some nonzero r has rR = 0, and CapExceeded when a block needs a
     level above ctx.cap.
     """
-    return _graded_preimage(ctx.system, ctx._zero, ctx.j.ideal, xs, ctx.cap)
-
-
-def in_relation_ideal(ctx: CpContext, x: ToeplitzElement) -> bool:
-    """Exact membership of x in the relation ideal T(J) (see `relation_preimage`)."""
-    return not relation_preimage(ctx, [x]).is_zero()
+    return bool(_graded_preimage(ctx.system, ctx._zero, ctx.j.ideal, [x], ctx.cap))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .exactlin import (
     mat_transpose,
     matmul,
     matvec,
+    unit_vec,
     vec_add,
     vec_scale,
     zero_vec,
@@ -218,31 +219,23 @@ def toeplitz_to_crossed(x: ToeplitzElement) -> CrossedElement:
         if any(c != 0 for c in w):
             acc[k] = vec_add(acc[k], w) if k in acc else list(w)
 
-    for (m, n) in x.support():
-        v = list(x.comps[(m, n)])
-        if m == 0 and n == 0:
-            put(0, v)
-            continue
-        if n == 0:
-            put(-m, matvec(_leg_collapse(system, "Q", m), v))
-            continue
-        if m == 0:
-            put(n, matvec(_leg_collapse(system, "P", n), v))
-            continue
-        comp = component_space(system, m, n)
-        if comp.dim == 0:
-            continue
-        q_cols = mat_transpose(_leg_collapse(system, "Q", m))
-        p_cols = mat_transpose(
-            matmul(phi_power(system, -m), _leg_collapse(system, "P", n))
-        )
-        w = zero_vec(d)
-        for idx, coeff in enumerate(v):
-            if coeff == 0:
-                continue
+    for (m, n), v in sorted(x.comps.items()):
+        # the ring image of each basis class of the grade, read over x's nonzeros
+        if m and n:
+            free, d_p = component_space(system, m, n).quot.free, tensor_space(system, "P", n).dim
+            q_cols = mat_transpose(_leg_collapse(system, "Q", m))
+            p_cols = mat_transpose(matmul(phi_power(system, -m), _leg_collapse(system, "P", n)))
             # basis class idx is that of e_a (x) e_b in Q^m (x) P^n
-            a, b = divmod(comp.quot.free[idx], tensor_space(system, "P", n).dim)
-            w = vec_add(w, vec_scale(coeff, system.ring.multiply(q_cols[a], p_cols[b])))
+            images = (system.ring.multiply(q_cols[a], p_cols[b])
+                      for a, b in (divmod(free[idx], d_p) for idx, _ in v))
+        elif m or n:
+            cols = mat_transpose(_leg_collapse(system, "Q" if m else "P", m or n))
+            images = (cols[idx] for idx, _ in v)
+        else:
+            images = (unit_vec(d, idx) for idx, _ in v)
+        w = zero_vec(d)
+        for (_, coeff), img in zip(v, images):
+            w = vec_add(w, vec_scale(coeff, img))
         put(n - m, w)
     return CrossedElement(system, acc)
 

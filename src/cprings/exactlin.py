@@ -23,7 +23,10 @@ pairs, by index (`_nonzeros`, `_sum_nz`); `_dense` reads one back.
 unit vectors is its own, so `coordinate_span` eliminates nothing, nor does
 the sum of two such spans) and has the
 lattice operations the higher layers need (sum, intersection, membership,
-canonical residuals).
+canonical residuals).  `Subspace.residual_nz` reduces a vector given by its
+nonzeros in one pass over them, since an RREF row has only free columns
+right of its pivot; the membership walk, the floored operator columns and
+the psi-invariance test read it instead of laying their vectors out densely.
 `QuotientSpace` takes the classes of the non-pivot coordinates as its basis,
 so basis vector t is the class of the unit vector at `free[t]`; the class of
 every other coordinate is read off the RREF rows once, into a lookup table,
@@ -273,7 +276,7 @@ def kernel(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 class Subspace:
     """A subspace of Q^n stored as a reduced row echelon basis."""
 
-    __slots__ = ("ambient", "rows", "pivots", "_support")
+    __slots__ = ("ambient", "rows", "pivots", "_support", "_by_pivot")
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence[Fraction]] = ()):
         self.ambient = ambient
@@ -290,6 +293,7 @@ class Subspace:
             tuple((j, row[j]) for j in range(p + 1, ambient) if row[j])
             for row, p in zip(self.rows, self.pivots)
         )
+        self._by_pivot = None  # pivot -> its row's support, built by the first `residual_nz`
 
     @classmethod
     def coordinate_span(cls, ambient: int, indices: Iterable[int]) -> "Subspace":
@@ -303,7 +307,20 @@ class Subspace:
         self.ambient, self.pivots = ambient, tuple(sorted(pivots))
         self.rows = tuple(tuple(unit_vec(ambient, t)) for t in self.pivots)
         self._support = ((),) * len(self.pivots)
+        self._by_pivot = None
         return self
+
+    @classmethod
+    def of_nonzeros(cls, ambient: int, vectors) -> "Subspace":
+        """The span of vectors given as their nonzero (index, value) pairs.
+        When every one has a single nonzero, the span is the coordinate span
+        of their indices (the RREF of multiples of unit vectors is the unit
+        rows), built with no elimination; otherwise `rref` runs on the
+        dense rows."""
+        vectors = [v for v in vectors if v]
+        if all(len(v) == 1 for v in vectors):
+            return cls.coordinate_span(ambient, [v[0][0] for v in vectors])
+        return cls(ambient, [_dense(ambient, v) for v in vectors])
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
@@ -329,6 +346,11 @@ class Subspace:
     def basis(self) -> list[list[Fraction]]:
         return [list(r) for r in self.rows]
 
+    def basis_nz(self) -> list[tuple]:
+        """The basis rows as their nonzero (index, value) pairs, read off
+        the pivots and the supports right of them, not off the dense rows."""
+        return [((p, ONE),) + support for p, support in zip(self.pivots, self._support)]
+
     def reduce(self, v: Sequence[Fraction]) -> list[Fraction]:
         """Canonical residual of v modulo this subspace (zero iff v is a member)."""
         if len(v) != self.ambient:
@@ -341,6 +363,27 @@ class Subspace:
                 for j, y in support:
                     out[j] -= c * y
         return out
+
+    def residual_nz(self, pairs) -> tuple:
+        """Nonzero (index, value) pairs, by index, of `reduce` of the vector
+        whose (index, value) pairs are `pairs` (any order; repeats add up).
+
+        An RREF row has only free columns right of its pivot, so reducing
+        one pivot entry never changes another: the residual is v minus v_p
+        times row p over the pivots p, one pass over v's nonzeros.  The
+        pivot map is built on the first call, once per subspace."""
+        by_pivot = self._by_pivot
+        if by_pivot is None:
+            by_pivot = self._by_pivot = dict(zip(self.pivots, self._support))
+        acc: dict = {}
+        for j, x in pairs:
+            support = by_pivot.get(j)
+            if support is None:
+                acc[j] = acc.get(j, ZERO) + x
+            else:
+                for k, y in support:
+                    acc[k] = acc.get(k, ZERO) - x * y
+        return tuple(sorted((j, y) for j, y in acc.items() if y))
 
     def contains(self, v: Sequence) -> bool:
         """Is v a member?  v is coerced by `vec`; the library's own callers,

@@ -1,7 +1,8 @@
 """Rank-one operator calculus on the tensor legs, built once per system.
 
 Operators act on Q^(x)n as matrices in canonical level coordinates,
-flattened column by column, as `cpring._fock_block` lays out a Fock block.
+flattened column by column, as the membership walk flattens the columns of a
+Fock block (`cpring._flatten`).
 The rank-one generators and the left action are
 
     theta_{q,p}(x) = q . psi_n(p (x) x)      (on P^(x)n: y |-> psi_n(y (x) q) . p)
@@ -26,10 +27,10 @@ and Delta^(-1)(F_P(Q))) are computed once per system, like the theta
 tables: each is an entry of the system's memo (`rsystem._memo`), built on a
 miss by a module-level function.  Given a floor ideal I, each answers for
 R/I instead, read in R with operator columns taken modulo M.I
-(`_column_residual`, as in the membership walk), and the theta table read
-so is stored once per floor (`_floored_thetas`); only `cpr quotient`
-builds R/I.  Rows are dense only while they are reduced
-so, and in the eliminations of `delta_ideals`.  `validate_ideal` decides
+(`_floored`, by `Subspace.residual_nz` on each column's nonzeros, as in
+the membership walk), and the theta table read so is stored once per
+floor (`_floored_thetas`); only `cpr quotient` builds R/I.  Rows are
+dense only in the eliminations of `delta_ideals`.  `validate_ideal` decides
 J's conditions against `delta_ideals`, and `canonical_ideals` adds the
 two-sided annihilator of ker Delta (the kernel of x -> k x and x -> x k
 over a basis, read off `ring.multiply`) and j_max, the intersection, the
@@ -56,7 +57,6 @@ from .exactlin import (
     QuotientSpace,
     Subspace,
     _dense,
-    _nonzeros,
     kernel,
     mat_identity,
     mat_transpose,
@@ -157,19 +157,11 @@ def _floor_key(i: Optional[Subspace]) -> Optional[Subspace]:
     return None if i is None or i.is_zero() else i
 
 
-def _column_residual(image: Subspace, block: list) -> list[Fraction]:
-    """Residual of a flattened block modulo `image`, column by column: zero
-    iff every column lies in it."""
-    if image.is_zero():  # as for the floor of T(J), I = 0
-        return block
-    n = image.ambient  # column c of the block is block[c * n:(c + 1) * n]
-    return [e for c in range(0, len(block), n) for e in image.reduce(block[c:c + n])]
-
-
 def _floored(system: RSystem, side: str, level: int, i: Optional[Subspace], maps) -> list:
     """The flattened maps on M = side^(x)level, each given and returned as
     its nonzero (index, value) pairs, each column reduced modulo MI =
-    Q^(x)n . I or I . P^(x)n (`ideal_image`); only then are they dense.
+    Q^(x)n . I or I . P^(x)n (`ideal_image`) by `Subspace.residual_nz` on
+    its nonzeros; no map is ever dense.
 
     For a two-sided, psi-invariant I with IQ <= QI and PI <= IP, M/MI is the
     leg of R/I.  The parent's theta's and Delta(r) map MI into MI and induce
@@ -179,8 +171,14 @@ def _floored(system: RSystem, side: str, level: int, i: Optional[Subspace], maps
     if _floor_key(i) is None:
         return list(maps)
     image = ideal_image(system, side, level, i)
-    n = image.ambient * image.ambient
-    return [tuple(_nonzeros(_column_residual(image, _dense(n, m)))) for m in maps]
+    n = image.ambient  # entry c * n + r of a flattened map is row r of column c
+    out = []
+    for m in maps:
+        cols: dict = {}
+        for k, v in m:
+            cols.setdefault(k // n, []).append((k % n, v))
+        out.append(tuple((c * n + r, y) for c in sorted(cols) for r, y in image.residual_nz(cols[c])))
+    return out
 
 
 def _floored_thetas(system: RSystem, side: str, level: int, i: Optional[Subspace]) -> list:

@@ -353,7 +353,8 @@ def _mul_monomials(graph: FiniteGraph, m1: LpaMonomial, m2: LpaMonomial) -> LpaM
     return LpaMonomial(m1.alpha, m2.beta, m2.vertex)
 
 
-def lpa_mul(a: LpaElement, b: LpaElement, order: str = "min") -> LpaElement:
+def _raw_product(a: LpaElement, b: LpaElement) -> dict[LpaMonomial, Fraction]:
+    """The monomial products of a and b, summed, before normalization."""
     if a.graph is not b.graph:
         raise ValueError("elements live over different graphs")
     out: dict[LpaMonomial, Fraction] = {}
@@ -363,7 +364,11 @@ def lpa_mul(a: LpaElement, b: LpaElement, order: str = "min") -> LpaElement:
             if m is None:
                 continue
             out[m] = out.get(m, ZERO) + c1 * c2
-    return LpaElement(a.graph, _normalize(a.graph, out, order=order), normalize=False)
+    return out
+
+
+def lpa_mul(a: LpaElement, b: LpaElement) -> LpaElement:
+    return LpaElement(a.graph, _normalize(a.graph, _raw_product(a, b)), normalize=False)
 
 
 def lpa_vertex(graph: FiniteGraph, v: str) -> LpaElement:

@@ -23,7 +23,7 @@ from functools import cache, reduce
 from operator import and_
 from typing import Sequence
 
-from .exactlin import QuotientSpace, Subspace, _dense, _nonzeros, _sum_nz, is_zero_vec, unit_vec
+from .exactlin import QuotientSpace, Subspace, _sum_nz, is_zero_vec, unit_vec
 from .cpring import CpContext, _core_generator, _graded_preimage
 from .finrank import IDEAL_CONDITIONS, delta_ideals, validate_ideal
 from .rsystem import (
@@ -84,8 +84,7 @@ def is_psi_invariant(system: RSystem, i: Subspace) -> bool:
 def _psi_invariant(system: RSystem, i: Subspace) -> bool:
     """`is_psi_invariant` for an I already known to be two-sided: psi(p (x) x.q)
     is linear in x, so the basis rows x of I suffice."""
-    d = system.ring.dim
-    return all(is_zero_vec(i.reduce(_dense(d, v))) for x in i.rows for v in _psi_images(system, _nonzeros(x)))
+    return not any(i.residual_nz(v) for x in i.basis_nz() for v in _psi_images(system, x))
 
 
 def _psi_images(system: RSystem, x_nz):
@@ -269,13 +268,17 @@ class IdealHandle:
     context: CpContext
     tpair: TPair
 
-    def _preimage(self, xs: Sequence[ToeplitzElement]) -> Subspace:
-        """{c : sum_i c_i xs[i] in H}, as a subspace of Q^len(xs)."""
+    def _rows(self, xs: Sequence[ToeplitzElement]) -> list:
+        """A basis of {c : sum_i c_i xs[i] in H} as rows, not reduced."""
         ctx = self.context
         return _graded_preimage(ctx.system, self.tpair.i, self.tpair.j, xs, ctx.cap)
 
+    def _preimage(self, xs: Sequence[ToeplitzElement]) -> Subspace:
+        """{c : sum_i c_i xs[i] in H}, as a subspace of Q^len(xs)."""
+        return Subspace(len(xs), self._rows(xs))
+
     def contains(self, x: ToeplitzElement) -> bool:
-        return not self._preimage([x]).is_zero()
+        return bool(self._rows([x]))
 
     def generators(self) -> list[ToeplitzElement]:
         system = self.context.system

@@ -59,9 +59,7 @@ from .exactlin import (
     ZERO,
     Subspace,
     QuotientSpace,
-    _nonzeros,
     _sum_nz,
-    unit_vec,
 )
 from .rsystem import RSystem, _Actions, _bilinear, _chain, _memo
 
@@ -198,10 +196,15 @@ def ideal_image(system: RSystem, side: str, k: int, ideal: Subspace) -> Subspace
 
 
 def _build_ideal_image(system: RSystem, side: str, k: int, ideal: Subspace) -> Subspace:
+    """Spanned by e_a . x (or x . e_a) over the level basis and I's basis,
+    each read off the action columns as its nonzeros; on graph and
+    permutation systems each is a multiple of one unit vector, so nothing
+    is eliminated (`Subspace.of_nonzeros`)."""
     dst = tensor_space(system, side, k)
-    units = [unit_vec(dst.dim, a) for a in range(dst.dim)]
-    return Subspace(dst.dim, [dst.act_right(u, x) if side == "Q" else dst.act_left(x, u)
-                              for u in units for x in ideal.basis()])
+    cols = dst.right if side == "Q" else dst.left  # cols[i][a]: e_a . e_i, resp. e_i . e_a
+    xs = ideal.basis_nz()
+    return Subspace.of_nonzeros(dst.dim, [_sum_nz((c, cols[i][a]) for i, c in x)
+                                          for a in range(dst.dim) for x in xs])
 
 
 def _word_nz(system: RSystem, side: str, word: tuple) -> tuple:
@@ -226,12 +229,6 @@ def _word_link(system: RSystem, k: int, prev, side: str, word: tuple) -> tuple:
         return ((word[0], ONE),)
     d_m = _module_of(system, side).dim
     return tensor_space(system, side, k + 1).quot.project_nz([(a * d_m + word[k], x) for a, x in prev])
-
-
-def _project_kron(quot: QuotientSpace, u: Sequence[Fraction], w: Sequence[Fraction]) -> list:
-    """Class of u (x) w: `quot` projects the nonzeros of its Kronecker coordinates."""
-    nz_w = _nonzeros(w)
-    return quot.project([(a * len(w) + b, x * y) for a, x in _nonzeros(u) for b, y in nz_w])
 
 
 def psi_n(system: RSystem, n: int):

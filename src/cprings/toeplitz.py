@@ -7,6 +7,11 @@ coordinate vectors in the component
     T_(m,0) = Q^(x)m,  T_(0,n) = P^(x)n,  T_(0,0) = R,
 
 with the grade product (m1,n1)(m2,n2) = (m1+m2-k, n1+n2-k), k = min(n1, m2).
+An element keeps each grade as its nonzero (index, value) pairs and never a
+dense vector: a word of a few letters has a handful of nonzero coordinates
+in a component of millions, and sums, scalings, products, Fock blocks and
+evaluations read only those.  `ToeplitzElement.component` is the one
+reader that lays a grade out densely.
 
 Every component basis class is the class of one pure tensor of level-1
 letters: a pair of words (u, v), u over Q and v over P (`_class_words`).
@@ -24,9 +29,9 @@ v1[:n1-k] is not empty or no Q letter survives, and inside the Q word
 otherwise; r multiplies the letter before the meeting point from the right
 (or the letter after it from the left when nothing comes before).  Every
 piece is the class of a word, read as its nonzeros, and a product is built
-only from the operands' nonzero coordinates: each pair of basis classes is
-multiplied once per system and cached as a sparse column of the output
-component.
+only from the operands' nonzero coordinates, summed per output grade in a
+dict: each pair of basis classes is multiplied once per system and cached
+as a sparse column of the output component.
 
 The module also hosts representation evaluation (images T^m(q) S^n(p),
 multiplicative in tensor order) and the Fock representation.  The Fock
@@ -60,7 +65,6 @@ from .exactlin import (
     unit_vec,
     vec,
     vec_add,
-    vec_scale,
     zero_vec,
 )
 from .rsystem import RSystem, _memo
@@ -69,7 +73,6 @@ from .tensorpow import (
     DEFAULT_CAP,
     _contract,
     _module_of,
-    _project_kron,
     _word_nz,
     balanced_quotient,
     psi_apply,
@@ -166,7 +169,15 @@ def _class_nz(system: RSystem, m: int, n: int, q, p) -> tuple:
 
 
 class ToeplitzElement:
-    """Finitely supported grade -> component-coordinates map (immutable)."""
+    """A finitely supported map from grades to component coordinates (immutable).
+
+    `comps[g]` is the tuple of nonzero (index, value) pairs of grade g,
+    sorted by index, and a grade with no nonzero is absent; the form is
+    canonical, so equality and hashing are structural.  The constructor
+    takes dense coordinates per grade; results built in this module take
+    their nonzeros as they are (`_from_nz`).  `component` is the one dense
+    reader.
+    """
 
     __slots__ = ("system", "comps")
 
@@ -175,21 +186,22 @@ class ToeplitzElement:
         comps = {}
         if components:
             for g, v in components.items():
-                v = tuple(v)
-                if any(v):
-                    comps[(int(g[0]), int(g[1]))] = v
+                nz = tuple([(j, x) for j, x in enumerate(v) if x])
+                if nz:
+                    comps[(int(g[0]), int(g[1]))] = nz
         self.comps = comps
 
     # -- inspection ---------------------------------------------------------
     def support(self):
         return sorted(self.comps)
 
-    def component(self, grade: GradePair):
+    def component(self, grade: GradePair) -> tuple:
+        """The dense coordinates of grade `grade`."""
         g = (int(grade[0]), int(grade[1]))
-        v = self.comps.get(g)
-        if v is not None:
-            return v
-        return tuple(zero_vec(component_space(self.system, g[0], g[1]).dim))
+        out = zero_vec(component_space(self.system, g[0], g[1]).dim)
+        for j, x in self.comps.get(g, ()):
+            out[j] = x
+        return tuple(out)
 
     def is_zero(self) -> bool:
         return not self.comps
@@ -204,17 +216,23 @@ class ToeplitzElement:
     def add(self, other: "ToeplitzElement") -> "ToeplitzElement":
         if other.system is not self.system:
             raise SystemMismatch("cannot add elements over different systems")
-        comps = {g: list(v) for g, v in self.comps.items()}
+        comps = dict(self.comps)
         for g, v in other.comps.items():
             if g in comps:
-                comps[g] = vec_add(comps[g], v)
+                acc = dict(comps[g])
+                for j, y in v:
+                    x = acc.get(j)
+                    acc[j] = y if x is None else x + y
+                comps[g] = tuple(sorted((j, y) for j, y in acc.items() if y))
             else:
-                comps[g] = list(v)
-        return ToeplitzElement(self.system, comps)
+                comps[g] = v
+        return _from_nz(self.system, comps)
 
     def scale(self, c) -> "ToeplitzElement":
         c = frac(c)
-        return ToeplitzElement(self.system, {g: vec_scale(c, v) for g, v in self.comps.items()})
+        if not c:
+            return _from_nz(self.system, {})
+        return _from_nz(self.system, {g: tuple((j, c * x) for j, x in v) for g, v in self.comps.items()})
 
     def neg(self) -> "ToeplitzElement":
         return self.scale(-1)
@@ -244,8 +262,18 @@ class ToeplitzElement:
     def __repr__(self) -> str:
         if not self.comps:
             return "ToeplitzElement(0)"
-        parts = ", ".join(f"{g}:{list(v)}" for g, v in sorted(self.comps.items()))
+        parts = ", ".join(f"{g}:{dict(v)}" for g, v in sorted(self.comps.items()))
         return f"ToeplitzElement({parts})"
+
+
+def _from_nz(system: RSystem, comps: dict) -> ToeplitzElement:
+    """The element whose grades carry the given nonzero (index, value)
+    pairs, sorted by index; a grade with none is dropped, and no pair is
+    scanned again."""
+    x = object.__new__(ToeplitzElement)
+    x.system = system
+    x.comps = {g: v for g, v in comps.items() if v}
+    return x
 
 
 def embed(system: RSystem, kind: str, coords) -> ToeplitzElement:
@@ -290,10 +318,7 @@ def pair(system: RSystem, m: int, n: int, q_coords, p_coords) -> ToeplitzElement
     if n == 0:
         return embed_n(system, "Q", m, q_coords)
     q, p = _leg_coords(system, "Q", m, q_coords), _leg_coords(system, "P", n, p_coords)
-    comp = component_space(system, m, n)
-    if comp.dim == 0:
-        return ToeplitzElement(system)
-    return ToeplitzElement(system, {(m, n): _project_kron(comp.quot, q, p)})
+    return _from_nz(system, {(m, n): _class_nz(system, m, n, _nonzeros(q), _nonzeros(p))})
 
 
 # -- multiplication ----------------------------------------------------------
@@ -368,29 +393,28 @@ def toeplitz_mul(a: ToeplitzElement, b: ToeplitzElement, cap: int = DEFAULT_CAP)
             if max(g_out) > cap:
                 raise CapExceeded(f"product grade {g_out} has a tensor level above cap {cap}")
     system = a.system
-    acc: dict = {}
-    nz_b = [(g2, [(j, y) for j, y in enumerate(b.comps[g2]) if y]) for g2 in sorted(b.comps)]
+    acc: dict = {}  # output grade -> {index: value}
+    nz_b = [(g2, b.comps[g2]) for g2 in sorted(b.comps)]
     for g1 in sorted(a.comps):
-        nz1 = [(i, x) for i, x in enumerate(a.comps[g1]) if x]
+        nz1 = a.comps[g1]
         for g2, nz2 in nz_b:
             g_out = semigroup_mul(g1, g2)
-            d_out = component_space(system, *g_out).dim
-            if d_out == 0:
+            if component_space(system, *g_out).dim == 0:
                 continue
-            w = acc.setdefault(g_out, zero_vec(d_out))
+            w = acc.setdefault(g_out, {})
             for i, x in nz1:
                 for j, y in nz2:
                     xy = x * y
                     for k, c in _product_column(system, g1, i, g2, j):
-                        w[k] += xy * c
-    return ToeplitzElement(system, acc)
+                        w[k] = w.get(k, ZERO) + xy * c
+    return _from_nz(system, {g: tuple(sorted((k, c) for k, c in w.items() if c)) for g, w in acc.items()})
 
 
 # -- grading ------------------------------------------------------------------
 
 
 def z_project(x: ToeplitzElement, k: int) -> ToeplitzElement:
-    return ToeplitzElement(x.system, {g: v for g, v in x.comps.items() if g[0] - g[1] == k})
+    return _from_nz(x.system, {g: v for g, v in x.comps.items() if g[0] - g[1] == k})
 
 
 # -- representations ----------------------------------------------------------
@@ -519,14 +543,13 @@ def evaluate(x: ToeplitzElement, rep):
     memo: dict = {}
     acc = rep.sigma(zero_vec(system.ring.dim))
     for (m, n) in x.support():
-        v = x.comps[(m, n)]
         if m == 0 and n == 0:
-            acc = acc + rep.sigma(list(v))
+            acc = acc + rep.sigma(list(x.component((0, 0))))
             continue
         q_imgs = _rep_leg_images(system, rep, "Q", m, memo) if m else None
         p_imgs = _rep_leg_images(system, rep, "P", n, memo) if n else None
         free = component_space(system, m, n).quot.free if m and n else None
-        for idx, c in _nonzeros(v):
+        for idx, c in x.comps[(m, n)]:
             if m and n:
                 a, b = divmod(free[idx], len(p_imgs))
                 img = q_imgs[a] * p_imgs[b]
@@ -572,7 +595,7 @@ def fock_apply(x: ToeplitzElement, j: int, cap: int = DEFAULT_CAP) -> dict:
         if n > j:
             continue
         cols = acc.setdefault(j - n + m, [{} for _ in range(d_src)])
-        for idx, c in _nonzeros(v):
+        for idx, c in v:
             for col_c, col in enumerate(cols):
                 for r, y in _product_column(system, (m, n), idx, (j, 0), col_c):
                     col[r] = col.get(r, ZERO) + c * y

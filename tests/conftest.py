@@ -57,7 +57,7 @@ from cprings.exactlin import (
     zero_vec,
 )
 from cprings.finrank import _delta_map_matrix, _floored_thetas, delta_ideals, theta_table
-from cprings.tensorpow import DEFAULT_CAP, _project_kron, _word_nz, psi_apply, tensor_space
+from cprings.tensorpow import DEFAULT_CAP, _word_nz, psi_apply, tensor_space
 from cprings.toeplitz import (
     ToeplitzElement,
     _check_fock_cap,
@@ -69,6 +69,13 @@ from cprings.toeplitz import (
 )
 
 F = Fraction
+
+
+def _project_kron(quot: QuotientSpace, u, w) -> list:
+    """Class of u (x) w, both dense: `quot` projects the nonzeros of its
+    Kronecker coordinates."""
+    nz_w = _nonzeros(w)
+    return quot.project([(a * len(w) + b, x * y) for a, x in _nonzeros(u) for b, y in nz_w])
 
 
 def a2_graph() -> FiniteGraph:
@@ -635,8 +642,8 @@ def gauge(t, x):
         raise ZeroScalar("gauge action needs t != 0")
     if isinstance(x, CpElement):
         return CpElement(x.context, gauge(t, x.rep))
-    return ToeplitzElement(x.system, {(m, n): [frac(Fraction(t) ** (n - m)) * c for c in v]
-                                      for (m, n), v in x.comps.items()})
+    return ToeplitzElement(x.system, {(m, n): [frac(Fraction(t) ** (n - m)) * c for c in x.component((m, n))]
+                                      for (m, n) in x.support()})
 
 
 def homogeneous_components(evaluations, degrees) -> dict:
@@ -880,13 +887,11 @@ def fock_oracle(x, j) -> dict:
         if n > j:
             continue
         if m == 0 and n == 0:
-            bump(j, src.left_map(v), 1)
+            bump(j, src.left_map(list(x.component((0, 0)))), 1)
             continue
         free = component_space(system, m, n).quot.free if m and n else None
         d_p = tensor_space(system, "P", n).dim
-        for idx, c in enumerate(v):
-            if not c:
-                continue
+        for idx, c in v:
             a, b = divmod(free[idx], d_p) if m and n else (idx, idx)
             js, blk = _fock_leg_block(system, "P", n, b, j, memo) if n else (j, None)
             if m:
@@ -954,7 +959,7 @@ class QuotientHandle:
         for (m, n), v in x.comps.items():
             cols = self._comp_map(m, n)
             mapped = zero_vec(component_space(self.quotient.system, m, n).dim)
-            for c, coef in _nonzeros(v):
+            for c, coef in v:
                 for t, y in _nonzeros(cols[c]):
                     mapped[t] += coef * y
             if any(mapped):

@@ -1006,3 +1006,22 @@ def test_scripts_run(argv):
         for got, want in zip(proc.stdout.splitlines(), pinned):
             assert got == want, f"payload of `{' '.join(want.split()[:3])}` changed: {got!r}"
         assert len(calls) + 1 == len(pinned)
+
+
+def test_rose4_degree4_equality_fits_in_memory(tmp_path):
+    """`x(w)*y(w)` against the sum of `x(w li)*y(w li)`, w = l1 l2 l3 l4, on
+    rose4: its (5,5) component has 1048576 Kronecker coordinates, and the
+    elements, their Fock blocks and the walk keep only nonzeros (44.7 MiB
+    traced when components were dense tuples)."""
+    path = tmp_path / "rose4.json"
+    path.write_text(json.dumps(graph_to_json(rose_graph(4))))
+    w = "l1 l2 l3 l4"
+    rhs = "+".join(f"x({w} l{i})*y({w} l{i})" for i in range(1, 5))
+    tracemalloc.start()
+    try:
+        code, body = cli.run(["eq", str(path), f"x({w})*y({w})", rhs])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, json.loads(body)["result"]["equal"]) == (0, True)
+    assert peak < 20 * 2**20, peak

@@ -41,6 +41,7 @@ from cprings.toeplitz import (
     embed,
     embed_n,
     evaluate,
+    fock_apply,
     toeplitz_mul,
     z_project,
 )
@@ -59,6 +60,8 @@ from cprings.cpring import (
 
 from conftest import random_graph_element
 
+from cprings import cpring, exactlin
+
 
 def _span(system, vecs):
     return Subspace(system.ring.dim, [list(map(frac, v)) for v in vecs])
@@ -68,6 +71,52 @@ def _jmax_context(system, **kw):
     j = validate_ideal(system, canonical_ideals(system)["j_max"])
     assert j.ok
     return CpContext(system, j, **kw)
+
+
+def test_a_block_with_its_only_nonzero_at_index_0_is_read():
+    """On the one-loop graph u -> u, x = 2 P(e) - 2 Q(e) P(e) P(e) is 0 in
+    O(j_max), where Q(e) P(e) = 1, and not 0 in the Toeplitz ring (J = 0).
+    Its level-1 -> level-0 Fock block is one column whose only nonzero sits
+    at coordinate 0; a reader that tested that column with `any` over its
+    indices would skip the block and accept x at J = 0."""
+    system = build_graph_system(rose_graph(1))
+    q, p = embed(system, "Q", [1]), embed(system, "P", [1])
+    x = 2 * p - 2 * toeplitz_mul(q, toeplitz_mul(p, p))
+    assert fock_apply(x, 1) == {0: (((0, 2),),)}
+    zero, jmax = CpContext(system, validate_ideal(system, Subspace(1))), _jmax_context(system)
+    assert not in_relation_ideal(zero, x)
+    assert in_relation_ideal(jmax, x)
+    # on a span: at J = 0 the level-1 blocks of x1 = P(e) and x2 = P(e) + Q(e) P(e) P(e)
+    # leave the combination x1 - x2, whose level-2 block is again one entry at
+    # coordinate 0, so the span's walk meets the same trap on a sum of two blocks
+    x1 = p
+    x2 = p + toeplitz_mul(q, toeplitz_mul(p, p))
+    for ctx, want in ((zero, []), (jmax, [[2, -1]])):
+        rows = cpring._graded_preimage(system, ctx._zero, ctx.j.ideal, [x1, x2], ctx.cap)
+        assert Subspace(2, rows) == Subspace(2, want)
+
+
+def test_one_element_verdict_runs_no_elimination(monkeypatch):
+    """One element's walk is a zero test on each residual: no `kernel` runs,
+    and once the context's spans exist no `rref` either (Subspace builds
+    included), on members and non-members alike."""
+    rng = random.Random(32)
+    cases = []
+    for system in (build_graph_system(line_graph(3)), build_graph_system(rose_graph(2)),
+                   build_graph_system(three_vertex_two_cycle()), perm3_system()):
+        ctx = _jmax_context(system)
+        gens = [cpring._core_generator(ctx, v) for v in ctx.j.ideal.basis()]
+        for _ in range(12):
+            a = random_graph_element(rng, system)
+            cases.append((ctx, a))
+            cases.append((ctx, toeplitz_mul(toeplitz_mul(a, rng.choice(gens)), random_graph_element(rng, system))))
+    first = [in_relation_ideal(ctx, x) for ctx, x in cases]
+    assert any(first) and not all(first)
+    calls = []
+    monkeypatch.setattr(cpring, "kernel", lambda *a: calls.append("kernel"))
+    monkeypatch.setattr(exactlin, "rref", lambda *a: calls.append("rref"))
+    assert [in_relation_ideal(ctx, x) for ctx, x in cases] == first
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

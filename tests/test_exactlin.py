@@ -384,3 +384,25 @@ def test_kernels_match_dense_references(data):
     # the class of every coordinate, and of x given dense or as its nonzeros
     assert mat_transpose([q.project(unit_vec(k, i)) for i in range(k)]) == dense_projection_matrix(q, sub)
     assert q.project(x) == q.project(_nonzeros(x)) == dense_matvec(dense_projection_matrix(q, sub), x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sparse_readers_match_dense_subspaces(data):
+    """`residual_nz` is `reduce` read on nonzeros (the pairs in any order),
+    `basis_nz` the nonzeros of the basis rows, and `of_nonzeros` the span of
+    the dense rows, also when every row is a multiple of one unit vector."""
+    m, k = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 6))
+    a = data.draw(sparse_matrix(m, k))
+    (x,) = data.draw(sparse_matrix(1, k))
+    sub = Subspace(k, a)
+    pairs = _nonzeros(x)
+    assert sub.residual_nz(pairs) == tuple(_nonzeros(sub.reduce(x)))
+    assert sub.residual_nz(pairs[::-1]) == sub.residual_nz(pairs)
+    assert sub.basis_nz() == [tuple(_nonzeros(r)) for r in sub.rows]
+    assert Subspace.of_nonzeros(k, [_nonzeros(r) for r in a]) == sub
+    units = [[c if j == t else 0 for j in range(k)]
+             for t, c in data.draw(st.lists(st.tuples(st.integers(0, k - 1), st.sampled_from([1, -2, F(1, 3)])),
+                                            max_size=5))]
+    spans = Subspace.of_nonzeros(k, [_nonzeros(u) for u in units])
+    assert spans == Subspace(k, units) and spans.is_coordinate_span()

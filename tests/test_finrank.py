@@ -37,7 +37,7 @@ from conftest import (
 )
 
 from cprings import exactlin, finrank
-from cprings.cpring import CpContext, _fock_block, cp_equal, graded_uniqueness_check, validate_ideal
+from cprings.cpring import CpContext, _flatten, _fock_block, cp_equal, graded_uniqueness_check, validate_ideal
 from cprings.exactlin import (
     ONE,
     Subspace,
@@ -123,13 +123,16 @@ def test_theta_table_matches_definition(mixed5, perm3):
 def test_theta_rows_are_fock_blocks(line3_system, perm3):
     """One operator layout across modules: q (x) p acts on level 1 of the
     Fock module as theta_{q,p}, so the level-1 block of pair(e_b, e_a), as
-    the membership walk flattens it, is row b * dim P + a of the theta table."""
+    the membership walk flattens its columns, is row b * dim P + a of the
+    theta table."""
     for system in (line3_system, build_graph_system(rose_graph(2)), perm3):
         q, p, table = system.q.dim, system.p.dim, finrank.theta_table(system, "Q", 1)
         for b in range(q):
             for a in range(p):
                 block = _fock_block(pair(system, 1, 1, unit_vec(q, b), unit_vec(p, a)), 1, 1, DEFAULT_CAP)
-                assert block == dense_rows([table[b * p + a]], q * q)[0], (system.name, b, a)
+                flat = _flatten(block, q)
+                assert flat == table[b * p + a], (system.name, b, a)
+                assert _dense(q * q, flat) == dense_rows([table[b * p + a]], q * q)[0], (system.name, b, a)
 
 
 def test_delta_projects_onto_emitted_edges(line3_system):

@@ -36,6 +36,13 @@ UNREACHED = {
 }
 
 
+# dense helpers that a sparse path replaced: no module of src/cprings defines
+# or imports them again
+GONE = {
+    "_column_residual": "a column is reduced on its nonzeros by `Subspace.residual_nz`",
+}
+
+
 def _sources():
     for pattern in ("src/**/*.py", "tests/*.py", "scripts/*.py"):
         yield from sorted(ROOT.glob(pattern))
@@ -137,3 +144,13 @@ def test_the_memo_is_one_modules_decision():
                        if isinstance(node, ast.AnnAssign) and node.value is not None and _is_memo_field(node)]
     assert naming == [], naming
     assert fields == ["rsystem.py:RSystem._store"], fields
+
+
+def test_replaced_dense_helpers_stay_gone():
+    back = []
+    for path in sorted((ROOT / "src" / "cprings").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names = {name for name, _ in _imported(tree)}
+        names |= {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        back += [f"{path.name}: {name} ({GONE[name]})" for name in sorted(names & set(GONE))]
+    assert not back, back

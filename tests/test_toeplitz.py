@@ -153,7 +153,8 @@ def test_basis_classes_are_pure_tensors(make):
 def test_rose3_44_component_fits_in_memory():
     """Rose3's (4,4) component has 6561 Kronecker coordinates and no nonzero
     balancing relation; its classes are a lookup table over those coordinates,
-    not a dense 6561 x 6561 projection matrix (330 MiB)."""
+    not a dense 6561 x 6561 projection matrix (330 MiB), and the unit element
+    stores its one nonzero, not a 6561-entry tuple."""
     system = build_graph_system(rose_graph(3))
     tracemalloc.start()
     try:
@@ -163,8 +164,21 @@ def test_rose3_44_component_fits_in_memory():
     finally:
         tracemalloc.stop()
     assert comp.dim == 6561
-    assert x.comps == {(4, 4): tuple(unit_vec(6561, 5 * 81 + 7))}
+    assert x.comps == {(4, 4): ((5 * 81 + 7, 1),)}
+    assert x.component((4, 4)) == tuple(unit_vec(6561, 5 * 81 + 7))
     assert peak < 16 * 2**20, peak
+
+
+def test_a_component_with_its_only_nonzero_at_index_0_is_kept(a2_system):
+    """Components are kept as their nonzeros; one whose only nonzero sits at
+    coordinate 0 is not empty, although a dict {0: 1} of it reads False
+    under `any`, which reads the keys."""
+    x = ToeplitzElement(a2_system, {(0, 0): [1, 0]})  # e_u, an idempotent
+    assert x.comps == {(0, 0): ((0, 1),)}
+    assert not x.is_zero()
+    assert x.component((0, 0)) == (1, 0)
+    assert toeplitz_mul(x, x) == x and not (x + x).is_zero() and (x - x).is_zero()
+    assert (x + x).component((0, 0)) == (2, 0)
 
 
 def test_rose3_creation_block_fits_in_memory():
