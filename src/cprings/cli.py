@@ -55,7 +55,7 @@ from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 from .cpring import CpContext, FsViolation, cp_equal, validate_ideal
-from .exactlin import Subspace, frac, unit_vec
+from .exactlin import Subspace, frac
 from .finrank import canonical_ideals, check_fs, left_annihilator
 from .graphalg import (
     FiniteGraph,
@@ -92,7 +92,7 @@ from .tensorpow import CapExceeded, DEFAULT_CAP
 from .toeplitz import (
     ToeplitzElement,
     _class_words,
-    embed,
+    _from_nz,
     evaluate,
     toeplitz_mul,
     z_project,
@@ -268,11 +268,11 @@ class EvalContext:
             return lpa_x(g, label) if kind == "Q" else lpa_y(g, label)
         sy = self.system
         if kind == "R":
-            i = self._index(sy.ring.labels, label, "ring label")
-            return embed(sy, "R", unit_vec(sy.ring.dim, i))
-        mod = sy.q if kind == "Q" else sy.p
-        i = self._index(mod.labels, label, "module label")
-        return embed(sy, kind, unit_vec(mod.dim, i))
+            i, grade = self._index(sy.ring.labels, label, "ring label"), (0, 0)
+        else:
+            mod, grade = (sy.q, (1, 0)) if kind == "Q" else (sy.p, (0, 1))
+            i = self._index(mod.labels, label, "module label")
+        return _from_nz(sy, {grade: ((i, 1),)})
 
     def sugar(self, head: str, names: list[str]):
         if head == "p":
@@ -684,8 +684,8 @@ def _verb_compare(loaded, args) -> Outcome:
     ctx = _cp_context(loaded, args, "jmax")
     rep = LpaTarget(loaded.paths, sy)
     gens = [
-        embed(sy, kind, unit_vec(dim, i))
-        for kind, dim in (("R", sy.ring.dim), ("Q", sy.q.dim), ("P", sy.p.dim))
+        _from_nz(sy, {grade: ((i, 1),)})
+        for grade, dim in (((0, 0), sy.ring.dim), ((1, 0), sy.q.dim), ((0, 1), sy.p.dim))
         for i in range(dim)
     ]
 

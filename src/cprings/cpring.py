@@ -73,6 +73,7 @@ from .toeplitz import (
     InvalidRepresentation,
     Representation,
     ToeplitzElement,
+    _from_nz,
     check_representation,
     component_space,
     fock_apply,
@@ -126,8 +127,8 @@ class CpContext:
         return CpElement(self, x)
 
 
-def _pi_delta(system: RSystem, x: Sequence[Fraction]) -> Optional[list[Fraction]]:
-    """Grade-(1,1) mixed coordinates of pi(Delta(x)), or None if dim (1,1) = 0.
+def _pi_delta(system: RSystem, x: Sequence[Fraction]) -> Optional[tuple]:
+    """Grade-(1,1) coordinates of pi(Delta(x)) as nonzeros, or None if dim (1,1) = 0.
 
     Maps the coefficients of `theta_decomposition`, Delta(x) = sum c_ab
     theta_{e_a, e_b}, through the balanced quotient.  Under (FS) any
@@ -141,7 +142,7 @@ def _pi_delta(system: RSystem, x: Sequence[Fraction]) -> Optional[list[Fraction]
     return _memo(system, ("pi_delta", x), _build_pi_delta, system, x)
 
 
-def _build_pi_delta(system: RSystem, x: tuple) -> Optional[list[Fraction]]:
+def _build_pi_delta(system: RSystem, x: tuple) -> Optional[tuple]:
     cs = component_space(system, 1, 1)
     if cs.dim == 0:
         return None
@@ -149,16 +150,16 @@ def _build_pi_delta(system: RSystem, x: tuple) -> Optional[list[Fraction]]:
     if coeffs is None:
         raise ValueError("Delta(x) is not finite-rank: ideal is not psi-compatible")
     # c_ab sits at a * dim P + b, the Kronecker coordinate of e_a (x) e_b in Q (x) P
-    return cs.quot.project(coeffs)
+    return cs.quot.project_nz(_nonzeros(coeffs))
 
 
 def _core_generator(ctx: CpContext, x: Sequence[Fraction]) -> ToeplitzElement:
-    """iota_R(x) - pi(Delta(x)) as a Toeplitz element."""
-    comps = {(0, 0): list(x)}
+    """iota_R(x) - pi(Delta(x)) as a Toeplitz element, built from its nonzeros."""
+    comps = {(0, 0): tuple(_nonzeros(x))}
     pd = _pi_delta(ctx.system, x)
     if pd is not None:
-        comps[(1, 1)] = [-c for c in pd]
-    return ToeplitzElement(ctx.system, comps)
+        comps[(1, 1)] = tuple((j, -c) for j, c in pd)
+    return _from_nz(ctx.system, comps)
 
 
 # ---------------------------------------------------------------------------

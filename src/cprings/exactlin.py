@@ -19,25 +19,23 @@ zeros, so every kernel collects the nonzero entries of its operands first
 and does arithmetic only on those; the results are exactly those of the
 dense formulas.  A sparse vector is the tuple of its nonzero (index, value)
 pairs, by index (`_nonzeros`, `_sum_nz`); `_dense` reads one back.
-`Subspace` stores a reduced row echelon basis (a span of
-unit vectors is its own, so `coordinate_span` eliminates nothing, nor does
-the sum of two such spans) and has the
-lattice operations the higher layers need (sum, intersection, membership,
-canonical residuals).  `Subspace.residual_nz` reduces a vector given by its
-nonzeros in one pass over them, since an RREF row has only free columns
-right of its pivot; the membership walk, the floored operator columns and
-the psi-invariance test read it instead of laying their vectors out densely.
+`Subspace` keeps its RREF basis as the pivots and the nonzeros right of
+each, never a dense row (`rows` and `basis()` are views for printing and
+tests).  Every RREF is read off spanning vectors given as their nonzeros
+(`_echelon_nz`), so a span of unit vectors eliminates nothing.  The lattice
+operations read the rows' nonzeros, and `Subspace.residual_nz` reduces a
+vector given by its nonzeros in one pass, since an RREF row has only free
+columns right of its pivot; the membership walk and the floored, descent
+and psi-invariance tests read it.
 `QuotientSpace` takes the classes of the non-pivot coordinates as its basis,
 so basis vector t is the class of the unit vector at `free[t]`; the class of
 every other coordinate is read off the RREF rows once, into a lookup table,
 and `QuotientSpace.project` is a sum of table entries over a vector's
 nonzeros (`project_nz` the same sum, kept sparse).  `QuotientSpace.of_relations`
-builds one from spanning relations given as their nonzeros: a relation with
-one nonzero entry kills its coordinate with no elimination, so when every
-relation is one the quotient is a coordinate selection, and `rref` runs only
-on the others, over the coordinates they touch.  A quotient by 0 is the
-identity (`free` is a `range`) and keeps no table.  No dense projection
-matrix is ever formed.
+builds one from spanning relations given as their nonzeros, by the same
+`_echelon_nz`: when every relation has one nonzero entry the quotient is a
+coordinate selection.  A quotient by 0 is the identity (`free` is a
+`range`) and keeps no table.  No dense projection matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -273,54 +271,71 @@ def kernel(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     return basis
 
 
-class Subspace:
-    """A subspace of Q^n stored as a reduced row echelon basis."""
+def _echelon_nz(vectors) -> dict:
+    """The RREF of the span of vectors given as their nonzero (index, value)
+    pairs at distinct indices, as {pivot: nonzeros right of it}.  A vector
+    with one nonzero is a unit row; the others, reduced modulo the unit rows
+    (those coordinates dropped), go to `rref` over only the coordinates they
+    touch.  Neither kind of row has an entry at a pivot of the other, so
+    together they are the (unique) RREF."""
+    rows: dict = {}
+    rest = []
+    for v in vectors:
+        if len(v) == 1:
+            rows[v[0][0]] = ()
+        elif v:
+            rest.append(v)
+    rest = [kept for kept in ([(j, x) for j, x in v if j not in rows] for v in rest) if kept]
+    if rest:
+        touched = sorted({j for v in rest for j, _ in v})
+        local = {j: c for c, j in enumerate(touched)}
+        red, pivots = rref([_dense(len(touched), [(local[j], x) for j, x in v]) for v in rest])
+        for row, p in zip(red, pivots):
+            rows[touched[p]] = tuple((touched[c], row[c]) for c in range(p + 1, len(touched)) if row[c])
+    return rows
 
-    __slots__ = ("ambient", "rows", "pivots", "_support", "_by_pivot")
+
+class Subspace:
+    """A subspace of Q^n stored as its RREF basis: the pivots and the nonzero
+    (column, value) pairs right of each (no dense row)."""
+
+    __slots__ = ("ambient", "pivots", "_support", "_by_pivot")
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence[Fraction]] = ()):
-        self.ambient = ambient
-        vecs = []
+        nz = []
         for v in vectors:
             if len(v) != ambient:
                 raise DimensionMismatch(f"vector of length {len(v)} in Q^{ambient}")
-            vecs.append(v)
-        rows, pivots = rref(vecs)
-        self.rows = tuple(tuple(r) for r in rows)
-        self.pivots = tuple(pivots)
-        # nonzero (column, value) of each basis row right of its pivot; all are free columns
-        self._support = tuple(
-            tuple((j, row[j]) for j in range(p + 1, ambient) if row[j])
-            for row, p in zip(self.rows, self.pivots)
-        )
+            nz.append(_nonzeros(vec(v)))
+        self._set_rref(ambient, _echelon_nz(nz))
+
+    def _set_rref(self, ambient: int, rows: dict) -> None:
+        """Store the RREF given as {pivot: nonzero (column, value) pairs right of it}."""
+        self.ambient = ambient
+        self.pivots = tuple(sorted(rows))
+        self._support = tuple(rows[p] for p in self.pivots)
         self._by_pivot = None  # pivot -> its row's support, built by the first `residual_nz`
 
     @classmethod
     def coordinate_span(cls, ambient: int, indices: Iterable[int]) -> "Subspace":
         """The span of the unit vectors at `indices` (any order, repeats
-        allowed), built as its own RREF: the distinct indices, sorted, are the
-        pivots of unit rows with nothing right of them."""
+        allowed), built as its own RREF in O(#indices): the distinct indices,
+        sorted, are the pivots of unit rows with nothing right of them."""
         pivots = set(indices)
         if any(type(t) is not int or not 0 <= t < ambient for t in pivots):
             raise ValueError(f"coordinate indices must be ints in range({ambient}), got {sorted(map(repr, pivots))}")
         self = object.__new__(cls)
-        self.ambient, self.pivots = ambient, tuple(sorted(pivots))
-        self.rows = tuple(tuple(unit_vec(ambient, t)) for t in self.pivots)
+        self.ambient, self.pivots, self._by_pivot = ambient, tuple(sorted(pivots)), None
         self._support = ((),) * len(self.pivots)
-        self._by_pivot = None
         return self
 
     @classmethod
     def of_nonzeros(cls, ambient: int, vectors) -> "Subspace":
-        """The span of vectors given as their nonzero (index, value) pairs.
-        When every one has a single nonzero, the span is the coordinate span
-        of their indices (the RREF of multiples of unit vectors is the unit
-        rows), built with no elimination; otherwise `rref` runs on the
-        dense rows."""
-        vectors = [v for v in vectors if v]
-        if all(len(v) == 1 for v in vectors):
-            return cls.coordinate_span(ambient, [v[0][0] for v in vectors])
-        return cls(ambient, [_dense(ambient, v) for v in vectors])
+        """The span of vectors given as their nonzero (index, value) pairs at
+        distinct indices (`_echelon_nz`)."""
+        self = object.__new__(cls)
+        self._set_rref(ambient, _echelon_nz(vectors))
+        return self
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
@@ -328,10 +343,10 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.pivots
 
     def is_coordinate_span(self) -> bool:
         """Is the space spanned by standard basis vectors?  It is exactly when
@@ -343,12 +358,17 @@ class Subspace:
         bitmask (bit t for e_t); None when the space is not one."""
         return sum(1 << t for t in self.pivots) if self.is_coordinate_span() else None
 
+    @property
+    def rows(self) -> tuple:
+        """The RREF basis rows, dense, built on each call."""
+        return tuple(map(tuple, self.basis()))
+
     def basis(self) -> list[list[Fraction]]:
-        return [list(r) for r in self.rows]
+        return [_dense(self.ambient, r) for r in self.basis_nz()]
 
     def basis_nz(self) -> list[tuple]:
         """The basis rows as their nonzero (index, value) pairs, read off
-        the pivots and the supports right of them, not off the dense rows."""
+        the pivots and the supports right of them."""
         return [((p, ONE),) + support for p, support in zip(self.pivots, self._support)]
 
     def reduce(self, v: Sequence[Fraction]) -> list[Fraction]:
@@ -413,10 +433,12 @@ class Subspace:
             raise DimensionMismatch("ambient dimensions differ")
         if self.is_coordinate_span() and other.is_coordinate_span():  # the span of both index sets
             return Subspace.coordinate_span(self.ambient, self.pivots + other.pivots)
-        return Subspace(self.ambient, list(self.rows) + list(other.rows))
+        return Subspace.of_nonzeros(self.ambient, self.basis_nz() + other.basis_nz())
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus-style: ker of [B_self; B_other] stacked as column relations."""
+        """Zassenhaus-style: the combinations of self's rows u_i that lie in
+        other are the u-parts of the kernel of (c, d) |-> sum c_i u_i +
+        sum d_j w_j, one equation per coordinate the rows touch."""
         if self.ambient != other.ambient:
             raise DimensionMismatch("ambient dimensions differ")
         if self.is_zero() or other.is_zero():
@@ -425,20 +447,12 @@ class Subspace:
             return other
         if other.dim == other.ambient:
             return self
-        # coefficients (c, d) with sum c_i u_i = sum d_j w_j, read off the u-part
-        cols = [list(r) for r in self.rows] + [[-x for x in r] for r in other.rows]
-        relations = kernel(mat_transpose(cols))
-        k = len(self.rows)
-        gens = []
-        for rel in relations:
-            v = [ZERO] * self.ambient
-            for c, p, support in zip(rel[:k], self.pivots, self._support):
-                if c:
-                    v[p] += c
-                    for j, y in support:
-                        v[j] += c * y
-            gens.append(v)
-        return Subspace(self.ambient, gens)
+        us, k = self.basis_nz(), self.dim
+        eqs: dict = {}  # coordinate -> its equation over (c, d)
+        for col, row in enumerate(us + other.basis_nz()):
+            for t, y in row:
+                eqs.setdefault(t, [ZERO] * (k + other.dim))[col] = y
+        return Subspace.of_nonzeros(self.ambient, [_sum_nz(zip(rel[:k], us)) for rel in kernel(list(eqs.values()))])
 
     def le(self, other: "Subspace") -> bool:
         """Is this a subspace of `other`?  A vector's leading column is a pivot of
@@ -446,12 +460,12 @@ class Subspace:
         if self.ambient != other.ambient:
             raise DimensionMismatch("ambient dimensions differ")
         return (set(self.pivots).issubset(other.pivots)
-                and all(is_zero_vec(other.reduce(r)) for r in self.rows))
+                and not any(other.residual_nz(r) for r in self.basis_nz()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self.rows == other.rows
+        return (self.ambient, self.pivots, self._support) == (other.ambient, other.pivots, other._support)
 
     def __hash__(self) -> int:
         # equal subspaces have equal RREF rows, hence equal pivots; hashing the
@@ -483,36 +497,16 @@ class QuotientSpace:
     @classmethod
     def of_relations(cls, ambient: int, relations) -> "QuotientSpace":
         """Q^ambient modulo the span of `relations`, each given as its
-        nonzero (index, value) pairs at distinct indices; no dense row of
-        Q^ambient is formed.
-
-        A relation with one nonzero entry is a unit row: its coordinate is
-        a pivot whose class is 0.  The other relations, with those
-        coordinates dropped (reduced modulo the unit rows), are eliminated by
-        `rref` over only the coordinates they touch; their pivots are
-        pivots too, and their rows give the pivots' classes.  With nothing
-        left over no `rref` runs, and with no relation the quotient is the
-        identity.  The unit rows and the reduced rows' RREF are together the
-        RREF of the relation span (`tensorpow.balanced_quotient` has the
-        argument), so the classes are those of `QuotientSpace(Subspace(...))`
-        on the dense relation rows.
+        nonzero (index, value) pairs at distinct indices, read off their
+        RREF (`_echelon_nz`): a relation with one nonzero entry kills its
+        coordinate with no elimination, `rref` runs on the others over only
+        the coordinates they touch, and with no relation the quotient is the
+        identity.  No dense row of Q^ambient is formed, and the classes are
+        those of `QuotientSpace(Subspace(...))` on the dense relation rows
+        (`tensorpow.balanced_quotient` has the argument).
         """
-        rows: dict = {}  # pivot -> nonzero (column, value) pairs right of it
-        rest = []
-        for rel in relations:
-            if len(rel) == 1:
-                rows[rel[0][0]] = ()
-            else:
-                rest.append(rel)
-        rest = [kept for kept in ([(j, v) for j, v in rel if j not in rows] for rel in rest) if kept]
-        if rest:
-            touched = sorted({j for rel in rest for j, _ in rel})
-            local = {j: c for c, j in enumerate(touched)}
-            red, pivots = rref([_dense(len(touched), [(local[j], v) for j, v in rel]) for rel in rest])
-            for row, p in zip(red, pivots):
-                rows[touched[p]] = tuple((touched[c], row[c]) for c in range(p + 1, len(touched)) if row[c])
         self = object.__new__(cls)
-        self._read_rref(ambient, rows)
+        self._read_rref(ambient, _echelon_nz(relations))
         return self
 
     def _read_rref(self, ambient: int, rows: dict) -> None:

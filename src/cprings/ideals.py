@@ -23,7 +23,7 @@ from functools import cache, reduce
 from operator import and_
 from typing import Sequence
 
-from .exactlin import QuotientSpace, Subspace, _sum_nz, is_zero_vec, unit_vec
+from .exactlin import QuotientSpace, Subspace, _sum_nz
 from .cpring import CpContext, _core_generator, _graded_preimage
 from .finrank import IDEAL_CONDITIONS, delta_ideals, validate_ideal
 from .rsystem import (
@@ -36,7 +36,7 @@ from .rsystem import (
     orthogonal_idempotents,
 )
 from .tensorpow import ideal_image
-from .toeplitz import ToeplitzElement, component_space, embed
+from .toeplitz import ToeplitzElement, _from_nz, component_space, embed
 
 __all__ = [
     "HypothesisViolated",
@@ -128,13 +128,14 @@ def _require_descent(system: RSystem, i: Subspace) -> None:
 
 def _check_descent(system: RSystem, i: Subspace) -> None:
     """`_require_descent` for any I, by elimination: each x.e_b and e_a.x,
-    x a basis row of I, reduced modulo QI and IP (`ideal_image`)."""
+    x a basis row of I, read off the action columns as its nonzeros and
+    reduced modulo QI and IP (`ideal_image`)."""
     q, p = system.q, system.p
     qi, ip = ideal_image(system, "Q", 1, i), ideal_image(system, "P", 1, i)
-    for x in i.basis():
-        if not all(is_zero_vec(qi.reduce(q.act_left(x, unit_vec(q.dim, b)))) for b in range(q.dim)):
+    for x in i.basis_nz():
+        if any(qi.residual_nz(_sum_nz((c, q.left[t][b]) for t, c in x)) for b in range(q.dim)):
             raise NotInvariant(_NO_LEFT_DESCENT)
-        if not all(is_zero_vec(ip.reduce(p.act_right(unit_vec(p.dim, a), x))) for a in range(p.dim)):
+        if any(ip.residual_nz(_sum_nz((c, p.right[t][a]) for t, c in x)) for a in range(p.dim)):
             raise NotInvariant(_NO_RIGHT_DESCENT)
 
 
@@ -320,11 +321,10 @@ def extract_tpair_from_handle(handle: IdealHandle) -> TPair:
     """
     system = handle.context.system
     d = system.ring.dim
-    units = [embed(system, "R", unit_vec(d, r)) for r in range(d)]
-    cs = component_space(system, 1, 1)
-    mixed = [ToeplitzElement(system, {(1, 1): unit_vec(cs.dim, c)}) for c in range(cs.dim)]
+    units = [_from_nz(system, {(0, 0): ((r, 1),)}) for r in range(d)]
+    mixed = [_from_nz(system, {(1, 1): ((c, 1),)}) for c in range(component_space(system, 1, 1).dim)]
     i = handle._preimage(units)
-    j = Subspace(d, [row[:d] for row in handle._preimage(units + mixed).rows])
+    j = Subspace(d, [row[:d] for row in handle._rows(units + mixed)])
     return TPair(i, j)
 
 

@@ -60,7 +60,6 @@ from .exactlin import (
     _nonzeros,
     _sum_nz,
     frac,
-    is_zero_vec,
     mat_identity,
     mat_transpose,
     solve_matrix,
@@ -459,8 +458,8 @@ def is_two_sided(system: RSystem, space: Subspace) -> bool:
 def _two_sided_by_columns(ring: StructuredRing, space: Subspace) -> bool:
     """`is_two_sided` for any subspace: for each basis vector k, e_i k and
     k e_i are k's combinations of the columns of e_i's actions."""
-    return all(is_zero_vec(space.reduce(_dense(ring.dim, _sum_nz((c, cols[a]) for a, c in _nonzeros(k)))))
-               for k in space.basis() for cols in (*ring.left, *ring.right))
+    return not any(space.residual_nz(_sum_nz((c, cols[a]) for a, c in k))
+                   for k in space.basis_nz() for cols in (*ring.left, *ring.right))
 
 
 # ---------------------------------------------------------------------------

@@ -157,8 +157,8 @@ def _scalars(cols) -> list:
 
 
 def tensor_space(system: RSystem, side: str, n: int) -> TensorSpace:
-    if n < 0:
-        raise ValueError("negative tensor level")
+    if not isinstance(n, int) or n < 0:  # a float level would never reach 0 in `_chain`
+        raise ValueError(f"a tensor level is a natural number, got {n!r}")
     return _chain(system, ("space", side, n), n, _level_key, _build_level, side)
 
 

@@ -9,9 +9,11 @@ coordinate vectors in the component
 with the grade product (m1,n1)(m2,n2) = (m1+m2-k, n1+n2-k), k = min(n1, m2).
 An element keeps each grade as its nonzero (index, value) pairs and never a
 dense vector: a word of a few letters has a handful of nonzero coordinates
-in a component of millions, and sums, scalings, products, Fock blocks and
-evaluations read only those.  `ToeplitzElement.component` is the one
-reader that lays a grade out densely.
+in a component of millions, and elements are built from those end to end:
+`embed`, `embed_n`, `pair` and every result of the module write their
+nonzeros straight into the element (`_from_nz`).  The constructor, which
+takes dense coordinates, is the public entry and the tests' oracle, and
+`ToeplitzElement.component` is the one dense reader.
 
 Every component basis class is the class of one pure tensor of level-1
 letters: a pair of words (u, v), u over Q and v over P (`_class_words`).
@@ -39,7 +41,7 @@ module F = (+)_j Q^(x)j is T modulo the left ideal L of the grades (m, n)
 with n >= 1, so T acts on F by the same product rule (`fock_apply`).  A
 Fock block is its columns' nonzeros: one tuple of (index, value) pairs per
 basis vector of the source level, column c the product of a class with
-basis class c of Q^(x)j.  No block is ever a dense matrix.
+basis class c of Q^(x)j, and only nonzero columns are accumulated.
 
 Tensor levels are capped only where an operation creates a level its caller
 did not name: `toeplitz_mul` refuses an output grade with a leg above its
@@ -56,7 +58,6 @@ from .exactlin import (
     ONE,
     ZERO,
     QuotientSpace,
-    _nonzeros,
     _sum_nz,
     frac,
     mat_identity,
@@ -174,21 +175,21 @@ class ToeplitzElement:
     `comps[g]` is the tuple of nonzero (index, value) pairs of grade g,
     sorted by index, and a grade with no nonzero is absent; the form is
     canonical, so equality and hashing are structural.  The constructor
-    takes dense coordinates per grade; results built in this module take
-    their nonzeros as they are (`_from_nz`).  `component` is the one dense
-    reader.
-    """
+    takes dense coordinates per grade, a pair of naturals, coerced by `vec`
+    and as long as the component's dimension; `component` is the one dense
+    reader."""
 
     __slots__ = ("system", "comps")
 
     def __init__(self, system: RSystem, components=None):
         self.system = system
         comps = {}
-        if components:
-            for g, v in components.items():
-                nz = tuple([(j, x) for j, x in enumerate(v) if x])
-                if nz:
-                    comps[(int(g[0]), int(g[1]))] = nz
+        for (m, n), v in (components or {}).items():
+            if not (isinstance(m, int) and isinstance(n, int)):  # component_space refuses a negative one
+                raise ValueError(f"a grade is a pair of natural numbers, got {(m, n)!r}")
+            nz = _grade_nz(v, component_space(system, m, n).dim, (m, n))
+            if nz:
+                comps[(m, n)] = nz
         self.comps = comps
 
     # -- inspection ---------------------------------------------------------
@@ -214,18 +215,24 @@ class ToeplitzElement:
 
     # -- linear structure ---------------------------------------------------
     def add(self, other: "ToeplitzElement") -> "ToeplitzElement":
+        return self._merge(other, 1)
+
+    def sub(self, other: "ToeplitzElement") -> "ToeplitzElement":
+        return self._merge(other, -1)
+
+    def _merge(self, other: "ToeplitzElement", sign: int) -> "ToeplitzElement":
+        """self + sign * other, in one merge of the nonzeros."""
         if other.system is not self.system:
-            raise SystemMismatch("cannot add elements over different systems")
+            raise SystemMismatch("cannot add or subtract elements over different systems")
         comps = dict(self.comps)
         for g, v in other.comps.items():
-            if g in comps:
-                acc = dict(comps[g])
-                for j, y in v:
-                    x = acc.get(j)
-                    acc[j] = y if x is None else x + y
-                comps[g] = tuple(sorted((j, y) for j, y in acc.items() if y))
-            else:
+            if sign == 1 and g not in comps:
                 comps[g] = v
+                continue
+            acc = dict(comps.get(g, ()))
+            for j, y in v:
+                acc[j] = acc.get(j, ZERO) + sign * y
+            comps[g] = tuple(sorted((j, y) for j, y in acc.items() if y))
         return _from_nz(self.system, comps)
 
     def scale(self, c) -> "ToeplitzElement":
@@ -236,9 +243,6 @@ class ToeplitzElement:
 
     def neg(self) -> "ToeplitzElement":
         return self.scale(-1)
-
-    def sub(self, other: "ToeplitzElement") -> "ToeplitzElement":
-        return self.add(other.neg())
 
     def mul(self, other: "ToeplitzElement") -> "ToeplitzElement":
         return toeplitz_mul(self, other)
@@ -276,37 +280,33 @@ def _from_nz(system: RSystem, comps: dict) -> ToeplitzElement:
     return x
 
 
+def _grade_nz(coords, dim: int, grade: GradePair) -> tuple:
+    """The nonzero (index, value) pairs of dense coordinates of length `dim`
+    at `grade`, coerced by `vec`, in one pass."""
+    coords = vec(coords)
+    if len(coords) != dim:
+        raise ValueError(f"coordinate length {len(coords)} != dim {dim} of grade {grade}")
+    return tuple([(j, x) for j, x in enumerate(coords) if x])
+
+
 def embed(system: RSystem, kind: str, coords) -> ToeplitzElement:
     """Level-1 (or ring) embedding of coordinates (see `embed_n`)."""
     return embed_n(system, kind, 0 if kind == "R" else 1, coords)
 
 
 def embed_n(system: RSystem, kind: str, level: int, coords) -> ToeplitzElement:
-    """The element with the given coordinates at level `level` of leg `kind`
-    (R at level 0); coordinates are coerced by `vec`."""
+    """The element with the given coordinates (coerced by `vec`, as long as
+    the level's dimension) at level `level` of leg `kind` (R at level 0)."""
     if kind == "R":
         if level != 0:
             raise ValueError("ring elements sit at level 0")
-        coords = vec(coords)
-        if len(coords) != system.ring.dim:
-            raise ValueError("coordinate length mismatch")
-        return ToeplitzElement(system, {(0, 0): coords})
-    if kind == "Q":
-        grade = (level, 0)
-    elif kind == "P":
-        grade = (0, level)
+        grade, dim = (0, 0), system.ring.dim
+    elif kind == "Q" or kind == "P":
+        grade = (level, 0) if kind == "Q" else (0, level)
+        dim = tensor_space(system, kind, level).dim
     else:
         raise ValueError(f"kind must be R, Q or P, got {kind!r}")
-    return ToeplitzElement(system, {grade: _leg_coords(system, kind, level, coords)})
-
-
-def _leg_coords(system: RSystem, kind: str, level: int, coords) -> list:
-    """coords coerced by `vec`, checked to have the length of the level's coordinates."""
-    coords = vec(coords)
-    want = tensor_space(system, kind, level).dim
-    if len(coords) != want:
-        raise ValueError(f"coordinate length {len(coords)} != dim {want} of {kind}^{level}")
-    return coords
+    return _from_nz(system, {grade: _grade_nz(coords, dim, grade)})
 
 
 def pair(system: RSystem, m: int, n: int, q_coords, p_coords) -> ToeplitzElement:
@@ -317,8 +317,9 @@ def pair(system: RSystem, m: int, n: int, q_coords, p_coords) -> ToeplitzElement
         return embed_n(system, "P", n, p_coords)
     if n == 0:
         return embed_n(system, "Q", m, q_coords)
-    q, p = _leg_coords(system, "Q", m, q_coords), _leg_coords(system, "P", n, p_coords)
-    return _from_nz(system, {(m, n): _class_nz(system, m, n, _nonzeros(q), _nonzeros(p))})
+    q = _grade_nz(q_coords, tensor_space(system, "Q", m).dim, (m, 0))
+    p = _grade_nz(p_coords, tensor_space(system, "P", n).dim, (0, n))
+    return _from_nz(system, {(m, n): _class_nz(system, m, n, q, p)})
 
 
 # -- multiplication ----------------------------------------------------------
@@ -384,29 +385,27 @@ def _build_product_column(system: RSystem, g1, i: int, g2, j: int) -> tuple:
 
 def toeplitz_mul(a: ToeplitzElement, b: ToeplitzElement, cap: int = DEFAULT_CAP) -> ToeplitzElement:
     """The product a b; raises CapExceeded, before any work, when an output
-    grade has a leg level above cap."""
+    grade has a leg level above cap (one pass over the grade pairs)."""
     if a.system is not b.system:
         raise SystemMismatch("cannot multiply elements over different systems")
-    for g1 in a.comps:
-        for g2 in b.comps:
+    pairs = []
+    for g1, nz1 in a.comps.items():
+        for g2, nz2 in b.comps.items():
             g_out = semigroup_mul(g1, g2)
             if max(g_out) > cap:
                 raise CapExceeded(f"product grade {g_out} has a tensor level above cap {cap}")
+            pairs.append((g1, nz1, g2, nz2, g_out))
     system = a.system
     acc: dict = {}  # output grade -> {index: value}
-    nz_b = [(g2, b.comps[g2]) for g2 in sorted(b.comps)]
-    for g1 in sorted(a.comps):
-        nz1 = a.comps[g1]
-        for g2, nz2 in nz_b:
-            g_out = semigroup_mul(g1, g2)
-            if component_space(system, *g_out).dim == 0:
-                continue
-            w = acc.setdefault(g_out, {})
-            for i, x in nz1:
-                for j, y in nz2:
-                    xy = x * y
-                    for k, c in _product_column(system, g1, i, g2, j):
-                        w[k] = w.get(k, ZERO) + xy * c
+    for g1, nz1, g2, nz2, g_out in pairs:
+        if component_space(system, *g_out).dim == 0:
+            continue
+        w = acc.setdefault(g_out, {})
+        for i, x in nz1:
+            for j, y in nz2:
+                xy = x * y
+                for k, c in _product_column(system, g1, i, g2, j):
+                    w[k] = w.get(k, ZERO) + xy * c
     return _from_nz(system, {g: tuple(sorted((k, c) for k, c in w.items() if c)) for g, w in acc.items()})
 
 
@@ -590,15 +589,21 @@ def fock_apply(x: ToeplitzElement, j: int, cap: int = DEFAULT_CAP) -> dict:
     _check_fock_cap(x, j, cap)
     system = x.system
     d_src = tensor_space(system, "Q", j).dim
-    acc: dict = {}  # j_out -> one {index: value} per column
-    for (m, n), v in sorted(x.comps.items()):
+    acc: dict = {}  # j_out -> {column: {index: value}}, the columns with a nonzero product only
+    for (m, n), v in x.comps.items():
         if n > j:
             continue
-        cols = acc.setdefault(j - n + m, [{} for _ in range(d_src)])
+        cols = acc.setdefault(j - n + m, {})
         for idx, c in v:
-            for col_c, col in enumerate(cols):
-                for r, y in _product_column(system, (m, n), idx, (j, 0), col_c):
-                    col[r] = col.get(r, ZERO) + c * y
-    blocks = {k: tuple(tuple(sorted((r, y) for r, y in col.items() if y)) for col in cols)
-              for k, cols in acc.items()}
-    return {k: blk for k, blk in blocks.items() if any(blk)}
+            for col_c in range(d_src):
+                prod = _product_column(system, (m, n), idx, (j, 0), col_c)
+                if prod:
+                    col = cols.setdefault(col_c, {})
+                    for r, y in prod:
+                        col[r] = col.get(r, ZERO) + c * y
+    blocks = {}
+    for k, cols in acc.items():
+        nz = {col_c: tuple(sorted((r, y) for r, y in col.items() if y)) for col_c, col in cols.items()}
+        if any(nz.values()):
+            blocks[k] = tuple([nz.get(col_c, ()) for col_c in range(d_src)])
+    return blocks

@@ -321,6 +321,24 @@ def non_diagonal_system(kind, rng):
     return system, [Subspace(d, [new_coords(m) for m in ideal]) for ideal in ideals]
 
 
+# the system families the sparse builders are checked on against dense oracles
+FAMILIES = ("graph", "permutation", "rebased", "non-diagonal")
+
+
+def family_system(family: str, rng: random.Random) -> RSystem:
+    """A small random system of one of `FAMILIES`: a graph system, a
+    permutation system, either of them with legs rebased (`rebased_legs`),
+    or a `non_diagonal_system`."""
+    if family == "graph":
+        return build_graph_system(random_graph(rng, 4, 6))
+    if family == "permutation":
+        return random_permutation_system(rng, 4)
+    if family == "rebased":
+        base = build_graph_system(random_graph(rng, 4, 6)) if rng.random() < 0.5 else random_permutation_system(rng, 4)
+        return rebased_legs(base, rng)
+    return non_diagonal_system(rng.choice(("diagonal", "dual", "upper", "matrix")), rng)[0]
+
+
 def random_graph_element(rng, system, ctx_free_degree=2):
     """Small random Toeplitz element over a graph system (used by several suites)."""
     from cprings import toeplitz

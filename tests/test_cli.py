@@ -27,8 +27,10 @@ from conftest import (
     a2_graph,
     argparse_oracle,
     corner_bimodules_json,
+    cycle_graph,
     dual_numbers_ring,
     dual_numbers_unit_basis_ring,
+    five_vertex_mixed,
     idempotent_plus_null_json,
     infinite_emitter_graph,
     killed_vector_json,
@@ -50,9 +52,9 @@ from cprings.cli import (
     parse_element,
 )
 from cprings.graphalg import graph_to_json, line_graph, rose_graph
-from cprings.exactlin import mat_identity
+from cprings.exactlin import Subspace, mat_identity
 from cprings.rsystem import build_automorphism_system, build_graph_system, system_from_json, system_to_json
-from cprings.toeplitz import embed, toeplitz_mul
+from cprings.toeplitz import ToeplitzElement, embed, toeplitz_mul
 
 
 @pytest.fixture(scope="module")
@@ -639,6 +641,35 @@ def test_hot_verbs_build_no_dense_view(files, monkeypatch):
     assert built == []
     sy = build_graph_system(a2_graph())
     assert sy.ring.mult and sy.psi.table and len(built) == 2  # the hook sees both views
+
+
+def test_eq_reads_no_dense_view(files, tmp_path, monkeypatch):
+    """`eq` on the eq-session presets (a2, line3, 3v2c, cyc3, 5v-mixed and
+    perm3), both verdicts: operands, Fock blocks, spans and the walk stay
+    as nonzeros, so no `Subspace.basis()` or `rows` and no
+    `ToeplitzElement.component` is read."""
+    reads = []
+    for cls, name in ((Subspace, "basis"), (ToeplitzElement, "component")):
+        monkeypatch.setattr(cls, name, lambda self, *a, _real=getattr(cls, name), _name=name:
+                            reads.append(_name) or _real(self, *a))
+    monkeypatch.setattr(Subspace, "rows", property(lambda self, _real=Subspace.rows.fget:
+                                                   reads.append("rows") or _real(self)))
+    for name, graph in (("cyc3", cycle_graph(3)), ("5v-mixed", five_vertex_mixed())):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(graph_to_json(graph)))
+        files = {**files, name: str(path)}
+    for name, lhs, rhs, equal in (
+            ("a2", "p(u)", "x(e)*y(e)", True), ("a2", "p(v)", "x(e)*y(e)", False),
+            ("line3", "p(v1)", "x(e1 e2)*y(e1 e2)", True), ("line3", "p(v2)", "x(e1 e2)*y(e1 e2)", False),
+            ("3v2c", "p(a)", "x(e_ab)*y(e_ab) + x(e_ac)*y(e_ac)", True), ("3v2c", "p(a)", "x(e_ab)*y(e_ab)", False),
+            ("cyc3", "p(v1)", "x(e1 e2 e3)*y(e1 e2 e3)", True), ("cyc3", "x(e1 e2)", "x(e1)", False),
+            ("5v-mixed", "p(a)", "x(f_ab)*y(f_ab) + x(f_aw)*y(f_aw)", True), ("5v-mixed", "p(a)", "x(f_ab)*y(f_ab)", False),
+            ("perm3", "Q:v1*P:v2", "R:v1", True), ("perm3", "Q:v1*P:v1", "R:v1", False)):
+        code, out = run_json("eq", files[name], lhs, rhs)
+        assert (code, out["result"]["equal"]) == (1 - equal, equal), (name, lhs, rhs, out)
+    assert reads == []
+    x = embed(build_graph_system(a2_graph()), "Q", [1])
+    assert Subspace.full(2).rows and x.component((1, 0)) and reads == ["rows", "basis", "component"]
 
 
 def test_help_returns_usage(files):

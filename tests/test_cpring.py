@@ -6,6 +6,7 @@ so `evaluate` into LPA normal forms is an independent equality oracle for
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ from cprings.finrank import FsViolation, canonical_ideals, check_fs, left_annihi
 from cprings.graphalg import LpaElement, line_graph, lpa_vertex, lpa_x, lpa_y, rose_graph
 from cprings.ideals import TPair, graded_ideal_correspondence, validate_tpair
 from cprings.rsystem import build_automorphism_system, build_graph_system, system_from_json
-from cprings.tensorpow import CapExceeded
+from cprings.tensorpow import CapExceeded, ideal_image, tensor_space
 from cprings.toeplitz import (
     InvalidRepresentation,
     Mat,
@@ -579,3 +580,20 @@ def test_graded_uniqueness_needs_fs():
     with pytest.raises(FsViolation):
         graded_uniqueness_check(
             system, CompatibleIdeal(system, Subspace(2), True, True, True))
+
+
+def test_rose4_level5_spans_fit_in_memory():
+    """Q^(x)5 . J and the level-0 span Theta_{0,5} of rose4 at j_max are
+    coordinate spans of 1024 unit vectors each, kept as their pivots with no
+    dense row (16.3 MiB traced when every basis row was a dense tuple)."""
+    system = build_graph_system(rose_graph(4))
+    j = canonical_ideals(system)["j_max"]
+    tensor_space(system, "Q", 5)  # the level itself is not measured
+    tracemalloc.start()
+    try:
+        image, span = ideal_image(system, "Q", 5, j), cpring._vacuum_span(system, j, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert image.dim == span.dim == 1024 and image.is_coordinate_span() and span.is_coordinate_span()
+    assert peak < 2 * 2**20, peak

@@ -4,7 +4,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from conftest import kron, kron_vec
+import random
+
+from conftest import FAMILIES, family_system, kron, kron_vec
 
 from cprings.exactlin import (
     ONE,
@@ -28,6 +30,7 @@ from cprings.exactlin import (
     vec_add,
     vec_scale,
 )
+from cprings.tensorpow import tensor_space
 
 F = Fraction
 
@@ -406,3 +409,81 @@ def test_sparse_readers_match_dense_subspaces(data):
                                             max_size=5))]
     spans = Subspace.of_nonzeros(k, [_nonzeros(u) for u in units])
     assert spans == Subspace(k, units) and spans.is_coordinate_span()
+
+
+def _span_vectors(system, rng, side: str, k: int) -> list:
+    """Dense spanning vectors of level k of a leg: some of the e_a . x
+    (x . e_a on P) over the level basis and a random subspace I of R (a
+    coordinate span or a few random vectors), and a few random combinations
+    of them, so that a span of unit vectors gets rows with several entries."""
+    level, d_r = tensor_space(system, side, k), system.ring.dim
+    cols = level.right if side == "Q" else level.left
+    if rng.random() < 0.5:
+        xs = [unit_vec(d_r, t) for t in range(d_r) if rng.random() < 0.5]
+    else:
+        xs = [[rng.choice((0, 0, 1, -1, F(1, 2))) for _ in range(d_r)] for _ in range(rng.randint(1, 2))]
+    out = []
+    for a in range(level.dim):
+        for x in xs:
+            v = [ZERO] * level.dim
+            for i, c in _nonzeros(x):
+                for t, y in cols[i][a]:
+                    v[t] += c * y
+            out.append(v)
+    out = [v for v in out if any(v)]
+    out = rng.sample(out, min(len(out), 6))
+    combos = [[x + c * y for x, y in zip(rng.choice(out), rng.choice(out))]
+              for c in rng.sample((1, -1, 2, F(1, 3)), rng.randint(1, 3))] if out else []
+    return rng.sample(out, len(out) // 3) + combos
+
+
+def _rank(vectors) -> int:
+    return len(dense_rref(vectors)[1])
+
+
+def _check_rref(sub, vectors, d):
+    """`sub` holds exactly the dense RREF of `vectors`: pivots, supports
+    right of them, the dense views and the nonzeros of the rows."""
+    rows, pivots = dense_rref(vectors)
+    assert sub.ambient == d and sub.pivots == tuple(pivots) and sub.dim == len(pivots)
+    assert sub._support == tuple(tuple((j, r[j]) for j in range(p + 1, d) if r[j]) for r, p in zip(rows, pivots))
+    assert sub.basis() == rows and sub.rows == tuple(map(tuple, rows))
+    assert sub.basis_nz() == [tuple(_nonzeros(r)) for r in rows]
+    return rows, pivots
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(0, 10_000))
+def test_sparse_subspaces_match_the_dense_rref_on_system_spans(family, seed):
+    """Spans of level vectors of the graph, permutation, rebased and
+    non-diagonal families: the stored pivots and supports, `basis()`, `==`
+    and hash, `add`, `intersect`, `le`, `reduce` and `residual_nz` of the
+    sparse `Subspace` agree with a dense RREF that shares no code with it."""
+    rng = random.Random(seed)
+    system = family_system(family, rng)
+    side, k = rng.choice("QP"), rng.choice((1, 2))
+    d = tensor_space(system, side, k).dim
+    if d == 0:
+        return
+    vecs = [_span_vectors(system, rng, side, k) for _ in range(2)]
+    a, b = (Subspace.of_nonzeros(d, [_nonzeros(v) for v in vs]) for vs in vecs)
+    rows_a, piv_a = _check_rref(a, vecs[0], d)
+    rows_b, piv_b = _check_rref(b, vecs[1], d)
+    assert Subspace(d, vecs[0]) == a and hash(Subspace(d, vecs[0])) == hash(a)
+    assert (a == b) == ((rows_a, piv_a) == (rows_b, piv_b))
+    if a == b:
+        assert hash(a) == hash(b)
+    _check_rref(a.add(b), vecs[0] + vecs[1], d)
+    r_sum = _rank(vecs[0] + vecs[1])
+    assert a.le(b) == (r_sum == len(piv_b)) and b.le(a) == (r_sum == len(piv_a))
+    meet = a.intersect(b)
+    assert meet.dim == len(piv_a) + len(piv_b) - r_sum
+    assert all(_rank(rows + [m]) == len(rows) for m in meet.basis() for rows in (rows_a, rows_b))
+    _check_rref(meet, meet.basis(), d)
+    for v in vecs[1] + [[rng.choice((0, 0, 1, -3, F(2, 3))) for _ in range(d)]]:
+        out = [F(x) for x in v]
+        for row, p in zip(rows_a, piv_a):
+            c = out[p]
+            out = [x - c * y for x, y in zip(out, row)]
+        assert a.reduce(vec(v)) == out
+        assert a.residual_nz(_nonzeros(v)) == tuple(_nonzeros(out))

@@ -14,7 +14,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cprings import cli, exactlin, finrank, ideals, rsystem
+from cprings import cli, cpring, exactlin, finrank, ideals, rsystem, toeplitz
 from cprings.cli import _graph_pair_lattice
 from cprings.exactlin import Subspace, mat_identity, unit_vec
 from cprings.graphalg import cycle_graph, enumerate_ideal_pairs, line_graph, pair_order, rose_graph
@@ -958,7 +958,9 @@ def test_handle_matches_quotient_oracle_nondiagonal(ring, ideals_):
 
 def test_handle_builds_nothing_over_the_quotient(line3_system, monkeypatch):
     """`contains` and `extract_tpair_from_handle` run on the parent: no
-    ToeplitzElement and no CpContext over R/I."""
+    ToeplitzElement and no CpContext over R/I.  Elements built from their
+    nonzeros go through `_from_nz`, which every module that binds it sees
+    counted too."""
     ctx = _toeplitz_ctx(line3_system)
     i = _coord_ideal(line3_system, "v3")
     handle = graded_ideal_correspondence(ctx, validate_tpair(line3_system, i, i))
@@ -971,6 +973,9 @@ def test_handle_builds_nothing_over_the_quotient(line3_system, monkeypatch):
             _real(self, system, *args, **kw)
 
         monkeypatch.setattr(cls, "__init__", counting)
+    for module in (toeplitz, cpring, ideals):
+        monkeypatch.setattr(module, "_from_nz", lambda system, comps, _real=module._from_nz:
+                            made.append(system) or _real(system, comps))
     assert handle.contains(embed(line3_system, "Q", [0, 1]))
     assert not handle.contains(embed(line3_system, "Q", [1, 0]))
     assert extract_tpair_from_handle(handle).i == i

@@ -40,6 +40,7 @@ UNREACHED = {
 # or imports them again
 GONE = {
     "_column_residual": "a column is reduced on its nonzeros by `Subspace.residual_nz`",
+    "_leg_coords": "`embed_n` and `pair` write a level's nonzeros straight into `_from_nz` (`_grade_nz`)",
 }
 
 

@@ -14,10 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    FAMILIES,
+    _project_kron,
     dense,
     kron_vec,
     dual_numbers_ring,
     dual_numbers_unit_basis_ring,
+    family_system,
     five_vertex_mixed,
     fock_is_zero,
     fock_oracle,
@@ -74,6 +77,9 @@ def test_embed_basics(a2_system, line3_system):
         embed(a2_system, "Q", [1, 2, 3])
     with pytest.raises(ValueError):
         embed(a2_system, "X", [1])
+    for level in (1.5, F(1, 2), 1.0):  # a non-integral level is refused, not looped on
+        with pytest.raises(ValueError, match="natural number"):
+            embed_n(a2_system, "Q", level, [1])
     # Q and P have dimension 2 on line3: pair checks each leg's length like embed_n
     for q, p in (([1, 0, 0], [1, 0]), ([1, 0], [0, 1, 0]), ([1], [1, 0])):
         with pytest.raises(ValueError):
@@ -81,6 +87,90 @@ def test_embed_basics(a2_system, line3_system):
     with pytest.raises(ValueError):
         pair(line3_system, 0, 1, [], [1, 0, 0])
     assert pair(line3_system, 1, 1, [1, 0], [1, 0]).support() == [(1, 1)]
+
+
+def test_constructor_coerces_its_coordinates(a2_system):
+    """Dense coordinates are coerced by `vec`: a numeral string is a
+    rational, so it scales as a number, and "0" is a zero coordinate."""
+    x = ToeplitzElement(a2_system, {(1, 0): ["1/2"]})
+    assert x.comps == {(1, 0): ((0, F(1, 2)),)}
+    assert x.scale(2) == embed(a2_system, "Q", [1])
+    y = ToeplitzElement(a2_system, {(0, 0): ["0", "3"]})
+    assert y.comps == {(0, 0): ((1, 3),)} and type(y.comps[(0, 0)][0][1]) is int
+
+
+@pytest.mark.parametrize("components, error", [
+    ({(1, 0): [0.5]}, TypeError),  # a float is not exact
+    ({(1, 0): [0.0]}, TypeError),
+    ({(1, 0): [1, 0]}, ValueError),  # longer than Q (dim 1)
+    ({(0, 0): [1]}, ValueError),  # shorter than R (dim 2)
+    ({(-1, 0): [1]}, ValueError),  # negative grade
+    ({(1, -1): [1]}, ValueError),
+    ({(1.5, 0): [1]}, ValueError),  # non-integral grade
+    ({(F(1, 2), 0): [1]}, ValueError),
+], ids=["float", "float-zero", "too-long", "too-short", "negative-m", "negative-n", "float-grade",
+        "fraction-grade"])
+def test_constructor_refuses_bad_input(a2_system, components, error):
+    with pytest.raises(error):
+        ToeplitzElement(a2_system, components)
+
+
+def _dense_sum(system, terms) -> dict:
+    """sum of c * x over (c, element) `terms`, accumulated into dense
+    components, as the dense constructor's input."""
+    out: dict = {}
+    for c, x in terms:
+        for g, nz in x.comps.items():
+            acc = out.setdefault(g, [0] * component_space(system, *g).dim)
+            for t, y in nz:
+                acc[t] += c * y
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(0, 10_000))
+def test_sparse_built_elements_match_the_dense_constructor(family, seed):
+    """On the graph, permutation, rebased and non-diagonal families,
+    `embed`, `embed_n` and `pair` build the element the dense constructor
+    builds from the same coordinates (`pair` from the class of q (x) p read
+    densely); `toeplitz_mul` is the bilinear sum, taken densely, of the
+    products of the operands' unit classes; and `sub` is the difference of
+    the dense components."""
+    rng = random.Random(seed)
+    system = family_system(family, rng)
+
+    def coords(g):
+        return [rng.choice((0, 0, 0, 1, -1, 2, F(1, 2), F(0))) for _ in range(component_space(system, *g).dim)]
+
+    elements = []
+    for kind, level in (("R", 0), ("Q", 1), ("P", 1), ("Q", 2), ("P", 2)):
+        grade = {"R": (0, 0), "Q": (level, 0), "P": (0, level)}[kind]
+        v = coords(grade)
+        x = embed_n(system, kind, level, v)
+        assert x == ToeplitzElement(system, {grade: v}) and x.comps == ToeplitzElement(system, {grade: v}).comps
+        if level < 2:
+            assert embed(system, kind, v) == x
+        elements.append(x)
+    for m, n in ((1, 1), (2, 1), (1, 2)):
+        q, p = coords((m, 0)), coords((0, n))
+        comp = component_space(system, m, n)
+        klass = _project_kron(comp.quot, q, p) if comp.dim else []
+        x = pair(system, m, n, q, p)
+        assert x == ToeplitzElement(system, {(m, n): klass})
+        elements.append(x)
+    elements.append(elements[rng.randrange(len(elements))].add(elements[rng.randrange(len(elements))]))
+
+    def unit(g, t):
+        return ToeplitzElement(system, {g: unit_vec(component_space(system, *g).dim, t)})
+
+    for _ in range(6):
+        a, b = rng.choice(elements), rng.choice(elements)
+        terms = [(x * y, toeplitz_mul(unit(g1, i), unit(g2, j)))
+                 for g1 in a.support() for i, x in enumerate(a.component(g1)) if x
+                 for g2 in b.support() for j, y in enumerate(b.component(g2)) if y]
+        assert toeplitz_mul(a, b) == ToeplitzElement(system, _dense_sum(system, terms))
+        assert a.sub(b) == ToeplitzElement(system, _dense_sum(system, [(1, a), (-1, b)]))
+        assert a.sub(b) == a.add(b.neg()) and a.sub(a).is_zero()
 
 
 def test_embed_n_rose(rose1):
