@@ -73,6 +73,7 @@ from .graphalg import (
     restriction_graph,
 )
 from .ideals import (
+    _basis_lists,
     _hasse_dot,
     enumerate_tpairs,
     hasse_edges,
@@ -483,7 +484,7 @@ def _subspace_json(ring, sub: Subspace):
     """Label list when the subspace is a coordinate span, else basis rows."""
     mask = sub.coordinate_mask()
     if mask is None:
-        return {"dim": sub.dim, "basis": [[str(c) for c in r] for r in sub.basis()]}
+        return {"dim": sub.dim, "basis": _basis_lists(sub)}
     return sorted(label for t, label in enumerate(ring.labels) if mask >> t & 1)
 
 

@@ -19,9 +19,11 @@ and `ideals.IdealHandle` runs it for a T-pair.  Run on a span of elements,
 the walk gives the subspace of combinations that lie in the ideal, from
 which the graded-ideal correspondence reads T-pairs back.  It needs a
 faithful Fock representation, i.e. condition (FS) and no nonzero r with
-rR = 0, and raises `FsViolation` without them.  Elements and Fock blocks
-stay as their nonzeros all through the walk, and one element's verdict is
-a zero test on each residual, with no elimination.
+rR = 0, and raises `FsViolation` without them.  Elements, Fock blocks and
+the walk's coefficient rows stay as their nonzeros all through the walk;
+one element's verdict is a zero test on each residual, with no
+elimination, and a span is restricted by `exactlin.kernel` with the
+residuals as the map's columns.
 
 `finrank.validate_ideal`, importable from here, is the one decision of J's
 three conditions, for J in R and, given a floor I, for J/I in R/I; a
@@ -47,13 +49,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactlin import (
-    ZERO,
+    ONE,
     Subspace,
     _nonzeros,
     _sum_nz,
     kernel,
-    mat_identity,
-    mat_transpose,
     matvec,  # not called here; perfbench/test_perfbench.py rebinds `cpring.matvec`
     unit_vec,
     zero_vec,
@@ -197,50 +197,32 @@ def _flatten(cols, n: int) -> tuple:
     return tuple((c * n + r, v) for c, col in enumerate(cols) for r, v in col)
 
 
-def _combine_blocks(coeffs: Sequence[Fraction], blocks: Sequence[tuple]) -> tuple:
-    """sum of coeffs[i] * blocks[i], column by column, each block and the
-    sum given as one tuple of nonzero (index, value) pairs per column, and
-    () when the sum is zero (as `_fock_block` gives a zero block)."""
-    terms = [(c, b) for c, b in zip(coeffs, blocks) if c and b]
+def _combine_blocks(coeffs, blocks: Sequence[tuple]) -> tuple:
+    """sum of c * blocks[k] over the nonzero (k, c) pairs `coeffs`, column by
+    column, each block and the sum given as one tuple of nonzero (index,
+    value) pairs per column, and () when the sum is zero (as `_fock_block`
+    gives a zero block)."""
+    terms = [(c, blocks[k]) for k, c in coeffs if blocks[k]]
     if len(terms) == 1 and terms[0][0] == 1:
         return terms[0][1]
     cols = tuple(_sum_nz((c, b[col]) for c, b in terms) for col in range(len(terms[0][1]))) if terms else ()
     return cols if any(len(col) for col in cols) else ()
 
 
-def _combine(coeffs: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    """sum of coeffs[i] * vectors[i]."""
-    out = [ZERO] * len(vectors[0])
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for j, y in _nonzeros(v):
-                out[j] += c * y
-    return out
-
-
 def _restrict(rows: list, residuals: list) -> list:
-    """Basis of the combinations of `rows` whose residual is 0; each
-    residual is linear in its row and given by its nonzero (index, value)
-    pairs.
+    """Basis of the combinations of `rows` whose residual is 0; each row and
+    each residual, which is linear in its row, is given by its nonzero
+    (index, value) pairs.
 
     One row is kept or dropped on its own residual, with no elimination.
     Over several rows the combinations y are the kernel of
-    y |-> sum y_k residuals[k], with one equation per coordinate.  A
-    coordinate that no residual touches gives a zero equation, and dropping
-    zero equations leaves the RREF of the system as it is (RREF is unique),
-    hence the kernel basis `kernel` reads off it; so `kernel` runs over the
-    touched coordinates only, as `finrank._solve_over` restricts `solve`.
-    """
+    y |-> sum y_k residuals[k], whose columns are the residuals
+    (`exactlin.kernel`)."""
     if not any(residuals):
         return rows
     if len(rows) == 1:
         return []
-    at = {t: e for e, t in enumerate(sorted({t for res in residuals for t, _ in res}))}
-    eqs = [[ZERO] * len(rows) for _ in at]
-    for k, res in enumerate(residuals):
-        for t, y in res:
-            eqs[at[t]][k] = y
-    return [_combine(y, rows) for y in kernel(eqs)]
+    return [_sum_nz((c, rows[k]) for k, c in y) for y in kernel(residuals)]
 
 
 def _require_faithful_fock(system: RSystem, i: Subspace) -> None:
@@ -327,21 +309,22 @@ def _graded_preimage(system: RSystem, i: Subspace, j: Subspace,
     Every condition is linear in x, so the check runs on a subspace of
     coefficient vectors, starting from all of Q^len(xs); an element's own
     verdict is the case len(xs) = 1.  Returns a basis of that subspace as
-    rows, not reduced: an element is a member exactly when the list is not
-    empty.  Raises CapExceeded when a block needs a level above `cap`.
+    rows, each as its nonzero (index, value) pairs, not reduced: an element
+    is a member exactly when the list is not empty.  Raises CapExceeded
+    when a block needs a level above `cap`.
 
     The walk keeps every block as its columns' nonzeros, as `fock_apply`
     gives them, and reduces each combination modulo Q^(x)k . J (or
     Theta_{0,k}, or Q^(x)k . I at the top level) by `Subspace.residual_nz`
     on those nonzeros.  For one element a residual is a zero test, so no
-    `kernel` or `rref` runs; several elements take `kernel` over the
-    coordinates their residuals touch (`_restrict`).
+    `kernel` or `rref` runs; several elements take `kernel` with their
+    residuals as the columns (`_restrict`).
     """
     for x in xs:
         if x.system is not system:
             raise ContextMismatch("element belongs to a different system")
     _require_faithful_fock(system, i)
-    rows = mat_identity(len(xs))
+    rows = [((k, ONE),) for k in range(len(xs))]
     for d in sorted({d for x in xs for d in x.z_degrees()}):
         parts = [z_project(x, d) for x in xs]
         top = max(p.max_n_degree() for p in parts)
@@ -481,12 +464,10 @@ def _covariance_defect(system: RSystem, rep):
 
 def _kernel_over_basis(system: RSystem, rep, f) -> Subspace:
     """{x in R : f(x) = 0} for a linear f into rep.dim x rep.dim matrices
-    (`Mat`): the kernel of f flattened over R's basis, all of R at dim 0."""
+    (`Mat`): the kernel of f, whose column r is f(e_r) flattened."""
     d = system.ring.dim
-    if not rep.dim:
-        return Subspace.full(d)
-    cols = [[v for row in f(unit_vec(d, r)).rows for v in row] for r in range(d)]
-    return Subspace(d, kernel(mat_transpose(cols)))
+    cols = [_nonzeros([v for row in f(unit_vec(d, r)).rows for v in row]) for r in range(d)]
+    return Subspace.of_nonzeros(d, kernel(cols))
 
 
 def is_cp_invariant(system: RSystem, rep, j) -> bool:

@@ -7,12 +7,14 @@ when it is integral and a `fractions.Fraction` otherwise, so the 0 and +-1
 structure constants of graph and permutation systems cost integer arithmetic,
 not a gcd per operation; an int and the equal Fraction compare and hash
 equal, so results, printing and memo keys do not depend on which one a value
-is.  Numbers are coerced where they enter: `frac`, `vec`, and `rref`,
-`solve`, the `Subspace` constructor, `Subspace.contains` and
-`Subspace.coordinates`, which pass a vector of ints through as it is and
-coerce any other.  The other kernels, `Subspace.reduce` among them, trust
-the vectors the library built.  `rref` is the one place that divides, by its
-pivots, and it brings an integral inverse back to an int.
+is.  Numbers are coerced where they enter: `frac`, `vec`, and `rref`, the
+`Subspace` constructor, `Subspace.contains` and `Subspace.coordinates`,
+which pass a vector of ints through as it is and coerce any other.  The
+other kernels, `Subspace.reduce` among them, trust the vectors the library
+built; in `kernel`, `solve` and `preimage` every entry that the answer
+reads goes to `rref`, which coerces it (an equation with one nonzero is a
+unit row, whose value is never read).  `rref` is the one place that
+divides, by its pivots, and it brings an integral inverse back to an int.
 
 The matrices that graph and permutation systems produce are almost all
 zeros, so every kernel collects the nonzero entries of its operands first
@@ -22,17 +24,21 @@ pairs, by index (`_nonzeros`, `_sum_nz`); `_dense` reads one back.
 `Subspace` keeps its RREF basis as the pivots and the nonzeros right of
 each, never a dense row (`rows` and `basis()` are views for printing and
 tests).  Every RREF is read off spanning vectors given as their nonzeros
-(`_echelon_nz`), so a span of unit vectors eliminates nothing.  The lattice
-operations read the rows' nonzeros, and `Subspace.residual_nz` reduces a
+(`_echelon_nz`), so a span of unit vectors eliminates nothing.  Every
+linear system is one too: `kernel`, `solve` and `preimage` take a map as
+its columns' nonzeros, one tuple per unknown, and read their answers off
+the RREF of the equations of the coordinates the columns touch
+(`_map_rref`), which is the dense system's.  The lattice operations read
+the rows' nonzeros, and `Subspace.residual_nz` reduces a
 vector given by its nonzeros in one pass, since an RREF row has only free
 columns right of its pivot; the membership walk and the floored, descent
 and psi-invariance tests read it.
 `QuotientSpace` takes the classes of the non-pivot coordinates as its basis,
 so basis vector t is the class of the unit vector at `free[t]`; the class of
 every other coordinate is read off the RREF rows once, into a lookup table,
-and `QuotientSpace.project` is a sum of table entries over a vector's
-nonzeros (`project_nz` the same sum, kept sparse).  `QuotientSpace.of_relations`
-builds one from spanning relations given as their nonzeros, by the same
+and `QuotientSpace.project_nz` is a sum of table entries over a vector's
+nonzeros, kept sparse.  `QuotientSpace.of_relations` builds one from
+spanning relations given as their nonzeros, by the same
 `_echelon_nz`: when every relation has one nonzero entry the quotient is a
 coordinate selection.  A quotient by 0 is the identity (`free` is a
 `range`) and keeps no table.  No dense projection matrix is ever formed.
@@ -220,57 +226,6 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     return a[:r], pivots
 
 
-def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction] | None:
-    """One exact solution of A x = b, or None if inconsistent."""
-    m = len(a)
-    if len(b) != m:
-        raise DimensionMismatch(f"matrix has {m} rows, rhs has {len(b)}")
-    n = len(a[0]) if m else 0
-    aug = [[*row, b[i]] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    x = [ZERO] * n
-    for row, p in zip(red, pivots):
-        if p == n:
-            return None  # pivot in the rhs column: inconsistent
-        x[p] = row[n]
-    return x
-
-
-def solve_matrix(a, bmat) -> list[list[Fraction]] | None:
-    """X with A X = B (B given as list of rows), or None. Solves columnwise."""
-    if len(bmat) != len(a):
-        raise DimensionMismatch("row counts differ")
-    bt = mat_transpose(bmat)
-    cols = []
-    for bcol in bt:
-        x = solve(a, bcol)
-        if x is None:
-            return None
-        cols.append(x)
-    n = len(a[0]) if a else 0
-    if not cols:
-        return [[] for _ in range(n)]
-    return mat_transpose(cols)
-
-
-def kernel(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the null space of A (vectors in the domain)."""
-    if not a:
-        return []
-    n = len(a[0])
-    red, pivots = rref(a)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [ZERO] * n
-        v[f] = ONE
-        for row, p in zip(red, pivots):
-            v[p] = -row[f]
-        basis.append(v)
-    return basis
-
-
 def _echelon_nz(vectors) -> dict:
     """The RREF of the span of vectors given as their nonzero (index, value)
     pairs at distinct indices, as {pivot: nonzeros right of it}.  A vector
@@ -285,14 +240,73 @@ def _echelon_nz(vectors) -> dict:
             rows[v[0][0]] = ()
         elif v:
             rest.append(v)
-    rest = [kept for kept in ([(j, x) for j, x in v if j not in rows] for v in rest) if kept]
-    if rest:
-        touched = sorted({j for v in rest for j, _ in v})
+    touched = sorted({j for v in rest for j, _ in v if j not in rows})
+    if touched:
         local = {j: c for c, j in enumerate(touched)}
-        red, pivots = rref([_dense(len(touched), [(local[j], x) for j, x in v]) for v in rest])
-        for row, p in zip(red, pivots):
-            rows[touched[p]] = tuple((touched[c], row[c]) for c in range(p + 1, len(touched)) if row[c])
+        dense = []
+        for v in rest:
+            row = [ZERO] * len(touched)
+            for j, x in v:
+                c = local.get(j)
+                if c is not None:
+                    row[c] = x
+            dense.append(row)
+        red, pivots = rref(dense)
+        for row, p in zip(red, pivots):  # a row's first nonzero is its pivot's 1
+            rows[touched[p]] = tuple([(touched[c], x) for c, x in enumerate(row) if x][1:])
     return rows
+
+
+def _map_rref(cols) -> dict:
+    """The RREF of the matrix whose columns, one per unknown, are given as
+    their nonzero (index, value) pairs at distinct indices, as
+    `_echelon_nz` gives it: {pivot unknown: nonzeros right of it}.
+
+    Its rows are the equations of the coordinates some column touches, each
+    over the unknowns.  A coordinate no column touches is the equation
+    0 = 0, a zero row, and dropping zero rows leaves the (unique) RREF as it
+    is; so the pivots and rows are those of the dense system, and so is
+    every answer `kernel` and `solve` read off them."""
+    eqs: dict = {}
+    for u, col in enumerate(cols):
+        for t, y in col:
+            eq = eqs.get(t)
+            if eq is None:
+                eqs[t] = [(u, y)]
+            else:
+                eq.append((u, y))
+    return _echelon_nz(eqs.values())
+
+
+def kernel(cols) -> list[tuple]:
+    """A basis of the null space of the map whose columns' nonzeros are
+    `cols` (one tuple per unknown), each vector as its nonzero pairs: for
+    each free unknown f, e_f - sum_p row_p[f] e_p over the RREF rows p
+    (`_map_rref`).  With no equation (the zero map) every unknown is free."""
+    rows = _map_rref(cols)
+    out = {f: [] for f in range(len(cols)) if f not in rows}
+    for p in sorted(rows):
+        for f, y in rows[p]:
+            out[f].append((p, -y))
+    return [(*pairs, (f, ONE)) for f, pairs in out.items()]
+
+
+def solve(cols, target) -> list | None:
+    """One solution x of sum_u x_u cols[u] = target, the free unknowns 0, or
+    None if there is none; the columns and the target are given as their
+    nonzero pairs.  The RREF of the augmented map [cols | target]
+    (`_map_rref`) has a pivot in the target column exactly when the system
+    is inconsistent (a target coordinate no column touches is one);
+    otherwise x_p is row p's entry in that column."""
+    n = len(cols)
+    rows = _map_rref([*cols, target])
+    if n in rows:
+        return None
+    x = [ZERO] * n
+    for p, support in rows.items():
+        if support and support[-1][0] == n:
+            x[p] = support[-1][1]
+    return x
 
 
 class Subspace:
@@ -438,7 +452,7 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus-style: the combinations of self's rows u_i that lie in
         other are the u-parts of the kernel of (c, d) |-> sum c_i u_i +
-        sum d_j w_j, one equation per coordinate the rows touch."""
+        sum d_j w_j, whose columns are the rows' nonzeros."""
         if self.ambient != other.ambient:
             raise DimensionMismatch("ambient dimensions differ")
         if self.is_zero() or other.is_zero():
@@ -448,11 +462,8 @@ class Subspace:
         if other.dim == other.ambient:
             return self
         us, k = self.basis_nz(), self.dim
-        eqs: dict = {}  # coordinate -> its equation over (c, d)
-        for col, row in enumerate(us + other.basis_nz()):
-            for t, y in row:
-                eqs.setdefault(t, [ZERO] * (k + other.dim))[col] = y
-        return Subspace.of_nonzeros(self.ambient, [_sum_nz(zip(rel[:k], us)) for rel in kernel(list(eqs.values()))])
+        return Subspace.of_nonzeros(self.ambient, [_sum_nz((c, us[u]) for u, c in rel if u < k)
+                                                   for rel in kernel(us + other.basis_nz())])
 
     def le(self, other: "Subspace") -> bool:
         """Is this a subspace of `other`?  A vector's leading column is a pivot of
@@ -481,10 +492,11 @@ class QuotientSpace:
 
     The class of every coordinate is read off the RREF rows of W once: a free
     coordinate free[t] is basis vector t, and the pivot p_k of row k is
-    e_{p_k} - row_k modulo W, i.e. -row_k on the free coordinates.  `project`
-    sums these classes over a vector's nonzero entries and is the only map
-    from coordinates to classes.  `QuotientSpace(sub)` reads the RREF of a
-    `Subspace`; `of_relations` reads it off spanning relations given sparse.
+    e_{p_k} - row_k modulo W, i.e. -row_k on the free coordinates.
+    `project_nz` sums these classes over a vector's nonzero entries and is
+    the only map from coordinates to classes.  `QuotientSpace(sub)` reads
+    the RREF of a `Subspace`; `of_relations` reads it off spanning
+    relations given sparse.
     With W = 0 the quotient is the identity: `free` is `range(n)` and no
     class table is stored.
     """
@@ -529,22 +541,6 @@ class QuotientSpace:
     def dim(self) -> int:
         return len(self.free)
 
-    def project(self, v) -> list[Fraction]:
-        """Class coordinates of v, given dense (length `ambient`) or as its
-        nonzero (index, value) pairs."""
-        if isinstance(v, (list, tuple)) and v and not isinstance(v[0], tuple):
-            if len(v) != self.ambient:
-                raise DimensionMismatch(f"vector of length {len(v)} in Q^{self.ambient}")
-            v = _nonzeros(v)
-        classes = self._classes
-        if classes is None:
-            return _dense(self.ambient, v)
-        out = [ZERO] * len(self.free)
-        for j, x in v:
-            for t, y in classes[j]:
-                out[t] += x * y
-        return out
-
     def project_nz(self, pairs) -> tuple:
         """Nonzero (index, value) pairs of the class of the vector whose
         nonzero (index, value) pairs are `pairs`."""
@@ -557,16 +553,8 @@ class QuotientSpace:
         return f"QuotientSpace(Q^{self.ambient} / dim {self.ambient - self.dim})"
 
 
-def preimage(a: Sequence[Sequence[Fraction]], w: Subspace) -> Subspace:
-    """{x : A x in W} for A mapping Q^n -> Q^m, W <= Q^m."""
-    m = len(a)
-    if w.ambient != m:
-        raise DimensionMismatch(f"W lives in Q^{w.ambient}, matrix maps into Q^{m}")
-    n = len(a[0]) if a else 0
-    if w.is_zero() and a:  # nothing to project away: the kernel of A
-        return Subspace(n, kernel(a))
-    q = QuotientSpace(w)
-    comp = [q.project(col) for col in mat_transpose(a)]  # per domain basis vector
-    if not comp or not comp[0]:
-        return Subspace.full(n)
-    return Subspace(n, kernel(mat_transpose(comp)))
+def preimage(cols, w: Subspace) -> Subspace:
+    """{x : sum_u x_u cols[u] in W}, for the map whose columns' nonzeros are
+    `cols` (one tuple per unknown): the kernel of the columns' residuals
+    modulo W (`Subspace.residual_nz`, linear and zero exactly on W)."""
+    return Subspace.of_nonzeros(len(cols), kernel([w.residual_nz(col) for col in cols]))

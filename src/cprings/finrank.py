@@ -16,11 +16,11 @@ the span of its level-1 Q rows; condition (FS) asks the identity of Q to
 lie in F_P(Q) and the identity of P in F_Q(P), two exact solves over the
 table whose solutions double as certificates (`check_fs`);
 `theta_decomposition` solves Delta(x) = sum c_ab theta_{e_a,e_b} over it.
-Each solve (`_solve_over`) hands `exactlin.solve` only the equations of the
-coordinates that some row or the target touches, over the nonzero rows,
-and its certificate is that of the dense system.  For finite-dimensional
-modules the paper-style quantification over finite subsets reduces to the
-basis.
+Each solve is `exactlin.solve` with the table's rows as the columns of the
+map, so it eliminates over only the coordinates some row or the target
+touches, and its certificate is that of the dense system.  For
+finite-dimensional modules the paper-style quantification over finite
+subsets reduces to the basis.
 
 `check_fs`, `left_annihilator` ({r : rR = 0}) and `delta_ideals` (ker Delta
 and Delta^(-1)(F_P(Q))) are computed once per system, like the theta
@@ -29,12 +29,13 @@ miss by a module-level function.  Given a floor ideal I, each answers for
 R/I instead, read in R with operator columns taken modulo M.I
 (`_floored`, by `Subspace.residual_nz` on each column's nonzeros, as in
 the membership walk), and the theta table read so is stored once per
-floor (`_floored_thetas`); only `cpr quotient` builds R/I.  Rows are
-dense only in the eliminations of `delta_ideals`.  `validate_ideal` decides
-J's conditions against `delta_ideals`, and `canonical_ideals` adds the
-two-sided annihilator of ker Delta (the kernel of x -> k x and x -> x k
-over a basis, read off `ring.multiply`) and j_max, the intersection, the
-uniquely-maximal candidate.
+floor (`_floored_thetas`); only `cpr quotient` builds R/I.  Every
+elimination here, those of `delta_ideals` and the annihilators included,
+hands `exactlin` a map as its columns' nonzeros; no row is dense.
+`validate_ideal` decides J's conditions against `delta_ideals`, and
+`canonical_ideals` adds the two-sided annihilator of ker Delta (the kernel
+of x -> k x and x -> x k over a basis, read off the ring's nonzero
+products) and j_max, the intersection, the uniquely-maximal candidate.
 
 Delta(r) theta_{q,p} = theta_{r.q,p}, so F_P(Q) is a left ideal for Delta(R),
 as the compacts are one of L(X) in Katsura's J_X.  Once (FS) puts id_Q in
@@ -56,10 +57,8 @@ from .exactlin import (
     ZERO,
     QuotientSpace,
     Subspace,
-    _dense,
+    _sum_nz,
     kernel,
-    mat_identity,
-    mat_transpose,
     preimage,
     solve,
 )
@@ -118,40 +117,6 @@ def theta_table(system: RSystem, side: str, level: int) -> tuple:
     return _memo(system, ("theta", side, level), _build_theta_table, system, side, level)
 
 
-def _solve_over(rows: Sequence, target) -> Optional[list]:
-    """Coefficients c with sum_k c_k rows[k] = target, or None; the rows and
-    the target are given as their nonzero (index, value) pairs.
-
-    Only the coordinates that some row or the target touches make
-    equations, and only the nonzero rows unknowns, for `solve`.  A
-    coordinate no row touches reads 0 = 0, or 0 = target and so None, and a
-    zero row is a zero column of the system.  Dropping zero equations and
-    zero columns leaves the other columns' RREF as it is (RREF is unique),
-    so the pivots, and the solution with every free unknown 0, are those of
-    the dense system."""
-    live = [k for k, row in enumerate(rows) if row]
-    eqs: dict = {}  # coordinate -> its equation over the live rows
-    for u, k in enumerate(live):
-        for j, v in rows[k]:
-            eq = eqs.get(j)
-            if eq is None:
-                eq = eqs[j] = [ZERO] * len(live)
-            eq[u] += v
-    rhs: dict = {}
-    for j, v in target:
-        if j not in eqs:
-            return None
-        rhs[j] = rhs.get(j, ZERO) + v
-    out = [ZERO] * len(rows)
-    if eqs:
-        sol = solve(list(eqs.values()), [rhs.get(j, ZERO) for j in eqs])
-        if sol is None:
-            return None
-        for k, c in zip(live, sol):
-            out[k] = c
-    return out
-
-
 def _floor_key(i: Optional[Subspace]) -> Optional[Subspace]:
     """The memo key of a floor ideal: None for I = 0."""
     return None if i is None or i.is_zero() else i
@@ -197,7 +162,7 @@ def theta_decomposition(system: RSystem, x: Sequence[Fraction]):
 
     c_ab sits at a * dim P + b, the row of theta_{e_a,e_b} in the level-1 table.
     """
-    return _solve_over(theta_table(system, "Q", 1), _flatten_columns(system.q.left_map(list(x))))
+    return solve(theta_table(system, "Q", 1), _flatten_columns(system.q.left_map(list(x))))
 
 
 @dataclass
@@ -216,7 +181,7 @@ def _identity_in_span(system: RSystem, level: int, side: str, i: Optional[Subspa
     d = tensor_space(system, side, level).dim
     identity = tuple((c * d + c, ONE) for c in range(d))
     [target] = _floored(system, side, level, i, [identity])
-    sol = _solve_over(_floored_thetas(system, side, level, i), target)
+    sol = solve(_floored_thetas(system, side, level, i), target)
     inner = tensor_space(system, "P" if side == "Q" else "Q", level).dim
     return None if sol is None else [(*divmod(k, inner), c) for k, c in enumerate(sol) if c != 0]
 
@@ -243,9 +208,9 @@ def left_annihilator(system: RSystem, i: Optional[Subspace] = None) -> Subspace:
     """{r : r R <= I}, the left annihilator of R for I = 0, computed once per
     system and I: some nonzero class kills R/I exactly when it is not <= I.
 
-    Its equations are the coordinates of r e_c modulo I for each basis
-    element e_c, read off the nonzeros of right multiplication
-    (`ring.right[c][a]` is e_a e_c); with none, every r qualifies."""
+    It is the kernel of r |-> (r e_c modulo I) over the basis elements
+    e_c, whose columns are read off the nonzeros of right multiplication
+    (`ring.right[c][a]` is e_a e_c)."""
     floor = _floor_key(i)
     return _memo(system, ("left_annihilator", floor), _build_left_annihilator, system, floor)
 
@@ -253,19 +218,16 @@ def left_annihilator(system: RSystem, i: Optional[Subspace] = None) -> Subspace:
 def _build_left_annihilator(system: RSystem, floor: Optional[Subspace]) -> Subspace:
     d = system.ring.dim
     classes = tuple if floor is None else QuotientSpace(floor).project_nz  # nonzeros modulo I
-    rows: dict = {}  # (c, t): coordinate t of the class of r e_c, as a row over r
-    for c, cols in enumerate(system.ring.right):
-        for a, col in enumerate(cols):
-            for t, v in classes(col):
-                rows.setdefault((c, t), [ZERO] * d)[a] = v
-    return Subspace(d, kernel(list(rows.values()))) if rows else Subspace.full(d)
+    # column a holds the classes of e_a e_c, coordinate t of the one for e_c at c * d + t
+    right = system.ring.right
+    cols = [tuple((c * d + t, v) for c in range(d) for t, v in classes(right[c][a])) for a in range(d)]
+    return Subspace.of_nonzeros(d, kernel(cols))
 
 
-def _delta_map_matrix(system: RSystem, i: Optional[Subspace]) -> list:
-    """r |-> flatten(Delta(r)) read modulo QI (`_floored`), a (dQ^2 x dR) matrix."""
-    cols = [_flatten_columns(system.q.left[r]) for r in range(system.ring.dim)]
-    n = system.q.dim * system.q.dim
-    return mat_transpose([_dense(n, col) for col in _floored(system, "Q", 1, i, cols)])
+def _delta_columns(system: RSystem, i: Optional[Subspace]) -> list:
+    """Delta(e_r) for each basis element e_r, flattened and read modulo QI
+    (`_floored`): the columns of r |-> Delta(r), as their nonzeros."""
+    return _floored(system, "Q", 1, i, [_flatten_columns(cols) for cols in system.q.left])
 
 
 def annihilator(system: RSystem, ideal: Subspace) -> Subspace:
@@ -285,16 +247,17 @@ def annihilator(system: RSystem, ideal: Subspace) -> Subspace:
 
 def _annihilator_by_kernel(system: RSystem, ideal: Subspace) -> Subspace:
     """`annihilator` for any subspace: the kernel of x -> k x and x -> x k
-    over the basis vectors k."""
-    d = system.ring.dim
-    if ideal.is_zero():
-        return Subspace.full(d)
-    mul, units = system.ring.multiply, mat_identity(d)
-    stacked = []  # the rows of x -> k x and of x -> x k, for each basis vector k
-    for k in ideal.basis():
-        stacked.extend(mat_transpose([mul(k, e) for e in units]))
-        stacked.extend(mat_transpose([mul(e, k) for e in units]))
-    return Subspace(d, kernel(stacked))
+    over the basis vectors k = sum c e_i; column s holds k e_s and e_s k,
+    read off the nonzeros of the products (`ring.left[i][s]` is e_i e_s)."""
+    d, left, ks = system.ring.dim, system.ring.left, ideal.basis_nz()
+    cols = []
+    for s in range(d):
+        col = []
+        for g, k in enumerate(ks):
+            col += [(2 * g * d + t, v) for t, v in _sum_nz((c, left[i][s]) for i, c in k)]
+            col += [((2 * g + 1) * d + t, v) for t, v in _sum_nz((c, left[s][i]) for i, c in k)]
+        cols.append(tuple(col))
+    return Subspace.of_nonzeros(d, kernel(cols))
 
 
 def delta_ideals(system: RSystem, i: Optional[Subspace] = None) -> tuple[Subspace, Subspace]:
@@ -322,21 +285,20 @@ def delta_ideals(system: RSystem, i: Optional[Subspace] = None) -> tuple[Subspac
 
 
 def _build_delta_ideals(system: RSystem, i: Optional[Subspace]) -> tuple[Subspace, Subspace]:
-    d, graph, dmap = system.ring.dim, corner_graph(system), None
+    d, graph, delta = system.ring.dim, corner_graph(system), None
     mask = 0 if i is None else i.coordinate_mask()
     if graph is not None and mask is not None:
         k_i = Subspace.coordinate_span(d, [t for t in range(d) if not graph.q[t] & ~mask])
     else:
-        dmap = _delta_map_matrix(system, i)
-        k_i = Subspace(d, kernel(dmap)) if dmap else Subspace.full(d)  # Q = 0: Delta is zero
+        delta = _delta_columns(system, i)
+        k_i = Subspace.of_nonzeros(d, kernel(delta))
     if _fs_half(system, "Q") is not None:
         return k_i, Subspace.full(d)
     # without (FS) Q is nonzero, and only the elimination decides D_I
-    if dmap is None:
-        dmap = _delta_map_matrix(system, i)
-    n = len(dmap)
-    thetas = Subspace(n, [_dense(n, row) for row in _floored_thetas(system, "Q", 1, i)])
-    return k_i, preimage(dmap, thetas)
+    if delta is None:
+        delta = _delta_columns(system, i)
+    thetas = Subspace.of_nonzeros(system.q.dim * system.q.dim, _floored_thetas(system, "Q", 1, i))
+    return k_i, preimage(delta, thetas)
 
 
 # J's three conditions, as CompatibleIdeal's fields; the messages name them

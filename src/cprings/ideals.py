@@ -270,13 +270,14 @@ class IdealHandle:
     tpair: TPair
 
     def _rows(self, xs: Sequence[ToeplitzElement]) -> list:
-        """A basis of {c : sum_i c_i xs[i] in H} as rows, not reduced."""
+        """A basis of {c : sum_i c_i xs[i] in H} as rows, each as its nonzero
+        (index, value) pairs, not reduced."""
         ctx = self.context
         return _graded_preimage(ctx.system, self.tpair.i, self.tpair.j, xs, ctx.cap)
 
     def _preimage(self, xs: Sequence[ToeplitzElement]) -> Subspace:
         """{c : sum_i c_i xs[i] in H}, as a subspace of Q^len(xs)."""
-        return Subspace(len(xs), self._rows(xs))
+        return Subspace.of_nonzeros(len(xs), self._rows(xs))
 
     def contains(self, x: ToeplitzElement) -> bool:
         return bool(self._rows([x]))
@@ -324,7 +325,7 @@ def extract_tpair_from_handle(handle: IdealHandle) -> TPair:
     units = [_from_nz(system, {(0, 0): ((r, 1),)}) for r in range(d)]
     mixed = [_from_nz(system, {(1, 1): ((c, 1),)}) for c in range(component_space(system, 1, 1).dim)]
     i = handle._preimage(units)
-    j = Subspace(d, [row[:d] for row in handle._rows(units + mixed)])
+    j = Subspace.of_nonzeros(d, [tuple((k, c) for k, c in row if k < d) for row in handle._rows(units + mixed)])
     return TPair(i, j)
 
 
@@ -405,6 +406,7 @@ def enumerate_tpairs(system: RSystem) -> list[TPair]:
 
 
 def _basis_lists(space: Subspace) -> list[list[str]]:
+    """The RREF basis rows of `space`, each entry printed by `str`."""
     return [[str(c) for c in row] for row in space.basis()]
 
 

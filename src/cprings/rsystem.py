@@ -60,9 +60,8 @@ from .exactlin import (
     _nonzeros,
     _sum_nz,
     frac,
-    mat_identity,
     mat_transpose,
-    solve_matrix,
+    solve,
     vec,
 )
 
@@ -591,12 +590,12 @@ def build_automorphism_system(ring: StructuredRing, phi) -> RSystem:
     """
     d = ring.dim
     phi = [[frac(c) for c in row] for row in phi]
-    phi_inv = solve_matrix(phi, mat_identity(d))
-    if phi_inv is None:
-        raise ValueError("phi is not invertible")
-    # automorphism check: phi(e_i e_j) = phi(e_i) phi(e_j), on nonzeros
     cols = mat_transpose(phi)
     images = [_nonzeros(c) for c in cols]  # phi(e_k)
+    inv_cols = [solve(images, ((i, ONE),)) for i in range(d)]  # phi^-1(e_i)
+    if None in inv_cols:
+        raise ValueError("phi is not invertible")
+    # automorphism check: phi(e_i e_j) = phi(e_i) phi(e_j), on nonzeros
     for i in range(d):
         for j in range(d):
             lhs = _sum_nz((c, images[k]) for k, c in ring.left[i][j])
@@ -604,14 +603,14 @@ def build_automorphism_system(ring: StructuredRing, phi) -> RSystem:
                 raise ValueError(f"phi is not multiplicative at ({ring.labels[i]},{ring.labels[j]})")
 
     p_mod = StructuredBimodule(ring.labels, ring.left, [ring.right_map(c) for c in cols])
-    q_mod = StructuredBimodule(ring.labels, ring.left, [ring.right_map(c) for c in mat_transpose(phi_inv)])
+    q_mod = StructuredBimodule(ring.labels, ring.left, [ring.right_map(c) for c in inv_cols])
 
     # psi(e_i (x) e_j) = e_i phi(e_j)
     psi = Pairing.from_cells([[_sum_nz((c, ring.left[i][k]) for k, c in images[j]) for j in range(d)]
                               for i in range(d)], d)
     sys = RSystem(ring=ring, p=p_mod, q=q_mod, psi=psi, name="automorphism")
     sys.phi = phi  # kept for the crossed-product backend
-    sys.phi_inv = phi_inv
+    sys.phi_inv = mat_transpose(inv_cols)
     return sys
 
 

@@ -239,7 +239,8 @@ class ToeplitzElement:
         c = frac(c)
         if not c:
             return _from_nz(self.system, {})
-        return _from_nz(self.system, {g: tuple((j, c * x) for j, x in v) for g, v in self.comps.items()})
+        # `frac` brings an integral product of Fractions back to an int
+        return _from_nz(self.system, {g: tuple((j, frac(c * x)) for j, x in v) for g, v in self.comps.items()})
 
     def neg(self) -> "ToeplitzElement":
         return self.scale(-1)

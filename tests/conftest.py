@@ -44,19 +44,15 @@ from cprings.exactlin import (
     _nonzeros,
     _sum_nz,
     frac,
-    kernel,
     mat_identity,
     mat_transpose,
     matmul,
-    preimage,
-    solve,
-    solve_matrix,
     unit_vec,
     vec_add,
     vec_scale,
     zero_vec,
 )
-from cprings.finrank import _delta_map_matrix, _floored_thetas, delta_ideals, theta_table
+from cprings.finrank import _delta_columns, _floored_thetas, delta_ideals, theta_table
 from cprings.tensorpow import DEFAULT_CAP, _word_nz, psi_apply, tensor_space
 from cprings.toeplitz import (
     ToeplitzElement,
@@ -71,11 +67,17 @@ from cprings.toeplitz import (
 F = Fraction
 
 
+def project(quot: QuotientSpace, pairs) -> list:
+    """The class coordinates, dense, of the vector whose nonzero (index,
+    value) pairs are `pairs` (`QuotientSpace.project_nz`)."""
+    return _dense(quot.dim, quot.project_nz(pairs))
+
+
 def _project_kron(quot: QuotientSpace, u, w) -> list:
     """Class of u (x) w, both dense: `quot` projects the nonzeros of its
     Kronecker coordinates."""
     nz_w = _nonzeros(w)
-    return quot.project([(a * len(w) + b, x * y) for a, x in _nonzeros(u) for b, y in nz_w])
+    return project(quot, [(a * len(w) + b, x * y) for a, x in _nonzeros(u) for b, y in nz_w])
 
 
 def a2_graph() -> FiniteGraph:
@@ -290,7 +292,7 @@ def _algebra(kind, rng):
 def random_invertible(rng, d):
     while True:
         m = [[F(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)]
-        if solve_matrix(m, mat_identity(d)) is not None:
+        if dense_inverse(m) is not None:
             return m
 
 
@@ -302,10 +304,10 @@ def non_diagonal_system(kind, rng):
     flat = [[m[r][c] for m in mats] for r in range(len(mats[0])) for c in range(len(mats[0]))]
 
     def coords(m):  # coordinates of a matrix of the algebra in the matrix basis
-        return solve(flat, [x for row in m for x in row])
+        return dense_solve(flat, [x for row in m for x in row], d)
 
     b = random_invertible(rng, d)
-    b_inv = solve_matrix(b, mat_identity(d))
+    b_inv = dense_inverse(b)
 
     def new_coords(m):
         return [sum(b_inv[i][k] * c for k, c in enumerate(coords(m))) for i in range(d)]
@@ -313,7 +315,7 @@ def non_diagonal_system(kind, rng):
     f = [[[sum(b[k][i] * mats[k][r][c] for k in range(d)) for c in range(len(g))]
           for r in range(len(g))] for i in range(d)]
     mult = [[new_coords(matmul(fi, fj)) for fj in f] for fi in f]
-    g_inv = solve_matrix(g, mat_identity(len(g)))
+    g_inv = dense_inverse(g)
     phi = [list(col) for col in zip(*[new_coords(matmul(matmul(g, fi), g_inv)) for fi in f])]
     ring = StructuredRing([f"f{i + 1}" for i in range(d)], mult)
     system = build_automorphism_system(ring, phi)
@@ -323,6 +325,20 @@ def non_diagonal_system(kind, rng):
 
 # the system families the sparse builders are checked on against dense oracles
 FAMILIES = ("graph", "permutation", "rebased", "non-diagonal")
+
+# the seven graph presets, perm3, and psi-zero, where Delta^-1(F_P(Q)) = 0 and
+# so no nonzero J is compatible
+ORACLE_SYSTEMS = {
+    "a2": lambda: build_graph_system(a2_graph()),
+    "line3": lambda: build_graph_system(line_graph(3)),
+    "3v2c": lambda: build_graph_system(three_vertex_two_cycle()),
+    "cyc3": lambda: build_graph_system(cycle_graph(3)),
+    "rose2": lambda: build_graph_system(rose_graph(2)),
+    "rose3": lambda: build_graph_system(rose_graph(3)),
+    "5v-mixed": lambda: build_graph_system(five_vertex_mixed()),
+    "perm3": perm3_system,
+    "psi-zero": psi_zero_system,
+}
 
 
 def family_system(family: str, rng: random.Random) -> RSystem:
@@ -439,7 +455,7 @@ def right_annihilator(ring) -> Subspace:
     """{r in R : r R = 0} as a subspace: the common kernel of x -> x e_i."""
     units = mat_identity(ring.dim)
     rows = [row for e in units for row in mat_transpose([ring.multiply(x, e) for x in units])]
-    return Subspace(ring.dim, kernel(rows))
+    return Subspace(ring.dim, dense_kernel(rows, ring.dim))
 
 
 def random_unimodular(rng, n: int) -> list:
@@ -471,7 +487,7 @@ def rebase_legs(system, q_change, p_change) -> RSystem:
     d = system.ring.dim
     change = {}
     for side, mod, a in (("Q", system.q, q_change), ("P", system.p, p_change)):
-        a_inv = solve_matrix(a, mat_identity(mod.dim)) if mod.dim else []
+        a_inv = dense_inverse(a)
 
         def conj(maps, a=a, a_inv=a_inv, n=mod.dim):
             return [columns(matmul(a_inv, matmul(dense(cols, n), a))) if n else cols for cols in maps]
@@ -520,6 +536,85 @@ def dense_rows(rows, n: int) -> list:
     """Rows kept as their nonzero (index, value) pairs, such as the theta
     table's, as dense vectors in Q^n."""
     return [_dense(n, row) for row in rows]
+
+
+# dense references for the exact linear algebra: textbook Gauss-Jordan over
+# Q on dense rows, sharing no code with `cprings.exactlin`
+
+
+def dense_rref(rows):
+    """(nonzero rows, pivot columns) of the reduced row echelon form; each
+    elimination step updates a row by the pivot row's nonzero entries."""
+    a = [list(row) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        pivot_row = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        p = F(a[r][c])
+        a[r] = [x / p if x != 0 else x for x in a[r]]
+        support = [(j, y) for j, y in enumerate(a[r]) if y != 0]
+        for i in range(len(a)):
+            f = a[i][c]
+            if i != r and f != 0:
+                for j, y in support:
+                    a[i][j] -= f * y
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+def map_columns(rows, n: int) -> list:
+    """The map Q^n -> Q^len(rows) whose matrix has these dense rows, as the
+    form `exactlin.kernel`, `solve` and `preimage` take: one tuple of
+    nonzero (index, value) pairs per column, the values as they are."""
+    return [tuple((r, row[c]) for r, row in enumerate(rows) if row[c]) for c in range(n)]
+
+
+def dense_solve(a, b, n: int):
+    """One solution x in Q^n of A x = b (A given as its rows), every free
+    unknown 0, read off the dense RREF of [A | b]; None if there is none."""
+    red, pivots = dense_rref([[*row, y] for row, y in zip(a, b)])
+    if n in pivots:
+        return None
+    x = [F(0)] * n
+    for row, p in zip(red, pivots):
+        x[p] = row[n]
+    return x
+
+
+def dense_inverse(m):
+    """The inverse of the square matrix m, or None when m is singular: the
+    right half of the dense RREF of [m | I]."""
+    d = len(m)
+    red, pivots = dense_rref([[*row, *(int(i == j) for j in range(d))] for i, row in enumerate(m)])
+    if pivots[:d] != list(range(d)):
+        return None
+    return [row[d:] for row in red]
+
+
+def dense_kernel(rows, n: int) -> list:
+    """A basis of the null space in Q^n of the matrix with these rows, one
+    vector per free column of its dense RREF."""
+    red, pivots = dense_rref(rows)
+    out = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [F(0)] * n
+        v[f] = F(1)
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        out.append(v)
+    return out
+
+
+def dense_preimage(a, w: Subspace, n: int) -> Subspace:
+    """{x in Q^n : A x in W} (A given as its rows): the x-parts of the null
+    space of (x, y) |-> A x - sum y_j w_j over the basis rows w_j of W."""
+    ws = w.basis()
+    ker = dense_kernel([[*row, *(-v[i] for v in ws)] for i, row in enumerate(a)], n + len(ws))
+    return Subspace(n, [v[:n] for v in ker])
 
 
 def _theta_table_matrix(system, side, level, g, h):
@@ -683,7 +778,7 @@ def homogeneous_components(evaluations, degrees) -> dict:
         raise ValueError("need at least one evaluation per candidate degree")
     elems = [e for _, e in evaluations][:n]
     vand = [[frac(Fraction(ts[i]) ** (-degrees[j])) for j in range(n)] for i in range(n)]
-    inv = solve_matrix(vand, mat_identity(n))
+    inv = dense_inverse(vand)
     if inv is None:
         raise ValueError("evaluation points do not separate the degrees")
     out = {}
@@ -713,7 +808,7 @@ def span_reading_j(system, rep) -> Subspace:
     dq, dp = system.q.dim, system.p.dim
     span = Subspace(rep.dim * rep.dim, [flat(rep.t(unit_vec(dq, a)) * rep.s(unit_vec(dp, b)))
                                         for a in range(dq) for b in range(dp)])
-    return preimage(sigma, span)
+    return dense_preimage(sigma, span, d)
 
 
 def quotient_graph(graph, h) -> FiniteGraph:
@@ -739,7 +834,7 @@ def tpair_meet(a, b):
 
 def project_into_quotient(qs, space) -> Subspace:
     """The image in R/I of a subspace of R, for R/I = `qs.system`."""
-    return Subspace(qs.system.ring.dim, [qs.quot_r.project(b) for b in space.basis()])
+    return Subspace(qs.system.ring.dim, [project(qs.quot_r, b) for b in space.basis_nz()])
 
 
 def delta_pullbacks_oracle(system, i) -> tuple:
@@ -764,12 +859,10 @@ def delta_ideals_oracle(system, i) -> tuple:
     Delta's residuals modulo QI, and the preimage under them of the span of
     the floored theta table.  `finrank.delta_ideals` takes D_I = R whenever
     R has (FS) on Q, and must agree."""
-    d = system.ring.dim
-    dmap = _delta_map_matrix(system, i)
-    if not dmap:  # Q = 0, so Delta is the zero map
-        return Subspace.full(d), Subspace.full(d)
-    thetas = Subspace(len(dmap), dense_rows(_floored_thetas(system, "Q", 1, i), len(dmap)))
-    return Subspace(d, kernel(dmap)), preimage(dmap, thetas)
+    d, n = system.ring.dim, system.q.dim ** 2
+    dmap = mat_transpose(dense_rows(_delta_columns(system, i), n))  # r |-> Delta(r) modulo QI, n x d
+    thetas = Subspace(n, dense_rows(_floored_thetas(system, "Q", 1, i), n))
+    return Subspace(d, dense_kernel(dmap, d)), dense_preimage(dmap, thetas, d)
 
 
 def tpair_flags_oracle(system, i, j) -> dict:
@@ -947,7 +1040,7 @@ class QuotientHandle:
             k = len(maps)
             if k <= 1:
                 quot = qs.quot_r if k == 0 else qs.quot_q if side == "Q" else qs.quot_p
-                maps.append([quot.project([(c, ONE)]) for c in range(quot.ambient)])
+                maps.append([project(quot, [(c, ONE)]) for c in range(quot.ambient)])
             else:
                 d = len(maps[1])
                 maps.append([_project_kron(tensor_space(qs.system, side, k).quot, maps[-1][f // d], maps[1][f % d])

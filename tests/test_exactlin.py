@@ -6,8 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 import random
 
-from conftest import FAMILIES, family_system, kron, kron_vec
+from conftest import (
+    FAMILIES,
+    dense_kernel,
+    dense_preimage,
+    dense_rref,
+    dense_solve,
+    family_system,
+    kron,
+    kron_vec,
+    map_columns,
+    project,
+)
 
+from cprings import exactlin
 from cprings.exactlin import (
     ONE,
     ZERO,
@@ -16,6 +28,7 @@ from cprings.exactlin import (
     Subspace,
     frac,
     kernel,
+    _dense,
     _nonzeros,
     mat_identity,
     mat_transpose,
@@ -24,7 +37,6 @@ from cprings.exactlin import (
     preimage,
     rref,
     solve,
-    solve_matrix,
     unit_vec,
     vec,
     vec_add,
@@ -56,25 +68,39 @@ def test_rref_ragged_raises():
 
 
 def test_solve_hand_example():
-    x = solve([[2, 1], [1, 3]], [5, 10])
+    x = solve(map_columns([[2, 1], [1, 3]], 2), ((0, 5), (1, 10)))
     assert x == [F(1), F(3)]
+    # a column with no nonzero is a free unknown, read as 0
+    assert solve([((0, 2),), (), ((1, 1),)], ((0, 4), (1, -1))) == [2, 0, -1]
 
 
 def test_solve_inconsistent():
-    assert solve([[1, 1], [1, 1]], [0, 1]) is None
+    assert solve(map_columns([[1, 1], [1, 1]], 2), ((1, 1),)) is None
+    # a target at a coordinate that no column touches
+    assert solve([((0, 1),), ((0, 2),)], ((0, 1), (3, 1))) is None
+    assert solve([(), ()], ((0, 1),)) is None and solve([], ((0, 1),)) is None
+    assert solve([], ()) == []
 
 
 def test_solve_matrix_right_inverse():
     e = [[1, 0, 1], [0, 1, 1]]  # surjective
-    x = solve_matrix(e, mat_identity(2))
-    assert matmul(e, x) == mat_identity(2)
+    cols = [solve(map_columns(e, 3), ((i, 1),)) for i in range(2)]  # one solve per column of I
+    assert matmul(e, mat_transpose(cols)) == mat_identity(2)
 
 
-def test_kernel_hand_example():
-    ker = kernel([[1, 1, 1]])
+def test_kernel_hand_example(monkeypatch):
+    ker = kernel(map_columns([[1, 1, 1]], 3))
     assert len(ker) == 2
     for v in ker:
-        assert matvec([[1, 1, 1]], v) == [F(0)]
+        assert matvec([[1, 1, 1]], _dense(3, v)) == [F(0)]
+    # the zero map, with no equation at all: the kernel is all of Q^n
+    assert kernel([(), (), ()]) == [((0, 1),), ((1, 1),), ((2, 1),)]
+    assert kernel([]) == []
+    # equations with one nonzero each are unit rows: no `rref` runs
+    monkeypatch.setattr(exactlin, "rref", lambda *a: pytest.fail("rref called"))
+    assert kernel([((0, 2),), ((1, F(-1, 2)),), (), ((5, 3),)]) == [((2, 1),)]
+    assert solve([((0, 2),), ((1, 3),)], ((4, 1),)) is None
+    assert solve([((0, 2),), ((1, 3),)], ()) == [0, 0]
 
 
 def test_kron_vec_indexing():
@@ -156,15 +182,15 @@ def test_quotient_project_section():
     w = Subspace(3, [[1, 1, 0]])
     q = QuotientSpace(w)
     assert q.dim == 2
-    assert q.project([2, 3, 4]) == [F(1), F(4)]
+    assert project(q, _nonzeros([2, 3, 4])) == [F(1), F(4)]
     # the basis is the kept coordinates: basis vector t is the class of e_free[t]
     assert q.free == (1, 2)
-    assert [q.project(unit_vec(3, f)) for f in q.free] == mat_identity(2)
+    assert [project(q, ((f, 1),)) for f in q.free] == mat_identity(2)
 
 
 def test_preimage_hand():
     # A: Q^2 -> Q^2 projection to first coordinate, W = span{e1}
-    a = [[1, 0], [0, 0]]
+    a = map_columns([[1, 0], [0, 0]], 2)
     w = Subspace(2, [[1, 0]])
     pre = preimage(a, w)
     assert pre.dim == 2  # everything maps into W
@@ -173,6 +199,8 @@ def test_preimage_hand():
     assert pre2.dim == 1
     assert pre2.contains([0, 1])
     assert not pre2.contains([1, 0])
+    # the zero map sends everything into W = 0
+    assert preimage([(), ()], Subspace(3)) == Subspace.full(2)
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +237,12 @@ def test_rref_matches_sympy(rows):
 @settings(max_examples=60, deadline=None)
 @given(small_matrix())
 def test_kernel_matches_sympy(rows):
-    ker = kernel(rows)
+    n = len(rows[0])
+    ker = kernel(map_columns(rows, n))
     sym = sympy.Matrix([[sympy.Rational(x) for x in r] for r in rows])
     null = sym.nullspace()
     assert len(ker) == len(null)
-    n = len(rows[0])
-    ours = Subspace(n, ker)
+    ours = Subspace.of_nonzeros(n, ker)
     theirs = Subspace(n, [[F(str(x)) for x in v] for v in null])
     assert ours == theirs
 
@@ -239,7 +267,7 @@ def test_solve_consistency(rows):
     n = len(rows[0])
     x = [F(i + 1, 2) for i in range(n)]
     b = matvec(rows, x)
-    got = solve(rows, b)
+    got = solve(map_columns(rows, n), _nonzeros(b))
     assert got is not None
     assert matvec(rows, got) == b
 
@@ -248,13 +276,17 @@ def test_solve_consistency(rows):
 @given(small_matrix())
 def test_preimage_property(rows):
     m, n = len(rows), len(rows[0])
+    cols = map_columns(rows, n)
     w = Subspace(m, mat_transpose(rows))
-    pre = preimage(rows, w)
+    pre = preimage(cols, w)
     assert pre.dim == n  # image is always inside the column space
     zero = Subspace(m)
-    ker_space = preimage(rows, zero)
+    ker_space = preimage(cols, zero)
     for v in ker_space.basis():
         assert matvec(rows, v) == [F(0)] * m
+    # a W that holds part of the image, against the dense reference
+    part = Subspace(m, mat_transpose(rows)[:1])
+    assert preimage(cols, part) == dense_preimage(rows, part, n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -264,10 +296,10 @@ def test_quotient_roundtrip_random(rows):
     w = Subspace(n, rows[: max(0, len(rows) - 1)])
     q = QuotientSpace(w)
     for i in range(q.dim):
-        assert q.project(unit_vec(n, q.free[i])) == unit_vec(q.dim, i)
+        assert project(q, ((q.free[i], 1),)) == unit_vec(q.dim, i)
     # projection kills exactly W
-    for r in w.basis():
-        assert all(x == 0 for x in q.project(r))
+    for r in w.basis_nz():
+        assert all(x == 0 for x in project(q, r))
 
 
 # ---------------------------------------------------------------------------
@@ -297,24 +329,6 @@ def dense_matmul(a, b):
         [sum((row[k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0]))]
         for row in a
     ]
-
-
-def dense_rref(rows):
-    a = [[F(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(len(a[0]) if a else 0):
-        pivot_row = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(len(a)):
-            if i != r:
-                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
 
 
 def dense_reduce(sub, v):
@@ -384,9 +398,17 @@ def test_kernels_match_dense_references(data):
         assert sub.reduce(v) == residual
         assert sub.coordinates(v) == (coords if not any(residual) else None)
     q = QuotientSpace(sub)
-    # the class of every coordinate, and of x given dense or as its nonzeros
-    assert mat_transpose([q.project(unit_vec(k, i)) for i in range(k)]) == dense_projection_matrix(q, sub)
-    assert q.project(x) == q.project(_nonzeros(x)) == dense_matvec(dense_projection_matrix(q, sub), x)
+    # the class of every coordinate, and of x
+    assert mat_transpose([project(q, ((i, 1),)) for i in range(k)]) == dense_projection_matrix(q, sub)
+    assert project(q, _nonzeros(x)) == dense_matvec(dense_projection_matrix(q, sub), x)
+    # the map with the rows of `a`, given as its columns' nonzeros: the
+    # kernel basis and the solution (free unknowns 0) of the dense RREF,
+    # the zero map's kernel (no equation, m = 0) all of Q^k included
+    cols = map_columns(a, k)
+    assert [_dense(k, v) for v in kernel(cols)] == dense_kernel(a, k)
+    (target,) = data.draw(sparse_matrix(1, m)) if m else ([],)
+    for b in (target, matvec(a, x)):
+        assert solve(cols, _nonzeros(b)) == dense_solve(a, b, k)
 
 
 @settings(max_examples=100, deadline=None)

@@ -14,11 +14,15 @@ import random
 import pytest
 
 from conftest import (
+    FAMILIES,
+    ORACLE_SYSTEMS,
     a2_graph,
     delta_ideals_oracle,
     dense,
     dense_rows,
+    dense_solve,
     diagonal_ring,
+    family_system,
     finite_rank_space,
     five_vertex_mixed,
     idempotent_plus_null_json,
@@ -56,6 +60,7 @@ from cprings.finrank import (
     canonical_ideals,
     check_fs,
     delta_ideals,
+    theta_decomposition,
     theta_table,
 )
 from cprings.graphalg import cycle_graph, line_graph, rose_graph
@@ -64,6 +69,7 @@ from cprings.rsystem import (
     Pairing,
     RSystem,
     StructuredBimodule,
+    StructuredRing,
     build_automorphism_system,
     build_graph_system,
     system_from_json,
@@ -318,7 +324,7 @@ def test_canonical_ideals_hypothesis_fails():
 def test_rank_one_calculus_built_once_per_system(line3, monkeypatch):
     builds, fs_solves, delta_maps = [], [], []
     for name, log in (("_build_theta_table", builds), ("_identity_in_span", fs_solves),
-                      ("_delta_map_matrix", delta_maps)):
+                      ("_delta_columns", delta_maps)):
         def counted(*args, _f=getattr(finrank, name), _log=log):
             _log.append(args[1:])
             return _f(*args)
@@ -345,17 +351,31 @@ def test_annihilator_on_diagonal(line3_system):
     assert annihilator(line3_system, Subspace(3, [])).dim == 3
 
 
+def test_annihilator_is_two_sided_off_the_corner_graph():
+    """Upper-triangular 2 x 2 matrices, basis e11, e12, e22, which have no
+    corner graph: for x = a e11 + b e12 + c e22, e12 x = c e12 and
+    x e12 = a e12, so the two-sided annihilator of (e12) is (e12) itself,
+    where the left one, {x : e12 x = 0}, would also hold e11."""
+    mult = [[[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+            [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
+            [[0, 0, 0], [0, 0, 0], [0, 0, 1]]]
+    system = build_automorphism_system(StructuredRing(["e11", "e12", "e22"], mult), mat_identity(3))
+    assert annihilator(system, Subspace(3, [unit_vec(3, 1)])) == Subspace(3, [unit_vec(3, 1)])
+    assert annihilator(system, Subspace(3, [])) == Subspace.full(3)
+
+
 def _dense_solve_over(rows, target, n):
-    """`finrank._solve_over` as it solved over the dense transposed table,
-    one equation per coordinate of Q^n."""
-    if not rows:
-        return None if target else []
-    return solve(mat_transpose(dense_rows(rows, n)), _dense(n, target))
+    """The solve over the rows given as their nonzeros, as the dense system
+    has it: one equation per coordinate of Q^n, one unknown per row, read
+    off `dense_rref` with every free unknown 0."""
+    cols = dense_rows(rows, n)
+    return dense_solve([[col[r] for col in cols] for r in range(n)], _dense(n, target), len(rows))
 
 
 def test_reduced_solve_matches_dense_solve():
-    """`_solve_over` on the equations some theta row or the target touches
-    returns exactly what `solve` returns over the dense transposed table --
+    """`solve` with the theta rows as columns, which eliminates over the
+    coordinates some row or the target touches, returns exactly what the
+    dense RREF of the transposed table reads --
     the same certificate, or None -- for id_Q and id_P at every coordinate
     floor, and for each Delta(e_r) and level 2 with no floor, on the presets,
     psi-zero, the killed-vector systems, random graph and permutation
@@ -386,7 +406,38 @@ def test_reduced_solve_matches_dense_solve():
                 targets += [finrank._flatten_columns(cols) for cols in system.q.left]
             rows = finrank._floored_thetas(system, side, level, floor)
             for target in targets:
-                found = finrank._solve_over(rows, target)
+                found = solve(rows, target)
                 assert found == _dense_solve_over(rows, target, m * m), (system.name, side, level, floor)
                 verdicts.add(found is None)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("source", list(ORACLE_SYSTEMS) + list(FAMILIES))
+def test_fs_certificates_are_the_dense_solutions(source):
+    """The (FS) certificates of `check_fs` and `theta_decomposition` of each
+    ring basis vector are the solutions that the dense RREF of the whole
+    theta system reads, every free unknown 0: the theta rows as dense
+    columns, one equation per coordinate, the target id_Q, id_P or
+    Delta(e_r) flattened column by column from `act_left`.  On the oracle
+    systems and four random systems of each family."""
+    if source in ORACLE_SYSTEMS:
+        systems = [ORACLE_SYSTEMS[source]()]
+    else:
+        rng = random.Random(3401)
+        systems = [family_system(source, rng) for _ in range(4)]
+    for system in systems:
+        fs = check_fs(system)
+        for side, cert in (("Q", fs.q_certificate), ("P", fs.p_certificate)):
+            m = tensor_space(system, side, 1).dim
+            inner = tensor_space(system, "P" if side == "Q" else "Q", 1).dim
+            want = _dense_solve_over(theta_table(system, side, 1), [(c * m + c, 1) for c in range(m)], m * m)
+            if want is not None:
+                want = [(*divmod(k, inner), c) for k, c in enumerate(want) if c]
+            assert cert == want, (system.name, side)
+        assert fs.ok == (fs.q_certificate is not None and fs.p_certificate is not None)
+        d, q = system.ring.dim, system.q
+        for r in range(d):
+            delta = [(k, x) for k, x in enumerate(y for c in range(q.dim)
+                                                   for y in q.act_left(unit_vec(d, r), unit_vec(q.dim, c))) if x]
+            want = _dense_solve_over(theta_table(system, "Q", 1), delta, q.dim * q.dim)
+            assert theta_decomposition(system, unit_vec(d, r)) == want, (system.name, r)

@@ -39,6 +39,7 @@ from cprings.ideals import (
 )
 
 from conftest import (
+    ORACLE_SYSTEMS,
     QuotientHandle,
     a2_graph,
     corner_bimodules_json,
@@ -249,21 +250,6 @@ def test_enumerate_matches_brute_force(make):
              for im in range(1 << d) for jm in range(1 << d) if jm & im == im]
     want = [(p.i, p.j, list(p.flags.items())) for p in brute if p.ok]
     assert [(p.i, p.j, list(p.flags.items())) for p in enumerate_tpairs(system)] == want
-
-
-# the seven graph presets, perm3, and psi-zero, where Delta^-1(F_P(Q)) = 0 and
-# so no nonzero J is compatible
-ORACLE_SYSTEMS = {
-    "a2": lambda: build_graph_system(a2_graph()),
-    "line3": lambda: build_graph_system(line_graph(3)),
-    "3v2c": lambda: build_graph_system(three_vertex_two_cycle()),
-    "cyc3": lambda: build_graph_system(cycle_graph(3)),
-    "rose2": lambda: build_graph_system(rose_graph(2)),
-    "rose3": lambda: build_graph_system(rose_graph(3)),
-    "5v-mixed": lambda: build_graph_system(five_vertex_mixed()),
-    "perm3": perm3_system,
-    "psi-zero": psi_zero_system,
-}
 
 
 def _coordinate_spans(system):
@@ -620,7 +606,7 @@ def test_enumeration_checks_each_ideal_once(monkeypatch):
         monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: subspace_ops.append(name) or real(*a))
     eliminations = []  # no descent by elimination, QI, kernel or Delta matrix
     for owner, name in ((ideals, "_check_descent"), (ideals, "ideal_image"), (finrank, "ideal_image"),
-                        (finrank, "kernel"), (exactlin, "kernel"), (finrank, "_delta_map_matrix")):
+                        (finrank, "kernel"), (exactlin, "kernel"), (finrank, "_delta_columns")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: eliminations.append(name) or real(*a))
     system = build_graph_system(five_vertex_mixed())
@@ -635,7 +621,7 @@ def test_enumeration_checks_each_ideal_once(monkeypatch):
     validate_tpair(system, Subspace(5), Subspace.full(5))
     assert {"le", "validate_ideal"} <= set(subspace_ops)  # the counters count
     enumerate_tpairs(system_from_json(killed_vector_json("q", False)))
-    assert {"_check_descent", "ideal_image", "kernel", "_delta_map_matrix"} <= set(eliminations)
+    assert {"_check_descent", "ideal_image", "kernel", "_delta_columns"} <= set(eliminations)
 
 
 def test_coordinate_questions_read_the_corner_graph(monkeypatch):

@@ -41,6 +41,10 @@ UNREACHED = {
 GONE = {
     "_column_residual": "a column is reduced on its nonzeros by `Subspace.residual_nz`",
     "_leg_coords": "`embed_n` and `pair` write a level's nonzeros straight into `_from_nz` (`_grade_nz`)",
+    "_solve_over": "`exactlin.solve` takes the theta rows as a map's columns, given as their nonzeros",
+    "_delta_map_matrix": "`finrank._delta_columns` gives Delta's columns as their nonzeros, for `kernel` and `preimage`",
+    "solve_matrix": "`build_automorphism_system` inverts phi by one `exactlin.solve` per column",
+    "_combine": "the membership walk's coefficient rows are nonzeros, combined by `_sum_nz`",
 }
 
 

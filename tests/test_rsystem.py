@@ -10,6 +10,7 @@ from conftest import (
     columns,
     corner_bimodules_json,
     dense,
+    dense_inverse,
     diagonal_ring,
     dual_numbers_ring,
     five_vertex_mixed,
@@ -28,7 +29,7 @@ from conftest import (
     three_vertex_two_cycle,
 )
 from cprings import finrank, rsystem
-from cprings.exactlin import Subspace, _nonzeros, mat_identity, mat_transpose, solve_matrix, unit_vec, zero_vec
+from cprings.exactlin import Subspace, _nonzeros, mat_identity, mat_transpose, unit_vec, zero_vec
 from cprings.graphalg import cycle_graph, line_graph, rose_graph
 from cprings.rsystem import (
     Pairing,
@@ -476,7 +477,7 @@ def _dense_automorphism_system(system) -> RSystem:
     psi(e_i (x) e_j) = e_i phi(e_j)."""
     ring, d = system.ring, system.ring.dim
     cols = mat_transpose(system.phi)
-    phi_inv = solve_matrix(system.phi, mat_identity(d))
+    phi_inv = dense_inverse(system.phi)
     p = StructuredBimodule(ring.labels, ring.left, [ring.right_map(c) for c in cols])
     q = StructuredBimodule(ring.labels, ring.left, [ring.right_map(c) for c in mat_transpose(phi_inv)])
     psi = Pairing([[ring.multiply(unit_vec(d, i), cols[j]) for j in range(d)] for i in range(d)])

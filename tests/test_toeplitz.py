@@ -17,7 +17,6 @@ from conftest import (
     FAMILIES,
     _project_kron,
     dense,
-    kron_vec,
     dual_numbers_ring,
     dual_numbers_unit_basis_ring,
     family_system,
@@ -236,8 +235,7 @@ def test_basis_classes_are_pure_tensors(make):
     for space, d_left, d_right in cases:
         assert len(space.quot.free) == space.dim > 0
         for t, (a, b) in enumerate(divmod(f, d_right) for f in space.quot.free):
-            pure = kron_vec(unit_vec(d_left, a), unit_vec(d_right, b))
-            assert space.quot.project(pure) == unit_vec(space.dim, t)
+            assert _project_kron(space.quot, unit_vec(d_left, a), unit_vec(d_right, b)) == unit_vec(space.dim, t)
 
 
 def test_rose3_44_component_fits_in_memory():
