@@ -59,13 +59,13 @@ from .exactlin import Subspace, frac
 from .finrank import canonical_ideals, check_fs, left_annihilator
 from .graphalg import (
     FiniteGraph,
-    LpaTarget,
     _check_path,
     breaking_vertices,
     enumerate_ideal_pairs,
     graph_from_json,
     graph_to_json,
     is_hereditary_saturated,
+    lpa_target,
     lpa_vertex,
     lpa_x,
     lpa_y,
@@ -240,10 +240,10 @@ class EvalContext:
         if self.backend == "toeplitz" and self.system is None:
             raise ValueError("the Toeplitz backend needs a system")
 
-    def _index(self, labels, label, what) -> int:
+    def _index(self, space, label, what) -> int:
         try:
-            return labels.index(label)
-        except ValueError:
+            return space.index(label)
+        except KeyError:
             raise UnknownGenerator(f"unknown {what} {label!r}") from None
 
     def _require_path(self, edges, what):
@@ -269,10 +269,10 @@ class EvalContext:
             return lpa_x(g, label) if kind == "Q" else lpa_y(g, label)
         sy = self.system
         if kind == "R":
-            i, grade = self._index(sy.ring.labels, label, "ring label"), (0, 0)
+            i, grade = self._index(sy.ring, label, "ring label"), (0, 0)
         else:
             mod, grade = (sy.q, (1, 0)) if kind == "Q" else (sy.p, (0, 1))
-            i = self._index(mod.labels, label, "module label")
+            i = self._index(mod, label, "module label")
         return _from_nz(sy, {grade: ((i, 1),)})
 
     def sugar(self, head: str, names: list[str]):
@@ -474,9 +474,10 @@ def _coord_subspace(loaded: LoadedInput, spec: str) -> Subspace:
     indices = []
     for label in spec.split(","):
         label = label.strip()
-        if label not in sy.ring.labels:
-            raise UnknownGenerator(f"unknown ring label {label!r} in ideal spec")
-        indices.append(sy.ring.labels.index(label))
+        try:
+            indices.append(sy.ring.index(label))
+        except KeyError:
+            raise UnknownGenerator(f"unknown ring label {label!r} in ideal spec") from None
     return Subspace.coordinate_span(d, indices)
 
 
@@ -683,7 +684,7 @@ def _verb_compare(loaded, args) -> Outcome:
     sy = loaded.system
     rng = random.Random(args.seed)
     ctx = _cp_context(loaded, args, "jmax")
-    rep = LpaTarget(loaded.paths, sy)
+    rep = lpa_target(loaded.paths, sy)
     gens = [
         _from_nz(sy, {grade: ((i, 1),)})
         for grade, dim in (((0, 0), sy.ring.dim), ((1, 0), sy.q.dim), ((0, 1), sy.p.dim))

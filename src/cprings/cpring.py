@@ -61,6 +61,7 @@ from .exactlin import (
 from .finrank import (
     CompatibleIdeal,
     FsViolation,
+    _flatten,
     canonical_ideals,
     check_fs,
     left_annihilator,
@@ -185,23 +186,11 @@ def _build_vacuum_span(system: RSystem, j: Subspace, k: int) -> Subspace:
                                               for xi in ideal_image(system, "Q", k, j).basis_nz()])
 
 
-def _fock_block(x: ToeplitzElement, l: int, k: int, cap: int) -> tuple:
-    """The level-l -> level-k block of Fock(x) as `fock_apply` gives it, one
-    tuple of nonzero (index, value) pairs per column; () when it is zero."""
-    return fock_apply(x, l, cap=cap).get(k, ())
-
-
-def _flatten(cols, n: int) -> tuple:
-    """The nonzero (index, value) pairs of a map with n-row columns given by
-    their nonzeros `cols`, flattened column by column."""
-    return tuple((c * n + r, v) for c, col in enumerate(cols) for r, v in col)
-
-
 def _combine_blocks(coeffs, blocks: Sequence[tuple]) -> tuple:
     """sum of c * blocks[k] over the nonzero (k, c) pairs `coeffs`, column by
     column, each block and the sum given as one tuple of nonzero (index,
-    value) pairs per column, and () when the sum is zero (as `_fock_block`
-    gives a zero block)."""
+    value) pairs per column, and () when the sum is zero (as a zero block
+    is read off `fock_apply`)."""
     terms = [(c, blocks[k]) for k, c in coeffs if blocks[k]]
     if len(terms) == 1 and terms[0][0] == 1:
         return terms[0][1]
@@ -332,7 +321,7 @@ def _graded_preimage(system: RSystem, i: Subspace, j: Subspace,
             if not rows:
                 return []
             k = l + d
-            blocks = [_fock_block(p, l, k, cap) for p in parts]
+            blocks = [fock_apply(p, l, cap=cap).get(k, ()) for p in parts]
             combos = [_combine_blocks(row, blocks) for row in rows]
             if l < top and not any(combos):
                 continue  # zero blocks lie in every span
@@ -462,9 +451,9 @@ def _covariance_defect(system: RSystem, rep):
     return defect
 
 
-def _kernel_over_basis(system: RSystem, rep, f) -> Subspace:
-    """{x in R : f(x) = 0} for a linear f into rep.dim x rep.dim matrices
-    (`Mat`): the kernel of f, whose column r is f(e_r) flattened."""
+def _kernel_over_basis(system: RSystem, f) -> Subspace:
+    """{x in R : f(x) = 0} for a linear f into square matrices (`Mat`): the
+    kernel of f, whose column r is f(e_r) flattened."""
     d = system.ring.dim
     cols = [_nonzeros([v for row in f(unit_vec(d, r)).rows for v in row]) for r in range(d)]
     return Subspace.of_nonzeros(d, kernel(cols))
@@ -487,13 +476,13 @@ def is_cp_invariant(system: RSystem, rep, j) -> bool:
 def extract_j(system: RSystem, rep: Representation) -> Subspace:
     """J_(S,T,sigma), exactly: the kernel of the covariance defect
     (`_covariance_defect`) over R's basis."""
-    return _kernel_over_basis(system, rep, _covariance_defect(system, rep))
+    return _kernel_over_basis(system, _covariance_defect(system, rep))
 
 
 def extract_tpair(system: RSystem, rep: Representation):
     """(ker sigma, J_(S,T,sigma)), a T-pair for a valid representation."""
     defect = _covariance_defect(system, rep)
-    return _kernel_over_basis(system, rep, rep.sigma), _kernel_over_basis(system, rep, defect)
+    return _kernel_over_basis(system, rep.sigma), _kernel_over_basis(system, defect)
 
 
 # ---------------------------------------------------------------------------

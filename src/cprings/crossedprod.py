@@ -16,37 +16,28 @@ so every graded component contributes to exactly one Laurent degree n - m.
 `cp_to_crossed` implements that collapse directly on component coordinates
 (each basis class of a level is a word of letters, collapsed as above), while
 `crossed_representation` exposes the same triple to the generic evaluator in
-`toeplitz`; the two paths are independent, which the tests exploit.  The map
-kills the full-ideal relation generators, so it is well defined on the
-Cuntz-Pimsner quotient; that too is a verified property, not an assumption.
+`toeplitz` as a `toeplitz.Representation`; the two paths are independent,
+which the tests exploit.  The map kills the full-ideal relation generators,
+so it is well defined on the Cuntz-Pimsner quotient; that too is a verified
+property, not an assumption.
+
+Everything here is read off nonzeros, as in `toeplitz`, starting from the
+images of phi and phi^{-1} that `build_automorphism_system` keeps; no matrix
+is formed.  A Laurent degree is an int, and a non-integral one is refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cpring import ContextMismatch, CpContext, CpElement
-from .exactlin import (
-    ONE,
-    ZERO,
-    frac,
-    mat_identity,
-    mat_transpose,
-    matmul,
-    matvec,
-    unit_vec,
-    vec_add,
-    vec_scale,
-    zero_vec,
-)
+from .exactlin import ONE, ZERO, _dense, _nonzeros, _sum_nz, frac, vec
 from .rsystem import RSystem, _chain, _memo
 from .tensorpow import tensor_space
-from .toeplitz import SystemMismatch, ToeplitzElement, component_space
+from .toeplitz import Representation, SystemMismatch, ToeplitzElement, component_space
 
 __all__ = [
     "CrossedElement",
-    "CrossedRepresentation",
     "cp_to_crossed",
     "cross_mul",
     "crossed_representation",
@@ -74,11 +65,20 @@ def _require_automorphism(system: RSystem):
         )
 
 
-def phi_power(system: RSystem, k: int):
-    """Cached matrix of phi^k (negative k through the stored inverse): a
-    chain (`rsystem._chain`) over phi^0, phi^(+-1), .., phi^k."""
+def _degree(k) -> int:
+    """A Laurent degree, refused with ValueError unless it is an int (int()
+    would truncate 1.5 to 1)."""
+    if not isinstance(k, int):
+        raise ValueError(f"a Laurent degree is an integer, got {k!r}")
+    return k
+
+
+def phi_power(system: RSystem, k: int) -> tuple:
+    """phi^k as its images' nonzeros, entry i those of phi^k(e_i), cached
+    (negative k through the stored inverse): a chain (`rsystem._chain`) over
+    phi^0, phi^(+-1), .., phi^k."""
     _require_automorphism(system)
-    k = int(k)
+    k = _degree(k)
     sign = -1 if k < 0 else 1
     return _chain(system, ("phi-pow", k), abs(k), _power_key, _power_link, sign)
 
@@ -87,31 +87,44 @@ def _power_key(j: int, sign: int) -> tuple:
     return ("phi-pow", sign * j)
 
 
-def _power_link(system: RSystem, j: int, prev, sign: int):
-    """phi^(sign j), from phi^(sign (j - 1)) (`prev`)."""
+def _power_link(system: RSystem, j: int, prev, sign: int) -> tuple:
+    """phi^(sign j), from phi^(sign (j - 1)) (`prev`): phi^(+-1) applied to
+    each image of prev."""
     if prev is None:
-        return mat_identity(system.ring.dim)
-    return matmul(system.phi if sign > 0 else system.phi_inv, prev)
+        return tuple(((i, ONE),) for i in range(system.ring.dim))
+    step = system.phi if sign > 0 else system.phi_inv
+    return tuple(_apply(step, img) for img in prev)
+
+
+def _apply(images, v) -> tuple:
+    """The nonzeros of f(v), for the linear map f whose basis images' nonzeros
+    are `images` and v given by its nonzeros."""
+    return _sum_nz((c, images[i]) for i, c in v)
 
 
 class CrossedElement:
-    """Finitely supported map k -> coefficient of [., k] (coordinates in R)."""
+    """Finitely supported map k -> coefficient of [., k] in R.
+
+    `terms[k]` is the tuple of nonzero (index, value) pairs of degree k's
+    coefficient, sorted by index, and a degree with none is absent, as a
+    `ToeplitzElement` keeps its grades.  The constructor takes dense
+    coefficients (coerced by `vec`, each of length dim R, at integer
+    degrees); `coefficient` is the one dense reader."""
 
     __slots__ = ("system", "terms")
 
     def __init__(self, system: RSystem, terms=None):
         _require_automorphism(system)
-        self.system = system
+        d = system.ring.dim
         clean = {}
-        if terms:
-            for k, v in terms.items():
-                v = tuple(frac(c) for c in v)
-                if len(v) != system.ring.dim:
-                    raise ValueError(
-                        f"coefficient of [., {k}] has length {len(v)}, ring has dim {system.ring.dim}"
-                    )
-                if any(c != 0 for c in v):
-                    clean[int(k)] = v
+        for k, v in (terms or {}).items():
+            k, v = _degree(k), vec(v)
+            if len(v) != d:
+                raise ValueError(f"coefficient of [., {k}] has length {len(v)}, ring has dim {d}")
+            nz = tuple(_nonzeros(v))
+            if nz:
+                clean[k] = nz
+        self.system = system
         self.terms = clean
 
     @classmethod
@@ -125,7 +138,7 @@ class CrossedElement:
         return sorted(self.terms)
 
     def coefficient(self, k: int):
-        return list(self.terms.get(int(k), zero_vec(self.system.ring.dim)))
+        return _dense(self.system.ring.dim, self.terms.get(_degree(k), ()))
 
     def _check(self, other: "CrossedElement"):
         if other.system is not self.system:
@@ -133,19 +146,20 @@ class CrossedElement:
 
     def __add__(self, other: "CrossedElement") -> "CrossedElement":
         self._check(other)
-        out = {k: list(v) for k, v in self.terms.items()}
+        terms = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = vec_add(out[k], v) if k in out else list(v)
-        return CrossedElement(self.system, out)
+            terms[k] = _sum_nz(((1, terms[k]), (1, v))) if k in terms else v
+        return _from_terms(self.system, terms)
 
     def __sub__(self, other: "CrossedElement") -> "CrossedElement":
         return self + (-other)
 
     def __rmul__(self, c) -> "CrossedElement":
         c = frac(c)
-        return CrossedElement(
-            self.system, {k: vec_scale(c, list(v)) for k, v in self.terms.items()}
-        )
+        if not c:
+            return _from_terms(self.system, {})
+        # `frac` brings an integral product of Fractions back to an int
+        return _from_terms(self.system, {k: tuple((i, frac(c * x)) for i, x in v) for k, v in self.terms.items()})
 
     def __neg__(self) -> "CrossedElement":
         return self.__rmul__(-1)
@@ -166,21 +180,29 @@ class CrossedElement:
     def __repr__(self) -> str:
         if not self.terms:
             return "CrossedElement(0)"
-        bits = ", ".join(f"[{list(v)}, {k}]" for k, v in sorted(self.terms.items()))
+        bits = ", ".join(f"[{self.coefficient(k)}, {k}]" for k in self.support())
         return f"CrossedElement({bits})"
+
+
+def _from_terms(system: RSystem, terms: dict) -> CrossedElement:
+    """The element whose degrees carry the given nonzero (index, value)
+    pairs, sorted by index; a degree with none is dropped."""
+    x = object.__new__(CrossedElement)
+    x.system = system
+    x.terms = {k: v for k, v in terms.items() if v}
+    return x
 
 
 def cross_mul(a: CrossedElement, b: CrossedElement) -> CrossedElement:
     """Bilinear extension of [r1,k1][r2,k2] = [r1 phi^{k1}(r2), k1+k2]."""
     a._check(b)
-    ring = a.system.ring
-    acc: dict[int, list[Fraction]] = {}
+    system = a.system
+    acc: dict = {}  # degree -> [(1, nonzeros of one product)]
     for k1, r1 in a.terms.items():
+        twist = phi_power(system, k1)
         for k2, r2 in b.terms.items():
-            w = ring.multiply(list(r1), matvec(phi_power(a.system, k1), list(r2)))
-            k = k1 + k2
-            acc[k] = vec_add(acc[k], w) if k in acc else w
-    return CrossedElement(a.system, acc)
+            acc.setdefault(k1 + k2, []).append((1, system.ring.multiply_nz(r1, _apply(twist, r2))))
+    return _from_terms(system, {k: _sum_nz(parts) for k, parts in acc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -188,56 +210,47 @@ def cross_mul(a: CrossedElement, b: CrossedElement) -> CrossedElement:
 # ---------------------------------------------------------------------------
 
 
-def _leg_collapse(system: RSystem, side: str, level: int):
-    """Matrix taking level-`level` tensor coordinates to the ring part of the
-    crossed-product word (degree -level for Q, +level for P)."""
+def _leg_collapse(system: RSystem, side: str, level: int) -> tuple:
+    """The ring part of the crossed-product word of each basis vector of a
+    level, as its nonzeros (degree -level for Q, +level for P)."""
     _require_automorphism(system)
     return _memo(system, ("crossed-leg", side, level), _build_leg_collapse, system, side, level)
 
 
-def _build_leg_collapse(system: RSystem, side: str, level: int):
+def _build_leg_collapse(system: RSystem, side: str, level: int) -> tuple:
     # word (w1..wn) collapses to w1 phi^s(w2) ... phi^(s(n-1))(wn), s = -1 on Q, +1 on P
     sign = -1 if side == "Q" else 1
-    twists = [mat_transpose(phi_power(system, sign * i)) for i in range(level)]  # rows = images
-    cols = []
+    twists = [phi_power(system, sign * i) for i in range(level)]
+    out = []
     for word in tensor_space(system, side, level).words:
         acc = twists[0][word[0]]
         for i, letter in enumerate(word[1:], 1):
-            acc = system.ring.multiply(acc, twists[i][letter])
-        cols.append(acc)
-    return mat_transpose(cols)
+            acc = system.ring.multiply_nz(acc, twists[i][letter])
+        out.append(acc)
+    return tuple(out)
 
 
 def toeplitz_to_crossed(x: ToeplitzElement) -> CrossedElement:
     """Word-collapse of a Toeplitz element; grade (m, n) lands at degree n-m."""
     system = x.system
     _require_automorphism(system)
-    d = system.ring.dim
-    acc: dict[int, list[Fraction]] = {}
-
-    def put(k: int, w):
-        if any(c != 0 for c in w):
-            acc[k] = vec_add(acc[k], w) if k in acc else list(w)
-
-    for (m, n), v in sorted(x.comps.items()):
+    acc: dict = {}  # degree -> [(coefficient, nonzeros of a basis class's image)]
+    for (m, n), v in x.comps.items():
         # the ring image of each basis class of the grade, read over x's nonzeros
         if m and n:
             free, d_p = component_space(system, m, n).quot.free, tensor_space(system, "P", n).dim
-            q_cols = mat_transpose(_leg_collapse(system, "Q", m))
-            p_cols = mat_transpose(matmul(phi_power(system, -m), _leg_collapse(system, "P", n)))
+            q_imgs, p_imgs = _leg_collapse(system, "Q", m), _leg_collapse(system, "P", n)
+            twist = phi_power(system, -m)
             # basis class idx is that of e_a (x) e_b in Q^m (x) P^n
-            images = (system.ring.multiply(q_cols[a], p_cols[b])
+            images = (system.ring.multiply_nz(q_imgs[a], _apply(twist, p_imgs[b]))
                       for a, b in (divmod(free[idx], d_p) for idx, _ in v))
         elif m or n:
-            cols = mat_transpose(_leg_collapse(system, "Q" if m else "P", m or n))
-            images = (cols[idx] for idx, _ in v)
+            imgs = _leg_collapse(system, "Q" if m else "P", m or n)
+            images = (imgs[idx] for idx, _ in v)
         else:
-            images = (unit_vec(d, idx) for idx, _ in v)
-        w = zero_vec(d)
-        for (_, coeff), img in zip(v, images):
-            w = vec_add(w, vec_scale(coeff, img))
-        put(n - m, w)
-    return CrossedElement(system, acc)
+            images = (((idx, ONE),) for idx, _ in v)
+        acc.setdefault(n - m, []).extend((c, img) for (_, c), img in zip(v, images))
+    return _from_terms(system, {k: _sum_nz(parts) for k, parts in acc.items()})
 
 
 def cp_to_crossed(ctx: CpContext, x) -> CrossedElement:
@@ -265,27 +278,15 @@ def cp_to_crossed(ctx: CpContext, x) -> CrossedElement:
     return toeplitz_to_crossed(rep)
 
 
-@dataclass(eq=False)
-class CrossedRepresentation:
-    """The covariant triple sigma(r)=[r,0], T(q)=[q,-1], S(p)=[p,1].
+def crossed_representation(system: RSystem) -> Representation:
+    """The covariant triple sigma(r)=[r,0], T(q)=[q,-1], S(p)=[p,1], as a
+    `toeplitz.Representation` whose basis images are the [e_i, k].
 
-    Duck-typed for `toeplitz.evaluate` / `toeplitz.check_representation`;
-    gives a second, independent route from Toeplitz words into the crossed
-    product (the generic evaluator knows nothing about the collapse rule).
+    It gives `toeplitz.evaluate` a second, independent route from Toeplitz
+    words into the crossed product (the generic evaluator knows nothing
+    about the collapse rule).
     """
-
-    system: RSystem
-
-    def sigma(self, r) -> CrossedElement:
-        return CrossedElement(self.system, {0: list(r)})
-
-    def t(self, q) -> CrossedElement:
-        return CrossedElement(self.system, {-1: list(q)})
-
-    def s(self, p) -> CrossedElement:
-        return CrossedElement(self.system, {1: list(p)})
-
-
-def crossed_representation(system: RSystem) -> CrossedRepresentation:
     _require_automorphism(system)
-    return CrossedRepresentation(system)
+    units = [((i, ONE),) for i in range(system.ring.dim)]
+    return Representation(_from_terms(system, {}),
+                          *([_from_terms(system, {k: u}) for u in units] for k in (0, -1, 1)))

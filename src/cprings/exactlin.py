@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals, with kernels that skip zero entries.
 
 Everything in the package reduces to solving small exact linear systems, so
-this module keeps the representation boring on purpose: a vector is a list of
-exact rationals, a matrix is a list of row vectors.  An entry is an `int`
+this module keeps the representation boring on purpose: a dense vector is a
+list of exact rationals, and a linear map is given by its columns' nonzeros
+(below).  A dense matrix, a list of row vectors, is left only as `rref`'s
+input and as the rows of the matrix target `toeplitz.Mat` (`matmul`,
+`mat_zero`); `matvec` stays for perfbench's tracer.  An entry is an `int`
 when it is integral and a `fractions.Fraction` otherwise, so the 0 and +-1
 structure constants of graph and permutation systems cost integer arithmetic,
 not a gcd per operation; an int and the equal Fraction compare and hash
@@ -126,21 +129,8 @@ def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     return out
 
 
-def vec_scale(c, v: Sequence[Fraction]) -> list[Fraction]:
-    c = frac(c)
-    out = [ZERO] * len(v)
-    if c:
-        for j, x in _nonzeros(v):
-            out[j] = c * x
-    return out
-
-
 def mat_zero(m: int, n: int) -> list[list[Fraction]]:
     return [[ZERO] * n for _ in range(m)]
-
-
-def mat_identity(n: int) -> list[list[Fraction]]:
-    return [unit_vec(n, i) for i in range(n)]
 
 
 def matvec(a: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> list[Fraction]:
@@ -174,12 +164,6 @@ def matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> 
                     acc[j] += coef * bval
         out.append(acc)
     return out
-
-
-def mat_transpose(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -2,7 +2,7 @@
 
 Operators act on Q^(x)n as matrices in canonical level coordinates,
 flattened column by column, as the membership walk flattens the columns of a
-Fock block (`cpring._flatten`).
+Fock block (`_flatten`).
 The rank-one generators and the left action are
 
     theta_{q,p}(x) = q . psi_n(p (x) x)      (on P^(x)n: y |-> psi_n(y (x) q) . p)
@@ -70,11 +70,10 @@ class FsViolation(RuntimeError):
     """An operation that needs condition (FS) was run on a system without it."""
 
 
-def _flatten_columns(cols) -> tuple:
-    """The nonzero (index, value) pairs of the d x d map with columns'
-    nonzeros `cols`, flattened column by column."""
-    d = len(cols)
-    return tuple((c * d + r, v) for c, col in enumerate(cols) for r, v in col)
+def _flatten(cols, n: int) -> tuple:
+    """The nonzero (index, value) pairs of a map with n-row columns given by
+    their nonzeros `cols`, flattened column by column."""
+    return tuple((c * n + r, v) for c, col in enumerate(cols) for r, v in col)
 
 
 def _build_theta_table(system: RSystem, side: str, level: int) -> tuple:
@@ -162,7 +161,7 @@ def theta_decomposition(system: RSystem, x: Sequence[Fraction]):
 
     c_ab sits at a * dim P + b, the row of theta_{e_a,e_b} in the level-1 table.
     """
-    return solve(theta_table(system, "Q", 1), _flatten_columns(system.q.left_map(list(x))))
+    return solve(theta_table(system, "Q", 1), _flatten(system.q.left_map(list(x)), system.q.dim))
 
 
 @dataclass
@@ -227,7 +226,7 @@ def _build_left_annihilator(system: RSystem, floor: Optional[Subspace]) -> Subsp
 def _delta_columns(system: RSystem, i: Optional[Subspace]) -> list:
     """Delta(e_r) for each basis element e_r, flattened and read modulo QI
     (`_floored`): the columns of r |-> Delta(r), as their nonzeros."""
-    return _floored(system, "Q", 1, i, [_flatten_columns(cols) for cols in system.q.left])
+    return _floored(system, "Q", 1, i, [_flatten(cols, system.q.dim) for cols in system.q.left])
 
 
 def annihilator(system: RSystem, ideal: Subspace) -> Subspace:

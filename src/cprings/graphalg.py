@@ -1,7 +1,8 @@
 """Finite graphs, Leavitt path algebra normal forms, and vertex-set lattices.
 
 The Leavitt path algebra here is the closed-form backend used to cross-check
-the generic Cuntz-Pimsner engine on graph systems.  Elements are kept in the
+the generic Cuntz-Pimsner engine on graph systems; `lpa_target` gives its
+sigma/T/S target as a `toeplitz.Representation`.  Elements are kept in the
 monomial normal form x_alpha y_beta^* (alpha, beta forward paths with a common
 range), where monomials whose alpha and beta both end in the *special edge* of
 a regular vertex (the lexicographically least edge it emits) are rewritten
@@ -29,6 +30,7 @@ from typing import Iterable, Sequence
 
 from .exactlin import ONE, ZERO, frac
 from .rsystem import _json_name
+from .toeplitz import Representation
 
 
 @dataclass(frozen=True)
@@ -384,35 +386,14 @@ def lpa_y(graph: FiniteGraph, *edges: str) -> LpaElement:
     return LpaElement(graph, {monomial(graph, (), edges): ONE})
 
 
-class LpaTarget:
-    """The sigma/T/S target of a graph system in its Leavitt path algebra.
-
-    Sends ring, Q and P coordinates (in the system's label order) to the
-    normal form of the matching combination of vertices, edges x_e and ghost
-    edges y_e; duck-typed for `toeplitz.evaluate`.
-    """
-
-    def __init__(self, graph: FiniteGraph, system):
-        self.graph = graph
-        self._r = [lpa_vertex(graph, v) for v in system.ring.labels]
-        self._q = [lpa_x(graph, e) for e in system.q.labels]
-        self._p = [lpa_y(graph, e) for e in system.p.labels]
-
-    def _comb(self, coords, images) -> LpaElement:
-        acc = LpaElement(self.graph, {})
-        for c, img in zip(coords, images):
-            if c != 0:
-                acc = acc + frac(c) * img
-        return acc
-
-    def sigma(self, r) -> LpaElement:
-        return self._comb(r, self._r)
-
-    def t(self, q) -> LpaElement:
-        return self._comb(q, self._q)
-
-    def s(self, p) -> LpaElement:
-        return self._comb(p, self._p)
+def lpa_target(graph: FiniteGraph, system) -> Representation:
+    """The sigma/T/S target of a graph system in its Leavitt path algebra, a
+    `toeplitz.Representation`: the ring, Q and P basis elements (in the
+    system's label order) go to the vertices, the edges x_e and the ghost
+    edges y_e, so coordinates go to the normal form of the matching
+    combination."""
+    return Representation(LpaElement(graph, {}), [lpa_vertex(graph, v) for v in system.ring.labels],
+                          [lpa_x(graph, e) for e in system.q.labels], [lpa_y(graph, e) for e in system.p.labels])
 
 
 # ---------------------------------------------------------------------------

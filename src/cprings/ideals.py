@@ -75,15 +75,12 @@ class HypothesisViolated(ValueError):
 
 
 def is_psi_invariant(system: RSystem, i: Subspace) -> bool:
-    """psi(p (x) x.q) in I for all basis p, q and x in I."""
+    """psi(p (x) x.q) in I for all basis p, q and x in I; raises NotTwoSided
+    unless I is a two-sided ideal (`is_two_sided`, a mask check on a
+    coordinate span of a system with a corner graph).  psi(p (x) x.q) is
+    linear in x, so the basis rows x of I suffice."""
     if not is_two_sided(system, i):
         raise NotTwoSided("psi-invariance is only defined for two-sided ideals")
-    return _psi_invariant(system, i)
-
-
-def _psi_invariant(system: RSystem, i: Subspace) -> bool:
-    """`is_psi_invariant` for an I already known to be two-sided: psi(p (x) x.q)
-    is linear in x, so the basis rows x of I suffice."""
     return not any(i.residual_nz(v) for x in i.basis_nz() for v in _psi_images(system, x))
 
 
@@ -162,9 +159,11 @@ def quotient_system(system: RSystem, i: Subspace) -> QuotientSystem:
     system file.  The quotient is then
     valid by theorem, see `_quotient_system`, and is not validated again.
     """
-    if not is_two_sided(system, i):
-        raise NotTwoSided("quotients need a two-sided ideal")
-    if not _psi_invariant(system, i):
+    try:
+        invariant = is_psi_invariant(system, i)
+    except NotTwoSided:
+        raise NotTwoSided("quotients need a two-sided ideal") from None
+    if not invariant:
         raise NotInvariant("quotients need a psi-invariant ideal")
     return _quotient_system(system, i)
 
@@ -242,8 +241,11 @@ def validate_tpair(system: RSystem, i: Subspace, j: Subspace) -> TPair:
     false unless I is two-sided and psi-invariant; raises NotInvariant
     when R/I does not act on Q/QI or P/IP.  When J contains I, J + I is J,
     and that call's two-sidedness is J's own."""
-    i_two_sided, i_in_j = is_two_sided(system, i), i.le(j)
-    invariant = i_two_sided and _psi_invariant(system, i)
+    try:
+        i_two_sided, invariant = True, is_psi_invariant(system, i)
+    except NotTwoSided:
+        i_two_sided = invariant = False
+    i_in_j = i.le(j)
     if invariant:
         _require_descent(system, i)
     jq = validate_ideal(system, j, i) if invariant else None

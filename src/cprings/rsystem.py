@@ -15,8 +15,10 @@ is the tuple of nonzero (index, value) pairs of one vector.  An R-action
 that of m_a . e_i, and that includes the ring itself: R is the R-bimodule
 whose columns are the cells of its products.  The pairing keeps the cell of
 each psi(p_a (x) q_b).  Each structure table in nonzero form -- these
-cells and the iterated pairings of `tensorpow` -- is evaluated by the one
-kernel `_bilinear`.  Each structure has one checking constructor from cells
+cells and the iterated pairings of `tensorpow` -- is evaluated on dense
+operands by the one kernel `_bilinear`, and the ring's product on operands
+given by their nonzeros by `StructuredRing.multiply_nz`.  Each structure
+has one checking constructor from cells
 (`StructuredBimodule(labels, left, right)`, `StructuredRing.from_cells`,
 `Pairing.from_cells`), which checks every index and coerces every value in
 one pass (`_checked_cells`); the builders and the file loader write cells
@@ -60,7 +62,6 @@ from .exactlin import (
     _nonzeros,
     _sum_nz,
     frac,
-    mat_transpose,
     solve,
     vec,
 )
@@ -138,14 +139,14 @@ class _Actions:
 
     def left_map(self, r: Sequence[Fraction]) -> list[tuple]:
         """The columns of m -> r . m: column a holds the nonzeros of r . m_a."""
-        return self._map(self.left, r)
+        return self._map(self.left, _nonzeros(r))
 
     def right_map(self, r: Sequence[Fraction]) -> list[tuple]:
         """The columns of m -> m . r: column a holds the nonzeros of m_a . r."""
-        return self._map(self.right, r)
+        return self._map(self.right, _nonzeros(r))
 
-    def _map(self, cols, r: Sequence[Fraction]) -> list[tuple]:
-        nz_r = _nonzeros(r)
+    def _map(self, cols, nz_r) -> list[tuple]:
+        """The columns of one action by r, given by its nonzeros."""
         return [_sum_nz((ri, cols[i][a]) for i, ri in nz_r) for a in range(self.dim)]
 
 
@@ -216,6 +217,10 @@ class StructuredRing(_Labelled):
 
     def multiply(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
         return _bilinear(self.dim, self.left, a, b)
+
+    def multiply_nz(self, a, b) -> tuple:
+        """The nonzeros of a b, both factors given by their nonzeros."""
+        return _sum_nz((x * y, self.left[i][j]) for i, x in a for j, y in b)
 
 
 class StructuredBimodule(_Labelled):
@@ -586,12 +591,13 @@ def build_automorphism_system(ring: StructuredRing, phi) -> RSystem:
     """The system of a ring automorphism phi (given as a matrix on R).
 
     P carries p . r = p phi(r), Q carries q . r = q phi^{-1}(r) (left actions
-    are plain multiplication on both), and psi(p (x) q) = p phi(q).
+    are plain multiplication on both), and psi(p (x) q) = p phi(q).  The
+    system keeps phi and phi^{-1} for the crossed-product backend as their
+    images' nonzeros: `phi[k]` and `phi_inv[k]` hold those of phi(e_k) and
+    phi^{-1}(e_k).
     """
     d = ring.dim
-    phi = [[frac(c) for c in row] for row in phi]
-    cols = mat_transpose(phi)
-    images = [_nonzeros(c) for c in cols]  # phi(e_k)
+    images = tuple(tuple(_nonzeros([frac(row[k]) for row in phi])) for k in range(d))  # phi(e_k)
     inv_cols = [solve(images, ((i, ONE),)) for i in range(d)]  # phi^-1(e_i)
     if None in inv_cols:
         raise ValueError("phi is not invertible")
@@ -599,18 +605,18 @@ def build_automorphism_system(ring: StructuredRing, phi) -> RSystem:
     for i in range(d):
         for j in range(d):
             lhs = _sum_nz((c, images[k]) for k, c in ring.left[i][j])
-            if lhs != tuple(_nonzeros(ring.multiply(cols[i], cols[j]))):
+            if lhs != ring.multiply_nz(images[i], images[j]):
                 raise ValueError(f"phi is not multiplicative at ({ring.labels[i]},{ring.labels[j]})")
 
-    p_mod = StructuredBimodule(ring.labels, ring.left, [ring.right_map(c) for c in cols])
-    q_mod = StructuredBimodule(ring.labels, ring.left, [ring.right_map(c) for c in inv_cols])
+    inverse = tuple(tuple(_nonzeros(c)) for c in inv_cols)
+    p_mod = StructuredBimodule(ring.labels, ring.left, [ring._map(ring.right, img) for img in images])
+    q_mod = StructuredBimodule(ring.labels, ring.left, [ring._map(ring.right, img) for img in inverse])
 
     # psi(e_i (x) e_j) = e_i phi(e_j)
     psi = Pairing.from_cells([[_sum_nz((c, ring.left[i][k]) for k, c in images[j]) for j in range(d)]
                               for i in range(d)], d)
     sys = RSystem(ring=ring, p=p_mod, q=q_mod, psi=psi, name="automorphism")
-    sys.phi = phi  # kept for the crossed-product backend
-    sys.phi_inv = mat_transpose(inv_cols)
+    sys.phi, sys.phi_inv = images, inverse
     return sys
 
 

@@ -36,9 +36,12 @@ dict: each pair of basis classes is multiplied once per system and cached
 as a sparse column of the output component.
 
 The module also hosts representation evaluation (images T^m(q) S^n(p),
-multiplicative in tensor order) and the Fock representation.  The Fock
-module F = (+)_j Q^(x)j is T modulo the left ideal L of the grades (m, n)
-with n >= 1, so T acts on F by the same product rule (`fock_apply`).  A
+multiplicative in tensor order) and the Fock representation.
+`Representation` is the one sigma/T/S target: a zero and the images of the
+basis elements of R, Q and P, whether matrices (`Mat`) or the closed forms
+that `graphalg.lpa_target` and `crossedprod.crossed_representation` build.
+The Fock module F = (+)_j Q^(x)j is T modulo the left ideal L of the grades
+(m, n) with n >= 1, so T acts on F by the same product rule (`fock_apply`).  A
 Fock block is its columns' nonzeros: one tuple of (index, value) pairs per
 basis vector of the source level, column c the product of a class with
 basis class c of Q^(x)j, and only nonzero columns are accumulated.
@@ -60,7 +63,6 @@ from .exactlin import (
     QuotientSpace,
     _sum_nz,
     frac,
-    mat_identity,
     mat_zero,
     matmul,
     unit_vec,
@@ -432,10 +434,6 @@ class Mat:
     def zero(cls, d: int) -> "Mat":
         return cls(mat_zero(d, d))
 
-    @classmethod
-    def identity(cls, d: int) -> "Mat":
-        return cls(mat_identity(d))
-
     def __add__(self, other: "Mat") -> "Mat":
         return Mat([vec_add(a, b) for a, b in zip(self.rows, other.rows)])
 
@@ -464,24 +462,28 @@ class Mat:
 
 @dataclass(eq=False)
 class Representation:
-    """Matrix images of the R/Q/P basis elements (linear in coordinates)."""
+    """The one sigma/T/S target: the images of the R, Q and P basis elements
+    in a ring whose zero is `zero`, and sigma, T and S the linear maps that
+    send coordinates to the combinations of those images.  Matrix targets
+    take `Mat` images; `graphalg.lpa_target` and
+    `crossedprod.crossed_representation` build the closed-form targets."""
 
-    dim: int
-    r_images: list  # Mat per ring basis element
-    q_images: list  # Mat per Q basis element
-    p_images: list  # Mat per P basis element
+    zero: object
+    r_images: list
+    q_images: list
+    p_images: list
 
-    def sigma(self, r) -> Mat:
+    def sigma(self, r):
         return self._comb(self.r_images, r)
 
-    def t(self, q) -> Mat:
+    def t(self, q):
         return self._comb(self.q_images, q)
 
-    def s(self, p) -> Mat:
+    def s(self, p):
         return self._comb(self.p_images, p)
 
-    def _comb(self, images, coords) -> Mat:
-        acc = Mat.zero(self.dim)
+    def _comb(self, images, coords):
+        acc = self.zero
         for c, img in zip(coords, images):
             if c != 0:
                 acc = acc + frac(c) * img

@@ -44,12 +44,9 @@ from cprings.exactlin import (
     _nonzeros,
     _sum_nz,
     frac,
-    mat_identity,
-    mat_transpose,
     matmul,
     unit_vec,
     vec_add,
-    vec_scale,
     zero_vec,
 )
 from cprings.finrank import _delta_columns, _floored_thetas, delta_ideals, theta_table
@@ -297,8 +294,18 @@ def random_invertible(rng, d):
 
 
 def non_diagonal_system(kind, rng):
-    """An automorphism system of `kind`, presented in a random basis
-    f_i = sum_k b[k][i] m_k of the algebra, and its proper nonzero ideals."""
+    """An automorphism system of `kind` (`non_diagonal_automorphism`) and
+    its proper nonzero ideals."""
+    ring, phi, ideals = non_diagonal_automorphism(kind, rng)
+    system = build_automorphism_system(ring, phi)
+    system.name = f"{kind}-{ring.dim}"
+    return system, [Subspace(ring.dim, ideal) for ideal in ideals]
+
+
+def non_diagonal_automorphism(kind, rng):
+    """The algebra of `kind` presented in a random basis
+    f_i = sum_k b[k][i] m_k, the matrix of an automorphism of it in that
+    basis, and the coordinate rows of its proper nonzero ideals."""
     mats, g, ideals = _algebra(kind, rng)
     d = len(mats)
     flat = [[m[r][c] for m in mats] for r in range(len(mats[0])) for c in range(len(mats[0]))]
@@ -318,9 +325,7 @@ def non_diagonal_system(kind, rng):
     g_inv = dense_inverse(g)
     phi = [list(col) for col in zip(*[new_coords(matmul(matmul(g, fi), g_inv)) for fi in f])]
     ring = StructuredRing([f"f{i + 1}" for i in range(d)], mult)
-    system = build_automorphism_system(ring, phi)
-    system.name = f"{kind}-{d}"
-    return system, [Subspace(d, [new_coords(m) for m in ideal]) for ideal in ideals]
+    return ring, phi, [[new_coords(m) for m in ideal] for ideal in ideals]
 
 
 # the system families the sparse builders are checked on against dense oracles
@@ -502,6 +507,19 @@ def rebase_legs(system, q_change, p_change) -> RSystem:
 
 def mat_eq(a, b) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
+
+
+def mat_identity(n: int) -> list:
+    return [unit_vec(n, i) for i in range(n)]
+
+
+def mat_transpose(a) -> list:
+    return [list(col) for col in zip(*a)]
+
+
+def vec_scale(c, v) -> list:
+    c = frac(c)
+    return [c * x for x in v]
 
 
 def dense_balanced_quotient(a_right, a_dim: int, b_left, b_dim: int):
@@ -797,8 +815,8 @@ def span_reading_j(system, rep) -> Subspace:
     be a sum of T(q) S(p).  Under (FS) it is the ideal `cpring.extract_j`
     reads off the covariance defect."""
     assert check_representation(system, rep) == []
-    d = system.ring.dim
-    if not rep.dim:
+    d, dim = system.ring.dim, len(rep.zero.rows)
+    if not dim:
         return Subspace.full(d)
 
     def flat(m):
@@ -806,8 +824,8 @@ def span_reading_j(system, rep) -> Subspace:
 
     sigma = mat_transpose([flat(rep.sigma(unit_vec(d, r))) for r in range(d)])
     dq, dp = system.q.dim, system.p.dim
-    span = Subspace(rep.dim * rep.dim, [flat(rep.t(unit_vec(dq, a)) * rep.s(unit_vec(dp, b)))
-                                        for a in range(dq) for b in range(dp)])
+    span = Subspace(dim * dim, [flat(rep.t(unit_vec(dq, a)) * rep.s(unit_vec(dp, b)))
+                                for a in range(dq) for b in range(dp)])
     return dense_preimage(sigma, span, d)
 
 

@@ -41,6 +41,7 @@ from conftest import (
     square_zero_json,
     three_vertex_two_cycle,
     perm3_system,
+    mat_identity,
 )
 
 from cprings import cli, rsystem
@@ -52,7 +53,7 @@ from cprings.cli import (
     parse_element,
 )
 from cprings.graphalg import graph_to_json, line_graph, rose_graph
-from cprings.exactlin import Subspace, mat_identity
+from cprings.exactlin import Subspace
 from cprings.rsystem import build_automorphism_system, build_graph_system, system_from_json, system_to_json
 from cprings.toeplitz import ToeplitzElement, embed, toeplitz_mul
 

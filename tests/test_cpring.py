@@ -26,10 +26,11 @@ from conftest import (
     span_reading_j,
     square_zero_json,
     three_vertex_two_cycle,
+    mat_identity,
 )
 
 from cprings.crossedprod import crossed_representation
-from cprings.exactlin import Subspace, frac, mat_identity, unit_vec
+from cprings.exactlin import Subspace, frac, unit_vec
 from cprings.finrank import FsViolation, canonical_ideals, check_fs, left_annihilator
 from cprings.graphalg import LpaElement, line_graph, lpa_vertex, lpa_x, lpa_y, rose_graph
 from cprings.ideals import TPair, graded_ideal_correspondence, validate_tpair
@@ -326,7 +327,7 @@ def _a2_matrix_rep():
     e12 = Mat([[0, 1], [0, 0]])
     e21 = Mat([[0, 0], [1, 0]])
     e22 = Mat([[0, 0], [0, 1]])
-    return Representation(dim=2, r_images=[e11, e22], q_images=[e12], p_images=[e21])
+    return Representation(Mat.zero(2), r_images=[e11, e22], q_images=[e12], p_images=[e21])
 
 
 def test_is_cp_invariant(a2_system):
@@ -347,14 +348,14 @@ def test_extract_j_and_tpair(a2_system):
 
 def test_extract_refuses_invalid(a2_system):
     rep = _a2_matrix_rep()
-    bad = Representation(dim=2, r_images=rep.r_images,
+    bad = Representation(rep.zero, r_images=rep.r_images,
                          q_images=rep.p_images, p_images=rep.q_images)
     with pytest.raises(InvalidRepresentation):
         extract_j(a2_system, bad)
 
 
 def test_extract_zero_dim_rep(a2_system):
-    rep = Representation(dim=0, r_images=[Mat.zero(0)] * 2,
+    rep = Representation(Mat.zero(0), r_images=[Mat.zero(0)] * 2,
                          q_images=[Mat.zero(0)], p_images=[Mat.zero(0)])
     i, j = extract_tpair(a2_system, rep)
     assert i.dim == 2  # ker sigma = R
@@ -368,7 +369,7 @@ def _unit(n, i, j):
 
 def _zero_rep(system):
     z = Mat.zero(0)
-    return Representation(0, [z] * system.ring.dim, [z] * system.q.dim, [z] * system.p.dim)
+    return Representation(z, [z] * system.ring.dim, [z] * system.q.dim, [z] * system.p.dim)
 
 
 def _point_rep(system, vertex):
@@ -376,21 +377,23 @@ def _point_rep(system, vertex):
     vertex idempotent and 0 elsewhere, with T = S = 0 (the vertex's edges all
     leave it, so T(e) = sigma(s(e)) T(e) sigma(r(e)) = 0)."""
     ring = system.ring
-    return Representation(1, [Mat([[int(label == vertex)]]) for label in ring.labels],
+    return Representation(Mat.zero(1), [Mat([[int(label == vertex)]]) for label in ring.labels],
                           [Mat([[0]])] * system.q.dim, [Mat([[0]])] * system.p.dim)
 
 
 def _line3_matrix_units(system):
     """sigma(v_k) = E_kk, T(e_k) = E_k,k+1, S(e_k~) = E_k+1,k."""
-    return Representation(3, [_unit(3, k, k) for k in range(3)],
+    return Representation(Mat.zero(3), [_unit(3, k, k) for k in range(3)],
                           [_unit(3, k, k + 1) for k in range(2)], [_unit(3, k + 1, k) for k in range(2)])
 
 
 def _direct_sum(a, b):
-    def block(x, y):
-        return Mat([list(r) + [0] * b.dim for r in x.rows] + [[0] * a.dim + list(r) for r in y.rows])
+    da, db = len(a.zero.rows), len(b.zero.rows)
 
-    return Representation(a.dim + b.dim, *[[block(x, y) for x, y in zip(xs, ys)] for xs, ys in (
+    def block(x, y):
+        return Mat([list(r) + [0] * db for r in x.rows] + [[0] * da + list(r) for r in y.rows])
+
+    return Representation(Mat.zero(da + db), *[[block(x, y) for x, y in zip(xs, ys)] for xs, ys in (
         (a.r_images, b.r_images), (a.q_images, b.q_images), (a.p_images, b.p_images))])
 
 
@@ -404,10 +407,10 @@ _LINE3_REBASED = lambda: rebase_legs(_LINE3(), _CHANGE_Q, _CHANGE_P)
 def _rebased_rep(rep):
     """`rep` read in the bases of `_LINE3_REBASED`: T(q'_a) = sum_b A[b][a] T(m_b)."""
     def images(old, change):
-        return [sum((change[b][a] * img for b, img in enumerate(old)), Mat.zero(rep.dim))
+        return [sum((change[b][a] * img for b, img in enumerate(old)), rep.zero)
                 for a in range(len(old))]
 
-    return Representation(rep.dim, rep.r_images, images(rep.q_images, _CHANGE_Q), images(rep.p_images, _CHANGE_P))
+    return Representation(rep.zero, rep.r_images, images(rep.q_images, _CHANGE_Q), images(rep.p_images, _CHANGE_P))
 
 
 @pytest.mark.parametrize("make_system, make_rep", [
@@ -437,7 +440,7 @@ def test_covariance_is_read_one_way(make_system, make_rep):
     rep = make_rep(system)
     j = extract_j(system, rep)
     assert j == span_reading_j(system, rep)
-    rng = random.Random(system.ring.dim * 100 + rep.dim)
+    rng = random.Random(system.ring.dim * 100 + len(rep.zero.rows))
     d = system.ring.dim
     for _ in range(20):
         rows = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(d)] for _ in range(rng.randint(0, d))]

@@ -13,7 +13,17 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import concat_class, diagonal_ring, perm3_system, relation_generators, rose_graph
+from conftest import (
+    concat_class,
+    dense,
+    dense_inverse,
+    diagonal_ring,
+    non_diagonal_automorphism,
+    non_diagonal_system,
+    perm3_system,
+    relation_generators,
+    rose_graph,
+)
 
 from cprings.cpring import CpContext, ContextMismatch, validate_ideal
 from cprings.crossedprod import (
@@ -25,7 +35,7 @@ from cprings.crossedprod import (
     phi_power,
     toeplitz_to_crossed,
 )
-from cprings.exactlin import Subspace, matvec, unit_vec, zero_vec
+from cprings.exactlin import Subspace, matmul, matvec, unit_vec, zero_vec
 from cprings.rsystem import build_automorphism_system, build_graph_system
 from cprings.tensorpow import psi_n
 from cprings.toeplitz import (
@@ -51,17 +61,59 @@ def e(i, n=3):
     return unit_vec(n, i)
 
 
+def _phi(system, k, v):
+    """phi^k(v), through the matrix whose columns are `phi_power`'s images."""
+    return matvec(dense(phi_power(system, k), system.ring.dim), v)
+
+
 def test_permutation_matrix_matches_handwritten(sys3):
-    # conftest's perm3 sends e1 -> e2 -> e3 -> e1
-    assert permutation_matrix([1, 2, 0]) == sys3.phi
+    # conftest's perm3 sends e1 -> e2 -> e3 -> e1; the system keeps phi(e_k) as its nonzeros
+    assert permutation_matrix([1, 2, 0]) == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    assert sys3.phi == (((1, 1),), ((2, 1),), ((0, 1),))
     with pytest.raises(ValueError):
         permutation_matrix([0, 0, 1])
+
+
+# the automorphism systems whose phi images have several nonzeros
+NON_DIAGONAL_KINDS = ("diagonal", "dual", "upper", "matrix2")
+
+
+def _dense_power(phi, k):
+    """phi^k by dense matrix products, through `dense_inverse` for k < 0."""
+    base = phi if k >= 0 else dense_inverse(phi)
+    out = [unit_vec(len(phi), i) for i in range(len(phi))]
+    for _ in range(abs(k)):
+        out = matmul(base, out)
+    return out
+
+
+def test_phi_power_matches_dense_powers():
+    """phi_power keeps phi^k as the nonzeros of its images phi^k(e_i), the
+    columns of the matrix power of the input matrix."""
+    inputs = [(diagonal_ring(3), permutation_matrix([1, 2, 0]))]
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        inputs += [non_diagonal_automorphism(kind, rng)[:2] for kind in NON_DIAGONAL_KINDS]
+    for ring, phi in inputs:
+        system = build_automorphism_system(ring, phi)
+        for k in range(-3, 4):
+            assert dense(phi_power(system, k), ring.dim) == _dense_power(phi, k), (ring, k)
+
+
+def test_non_integral_degrees_are_refused(sys3):
+    """A Laurent degree is an int: 1.5 is refused, not truncated to 1."""
+    x = CrossedElement(sys3, {1: e(0)})
+    for bad in (lambda: phi_power(sys3, 1.5), lambda: CrossedElement(sys3, {1.5: e(0)}),
+                lambda: CrossedElement(sys3, {1.5: zero_vec(3)}), lambda: x.coefficient(1.9)):
+        with pytest.raises(ValueError, match="Laurent degree is an integer"):
+            bad()
+    assert phi_power(sys3, 1) == sys3.phi and x.coefficient(1) == e(0)
 
 
 def test_phi_power_cycles(sys3):
     assert phi_power(sys3, 3) == phi_power(sys3, 0)
     assert phi_power(sys3, -1) == phi_power(sys3, 2)
-    assert matvec(phi_power(sys3, 1), e(1)) == list(e(2))
+    assert _phi(sys3, 1, e(1)) == list(e(2))
 
 
 def test_degree_zero_subring(sys3):
@@ -172,31 +224,36 @@ def test_psi2_closed_form(sys3):
                             for k, w in table[s_i][t_i]:
                                 got[k] += ps * qt * w
                     want = mul(
-                        mul(list(e(a)), matvec(phi_power(sys3, 1), e(b))),
+                        mul(list(e(a)), _phi(sys3, 1, e(b))),
                         mul(
-                            matvec(phi_power(sys3, 2), e(c)),
-                            matvec(phi_power(sys3, 1), e(d)),
+                            _phi(sys3, 2, e(c)),
+                            _phi(sys3, 1, e(d)),
                         ),
                     )
                     assert got == want
 
 
 def _generator_words(sys):
-    gens = [embed(sys, kind, e(i)) for kind in ("R", "Q", "P") for i in range(3)]
-    return gens
+    d = sys.ring.dim
+    return [embed(sys, kind, e(i, d)) for kind in ("R", "Q", "P") for i in range(d)]
 
 
 def test_collapse_agrees_with_generic_evaluator(sys3):
-    rep = crossed_representation(sys3)
+    """The collapse and the evaluator agree on perm3 and on every
+    non-diagonal kind, whose phi images have several nonzeros."""
+    built = random.Random(1)
+    systems = [sys3] + [non_diagonal_system(kind, built)[0] for kind in NON_DIAGONAL_KINDS]
     rng = random.Random(23)
-    gens = _generator_words(sys3)
-    for _ in range(80):
-        w = rng.choice(gens)
-        for _ in range(rng.randrange(0, 3)):
-            w = toeplitz_mul(w, rng.choice(gens))
-        if rng.random() < 0.4:
-            w = w + rng.choice(gens)
-        assert toeplitz_to_crossed(w) == evaluate(w, rep)
+    for system in systems:
+        rep = crossed_representation(system)
+        gens = _generator_words(system)
+        for _ in range(80):
+            w = rng.choice(gens)
+            for _ in range(rng.randrange(0, 3)):
+                w = toeplitz_mul(w, rng.choice(gens))
+            if rng.random() < 0.4:
+                w = w + rng.choice(gens)
+            assert toeplitz_to_crossed(w) == evaluate(w, rep), system.name
 
 
 def test_collapse_is_multiplicative_on_short_words(sys3):
@@ -231,7 +288,7 @@ def test_covariance_becomes_total(sys3, ctx3):
     for b in range(3):
         for a in range(3):
             tq_sp = toeplitz_mul(embed(sys3, "Q", e(b)), embed(sys3, "P", e(a)))
-            w = sys3.ring.multiply(list(e(b)), matvec(phi_power(sys3, -1), e(a)))
+            w = sys3.ring.multiply(list(e(b)), _phi(sys3, -1, e(a)))
             image = embed(sys3, "R", w)
             assert tq_sp.support() in ([], [(1, 1)])
             assert tq_sp != image or not any(w)

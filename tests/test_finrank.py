@@ -38,16 +38,16 @@ from conftest import (
     three_vertex_two_cycle,
     theta_matrix,
     theta_matrix_p,
+    mat_identity,
+    mat_transpose,
 )
 
 from cprings import exactlin, finrank
-from cprings.cpring import CpContext, _flatten, _fock_block, cp_equal, graded_uniqueness_check, validate_ideal
+from cprings.cpring import CpContext, cp_equal, graded_uniqueness_check, validate_ideal
 from cprings.exactlin import (
     ONE,
     Subspace,
     _dense,
-    mat_identity,
-    mat_transpose,
     mat_zero,
     matmul,
     solve,
@@ -76,7 +76,7 @@ from cprings.rsystem import (
     validate_axioms,
 )
 from cprings.tensorpow import DEFAULT_CAP, psi_apply, tensor_space
-from cprings.toeplitz import embed, pair, toeplitz_mul
+from cprings.toeplitz import embed, fock_apply, pair, toeplitz_mul
 
 
 def test_theta_is_matrix_unit_on_matching_ranges(line3_system):
@@ -135,8 +135,8 @@ def test_theta_rows_are_fock_blocks(line3_system, perm3):
         q, p, table = system.q.dim, system.p.dim, finrank.theta_table(system, "Q", 1)
         for b in range(q):
             for a in range(p):
-                block = _fock_block(pair(system, 1, 1, unit_vec(q, b), unit_vec(p, a)), 1, 1, DEFAULT_CAP)
-                flat = _flatten(block, q)
+                block = fock_apply(pair(system, 1, 1, unit_vec(q, b), unit_vec(p, a)), 1, cap=DEFAULT_CAP).get(1, ())
+                flat = finrank._flatten(block, q)
                 assert flat == table[b * p + a], (system.name, b, a)
                 assert _dense(q * q, flat) == dense_rows([table[b * p + a]], q * q)[0], (system.name, b, a)
 
@@ -403,7 +403,7 @@ def test_reduced_solve_matches_dense_solve():
             identity = tuple((c * m + c, ONE) for c in range(m))
             targets = finrank._floored(system, side, level, floor, [identity])
             if side == "Q" and level == 1 and floor.is_zero():
-                targets += [finrank._flatten_columns(cols) for cols in system.q.left]
+                targets += [finrank._flatten(cols, system.q.dim) for cols in system.q.left]
             rows = finrank._floored_thetas(system, side, level, floor)
             for target in targets:
                 found = solve(rows, target)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from cprings import cli, cpring, exactlin, finrank, ideals, rsystem, toeplitz
 from cprings.cli import _graph_pair_lattice
-from cprings.exactlin import Subspace, mat_identity, unit_vec
+from cprings.exactlin import Subspace, unit_vec
 from cprings.graphalg import cycle_graph, enumerate_ideal_pairs, line_graph, pair_order, rose_graph
 from cprings.rsystem import build_automorphism_system, build_graph_system, system_from_json
 from cprings.finrank import FsViolation, canonical_ideals, check_fs, delta_ideals, left_annihilator
@@ -68,6 +68,8 @@ from conftest import (
     tpair_quotient_flags_oracle,
     tpair_le,
     tpair_meet,
+    mat_identity,
+    non_diagonal_system,
 )
 
 
@@ -179,7 +181,6 @@ def test_tpair_needs_two_sided_j():
     no T-pair, and the correspondence refuses it."""
     from conftest import matrix2_ring
     from cprings.rsystem import build_automorphism_system
-    from cprings.exactlin import mat_identity
 
     system = build_automorphism_system(matrix2_ring(), mat_identity(4))
     column = _coord_ideal(system, "e11", "e21")
@@ -189,6 +190,26 @@ def test_tpair_needs_two_sided_j():
     ctx = CpContext(system, validate_ideal(system, Subspace(4)))
     with pytest.raises(ValueError, match="j_two_sided"):
         graded_ideal_correspondence(ctx, TPair(Subspace(4), column))
+
+
+def test_quotient_and_tpair_test_two_sidedness_once(monkeypatch):
+    """Off the corner graph, `quotient_system` and `validate_tpair` test I's
+    two-sidedness once, inside `is_psi_invariant`, and `quotient_system`
+    refuses a one-sided I with its own message."""
+    system, proper = non_diagonal_system("upper", random.Random(1))
+    calls = []
+    real = rsystem._two_sided_by_columns
+    monkeypatch.setattr(rsystem, "_two_sided_by_columns", lambda ring, x: calls.append(x) or real(ring, x))
+    assert proper
+    for i in proper:
+        calls.clear()
+        quotient_system(system, i)
+        validate_tpair(system, i, Subspace.full(system.ring.dim))
+        assert sum(x is i for x in calls) == 2, system.name
+    m2 = rsystem.build_automorphism_system(matrix2_ring(), mat_identity(4))
+    with pytest.raises(NotTwoSided, match="quotients need a two-sided ideal"):
+        quotient_system(m2, _coord_ideal(m2, "e11", "e21"))
+    assert not validate_tpair(m2, _coord_ideal(m2, "e11", "e21"), Subspace.full(4)).flags["i_two_sided"]
 
 
 def test_enumerate_line3(line3_system):
@@ -672,7 +693,6 @@ def test_enumeration_frees_the_system():
 def test_enumerate_refuses_nondiagonal():
     from conftest import matrix2_ring
     from cprings.rsystem import build_automorphism_system
-    from cprings.exactlin import mat_identity
 
     ring = matrix2_ring()
     system = build_automorphism_system(ring, mat_identity(4))

@@ -31,8 +31,10 @@ UNREACHED = {
     ("cpring", "graded_uniqueness_check"): "maximality of J; a verb is planned (ROADMAP item 5)",
     ("ideals", "graded_ideal_correspondence"): "graded ideal of a T-pair; a verb is planned (ROADMAP item 4)",
     ("ideals", "extract_tpair_from_handle"): "T-pair of a graded ideal; a verb is planned (ROADMAP item 4)",
-    ("ideals", "is_psi_invariant"): "the public psi-invariance test of an ideal; the library reads "
-                                    "its private twin `_psi_invariant`",
+    ("toeplitz", "Mat"): "the matrix target of a `Representation`, whose values `extract_j` and "
+                         "`extract_tpair` flatten (ROADMAP item 5)",
+    ("exactlin", "matvec"): "no module of src/cprings calls it; perfbench's tracer binds "
+                            "`cpring.matvec` (ROADMAP item 1)",
 }
 
 
@@ -45,6 +47,9 @@ GONE = {
     "_delta_map_matrix": "`finrank._delta_columns` gives Delta's columns as their nonzeros, for `kernel` and `preimage`",
     "solve_matrix": "`build_automorphism_system` inverts phi by one `exactlin.solve` per column",
     "_combine": "the membership walk's coefficient rows are nonzeros, combined by `_sum_nz`",
+    "mat_transpose": "phi and its powers are kept as their images' nonzeros, read column by column",
+    "vec_scale": "a crossed-product coefficient is its nonzeros, scaled and summed by `_sum_nz`",
+    "mat_identity": "phi^0 is the unit images' nonzeros; `Mat` needs no identity",
 }
 
 

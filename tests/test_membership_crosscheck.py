@@ -42,7 +42,7 @@ from cprings.cpring import CpContext, in_relation_ideal, validate_ideal
 from cprings.crossedprod import cp_to_crossed
 from cprings.exactlin import Subspace, unit_vec
 from cprings.finrank import canonical_ideals, theta_decomposition
-from cprings.graphalg import LpaElement, LpaTarget
+from cprings.graphalg import lpa_target
 from cprings.rsystem import build_graph_system
 from cprings.toeplitz import ToeplitzElement, embed, evaluate, toeplitz_mul
 
@@ -69,8 +69,8 @@ def _systems(seed):
         graph = random_graph(rng, max_v=4, max_e=5)
         if graph.edges and not _on_two_cycles(graph):
             system = build_graph_system(graph)
-            zero, rep = LpaElement(graph, {}), LpaTarget(graph, system)
-            out.append((system, lambda ctx, x, rep=rep, zero=zero: evaluate(x, rep) == zero))
+            rep = lpa_target(graph, system)
+            out.append((system, lambda ctx, x, rep=rep: evaluate(x, rep) == rep.zero))
     for _ in range(2):
         out.append((random_permutation_system(rng, max_n=4),
                     lambda ctx, x: cp_to_crossed(ctx, x).is_zero()))

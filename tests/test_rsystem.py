@@ -27,9 +27,11 @@ from conftest import (
     square_into_ideal_json,
     square_zero_json,
     three_vertex_two_cycle,
+    mat_identity,
+    mat_transpose,
 )
 from cprings import finrank, rsystem
-from cprings.exactlin import Subspace, _nonzeros, mat_identity, mat_transpose, unit_vec, zero_vec
+from cprings.exactlin import Subspace, _nonzeros, unit_vec, zero_vec
 from cprings.graphalg import cycle_graph, line_graph, rose_graph
 from cprings.rsystem import (
     Pairing,
@@ -476,8 +478,9 @@ def _dense_automorphism_system(system) -> RSystem:
     the ring from its dense table, psi from the dense table
     psi(e_i (x) e_j) = e_i phi(e_j)."""
     ring, d = system.ring, system.ring.dim
-    cols = mat_transpose(system.phi)
-    phi_inv = dense_inverse(system.phi)
+    phi = dense(system.phi, d)  # the system keeps phi(e_k) as its nonzeros
+    cols = mat_transpose(phi)
+    phi_inv = dense_inverse(phi)
     p = StructuredBimodule(ring.labels, ring.left, [ring.right_map(c) for c in cols])
     q = StructuredBimodule(ring.labels, ring.left, [ring.right_map(c) for c in mat_transpose(phi_inv)])
     psi = Pairing([[ring.multiply(unit_vec(d, i), cols[j]) for j in range(d)] for i in range(d)])

@@ -38,11 +38,11 @@ from conftest import (
     rebased_legs,
     three_vertex_two_cycle,
     word_class,
+    mat_identity,
 )
 
 from cprings import exactlin, tensorpow, toeplitz
 from cprings.exactlin import (
-    mat_identity,
     unit_vec,
     zero_vec,
     is_zero_vec,

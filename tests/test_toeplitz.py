@@ -28,9 +28,10 @@ from conftest import (
     perm3_system,
     random_graph_element,
     three_vertex_two_cycle,
+    mat_identity,
 )
 
-from cprings.exactlin import mat_identity, unit_vec, zero_vec
+from cprings.exactlin import unit_vec, zero_vec
 from cprings.graphalg import rose_graph
 from cprings.rsystem import build_automorphism_system, build_graph_system
 from cprings.tensorpow import CapExceeded, tensor_space
@@ -432,13 +433,13 @@ def _a2_matrix_rep():
     e12 = Mat([[0, 1], [0, 0]])
     e21 = Mat([[0, 0], [1, 0]])
     e22 = Mat([[0, 0], [0, 1]])
-    return Representation(dim=2, r_images=[e11, e22], q_images=[e12], p_images=[e21])
+    return Representation(Mat.zero(2), r_images=[e11, e22], q_images=[e12], p_images=[e21])
 
 
 def test_a2_matrix_rep_valid(a2_system):
     rep = _a2_matrix_rep()
     assert check_representation(a2_system, rep) == []
-    bad = Representation(dim=2, r_images=rep.r_images, q_images=rep.p_images, p_images=rep.q_images)
+    bad = Representation(rep.zero, r_images=rep.r_images, q_images=rep.p_images, p_images=rep.q_images)
     assert check_representation(a2_system, bad)
 
 
